@@ -17,7 +17,6 @@ cd "$(dirname "$0")/.."
 
 FILES=(
   crates/netlist/src/sim.rs
-  crates/netlist/src/batch.rs
   crates/netlist/src/compile.rs
   crates/ml/src/metrics.rs
 )

@@ -14,6 +14,9 @@
 //!   machine's hardware parallelism);
 //! - `--smoke` — run every experiment over reduced workloads (CI's
 //!   end-to-end harness check);
+//! - `--only NAME` — run just the named experiment (`table1` … `table5`,
+//!   `fig3` … `fig19`, `ablations`); repeat the flag for several. The
+//!   report lists them in canonical order;
 //! - `--no-cache` — disable the content-addressed artifact cache (also
 //!   settable via `PRINTED_ML_NO_CACHE=1`); by default warm runs reuse
 //!   trained models, optimized netlists and PPA results from
@@ -37,10 +40,7 @@
 
 use serde::Serialize;
 
-use bench::experiments as e;
-
-/// A named experiment regenerator.
-type Experiment = (&'static str, fn() -> Vec<bench::Table>);
+use bench::experiments::{Experiment, ALL};
 
 /// One finished experiment in the JSON report. Wall-clock timing lives
 /// in the `report` span tree, not here, so the experiment entries are
@@ -66,7 +66,11 @@ struct Report {
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: repro_all [--threads N] [--smoke] [--verify] [--no-cache] [--json PATH]");
+    eprintln!(
+        "usage: repro_all [--threads N] [--smoke] [--only NAME]... [--verify] [--no-cache] [--json PATH]"
+    );
+    let names: Vec<&str> = ALL.iter().map(|&(name, _)| name).collect();
+    eprintln!("experiments: {}", names.join(", "));
     std::process::exit(2);
 }
 
@@ -75,6 +79,7 @@ fn main() {
     let mut verify = false;
     let mut no_cache = false;
     let mut json_path: Option<String> = None;
+    let mut only: Vec<&str> = Vec::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -88,6 +93,16 @@ fn main() {
                     usage_error("--threads requires a positive integer");
                 };
                 exec::set_threads(n);
+            }
+            "--only" => {
+                i += 1;
+                let Some(name) = args.get(i) else {
+                    usage_error("--only requires an experiment name");
+                };
+                let Some(&(known, _)) = ALL.iter().find(|&&(n, _)| n == name) else {
+                    usage_error(&format!("unknown experiment: {name}"));
+                };
+                only.push(known);
             }
             "--json" => {
                 i += 1;
@@ -107,25 +122,10 @@ fn main() {
     obs::reset();
     let root_span = obs::span("repro_all");
 
-    let experiments: Vec<Experiment> = vec![
-        ("table1", e::table1),
-        ("table2", e::table2),
-        ("table3", e::table3),
-        ("table4", e::table4),
-        ("table5", e::table5),
-        ("fig3", e::fig3),
-        ("fig6", e::fig6),
-        ("fig7", e::fig7),
-        ("fig9", e::fig9),
-        ("fig10", e::fig10),
-        ("fig11", e::fig11),
-        ("fig12", e::fig12),
-        ("fig13", e::fig13),
-        ("fig16", e::fig16),
-        ("fig17", e::fig17),
-        ("fig19", e::fig19),
-        ("ablations", e::ablations),
-    ];
+    let experiments: Vec<Experiment> = ALL
+        .into_iter()
+        .filter(|&(name, _)| only.is_empty() || only.contains(&name))
+        .collect();
     let threads = exec::threads();
     eprintln!(
         "[repro] running {} experiments on {} thread(s){}, cache {}",

@@ -2,15 +2,14 @@
 
 //! # bench — the evaluation harness
 //!
-//! One binary per table and figure of the paper's evaluation section, plus
-//! Criterion micro-benchmarks over the generator pipeline. Each binary
-//! prints the same rows/series the paper reports and (optionally, with
-//! `--json PATH`) dumps machine-readable results for EXPERIMENTS.md.
-//!
-//! Run them all with:
+//! One regenerator per table and figure of the paper's evaluation section
+//! ([`experiments::ALL`]). Each prints the same rows/series the paper
+//! reports; `repro_all` runs them (all, or those `--only` names) and with
+//! `--json PATH` dumps machine-readable results for EXPERIMENTS.md:
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro_all
+//! cargo run --release -p bench --bin repro_all -- --only table2 --only fig7
 //! ```
 
 use std::fmt;

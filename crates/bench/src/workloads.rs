@@ -1,4 +1,4 @@
-//! Shared workload construction for the table/figure binaries.
+//! Shared workload construction for the table/figure regenerators.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -92,8 +92,8 @@ pub fn svm_flows() -> Vec<SvmFlow> {
         .collect()
 }
 
-/// A fast subset (used by Criterion benches to keep wall time sane):
-/// one easy, one hard, one ordinal dataset.
+/// A fast subset (the smoke-mode datasets): one easy, one hard, one
+/// ordinal dataset.
 pub fn quick_apps() -> [Application; 3] {
     [Application::Har, Application::Cardio, Application::RedWine]
 }
@@ -101,9 +101,8 @@ pub fn quick_apps() -> [Application; 3] {
 /// The Table-VII-style manufacturing-test stimulus for a tree workload:
 /// up to `rows` real test-set rows (they exercise the trained decision
 /// paths) plus per-feature min/max corner vectors (they toggle every
-/// comparator). Shared by the fault-coverage ablation, the `--verify`
-/// fault-grading stage and the `fault_bench` binary so they all grade the
-/// same vector set.
+/// comparator). Shared by the fault-coverage ablation and the `--verify`
+/// fault-grading stage so they both grade the same vector set.
 pub fn tree_test_vectors(flow: &TreeFlow, rows: usize) -> Vec<Vec<u64>> {
     let used = flow.qt.used_features();
     let mut vectors: Vec<Vec<u64>> = flow

@@ -2,7 +2,8 @@
 //! binary must exit cleanly, its `--json` report must parse and cover
 //! every one of the 17 experiments, and the `--verify` sign-off section
 //! must record zero counter-examples. This is the same contract the CI
-//! smoke job enforces on the release binary.
+//! smoke job enforces on the release binary. `--only` must narrow the
+//! run to the named experiments.
 
 use std::process::Command;
 
@@ -106,4 +107,51 @@ fn unknown_flags_are_rejected() {
         .expect("run repro_all");
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("usage"));
+}
+
+#[test]
+fn only_runs_the_named_experiments_in_canonical_order() {
+    let out_path =
+        std::env::temp_dir().join(format!("printed_ml_repro_only_{}.json", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args([
+            "--smoke",
+            "--no-cache",
+            "--only",
+            "fig3",
+            "--only",
+            "table1",
+        ])
+        .arg("--json")
+        .arg(&out_path)
+        .output()
+        .expect("run repro_all");
+    assert!(
+        output.status.success(),
+        "repro_all failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let body = std::fs::read_to_string(&out_path).expect("read report");
+    std::fs::remove_file(&out_path).ok();
+    let report: serde_json::Value = serde_json::from_str(&body).expect("parse report");
+    let names: Vec<&str> = report
+        .get("experiments")
+        .and_then(|v| v.as_array())
+        .expect("experiments array")
+        .iter()
+        .map(|e| e.get("name").and_then(|v| v.as_str()).expect("name"))
+        .collect();
+    assert_eq!(names, ["table1", "fig3"]);
+}
+
+#[test]
+fn unknown_experiments_are_rejected() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["--only", "table9"])
+        .output()
+        .expect("run repro_all");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("usage"), "{stderr}");
+    assert!(stderr.contains("table9"), "{stderr}");
 }

@@ -3,11 +3,12 @@
 //! Each oracle cross-checks a pair (or more) of independently
 //! implemented paths that must agree bit-for-bit:
 //!
-//! 1. **Engines** — scalar [`netlist::Simulator`], the interpreted
-//!    64-lane reference, the compiled [`netlist::BatchSimulator`] and the
-//!    256-lane [`netlist::WideSim`]`<4>`, with and without an injected
-//!    stuck-at fault; plus agreement on *rejecting* sequential and
-//!    cyclic inputs with the same [`netlist::SimError`] kind.
+//! 1. **Engines** — the scalar reference [`netlist::Simulator`] against
+//!    the compiled kernel as a 64-lane [`netlist::WideSim`]`<1>` and a
+//!    256-lane `WideSim<4>`, with and without an injected stuck-at
+//!    fault; plus agreement on *rejecting* cyclic inputs with the same
+//!    [`netlist::SimError`] kind, and the kernel's rejection of
+//!    sequential ones.
 //! 2. **Variation** — the scalar `analog::variation::reference`
 //!    analyzers against the compiled lane-batched tapes.
 //! 3. **Optimizer** — `netlist::optimize` output proven equivalent to
@@ -29,10 +30,9 @@ use exec::rng::StdRng;
 use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
 use ml::tree::{DecisionTree, TreeParams};
 use ml::SvmRegressor;
-use netlist::batch::reference::InterpretedSimulator;
 use netlist::{
-    check_equivalence, optimize, BatchSimulator, CompiledNetlist, Equivalence, Fault, Module,
-    SimError, Simulator, WideSim,
+    check_equivalence, optimize, CompiledNetlist, Equivalence, Fault, Module, SimError, Simulator,
+    WideSim,
 };
 
 use crate::gen;
@@ -40,7 +40,7 @@ use crate::gen;
 /// Identifies one of the five oracle pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleKind {
-    /// Digital simulation engines (scalar / interpreted / compiled / wide).
+    /// Digital simulation engines (scalar reference / compiled kernel).
     Engines,
     /// Analog variation: scalar reference vs compiled tapes.
     Variation,
@@ -79,9 +79,8 @@ impl OracleKind {
     }
 }
 
-/// Vectors per engine-oracle case: one interpreted-engine pass (≤ 64
-/// lanes) and a quarter of a wide pass, while still crossing every
-/// port-width boundary.
+/// Vectors per engine-oracle case: one 64-lane pass and a quarter of a
+/// 256-lane pass, while still crossing every port-width boundary.
 const ENGINE_VECTORS: usize = 48;
 
 fn hasher(domain: &str) -> cache::StableHasher {
@@ -107,49 +106,47 @@ fn error_kind(e: &SimError) -> &'static str {
     }
 }
 
-/// Runs every simulation engine over `module` and demands bit-identical
-/// outputs — or, for inadmissible modules (sequential, cyclic), the
-/// same rejection kind from every fallible constructor.
+/// Runs both simulation engines over `module` and demands bit-identical
+/// outputs: the scalar reference against the compiled kernel at 64 lanes
+/// (bound per port) and at 256 lanes (bound from a packed image). A
+/// module the compiled kernel rejects must be one it may not take — a
+/// sequential one — or one the scalar reference rejects for the same
+/// reason.
 ///
 /// `vec_seed` drives the input vectors and the fault-site choice.
 pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
-    let interp = InterpretedSimulator::try_new(module);
-    let compiled = CompiledNetlist::try_compile(module);
-    let batch = BatchSimulator::try_new(module);
-    match (interp, compiled, batch) {
-        (Err(e1), Err(e2), Err(e3)) => {
-            let kinds = [error_kind(&e1), error_kind(&e2), error_kind(&e3)];
-            if kinds[0] == kinds[1] && kinds[1] == kinds[2] {
+    let reference = Simulator::try_new(module);
+    match CompiledNetlist::try_compile(module) {
+        Err(e) => {
+            let kind = error_kind(&e);
+            let explained = match &reference {
+                _ if kind == "sequential" => !module.is_combinational(),
+                Err(r) => error_kind(r) == kind,
+                Ok(_) => false,
+            };
+            if explained {
                 let mut h = hasher("check.engines.reject");
-                h.write_str(kinds[0]);
+                h.write_str(kind);
                 Ok(key_word(h.finish()))
             } else {
-                Err(format!(
-                    "engines disagree on why the input is rejected: \
-                     interpreted={e1}, compiled={e2}, batch={e3}"
-                ))
+                Err(match reference {
+                    Err(r) => format!(
+                        "engines disagree on why the input is rejected: \
+                         scalar={r}, compiled={e}"
+                    ),
+                    Ok(_) => format!("only the compiled engine rejected: {e}"),
+                })
             }
         }
-        (i, c, b) => {
-            let mut interp = match i {
-                Ok(s) => s,
-                Err(e) => return Err(format!("only the interpreted engine rejected: {e}")),
-            };
-            let compiled = match c {
-                Ok(s) => Arc::new(s),
-                Err(e) => return Err(format!("only the compiled engine rejected: {e}")),
-            };
-            let mut batch = match b {
-                Ok(s) => s,
-                Err(e) => return Err(format!("only the batch engine rejected: {e}")),
-            };
+        Ok(compiled) => {
+            let compiled = Arc::new(compiled);
+            let mut scalar =
+                reference.map_err(|e| format!("only the scalar engine rejected: {e}"))?;
             let vectors = gen::random_vectors(vec_seed, module, ENGINE_VECTORS);
             let lanes = vectors.len();
             let out_names: Vec<&str> = module.outputs.iter().map(|p| p.name.as_str()).collect();
 
-            // Scalar oracle: one settle per vector.
-            let mut scalar = Simulator::try_new(module)
-                .map_err(|e| format!("scalar engine rejected a valid module: {e}"))?;
+            // Scalar reference: one settle per vector.
             let mut expected: Vec<Vec<u64>> = vec![Vec::with_capacity(lanes); out_names.len()];
             for v in &vectors {
                 for (port, &value) in module.inputs.iter().zip(v) {
@@ -167,18 +164,15 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                 }
             }
 
-            // Lane-parallel engines: one settle for the whole block.
+            // Compiled kernel: one settle for the whole block, at each width.
+            let mut narrow: WideSim<1> = WideSim::new(Arc::clone(&compiled));
             for (p, port) in module.inputs.iter().enumerate() {
                 let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
-                interp
+                narrow
                     .try_set_lanes(&port.name, &column)
-                    .map_err(|e| format!("interpreted set_lanes failed: {e}"))?;
-                batch
-                    .try_set_lanes(&port.name, &column)
-                    .map_err(|e| format!("batch set_lanes failed: {e}"))?;
+                    .map_err(|e| format!("narrow set_lanes failed: {e}"))?;
             }
-            interp.settle();
-            batch.settle();
+            narrow.settle();
             let mut wide: WideSim<4> = WideSim::new(Arc::clone(&compiled));
             let image = wide
                 .try_pack_vectors(&vectors)
@@ -189,22 +183,15 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
 
             let mut h = hasher("check.engines");
             for (o, name) in out_names.iter().enumerate() {
-                let i_out = interp
+                let n_out = narrow
                     .try_lanes(name, lanes)
-                    .map_err(|e| format!("interpreted lanes failed: {e}"))?;
-                let b_out = batch
-                    .try_lanes(name, lanes)
-                    .map_err(|e| format!("batch lanes failed: {e}"))?;
+                    .map_err(|e| format!("narrow lanes failed: {e}"))?;
                 let w_out = wide
                     .try_lanes(name, lanes)
                     .map_err(|e| format!("wide lanes failed: {e}"))?;
                 for lane in 0..lanes {
                     let want = expected[o][lane];
-                    for (engine, got) in [
-                        ("interpreted", i_out[lane]),
-                        ("batch", b_out[lane]),
-                        ("wide", w_out[lane]),
-                    ] {
+                    for (engine, got) in [("narrow", n_out[lane]), ("wide", w_out[lane])] {
                         if got != want {
                             return Err(format!(
                                 "{engine} engine disagrees with the scalar simulator on \
@@ -230,12 +217,12 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                 let faulty = netlist::faults::inject(module, fault);
                 let mut ref_sim = Simulator::try_new(&faulty)
                     .map_err(|e| format!("reference fault injection broke the module: {e}"))?;
-                batch.inject_fault(fault.net, fault.stuck_at);
-                batch.settle();
+                narrow.inject_fault(fault.net, fault.stuck_at);
+                narrow.settle();
                 for name in out_names.iter() {
-                    let b_out = batch
+                    let faulty_out = narrow
                         .try_lanes(name, lanes)
-                        .map_err(|e| format!("faulty batch lanes failed: {e}"))?;
+                        .map_err(|e| format!("faulty narrow lanes failed: {e}"))?;
                     for (lane, v) in vectors.iter().enumerate() {
                         for (port, &value) in faulty.inputs.iter().zip(v) {
                             ref_sim
@@ -246,18 +233,18 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                         let want = ref_sim
                             .try_get(name)
                             .map_err(|e| format!("faulty scalar get failed: {e}"))?;
-                        if b_out[lane] != want {
+                        if faulty_out[lane] != want {
                             return Err(format!(
                                 "fault pinning diverges from reference injection on net \
                                  {:?} stuck at {}: output {name} vector {lane} got {:#x}, \
                                  want {want:#x}",
-                                fault.net, fault.stuck_at, b_out[lane]
+                                fault.net, fault.stuck_at, faulty_out[lane]
                             ));
                         }
                         h.write_u64(want);
                     }
                 }
-                batch.clear_fault();
+                narrow.clear_fault();
             }
             Ok(key_word(h.finish()))
         }

@@ -54,8 +54,8 @@ pub fn generate(spec: &SvmSpec) -> Module {
 /// Register-free variant of [`generate`]: the identical multiplier
 /// array, adder tree and class mapper, but features, coefficients and
 /// boundaries feed the datapath directly. The combinational core is the
-/// workload the simulation throughput benchmark (`sim_bench`) replays,
-/// since the batch kernels are combinational-only.
+/// workload the `perf` benchmark's `signoff` replay drives, since the
+/// compiled simulation kernel is combinational-only.
 pub fn generate_combinational(spec: &SvmSpec) -> Module {
     generate_inner(spec, false)
 }

@@ -1,12 +1,10 @@
 //! Compiled wide-lane simulation kernel.
 //!
-//! The interpreted [`crate::batch::BatchSimulator`] pays an enum dispatch,
-//! a `Signal` match and three bounds-checked `HashMap`-era indirections
-//! per gate per settle pass. Every downstream pipeline — equivalence
-//! sign-off, stuck-at fault grading, the analog variation Monte Carlo —
-//! bottoms out in that loop, so this module compiles a levelized module
-//! *once* into a flat instruction tape and then replays the tape over
-//! wide lane words:
+//! This is the crate's one fast engine. Equivalence sign-off and stuck-at
+//! fault grading bottom out in its settle loop, so a levelized module is
+//! compiled *once* into a flat instruction tape, with no per-gate enum
+//! dispatch or `Signal` match left, and the tape is replayed over wide
+//! lane words:
 //!
 //! * [`CompiledNetlist`] — a dense SoA tape: one opcode byte, three
 //!   pre-resolved operand value-slot indices and one output slot per
@@ -21,9 +19,10 @@
 //! * [`WideSim`] — a lane-width-generic evaluator whose net values are
 //!   `[u64; W]` blocks (64·W vectors per settle; `W = 1` and `W = 4`
 //!   are the shipped widths). The per-instruction word loop is written
-//!   so LLVM auto-vectorizes it. In-place stuck-at fault injection keeps
-//!   the interpreter's semantics: the faulty slot is pinned to a
-//!   broadcast word before the pass and every write to it is skipped.
+//!   so LLVM auto-vectorizes it. In-place stuck-at fault injection
+//!   matches the clone-based [`crate::faults::inject`]: the faulty slot
+//!   is pinned to a broadcast word before the pass and every write to it
+//!   is skipped.
 //!
 //! The tape is immutable after compilation, so one `Arc<CompiledNetlist>`
 //! is shared across all [`exec::parallel_map`] shards in
@@ -34,10 +33,10 @@
 //! volume lands in the `netlist.sim.settles` / `netlist.sim.vectors`
 //! counters published batch-wise by the callers.
 //!
-//! Bit-identity with the scalar [`crate::sim::Simulator`] (and with the
-//! retained interpreter, [`crate::batch::reference`]) is pinned by unit
-//! tests here and the workspace property tests at lane counts straddling
-//! every word boundary, with and without injected faults.
+//! Bit-identity with the scalar [`crate::sim::Simulator`], the reference
+//! engine, is pinned by unit tests here, the workspace property tests at
+//! lane counts straddling every word boundary (with and without injected
+//! faults) and the differential fuzzer's engines oracle.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -108,7 +107,7 @@ enum RomStrategy {
     /// (one AND per row per address bit, by recursive doubling), then
     /// OR each selected row's set data bits into the data columns.
     Mask,
-    /// Per-lane scalar addressing (the interpreter's scheme), for ROMs
+    /// Per-lane scalar addressing, for ROMs
     /// whose address space is too large to expand.
     PerLane,
 }
@@ -563,11 +562,6 @@ impl<const W: usize> WideSim<W> {
         }
     }
 
-    /// The shared tape this evaluator replays.
-    pub fn compiled(&self) -> &CompiledNetlist {
-        &self.compiled
-    }
-
     /// Drives input port `name` with up to `64·W` per-lane values.
     ///
     /// # Panics
@@ -850,7 +844,7 @@ impl<const W: usize> WideSim<W> {
 
     /// Per-lane ROM evaluation for address spaces too large to expand:
     /// assemble each lane's address scalar-wise and scatter the read
-    /// word's bits — the interpreter's exact scheme, per 64-lane word.
+    /// word's bits, per 64-lane word.
     fn eval_rom_per_lane(&mut self, rom: &CompiledRom) {
         let d = rom.data.len();
         for w in 0..W {
@@ -1158,6 +1152,50 @@ mod tests {
         sim.set_lanes("x", &[0, 1, 1, 0]);
         sim.settle();
         assert_eq!(sim.lanes("z", 4), vec![0b10, 0b11, 0b11, 0b10]);
+    }
+
+    #[test]
+    fn packed_images_replay_like_set_lanes() {
+        let mut b = NetlistBuilder::new("add");
+        let x = b.input("x", 4);
+        let y = b.input("y", 4);
+        let s = crate::arith::add(&mut b, &x, &y);
+        b.output("s", &s);
+        let m = b.finish();
+        let mut sim: WideSim<1> = WideSim::new(compile(&m));
+        let vectors: Vec<Vec<u64>> = (0..16).map(|v| vec![v, (v * 3) % 16]).collect();
+        let image = sim.pack_vectors(&vectors);
+        sim.load_packed(&image);
+        sim.settle();
+        let via_packed = sim.lanes("s", 16);
+        let words = sim.output_words(16);
+        sim.set_lanes("x", &(0..16).collect::<Vec<u64>>());
+        sim.set_lanes("y", &(0..16).map(|v| (v * 3) % 16).collect::<Vec<u64>>());
+        sim.settle();
+        assert_eq!(via_packed, sim.lanes("s", 16));
+        assert!(sim.outputs_match(&words, 16));
+    }
+
+    #[test]
+    fn mixed_rom_and_logic_orders_correctly() {
+        // logic -> ROM -> logic dependency chain.
+        let mut b = NetlistBuilder::new("mix");
+        let x = b.input("x", 2);
+        let inv: Vec<Signal> = x.iter().map(|&s| b.not(s)).collect();
+        let d = b.rom(&inv, vec![3, 2, 1, 0], 2, RomStyle::Crossbar);
+        let out = b.xor(d[0], d[1]);
+        b.output("o", &[out]);
+        let m = b.finish();
+        let mut sim: WideSim<1> = WideSim::new(compile(&m));
+        sim.set_lanes("x", &[0, 1, 2, 3]);
+        sim.settle();
+        let got = sim.lanes("o", 4);
+        let mut scalar = Simulator::new(&m);
+        for v in 0..4u64 {
+            scalar.set("x", v);
+            scalar.settle();
+            assert_eq!(got[v as usize], scalar.get("o"), "v={v}");
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Typed simulation errors.
 //!
-//! Every engine in this crate (the scalar [`crate::sim::Simulator`], the
-//! interpreted [`crate::batch::reference::InterpretedSimulator`], the
-//! compiled [`crate::compile::CompiledNetlist`] / [`crate::compile::WideSim`]
-//! tape and the [`crate::batch::BatchSimulator`] wrapper) exposes fallible
-//! `try_*` entry points returning [`SimError`]. The historical panicking
+//! Both engines in this crate (the scalar reference
+//! [`crate::sim::Simulator`] and the compiled
+//! [`crate::compile::CompiledNetlist`] / [`crate::compile::WideSim`] tape)
+//! expose fallible `try_*` entry points returning [`SimError`]. The historical panicking
 //! names remain as thin convenience wrappers over those, so library callers
 //! — the differential fuzzer in `crates/check` first among them — can
 //! distinguish "this input was rejected" from "two engines disagree"

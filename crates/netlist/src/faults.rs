@@ -92,8 +92,8 @@ pub fn fault_sites(module: &Module) -> Vec<Fault> {
 ///
 /// This is the *reference* injection semantics. The production grading
 /// path ([`coverage`]) never clones: it pins the stuck net's lane word in
-/// place via [`crate::batch::BatchSimulator::inject_fault`], which the
-/// batch-simulator tests check against this function site-by-site.
+/// place via [`crate::compile::WideSim::inject_fault`], which the
+/// compiled-kernel tests check against this function site-by-site.
 pub fn inject(module: &Module, fault: Fault) -> Module {
     let mut m = module.clone();
     let stuck = Signal::Const(fault.stuck_at);

@@ -17,7 +17,9 @@
 //!   [`pdk::CellLibrary`];
 //! * [`sim`] — levelized functional simulation (combinational + clocked),
 //!   used to verify every generated classifier bit-for-bit against its
-//!   software model;
+//!   software model: the reference engine;
+//! * [`compile`] — the fast engine: a compiled gate tape replayed over
+//!   64·W lanes by [`WideSim`], which [`verify`] and [`faults`] run on;
 //! * [`verilog`] — structural Verilog emission.
 //!
 //! ```
@@ -40,7 +42,6 @@
 
 pub mod analysis;
 pub mod arith;
-pub mod batch;
 pub mod builder;
 pub mod comb;
 pub mod compile;
@@ -57,7 +58,6 @@ pub mod verify;
 pub mod verilog;
 
 pub use analysis::{analyze, Ppa};
-pub use batch::BatchSimulator;
 pub use builder::NetlistBuilder;
 pub use compile::{CompiledNetlist, WideSim};
 pub use error::SimError;
@@ -66,7 +66,7 @@ pub use faults::{
     coverage as fault_coverage, try_coverage as try_fault_coverage, Fault, FaultCoverage,
 };
 pub use ir::{Gate, Module, NetId, Port, RomInstance, Signal};
-pub use opt::{cumulative_stats, optimize, optimize_with_stats, OptCumulative, OptStats};
+pub use opt::{optimize, optimize_with_stats, OptStats};
 pub use sim::Simulator;
 pub use stats::{logic_levels, max_logic_levels};
 pub use testbench::to_testbench;

@@ -67,66 +67,15 @@ impl OptStats {
     pub fn rewrites(&self) -> usize {
         self.aliased + self.rewritten + self.merged
     }
-
-    /// Input gates processed per second.
-    pub fn gates_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.gates_in as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
 }
 
-/// Process-wide cumulative optimizer statistics (see [`cumulative_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct OptCumulative {
-    /// Number of `optimize` calls.
-    pub calls: u64,
-    /// Total gates across all input modules.
-    pub gates_in: u64,
-    /// Total gates across all optimized modules.
-    pub gates_out: u64,
-    /// Total rewrite-rule applications.
-    pub rewrites: u64,
-    /// Total wall-clock seconds spent optimizing.
-    pub seconds: f64,
-}
-
-impl OptCumulative {
-    /// Aggregate throughput: input gates per optimizer second.
-    pub fn gates_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.gates_in as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Process-wide optimizer metrics, kept in the [`obs`] observability
-/// layer (the former private atomics, absorbed so every binary's report
-/// shares one substrate).
+/// Process-wide optimizer totals over every [`optimize_with_stats`] call,
+/// on all threads: the `netlist.opt.*` counters of the [`obs`] report.
 static OPT_CALLS: obs::Counter = obs::Counter::new("netlist.opt.calls");
 static OPT_GATES_IN: obs::Counter = obs::Counter::new("netlist.opt.gates_in");
 static OPT_GATES_OUT: obs::Counter = obs::Counter::new("netlist.opt.gates_out");
 static OPT_REWRITES: obs::Counter = obs::Counter::new("netlist.opt.rewrites");
 static OPT_NS: obs::Counter = obs::Counter::new("netlist.opt.ns");
-
-/// Cumulative statistics over every [`optimize`] call in this process,
-/// across all threads — a snapshot of the `netlist.opt.*` [`obs`]
-/// counters (zeros while `obs::set_enabled(false)` suppresses
-/// collection). `repro_all --json` reports this as its `optimizer`
-/// section alongside the unified obs `report`.
-pub fn cumulative_stats() -> OptCumulative {
-    OptCumulative {
-        calls: OPT_CALLS.get(),
-        gates_in: OPT_GATES_IN.get(),
-        gates_out: OPT_GATES_OUT.get(),
-        rewrites: OPT_REWRITES.get(),
-        seconds: OPT_NS.get() as f64 * 1e-9,
-    }
-}
 
 /// Optimizes `module` to a fixpoint and returns the result.
 ///
@@ -931,7 +880,8 @@ mod tests {
         let le = unsigned_le(&mut b, &x, &tau);
         b.output("le", &[le]);
         let original = b.finish();
-        let before = cumulative_stats();
+        let calls_before = OPT_CALLS.get();
+        let gates_before = OPT_GATES_IN.get();
         let (optimized, stats) = optimize_with_stats(&original);
         assert_eq!(stats.gates_in, original.gate_count());
         assert_eq!(stats.gates_out, optimized.gate_count());
@@ -941,9 +891,8 @@ mod tests {
         // place and helper inverters stay. The counters must cover at
         // least the net shrink.
         assert!(stats.aliased + stats.merged + stats.dead >= stats.gates_in - stats.gates_out);
-        let after = cumulative_stats();
-        assert!(after.calls > before.calls);
-        assert!(after.gates_in >= before.gates_in + stats.gates_in as u64);
+        assert!(OPT_CALLS.get() > calls_before);
+        assert!(OPT_GATES_IN.get() >= gates_before + stats.gates_in as u64);
     }
 }
 

@@ -321,8 +321,8 @@ impl LaneBuffer {
     }
 }
 
-/// Checks equivalence of two combinational modules on the 64-lane batch
-/// simulator.
+/// Checks equivalence of two combinational modules on the compiled
+/// wide-lane kernel.
 ///
 /// With `total_input_bits <= exhaustive_limit` (and below the 64-bit
 /// packing window) every input combination is tried — a proof; otherwise

@@ -257,18 +257,23 @@ fn const_multiplier_is_exact_for_any_coefficient() {
     });
 }
 
+/// A 64-lane compiled kernel (`WideSim<1>`) over `m`.
+fn narrow_sim(m: &printed_ml::netlist::Module) -> printed_ml::netlist::WideSim<1> {
+    use printed_ml::netlist::{CompiledNetlist, WideSim};
+    WideSim::new(std::sync::Arc::new(CompiledNetlist::compile(m)))
+}
+
 #[test]
-fn batch_simulator_matches_scalar_on_random_circuits() {
-    use printed_ml::netlist::BatchSimulator;
+fn wide_sim_matches_scalar_on_random_circuits() {
     cases(0xB15_0007, 16, |case, rng| {
         let n_gates = rng.gen_range(4usize..30);
         let n_inputs = rng.gen_range(2usize..6);
         let m = random_circuit(rng, n_gates, n_inputs, 3);
         let vectors: Vec<u64> = (0..(1u64 << n_inputs)).collect();
-        let mut batch = BatchSimulator::new(&m);
-        batch.set_lanes("x", &vectors);
-        batch.settle();
-        let got = batch.lanes("o", vectors.len());
+        let mut narrow = narrow_sim(&m);
+        narrow.set_lanes("x", &vectors);
+        narrow.settle();
+        let got = narrow.lanes("o", vectors.len());
         let mut scalar = Simulator::new(&m);
         for (lane, &v) in vectors.iter().enumerate() {
             scalar.set("x", v);
@@ -279,24 +284,23 @@ fn batch_simulator_matches_scalar_on_random_circuits() {
 }
 
 #[test]
-fn batch_simulator_matches_scalar_at_every_lane_count() {
-    // The verification engine packs 1..=64 vectors per settle; partial
-    // words (lane counts below 64) must behave exactly like the scalar
-    // simulator — bit 63 included (the sampled-mode mask bug regression).
-    use printed_ml::netlist::BatchSimulator;
+fn wide_sim_matches_scalar_at_every_lane_count() {
+    // Partial words (lane counts below 64) must behave exactly like the
+    // scalar simulator — bit 63 included (the sampled-mode mask bug
+    // regression).
     cases(0xB15_000A, 4, |case, rng| {
         let n_gates = rng.gen_range(8usize..30);
         let n_inputs = rng.gen_range(2usize..6);
         let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let mut batch = BatchSimulator::new(&m);
+        let mut narrow = narrow_sim(&m);
         let mut scalar = Simulator::new(&m);
         for lanes in 1usize..=64 {
             let vectors: Vec<u64> = (0..lanes)
                 .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
                 .collect();
-            batch.set_lanes("x", &vectors);
-            batch.settle();
-            let got = batch.lanes("o", lanes);
+            narrow.set_lanes("x", &vectors);
+            narrow.settle();
+            let got = narrow.lanes("o", lanes);
             for (lane, &v) in vectors.iter().enumerate() {
                 scalar.set("x", v);
                 scalar.settle();
