@@ -246,20 +246,23 @@ impl<T: Hashable> Hashable for Option<T> {
     }
 }
 
-impl<A: Hashable, B: Hashable> Hashable for (A, B) {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-    }
+/// Tuples hash their elements in order with no framing, so a tuple key
+/// equals the same writes made one by one on a [`StableHasher`].
+macro_rules! impl_hashable_tuple {
+    ($($t:ident),+) => {
+        impl<$($t: Hashable),+> Hashable for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn stable_hash(&self, h: &mut StableHasher) {
+                let ($($t,)+) = self;
+                $($t.stable_hash(h);)+
+            }
+        }
+    };
 }
-
-impl<A: Hashable, B: Hashable, C: Hashable> Hashable for (A, B, C) {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-        self.2.stable_hash(h);
-    }
-}
+impl_hashable_tuple!(A, B);
+impl_hashable_tuple!(A, B, C);
+impl_hashable_tuple!(A, B, C, D);
+impl_hashable_tuple!(A, B, C, D, E);
 
 impl Hashable for Value {
     fn stable_hash(&self, h: &mut StableHasher) {
@@ -295,13 +298,21 @@ pub fn key_for<T: Hashable + ?Sized>(domain: &str, artifact: &T) -> Key {
     h.finish()
 }
 
-/// Keys any [`serde::Serialize`] artifact through its canonical JSON
+/// Hashes any [`serde::Serialize`] value through its canonical JSON
 /// [`Value`] tree — the generic fallback when a hand-written
-/// [`Hashable`] impl is not worth the code.
+/// [`Hashable`] impl is not worth the code. The tree is only built when
+/// the hash is taken.
+pub struct Serialized<'a, T: ?Sized>(pub &'a T);
+
+impl<T: serde::Serialize + ?Sized> Hashable for Serialized<'_, T> {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        self.0.to_value().stable_hash(h);
+    }
+}
+
+/// Keys any [`serde::Serialize`] artifact through [`Serialized`].
 pub fn key_for_serialized<T: serde::Serialize + ?Sized>(domain: &str, artifact: &T) -> Key {
-    let mut h = StableHasher::new(domain);
-    artifact.to_value().stable_hash(&mut h);
-    h.finish()
+    key_for(domain, &Serialized(artifact))
 }
 
 #[cfg(test)]
@@ -332,6 +343,20 @@ mod tests {
     fn float_hash_is_bit_exact() {
         assert_ne!(key_for("t", &0.0f64), key_for("t", &-0.0f64));
         assert_eq!(key_for("t", &0.1f64), key_for("t", &0.1f64));
+    }
+
+    #[test]
+    fn tuples_add_no_framing() {
+        let mut h = StableHasher::new("t");
+        h.write_str("app");
+        h.write_u64(7);
+        h.write_f64(0.5);
+        h.write_usize(3);
+        h.write_bool(true);
+        assert_eq!(
+            key_for("t", &("app", 7u64, 0.5f64, 3usize, true)),
+            h.finish()
+        );
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   encodings (dataset contents, model parameters, gate-level
 //!   modules), independent of process, platform and `std::hash`
 //!   randomization;
-//! * [`get_or_compute`] ([`store`]) — a two-tier store (in-process memo
-//!   map + on-disk JSON under `bench/out/cache/cache-v1/`, via the
-//!   in-repo serde shims) keyed by those hashes.
+//! * [`memo`] ([`store`]) — the one entry point: a two-tier store
+//!   (in-process memo map + on-disk JSON under `bench/out/cache/cache-v1/`,
+//!   via the in-repo serde shims) keyed by those hashes. A cached stage
+//!   is a single `memo(domain, &input, || compute(..))` call; with the
+//!   cache disabled it is just `compute()`.
 //!
 //! **Determinism contract.** A cache hit returns a value equal to what
 //! the compute closure would have produced: keys cover the complete
@@ -43,8 +45,8 @@ pub mod store;
 /// any producer's semantics change.
 pub const SCHEMA: &str = "cache-v1";
 
-pub use hash::{key_for, key_for_serialized, Hashable, Key, StableHasher};
+pub use hash::{key_for, key_for_serialized, Hashable, Key, Serialized, StableHasher};
 pub use store::{
-    clear, clear_memory, disk_root, disk_stats, enable_default, enabled, get_or_compute,
-    set_disk_root, set_enabled, DomainStats, DEFAULT_DISK_ROOT,
+    clear, clear_memory, disk_root, disk_stats, enable_default, enabled, memo, set_disk_root,
+    set_enabled, DomainStats, DEFAULT_DISK_ROOT,
 };

@@ -6,12 +6,12 @@
 //! through the in-repo serde shims) that lets a later process skip the
 //! work entirely.
 //!
-//! The store is **off by default**: library code calls
-//! [`get_or_compute`] unconditionally, and unless a binary opted in via
-//! [`set_enabled`] the call falls straight through to the compute
-//! closure with no hashing or locking on the way. This keeps tests and
-//! library consumers byte-for-byte on the uncached path unless they ask
-//! otherwise.
+//! [`memo`] is the one entry point: every cached pipeline stage is a
+//! single `memo(domain, &input, || compute(..))` call. The store is
+//! **off by default**: unless a binary opted in via [`set_enabled`],
+//! `memo` falls straight through to the compute closure with no hashing
+//! or locking on the way. This keeps tests and library consumers
+//! byte-for-byte on the uncached path unless they ask otherwise.
 //!
 //! Correctness stance: keys are full content hashes (see
 //! [`crate::hash`]), values round-trip exactly through the serde shims
@@ -23,10 +23,10 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::hash::Key;
+use crate::hash::{key_for, Hashable, Key};
 
 /// Artifact-cache hits served from the in-process memo map.
 static MEM_HITS: obs::Counter = obs::Counter::new("cache.mem_hits");
@@ -56,7 +56,7 @@ fn disk() -> &'static Mutex<Option<PathBuf>> {
 }
 
 /// Turns the cache on or off process-wide. Off (the default) makes
-/// [`get_or_compute`] a pass-through.
+/// [`memo`] a pass-through.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -108,17 +108,23 @@ fn entry_path(root: &Path, domain: &str, key: Key) -> PathBuf {
         .join(format!("{key}.json"))
 }
 
-/// Looks up `(domain, key)` in both tiers, computing and back-filling on
-/// a miss. `domain` must be a fixed string naming the artifact kind; the
-/// key must be a content hash of everything the computation depends on.
-pub fn get_or_compute<T, F>(domain: &'static str, key: Key, compute: F) -> T
+/// Memoizes `compute` in both tiers under `domain`, keyed by
+/// [`key_for`]`(domain, input)`; a miss computes and back-fills.
+///
+/// `domain` must be a fixed string naming the artifact kind, and
+/// `input` must cover everything the computation depends on (a tuple
+/// of the arguments, typically). When the cache is disabled this is
+/// just `compute()`: `input` is never hashed and no lock is taken.
+pub fn memo<I, T, F>(domain: &'static str, input: &I, compute: F) -> T
 where
+    I: Hashable + ?Sized,
     T: serde::Serialize + serde::Deserialize + Clone + Send + Sync + 'static,
     F: FnOnce() -> T,
 {
     if !enabled() {
         return compute();
     }
+    let key = key_for(domain, input);
     if let Some(hit) = mem().lock().unwrap().get(&(domain, key)) {
         if let Some(value) = hit.downcast_ref::<T>() {
             MEM_HITS.incr();
@@ -167,14 +173,23 @@ where
     value
 }
 
+/// A temp-file path next to `path`, unique per call across threads and
+/// processes (pid plus a process-wide sequence number).
+fn temp_path(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp{}.{seq}", std::process::id()))
+}
+
 /// Writes `body` via a unique temp file + rename so concurrent writers
-/// (two processes computing the same artifact) can never tear an entry.
+/// (two threads or processes computing the same artifact) can never
+/// tear an entry.
 fn write_atomic(path: &Path, body: &str) {
     let Some(dir) = path.parent() else { return };
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+    let tmp = temp_path(path);
     if std::fs::write(&tmp, body).is_ok() && std::fs::rename(&tmp, path).is_ok() {
         BYTES_WRITTEN.add(body.len() as u64);
     } else {
@@ -245,7 +260,6 @@ pub fn clear() -> std::io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::key_for;
 
     /// The store config is process-global; serialize the tests touching it.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -265,14 +279,22 @@ mod tests {
         dir
     }
 
+    /// An input that must never be hashed.
+    struct Unhashable;
+    impl Hashable for Unhashable {
+        fn stable_hash(&self, _: &mut crate::StableHasher) {
+            panic!("the disabled path must not hash its input");
+        }
+    }
+
     #[test]
-    fn disabled_cache_always_computes() {
+    fn disabled_cache_always_computes_without_hashing() {
         let _lock = LOCK.lock().unwrap();
         let _restore = Restore;
         set_enabled(false);
         let mut calls = 0;
         for _ in 0..3 {
-            let v: u64 = get_or_compute("test.disabled", key_for("t", &1u64), || {
+            let v: u64 = memo("test.disabled", &Unhashable, || {
                 calls += 1;
                 42
             });
@@ -288,10 +310,9 @@ mod tests {
         set_enabled(true);
         set_disk_root(None);
         clear_memory();
-        let key = key_for("t", &"memo");
         let mut calls = 0;
         for _ in 0..3 {
-            let v: String = get_or_compute("test.memo", key, || {
+            let v: String = memo("test.memo", "memo", || {
                 calls += 1;
                 "value".to_string()
             });
@@ -308,10 +329,9 @@ mod tests {
         set_enabled(true);
         set_disk_root(Some(root.clone()));
         clear_memory();
-        let key = key_for("t", &"disk");
-        let cold: Vec<f64> = get_or_compute("test.disk", key, || vec![0.1, -0.0, 3.5e300]);
+        let cold: Vec<f64> = memo("test.disk", "disk", || vec![0.1, -0.0, 3.5e300]);
         clear_memory(); // simulate a fresh process
-        let warm: Vec<f64> = get_or_compute("test.disk", key, || panic!("must hit disk"));
+        let warm: Vec<f64> = memo("test.disk", "disk", || panic!("must hit disk"));
         assert_eq!(cold, warm);
         assert_eq!(warm[1].to_bits(), (-0.0f64).to_bits());
         let stats = disk_stats().expect("stats");
@@ -332,23 +352,66 @@ mod tests {
         set_enabled(true);
         set_disk_root(Some(root.clone()));
         clear_memory();
-        let key = key_for("t", &"corrupt");
-        let path = entry_path(&root, "test.corrupt", key);
+        let path = entry_path(&root, "test.corrupt", key_for("test.corrupt", "corrupt"));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
 
         // Unparsable JSON: recomputed, entry replaced with a good one.
         std::fs::write(&path, "{not json").unwrap();
-        let v: u64 = get_or_compute("test.corrupt", key, || 7);
+        let v: u64 = memo("test.corrupt", "corrupt", || 7);
         assert_eq!(v, 7);
         clear_memory();
-        let warm: u64 = get_or_compute("test.corrupt", key, || panic!("must hit disk"));
+        let warm: u64 = memo("test.corrupt", "corrupt", || panic!("must hit disk"));
         assert_eq!(warm, 7);
 
         // Parsable but wrong shape (stale schema): also recomputed.
         clear_memory();
         std::fs::write(&path, "\"a string, not a number\"").unwrap();
-        let v: u64 = get_or_compute("test.corrupt", key, || 9);
+        let v: u64 = memo("test.corrupt", "corrupt", || 9);
         assert_eq!(v, 9);
+
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn temp_paths_are_unique_per_write() {
+        let path = Path::new("store/domain/key.json");
+        assert_ne!(temp_path(path), temp_path(path));
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_store_one_intact_entry() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        let root = temp_root("race");
+        set_enabled(true);
+        set_disk_root(Some(root.clone()));
+        clear_memory();
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        memo("test.race", "race", || (0..4096u64).collect())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(results.iter().all(|r| *r == results[0]));
+
+        let path = entry_path(&root, "test.race", key_for("test.race", "race"));
+        let body = std::fs::read_to_string(&path).expect("entry stored");
+        assert_eq!(serde_json::from_str::<Vec<u64>>(&body).unwrap(), results[0]);
+        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .filter(|f| f.file_name().to_string_lossy().contains(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
 
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -101,15 +101,7 @@ impl TreeFlow {
     }
 
     fn with_params(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
-        if !cache::enabled() {
-            return Self::with_params_impl(app, depth, seed, params);
-        }
-        let mut h = cache::StableHasher::new("core.flow.tree");
-        h.write_str(app.name());
-        h.write_usize(depth);
-        h.write_u64(seed);
-        cache::Hashable::stable_hash(&params, &mut h);
-        cache::get_or_compute("core.flow.tree", h.finish(), || {
+        cache::memo("core.flow.tree", &(app.name(), depth, seed, params), || {
             Self::with_params_impl(app, depth, seed, params)
         })
     }
@@ -348,15 +340,7 @@ impl SvmFlow {
     }
 
     fn with_hyper(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
-        if !cache::enabled() {
-            return Self::with_hyper_impl(app, seed, epochs, l2);
-        }
-        let mut h = cache::StableHasher::new("core.flow.svm");
-        h.write_str(app.name());
-        h.write_u64(seed);
-        h.write_usize(epochs);
-        h.write_f64(l2);
-        cache::get_or_compute("core.flow.svm", h.finish(), || {
+        cache::memo("core.flow.svm", &(app.name(), seed, epochs, l2), || {
             Self::with_hyper_impl(app, seed, epochs, l2)
         })
     }
@@ -599,14 +583,7 @@ impl ForestFlow {
     /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
     /// members) on `app` at 8-bit quantization.
     pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
-        if !cache::enabled() {
-            return Self::new_impl(app, n_trees, seed);
-        }
-        let mut h = cache::StableHasher::new("core.flow.forest");
-        h.write_str(app.name());
-        h.write_usize(n_trees);
-        h.write_u64(seed);
-        cache::get_or_compute("core.flow.forest", h.finish(), || {
+        cache::memo("core.flow.forest", &(app.name(), n_trees, seed), || {
             Self::new_impl(app, n_trees, seed)
         })
     }

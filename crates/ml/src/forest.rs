@@ -10,7 +10,6 @@ use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
-use crate::fit_key;
 use crate::tree::{DecisionTree, TreeParams};
 
 /// Random-forest hyper-parameters.
@@ -35,6 +34,14 @@ impl ForestParams {
     }
 }
 
+impl cache::Hashable for ForestParams {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        h.write_usize(self.n_trees);
+        self.tree.stable_hash(h);
+        h.write_u64(self.seed);
+    }
+}
+
 /// A trained random forest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
@@ -47,22 +54,9 @@ impl RandomForest {
     /// `sqrt(n_features)`-sized feature subset. Cached by
     /// `(data, params)` when the artifact cache is enabled.
     pub fn fit(data: &Dataset, params: ForestParams) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, params);
-        }
-        let key = fit_key(
-            "ml.forest.fit",
-            data,
-            &[
-                params.n_trees as u64,
-                params.tree.max_depth as u64,
-                params.tree.min_samples_split as u64,
-                params.tree.max_thresholds as u64,
-                params.seed,
-            ],
-            &[],
-        );
-        cache::get_or_compute("ml.forest.fit", key, || Self::fit_impl(data, params))
+        cache::memo("ml.forest.fit", &(data, params), || {
+            Self::fit_impl(data, params)
+        })
     }
 
     fn fit_impl(data: &Dataset, params: ForestParams) -> Self {

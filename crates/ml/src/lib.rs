@@ -33,25 +33,6 @@
 
 pub mod data;
 
-/// Keys a model fit on the dataset content plus scalar hyper-parameters —
-/// the shared cache-key shape for every trainer in this crate.
-pub(crate) fn fit_key(
-    domain: &str,
-    data: &data::Dataset,
-    ints: &[u64],
-    floats: &[f64],
-) -> cache::Key {
-    let mut h = cache::StableHasher::new(domain);
-    cache::Hashable::stable_hash(data, &mut h);
-    for &n in ints {
-        h.write_u64(n);
-    }
-    for &x in floats {
-        h.write_f64(x);
-    }
-    h.finish()
-}
-
 pub mod forest;
 pub mod linear;
 pub mod metrics;

@@ -11,7 +11,6 @@ use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
-use crate::fit_key;
 
 /// Linear SVM regressor over class labels (paper's SVM-R).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,11 +27,9 @@ impl SvmRegressor {
     /// hardware study only the trained coefficient vector matters. Cached
     /// by `(data, epochs, l2)` when the artifact cache is enabled.
     pub fn fit(data: &Dataset, epochs: usize, l2: f64) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, epochs, l2);
-        }
-        let key = fit_key("ml.svm.fit", data, &[epochs as u64], &[l2]);
-        cache::get_or_compute("ml.svm.fit", key, || Self::fit_impl(data, epochs, l2))
+        cache::memo("ml.svm.fit", &(data, epochs, l2), || {
+            Self::fit_impl(data, epochs, l2)
+        })
     }
 
     fn fit_impl(data: &Dataset, epochs: usize, l2: f64) -> Self {
@@ -110,11 +107,7 @@ pub struct SvmClassifier {
 impl SvmClassifier {
     /// Fits `k(k-1)/2` pairwise hinge-loss SVMs with Pegasos-style SGD.
     pub fn fit(data: &Dataset, epochs: usize, lambda: f64, seed: u64) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, epochs, lambda, seed);
-        }
-        let key = fit_key("ml.svmc.fit", data, &[epochs as u64, seed], &[lambda]);
-        cache::get_or_compute("ml.svmc.fit", key, || {
+        cache::memo("ml.svmc.fit", &(data, epochs, seed, lambda), || {
             Self::fit_impl(data, epochs, lambda, seed)
         })
     }
@@ -225,11 +218,9 @@ pub struct LogisticRegression {
 impl LogisticRegression {
     /// Fits by full-batch softmax gradient descent.
     pub fn fit(data: &Dataset, epochs: usize, lr: f64) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, epochs, lr);
-        }
-        let key = fit_key("ml.lr.fit", data, &[epochs as u64], &[lr]);
-        cache::get_or_compute("ml.lr.fit", key, || Self::fit_impl(data, epochs, lr))
+        cache::memo("ml.lr.fit", &(data, epochs, lr), || {
+            Self::fit_impl(data, epochs, lr)
+        })
     }
 
     fn fit_impl(data: &Dataset, epochs: usize, lr: f64) -> Self {

@@ -9,7 +9,6 @@ use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
-use crate::fit_key;
 
 /// One dense layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,18 +79,27 @@ impl MlpParams {
     }
 }
 
+impl cache::Hashable for MlpParams {
+    /// The hidden widths carry no length prefix (the `cache-v1` key
+    /// shape); the integer run still cannot alias, because `lr`'s float
+    /// tag always ends it.
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        for &width in &self.hidden {
+            h.write_usize(width);
+        }
+        h.write_usize(self.epochs);
+        h.write_u64(self.seed);
+        h.write_f64(self.lr);
+    }
+}
+
 impl Mlp {
     /// Trains with mini-batch SGD (batch 16) on softmax cross-entropy.
     /// Cached by `(data, params)` when the artifact cache is enabled.
     pub fn fit(data: &Dataset, params: &MlpParams) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, params);
-        }
-        let mut ints: Vec<u64> = params.hidden.iter().map(|&w| w as u64).collect();
-        ints.push(params.epochs as u64);
-        ints.push(params.seed);
-        let key = fit_key("ml.mlp.fit", data, &ints, &[params.lr]);
-        cache::get_or_compute("ml.mlp.fit", key, || Self::fit_impl(data, params))
+        cache::memo("ml.mlp.fit", &(data, params), || {
+            Self::fit_impl(data, params)
+        })
     }
 
     fn fit_impl(data: &Dataset, params: &MlpParams) -> Self {

@@ -15,7 +15,6 @@
 use exec::rng::{SliceRandom, StdRng};
 
 use crate::data::Dataset;
-use crate::fit_key;
 use crate::linear::SvmRegressor;
 use crate::metrics::accuracy;
 use crate::tree::{DecisionTree, TreeParams};
@@ -114,16 +113,7 @@ pub fn search_tree_params(
     folds: usize,
     seed: u64,
 ) -> TreeParams {
-    if !cache::enabled() {
-        return search_tree_params_impl(data, depth, iters, folds, seed);
-    }
-    let key = fit_key(
-        "ml.search.tree",
-        data,
-        &[depth as u64, iters as u64, folds as u64, seed],
-        &[],
-    );
-    cache::get_or_compute("ml.search.tree", key, || {
+    cache::memo("ml.search.tree", &(data, depth, iters, folds, seed), || {
         search_tree_params_impl(data, depth, iters, folds, seed)
     })
 }
@@ -162,16 +152,7 @@ fn search_tree_params_impl(
 /// Returns `(epochs, l2)` with the best mean CV accuracy. Sharded and
 /// cached exactly like [`search_tree_params`].
 pub fn search_svm_params(data: &Dataset, iters: usize, folds: usize, seed: u64) -> (usize, f64) {
-    if !cache::enabled() {
-        return search_svm_params_impl(data, iters, folds, seed);
-    }
-    let key = fit_key(
-        "ml.search.svm",
-        data,
-        &[iters as u64, folds as u64, seed],
-        &[],
-    );
-    cache::get_or_compute("ml.search.svm", key, || {
+    cache::memo("ml.search.svm", &(data, iters, folds, seed), || {
         search_svm_params_impl(data, iters, folds, seed)
     })
 }

@@ -115,13 +115,9 @@ impl DecisionTree {
     /// When the artifact cache is enabled, repeated fits on identical
     /// `(data, params)` return the stored tree instead of re-growing it.
     pub fn fit(data: &Dataset, params: TreeParams) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, params);
-        }
-        let mut h = cache::StableHasher::new("ml.tree.fit");
-        cache::Hashable::stable_hash(data, &mut h);
-        cache::Hashable::stable_hash(&params, &mut h);
-        cache::get_or_compute("ml.tree.fit", h.finish(), || Self::fit_impl(data, params))
+        cache::memo("ml.tree.fit", &(data, params), || {
+            Self::fit_impl(data, params)
+        })
     }
 
     fn fit_impl(data: &Dataset, params: TreeParams) -> Self {

@@ -69,16 +69,12 @@ impl Ppa {
 /// assert_eq!(ppa.gate_count, 1);
 /// ```
 pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
-    if !cache::enabled() {
-        return analyze_impl(module, lib);
-    }
     // Keyed by module content + full library parameters. The Ppa payload
     // is a handful of floats, so warm runs skip the critical-path walk
     // over six-figure-gate conventional engines for a tiny disk read.
-    let mut h = cache::StableHasher::new("netlist.ppa");
-    cache::Hashable::stable_hash(module, &mut h);
-    cache::Hashable::stable_hash(&serde::Serialize::to_value(lib), &mut h);
-    cache::get_or_compute("netlist.ppa", h.finish(), || analyze_impl(module, lib))
+    cache::memo("netlist.ppa", &(module, cache::Serialized(lib)), || {
+        analyze_impl(module, lib)
+    })
 }
 
 fn analyze_impl(module: &Module, lib: &CellLibrary) -> Ppa {

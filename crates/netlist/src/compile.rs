@@ -153,7 +153,7 @@ struct CompiledPort {
 /// let compiled = Arc::new(CompiledNetlist::compile(&b.finish()));
 ///
 /// let mut sim: WideSim<1> = WideSim::new(Arc::clone(&compiled));
-/// sim.set_lanes("x", &[0b00, 0b01, 0b10, 0b11]);
+/// sim.try_set_lanes("x", &[0b00, 0b01, 0b10, 0b11]).unwrap();
 /// sim.settle();
 /// assert_eq!(sim.lanes("y", 4), vec![0, 1, 1, 0]);
 /// ```
@@ -562,19 +562,8 @@ impl<const W: usize> WideSim<W> {
         }
     }
 
-    /// Drives input port `name` with up to `64·W` per-lane values.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist or more than `64·W` lanes are
-    /// given. Use [`WideSim::try_set_lanes`] to handle those as errors.
-    pub fn set_lanes(&mut self, name: &str, lane_values: &[u64]) {
-        if let Err(e) = self.try_set_lanes(name, lane_values) {
-            e.raise()
-        }
-    }
-
-    /// Fallible lane binding: reports unknown ports and over-wide lane
-    /// counts as [`SimError`].
+    /// Drives input port `name` with up to `64·W` per-lane values;
+    /// reports unknown ports and over-wide lane counts as [`SimError`].
     pub fn try_set_lanes(&mut self, name: &str, lane_values: &[u64]) -> Result<(), SimError> {
         let Some(port_index) = self.compiled.inputs.iter().position(|p| p.name == name) else {
             return Err(SimError::UnknownPort {
@@ -585,20 +574,9 @@ impl<const W: usize> WideSim<W> {
         self.try_set_port_lanes(port_index, lane_values)
     }
 
-    /// [`Self::set_lanes`] by input-port index (declaration order) —
-    /// the hot-loop variant, no name lookup.
-    ///
-    /// # Panics
-    /// Panics if more than `64·W` lanes are given. Use
-    /// [`WideSim::try_set_port_lanes`] to handle that as an error.
-    pub fn set_port_lanes(&mut self, port_index: usize, lane_values: &[u64]) {
-        if let Err(e) = self.try_set_port_lanes(port_index, lane_values) {
-            e.raise()
-        }
-    }
-
-    /// Fallible [`Self::set_port_lanes`]: reports an over-wide lane count
-    /// as [`SimError::TooManyLanes`].
+    /// [`Self::try_set_lanes`] by input-port index (declaration order) —
+    /// the hot-loop variant, no name lookup. Reports an over-wide lane
+    /// count as [`SimError::TooManyLanes`].
     pub fn try_set_port_lanes(
         &mut self,
         port_index: usize,
@@ -961,8 +939,8 @@ mod tests {
         let mut sim: WideSim<4> = WideSim::new(compile(&m));
         let xs: Vec<u64> = (0..256).collect();
         let ys: Vec<u64> = (0..256).map(|v| (v * 37) % 256).collect();
-        sim.set_lanes("x", &xs);
-        sim.set_lanes("y", &ys);
+        sim.try_set_lanes("x", &xs).unwrap();
+        sim.try_set_lanes("y", &ys).unwrap();
         sim.settle();
         let got = sim.lanes("s", 256);
         let mut scalar = Simulator::new(&m);
@@ -993,7 +971,7 @@ mod tests {
         let m = b.finish();
         let mut sim: WideSim<1> = WideSim::new(compile(&m));
         let vs: Vec<u64> = (0..8).collect();
-        sim.set_lanes("x", &vs);
+        sim.try_set_lanes("x", &vs).unwrap();
         sim.settle();
         let got = sim.lanes("o", 8);
         let mut scalar = Simulator::new(&m);
@@ -1021,8 +999,8 @@ mod tests {
         let addrs: Vec<u64> = (0..16).collect();
         let mut mask_sim: WideSim<1> = WideSim::new(Arc::new(compiled));
         let mut lane_sim: WideSim<1> = WideSim::new(Arc::new(forced));
-        mask_sim.set_lanes("a", &addrs);
-        lane_sim.set_lanes("a", &addrs);
+        mask_sim.try_set_lanes("a", &addrs).unwrap();
+        lane_sim.try_set_lanes("a", &addrs).unwrap();
         mask_sim.settle();
         lane_sim.settle();
         assert_eq!(mask_sim.lanes("d", 16), lane_sim.lanes("d", 16));
@@ -1044,7 +1022,7 @@ mod tests {
         assert_eq!(compiled.roms[0].strategy, RomStrategy::PerLane);
         let mut sim: WideSim<1> = WideSim::new(compiled);
         let addrs: Vec<u64> = (0..64).map(|v| v * 31 % 2048).collect();
-        sim.set_lanes("a", &addrs);
+        sim.try_set_lanes("a", &addrs).unwrap();
         sim.settle();
         let got = sim.lanes("d", 64);
         let mut scalar = Simulator::new(&m);
@@ -1106,7 +1084,7 @@ mod tests {
             }
             let mut sim: WideSim<1> = WideSim::new(Arc::new(compiled));
             sim.inject_fault(m.roms[0].data[0], true);
-            sim.set_lanes("a", &[0, 1, 2, 3]);
+            sim.try_set_lanes("a", &[0, 1, 2, 3]).unwrap();
             sim.settle();
             assert_eq!(sim.lanes("d", 4), vec![1, 1, 3, 3]);
         }
@@ -1121,7 +1099,7 @@ mod tests {
         let m = b.finish();
         let mut sim: WideSim<2> = WideSim::new(compile(&m));
         let vs: Vec<u64> = (0..100).map(|v| v & 1).collect();
-        sim.set_lanes("x", &vs);
+        sim.try_set_lanes("x", &vs).unwrap();
         sim.settle();
         for lanes in [1usize, 63, 64, 65, 100] {
             let image = sim.output_words(lanes);
@@ -1149,7 +1127,7 @@ mod tests {
         b.output("z", &[z, Signal::ONE]);
         let m = b.finish();
         let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        sim.set_lanes("x", &[0, 1, 1, 0]);
+        sim.try_set_lanes("x", &[0, 1, 1, 0]).unwrap();
         sim.settle();
         assert_eq!(sim.lanes("z", 4), vec![0b10, 0b11, 0b11, 0b10]);
     }
@@ -1169,8 +1147,10 @@ mod tests {
         sim.settle();
         let via_packed = sim.lanes("s", 16);
         let words = sim.output_words(16);
-        sim.set_lanes("x", &(0..16).collect::<Vec<u64>>());
-        sim.set_lanes("y", &(0..16).map(|v| (v * 3) % 16).collect::<Vec<u64>>());
+        sim.try_set_lanes("x", &(0..16).collect::<Vec<u64>>())
+            .unwrap();
+        sim.try_set_lanes("y", &(0..16).map(|v| (v * 3) % 16).collect::<Vec<u64>>())
+            .unwrap();
         sim.settle();
         assert_eq!(via_packed, sim.lanes("s", 16));
         assert!(sim.outputs_match(&words, 16));
@@ -1187,7 +1167,7 @@ mod tests {
         b.output("o", &[out]);
         let m = b.finish();
         let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        sim.set_lanes("x", &[0, 1, 2, 3]);
+        sim.try_set_lanes("x", &[0, 1, 2, 3]).unwrap();
         sim.settle();
         let got = sim.lanes("o", 4);
         let mut scalar = Simulator::new(&m);

@@ -98,13 +98,9 @@ static OPT_NS: obs::Counter = obs::Counter::new("netlist.opt.ns");
 /// assert_eq!(m.gate_count(), 0);
 /// ```
 pub fn optimize(module: &Module) -> Module {
-    if !cache::enabled() {
-        return optimize_with_stats(module).0;
-    }
     // Keyed by the pre-optimization structural hash: a warm run returns
     // the stored optimized module without running the engine at all.
-    let key = cache::key_for("netlist.opt", module);
-    cache::get_or_compute("netlist.opt", key, || optimize_with_stats(module).0)
+    cache::memo("netlist.opt", module, || optimize_with_stats(module).0)
 }
 
 /// Like [`optimize`], additionally returning per-call [`OptStats`].

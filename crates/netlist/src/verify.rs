@@ -309,10 +309,11 @@ impl LaneBuffer {
 
     /// Drives `sim` with the first `lanes` columns (ports are loaded by
     /// declaration index — no name lookups in the chunk loop).
-    fn load(&self, sim: &mut WideSim<VERIFY_W>, lanes: usize) {
+    fn load(&self, sim: &mut WideSim<VERIFY_W>, lanes: usize) -> Result<(), SimError> {
         for (p, col) in self.per_port.iter().enumerate() {
-            sim.set_port_lanes(p, &col[..lanes]);
+            sim.try_set_port_lanes(p, &col[..lanes])?;
         }
+        Ok(())
     }
 
     /// The input vector carried by `lane` (values per port, in order).
@@ -366,7 +367,7 @@ fn check_equivalence_inner(
     // One compilation, shared by every shard below.
     let compiled = Arc::new(CompiledNetlist::try_compile(&m)?);
     if total_bits < 64 && total_bits <= exhaustive_limit {
-        Ok(prove_exhaustive(&compiled, total_bits))
+        prove_exhaustive(&compiled, total_bits)
     } else {
         if total_bits >= 64 && exhaustive_limit >= 64 {
             eprintln!(
@@ -375,17 +376,23 @@ fn check_equivalence_inner(
                 m.name
             );
         }
-        Ok(prove_sampled(&compiled, samples))
+        prove_sampled(&compiled, samples)
     }
 }
 
+/// One shard's outcome: its first counter-example, if any.
+type Shard = Result<Option<Vec<u64>>, SimError>;
+
 /// Exhaustive proof: all `2^total_bits` packed input vectors, 256 lanes
 /// per settle, sharded over fixed `EXHAUSTIVE_SPAN` ranges.
-fn prove_exhaustive(compiled: &Arc<CompiledNetlist>, total_bits: u32) -> Equivalence {
+fn prove_exhaustive(
+    compiled: &Arc<CompiledNetlist>,
+    total_bits: u32,
+) -> Result<Equivalence, VerifyError> {
     let count = 1u64 << total_bits;
     let widths: Vec<usize> = compiled.input_widths();
     let spans: Vec<u64> = (0..count.div_ceil(EXHAUSTIVE_SPAN)).collect();
-    let failures: Vec<Option<Vec<u64>>> = exec::parallel_map(&spans, |_, &span| {
+    let failures: Vec<Shard> = exec::parallel_map(&spans, |_, &span| {
         let mut sim: WideSim<VERIFY_W> = WideSim::new(Arc::clone(compiled));
         let mut lanes = LaneBuffer::new(widths.len());
         let mut settles = 0u64;
@@ -403,7 +410,7 @@ fn prove_exhaustive(compiled: &Arc<CompiledNetlist>, total_bits: u32) -> Equival
                     rest >>= w;
                 }
             }
-            lanes.load(&mut sim, n);
+            lanes.load(&mut sim, n)?;
             sim.settle();
             settles += 1;
             lane_vectors += n as u64;
@@ -414,15 +421,16 @@ fn prove_exhaustive(compiled: &Arc<CompiledNetlist>, total_bits: u32) -> Equival
             base += n as u64;
         }
         record_settles(settles, lane_vectors);
-        witness
+        Ok(witness)
     });
-    match failures.into_iter().flatten().next() {
+    let failures = failures.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(match failures.into_iter().flatten().next() {
         Some(values) => Equivalence::CounterExample(values),
         None => Equivalence::Equivalent {
             vectors: count as usize,
             exhaustive: true,
         },
-    }
+    })
 }
 
 /// Sampled falsification: `samples` deterministic pseudo-random vectors,
@@ -431,10 +439,13 @@ fn prove_exhaustive(compiled: &Arc<CompiledNetlist>, total_bits: u32) -> Equival
 /// depend on the thread count. Draws advance per (vector, port) — the
 /// stream is a function of the vector index alone, so the chunk width
 /// does not shift it.
-fn prove_sampled(compiled: &Arc<CompiledNetlist>, samples: usize) -> Equivalence {
+fn prove_sampled(
+    compiled: &Arc<CompiledNetlist>,
+    samples: usize,
+) -> Result<Equivalence, VerifyError> {
     let widths: Vec<usize> = compiled.input_widths();
     let spans: Vec<usize> = (0..samples.div_ceil(SAMPLE_SPAN)).collect();
-    let failures: Vec<Option<Vec<u64>>> = exec::parallel_map(&spans, |_, &span| {
+    let failures: Vec<Shard> = exec::parallel_map(&spans, |_, &span| {
         let mut sim: WideSim<VERIFY_W> = WideSim::new(Arc::clone(compiled));
         let mut lanes = LaneBuffer::new(widths.len());
         let mut settles = 0u64;
@@ -460,7 +471,7 @@ fn prove_sampled(compiled: &Arc<CompiledNetlist>, samples: usize) -> Equivalence
                     lanes.per_port[p][lane] = next() & width_mask(w);
                 }
             }
-            lanes.load(&mut sim, n);
+            lanes.load(&mut sim, n)?;
             sim.settle();
             settles += 1;
             lane_vectors += n as u64;
@@ -471,15 +482,16 @@ fn prove_sampled(compiled: &Arc<CompiledNetlist>, samples: usize) -> Equivalence
             base += n;
         }
         record_settles(settles, lane_vectors);
-        witness
+        Ok(witness)
     });
-    match failures.into_iter().flatten().next() {
+    let failures = failures.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(match failures.into_iter().flatten().next() {
         Some(values) => Equivalence::CounterExample(values),
         None => Equivalence::Equivalent {
             vectors: samples,
             exhaustive: false,
         },
-    }
+    })
 }
 
 /// Lowest lane (vector) whose `diff` output is raised, if any — the

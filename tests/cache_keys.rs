@@ -1,0 +1,110 @@
+//! Pins the on-disk key of every memoized pipeline stage.
+//!
+//! Cache keys must stay byte-identical for as long as [`cache::SCHEMA`]
+//! is unchanged: a key that drifts silently orphans every entry users
+//! already have on disk (and a key that loses an input would serve
+//! wrong artifacts). This test drives each cached domain once with
+//! small fixed inputs against a fresh disk store and compares the
+//! sorted `<domain>/<key>.json` listing with a pinned list.
+//!
+//! It lives in its own test binary because the cache configuration is
+//! process-global.
+
+use std::path::Path;
+
+use printed_ml::cache;
+use printed_ml::core::flow::{ForestFlow, SvmFlow, TreeArch, TreeFlow};
+use printed_ml::ml::data::Dataset;
+use printed_ml::ml::linear::{LogisticRegression, SvmClassifier};
+use printed_ml::ml::mlp::{Mlp, MlpParams};
+use printed_ml::ml::search::{search_svm_params, search_tree_params};
+use printed_ml::ml::synth::Application;
+use printed_ml::netlist::analyze;
+use printed_ml::pdk::{CellLibrary, Technology};
+
+/// A tiny hand-written dataset, so the `ml.*` keys below depend on
+/// nothing but the hash encoding.
+fn toy() -> Dataset {
+    let x: Vec<Vec<f64>> = (0..12)
+        .map(|i| vec![f64::from(i) * 0.25 - 1.5, f64::from(i % 4) - 1.0])
+        .collect();
+    let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
+    Dataset::new("toy", x, y, 3)
+}
+
+/// Every `<domain>/<key>.json` entry under the store, sorted.
+fn listing(root: &Path) -> Vec<String> {
+    let mut out = Vec::new();
+    let schema = root.join(cache::SCHEMA);
+    for dir in std::fs::read_dir(&schema).expect("store exists").flatten() {
+        let domain = dir.file_name().to_string_lossy().into_owned();
+        for file in std::fs::read_dir(dir.path()).expect("domain dir").flatten() {
+            out.push(format!("{domain}/{}", file.file_name().to_string_lossy()));
+        }
+    }
+    out.sort();
+    out
+}
+
+const PINNED: &[&str] = &[
+    "core.flow.forest/4f018266824485cb3dd0838155024769.json",
+    "core.flow.svm/63a339c541452297e6857ed4c275ca0e.json",
+    "core.flow.tree/06a11f2d3d4bb1cde153f4ba93dd0d17.json",
+    "ml.forest.fit/fb2a9b47275fafc458b4845f9a60c495.json",
+    "ml.lr.fit/bd26e68c8f960831943d6b7f0f959d9a.json",
+    "ml.mlp.fit/803e63ffaccd4cae2fb5d178b44934f4.json",
+    "ml.search.svm/86584389031e5c41979b1d7e3557802a.json",
+    "ml.search.tree/4b1d0a5504115244b886c6b255686865.json",
+    "ml.svm.fit/6c6ac7a4203371c32c47c20db240bcd1.json",
+    "ml.svm.fit/75b34dc7effa6d8c363f363d5a6e1e3b.json",
+    "ml.svm.fit/8e0f3c982d360897ee40664bd2c6ac7b.json",
+    "ml.svm.fit/9f19f58f6f94cd018fc1f9c1cc4007af.json",
+    "ml.svm.fit/fae642f5a3a84f74eed61be265134e56.json",
+    "ml.svmc.fit/146ca23a3385aa6bf37ecd4a5b5efb0e.json",
+    "ml.tree.fit/21adbe7ce27d9167a1aedaedc4984240.json",
+    "ml.tree.fit/29fa1b545cd62344e67e419ed9cea867.json",
+    "ml.tree.fit/6d08291fab821700f55cbfc45a55749f.json",
+    "ml.tree.fit/cc9e99fa1f85fdeb741cfb8d8c3bfb5e.json",
+    "ml.tree.fit/f02bffed7b429530da7ee48542b098fd.json",
+    "netlist.opt/b6906c0ad9dfb01f766b129bebf858a2.json",
+    "netlist.ppa/6421d5d179f2948601c8091f506de033.json",
+    "netlist.ppa/b81402577562f44a584322a7d8968dcc.json",
+];
+
+#[test]
+fn every_cached_domain_keeps_its_key() {
+    assert_eq!(cache::SCHEMA, "cache-v1");
+    let root = std::env::temp_dir().join(format!("printed_ml_cache_keys_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    cache::set_disk_root(Some(root.clone()));
+    cache::set_enabled(true);
+
+    // The flows, which also fire ml.tree.fit, ml.svm.fit, ml.forest.fit,
+    // netlist.opt and netlist.ppa underneath.
+    let tree = TreeFlow::new(Application::Har, 2, 7);
+    tree.report(TreeArch::BespokeParallel, Technology::Egt);
+    SvmFlow::new(Application::Har, 7);
+    ForestFlow::new(Application::Har, 2, 7);
+
+    // The remaining trainers and searches, on fixed toy data.
+    let data = toy();
+    search_tree_params(&data, 2, 2, 2, 7);
+    search_svm_params(&data, 2, 2, 7);
+    SvmClassifier::fit(&data, 2, 0.01, 7);
+    LogisticRegression::fit(&data, 2, 0.1);
+    let mlp = MlpParams {
+        hidden: vec![3, 2],
+        epochs: 2,
+        lr: 0.05,
+        seed: 7,
+    };
+    Mlp::fit(&data, &mlp);
+    let module = tree.module(TreeArch::BespokeParallel).expect("digital");
+    analyze(&module, &CellLibrary::for_technology(Technology::CntTft));
+
+    let got = listing(&root);
+    cache::set_enabled(false);
+    cache::set_disk_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(got, PINNED, "a cache key moved; bump cache::SCHEMA");
+}

@@ -271,7 +271,7 @@ fn wide_sim_matches_scalar_on_random_circuits() {
         let m = random_circuit(rng, n_gates, n_inputs, 3);
         let vectors: Vec<u64> = (0..(1u64 << n_inputs)).collect();
         let mut narrow = narrow_sim(&m);
-        narrow.set_lanes("x", &vectors);
+        narrow.try_set_lanes("x", &vectors).unwrap();
         narrow.settle();
         let got = narrow.lanes("o", vectors.len());
         let mut scalar = Simulator::new(&m);
@@ -298,7 +298,7 @@ fn wide_sim_matches_scalar_at_every_lane_count() {
             let vectors: Vec<u64> = (0..lanes)
                 .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
                 .collect();
-            narrow.set_lanes("x", &vectors);
+            narrow.try_set_lanes("x", &vectors).unwrap();
             narrow.settle();
             let got = narrow.lanes("o", lanes);
             for (lane, &v) in vectors.iter().enumerate() {
