@@ -18,6 +18,9 @@ cd "$(dirname "$0")/.."
 FILES=(
   crates/netlist/src/sim.rs
   crates/netlist/src/compile.rs
+  crates/netlist/src/levels.rs
+  crates/netlist/src/analysis.rs
+  crates/netlist/src/stats.rs
   crates/ml/src/metrics.rs
 )
 

@@ -201,6 +201,33 @@ mod tests {
         }
     }
 
+    fn cycle_fixture() -> netlist::Module {
+        let fixture = seeded_fixtures().swap_remove(0);
+        assert_eq!(fixture.seed, 0x0001, "fixture 0 is the combinational cycle");
+        fixture.module.expect("the cycle fixture carries a module")
+    }
+
+    #[test]
+    fn analyze_stops_on_the_cycle_fixture() {
+        let m = cycle_fixture();
+        let lib = pdk::CellLibrary::for_technology(pdk::Technology::Egt);
+        let payload = std::panic::catch_unwind(|| netlist::analyze(&m, &lib))
+            .expect_err("a cycle has no critical path");
+        let want = netlist::logic_levels(&m).unwrap_err().to_string();
+        assert!(want.starts_with("combinational cycle"), "{want}");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&want));
+    }
+
+    #[test]
+    fn logic_levels_stop_on_the_cycle_fixture() {
+        let m = cycle_fixture();
+        assert!(matches!(
+            netlist::logic_levels(&m),
+            Err(netlist::SimError::CombinationalCycle { .. })
+        ));
+        assert!(netlist::max_logic_levels(&m).is_err());
+    }
+
     #[test]
     fn reproducers_round_trip_through_the_shim() {
         for f in seeded_fixtures() {

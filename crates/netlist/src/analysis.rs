@@ -6,14 +6,13 @@
 //! input-to-output combinational path (for sequential designs this is the
 //! minimum clock period; inference latency is `cycles × period`).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use pdk::rom::{rom_cost, RomSpec, RomStyle};
 use pdk::{Area, CellLibrary, Delay, Power};
 
-use crate::ir::{Module, NetId, Signal};
+use crate::ir::Module;
+use crate::levels::{Item, Levels};
 
 /// Power-performance-area report for one module in one technology.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -68,6 +67,12 @@ impl Ppa {
 /// let ppa = analyze(&m, &CellLibrary::for_technology(Technology::Egt));
 /// assert_eq!(ppa.gate_count, 1);
 /// ```
+///
+/// # Panics
+/// Panics with the [`crate::SimError`] message if `module` fails
+/// [`Module::validate`] or contains a combinational cycle. Modules from
+/// [`crate::builder::NetlistBuilder::finish`] and the generators never
+/// do; a module read through serde may.
 pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
     // Keyed by module content + full library parameters. The Ppa payload
     // is a handful of floats, so warm runs skip the critical-path walk
@@ -124,125 +129,74 @@ fn analyze_impl(module: &Module, lib: &CellLibrary) -> Ppa {
     }
 }
 
-/// Longest combinational path through the module.
+/// Longest combinational path through the module: one forward sweep of
+/// arrival times over the shared order, then the latest arrival at any
+/// module output or flip-flop D pin.
 fn critical_path(module: &Module, lib: &CellLibrary, rom_delays: &[Delay]) -> Delay {
-    #[derive(Clone, Copy)]
-    enum Item {
-        Gate(usize),
-        Rom(usize),
+    let levels = match Levels::try_new(module) {
+        Ok(levels) => levels,
+        Err(e) => e.raise(),
+    };
+    // Sources (inputs, constants) arrive at 0, DFF outputs at clk-to-Q.
+    let mut arrival = vec![Delay::ZERO; module.net_count()];
+    let dffs = || module.gates.iter().filter(|g| g.kind.is_sequential());
+    for g in dffs() {
+        arrival[g.output.index()] = lib.cost(g.kind).delay;
     }
-    // Net arrival times; sources (inputs, constants) arrive at 0, DFF
-    // outputs at clk-to-Q.
-    let mut arrival: HashMap<NetId, Delay> = HashMap::new();
-    let mut driver: HashMap<NetId, Item> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        if g.kind.is_sequential() {
-            arrival.insert(g.output, lib.cost(g.kind).delay);
-        } else {
-            driver.insert(g.output, Item::Gate(i));
-        }
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for net in &r.data {
-            driver.insert(*net, Item::Rom(i));
-        }
-    }
-    for port in &module.inputs {
-        for bit in &port.bits {
-            if let Signal::Net(n) = bit {
-                arrival.insert(*n, Delay::ZERO);
+    let arrival = levels.sweep(module, arrival, |item, worst| {
+        worst
+            + match item {
+                Item::Gate(i) => lib.cost(module.gates[i as usize].kind).delay,
+                Item::Rom(i) => rom_delays[i as usize],
             }
-        }
-    }
-
-    // Memoized arrival computation with an explicit stack (deep ripple
-    // chains would overflow recursion).
-    fn sig_arrival(
-        sig: Signal,
-        arrival: &mut HashMap<NetId, Delay>,
-        driver: &HashMap<NetId, Item>,
-        module: &Module,
-        lib: &CellLibrary,
-        rom_delays: &[Delay],
-    ) -> Delay {
-        let Signal::Net(root) = sig else {
-            return Delay::ZERO;
-        };
-        if let Some(d) = arrival.get(&root) {
-            return *d;
-        }
-        let mut stack = vec![root];
-        while let Some(&net) = stack.last() {
-            if arrival.contains_key(&net) {
-                stack.pop();
-                continue;
-            }
-            let Some(item) = driver.get(&net) else {
-                // Undriven net in a validated module cannot happen; treat
-                // defensively as a source.
-                arrival.insert(net, Delay::ZERO);
-                stack.pop();
-                continue;
-            };
-            let (input_sigs, own_delay): (&[Signal], Delay) = match *item {
-                Item::Gate(i) => {
-                    let g = &module.gates[i];
-                    (&g.inputs, lib.cost(g.kind).delay)
-                }
-                Item::Rom(i) => (&module.roms[i].addr, rom_delays[i]),
-            };
-            let mut ready = true;
-            let mut worst = Delay::ZERO;
-            for s in input_sigs {
-                match s {
-                    Signal::Const(_) => {}
-                    Signal::Net(n) => match arrival.get(n) {
-                        Some(d) => worst = worst.max(*d),
-                        None => {
-                            ready = false;
-                            stack.push(*n);
-                        }
-                    },
-                }
-            }
-            if ready {
-                // Every data output of a ROM shares the macro arrival; for a
-                // gate this is just its single output.
-                match *item {
-                    Item::Gate(i) => {
-                        arrival.insert(module.gates[i].output, worst + own_delay);
-                    }
-                    Item::Rom(i) => {
-                        for out in &module.roms[i].data {
-                            arrival.insert(*out, worst + own_delay);
-                        }
-                    }
-                }
-                stack.pop();
-            }
-        }
-        arrival[&root]
-    }
-
-    let mut worst = Delay::ZERO;
-    // Path endpoints: module outputs and DFF D pins.
-    let endpoints: Vec<Signal> = module
+    });
+    module
         .outputs
         .iter()
-        .flat_map(|p| p.bits.iter().copied())
-        .chain(
-            module
-                .gates
-                .iter()
-                .filter(|g| g.kind.is_sequential())
-                .map(|g| g.inputs[0]),
-        )
+        .flat_map(|p| &p.bits)
+        .chain(dffs().map(|g| &g.inputs[0]))
+        .map(|s| s.net().map_or(Delay::ZERO, |n| arrival[n.index()]))
+        .fold(Delay::ZERO, Delay::max)
+}
+
+/// Per-region (hierarchy tag) area and power breakdown.
+///
+/// Regions are attached by [`crate::builder::NetlistBuilder::push_region`];
+/// the sum over all regions equals the module's logic totals (ROM macros
+/// are reported separately by [`analyze`]).
+pub fn by_region(module: &Module, lib: &CellLibrary) -> Vec<RegionCost> {
+    let mut rows: Vec<RegionCost> = module
+        .regions
+        .iter()
+        .map(|name| RegionCost {
+            region: name.clone(),
+            area: Area::ZERO,
+            power: Power::ZERO,
+            gates: 0,
+        })
         .collect();
-    for sig in endpoints {
-        let d = sig_arrival(sig, &mut arrival, &driver, module, lib, rom_delays);
-        worst = worst.max(d);
+    for gate in &module.gates {
+        let c = lib.cost(gate.kind);
+        let row = &mut rows[gate.region as usize];
+        row.area += c.area;
+        row.power += c.power;
+        row.gates += 1;
     }
-    worst
+    rows.retain(|r| r.gates > 0);
+    rows
+}
+
+/// One row of a per-region breakdown.
+#[derive(Debug, Clone, Serialize)]
+pub struct RegionCost {
+    /// Region name.
+    pub region: String,
+    /// Logic area attributed to the region.
+    pub area: Area,
+    /// Logic power attributed to the region.
+    pub power: Power,
+    /// Gate count in the region.
+    pub gates: usize,
 }
 
 #[cfg(test)]
@@ -376,46 +330,6 @@ mod tests {
         assert!((ppa.latency(4).as_secs() - ppa.delay.as_secs() * 4.0).abs() < 1e-15);
         assert!(ppa.energy(2).as_mj() > 0.0);
     }
-}
-
-/// Per-region (hierarchy tag) area and power breakdown.
-///
-/// Regions are attached by [`crate::builder::NetlistBuilder::push_region`];
-/// the sum over all regions equals the module's logic totals (ROM macros
-/// are reported separately by [`analyze`]).
-pub fn by_region(module: &Module, lib: &CellLibrary) -> Vec<RegionCost> {
-    let mut rows: Vec<RegionCost> = module
-        .regions
-        .iter()
-        .map(|name| RegionCost {
-            region: name.clone(),
-            area: Area::ZERO,
-            power: Power::ZERO,
-            gates: 0,
-        })
-        .collect();
-    for gate in &module.gates {
-        let c = lib.cost(gate.kind);
-        let row = &mut rows[gate.region as usize];
-        row.area += c.area;
-        row.power += c.power;
-        row.gates += 1;
-    }
-    rows.retain(|r| r.gates > 0);
-    rows
-}
-
-/// One row of a per-region breakdown.
-#[derive(Debug, Clone, Serialize)]
-pub struct RegionCost {
-    /// Region name.
-    pub region: String,
-    /// Logic area attributed to the region.
-    pub area: Area,
-    /// Logic power attributed to the region.
-    pub power: Power,
-    /// Gate count in the region.
-    pub gates: usize,
 }
 
 #[cfg(test)]

@@ -38,13 +38,13 @@
 //! lane counts straddling every word boundary (with and without injected
 //! faults) and the differential fuzzer's engines oracle.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pdk::CellKind;
 
 use crate::error::SimError;
 use crate::ir::{Module, NetId, Port, Signal};
+use crate::levels::{Item, Levels};
 
 /// Compilations performed (one per [`CompiledNetlist::compile`]).
 static COMPILES: obs::Counter = obs::Counter::new("netlist.sim.compiles");
@@ -228,20 +228,24 @@ impl CompiledNetlist {
                 module: module.name.clone(),
             });
         }
-        module
-            .validate()
-            .map_err(|reason| SimError::InvalidModule {
-                module: module.name.clone(),
-                reason,
-            })?;
-        let (order, rom_order) = levelize(module)?;
+        let levels = Levels::try_new(module)?;
 
-        let mut ops = Vec::with_capacity(order.len());
-        let mut srcs = Vec::with_capacity(order.len());
-        let mut outs = Vec::with_capacity(order.len());
-        let mut inv = Vec::with_capacity(order.len());
-        for &gi in &order {
-            let g = &module.gates[gi];
+        // ROMs at schedule position `p` evaluate before the `p`-th
+        // instruction.
+        let mut rom_order = Vec::with_capacity(module.roms.len());
+        let n = module.gates.len();
+        let mut ops = Vec::with_capacity(n);
+        let mut srcs = Vec::with_capacity(n);
+        let mut outs = Vec::with_capacity(n);
+        let mut inv = Vec::with_capacity(n);
+        for &item in &levels.order {
+            let g = match item {
+                Item::Gate(gi) => &module.gates[gi as usize],
+                Item::Rom(ri) => {
+                    rom_order.push((ops.len(), ri as usize));
+                    continue;
+                }
+            };
             let (op, invert) = match g.kind {
                 CellKind::And2 => (Opcode::And, false),
                 CellKind::Nand2 => (Opcode::And, true),
@@ -425,86 +429,6 @@ impl CompiledNetlist {
                 name: name.to_string(),
             })
     }
-}
-
-/// Kahn/DFS levelization shared by the tape compiler: a topological
-/// order of gate indices plus the ROM schedule (`(position, rom)`
-/// pairs; ROMs at position `p` evaluate before the `p`-th ordered gate).
-/// A combinational cycle is reported as [`SimError::CombinationalCycle`].
-#[allow(clippy::type_complexity)]
-fn levelize(module: &Module) -> Result<(Vec<usize>, Vec<(usize, usize)>), SimError> {
-    let mut driver: HashMap<NetId, usize> = HashMap::new();
-    let mut rom_driver: HashMap<NetId, usize> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        driver.insert(g.output, i);
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for n in &r.data {
-            rom_driver.insert(*n, i);
-        }
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let n_items = module.gates.len() + module.roms.len();
-    let mut marks = vec![Mark::White; n_items];
-    let item_of_net = |n: NetId| -> Option<usize> {
-        driver
-            .get(&n)
-            .copied()
-            .or_else(|| rom_driver.get(&n).map(|r| module.gates.len() + r))
-    };
-    let inputs_of = |item: usize| -> &[Signal] {
-        if item < module.gates.len() {
-            &module.gates[item].inputs
-        } else {
-            &module.roms[item - module.gates.len()].addr
-        }
-    };
-    let mut order = Vec::new();
-    let mut rom_order = Vec::new();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n_items {
-        if marks[root] != Mark::White {
-            continue;
-        }
-        marks[root] = Mark::Grey;
-        stack.push((root, 0));
-        while let Some(&mut (item, ref mut next)) = stack.last_mut() {
-            let ins = inputs_of(item);
-            if *next < ins.len() {
-                let idx = *next;
-                *next += 1;
-                let Signal::Net(n) = ins[idx] else { continue };
-                let Some(dep) = item_of_net(n) else { continue };
-                match marks[dep] {
-                    Mark::Black => {}
-                    Mark::Grey => {
-                        return Err(SimError::CombinationalCycle {
-                            module: module.name.clone(),
-                            net: n.index(),
-                        })
-                    }
-                    Mark::White => {
-                        marks[dep] = Mark::Grey;
-                        stack.push((dep, 0));
-                    }
-                }
-            } else {
-                marks[item] = Mark::Black;
-                if item < module.gates.len() {
-                    order.push(item);
-                } else {
-                    rom_order.push((order.len(), item - module.gates.len()));
-                }
-                stack.pop();
-            }
-        }
-    }
-    Ok((order, rom_order))
 }
 
 /// Lane-masked word: the first `lanes` bits of word `w` in a `W`-word

@@ -245,13 +245,14 @@ impl Module {
     /// Returns a human-readable description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
         let mut driven = vec![false; self.net_count as usize];
-        let mut drive = |net: NetId, what: &str| -> Result<(), String> {
+        // `what` names the driver; it is formatted only on failure.
+        let mut drive = |net: NetId, what: &dyn Fn() -> String| -> Result<(), String> {
             let i = net.index();
             if i >= driven.len() {
-                return Err(format!("{what} drives unallocated net {i}"));
+                return Err(format!("{} drives unallocated net {i}", what()));
             }
             if driven[i] {
-                return Err(format!("net {i} has multiple drivers (latest: {what})"));
+                return Err(format!("net {i} has multiple drivers (latest: {})", what()));
             }
             driven[i] = true;
             Ok(())
@@ -259,7 +260,7 @@ impl Module {
         for port in &self.inputs {
             for bit in &port.bits {
                 match bit {
-                    Signal::Net(n) => drive(*n, &format!("input port {}", port.name))?,
+                    Signal::Net(n) => drive(*n, &|| format!("input port {}", port.name))?,
                     Signal::Const(_) => {
                         return Err(format!("input port {} contains a constant bit", port.name))
                     }
@@ -275,11 +276,11 @@ impl Module {
                     gate.kind.input_count()
                 ));
             }
-            drive(gate.output, &format!("gate {i} ({})", gate.kind))?;
+            drive(gate.output, &|| format!("gate {i} ({})", gate.kind))?;
         }
         for (i, rom) in self.roms.iter().enumerate() {
             for net in &rom.data {
-                drive(*net, &format!("rom {i}"))?;
+                drive(*net, &|| format!("rom {i}"))?;
             }
             if rom.addr.is_empty() {
                 return Err(format!("rom {i} has no address bits"));

@@ -49,6 +49,7 @@ pub mod error;
 pub mod fanout;
 pub mod faults;
 pub mod ir;
+mod levels;
 pub mod opt;
 pub mod seq;
 pub mod sim;

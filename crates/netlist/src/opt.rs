@@ -39,6 +39,7 @@ use serde::Serialize;
 
 use crate::fanout::gate_reader_index;
 use crate::ir::{Gate, Module, NetId, Signal};
+use crate::levels::drivers;
 
 /// Statistics from one [`optimize_with_stats`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -622,25 +623,13 @@ fn dce(m: &mut Module) {
             mark(s, &mut live, &mut work);
         }
     }
-    let mut gate_of: HashMap<NetId, usize> = HashMap::with_capacity(m.gates.len());
-    for (i, g) in m.gates.iter().enumerate() {
-        gate_of.insert(g.output, i);
-    }
-    let mut rom_of: HashMap<NetId, usize> = HashMap::new();
-    for (i, r) in m.roms.iter().enumerate() {
-        for net in &r.data {
-            rom_of.insert(*net, i);
-        }
-    }
+    let drivers = drivers(m);
     while let Some(n) = work.pop() {
-        if let Some(&gi) = gate_of.get(&n) {
-            for &s in &m.gates[gi].inputs.clone() {
-                mark(s, &mut live, &mut work);
-            }
-        } else if let Some(&ri) = rom_of.get(&n) {
-            for &s in &m.roms[ri].addr.clone() {
-                mark(s, &mut live, &mut work);
-            }
+        let Some(driver) = drivers[n.index()] else {
+            continue;
+        };
+        for &s in driver.pins(m).0 {
+            mark(s, &mut live, &mut work);
         }
     }
     m.gates.retain(|g| live[g.output.index()]);

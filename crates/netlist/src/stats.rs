@@ -4,104 +4,38 @@
 //! millisecond in EGT), so "how many levels deep is each output" is the
 //! first question a designer asks of a generated netlist.
 
-use std::collections::HashMap;
-
-use crate::ir::{Module, NetId, Signal};
+use crate::error::SimError;
+use crate::ir::Module;
+use crate::levels::Levels;
 
 /// Logic levels (gate counts along the longest path) per output port bit.
 ///
 /// Inputs, constants and flip-flop outputs are depth 0; every gate adds
 /// one level; a ROM macro adds one level. Returns `(port name, bit,
 /// levels)` rows.
-pub fn logic_levels(module: &Module) -> Vec<(String, usize, usize)> {
-    enum Driver {
-        Gate(usize),
-        Rom(usize),
-    }
-    let mut driver: HashMap<NetId, Driver> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        if !g.kind.is_sequential() {
-            driver.insert(g.output, Driver::Gate(i));
-        }
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for n in &r.data {
-            driver.insert(*n, Driver::Rom(i));
-        }
-    }
-    let mut depth: HashMap<NetId, usize> = HashMap::new();
-    fn depth_of(
-        sig: Signal,
-        driver: &HashMap<NetId, Driver>,
-        module: &Module,
-        depth: &mut HashMap<NetId, usize>,
-    ) -> usize {
-        let Signal::Net(root) = sig else { return 0 };
-        if let Some(&d) = depth.get(&root) {
-            return d;
-        }
-        // Iterative DFS to survive deep ripple chains.
-        let mut stack = vec![root];
-        while let Some(&net) = stack.last() {
-            if depth.contains_key(&net) {
-                stack.pop();
-                continue;
-            }
-            let inputs: &[Signal] = match driver.get(&net) {
-                None => {
-                    depth.insert(net, 0);
-                    stack.pop();
-                    continue;
-                }
-                Some(Driver::Gate(i)) => &module.gates[*i].inputs,
-                Some(Driver::Rom(i)) => &module.roms[*i].addr,
-            };
-            let mut ready = true;
-            let mut worst = 0usize;
-            for s in inputs {
-                if let Signal::Net(n) = s {
-                    match depth.get(n) {
-                        Some(&d) => worst = worst.max(d),
-                        None => {
-                            ready = false;
-                            stack.push(*n);
-                        }
-                    }
-                }
-            }
-            if ready {
-                match driver.get(&net) {
-                    Some(Driver::Rom(i)) => {
-                        for out in &module.roms[*i].data {
-                            depth.insert(*out, worst + 1);
-                        }
-                    }
-                    _ => {
-                        depth.insert(net, worst + 1);
-                    }
-                }
-                stack.pop();
-            }
-        }
-        depth[&root]
-    }
+///
+/// # Errors
+/// [`SimError::InvalidModule`] or [`SimError::CombinationalCycle`] when
+/// the module cannot be levelized.
+pub fn logic_levels(module: &Module) -> Result<Vec<(String, usize, usize)>, SimError> {
+    let depth = Levels::try_new(module)?.sweep(module, vec![0; module.net_count()], |_, w| w + 1);
     let mut rows = Vec::new();
     for port in &module.outputs {
-        for (bit, &sig) in port.bits.iter().enumerate() {
-            let d = depth_of(sig, &driver, module, &mut depth);
+        for (bit, sig) in port.bits.iter().enumerate() {
+            let d = sig.net().map_or(0, |n| depth[n.index()]);
             rows.push((port.name.clone(), bit, d));
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// The deepest logic level of any output.
-pub fn max_logic_levels(module: &Module) -> usize {
-    logic_levels(module)
-        .into_iter()
-        .map(|(_, _, d)| d)
-        .max()
-        .unwrap_or(0)
+///
+/// # Errors
+/// As [`logic_levels`].
+pub fn max_logic_levels(module: &Module) -> Result<usize, SimError> {
+    let rows = logic_levels(module)?;
+    Ok(rows.into_iter().map(|(_, _, d)| d).max().unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -120,10 +54,10 @@ mod tests {
         b.output("o", &[s]);
         b.output("direct", &[x[0]]);
         let m = b.finish();
-        let rows = logic_levels(&m);
+        let rows = logic_levels(&m).unwrap();
         assert!(rows.contains(&("o".to_string(), 0, 7)));
         assert!(rows.contains(&("direct".to_string(), 0, 0)));
-        assert_eq!(max_logic_levels(&m), 7);
+        assert_eq!(max_logic_levels(&m).unwrap(), 7);
     }
 
     #[test]
@@ -135,7 +69,7 @@ mod tests {
         let d = b.rom(&inv, vec![0, 1, 2, 3], 2, RomStyle::Crossbar);
         b.output("d", &d);
         let m = b.finish();
-        assert_eq!(max_logic_levels(&m), 2); // inverter + ROM
+        assert_eq!(max_logic_levels(&m).unwrap(), 2); // inverter + ROM
     }
 
     #[test]
@@ -144,7 +78,7 @@ mod tests {
         let _x = b.input("x", 1);
         b.output("k", &[crate::ir::Signal::ONE]);
         let m = b.finish();
-        assert_eq!(max_logic_levels(&m), 0);
+        assert_eq!(max_logic_levels(&m).unwrap(), 0);
     }
 
     #[test]
@@ -158,6 +92,6 @@ mod tests {
         b.output("le", &[le]);
         let raw = b.finish();
         let opt = optimize(&raw);
-        assert!(max_logic_levels(&opt) <= max_logic_levels(&raw));
+        assert!(max_logic_levels(&opt).unwrap() <= max_logic_levels(&raw).unwrap());
     }
 }

@@ -34,7 +34,7 @@ fn main() {
         flow.qt.comparison_count(),
         flow.choice.bits,
         module.gate_count(),
-        max_logic_levels(&module)
+        max_logic_levels(&module).expect("generated designs are acyclic")
     );
 
     // 1. Analog print tolerance.
