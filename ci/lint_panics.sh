@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Forbids panic!(...) and .unwrap( on the hot simulation / metrics paths.
+# Forbids panic!(...) and .unwrap( on the hot simulation / metrics paths
+# and in the core flows.
 #
-# These files expose fallible `try_*` APIs (netlist::SimError,
-# ml::MetricsError); their non-test code must route every failure
-# through those types so the differential fuzzer can distinguish
-# "engines disagree" from "input rejected". The legacy panicking
-# wrappers delegate to SimError::raise() (which lives in error.rs,
-# outside this lint's scope) so the panic message stays Display-formatted.
+# The netlist and metrics files expose fallible `try_*` APIs
+# (netlist::SimError, ml::MetricsError); their non-test code must route
+# every failure through those types so the differential fuzzer can
+# distinguish "engines disagree" from "input rejected". The legacy
+# panicking wrappers delegate to SimError::raise() (which lives in
+# error.rs, outside this lint's scope) so the panic message stays
+# Display-formatted. The core flows (flow.rs, signoff.rs) build and sign
+# off every architecture the CLI and the benchmark reach, so they are held
+# to the same rule.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -22,6 +26,8 @@ FILES=(
   crates/netlist/src/analysis.rs
   crates/netlist/src/stats.rs
   crates/ml/src/metrics.rs
+  crates/core/src/flow.rs
+  crates/core/src/signoff.rs
 )
 
 status=0

@@ -3,81 +3,35 @@
 //! 6.6x/62.6x/27.3x, bespoke SVM 1.7x/16x/8.96x (delay/area/power
 //! averages). Pass `--json PATH` to dump machine-readable results.
 
-use bench::{fmt_ratio, maybe_write_json, Table};
+use bench::experiments::figures::{svm_ratio_figure, tree_ratio_figure};
+use bench::maybe_write_json;
 use pdk::Technology;
 use printed_core::flow::{SvmArch, TreeArch};
-use printed_core::report::Improvement;
-
-fn tree_table(title: &str, arch: TreeArch, baseline: TreeArch) -> Table {
-    let mut t = Table::new(title, &["dataset", "depth", "delay", "area", "power"]);
-    let mut imps = Vec::new();
-    for depth in [2usize, 4, 8] {
-        for flow in bench::workloads::tree_flows(depth) {
-            let b = flow.report(baseline, Technology::CntTft);
-            let m = flow.report(arch, Technology::CntTft);
-            if m.area.is_zero() {
-                continue;
-            }
-            let imp = m.improvement_over(&b);
-            imps.push(imp);
-            t.row(vec![
-                flow.app.name().into(),
-                depth.to_string(),
-                fmt_ratio(imp.delay),
-                fmt_ratio(imp.area),
-                fmt_ratio(imp.power),
-            ]);
-        }
-    }
-    let mean = Improvement::mean(&imps);
-    t.row(vec![
-        "AVERAGE".into(),
-        "-".into(),
-        fmt_ratio(mean.delay),
-        fmt_ratio(mean.area),
-        fmt_ratio(mean.power),
-    ]);
-    t
-}
 
 fn main() {
-    let mut tables = vec![
-        tree_table(
+    let tech = Technology::CntTft;
+    let tables = [
+        tree_ratio_figure(
             "CNT-TFT: bespoke serial vs conventional serial (paper avg 1.02x/1.33x/1.26x)",
+            &[2, 4, 8],
             TreeArch::BespokeSerial,
             TreeArch::ConventionalSerial,
+            tech,
         ),
-        tree_table(
+        tree_ratio_figure(
             "CNT-TFT: bespoke parallel vs conventional parallel (paper avg 6.6x/62.6x/27.3x)",
+            &[2, 4, 8],
             TreeArch::BespokeParallel,
             TreeArch::ConventionalParallel,
+            tech,
+        ),
+        svm_ratio_figure(
+            "CNT-TFT: bespoke SVM vs conventional SVM (paper avg 1.7x/16x/8.96x)",
+            SvmArch::Bespoke,
+            SvmArch::Conventional,
+            tech,
         ),
     ];
-    let mut svm = Table::new(
-        "CNT-TFT: bespoke SVM vs conventional SVM (paper avg 1.7x/16x/8.96x)",
-        &["dataset", "delay", "area", "power"],
-    );
-    let mut imps = Vec::new();
-    for flow in bench::workloads::svm_flows() {
-        let b = flow.report(SvmArch::Conventional, Technology::CntTft);
-        let m = flow.report(SvmArch::Bespoke, Technology::CntTft);
-        let imp = m.improvement_over(&b);
-        imps.push(imp);
-        svm.row(vec![
-            flow.app.name().into(),
-            fmt_ratio(imp.delay),
-            fmt_ratio(imp.area),
-            fmt_ratio(imp.power),
-        ]);
-    }
-    let mean = Improvement::mean(&imps);
-    svm.row(vec![
-        "AVERAGE".into(),
-        fmt_ratio(mean.delay),
-        fmt_ratio(mean.area),
-        fmt_ratio(mean.power),
-    ]);
-    tables.push(svm);
     for t in &tables {
         print!("{t}");
     }

@@ -30,8 +30,10 @@ use crate::workloads::{deep_depths, depths, svm_flows, tree_flows, SEED};
 use crate::{fmt3, fmt_ratio, Table};
 
 /// Builds a per-dataset ratio figure: `arch` normalized against
-/// `baseline`, one row per (dataset, depth), plus the mean row.
-fn tree_ratio_figure(
+/// `baseline` in `tech`, one row per (dataset, depth), plus the AVERAGE
+/// and MEDIAN rows. Trees that fold to a constant show as `const` rows
+/// and stay out of both.
+pub fn tree_ratio_figure(
     title: &str,
     depths: &[usize],
     arch: TreeArch,
@@ -87,7 +89,9 @@ fn tree_ratio_figure(
     t
 }
 
-fn svm_ratio_figure(title: &str, arch: SvmArch, baseline: SvmArch, tech: Technology) -> Table {
+/// The SVM counterpart of [`tree_ratio_figure`]: one row per dataset,
+/// plus the AVERAGE and MEDIAN rows.
+pub fn svm_ratio_figure(title: &str, arch: SvmArch, baseline: SvmArch, tech: Technology) -> Table {
     let mut t = Table::new(title, &["dataset", "delay", "area", "power"]);
     let mut improvements = Vec::new();
     for flow in svm_flows() {

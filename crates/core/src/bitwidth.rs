@@ -31,12 +31,13 @@ fn round3(a: f64) -> f64 {
 
 /// Picks the narrowest width preserving the best accuracy (to three
 /// significant digits) for a trained tree. Returns the quantizer, the
-/// quantized tree and the choice.
+/// quantized tree and the choice, plus the 8-bit candidate: the same tree
+/// at the fixed width of the general-purpose conventional engines.
 pub fn choose_tree_width(
     tree: &DecisionTree,
     train: &Dataset,
     test: &Dataset,
-) -> (FeatureQuantizer, QuantizedTree, WidthChoice) {
+) -> (FeatureQuantizer, QuantizedTree, WidthChoice, QuantizedTree) {
     let candidates: Vec<(FeatureQuantizer, QuantizedTree, f64)> = WIDTHS
         .iter()
         .map(|&bits| {
@@ -50,6 +51,11 @@ pub fn choose_tree_width(
             (fq, qt, acc)
         })
         .collect();
+    let qt8 = candidates
+        .iter()
+        .find(|c| c.0.bits() == 8)
+        .map(|c| c.1.clone())
+        .expect("WIDTHS includes 8 bits");
     let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
     let (fq, qt, acc) = candidates
         .into_iter()
@@ -63,6 +69,7 @@ pub fn choose_tree_width(
             bits,
             accuracy: acc,
         },
+        qt8,
     )
 }
 
@@ -114,7 +121,7 @@ mod tests {
         let data = Application::Har.generate(7);
         let (train, test) = data.split(0.7, 42);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(2));
-        let (_, _, choice) = choose_tree_width(&tree, &train, &test);
+        let (_, _, choice, _) = choose_tree_width(&tree, &train, &test);
         assert!(choice.bits <= 8, "chose {} bits", choice.bits);
     }
 
@@ -124,7 +131,7 @@ mod tests {
             let data = app.generate(7);
             let (train, test) = data.split(0.7, 42);
             let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
-            let (_, _, choice) = choose_tree_width(&tree, &train, &test);
+            let (_, _, choice, _) = choose_tree_width(&tree, &train, &test);
             let fq16 = FeatureQuantizer::fit(&train, 16);
             let qt16 = QuantizedTree::from_tree(&tree, &fq16);
             let acc16 = accuracy(

@@ -6,8 +6,6 @@
 //! bit-width search, then generate and price any of the paper's
 //! architectures in any technology.
 
-use std::sync::OnceLock;
-
 use analog::tree::AnalogTreeConfig;
 use analog::VariationReport;
 use ml::data::{Dataset, Standardizer};
@@ -60,7 +58,12 @@ pub enum SvmArch {
 }
 
 /// A trained, quantized decision-tree workload.
-#[derive(Debug, Clone)]
+///
+/// Every architecture of a flow implements the one tree trained here: the
+/// bespoke, lookup and analog engines load it at the searched width
+/// (`qt`), the general-purpose conventional engines at their fixed 8 bits
+/// (`conv_qt`). Both come out of the same width search.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TreeFlow {
     /// Source application.
     pub app: Application,
@@ -68,6 +71,9 @@ pub struct TreeFlow {
     pub depth: usize,
     /// Quantized tree (bespoke width).
     pub qt: QuantizedTree,
+    /// The same tree quantized at 8 bits, as loaded into the
+    /// general-purpose conventional engines.
+    pub conv_qt: QuantizedTree,
     /// Feature quantizer (bespoke width).
     pub fq: FeatureQuantizer,
     /// Bit-width search outcome.
@@ -76,9 +82,15 @@ pub struct TreeFlow {
     pub float_accuracy: f64,
     /// Standardized test split, for functional verification.
     pub test: Dataset,
-    /// Lazily computed 8-bit requantization for the conventional engines
-    /// (see [`TreeFlow::conventional_qt`]).
-    conv_qt: OnceLock<QuantizedTree>,
+}
+
+/// The paper's data protocol: `app`'s samples for `seed`, a 70/30
+/// train/test split, and both parts standardized by the training part's
+/// statistics.
+fn standardized_split(app: Application, seed: u64) -> (Dataset, Dataset) {
+    let (train, test) = app.generate(seed).split(0.7, 42);
+    let s = Standardizer::fit(&train);
+    (s.transform(&train), s.transform(&test))
 }
 
 impl TreeFlow {
@@ -92,10 +104,7 @@ impl TreeFlow {
     /// parameters with randomized search + k-fold CV (the paper's
     /// `RandomizedSearchCV` step, scaled down to `iters` candidates).
     pub fn with_search(app: Application, depth: usize, seed: u64, iters: usize) -> Self {
-        let data = app.generate(seed);
-        let (train, _) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let train = s.transform(&train);
+        let (train, _) = standardized_split(app, seed);
         let params = ml::search::search_tree_params(&train, depth, iters, 3, seed);
         Self::with_params(app, depth, seed, params)
     }
@@ -107,39 +116,42 @@ impl TreeFlow {
     }
 
     fn with_params_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
-        let data = app.generate(seed);
-        let (train, test) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let (train, test) = (s.transform(&train), s.transform(&test));
+        let (train, test) = standardized_split(app, seed);
         let tree = DecisionTree::fit(&train, params);
         let float_accuracy = accuracy(
             test.x.iter().map(|r| tree.predict(r)),
             test.y.iter().copied(),
         )
         .expect("predictions align with test labels");
-        let (fq, qt, choice) = choose_tree_width(&tree, &train, &test);
+        let (fq, qt, choice, conv_qt) = choose_tree_width(&tree, &train, &test);
         TreeFlow {
             app,
             depth,
             qt,
+            conv_qt,
             fq,
             choice,
             float_accuracy,
             test,
-            conv_qt: OnceLock::new(),
         }
     }
 
     /// Generates the netlist of a digital architecture (`None` for analog).
     pub fn module(&self, arch: TreeArch) -> Option<Module> {
-        match arch {
+        self.realize(arch).ok()
+    }
+
+    /// The netlist of `arch`, or the configuration of the analog engine,
+    /// which has none.
+    fn realize(&self, arch: TreeArch) -> Result<Module, AnalogTreeConfig> {
+        Ok(match arch {
             TreeArch::ConventionalSerial => {
                 let spec = SerialTreeSpec::conventional(self.depth);
                 // Load the model when it fits the general-purpose engine
                 // (its mux is sized for the cross-dataset average of 14
                 // unique features); otherwise price a blank program — a
                 // crossbar ROM costs the same regardless of contents.
-                let qt = self.conventional_qt();
+                let qt = &self.conv_qt;
                 let prog =
                     if qt.used_features().len() <= spec.n_features && qt.depth() <= spec.depth {
                         program(qt, &spec)
@@ -149,16 +161,16 @@ impl TreeFlow {
                             class_rom: vec![0; 1 << spec.depth],
                         }
                     };
-                Some(gen_serial(&spec, &prog))
+                gen_serial(&spec, &prog)
             }
             TreeArch::ConventionalParallel => {
-                Some(gen_parallel(&ParallelTreeSpec::conventional(self.depth)))
+                gen_parallel(&ParallelTreeSpec::conventional(self.depth))
             }
-            TreeArch::BespokeSerial => Some(bespoke_serial(&self.qt).1),
-            TreeArch::BespokeParallel => Some(bespoke_parallel(&self.qt)),
-            TreeArch::Lookup(config) => Some(lookup_parallel(&self.qt, config)),
-            TreeArch::Analog(_) => None,
-        }
+            TreeArch::BespokeSerial => bespoke_serial(&self.qt).1,
+            TreeArch::BespokeParallel => bespoke_parallel(&self.qt),
+            TreeArch::Lookup(config) => lookup_parallel(&self.qt, config),
+            TreeArch::Analog(config) => return Err(config),
+        })
     }
 
     /// The first `rows` test rows quantized to feature codes — the
@@ -187,108 +199,31 @@ impl TreeFlow {
         analog::variation_sweep(&self.qt, &self.coded_rows(rows), sigmas, trials, seed)
     }
 
-    /// An 8-bit quantization of the same tree, as loaded into the
-    /// general-purpose conventional engines. Memoized: the requantization
-    /// re-trains on the source data, so repeated pricing of the
-    /// conventional engines (once per technology) must not repeat it.
-    fn conventional_qt(&self) -> &QuantizedTree {
-        self.conv_qt.get_or_init(|| {
-            // Conventional engines are fixed at 8-bit; requantize if the
-            // bespoke choice differs.
-            if self.fq.bits() == 8 {
-                self.qt.clone()
-            } else {
-                // Re-derive from the same underlying thresholds: the quantized
-                // tree at 8 bits is produced during width search; rebuild it.
-                let data = self.app.generate(7);
-                let (train, _) = data.split(0.7, 42);
-                let s = Standardizer::fit(&train);
-                let train = s.transform(&train);
-                let tree = DecisionTree::fit(&train, TreeParams::with_depth(self.depth));
-                let fq = FeatureQuantizer::fit(&train, 8);
-                QuantizedTree::from_tree(&tree, &fq)
-            }
-        })
-    }
-
     /// Prices `arch` in `tech`.
     ///
     /// # Panics
     /// Panics if an analog architecture is requested in a non-EGT
     /// technology (the paper's analog designs are EGT-only).
     pub fn report(&self, arch: TreeArch, tech: Technology) -> DesignReport {
-        let lib = CellLibrary::for_technology(tech);
         let name = format!("{}-dt{}-{}", self.app.name(), self.depth, kind_tag(arch));
-        match arch {
-            TreeArch::Analog(config) => {
-                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
-                let mut r = analog_tree_report(&self.qt, config);
-                r.name = name;
-                r
-            }
-            TreeArch::ConventionalSerial | TreeArch::BespokeSerial => {
-                let module = self.module(arch).expect("digital architecture");
+        match self.realize(arch) {
+            Ok(module) => {
                 let cycles = match arch {
                     TreeArch::ConventionalSerial => self.depth.max(1),
-                    _ => self.qt.depth().max(1),
+                    TreeArch::BespokeSerial => self.qt.depth().max(1),
+                    _ => 1,
                 };
+                let lib = CellLibrary::for_technology(tech);
                 report_from_ppa(name, tech, &analyze(&module, &lib), cycles)
             }
-            _ => {
-                let module = self.module(arch).expect("digital architecture");
-                report_from_ppa(name, tech, &analyze(&module, &lib), 1)
+            Err(config) => {
+                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
+                DesignReport {
+                    name,
+                    ..analog_tree_report(&self.qt, config)
+                }
             }
         }
-    }
-}
-
-// Manual impls: `OnceLock` has no serde support, so the memo travels as an
-// `Option` and is re-seeded into a fresh cell on the way back in.
-impl Serialize for TreeFlow {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("app".to_string(), self.app.to_value()),
-            ("depth".to_string(), self.depth.to_value()),
-            ("qt".to_string(), self.qt.to_value()),
-            ("fq".to_string(), self.fq.to_value()),
-            ("choice".to_string(), self.choice.to_value()),
-            ("float_accuracy".to_string(), self.float_accuracy.to_value()),
-            ("test".to_string(), self.test.to_value()),
-            (
-                "conv_qt".to_string(),
-                self.conv_qt.get().cloned().to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for TreeFlow {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = match v {
-            serde::Value::Object(fields) => fields,
-            _ => return Err(serde::Error::msg("TreeFlow: expected object")),
-        };
-        let field = |name: &str| -> Result<&serde::Value, serde::Error> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::msg(format!("TreeFlow: missing field `{name}`")))
-        };
-        let conv_qt = OnceLock::new();
-        if let Some(qt) = Option::<QuantizedTree>::from_value(field("conv_qt")?)? {
-            let _ = conv_qt.set(qt);
-        }
-        Ok(TreeFlow {
-            app: Deserialize::from_value(field("app")?)?,
-            depth: Deserialize::from_value(field("depth")?)?,
-            qt: Deserialize::from_value(field("qt")?)?,
-            fq: Deserialize::from_value(field("fq")?)?,
-            choice: Deserialize::from_value(field("choice")?)?,
-            float_accuracy: Deserialize::from_value(field("float_accuracy")?)?,
-            test: Deserialize::from_value(field("test")?)?,
-            conv_qt,
-        })
     }
 }
 
@@ -331,10 +266,7 @@ impl SvmFlow {
     /// Like [`SvmFlow::new`], but first tunes epochs and regularization
     /// with randomized search + k-fold CV.
     pub fn with_search(app: Application, seed: u64, iters: usize) -> Self {
-        let data = app.generate(seed);
-        let (train, _) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let train = s.transform(&train);
+        let (train, _) = standardized_split(app, seed);
         let (epochs, l2) = ml::search::search_svm_params(&train, iters, 3, seed);
         Self::with_hyper(app, seed, epochs, l2)
     }
@@ -346,11 +278,8 @@ impl SvmFlow {
     }
 
     fn with_hyper_impl(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
-        let data = app.generate(seed);
-        let n_features = data.n_features();
-        let (train, test) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let (train, test) = (s.transform(&train), s.transform(&test));
+        let (train, test) = standardized_split(app, seed);
+        let n_features = train.n_features();
         let svm = SvmRegressor::fit(&train, epochs, l2);
         let float_accuracy = accuracy(
             test.x.iter().map(|r| svm.predict(r)),
@@ -427,18 +356,18 @@ impl SvmFlow {
     /// # Panics
     /// Panics if [`SvmArch::Analog`] is requested outside EGT.
     pub fn report(&self, arch: SvmArch, tech: Technology) -> DesignReport {
-        let lib = CellLibrary::for_technology(tech);
         let name = format!("{}-svm-{}", self.app.name(), svm_tag(arch));
-        match arch {
-            SvmArch::Analog => {
-                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
-                let mut r = analog_svm_report(&self.qs, self.n_features);
-                r.name = name;
-                r
-            }
-            _ => {
-                let module = self.module(arch).expect("digital architecture");
+        match self.module(arch) {
+            Some(module) => {
+                let lib = CellLibrary::for_technology(tech);
                 report_from_ppa(name, tech, &analyze(&module, &lib), 1)
+            }
+            None => {
+                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
+                DesignReport {
+                    name,
+                    ..analog_svm_report(&self.qs, self.n_features)
+                }
             }
         }
     }
@@ -450,6 +379,67 @@ fn svm_tag(arch: SvmArch) -> &'static str {
         SvmArch::Bespoke => "bespoke",
         SvmArch::Lookup(_) => "lookup",
         SvmArch::Analog => "analog",
+    }
+}
+
+/// A trained, quantized random-forest workload (§III's tunable
+/// accuracy/cost ensemble).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ForestFlow {
+    /// Source application.
+    pub app: Application,
+    /// Number of member trees.
+    pub n_trees: usize,
+    /// Quantized forest.
+    pub qf: ml::quant::QuantizedForest,
+    /// Feature quantizer.
+    pub fq: FeatureQuantizer,
+    /// Quantized-forest test accuracy.
+    pub accuracy: f64,
+    /// Standardized test split.
+    pub test: Dataset,
+}
+
+impl ForestFlow {
+    /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
+    /// members) on `app` at 8-bit quantization.
+    pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
+        cache::memo("core.flow.forest", &(app.name(), n_trees, seed), || {
+            Self::new_impl(app, n_trees, seed)
+        })
+    }
+
+    fn new_impl(app: Application, n_trees: usize, seed: u64) -> Self {
+        let (train, test) = standardized_split(app, seed);
+        let forest =
+            ml::forest::RandomForest::fit(&train, ml::forest::ForestParams::paper(n_trees));
+        let fq = FeatureQuantizer::fit(&train, 8);
+        let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
+        let accuracy = ml::metrics::accuracy(
+            test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
+            test.y.iter().copied(),
+        )
+        .expect("predictions align with test labels");
+        ForestFlow {
+            app,
+            n_trees,
+            qf,
+            fq,
+            accuracy,
+            test,
+        }
+    }
+
+    /// Generates the ensemble engine netlist.
+    pub fn module(&self, style: crate::ensemble::ForestStyle) -> Module {
+        crate::ensemble::forest_engine(&self.qf, style)
+    }
+
+    /// Prices the ensemble engine in `tech`.
+    pub fn report(&self, style: crate::ensemble::ForestStyle, tech: Technology) -> DesignReport {
+        let lib = CellLibrary::for_technology(tech);
+        let name = format!("{}-rf{}", self.app.name(), self.n_trees);
+        report_from_ppa(name, tech, &analyze(&self.module(style), &lib), 1)
     }
 }
 
@@ -517,6 +507,52 @@ mod tests {
         assert!(cnt.latency > si.latency);
     }
 
+    /// The float tree a flow with these inputs trains, quantized at 8 bits.
+    fn own_tree_at_8_bits(app: Application, seed: u64, params: TreeParams) -> QuantizedTree {
+        let (train, _) = standardized_split(app, seed);
+        let tree = DecisionTree::fit(&train, params);
+        QuantizedTree::from_tree(&tree, &FeatureQuantizer::fit(&train, 8))
+    }
+
+    #[test]
+    fn conventional_engines_load_the_flows_own_tree() {
+        // Both flows choose a width other than 8, so the conventional
+        // engines need a second quantization of the same tree.
+        let seeded = TreeFlow::new(Application::Cardio, 4, 3);
+        assert_ne!(seeded.fq.bits(), 8);
+        let expected = own_tree_at_8_bits(Application::Cardio, 3, TreeParams::with_depth(4));
+        assert_eq!(seeded.conv_qt, expected);
+
+        let searched = TreeFlow::with_search(Application::Arrhythmia, 2, 7, 4);
+        assert_ne!(searched.fq.bits(), 8);
+        let (train, _) = standardized_split(Application::Arrhythmia, 7);
+        let params = ml::search::search_tree_params(&train, 2, 4, 3, 7);
+        let expected = own_tree_at_8_bits(Application::Arrhythmia, 7, params);
+        assert_eq!(searched.conv_qt, expected);
+    }
+
+    #[test]
+    fn tree_flow_without_its_8_bit_tree_does_not_decode() {
+        // Store entries written before `conv_qt` was a plain field carry
+        // `null` there; they must miss and recompute, never decode.
+        let flow = TreeFlow::new(Application::Har, 2, 7);
+        let serde::Value::Object(fields) = flow.to_value() else {
+            panic!("a struct serializes to an object");
+        };
+        let with = |conv_qt: Option<serde::Value>| {
+            let mut fields: Vec<_> = fields
+                .iter()
+                .filter(|(k, _)| k != "conv_qt")
+                .cloned()
+                .collect();
+            fields.extend(conv_qt.map(|v| ("conv_qt".to_string(), v)));
+            TreeFlow::from_value(&serde::Value::Object(fields))
+        };
+        assert!(with(Some(flow.conv_qt.to_value())).is_ok());
+        assert!(with(Some(serde::Value::Null)).is_err());
+        assert!(with(None).is_err());
+    }
+
     #[test]
     #[should_panic(expected = "EGT-only")]
     fn analog_outside_egt_is_rejected() {
@@ -558,70 +594,6 @@ mod search_tests {
             "accuracy {}",
             flow.choice.accuracy
         );
-    }
-}
-
-/// A trained, quantized random-forest workload (§III's tunable
-/// accuracy/cost ensemble).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ForestFlow {
-    /// Source application.
-    pub app: Application,
-    /// Number of member trees.
-    pub n_trees: usize,
-    /// Quantized forest.
-    pub qf: ml::quant::QuantizedForest,
-    /// Feature quantizer.
-    pub fq: FeatureQuantizer,
-    /// Quantized-forest test accuracy.
-    pub accuracy: f64,
-    /// Standardized test split.
-    pub test: Dataset,
-}
-
-impl ForestFlow {
-    /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
-    /// members) on `app` at 8-bit quantization.
-    pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
-        cache::memo("core.flow.forest", &(app.name(), n_trees, seed), || {
-            Self::new_impl(app, n_trees, seed)
-        })
-    }
-
-    fn new_impl(app: Application, n_trees: usize, seed: u64) -> Self {
-        let data = app.generate(seed);
-        let (train, test) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let (train, test) = (s.transform(&train), s.transform(&test));
-        let forest =
-            ml::forest::RandomForest::fit(&train, ml::forest::ForestParams::paper(n_trees));
-        let fq = FeatureQuantizer::fit(&train, 8);
-        let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
-        let accuracy = ml::metrics::accuracy(
-            test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
-            test.y.iter().copied(),
-        )
-        .expect("predictions align with test labels");
-        ForestFlow {
-            app,
-            n_trees,
-            qf,
-            fq,
-            accuracy,
-            test,
-        }
-    }
-
-    /// Generates the ensemble engine netlist.
-    pub fn module(&self, style: crate::ensemble::ForestStyle) -> Module {
-        crate::ensemble::forest_engine(&self.qf, style)
-    }
-
-    /// Prices the ensemble engine in `tech`.
-    pub fn report(&self, style: crate::ensemble::ForestStyle, tech: Technology) -> DesignReport {
-        let lib = CellLibrary::for_technology(tech);
-        let name = format!("{}-rf{}", self.app.name(), self.n_trees);
-        report_from_ppa(name, tech, &analyze(&self.module(style), &lib), 1)
     }
 }
 

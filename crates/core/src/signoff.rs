@@ -16,8 +16,11 @@ use exec::time;
 use netlist::{check_equivalence, Equivalence, Module};
 use serde::Serialize;
 
-use crate::flow::{SvmArch, SvmFlow, TreeArch, TreeFlow};
-use crate::lookup::LookupConfig;
+use crate::bespoke::{bespoke_parallel, bespoke_parallel_raw, bespoke_svm, bespoke_svm_raw};
+use crate::flow::{SvmFlow, TreeFlow};
+use crate::lookup::{
+    lookup_parallel, lookup_parallel_raw, lookup_svm, lookup_svm_raw, LookupConfig,
+};
 
 /// How one sign-off check ended.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -104,34 +107,30 @@ impl TreeFlow {
     /// against the bespoke engine (independent generators, same model).
     pub fn signoff(&self, exhaustive_limit: u32, samples: usize) -> Vec<SignoffRecord> {
         let design = format!("{}-dt{}", self.app.name(), self.depth);
-        let bespoke = self.module(TreeArch::BespokeParallel).expect("digital");
+        let bespoke = bespoke_parallel(&self.qt);
         let mut records = vec![signoff_pair(
             &design,
             "bespoke-parallel vs raw",
-            &crate::bespoke::bespoke_parallel_raw(&self.qt),
+            &bespoke_parallel_raw(&self.qt),
             &bespoke,
             exhaustive_limit,
             samples,
         )];
-        let mut optimized_lookup = None;
-        for (tag, config) in [
-            ("lookup-baseline", LookupConfig::baseline()),
-            ("lookup-optimized", LookupConfig::optimized()),
+        let baseline = lookup_parallel(&self.qt, LookupConfig::baseline());
+        let lookup = lookup_parallel(&self.qt, LookupConfig::optimized());
+        for (tag, config, module) in [
+            ("lookup-baseline", LookupConfig::baseline(), &baseline),
+            ("lookup-optimized", LookupConfig::optimized(), &lookup),
         ] {
-            let lookup = self.module(TreeArch::Lookup(config)).expect("digital");
             records.push(signoff_pair(
                 &design,
                 &format!("{tag} vs raw"),
-                &crate::lookup::lookup_parallel_raw(&self.qt, config),
-                &lookup,
+                &lookup_parallel_raw(&self.qt, config),
+                module,
                 exhaustive_limit,
                 samples,
             ));
-            optimized_lookup = Some(lookup);
         }
-        // The loop above ends on the optimized config; reuse that module
-        // for the cross-check instead of regenerating it.
-        let lookup = optimized_lookup.expect("loop ran");
         records.push(signoff_pair(
             &design,
             "lookup vs bespoke",
@@ -152,8 +151,8 @@ impl SvmFlow {
         let mut records = vec![signoff_pair(
             &design,
             "bespoke vs raw",
-            &crate::bespoke::bespoke_svm_raw(&self.qs),
-            &self.module(SvmArch::Bespoke).expect("digital"),
+            &bespoke_svm_raw(&self.qs),
+            &bespoke_svm(&self.qs),
             exhaustive_limit,
             samples,
         )];
@@ -164,8 +163,8 @@ impl SvmFlow {
             records.push(signoff_pair(
                 &design,
                 &format!("{tag} vs raw"),
-                &crate::lookup::lookup_svm_raw(&self.qs, config),
-                &self.module(SvmArch::Lookup(config)).expect("digital"),
+                &lookup_svm_raw(&self.qs, config),
+                &lookup_svm(&self.qs, config),
                 exhaustive_limit,
                 samples,
             ));

@@ -123,6 +123,17 @@ fn parse_svm_arch(name: &str) -> Result<SvmArch, String> {
     })
 }
 
+/// The paper's analog engines exist in EGT only; reject other
+/// technologies before training anything.
+fn egt_only_if_analog(analog: bool, tech: Technology) -> Result<(), String> {
+    if analog && tech != Technology::Egt {
+        return Err(format!(
+            "analog designs are EGT-only; {tech} was requested (use --tech egt)"
+        ));
+    }
+    Ok(())
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -199,6 +210,7 @@ fn run() -> Result<(), String> {
                         let arch = parse_svm_arch(
                             flags.get("arch").map(String::as_str).unwrap_or("bespoke"),
                         )?;
+                        egt_only_if_analog(arch == SvmArch::Analog, tech)?;
                         let flow = SvmFlow::new(app, 7);
                         println!(
                             "model: SVM-R, {} terms, {} bits, accuracy {:.3}",
@@ -216,6 +228,7 @@ fn run() -> Result<(), String> {
                                 .map(String::as_str)
                                 .unwrap_or("bespoke-parallel"),
                         )?;
+                        egt_only_if_analog(matches!(arch, TreeArch::Analog(_)), tech)?;
                         let flow = TreeFlow::new(app, depth, 7);
                         println!(
                             "model: DT-{depth}, {} nodes, {} bits, accuracy {:.3}",

@@ -168,3 +168,28 @@ fn sweep_covers_all_architectures() {
         assert!(stdout.contains(arch), "missing {arch}:\n{stdout}");
     }
 }
+
+/// Runs `args`, expects exit code 1 without a panic, returns stderr.
+fn rejected(args: &[&str]) -> String {
+    let out = cli().args(args).output().expect("spawn printed-ml");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn analog_tree_outside_egt_fails_cleanly() {
+    let stderr = rejected(&[
+        "report", "--app", "har", "--arch", "analog", "--tech", "cnt",
+    ]);
+    assert!(stderr.contains("EGT"), "{stderr}");
+}
+
+#[test]
+fn analog_svm_outside_egt_fails_cleanly() {
+    let stderr = rejected(&[
+        "report", "--app", "redwine", "--svm", "--arch", "analog", "--tech", "tsmc40",
+    ]);
+    assert!(stderr.contains("EGT"), "{stderr}");
+}
