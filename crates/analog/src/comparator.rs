@@ -16,7 +16,7 @@
 
 use serde::Serialize;
 
-use pdk::units::{Area, Delay, Power};
+use pdk::units::{Delay, Power};
 
 use crate::device::{Egt, PrintedResistor, R_MAX, R_MIN, VDD};
 
@@ -104,11 +104,6 @@ impl AnalogComparator {
         3
     }
 
-    /// Cell footprint: three EGTs plus the printed threshold resistor.
-    pub fn area(&self) -> Area {
-        Egt::area() * self.transistor_count() as f64 + PrintedResistor::area()
-    }
-
     /// Static power: the divider leg conducts continuously and the
     /// cross-coupled pair draws a bias current while enabled (unselected
     /// nodes are gated off by their selector and draw nothing).
@@ -194,8 +189,6 @@ mod tests {
     fn cell_cost_is_three_transistors_and_one_resistor() {
         let c = AnalogComparator::new(0.3, ThresholdEncoding::Calibrated);
         assert_eq!(c.transistor_count(), 3);
-        let expect = Egt::area() * 3.0 + PrintedResistor::area();
-        assert!((c.area().as_mm2() - expect.as_mm2()).abs() < 1e-12);
         assert!(c.static_power(0.5).as_uw() < 100.0);
         assert!(c.settle_time().as_ms() > 0.0);
     }

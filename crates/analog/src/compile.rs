@@ -101,11 +101,6 @@ pub struct TreeRows {
 }
 
 impl TreeRows {
-    /// Number of bound evaluation rows.
-    pub fn len(&self) -> usize {
-        self.n_rows
-    }
-
     /// True when no rows are bound.
     pub fn is_empty(&self) -> bool {
         self.n_rows == 0
@@ -444,12 +439,6 @@ impl CompiledSvmVariation {
             max_code,
             nominal: AnalogSvm::from_svm(svm, n_features),
         }
-    }
-
-    /// Number of printed crossbar rows across both columns.
-    pub fn term_count(&self) -> usize {
-        self.pos.as_ref().map_or(0, |c| c.features.len())
-            + self.neg.as_ref().map_or(0, |c| c.features.len())
     }
 
     /// Normalizes `rows` to crossbar input voltages and evaluates the

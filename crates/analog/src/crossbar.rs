@@ -13,7 +13,7 @@
 
 use serde::Serialize;
 
-use pdk::units::{Area, Delay, Power};
+use pdk::units::{Delay, Power};
 
 use crate::device::{PrintedResistor, VDD};
 
@@ -84,12 +84,6 @@ impl CrossbarColumn {
     /// Number of printed dot resistors.
     pub fn resistor_count(&self) -> usize {
         self.resistors.len()
-    }
-
-    /// Column area: printed dots only (clear crosspoints are free — the
-    /// same economics as the bespoke dot ROM).
-    pub fn area(&self) -> Area {
-        PrintedResistor::area() * self.resistor_count() as f64
     }
 
     /// Worst-case static power: every input at `VDD` into a virtually
@@ -164,7 +158,7 @@ mod tests {
     fn costs_scale_with_printed_dots() {
         let small = CrossbarColumn::program(&[1.0, 1.0]);
         let large = CrossbarColumn::program(&[1.0; 20]);
-        assert!(large.area() > small.area());
+        assert!(small.resistor_count() == 2);
         assert!(large.resistor_count() == 20);
         assert!(large.static_power().as_uw() > 0.0);
         assert!(large.settle_time().as_ms() >= 0.0);

@@ -16,7 +16,7 @@
 
 use serde::Serialize;
 
-use pdk::units::{Area, Power};
+use pdk::units::Area;
 
 /// Supply voltage of the analog EGT circuits (EGT operates at ~1 V).
 pub const VDD: f64 = 1.0;
@@ -124,11 +124,6 @@ impl PrintedResistor {
     pub fn area() -> Area {
         Area::from_mm2(0.0006)
     }
-
-    /// Static power when `volts` is dropped across the resistor.
-    pub fn static_power(&self, volts: f64) -> Power {
-        Power::from_w(volts * volts / self.resistance)
-    }
 }
 
 #[cfg(test)]
@@ -180,13 +175,6 @@ mod tests {
     fn printable_clamps_to_range() {
         assert_eq!(PrintedResistor::printable(1.0).resistance, R_MIN);
         assert_eq!(PrintedResistor::printable(1e12).resistance, R_MAX);
-    }
-
-    #[test]
-    fn static_power_follows_ohms_law() {
-        let r = PrintedResistor { resistance: 1e6 };
-        let p = r.static_power(1.0);
-        assert!((p.as_uw() - 1.0).abs() < 1e-9);
     }
 
     #[test]

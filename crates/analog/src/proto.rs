@@ -31,16 +31,6 @@ pub enum RomLevel {
 }
 
 impl RomLevel {
-    /// The 2-bit code this level encodes.
-    pub fn code(self) -> u8 {
-        match self {
-            RomLevel::Open => 0b00,
-            RomLevel::Double => 0b01,
-            RomLevel::Half => 0b10,
-            RomLevel::Short => 0b11,
-        }
-    }
-
     /// Resistance relative to the sense resistor (`None` = not printed).
     fn resistance(self, r_sense: f64) -> Option<f64> {
         match self {
@@ -72,12 +62,6 @@ impl MultiLevelRom {
             ],
             r_sense: 1.0e6,
         }
-    }
-
-    /// A ROM with custom levels.
-    pub fn new(levels: [RomLevel; 4], r_sense: f64) -> Self {
-        assert!(r_sense > 0.0, "sense resistance must be positive");
-        MultiLevelRom { levels, r_sense }
     }
 
     /// DC read-out voltage of `row` (voltage divider: sense resistor in

@@ -391,101 +391,3 @@ mod tests {
         assert!(at.area().is_zero());
     }
 }
-
-impl AnalogTree {
-    /// One-hot leaf-line voltages for quantized feature codes: the raw
-    /// class read-out of the analog tree (Fig. 15's C1..C4 lines), with
-    /// selector-cascade attenuation applied when buffers are off.
-    ///
-    /// Returns one voltage per leaf in depth-first (left-first) order;
-    /// exactly one line sits near VDD, the rest near 0 V.
-    pub fn leaf_lines(&self, codes: &[u64]) -> Vec<f64> {
-        let volts: Vec<f64> = codes
-            .iter()
-            .map(|&c| c.min(self.max_code) as f64 / self.max_code as f64)
-            .collect();
-        let mut lines = Vec::new();
-        match self.root {
-            None => lines.push(crate::device::VDD),
-            Some(root) => self.walk_lines(root, &volts, true, 0, &mut lines),
-        }
-        lines
-    }
-
-    fn walk_lines(
-        &self,
-        node: usize,
-        volts: &[f64],
-        enabled: bool,
-        depth: usize,
-        lines: &mut Vec<f64>,
-    ) {
-        let n = &self.nodes[node];
-        let above = n.comparator.decide(volts[n.feature]);
-        let attenuation = if self.config.buffers {
-            1.0
-        } else {
-            0.85f64.powi(depth as i32 + 1)
-        };
-        let child = |c: Child, selected: bool, lines: &mut Vec<f64>| match c {
-            Child::Leaf(_) => {
-                lines.push(if enabled && selected {
-                    crate::device::VDD * attenuation
-                } else {
-                    0.0
-                });
-            }
-            Child::Node(i) => self.walk_lines(i, volts, enabled && selected, depth + 1, lines),
-        };
-        child(n.left, !above, lines);
-        child(n.right, above, lines);
-    }
-}
-
-#[cfg(test)]
-mod leaf_line_tests {
-    use super::*;
-    use ml::quant::FeatureQuantizer;
-    use ml::synth::Application;
-    use ml::tree::{DecisionTree, TreeParams};
-
-    #[test]
-    fn exactly_one_leaf_line_is_high() {
-        let data = Application::Har.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
-        let fq = FeatureQuantizer::fit(&train, 6);
-        let qt = ml::quant::QuantizedTree::from_tree(&tree, &fq);
-        let at = AnalogTree::from_tree(&qt, AnalogTreeConfig::default());
-        for row in test.x.iter().take(40) {
-            let lines = at.leaf_lines(&fq.code_row(row));
-            let high = lines.iter().filter(|&&v| v > 0.5).count();
-            assert_eq!(high, 1, "lines: {lines:?}");
-        }
-    }
-
-    #[test]
-    fn attenuation_shows_without_buffers() {
-        let data = Application::Pendigits.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(6));
-        let fq = FeatureQuantizer::fit(&train, 6);
-        let qt = ml::quant::QuantizedTree::from_tree(&tree, &fq);
-        let buffered = AnalogTree::from_tree(&qt, AnalogTreeConfig::default());
-        let bare = AnalogTree::from_tree(
-            &qt,
-            AnalogTreeConfig {
-                encoding: crate::comparator::ThresholdEncoding::Calibrated,
-                buffers: false,
-            },
-        );
-        let codes = fq.code_row(&test.x[0]);
-        let hb = buffered
-            .leaf_lines(&codes)
-            .into_iter()
-            .fold(0.0f64, f64::max);
-        let hn = bare.leaf_lines(&codes).into_iter().fold(0.0f64, f64::max);
-        assert!(hb >= hn, "buffers must restore swing: {hb} vs {hn}");
-        assert!(hn < 1.0, "unbuffered deep trees attenuate");
-    }
-}

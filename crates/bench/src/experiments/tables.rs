@@ -5,67 +5,37 @@ use ml::forest::{ForestParams, RandomForest};
 use ml::linear::{LogisticRegression, SvmClassifier, SvmRegressor};
 use ml::metrics::accuracy;
 use ml::mlp::{Mlp, MlpParams};
-use ml::opcount::CountOps;
+use ml::opcount::{CountOps, OpCount};
 use ml::tree::{DecisionTree, TreeParams};
-use netlist::arith::{add, multiply, relu};
-use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
-use netlist::{analyze, Ppa};
+use netlist::analyze;
+use pdk::units::{Area, Delay};
 use pdk::{CellLibrary, Technology};
 use printed_core::conventional::parallel_tree::{generate as gen_parallel, ParallelTreeSpec};
 use printed_core::conventional::serial_tree::{
     generate as gen_serial, SerialTreeProgram, SerialTreeSpec,
 };
 use printed_core::conventional::svm::{generate as gen_svm, SvmSpec};
+use printed_core::estimate::component_modules;
 
 use crate::workloads::{apps, depths, SEED};
 use crate::{fmt3, Table};
 
-fn tech_units(t: Technology) -> (&'static str, &'static str, &'static str) {
-    match t {
-        Technology::Egt => ("ms", "cm2", "mW"),
-        Technology::CntTft => ("us", "mm2", "mW"),
-        Technology::Tsmc40 => ("ns", "um2", "mW"),
-    }
-}
+/// A table unit: the conversion into it and its label.
+type Unit<T> = (fn(T) -> f64, &'static str);
 
-fn scaled(t: Technology, ppa: &Ppa, cycles: usize) -> (f64, f64, f64) {
-    let latency = ppa.latency(cycles);
-    match t {
-        Technology::Egt => (latency.as_ms(), ppa.area.as_cm2(), ppa.power.as_mw()),
-        Technology::CntTft => (latency.as_us(), ppa.area.as_mm2(), ppa.power.as_mw()),
-        Technology::Tsmc40 => (latency.as_ns(), ppa.area.as_um2(), ppa.power.as_mw()),
+/// `tech`'s table units: latency in ms, us or ns and area in cm2, mm2 or
+/// um2 for EGT, CNT-TFT or TSMC 40 nm. Power is in mW everywhere.
+fn units(tech: Technology) -> (Unit<Delay>, Unit<Area>) {
+    match tech {
+        Technology::Egt => ((Delay::as_ms, "ms"), (Area::as_cm2, "cm2")),
+        Technology::CntTft => ((Delay::as_us, "us"), (Area::as_mm2, "mm2")),
+        Technology::Tsmc40 => ((Delay::as_ns, "ns"), (Area::as_um2, "um2")),
     }
 }
 
 /// Table I: PPA of an 8-bit comparator, 8-bit MAC and 8-bit ReLU in each
 /// technology.
 pub fn table1() -> Vec<Table> {
-    let comparator = || {
-        let mut b = NetlistBuilder::new("comparator");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let o = unsigned_gt(&mut b, &a, &bb);
-        b.output("o", &[o]);
-        b.finish()
-    };
-    let mac = || {
-        let mut b = NetlistBuilder::new("mac");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let acc = b.input("acc", 16);
-        let p = multiply(&mut b, &a, &bb);
-        let s = add(&mut b, &p, &acc);
-        b.output("o", &s);
-        b.finish()
-    };
-    let relu8 = || {
-        let mut b = NetlistBuilder::new("relu");
-        let x = b.input("x", 8);
-        let y = relu(&mut b, &x);
-        b.output("y", &y);
-        b.finish()
-    };
     let mut t = Table::new(
         "Table I: PPA of common ML operations (measured / paper)",
         &["component", "tech", "delay", "area", "power", "paper D/A/P"],
@@ -85,23 +55,16 @@ pub fn table1() -> Vec<Table> {
             [(2.54, 0.03, 0.14), (1.44, 0.35, 10.0), (0.1, 67.0, 0.46)],
         ),
     ];
-    for (name, modules) in [
-        ("Comparator", comparator()),
-        ("MAC", mac()),
-        ("ReLU", relu8()),
-    ] {
-        for (ti, tech) in Technology::ALL.into_iter().enumerate() {
-            let lib = CellLibrary::for_technology(tech);
-            let ppa = analyze(&modules, &lib);
-            let (d, a, p) = scaled(tech, &ppa, 1);
-            let (du, au, pu) = tech_units(tech);
-            let reference = paper.iter().find(|r| r.0 == name).unwrap().1[ti];
+    for ((name, references), module) in paper.into_iter().zip(component_modules()) {
+        for (tech, reference) in Technology::ALL.into_iter().zip(references) {
+            let ppa = analyze(&module, &CellLibrary::for_technology(tech));
+            let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 name.to_string(),
                 tech.to_string(),
-                format!("{} {du}", fmt3(d)),
-                format!("{} {au}", fmt3(a)),
-                format!("{} {pu}", fmt3(p)),
+                format!("{} {du}", fmt3(time(ppa.latency(1)))),
+                format!("{} {au}", fmt3(area(ppa.area))),
+                format!("{} mW", fmt3(ppa.power.as_mw())),
                 format!(
                     "{}/{}/{}",
                     fmt3(reference.0),
@@ -132,42 +95,9 @@ pub fn table2() -> Vec<Table> {
             accuracy(test.x.iter().map(|r| pred(r)), test.y.iter().copied())
                 .expect("predictions align with test labels")
         };
-        for depth in depths() {
-            let m = DecisionTree::fit(&train, TreeParams::with_depth(depth));
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
+        let row = |tag: &str, ops: OpCount, a: f64| {
             let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
-                app.name().into(),
-                format!("DT-{depth}"),
-                fmt3(a),
-                ops.comparisons.to_string(),
-                ops.macs.to_string(),
-                format!("{}", est.area),
-                format!("{}", est.power),
-            ]);
-        }
-        for n in [2usize, 4, 8] {
-            let m = RandomForest::fit(&train, ForestParams::paper(n));
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
-            let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
-                app.name().into(),
-                format!("RF-{n}"),
-                fmt3(a),
-                ops.comparisons.to_string(),
-                ops.macs.to_string(),
-                format!("{}", est.area),
-                format!("{}", est.power),
-            ]);
-        }
-        for (tag, params) in [("MLP-1", MlpParams::mlp1()), ("MLP-3", MlpParams::mlp3())] {
-            let m = Mlp::fit(&train, &params);
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
-            let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
+            vec![
                 app.name().into(),
                 tag.into(),
                 fmt3(a),
@@ -175,53 +105,34 @@ pub fn table2() -> Vec<Table> {
                 ops.macs.to_string(),
                 format!("{}", est.area),
                 format!("{}", est.power),
-            ]);
+            ]
+        };
+        for depth in depths() {
+            let m = DecisionTree::fit(&train, TreeParams::with_depth(depth));
+            t.row(row(
+                &format!("DT-{depth}"),
+                m.op_count(),
+                acc(&mut |r| m.predict(r)),
+            ));
         }
-        {
-            let m = LogisticRegression::fit(&train, 150, 0.5);
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
-            let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
-                app.name().into(),
-                "LR".into(),
-                fmt3(a),
-                ops.comparisons.to_string(),
-                ops.macs.to_string(),
-                format!("{}", est.area),
-                format!("{}", est.power),
-            ]);
+        for n in [2usize, 4, 8] {
+            let m = RandomForest::fit(&train, ForestParams::paper(n));
+            t.row(row(
+                &format!("RF-{n}"),
+                m.op_count(),
+                acc(&mut |r| m.predict(r)),
+            ));
         }
-        {
-            let m = SvmClassifier::fit(&train, 4, 1e-3, SEED);
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
-            let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
-                app.name().into(),
-                "SVM-C".into(),
-                fmt3(a),
-                ops.comparisons.to_string(),
-                ops.macs.to_string(),
-                format!("{}", est.area),
-                format!("{}", est.power),
-            ]);
+        for (tag, params) in [("MLP-1", MlpParams::mlp1()), ("MLP-3", MlpParams::mlp3())] {
+            let m = Mlp::fit(&train, &params);
+            t.row(row(tag, m.op_count(), acc(&mut |r| m.predict(r))));
         }
-        {
-            let m = SvmRegressor::fit(&train, 200, 1e-4);
-            let ops = m.op_count();
-            let a = acc(&mut |r| m.predict(r));
-            let est = printed_core::estimate(&ops, &costs);
-            t.row(vec![
-                app.name().into(),
-                "SVM-R".into(),
-                fmt3(a),
-                ops.comparisons.to_string(),
-                ops.macs.to_string(),
-                format!("{}", est.area),
-                format!("{}", est.power),
-            ]);
-        }
+        let m = LogisticRegression::fit(&train, 150, 0.5);
+        t.row(row("LR", m.op_count(), acc(&mut |r| m.predict(r))));
+        let m = SvmClassifier::fit(&train, 4, 1e-3, SEED);
+        t.row(row("SVM-C", m.op_count(), acc(&mut |r| m.predict(r))));
+        let m = SvmRegressor::fit(&train, 200, 1e-4);
+        t.row(row("SVM-R", m.op_count(), acc(&mut |r| m.predict(r))));
     }
     vec![t]
 }
@@ -245,21 +156,15 @@ pub fn table3() -> Vec<Table> {
         for tech in Technology::ALL {
             let lib = CellLibrary::for_technology(tech);
             let ppa = analyze(&module, &lib);
-            let (du, au, pu) = tech_units(tech);
-            let (d, _, _) = scaled(tech, &ppa, depth);
-            let area_scale = |a: pdk::Area| match tech {
-                Technology::Egt => a.as_cm2(),
-                Technology::CntTft => a.as_mm2(),
-                Technology::Tsmc40 => a.as_um2(),
-            };
+            let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("DT-{depth}"),
                 tech.to_string(),
-                format!("{} {du}", fmt3(d)),
-                format!("{} {au}", fmt3(area_scale(ppa.logic_area))),
-                format!("{} {au}", fmt3(area_scale(ppa.rom_area))),
-                format!("{} {pu}", fmt3(ppa.logic_power.as_mw())),
-                format!("{} {pu}", fmt3(ppa.rom_power.as_mw())),
+                format!("{} {du}", fmt3(time(ppa.latency(depth)))),
+                format!("{} {au}", fmt3(area(ppa.logic_area))),
+                format!("{} {au}", fmt3(area(ppa.rom_area))),
+                format!("{} mW", fmt3(ppa.logic_power.as_mw())),
+                format!("{} mW", fmt3(ppa.rom_power.as_mw())),
                 ppa.gate_count.to_string(),
             ]);
         }
@@ -278,14 +183,13 @@ pub fn table4() -> Vec<Table> {
         for tech in Technology::ALL {
             let lib = CellLibrary::for_technology(tech);
             let ppa = analyze(&module, &lib);
-            let (d, a, p) = scaled(tech, &ppa, 1);
-            let (du, au, pu) = tech_units(tech);
+            let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("DT-{depth}"),
                 tech.to_string(),
-                format!("{} {du}", fmt3(d)),
-                format!("{} {au}", fmt3(a)),
-                format!("{} {pu}", fmt3(p)),
+                format!("{} {du}", fmt3(time(ppa.latency(1)))),
+                format!("{} {au}", fmt3(area(ppa.area))),
+                format!("{} mW", fmt3(ppa.power.as_mw())),
                 ppa.gate_count.to_string(),
             ]);
         }
@@ -304,14 +208,13 @@ pub fn table5() -> Vec<Table> {
         for tech in Technology::ALL {
             let lib = CellLibrary::for_technology(tech);
             let ppa = analyze(&module, &lib);
-            let (d, a, p) = scaled(tech, &ppa, 1);
-            let (du, au, pu) = tech_units(tech);
+            let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("SVM-{width}"),
                 tech.to_string(),
-                format!("{} {du}", fmt3(d)),
-                format!("{} {au}", fmt3(a)),
-                format!("{} {pu}", fmt3(p)),
+                format!("{} {du}", fmt3(time(ppa.latency(1)))),
+                format!("{} {au}", fmt3(area(ppa.area))),
+                format!("{} mW", fmt3(ppa.power.as_mw())),
                 ppa.gate_count.to_string(),
             ]);
         }

@@ -103,22 +103,6 @@ pub fn fmt_ratio(x: f64) -> String {
     format!("{}x", fmt3(x))
 }
 
-/// Writes tables as JSON when the caller passed `--json PATH`.
-///
-/// # Panics
-/// Panics if the file cannot be written.
-pub fn maybe_write_json(tables: &[Table]) {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            let path = args.next().expect("--json requires a path");
-            let body = serde_json::to_string_pretty(tables).expect("serialize tables");
-            std::fs::write(&path, body).expect("write json");
-            eprintln!("wrote {path}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

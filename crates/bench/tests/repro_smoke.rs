@@ -3,7 +3,8 @@
 //! every one of the 17 experiments, and the `--verify` sign-off section
 //! must record zero counter-examples. This is the same contract the CI
 //! smoke job enforces on the release binary. `--only` must narrow the
-//! run to the named experiments.
+//! run to the named experiments. `cnt_variants` must reject bad
+//! arguments before it runs its sweep.
 
 use std::process::Command;
 
@@ -154,4 +155,18 @@ fn unknown_experiments_are_rejected() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("usage"), "{stderr}");
     assert!(stderr.contains("table9"), "{stderr}");
+}
+
+#[test]
+fn cnt_variants_rejects_bad_arguments_before_running() {
+    for args in [&["--bogus"][..], &["--json"][..]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_cnt_variants"))
+            .args(args)
+            .output()
+            .expect("run cnt_variants");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+    }
 }

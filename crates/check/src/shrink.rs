@@ -3,7 +3,7 @@
 //! When an oracle reports a mismatch, the raw reproducer is a 40-gate
 //! random soup — correct but useless to a human. The shrinker walks the
 //! structure removing one element at a time (a gate, a ROM, an output
-//! port; a dataset row or feature), re-running the failing oracle after
+//! port), re-running the failing oracle after
 //! every candidate edit and keeping the edit only if the mismatch
 //! survives. The result is a local minimum: removing any single
 //! remaining element makes the bug disappear.
@@ -11,7 +11,6 @@
 //! The predicate is the *oracle*, not a recorded value comparison, so a
 //! shrunk case fails for the same reason the original did.
 
-use ml::Dataset;
 use netlist::{Module, NetId, Signal};
 
 /// Hard cap on candidate evaluations per shrink, so shrinking a slow
@@ -105,48 +104,6 @@ pub fn shrink_module(module: &Module, still_fails: &dyn Fn(&Module) -> bool) -> 
     best
 }
 
-/// Greedily minimizes a failing dataset: drops rows, then features,
-/// while `still_fails` keeps returning true. Every candidate is
-/// revalidated through [`Dataset::new`]'s shape invariants by
-/// construction (rows stay rectangular, labels stay in range).
-pub fn shrink_dataset(data: &Dataset, still_fails: &dyn Fn(&Dataset) -> bool) -> Dataset {
-    let mut best = data.clone();
-    let mut tried = 0usize;
-    let mut progress = true;
-    while progress && tried < MAX_CANDIDATES {
-        progress = false;
-        for row in (0..best.x.len()).rev() {
-            if tried >= MAX_CANDIDATES || best.x.len() <= 2 {
-                break;
-            }
-            tried += 1;
-            let mut candidate = best.clone();
-            candidate.x.remove(row);
-            candidate.y.remove(row);
-            if still_fails(&candidate) {
-                best = candidate;
-                progress = true;
-            }
-        }
-        let n_features = best.x.first().map_or(0, |r| r.len());
-        for f in (0..n_features).rev() {
-            if tried >= MAX_CANDIDATES || best.x.first().map_or(0, |r| r.len()) <= 1 {
-                break;
-            }
-            tried += 1;
-            let mut candidate = best.clone();
-            for row in &mut candidate.x {
-                row.remove(f);
-            }
-            if still_fails(&candidate) {
-                best = candidate;
-                progress = true;
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +145,5 @@ mod tests {
                 "seed {seed}: greedy pass incomplete"
             );
         }
-    }
-
-    #[test]
-    fn dataset_shrinking_respects_shape_invariants() {
-        let d = gen::random_dataset(11);
-        let always = |_: &Dataset| true;
-        let shrunk = shrink_dataset(&d, &always);
-        assert!(shrunk.x.len() >= 2);
-        assert!(shrunk.x.iter().all(|r| r.len() == shrunk.x[0].len()));
-        assert_eq!(shrunk.x.len(), shrunk.y.len());
     }
 }

@@ -8,10 +8,10 @@
 //! prohibitive").
 
 use ml::opcount::OpCount;
-use netlist::arith::{add, multiply, relu};
+use netlist::arith::{mac, relu};
 use netlist::builder::NetlistBuilder;
 use netlist::comb::unsigned_gt;
-use netlist::{analyze, Ppa};
+use netlist::{analyze, Module, Ppa};
 use pdk::units::{Area, Delay, Power};
 use pdk::{CellLibrary, Technology};
 
@@ -26,39 +26,46 @@ pub struct ComponentCosts {
     pub relu: Ppa,
 }
 
+/// Builds the three Table I components, in Table I's row order: an 8-bit
+/// magnitude comparator, an 8-bit two-input multiply-accumulate into a
+/// 16-bit accumulator, and an 8-bit ReLU.
+pub fn component_modules() -> [Module; 3] {
+    let comparator = {
+        let mut b = NetlistBuilder::new("comparator");
+        let a = b.input("a", 8);
+        let bb = b.input("b", 8);
+        let o = unsigned_gt(&mut b, &a, &bb);
+        b.output("o", &[o]);
+        b.finish()
+    };
+    let multiply_accumulate = {
+        let mut b = NetlistBuilder::new("mac");
+        let a = b.input("a", 8);
+        let bb = b.input("b", 8);
+        let acc = b.input("acc", 16);
+        let s = mac(&mut b, &a, &bb, &acc);
+        b.output("o", &s);
+        b.finish()
+    };
+    let rectifier = {
+        let mut b = NetlistBuilder::new("relu");
+        let x = b.input("x", 8);
+        let y = relu(&mut b, &x);
+        b.output("y", &y);
+        b.finish()
+    };
+    [comparator, multiply_accumulate, rectifier]
+}
+
 impl ComponentCosts {
     /// Synthesizes and prices the three Table I components in `tech`.
     pub fn for_technology(tech: Technology) -> Self {
         let lib = CellLibrary::for_technology(tech);
-        let comparator = {
-            let mut b = NetlistBuilder::new("cmp");
-            let a = b.input("a", 8);
-            let bb = b.input("b", 8);
-            let o = unsigned_gt(&mut b, &a, &bb);
-            b.output("o", &[o]);
-            analyze(&b.finish(), &lib)
-        };
-        let mac = {
-            let mut b = NetlistBuilder::new("mac");
-            let a = b.input("a", 8);
-            let bb = b.input("b", 8);
-            let acc = b.input("acc", 16);
-            let p = multiply(&mut b, &a, &bb);
-            let s = add(&mut b, &p, &acc);
-            b.output("o", &s);
-            analyze(&b.finish(), &lib)
-        };
-        let relu_ppa = {
-            let mut b = NetlistBuilder::new("relu");
-            let x = b.input("x", 8);
-            let y = relu(&mut b, &x);
-            b.output("y", &y);
-            analyze(&b.finish(), &lib)
-        };
+        let [comparator, mac, relu] = component_modules().map(|m| analyze(&m, &lib));
         ComponentCosts {
             comparator,
             mac,
-            relu: relu_ppa,
+            relu,
         }
     }
 }
@@ -74,14 +81,6 @@ pub struct CostEstimate {
     /// stage, whichever are present (the paper's screening treats latency
     /// as secondary).
     pub latency: Delay,
-}
-
-impl CostEstimate {
-    /// True when the projection exceeds what any printed source delivers —
-    /// the paper's "likely prohibitive" verdict.
-    pub fn is_prohibitive_in_print(&self) -> bool {
-        !pdk::classify(self.power).is_powerable()
-    }
 }
 
 /// Projects the cost of a model with `ops` dominant operations in `tech`,
@@ -134,7 +133,12 @@ mod tests {
         let lr = LogisticRegression::fit(&data, 1, 0.1);
         let costs = ComponentCosts::for_technology(Technology::Egt);
         let est = estimate(&lr.op_count(), &costs);
-        assert!(est.is_prohibitive_in_print(), "power {}", est.power);
+        // "Likely prohibitive": no printed source can power it.
+        assert!(
+            !pdk::classify(est.power).is_powerable(),
+            "power {}",
+            est.power
+        );
         // "21 to 2250 cm2": arrhythmia LR sits in that band.
         assert!(est.area.as_cm2() > 100.0, "area {}", est.area);
     }

@@ -429,18 +429,6 @@ impl ForestFlow {
             test,
         }
     }
-
-    /// Generates the ensemble engine netlist.
-    pub fn module(&self, style: crate::ensemble::ForestStyle) -> Module {
-        crate::ensemble::forest_engine(&self.qf, style)
-    }
-
-    /// Prices the ensemble engine in `tech`.
-    pub fn report(&self, style: crate::ensemble::ForestStyle, tech: Technology) -> DesignReport {
-        let lib = CellLibrary::for_technology(tech);
-        let name = format!("{}-rf{}", self.app.name(), self.n_trees);
-        report_from_ppa(name, tech, &analyze(&self.module(style), &lib), 1)
-    }
 }
 
 #[cfg(test)]
@@ -600,12 +588,12 @@ mod search_tests {
 #[cfg(test)]
 mod forest_flow_tests {
     use super::*;
-    use crate::ensemble::ForestStyle;
+    use crate::ensemble::bespoke_forest;
 
     #[test]
     fn forest_flow_produces_verified_engines() {
         let flow = ForestFlow::new(Application::Cardio, 2, 7);
-        let module = flow.module(ForestStyle::Bespoke);
+        let module = bespoke_forest(&flow.qf);
         let mut sim = netlist::Simulator::new(&module);
         for row in flow.test.x.iter().take(30) {
             let codes = flow.fq.code_row(row);
@@ -615,16 +603,17 @@ mod forest_flow_tests {
             sim.settle();
             assert_eq!(sim.get("class") as usize, flow.qf.predict(&codes));
         }
-        let r = flow.report(ForestStyle::Bespoke, Technology::Egt);
-        assert!(r.area.as_mm2() > 0.0);
+        let lib = CellLibrary::for_technology(Technology::Egt);
+        assert!(analyze(&module, &lib).area.as_mm2() > 0.0);
     }
 
     #[test]
     fn bigger_ensembles_buy_accuracy_with_area() {
         let f2 = ForestFlow::new(Application::Pendigits, 2, 7);
         let f8 = ForestFlow::new(Application::Pendigits, 8, 7);
-        let a2 = f2.report(ForestStyle::Bespoke, Technology::Egt);
-        let a8 = f8.report(ForestStyle::Bespoke, Technology::Egt);
+        let lib = CellLibrary::for_technology(Technology::Egt);
+        let a2 = analyze(&bespoke_forest(&f2.qf), &lib);
+        let a8 = analyze(&bespoke_forest(&f8.qf), &lib);
         assert!(a8.area > a2.area);
         assert!(
             f8.accuracy >= f2.accuracy - 0.02,

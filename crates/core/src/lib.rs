@@ -40,7 +40,6 @@ pub mod bitwidth;
 pub mod conventional;
 pub mod ensemble;
 pub mod estimate;
-pub mod export;
 pub mod extension;
 pub mod flow;
 pub mod lookup;
@@ -62,7 +61,6 @@ pub(crate) fn record_generated(m: netlist::Module) -> netlist::Module {
 pub use bitwidth::{choose_svm_width, choose_tree_width, WidthChoice, WIDTHS};
 pub use ensemble::{bespoke_forest, forest_engine, ForestStyle};
 pub use estimate::{estimate, ComponentCosts, CostEstimate};
-pub use export::{export_design, ExportManifest};
 pub use extension::{serial_svm, SerialSvmInfo};
 pub use flow::{ForestFlow, SvmArch, SvmFlow, TreeArch, TreeFlow};
 pub use lookup::LookupConfig;

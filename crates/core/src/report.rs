@@ -215,13 +215,6 @@ impl DutyCycle {
             samples_per_hour: 60.0,
         }
     }
-
-    /// One inference per hour — wound-dressing cadence.
-    pub fn per_hour() -> Self {
-        DutyCycle {
-            samples_per_hour: 1.0,
-        }
-    }
 }
 
 impl DesignReport {
@@ -250,6 +243,11 @@ impl DesignReport {
 mod duty_tests {
     use super::*;
 
+    /// One inference per hour — the wound-dressing cadence.
+    const HOURLY: DutyCycle = DutyCycle {
+        samples_per_hour: 1.0,
+    };
+
     fn report(power_mw: f64, latency_ms: f64) -> DesignReport {
         DesignReport {
             name: "t".into(),
@@ -271,10 +269,10 @@ mod duty_tests {
     fn average_power_scales_with_cadence() {
         let r = report(10.0, 100.0); // 100 ms inferences
         let per_min = r.average_power(DutyCycle::per_minute());
-        let per_hour = r.average_power(DutyCycle::per_hour());
+        let hourly = r.average_power(HOURLY);
         // 60 samples/h x 0.1 s = 6 s active per 3600 -> 1/600 duty.
         assert!((per_min.as_mw() - 10.0 / 600.0).abs() < 1e-9);
-        assert!((per_hour.as_mw() - 10.0 / 36000.0).abs() < 1e-12);
+        assert!((hourly.as_mw() - 10.0 / 36000.0).abs() < 1e-12);
     }
 
     #[test]
@@ -290,7 +288,7 @@ mod duty_tests {
         // cycled average is tiny.
         let r = report(100.0, 10.0);
         let b = pdk::PowerSource::blue_spark_30mah();
-        assert!(r.battery_days(&b, DutyCycle::per_hour()).is_none());
+        assert!(r.battery_days(&b, HOURLY).is_none());
         // A 1 mW design duty-cycled to a minute cadence lasts years.
         let ok = report(1.0, 10.0);
         let days = ok.battery_days(&b, DutyCycle::per_minute()).unwrap();

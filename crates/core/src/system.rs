@@ -162,11 +162,6 @@ impl ClassifierSystem {
             + self.classifier.power
     }
 
-    /// Fraction of the system's area spent on the classifier itself.
-    pub fn classifier_area_share(&self) -> f64 {
-        self.classifier.area.ratio(self.area())
-    }
-
     /// Which printed source can power the whole system.
     pub fn feasibility(&self) -> Feasibility {
         pdk::classify(self.power())
@@ -199,11 +194,8 @@ mod tests {
         let flow = TreeFlow::new(Application::Pendigits, 8, 7);
         let conv = flow.report(TreeArch::ConventionalParallel, Technology::Egt);
         let sys = ClassifierSystem::digital(conv, 14, 4, FeatureExtraction::None);
-        assert!(
-            sys.classifier_area_share() > 0.9,
-            "share {}",
-            sys.classifier_area_share()
-        );
+        let share = sys.classifier.area.ratio(sys.area());
+        assert!(share > 0.9, "share {share}");
         assert!(!sys.feasibility().is_powerable());
     }
 
@@ -217,11 +209,8 @@ mod tests {
             Technology::Egt,
         );
         let sys = ClassifierSystem::analog(analog, 8);
-        assert!(
-            sys.classifier_area_share() < 0.5,
-            "share {}",
-            sys.classifier_area_share()
-        );
+        let share = sys.classifier.area.ratio(sys.area());
+        assert!(share < 0.5, "share {share}");
     }
 
     #[test]

@@ -283,44 +283,3 @@ mod drift_tests {
         assert_ne!(d.with_drift(0.3, 5), d.with_drift(0.3, 6));
     }
 }
-
-impl Dataset {
-    /// Per-class sample counts (length `n_classes`).
-    pub fn class_distribution(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_classes];
-        for &l in &self.y {
-            counts[l] += 1;
-        }
-        counts
-    }
-
-    /// Fraction of samples belonging to the most common class — the
-    /// baseline accuracy of a majority-class predictor (what the paper's
-    /// DT-1 numbers hover near on the imbalanced medical datasets).
-    pub fn majority_fraction(&self) -> f64 {
-        let counts = self.class_distribution();
-        *counts.iter().max().unwrap_or(&0) as f64 / self.len() as f64
-    }
-}
-
-#[cfg(test)]
-mod distribution_tests {
-    use crate::synth::Application;
-
-    #[test]
-    fn distribution_sums_to_sample_count() {
-        let d = Application::Cardio.generate(7);
-        let counts = d.class_distribution();
-        assert_eq!(counts.iter().sum::<usize>(), d.len());
-        assert_eq!(counts.len(), d.n_classes);
-    }
-
-    #[test]
-    fn medical_datasets_are_imbalanced_as_designed() {
-        // Cardio: ~78% normal; arrhythmia: ~54% normal; HAR: uniform.
-        assert!(Application::Cardio.generate(7).majority_fraction() > 0.7);
-        let arr = Application::Arrhythmia.generate(7).majority_fraction();
-        assert!(arr > 0.45 && arr < 0.65, "arrhythmia majority {arr}");
-        assert!(Application::Har.generate(7).majority_fraction() < 0.3);
-    }
-}

@@ -46,7 +46,7 @@ pub mod tree;
 pub use data::{Dataset, Standardizer};
 pub use forest::{ForestParams, RandomForest};
 pub use linear::{LogisticRegression, SvmClassifier, SvmRegressor};
-pub use metrics::{accuracy, class_reports, confusion_matrix, macro_f1, ClassReport, MetricsError};
+pub use metrics::{accuracy, MetricsError};
 pub use mlp::{Mlp, MlpParams};
 pub use opcount::{CountOps, OpCount};
 pub use quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};

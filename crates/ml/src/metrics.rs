@@ -83,77 +83,6 @@ pub fn accuracy(
     Ok(correct as f64 / total as f64)
 }
 
-/// Confusion matrix: `matrix[truth][pred]` counts.
-pub fn confusion_matrix(
-    predictions: impl Iterator<Item = usize>,
-    truth: impl Iterator<Item = usize>,
-    n_classes: usize,
-) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; n_classes]; n_classes];
-    for (p, t) in predictions.zip(truth) {
-        m[t][p] += 1;
-    }
-    m
-}
-
-/// Per-class precision, recall and F1 derived from a confusion matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassReport {
-    /// Class index.
-    pub class: usize,
-    /// True positives / predicted positives (1.0 when nothing predicted).
-    pub precision: f64,
-    /// True positives / actual positives (1.0 when class absent).
-    pub recall: f64,
-    /// Harmonic mean of precision and recall (0.0 when both are 0).
-    pub f1: f64,
-}
-
-/// Computes per-class reports from a confusion matrix
-/// (`matrix[truth][pred]`).
-pub fn class_reports(matrix: &[Vec<usize>]) -> Vec<ClassReport> {
-    let k = matrix.len();
-    (0..k)
-        .map(|c| {
-            let tp = matrix[c][c];
-            let predicted: usize = (0..k).map(|t| matrix[t][c]).sum();
-            let actual: usize = matrix[c].iter().sum();
-            let precision = if predicted == 0 {
-                1.0
-            } else {
-                tp as f64 / predicted as f64
-            };
-            let recall = if actual == 0 {
-                1.0
-            } else {
-                tp as f64 / actual as f64
-            };
-            let f1 = if precision + recall == 0.0 {
-                0.0
-            } else {
-                2.0 * precision * recall / (precision + recall)
-            };
-            ClassReport {
-                class: c,
-                precision,
-                recall,
-                f1,
-            }
-        })
-        .collect()
-}
-
-/// Unweighted mean of per-class F1 scores — robust to the class imbalance
-/// of the medical datasets (arrhythmia is 54% "normal"; plain accuracy
-/// over-credits majority-class classifiers).
-pub fn macro_f1(matrix: &[Vec<usize>]) -> f64 {
-    let reports = class_reports(matrix);
-    if reports.is_empty() {
-        return 0.0;
-    }
-    reports.iter().map(|r| r.f1).sum::<f64>() / reports.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,64 +123,5 @@ mod tests {
         // false against every threshold and corrupt model selection.
         let r = accuracy(std::iter::empty(), std::iter::empty());
         assert_eq!(r, Err(MetricsError::Empty));
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_perfect_predictions() {
-        let m = confusion_matrix([0usize, 1, 1].into_iter(), [0usize, 1, 1].into_iter(), 2);
-        assert_eq!(m, vec![vec![1, 0], vec![0, 2]]);
-    }
-}
-
-#[cfg(test)]
-mod class_metric_tests {
-    use super::*;
-
-    #[test]
-    fn perfect_predictions_score_one_everywhere() {
-        let m = confusion_matrix([0usize, 1, 2].into_iter(), [0usize, 1, 2].into_iter(), 3);
-        for r in class_reports(&m) {
-            assert_eq!(r.precision, 1.0);
-            assert_eq!(r.recall, 1.0);
-            assert_eq!(r.f1, 1.0);
-        }
-        assert_eq!(macro_f1(&m), 1.0);
-    }
-
-    #[test]
-    fn majority_class_predictor_has_low_macro_f1_but_decent_accuracy() {
-        // 9 of class 0, 1 of class 1, everything predicted 0.
-        let truth = [0usize; 9].into_iter().chain([1usize]);
-        let pred = [0usize; 10].into_iter();
-        let m = confusion_matrix(pred.clone(), truth.clone(), 2);
-        let acc = accuracy(pred, truth).unwrap();
-        assert!(acc >= 0.9);
-        assert!(macro_f1(&m) < 0.6, "macro f1 {}", macro_f1(&m));
-    }
-
-    #[test]
-    fn absent_classes_do_not_poison_the_mean() {
-        // Class 2 never occurs and is never predicted: precision and
-        // recall default to 1.
-        let m = confusion_matrix([0usize, 1].into_iter(), [0usize, 1].into_iter(), 3);
-        let r = &class_reports(&m)[2];
-        assert_eq!(r.precision, 1.0);
-        assert_eq!(r.recall, 1.0);
-    }
-
-    #[test]
-    fn mixed_case_matches_hand_computation() {
-        // truth:  0 0 1 1
-        // pred:   0 1 1 1
-        let m = confusion_matrix(
-            [0usize, 1, 1, 1].into_iter(),
-            [0usize, 0, 1, 1].into_iter(),
-            2,
-        );
-        let r = class_reports(&m);
-        assert!((r[0].precision - 1.0).abs() < 1e-12);
-        assert!((r[0].recall - 0.5).abs() < 1e-12);
-        assert!((r[1].precision - 2.0 / 3.0).abs() < 1e-12);
-        assert!((r[1].recall - 1.0).abs() < 1e-12);
     }
 }

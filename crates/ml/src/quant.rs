@@ -250,9 +250,11 @@ impl QuantizedTree {
         f
     }
 
-    /// Heap positions as in [`DecisionTree::heap_layout`], over quantized
-    /// thresholds: `(splits: (position, feature, code), leaves: (position,
-    /// depth, class))`.
+    /// Flattens the tree onto full-binary-tree ("heap") positions: root at
+    /// 1, children of `p` at `2p` / `2p+1` — the indexing scheme the serial
+    /// architecture's shift register produces. Returns `(splits, leaves)`
+    /// where splits are `(position, feature, code)` and leaves
+    /// `(position, depth, class)`, each sorted by position.
     pub fn heap_layout(&self) -> (Vec<QHeapSplit>, Vec<QHeapLeaf>) {
         let mut splits = Vec::new();
         let mut leaves = Vec::new();
@@ -267,6 +269,9 @@ impl QuantizedTree {
                     right,
                 } => {
                     splits.push((pos, *feature, *threshold));
+                    // Paper convention: the comparison result shifts into
+                    // the LSB, which is 1 when the walk went right
+                    // (condition false).
                     stack.push((*left, pos * 2, depth + 1));
                     stack.push((*right, pos * 2 + 1, depth + 1));
                 }
@@ -507,6 +512,52 @@ mod tests {
     }
 
     #[test]
+    fn heap_layout_is_consistent() {
+        let (train, test) = wine();
+        let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
+        let fq = FeatureQuantizer::fit(&train, 8);
+        let qt = QuantizedTree::from_tree(&tree, &fq);
+        let (splits, leaves) = qt.heap_layout();
+        assert_eq!(splits.len(), qt.comparison_count());
+        assert_eq!(splits.len() + leaves.len(), qt.nodes().len());
+        // Root is position 1.
+        assert!(splits.iter().any(|s| s.0 == 1));
+        // Leaf positions never collide with split positions.
+        for (lp, _, _) in &leaves {
+            assert!(splits.iter().all(|(sp, _, _)| sp != lp));
+        }
+        // Every leaf position's ancestors are split positions, and its
+        // depth is the number of ancestors.
+        for &(lp, depth, _) in &leaves {
+            let mut p = lp / 2;
+            let mut ancestors = 0;
+            while p >= 1 {
+                assert!(
+                    splits.iter().any(|(sp, _, _)| *sp == p),
+                    "ancestor {p} of {lp}"
+                );
+                ancestors += 1;
+                p /= 2;
+            }
+            assert_eq!(ancestors, depth, "leaf {lp}");
+        }
+        // Walking the positions (`<=` goes to `2p`, else `2p+1`) reaches
+        // the leaf `predict` returns.
+        for row in &test.x {
+            let codes = fq.code_row(row);
+            let mut pos = 1;
+            let class = loop {
+                if let Some(&(_, _, class)) = leaves.iter().find(|l| l.0 == pos) {
+                    break class;
+                }
+                let &(_, feature, code) = splits.iter().find(|s| s.0 == pos).expect("split");
+                pos = 2 * pos + (codes[feature] > code) as usize;
+            };
+            assert_eq!(class, qt.predict(&codes));
+        }
+    }
+
+    #[test]
     fn narrower_widths_lose_little_on_separable_data() {
         let data = Application::Har.generate(7);
         let (train, test) = data.split(0.7, 42);
@@ -635,11 +686,6 @@ impl QuantizedForest {
         self.bits
     }
 
-    /// Total comparisons across the ensemble (Table II's `#C` for RFs).
-    pub fn comparison_count(&self) -> usize {
-        self.trees.iter().map(|t| t.comparison_count()).sum()
-    }
-
     /// Union of features tested by any member tree.
     pub fn used_features(&self) -> Vec<usize> {
         let mut f: Vec<usize> = self.trees.iter().flat_map(|t| t.used_features()).collect();
@@ -665,11 +711,11 @@ mod forest_tests {
         assert_eq!(qf.trees().len(), 4);
         assert_eq!(qf.n_classes(), 3);
         assert_eq!(
-            qf.comparison_count(),
             qf.trees()
                 .iter()
                 .map(|t| t.comparison_count())
-                .sum::<usize>()
+                .sum::<usize>(),
+            forest.comparison_count()
         );
         // Votes are consistent with per-tree predictions.
         for row in test.x.iter().take(40) {

@@ -324,16 +324,39 @@ mod tests {
         assert_ne!(red.x[0], white.x[0]);
     }
 
+    /// Per-class sample counts of `app`'s seed-7 dataset.
+    fn class_counts(app: Application) -> Vec<usize> {
+        let d = app.generate(7);
+        let mut counts = vec![0usize; d.n_classes];
+        for &l in &d.y {
+            counts[l] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn every_class_is_represented() {
         for app in Application::ALL {
-            let d = app.generate(7);
-            let mut seen = vec![false; d.n_classes];
-            for &l in &d.y {
-                seen[l] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "{} missing a class", app.name());
+            let counts = class_counts(app);
+            assert!(
+                counts.iter().all(|&n| n > 0),
+                "{} missing a class",
+                app.name()
+            );
         }
+    }
+
+    #[test]
+    fn medical_datasets_are_imbalanced_as_designed() {
+        // Cardio: ~78% normal; arrhythmia: ~54% normal; HAR: uniform.
+        let majority = |app: Application| {
+            let counts = class_counts(app);
+            *counts.iter().max().unwrap() as f64 / counts.iter().sum::<usize>() as f64
+        };
+        assert!(majority(Application::Cardio) > 0.7);
+        let arr = majority(Application::Arrhythmia);
+        assert!(arr > 0.45 && arr < 0.65, "arrhythmia majority {arr}");
+        assert!(majority(Application::Har) < 0.3);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl SearchTally {
     }
 }
 
-/// A split in heap layout: `(position, feature, threshold)`.
-pub type HeapSplit = (usize, usize, f64);
-/// A leaf in heap layout: `(position, depth, class)`.
-pub type HeapLeaf = (usize, usize, usize);
-
 /// One node of a trained tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TreeNode {
@@ -241,37 +236,6 @@ impl DecisionTree {
         f.sort_unstable();
         f.dedup();
         f
-    }
-
-    /// Flattens the tree onto full-binary-tree ("heap") positions: root at
-    /// 1, children of `p` at `2p` / `2p+1` — the indexing scheme the serial
-    /// architecture's shift register produces. Returns
-    /// `(splits, leaves)` where splits are `(position, feature, threshold)`
-    /// and leaves `(position, depth, class)`.
-    pub fn heap_layout(&self) -> (Vec<HeapSplit>, Vec<HeapLeaf>) {
-        let mut splits = Vec::new();
-        let mut leaves = Vec::new();
-        let mut stack = vec![(0usize, 1usize, 0usize)]; // (node, position, depth)
-        while let Some((node, pos, depth)) = stack.pop() {
-            match &self.nodes[node] {
-                TreeNode::Leaf { class } => leaves.push((pos, depth, *class)),
-                TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    splits.push((pos, *feature, *threshold));
-                    // Paper convention: comparison result shifts into the
-                    // LSB; we use bit 0 = "went right" (condition false).
-                    stack.push((*left, pos * 2, depth + 1));
-                    stack.push((*right, pos * 2 + 1, depth + 1));
-                }
-            }
-        }
-        splits.sort_unstable_by_key(|s| s.0);
-        leaves.sort_unstable_by_key(|l| l.0);
-        (splits, leaves)
     }
 }
 
@@ -557,31 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_layout_is_consistent() {
-        let d = xor_dataset();
-        let t = DecisionTree::fit(&d, TreeParams::with_depth(2));
-        let (splits, leaves) = t.heap_layout();
-        assert_eq!(splits.len(), t.comparison_count());
-        // Root is position 1.
-        assert!(splits.iter().any(|s| s.0 == 1));
-        // Leaf positions never collide with split positions.
-        for (lp, _, _) in &leaves {
-            assert!(splits.iter().all(|(sp, _, _)| sp != lp));
-        }
-        // Every leaf position's ancestors are split positions.
-        for (lp, _, _) in &leaves {
-            let mut p = lp / 2;
-            while p >= 1 {
-                assert!(
-                    splits.iter().any(|(sp, _, _)| *sp == p),
-                    "ancestor {p} of {lp}"
-                );
-                p /= 2;
-            }
-        }
-    }
-
-    #[test]
     fn predictions_follow_thresholds() {
         let d = xor_dataset();
         let t = DecisionTree::fit(&d, TreeParams::with_depth(2));
@@ -606,55 +545,5 @@ mod tests {
             }
         };
         assert_eq!(manual, t.predict(row));
-    }
-}
-
-impl DecisionTree {
-    /// Renders the tree as Graphviz DOT (decision nodes as boxes, leaves
-    /// as ovals) for inspection of what is about to be printed.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph tree {\n  node [fontname=\"monospace\"];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                TreeNode::Leaf { class } => {
-                    let _ = writeln!(out, "  n{i} [label=\"class {class}\"];");
-                }
-                TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  n{i} [shape=box, label=\"x{feature} <= {threshold:.4}\"];"
-                    );
-                    let _ = writeln!(out, "  n{i} -> n{left} [label=\"yes\"];");
-                    let _ = writeln!(out, "  n{i} -> n{right} [label=\"no\"];");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::synth::Application;
-
-    #[test]
-    fn dot_output_is_well_formed() {
-        let data = Application::Cardio.generate(7);
-        let tree = DecisionTree::fit(&data, TreeParams::with_depth(3));
-        let dot = tree.to_dot();
-        assert!(dot.starts_with("digraph tree {"));
-        assert!(dot.trim_end().ends_with('}'));
-        // One node line per tree node, one edge pair per split.
-        assert_eq!(dot.matches("shape=box").count(), tree.comparison_count());
-        assert_eq!(dot.matches("-> ").count(), tree.comparison_count() * 2);
-        assert!(dot.contains("class "));
     }
 }

@@ -45,11 +45,6 @@ impl Ppa {
     pub fn latency(&self, cycles: usize) -> Delay {
         self.delay * cycles as f64
     }
-
-    /// Energy of one inference taking `cycles` cycles (1 for combinational).
-    pub fn energy(&self, cycles: usize) -> pdk::Energy {
-        self.power * self.latency(cycles)
-    }
 }
 
 /// Analyzes `module` against `lib`.
@@ -321,14 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_energy_scale_with_cycles() {
+    fn latency_scales_with_cycles() {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 1);
         let o = b.not(x[0]);
         b.output("o", &[o]);
         let ppa = analyze(&b.finish(), &egt());
         assert!((ppa.latency(4).as_secs() - ppa.delay.as_secs() * 4.0).abs() < 1e-15);
-        assert!(ppa.energy(2).as_mj() > 0.0);
     }
 }
 

@@ -9,11 +9,6 @@
 use crate::builder::NetlistBuilder;
 use crate::ir::Signal;
 
-/// Half adder: returns (sum, carry).
-pub fn half_adder(b: &mut NetlistBuilder, a: Signal, bb: Signal) -> (Signal, Signal) {
-    (b.xor(a, bb), b.and(a, bb))
-}
-
 /// Full adder: returns (sum, carry).
 pub fn full_adder(b: &mut NetlistBuilder, a: Signal, bb: Signal, cin: Signal) -> (Signal, Signal) {
     let s1 = b.xor(a, bb);

@@ -364,21 +364,6 @@ impl NetlistBuilder {
         gate.inputs[0] = d;
     }
 
-    /// Index of the most recently emitted gate.
-    ///
-    /// # Panics
-    /// Panics if no gate has been emitted yet.
-    pub(crate) fn last_gate_index(&self) -> usize {
-        assert!(!self.module.gates.is_empty(), "no gates emitted");
-        self.module.gates.len() - 1
-    }
-
-    /// Rewrites one input pin of an existing gate (used to close sequential
-    /// feedback loops such as enable registers).
-    pub(crate) fn patch_gate_input(&mut self, gate_index: usize, pin: usize, sig: Signal) {
-        self.module.gates[gate_index].inputs[pin] = sig;
-    }
-
     /// Finalizes and returns the module.
     ///
     /// # Panics

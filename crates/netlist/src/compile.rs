@@ -400,19 +400,9 @@ impl CompiledNetlist {
         })
     }
 
-    /// Instructions on the tape (compiled combinational gates).
-    pub fn tape_len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Input port widths in declaration order.
     pub fn input_widths(&self) -> Vec<usize> {
         self.inputs.iter().map(|p| p.slots.len()).collect()
-    }
-
-    /// Number of input ports.
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
     }
 
     /// Total output-port bits (the length unit of response images).

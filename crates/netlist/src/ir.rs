@@ -55,14 +55,6 @@ impl Signal {
         }
     }
 
-    /// The constant value, if hard-wired.
-    pub fn constant(self) -> Option<bool> {
-        match self {
-            Signal::Net(_) => None,
-            Signal::Const(b) => Some(b),
-        }
-    }
-
     /// True when the signal is a hard-wired constant.
     pub fn is_const(self) -> bool {
         matches!(self, Signal::Const(_))
@@ -226,15 +218,6 @@ impl Module {
     /// Iterates over gates of a given kind.
     pub fn gates_of(&self, kind: CellKind) -> impl Iterator<Item = &Gate> {
         self.gates.iter().filter(move |g| g.kind == kind)
-    }
-
-    /// Per-kind gate histogram, ordered by [`CellKind`]'s derived order.
-    pub fn gate_histogram(&self) -> Vec<(CellKind, usize)> {
-        let mut hist = std::collections::BTreeMap::new();
-        for g in &self.gates {
-            *hist.entry(g.kind).or_insert(0usize) += 1;
-        }
-        hist.into_iter().collect()
     }
 
     /// Validates structural invariants: every net has at most one driver,
@@ -401,9 +384,8 @@ mod tests {
     fn signal_accessors() {
         let s = Signal::Net(NetId(3));
         assert_eq!(s.net(), Some(NetId(3)));
-        assert_eq!(s.constant(), None);
         assert!(!s.is_const());
-        assert_eq!(Signal::ONE.constant(), Some(true));
+        assert_eq!(Signal::ONE.net(), None);
         assert!(Signal::ZERO.is_const());
         assert_eq!(Signal::from(true), Signal::ONE);
     }
@@ -468,32 +450,5 @@ mod tests {
             region: 0,
         });
         assert!(m2.validate().unwrap_err().contains("never driven"));
-    }
-
-    #[test]
-    fn histogram_counts_kinds() {
-        let mut m = Module::new("h");
-        m.net_count = 3;
-        for (i, kind) in [CellKind::Inv, CellKind::Inv, CellKind::Xor2]
-            .into_iter()
-            .enumerate()
-        {
-            let inputs = match kind.input_count() {
-                1 => vec![Signal::ONE],
-                2 => vec![Signal::ONE, Signal::ZERO],
-                _ => unreachable!(),
-            };
-            m.gates.push(Gate {
-                kind,
-                inputs,
-                output: NetId(i as u32),
-                init: false,
-                region: 0,
-            });
-        }
-        let hist = m.gate_histogram();
-        assert_eq!(hist, vec![(CellKind::Inv, 2), (CellKind::Xor2, 1)]);
-        assert_eq!(m.gate_count(), 3);
-        assert!(m.is_combinational());
     }
 }

@@ -9,8 +9,8 @@
 //!   and crossbar ROM macros;
 //! * [`builder`] — construction API with word-level helpers;
 //! * [`comb`] / [`arith`] / [`seq`] — structural generators (comparators,
-//!   decoders, adders, array and constant multipliers, MACs, ReLU, shift
-//!   registers) — the component set Table I prices;
+//!   adders, array and constant multipliers, MACs, ReLU, shift registers)
+//!   — the component set Table I prices;
 //! * [`opt`] — constant folding, identities, CSE and dead-gate removal: the
 //!   synthesis optimization that makes *bespoke* classifiers small;
 //! * [`analysis`] — area / static power / critical-path reports against a

@@ -2,8 +2,7 @@
 //!
 //! The serial decision tree (§III-A.1) tracks its working node in a shift
 //! register seeded with 1; each cycle the current comparison result is
-//! shifted into the LSB. These helpers build that structure and general
-//! word registers.
+//! shifted into the LSB. [`shift_register`] builds that structure.
 
 use crate::builder::NetlistBuilder;
 use crate::ir::Signal;
@@ -22,23 +21,6 @@ pub fn shift_register(b: &mut NetlistBuilder, d: Signal, len: usize, init: u64) 
         input = q;
     }
     qs
-}
-
-/// An enable-gated word register: holds its value when `en` is low and
-/// captures `d` on the clock edge when `en` is high.
-pub fn register_en(b: &mut NetlistBuilder, d: &[Signal], en: Signal, init: u64) -> Vec<Signal> {
-    d.iter()
-        .enumerate()
-        .map(|(i, &bit)| {
-            // q = dff(mux(en, q, d)); the DFF is created first with a
-            // placeholder D so the feedback mux can reference its Q.
-            let q = b.dff(Signal::ZERO, (init >> i) & 1 == 1);
-            let dff_index = b.last_gate_index();
-            let next = b.mux(en, q, bit);
-            b.patch_gate_input(dff_index, 0, next);
-            q
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -64,33 +46,5 @@ mod tests {
         sim.step();
         sim.settle();
         assert_eq!(sim.get("q"), 0b0110);
-    }
-
-    #[test]
-    fn enable_register_holds_and_loads() {
-        let mut b = NetlistBuilder::new("t");
-        let d = b.input("d", 4);
-        let en = b.input("en", 1);
-        let q = register_en(&mut b, &d, en[0], 0);
-        b.output("q", &q);
-        let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        // en=1 loads d (mux select 1 -> d input).
-        sim.set("d", 9);
-        sim.set("en", 1);
-        sim.step();
-        sim.settle();
-        assert_eq!(sim.get("q"), 9);
-        // en=0 holds.
-        sim.set("d", 3);
-        sim.set("en", 0);
-        sim.step();
-        sim.settle();
-        assert_eq!(sim.get("q"), 9);
-        // en=1 loads again.
-        sim.set("en", 1);
-        sim.step();
-        sim.settle();
-        assert_eq!(sim.get("q"), 3);
     }
 }

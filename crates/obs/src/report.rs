@@ -129,11 +129,6 @@ fn finalize(nodes: &mut [SpanNode]) {
 }
 
 impl Report {
-    /// Pretty JSON rendering of the report.
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().render_pretty()
-    }
-
     /// Flame-style text rendering for stderr: one line per span with a
     /// bar proportional to its share of the run, then counters and
     /// gauges. Example:
@@ -209,11 +204,6 @@ impl Report {
     }
 }
 
-/// Prints the current report's text summary to stderr.
-pub fn print_summary() {
-    eprint!("{}", build().text_summary());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +265,7 @@ mod tests {
         crate::counter_add("rt.count", 3);
         crate::gauge_set("rt.gauge", 0.5);
         let r = build();
-        let text = r.to_json_pretty();
+        let text = r.to_value().render_pretty();
         let back = Report::from_value(&serde::value::parse(&text).unwrap()).unwrap();
         assert_eq!(r, back);
         assert_eq!(back.counter("rt.count"), 3);

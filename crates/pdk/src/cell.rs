@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is the complete set of leaf cells the gate-level netlist IR may
 /// instantiate; every larger block (adders, comparators, multipliers,
-/// decoders, shift registers) is composed from these by `netlist`'s
+/// shift registers) is composed from these by `netlist`'s
 /// structural generators, mirroring how the paper's RTL was mapped by logic
 /// synthesis onto the EGT/CNT standard-cell libraries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -141,11 +141,6 @@ impl CellKind {
         matches!(self, CellKind::Dff)
     }
 
-    /// True for memory bit cells.
-    pub fn is_rom(self) -> bool {
-        matches!(self, CellKind::RomBit | CellKind::RomDot)
-    }
-
     /// Approximate transistor count, used in prototype component inventories.
     pub fn transistor_count(self) -> usize {
         match self {
@@ -209,12 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_rom_flags() {
+    fn only_the_flip_flop_is_sequential() {
         assert!(CellKind::Dff.is_sequential());
         assert!(!CellKind::Mux2.is_sequential());
-        assert!(CellKind::RomBit.is_rom());
-        assert!(CellKind::RomDot.is_rom());
-        assert!(!CellKind::Inv.is_rom());
+        assert!(!CellKind::RomBit.is_sequential());
     }
 
     #[test]

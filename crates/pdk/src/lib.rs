@@ -38,4 +38,4 @@ pub use library::{CellCost, CellLibrary};
 pub use power_src::{classify, Feasibility, PowerSource};
 pub use rom::{rom_cost, RomCost, RomSpec, RomStyle};
 pub use tech::Technology;
-pub use units::{Area, Delay, Energy, Power};
+pub use units::{Area, Delay, Power};

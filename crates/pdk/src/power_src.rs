@@ -139,21 +139,6 @@ pub enum Feasibility {
 }
 
 impl Feasibility {
-    /// Classifies a peak power demand against the standard source ladder.
-    ///
-    /// ```
-    /// use pdk::power_src::{classify, Feasibility};
-    /// use pdk::units::Power;
-    /// match classify(Power::from_uw(50.0)) {
-    ///     Feasibility::PoweredBy(src) => assert_eq!(src.name, "Printed harvester"),
-    ///     Feasibility::Unpowerable => panic!("50 µW is harvestable"),
-    /// }
-    /// assert_eq!(classify(Power::from_w(1.0)), Feasibility::Unpowerable);
-    /// ```
-    pub fn classify(demand: Power) -> Feasibility {
-        classify(demand)
-    }
-
     /// True when some printed source can power the design.
     pub fn is_powerable(&self) -> bool {
         matches!(self, Feasibility::PoweredBy(_))
@@ -168,7 +153,18 @@ impl Feasibility {
     }
 }
 
-/// Returns the weakest ladder source able to power `demand`.
+/// Classifies a peak power demand against the standard source ladder:
+/// returns the weakest source able to power `demand`.
+///
+/// ```
+/// use pdk::power_src::{classify, Feasibility};
+/// use pdk::units::Power;
+/// match classify(Power::from_uw(50.0)) {
+///     Feasibility::PoweredBy(src) => assert_eq!(src.name, "Printed harvester"),
+///     Feasibility::Unpowerable => panic!("50 µW is harvestable"),
+/// }
+/// assert_eq!(classify(Power::from_w(1.0)), Feasibility::Unpowerable);
+/// ```
 pub fn classify(demand: Power) -> Feasibility {
     PowerSource::ladder()
         .into_iter()

@@ -37,46 +37,9 @@ impl Technology {
     /// All technologies, in the order the paper's tables list them.
     pub const ALL: [Technology; 3] = [Technology::Egt, Technology::CntTft, Technology::Tsmc40];
 
-    /// The printed technologies only (EGT and CNT-TFT).
-    pub const PRINTED: [Technology; 2] = [Technology::Egt, Technology::CntTft];
-
     /// True for additively or subtractively printed technologies.
     pub fn is_printed(self) -> bool {
         !matches!(self, Technology::Tsmc40)
-    }
-
-    /// Nominal supply voltage in volts.
-    ///
-    /// EGT operates at ~1 V, which is what makes battery- and self-powered
-    /// printed classifiers plausible; CNT-TFT PDKs are characterized around
-    /// 3 V and the 40 nm silicon library at 0.9 V.
-    pub fn supply_voltage(self) -> f64 {
-        match self {
-            Technology::Egt => 1.0,
-            Technology::CntTft => 3.0,
-            Technology::Tsmc40 => 0.9,
-        }
-    }
-
-    /// Characteristic drawn feature size in micrometres.
-    ///
-    /// Printed features are measured in tens of µm (low-resolution, low-cost
-    /// printing); silicon in tens of nm. This 3-orders-of-magnitude gap is
-    /// the root cause of every area/power conclusion in the paper.
-    pub fn feature_size_um(self) -> f64 {
-        match self {
-            Technology::Egt => 40.0,
-            Technology::CntTft => 5.0,
-            Technology::Tsmc40 => 0.04,
-        }
-    }
-
-    /// Whether the technology supports mask-less, on-demand fabrication.
-    ///
-    /// This is the property that makes *bespoke* (per-model) classifier
-    /// instances economically sensible: there is no mask-set NRE to amortize.
-    pub fn is_maskless(self) -> bool {
-        matches!(self, Technology::Egt)
     }
 
     /// Short display name matching the paper's table headers.
@@ -104,21 +67,6 @@ mod tests {
         assert!(Technology::Egt.is_printed());
         assert!(Technology::CntTft.is_printed());
         assert!(!Technology::Tsmc40.is_printed());
-        assert!(Technology::PRINTED.iter().all(|t| t.is_printed()));
-    }
-
-    #[test]
-    fn egt_is_the_only_maskless_flow() {
-        assert!(Technology::Egt.is_maskless());
-        assert!(!Technology::CntTft.is_maskless());
-        assert!(!Technology::Tsmc40.is_maskless());
-    }
-
-    #[test]
-    fn feature_sizes_span_three_orders_of_magnitude() {
-        let egt = Technology::Egt.feature_size_um();
-        let si = Technology::Tsmc40.feature_size_um();
-        assert!(egt / si >= 100.0);
     }
 
     #[test]

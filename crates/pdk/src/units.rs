@@ -8,7 +8,6 @@
 //! * [`Area`] — square millimetres (mm²)
 //! * [`Power`] — milliwatts (mW)
 //! * [`Delay`] — seconds (s)
-//! * [`Energy`] — millijoules (mJ)
 //!
 //! All are `Copy` wrappers over `f64` with arithmetic operators and
 //! engineering-notation `Display` implementations.
@@ -43,11 +42,6 @@ macro_rules! unit {
             /// Returns the larger of two values.
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
-            }
-
-            /// Returns the smaller of two values.
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
             }
 
             /// Dimensionless ratio `self / other`.
@@ -152,19 +146,6 @@ unit!(
     "s"
 );
 
-unit!(
-    /// Energy, canonically in mJ.
-    ///
-    /// ```
-    /// use pdk::units::{Delay, Power};
-    /// let e = Power::from_mw(2.0) * Delay::from_ms(3.0);
-    /// assert!((e.as_mj() - 0.006).abs() < 1e-12);
-    /// ```
-    Energy,
-    from_mj,
-    "mJ"
-);
-
 impl Area {
     /// Creates an area from cm².
     pub fn from_cm2(cm2: f64) -> Self {
@@ -256,26 +237,6 @@ impl Delay {
     }
 }
 
-impl Energy {
-    /// Returns the energy in mJ.
-    pub fn as_mj(self) -> f64 {
-        self.0
-    }
-
-    /// Returns the energy in µJ.
-    pub fn as_uj(self) -> f64 {
-        self.0 * 1e3
-    }
-}
-
-impl Mul<Delay> for Power {
-    type Output = Energy;
-    /// Power × time = energy (mW × s = mJ).
-    fn mul(self, rhs: Delay) -> Energy {
-        Energy(self.0 * rhs.0)
-    }
-}
-
 /// Formats `value` with an SI prefix chosen so the mantissa is in `[1, 1000)`.
 fn engineering(value: f64, unit: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     if value == 0.0 {
@@ -328,12 +289,6 @@ impl fmt::Display for Delay {
     }
 }
 
-impl fmt::Display for Energy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        engineering(self.0 * 1e-3, "J", f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,13 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_is_power_times_delay() {
-        let e = Power::from_mw(10.0) * Delay::from_ms(100.0);
-        assert!((e.as_mj() - 1.0).abs() < 1e-12);
-        assert!((e.as_uj() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ratio_is_dimensionless() {
         assert!((Area::from_mm2(10.0).ratio(Area::from_mm2(2.0)) - 5.0).abs() < 1e-12);
     }
@@ -397,14 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_zero() {
+    fn max_and_zero() {
         assert_eq!(
             Delay::from_ms(1.0).max(Delay::from_ms(2.0)),
             Delay::from_ms(2.0)
-        );
-        assert_eq!(
-            Delay::from_ms(1.0).min(Delay::from_ms(2.0)),
-            Delay::from_ms(1.0)
         );
         assert!(Area::ZERO.is_zero());
         assert!(!Area::from_mm2(1.0).is_zero());
