@@ -224,6 +224,9 @@ impl LogisticRegression {
     }
 
     fn fit_impl(data: &Dataset, epochs: usize, lr: f64) -> Self {
+        let _span = obs::span("ml.lr.fit");
+        obs::counter_add("ml.lr.fits", 1);
+        obs::counter_add("ml.lr.epochs", epochs as u64);
         let k = data.n_classes;
         let d = data.n_features();
         let n = data.len() as f64;

@@ -116,53 +116,20 @@ impl DecisionTree {
     }
 
     fn fit_impl(data: &Dataset, params: TreeParams) -> Self {
-        let _span = obs::span("ml.cart.fit");
         let indices: Vec<usize> = (0..data.len()).collect();
-        let mut nodes = Vec::new();
-        let mut tally = SearchTally::default();
-        build(
-            data,
-            &indices,
-            params.max_depth,
-            &params,
-            &mut nodes,
-            None,
-            &mut tally,
-        );
-        tally.publish();
-        DecisionTree {
-            nodes,
-            n_classes: data.n_classes,
-            n_features: data.n_features(),
-        }
+        grow(data, &indices, params, None)
     }
 
     /// Fits on a subset of samples, optionally restricting candidate
-    /// features per split (used by random forests).
+    /// features per split (used by random forests). `sample_indices` may
+    /// repeat a sample (a bootstrap draw); every copy counts as a sample.
     pub fn fit_subset(
         data: &Dataset,
         sample_indices: &[usize],
         params: TreeParams,
         feature_subset: Option<&[usize]>,
     ) -> Self {
-        let _span = obs::span("ml.cart.fit");
-        let mut nodes = Vec::new();
-        let mut tally = SearchTally::default();
-        build(
-            data,
-            sample_indices,
-            params.max_depth,
-            &params,
-            &mut nodes,
-            feature_subset,
-            &mut tally,
-        );
-        tally.publish();
-        DecisionTree {
-            nodes,
-            n_classes: data.n_classes,
-            n_features: data.n_features(),
-        }
+        grow(data, sample_indices, params, feature_subset)
     }
 
     /// Predicts the class of one row.
@@ -239,6 +206,212 @@ impl DecisionTree {
     }
 }
 
+/// Grows one tree on `sample` and publishes its search tally.
+fn grow(
+    data: &Dataset,
+    sample: &[usize],
+    params: TreeParams,
+    feature_subset: Option<&[usize]>,
+) -> DecisionTree {
+    let _span = obs::span("ml.cart.fit");
+    let features: Vec<usize> = match feature_subset {
+        Some(f) => f.to_vec(),
+        None => (0..data.n_features()).collect(),
+    };
+    let mut counts = vec![0usize; data.n_classes];
+    for &i in sample {
+        counts[data.y[i]] += 1;
+    }
+    let mut grower = Grower::new(data, sample, &features, params);
+    grower.build(0, sample.len(), counts, params.max_depth);
+    grower.tally.publish();
+    DecisionTree {
+        nodes: grower.nodes,
+        n_classes: data.n_classes,
+        n_features: data.n_features(),
+    }
+}
+
+/// One `(feature value, sample index)` entry of a presorted feature list.
+type Entry = (f64, u32);
+
+/// Tree-growing state for one fit.
+///
+/// Every candidate feature is sorted once, up front, into a list of
+/// `(value, sample)` entries (bootstrap duplicates included). A node owns
+/// the same `start..end` range of every list, and splitting it stably
+/// partitions each range into the left child's entries followed by the
+/// right child's. Each list range therefore stays sorted, and the split
+/// search reads it directly instead of re-sorting per node.
+struct Grower<'a> {
+    data: &'a Dataset,
+    params: TreeParams,
+    features: &'a [usize],
+    /// One sorted list per candidate feature, each as long as the sample.
+    lists: Vec<Vec<Entry>>,
+    /// Per dataset row: does it go left at the split being applied?
+    goes_left: Vec<bool>,
+    /// Right-hand entries held back while a range is partitioned.
+    spill: Vec<Entry>,
+    sweep: Sweep,
+    nodes: Vec<TreeNode>,
+    tally: SearchTally,
+}
+
+impl<'a> Grower<'a> {
+    fn new(data: &'a Dataset, sample: &[usize], features: &'a [usize], params: TreeParams) -> Self {
+        let lists = features
+            .iter()
+            .map(|&f| {
+                let mut list: Vec<Entry> = sample
+                    .iter()
+                    .map(|&i| {
+                        let row = u32::try_from(i).expect("sample index fits in u32");
+                        (data.x[i][f], row)
+                    })
+                    .collect();
+                list.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("feature values are not NaN"));
+                list
+            })
+            .collect();
+        Grower {
+            data,
+            params,
+            features,
+            lists,
+            goes_left: vec![false; data.len()],
+            spill: Vec::with_capacity(sample.len()),
+            sweep: Sweep::new(data.n_classes),
+            nodes: Vec::new(),
+            tally: SearchTally::default(),
+        }
+    }
+
+    /// Grows the node holding list entries `start..end`, whose per-class
+    /// sample counts are `counts`; returns the new node's index.
+    fn build(&mut self, start: usize, end: usize, counts: Vec<usize>, depth_left: usize) -> usize {
+        self.tally.nodes += 1;
+        let len = end - start;
+        let make_leaf = depth_left == 0
+            || len < self.params.min_samples_split
+            || gini(counts.iter().copied(), len) == 0.0
+            || len == 0;
+        let best = if make_leaf {
+            None
+        } else {
+            self.best_split(start, end, &counts)
+        };
+        // Like scikit-learn's default CART, split on the best candidate
+        // even at zero immediate gain (a zero-gain split can enable a
+        // perfect split one level down — XOR being the canonical case).
+        let Some((j, threshold)) = best else {
+            self.nodes.push(TreeNode::Leaf {
+                class: majority(&counts),
+            });
+            return self.nodes.len() - 1;
+        };
+
+        let mut left_counts = vec![0usize; counts.len()];
+        for &(v, i) in &self.lists[j][start..end] {
+            let left = v <= threshold;
+            self.goes_left[i as usize] = left;
+            if left {
+                left_counts[self.data.y[i as usize]] += 1;
+            }
+        }
+        let right_counts: Vec<usize> = counts
+            .iter()
+            .zip(&left_counts)
+            .map(|(t, l)| t - l)
+            .collect();
+        let mid = start + left_counts.iter().sum::<usize>();
+        // Children at the depth limit become leaves from their counts
+        // alone; only children that may split need their ranges sorted.
+        if depth_left > 1 {
+            for list in &mut self.lists {
+                stable_partition(&mut list[start..end], &self.goes_left, &mut self.spill);
+            }
+        }
+
+        let me = self.nodes.len();
+        self.nodes.push(TreeNode::Leaf { class: 0 }); // placeholder
+        let left = self.build(start, mid, left_counts, depth_left - 1);
+        let right = self.build(mid, end, right_counts, depth_left - 1);
+        self.nodes[me] = TreeNode::Split {
+            feature: self.features[j],
+            threshold,
+            left,
+            right,
+        };
+        me
+    }
+
+    /// The winning `(feature list, threshold)` for the node `start..end`.
+    ///
+    /// Coarse scan with quantile-strided candidates, then a
+    /// full-resolution rescan around the winning position (so
+    /// subsampling never misses a clean cut sitting between strides).
+    /// Candidate scoring uses one prefix-count sweep per feature
+    /// (evaluate every threshold from cumulative class counts) instead of
+    /// an O(n) rescan per candidate — the class counts, and therefore
+    /// every Gini score, are the exact integers and floats the rescan
+    /// produced.
+    fn best_split(&mut self, start: usize, end: usize, counts: &[usize]) -> Option<(usize, f64)> {
+        let mut best: Option<(f64, usize, f64, usize, usize)> = None; // (gini, j, thr, w, stride)
+        for j in 0..self.features.len() {
+            self.sweep.fill(&self.lists[j][start..end], &self.data.y);
+            let sweep = &self.sweep;
+            if sweep.vals.len() < 2 {
+                continue;
+            }
+            let stride = (sweep.vals.len() / self.params.max_thresholds).max(1);
+            for w in (0..sweep.vals.len() - 1).step_by(stride) {
+                self.tally.candidates += 1;
+                if let Some((thr, score)) = sweep.eval(w, counts) {
+                    if best.is_none_or(|(b, ..)| score < b - 1e-15) {
+                        best = Some((score, j, thr, w, stride));
+                    }
+                }
+            }
+        }
+        // Local refinement of the winner.
+        if let Some((_, j, _, w, stride)) = best {
+            if stride > 1 {
+                self.sweep.fill(&self.lists[j][start..end], &self.data.y);
+                let sweep = &self.sweep;
+                let lo = w.saturating_sub(stride);
+                let hi = (w + stride).min(sweep.vals.len() - 1);
+                for v in lo..hi {
+                    self.tally.candidates += 1;
+                    if let Some((thr, score)) = sweep.eval(v, counts) {
+                        if best.is_none_or(|(b, ..)| score < b - 1e-15) {
+                            best = Some((score, j, thr, v, stride));
+                        }
+                    }
+                }
+            }
+        }
+        best.map(|(_, j, thr, ..)| (j, thr))
+    }
+}
+
+/// Stably moves the entries whose row goes left to the front of `list`,
+/// the rest after them, using `spill` as the holding buffer.
+fn stable_partition(list: &mut [Entry], goes_left: &[bool], spill: &mut Vec<Entry>) {
+    spill.clear();
+    let mut kept = 0;
+    for k in 0..list.len() {
+        let e = list[k];
+        if goes_left[e.1 as usize] {
+            list[kept] = e;
+            kept += 1;
+        } else {
+            spill.push(e);
+        }
+    }
+    list[kept..].copy_from_slice(spill);
+}
+
 /// Prefix-count sweep over one feature: distinct sorted values plus, for
 /// each, the cumulative per-class count of samples at or below it. Every
 /// candidate threshold's left/right partition then reads off in O(classes)
@@ -249,39 +422,43 @@ struct Sweep {
     /// Flattened `vals.len() x n_classes`: `cum[k*c..][..c]` counts the
     /// samples of each class with value `<= vals[k]`.
     cum: Vec<usize>,
+    /// Per-class counts of the entries read so far.
+    running: Vec<usize>,
     classes: usize,
     n: usize,
 }
 
 impl Sweep {
-    fn build(data: &Dataset, indices: &[usize], f: usize) -> Sweep {
-        let mut pairs: Vec<(f64, u32)> = indices
-            .iter()
-            .map(|&i| (data.x[i][f], data.y[i] as u32))
-            .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let classes = data.n_classes;
-        let mut vals: Vec<f64> = Vec::new();
-        let mut cum: Vec<usize> = Vec::new();
-        let mut running = vec![0usize; classes];
-        for &(v, y) in &pairs {
-            if vals.last() != Some(&v) {
-                if !vals.is_empty() {
-                    cum.extend_from_slice(&running);
-                }
-                vals.push(v);
-            }
-            running[y as usize] += 1;
-        }
-        if !vals.is_empty() {
-            cum.extend_from_slice(&running);
-        }
+    fn new(classes: usize) -> Sweep {
         Sweep {
-            vals,
-            cum,
+            vals: Vec::new(),
+            cum: Vec::new(),
+            running: vec![0; classes],
             classes,
-            n: indices.len(),
+            n: 0,
         }
+    }
+
+    /// Rebuilds the sweep from one node's sorted feature list. Only the
+    /// distinct values and the counts at each value's last entry are
+    /// kept, so the order of tied entries cannot change the sweep.
+    fn fill(&mut self, list: &[Entry], y: &[usize]) {
+        self.vals.clear();
+        self.cum.clear();
+        self.running.fill(0);
+        for &(v, i) in list {
+            if self.vals.last() != Some(&v) {
+                if !self.vals.is_empty() {
+                    self.cum.extend_from_slice(&self.running);
+                }
+                self.vals.push(v);
+            }
+            self.running[y[i as usize]] += 1;
+        }
+        if !self.vals.is_empty() {
+            self.cum.extend_from_slice(&self.running);
+        }
+        self.n = list.len();
     }
 
     /// Scores the candidate threshold between `vals[w]` and `vals[w+1]`.
@@ -299,8 +476,9 @@ impl Sweep {
         if ln == 0 || rn == 0 {
             return None;
         }
-        let rc: Vec<usize> = total.iter().zip(lc).map(|(&t, &l)| t - l).collect();
-        let score = (ln as f64 * gini(lc, ln) + rn as f64 * gini(&rc, rn)) / self.n as f64;
+        let rc = total.iter().zip(lc).map(|(&t, &l)| t - l);
+        let score =
+            (ln as f64 * gini(lc.iter().copied(), ln) + rn as f64 * gini(rc, rn)) / self.n as f64;
         // Tie-break toward balanced partitions: when several cuts achieve
         // the same impurity (e.g. every depth-1 cut of XOR data), a balanced
         // split gives the children the most room to improve.
@@ -309,12 +487,12 @@ impl Sweep {
     }
 }
 
-fn gini(counts: &[usize], total: usize) -> f64 {
+fn gini(counts: impl Iterator<Item = usize>, total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let t = total as f64;
-    1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
+    1.0 - counts.map(|c| (c as f64 / t).powi(2)).sum::<f64>()
 }
 
 fn majority(counts: &[usize]) -> usize {
@@ -324,120 +502,6 @@ fn majority(counts: &[usize]) -> usize {
         .max_by_key(|(_, &c)| c)
         .map(|(i, _)| i)
         .unwrap_or(0)
-}
-
-/// Recursively grows the tree; returns the new node's index.
-fn build(
-    data: &Dataset,
-    indices: &[usize],
-    depth_left: usize,
-    params: &TreeParams,
-    nodes: &mut Vec<TreeNode>,
-    feature_subset: Option<&[usize]>,
-    tally: &mut SearchTally,
-) -> usize {
-    tally.nodes += 1;
-    let mut counts = vec![0usize; data.n_classes];
-    for &i in indices {
-        counts[data.y[i]] += 1;
-    }
-    let node_gini = gini(&counts, indices.len());
-    let make_leaf = depth_left == 0
-        || indices.len() < params.min_samples_split
-        || node_gini == 0.0
-        || indices.is_empty();
-    if make_leaf {
-        nodes.push(TreeNode::Leaf {
-            class: majority(&counts),
-        });
-        return nodes.len() - 1;
-    }
-
-    let features: Vec<usize> = match feature_subset {
-        Some(f) => f.to_vec(),
-        None => (0..data.n_features()).collect(),
-    };
-    // Coarse scan with quantile-strided candidates, then a full-resolution
-    // rescan around the winning position (so subsampling never misses a
-    // clean cut sitting between strides). Candidate scoring uses one
-    // prefix-count sweep per feature (sort once, evaluate every threshold
-    // from cumulative class counts) instead of an O(n) rescan per
-    // candidate — the class counts, and therefore every Gini score, are
-    // the exact integers and floats the rescan produced.
-    let mut best: Option<(f64, usize, f64, usize, usize)> = None; // (gini, f, thr, w, stride)
-    for &f in &features {
-        let sweep = Sweep::build(data, indices, f);
-        if sweep.vals.len() < 2 {
-            continue;
-        }
-        let stride = (sweep.vals.len() / params.max_thresholds).max(1);
-        for w in (0..sweep.vals.len() - 1).step_by(stride) {
-            tally.candidates += 1;
-            if let Some((thr, score)) = sweep.eval(w, &counts) {
-                if best.is_none_or(|(b, ..)| score < b - 1e-15) {
-                    best = Some((score, f, thr, w, stride));
-                }
-            }
-        }
-    }
-    // Local refinement of the winner.
-    if let Some((_, f, _, w, stride)) = best {
-        if stride > 1 {
-            let sweep = Sweep::build(data, indices, f);
-            let lo = w.saturating_sub(stride);
-            let hi = (w + stride).min(sweep.vals.len() - 1);
-            for v in lo..hi {
-                tally.candidates += 1;
-                if let Some((thr, score)) = sweep.eval(v, &counts) {
-                    if best.is_none_or(|(b, ..)| score < b - 1e-15) {
-                        best = Some((score, f, thr, v, stride));
-                    }
-                }
-            }
-        }
-    }
-
-    // Like scikit-learn's default CART, split on the best candidate even at
-    // zero immediate gain (a zero-gain split can enable a perfect split one
-    // level down — XOR being the canonical case).
-    let Some((_, feature, threshold, _, _)) = best else {
-        nodes.push(TreeNode::Leaf {
-            class: majority(&counts),
-        });
-        return nodes.len() - 1;
-    };
-    let _ = node_gini;
-
-    let (li, ri): (Vec<usize>, Vec<usize>) = indices
-        .iter()
-        .partition(|&&i| data.x[i][feature] <= threshold);
-    let me = nodes.len();
-    nodes.push(TreeNode::Leaf { class: 0 }); // placeholder
-    let left = build(
-        data,
-        &li,
-        depth_left - 1,
-        params,
-        nodes,
-        feature_subset,
-        tally,
-    );
-    let right = build(
-        data,
-        &ri,
-        depth_left - 1,
-        params,
-        nodes,
-        feature_subset,
-        tally,
-    );
-    nodes[me] = TreeNode::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    me
 }
 
 #[cfg(test)]
@@ -518,6 +582,48 @@ mod tests {
         let t = DecisionTree::fit(&d, TreeParams::with_depth(8));
         assert_eq!(t.comparison_count(), 1);
         assert_eq!(t.used_features(), vec![0]);
+    }
+
+    #[test]
+    fn bootstrap_subset_fit_equals_fit_on_the_materialized_sample() {
+        // Few distinct values per feature (heavy ties), one feature with
+        // more distinct values than `max_thresholds` (strided scan plus
+        // refinement), and a bootstrap sample full of duplicates.
+        let x: Vec<Vec<f64>> = (0..240)
+            .map(|i| {
+                vec![
+                    (i % 7) as f64,
+                    ((i * 3) % 5) as f64 * 0.5,
+                    ((i * 13) % 50) as f64 * 0.1,
+                ]
+            })
+            .collect();
+        let y: Vec<usize> = x
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ((r[0] + r[2] > 4.0) as usize + (i % 11 == 0) as usize) % 3)
+            .collect();
+        let d = Dataset::new("ties", x, y, 3);
+        let mut rng = exec::rng::StdRng::seed_from_u64(5);
+        let sample: Vec<usize> = (0..d.len()).map(|_| rng.gen_range(0..d.len())).collect();
+        let mut seen = sample.clone();
+        seen.sort_unstable();
+        seen.dedup();
+        assert!(seen.len() < sample.len(), "the sample must hold duplicates");
+        let materialized = Dataset::new(
+            "sample",
+            sample.iter().map(|&i| d.x[i].clone()).collect(),
+            sample.iter().map(|&i| d.y[i]).collect(),
+            d.n_classes,
+        );
+        let params = TreeParams {
+            max_depth: 6,
+            min_samples_split: 2,
+            max_thresholds: 4,
+        };
+        let subset = DecisionTree::fit_subset(&d, &sample, params, None);
+        assert_eq!(subset, DecisionTree::fit(&materialized, params));
+        assert!(subset.comparison_count() > 3);
     }
 
     #[test]
