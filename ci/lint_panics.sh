@@ -8,9 +8,10 @@
 # distinguish "engines disagree" from "input rejected". The legacy
 # panicking wrappers delegate to SimError::raise() (which lives in
 # error.rs, outside this lint's scope) so the panic message stays
-# Display-formatted. The core flows (flow.rs, signoff.rs) build and sign
-# off every architecture the CLI and the benchmark reach, so they are held
-# to the same rule.
+# Display-formatted. The sign-off engines (verify.rs, faults.rs and the
+# fault grader's compile/cone.rs) check, and the core flows (flow.rs,
+# signoff.rs) build and sign off, every architecture the CLI and the
+# benchmark reach, so they are held to the same rule.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -22,6 +23,9 @@ cd "$(dirname "$0")/.."
 FILES=(
   crates/netlist/src/sim.rs
   crates/netlist/src/compile.rs
+  crates/netlist/src/compile/cone.rs
+  crates/netlist/src/faults.rs
+  crates/netlist/src/verify.rs
   crates/netlist/src/levels.rs
   crates/netlist/src/analysis.rs
   crates/netlist/src/stats.rs

@@ -8,8 +8,8 @@
 //!    [`printed_core::signoff`] (64 input vectors per settle pass);
 //! 2. **Fault grading** — the Table-VII-style manufacturing-test
 //!    workload (bespoke depth-4 Har/Cardio trees fed their own test-set
-//!    vectors) is stuck-at graded with in-place fault injection, timing
-//!    `faults_per_sec`.
+//!    vectors) is stuck-at graded by cone-limited fault propagation,
+//!    timing `faults_per_sec`.
 //!
 //! The returned [`VerifyReport`] lands in the `repro_all --json` report;
 //! `repro_all` exits nonzero if any check found a counter-example.
@@ -184,7 +184,7 @@ fn run_configured(
     }
 
     let mut fault_table = Table::new(
-        "Verify: stuck-at fault grading (in-place lane-parallel injection)",
+        "Verify: stuck-at fault grading (lane-parallel cone propagation)",
         &[
             "design",
             "sites",

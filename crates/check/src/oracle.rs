@@ -5,10 +5,11 @@
 //!
 //! 1. **Engines** — the scalar reference [`netlist::Simulator`] against
 //!    the compiled kernel as a 64-lane [`netlist::WideSim`]`<1>` and a
-//!    256-lane `WideSim<4>`, with and without an injected stuck-at
-//!    fault; plus agreement on *rejecting* cyclic inputs with the same
-//!    [`netlist::SimError`] kind, and the kernel's rejection of
-//!    sequential ones.
+//!    256-lane `WideSim<4>`; the fault grader's verdict on a random
+//!    stuck-at site against clone injection (`netlist::faults::inject`)
+//!    on the scalar simulator; plus agreement on *rejecting* cyclic
+//!    inputs with the same [`netlist::SimError`] kind, and the kernel's
+//!    rejection of sequential ones.
 //! 2. **Variation** — the scalar `analog::variation::reference`
 //!    analyzers against the compiled lane-batched tapes.
 //! 3. **Optimizer** — `netlist::optimize` output proven equivalent to
@@ -205,8 +206,8 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                 }
             }
 
-            // Fault pass: in-place lane-word pinning vs reference clone
-            // injection.
+            // Fault pass: the fault grader's verdict on one random site vs
+            // clone injection plus the scalar simulator.
             if !module.gates.is_empty() {
                 let mut rng = StdRng::seed_from_u64(exec::seed::mix64(vec_seed ^ 0xFA17));
                 let gate = rng.gen_range(0..module.gates.len());
@@ -217,12 +218,8 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                 let faulty = netlist::faults::inject(module, fault);
                 let mut ref_sim = Simulator::try_new(&faulty)
                     .map_err(|e| format!("reference fault injection broke the module: {e}"))?;
-                narrow.inject_fault(fault.net, fault.stuck_at);
-                narrow.settle();
-                for name in out_names.iter() {
-                    let faulty_out = narrow
-                        .try_lanes(name, lanes)
-                        .map_err(|e| format!("faulty narrow lanes failed: {e}"))?;
+                let mut detected = false;
+                for (o, name) in out_names.iter().enumerate() {
                     for (lane, v) in vectors.iter().enumerate() {
                         for (port, &value) in faulty.inputs.iter().zip(v) {
                             ref_sim
@@ -233,18 +230,19 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                         let want = ref_sim
                             .try_get(name)
                             .map_err(|e| format!("faulty scalar get failed: {e}"))?;
-                        if faulty_out[lane] != want {
-                            return Err(format!(
-                                "fault pinning diverges from reference injection on net \
-                                 {:?} stuck at {}: output {name} vector {lane} got {:#x}, \
-                                 want {want:#x}",
-                                fault.net, fault.stuck_at, faulty_out[lane]
-                            ));
-                        }
+                        detected |= want != expected[o][lane];
                         h.write_u64(want);
                     }
                 }
-                narrow.clear_fault();
+                let graded = netlist::try_fault_coverage(module, &vectors)
+                    .map_err(|e| format!("fault grading failed: {e}"))?;
+                if graded.undetected.contains(&fault) == detected {
+                    return Err(format!(
+                        "fault grading diverges from reference injection on net {:?} \
+                         stuck at {}: reference detected={detected}",
+                        fault.net, fault.stuck_at
+                    ));
+                }
             }
             Ok(key_word(h.finish()))
         }

@@ -14,12 +14,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::compile::cone::{ConeSim, Fanout};
 use crate::compile::{record_settles, CompiledNetlist, WideSim};
 use crate::error::SimError;
 use crate::ir::{Module, NetId, Signal};
 
 /// Lane width of the fault-grading shards.
 const FAULT_W: usize = 4;
+
+/// Cone instructions plus ROMs evaluated while grading faults; shards
+/// tally locally and publish once, like [`record_settles`].
+static EVALS: obs::Counter = obs::Counter::new("netlist.faults.evals");
 
 /// One single-stuck-at fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,10 +95,10 @@ pub fn fault_sites(module: &Module) -> Vec<Fault> {
 /// driver still exists but every *reader* (gate inputs, ROM addresses,
 /// output ports) sees the stuck constant.
 ///
-/// This is the *reference* injection semantics. The production grading
-/// path ([`coverage`]) never clones: it pins the stuck net's lane word in
-/// place via [`crate::compile::WideSim::inject_fault`], which the
-/// compiled-kernel tests check against this function site-by-site.
+/// This is the *reference* injection semantics. The grader ([`coverage`])
+/// never clones: it propagates the stuck value through the fault's
+/// fanout cone on the compiled kernel, and the property tests check its
+/// per-site verdicts against this function plus the scalar simulator.
 pub fn inject(module: &Module, fault: Fault) -> Module {
     let mut m = module.clone();
     let stuck = Signal::Const(fault.stuck_at);
@@ -124,25 +129,25 @@ pub fn inject(module: &Module, fault: Fault) -> Module {
 }
 
 /// Fault sites per [`exec::parallel_map`] work item. Fixed (rather than
-/// derived from the thread count) so the shard boundaries — and therefore
-/// any behavior that could leak through them — are identical at every
-/// thread count.
-const SITES_PER_SHARD: usize = 32;
+/// derived from the thread count) so the shard boundaries — and
+/// therefore the published counters — are identical at every thread
+/// count. Each shard settles every chunk it grades once, fault-free;
+/// 256 sites keep that settle small next to the shard's cones while
+/// leaving enough shards to balance the pool.
+const SITES_PER_SHARD: usize = 256;
 
 /// Measures single-stuck-at coverage of `vectors` over a *combinational*
 /// module. Each vector lists one value per input port, in port order.
 ///
 /// Runs on the compiled wide-lane kernel ([`WideSim`]`<4>` over one
-/// shared [`CompiledNetlist`]), so each fault is exercised against 256
-/// vectors per settle pass — the standard parallel-pattern fault
-/// simulation arrangement — and faults are injected *in place* (a
-/// lane-word pin on the stuck net's slot via [`WideSim::inject_fault`])
-/// instead of cloning and re-compiling the module per site. Detected
-/// faults are dropped: a fault stops simulating at its first detecting
-/// vector chunk (detection verdicts are chunk-width independent — a
-/// fault is detected iff *any* vector distinguishes it). Fault sites are
-/// sharded across the [`exec`] thread pool in fixed-size blocks (one
-/// evaluator per shard over the shared tape) and the verdict list is
+/// shared [`CompiledNetlist`]), 256 vectors per chunk — the standard
+/// parallel-pattern arrangement. Each shard settles each chunk once,
+/// fault-free; a fault is then graded by event-driven propagation
+/// through its fanout cone only (see `compile/cone.rs`), stopping at
+/// the first output it changes. Detected faults are dropped before the next chunk (a
+/// fault is detected iff *any* vector distinguishes it, so verdicts do
+/// not depend on the chunk width). Fault sites are sharded across the
+/// [`exec`] thread pool in fixed-size blocks and the verdict list is
 /// reassembled in site order, so the report does not depend on the
 /// thread count.
 ///
@@ -175,49 +180,9 @@ pub fn try_coverage(module: &Module, vectors: &[Vec<u64>]) -> Result<FaultCovera
             });
         }
     }
-    // Compile once; every shard below replays the same shared tape.
     let compiled = Arc::new(CompiledNetlist::try_compile(module)?);
-    // Pack every ≤256-vector chunk once and record the fault-free
-    // response image; each fault replays the same images.
-    let mut sim: WideSim<FAULT_W> = WideSim::new(Arc::clone(&compiled));
-    let chunks: Vec<(Vec<[u64; FAULT_W]>, usize)> = vectors
-        .chunks(WideSim::<FAULT_W>::LANES)
-        .map(|c| (sim.pack_vectors(c), c.len()))
-        .collect();
-    let good: Vec<Vec<u64>> = chunks
-        .iter()
-        .map(|(image, lanes)| {
-            sim.load_packed(image);
-            sim.settle();
-            sim.output_words(*lanes)
-        })
-        .collect();
-    record_settles(chunks.len() as u64, vectors.len() as u64);
-
     let sites = fault_sites(module);
-    let shards: Vec<&[Fault]> = sites.chunks(SITES_PER_SHARD).collect();
-    let verdicts: Vec<Vec<bool>> = exec::parallel_map(&shards, |_, shard| {
-        let mut sim: WideSim<FAULT_W> = WideSim::new(Arc::clone(&compiled));
-        let mut settles = 0u64;
-        let mut lane_vectors = 0u64;
-        let out: Vec<bool> = shard
-            .iter()
-            .map(|&fault| {
-                sim.inject_fault(fault.net, fault.stuck_at);
-                // Fault dropping: `any` stops at the first detecting chunk.
-                chunks.iter().zip(&good).any(|((image, lanes), expected)| {
-                    sim.load_packed(image);
-                    sim.settle();
-                    settles += 1;
-                    lane_vectors += *lanes as u64;
-                    !sim.outputs_match(expected, *lanes)
-                })
-            })
-            .collect();
-        record_settles(settles, lane_vectors);
-        out
-    });
-    let verdicts: Vec<bool> = verdicts.concat();
+    let verdicts = grade(compiled, &sites, vectors)?;
     let detected = verdicts.iter().filter(|&&d| d).count();
     obs::counter_add("netlist.faults.sites", sites.len() as u64);
     obs::counter_add("netlist.faults.detected", detected as u64);
@@ -233,6 +198,49 @@ pub fn try_coverage(module: &Module, vectors: &[Vec<u64>]) -> Result<FaultCovera
         detected,
         undetected,
     })
+}
+
+/// Per-site verdicts of `sites` under `vectors` on a compiled module:
+/// `true` where some vector detects the fault.
+pub(crate) fn grade(
+    compiled: Arc<CompiledNetlist>,
+    sites: &[Fault],
+    vectors: &[Vec<u64>],
+) -> Result<Vec<bool>, SimError> {
+    let packer: WideSim<FAULT_W> = WideSim::new(Arc::clone(&compiled));
+    let chunks = vectors
+        .chunks(WideSim::<FAULT_W>::LANES)
+        .map(|c| Ok((packer.try_pack_vectors(c)?, c.len())))
+        .collect::<Result<Vec<_>, SimError>>()?;
+    let fanout = Arc::new(Fanout::new(compiled));
+    let shards: Vec<&[Fault]> = sites.chunks(SITES_PER_SHARD).collect();
+    let verdicts = exec::parallel_map(&shards, |_, shard| {
+        let mut cone: ConeSim<FAULT_W> = ConeSim::new(Arc::clone(&fanout));
+        let mut detected = vec![false; shard.len()];
+        let mut live: Vec<usize> = (0..shard.len()).collect();
+        let mut settles = 0u64;
+        let mut lane_vectors = 0u64;
+        for (image, lanes) in &chunks {
+            if live.is_empty() {
+                break;
+            }
+            cone.load(image, *lanes)?;
+            settles += 1;
+            lane_vectors += *lanes as u64;
+            // Fault dropping: a detected fault leaves the live list.
+            live.retain(|&i| {
+                detected[i] = cone.detects(shard[i].net, shard[i].stuck_at);
+                !detected[i]
+            });
+        }
+        record_settles(settles, lane_vectors);
+        EVALS.add(cone.evals());
+        Ok(detected)
+    });
+    Ok(verdicts
+        .into_iter()
+        .collect::<Result<Vec<_>, SimError>>()?
+        .concat())
 }
 
 #[cfg(test)]

@@ -63,6 +63,15 @@ fn random_circuit(
     let mut pool: Vec<Signal> = inputs.clone();
     pool.push(Signal::ZERO);
     pool.push(Signal::ONE);
+    random_gates(rng, &mut b, &mut pool, n_gates);
+    let outs: Vec<Signal> = pool.iter().rev().take(n_outputs).copied().collect();
+    b.output("o", &outs);
+    b.finish()
+}
+
+/// Appends `n_gates` random gates reading from `pool`, each output
+/// joining the pool.
+fn random_gates(rng: &mut StdRng, b: &mut NetlistBuilder, pool: &mut Vec<Signal>, n_gates: usize) {
     let kinds = [
         CellKind::Inv,
         CellKind::And2,
@@ -82,7 +91,38 @@ fn random_circuit(
         let out = b.gate(kind, &ins);
         pool.push(out);
     }
-    let outs: Vec<Signal> = pool.iter().rev().take(n_outputs).copied().collect();
+}
+
+/// A random combinational DAG with two ROMs between its gate layers: a
+/// 3-address-bit ROM, which the compiled kernel evaluates bitwise (row
+/// masks), and an 11-address-bit ROM, past the kernel's 10-bit limit for
+/// that, which it evaluates per lane. Output `o` carries the last three
+/// gates and one data bit of each ROM.
+fn random_rom_circuit(rng: &mut StdRng, n_inputs: usize) -> printed_ml::netlist::Module {
+    use printed_ml::pdk::RomStyle;
+    let mut b = NetlistBuilder::new("random_rom");
+    let mut pool: Vec<Signal> = b.input("x", n_inputs);
+    pool.push(Signal::ZERO);
+    pool.push(Signal::ONE);
+    let n_gates = rng.gen_range(4usize..12);
+    random_gates(rng, &mut b, &mut pool, n_gates);
+    let mut rom_bits = Vec::new();
+    for addr_bits in [3usize, 11] {
+        let addr: Vec<Signal> = (0..addr_bits)
+            .map(|_| pool[rng.gen_range(2usize..pool.len())])
+            .collect();
+        let data_bits = rng.gen_range(1usize..=3);
+        let contents: Vec<u64> = (0..1usize << addr_bits)
+            .map(|_| rng.gen_range(0u64..(1u64 << data_bits)))
+            .collect();
+        let data = b.rom(&addr, contents, data_bits, RomStyle::Crossbar);
+        rom_bits.push(data[0]);
+        pool.extend(data);
+    }
+    let n_gates = rng.gen_range(4usize..12);
+    random_gates(rng, &mut b, &mut pool, n_gates);
+    let mut outs: Vec<Signal> = pool.iter().rev().take(3).copied().collect();
+    outs.extend(rom_bits);
     b.output("o", &outs);
     b.finish()
 }
@@ -350,47 +390,49 @@ fn wide_sim_matches_scalar_at_boundary_lane_counts() {
     });
 }
 
-/// In-place fault injection in the compiled kernel must behave exactly
-/// like structurally rewriting the netlist (`faults::inject`) and
-/// simulating the mutated module scalar-style — at every boundary lane
-/// count, for stuck-at-0 and stuck-at-1 sites alike.
+/// The fault grader's per-site verdicts must equal clone injection
+/// (`faults::inject`) simulated on the scalar reference: a site counts as
+/// detected iff some vector changes an output. The circuits carry ROMs on
+/// both of the kernel's strategies, and the vector counts cover one
+/// lane, partial words, exactly one 256-lane chunk and several chunks
+/// (faults dropped after an early chunk must stay detected).
 #[test]
-fn wide_sim_matches_scalar_under_injected_faults() {
+fn fault_verdicts_match_clone_injection_per_site() {
+    use printed_ml::netlist::fault_coverage;
     use printed_ml::netlist::faults::{fault_sites, inject};
-    use printed_ml::netlist::{CompiledNetlist, WideSim};
-    use std::sync::Arc;
     cases(0xB15_000D, 3, |case, rng| {
-        let n_inputs = rng.gen_range(2usize..5);
-        let n_gates = rng.gen_range(8usize..24);
-        let m = random_circuit(rng, n_gates, n_inputs, 2);
-        let mut wide: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(&m)));
+        let n_inputs = rng.gen_range(3usize..7);
+        let m = random_rom_circuit(rng, n_inputs);
         let sites = fault_sites(&m);
-        // Sample up to 8 sites; the kernel's own unit tests sweep all of
-        // them on a fixed circuit, this property varies the circuit.
-        let stride = sites.len().div_ceil(8).max(1);
-        for fault in sites.iter().step_by(stride) {
-            let faulty = inject(&m, *fault);
-            let mut scalar = Simulator::new(&faulty);
-            wide.inject_fault(fault.net, fault.stuck_at);
-            for lanes in [1usize, 63, 64, 65, 255, 256] {
-                let vectors: Vec<Vec<u64>> = (0..lanes)
-                    .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
-                    .collect();
-                let image = wide.pack_vectors(&vectors);
-                wide.load_packed(&image);
-                wide.settle();
-                let got = wide.lanes("o", lanes);
-                for (lane, v) in vectors.iter().enumerate() {
-                    scalar.set("x", v[0]);
-                    scalar.settle();
-                    assert_eq!(
-                        got[lane],
-                        scalar.get("o"),
-                        "case {case} fault={fault:?} lanes={lanes} lane={lane}"
-                    );
-                }
+        for count in [1usize, 63, 65, 256, 257, 600] {
+            let vectors: Vec<Vec<u64>> = (0..count)
+                .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
+                .collect();
+            let mut good = Simulator::new(&m);
+            let expected: Vec<u64> = vectors
+                .iter()
+                .map(|v| {
+                    good.set("x", v[0]);
+                    good.settle();
+                    good.get("o")
+                })
+                .collect();
+            let cov = fault_coverage(&m, &vectors);
+            assert_eq!(cov.total, sites.len());
+            for fault in &sites {
+                let faulty = inject(&m, *fault);
+                let mut bad = Simulator::new(&faulty);
+                let detected = vectors.iter().zip(&expected).any(|(v, &want)| {
+                    bad.set("x", v[0]);
+                    bad.settle();
+                    bad.get("o") != want
+                });
+                assert_eq!(
+                    !cov.undetected.contains(fault),
+                    detected,
+                    "case {case} vectors={count} fault={fault:?}"
+                );
             }
-            wide.clear_fault();
         }
     });
 }
