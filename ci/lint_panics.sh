@@ -9,7 +9,8 @@
 # panicking wrappers delegate to SimError::raise() (which lives in
 # error.rs, outside this lint's scope) so the panic message stays
 # Display-formatted. The sign-off engines (verify.rs, faults.rs and the
-# fault grader's compile/cone.rs) check, and the core flows (flow.rs,
+# fault grader's compile/cone.rs) check, the optimizer (opt.rs) and the
+# fanout pass (fanout.rs) rewrite, and the core flows (flow.rs,
 # signoff.rs) build and sign off, every architecture the CLI and the
 # benchmark reach, so they are held to the same rule.
 #
@@ -29,6 +30,8 @@ FILES=(
   crates/netlist/src/levels.rs
   crates/netlist/src/analysis.rs
   crates/netlist/src/stats.rs
+  crates/netlist/src/opt.rs
+  crates/netlist/src/fanout.rs
   crates/ml/src/metrics.rs
   crates/core/src/flow.rs
   crates/core/src/signoff.rs

@@ -308,30 +308,53 @@ pub fn variation_case(seed: u64) -> Result<u64, String> {
 }
 
 /// Optimizer oracle over an explicit module: `optimize` must produce a
-/// miter-verified equivalent circuit.
+/// miter-verified equivalent circuit, never add transistors, and be
+/// idempotent (re-optimizing its output keeps the gate count and content
+/// key). It may add a gate: collapsing a `Mux2` with one constant data
+/// input into an inverter and a two-input gate trades 10 transistors for
+/// 8, so a module with nothing else to fold can come out one gate larger.
 pub fn optimizer_holds(module: &Module) -> Result<u64, String> {
     let opt = optimize(module);
-    match check_equivalence(module, &opt, 12, 128) {
+    let (vectors, exhaustive) = match check_equivalence(module, &opt, 12, 128) {
         Ok(Equivalence::Equivalent {
             vectors,
             exhaustive,
-        }) => {
-            let mut h = hasher("check.optimizer");
-            h.write_usize(vectors);
-            h.write_bool(exhaustive);
-            h.write_usize(opt.gates.len());
-            Ok(key_word(h.finish()))
+        }) => (vectors, exhaustive),
+        Ok(Equivalence::CounterExample(v)) => {
+            return Err(format!(
+                "optimizer changed the function: inputs {v:?} distinguish the optimized \
+                 module ({} gates) from the original ({} gates)",
+                opt.gates.len(),
+                module.gates.len()
+            ))
         }
-        Ok(Equivalence::CounterExample(v)) => Err(format!(
-            "optimizer changed the function: inputs {v:?} distinguish the optimized \
-             module ({} gates) from the original ({} gates)",
-            opt.gates.len(),
-            module.gates.len()
-        )),
-        Err(e) => Err(format!(
-            "miter verification of an optimized module failed outright: {e}"
-        )),
+        Err(e) => {
+            return Err(format!(
+                "miter verification of an optimized module failed outright: {e}"
+            ))
+        }
+    };
+    if opt.transistor_count() > module.transistor_count() {
+        return Err(format!(
+            "optimizer added transistors: {} in, {} out",
+            module.transistor_count(),
+            opt.transistor_count()
+        ));
     }
+    let again = optimize(&opt);
+    let key = |m: &Module| cache::key_for("check.optimizer", m);
+    if again.gates.len() != opt.gates.len() || key(&again) != key(&opt) {
+        return Err(format!(
+            "optimizer is not idempotent: re-optimizing its {}-gate output gave {} gates",
+            opt.gates.len(),
+            again.gates.len()
+        ));
+    }
+    let mut h = hasher("check.optimizer");
+    h.write_usize(vectors);
+    h.write_bool(exhaustive);
+    h.write_usize(opt.gates.len());
+    Ok(key_word(h.finish()))
 }
 
 /// Optimizer oracle over a generated case seed.

@@ -15,7 +15,7 @@ use pdk::rom::RomStyle;
 use pdk::CellKind;
 
 use crate::error::SimError;
-use crate::ir::{Gate, Module, NetId, Port, RomInstance, Signal};
+use crate::ir::{Gate, Module, NetId, Pins, Port, RomInstance, Signal};
 
 /// Incrementally builds a [`Module`].
 ///
@@ -122,7 +122,7 @@ impl NetlistBuilder {
         let region = self.current_region();
         self.module.gates.push(Gate {
             kind,
-            inputs: inputs.to_vec(),
+            inputs: Pins::new(inputs).expect("arity checked above"),
             output,
             init: false,
             region,
@@ -181,7 +181,7 @@ impl NetlistBuilder {
         let region = self.current_region();
         self.module.gates.push(Gate {
             kind: CellKind::Dff,
-            inputs: vec![d],
+            inputs: [d].into(),
             output,
             init,
             region,
@@ -317,7 +317,7 @@ impl NetlistBuilder {
 
     /// Emits a gate onto a pre-allocated output net (used by the miter
     /// constructor when instantiating an existing module).
-    pub(crate) fn push_raw_gate(&mut self, kind: CellKind, inputs: Vec<Signal>, output: NetId) {
+    pub(crate) fn push_raw_gate(&mut self, kind: CellKind, inputs: Pins, output: NetId) {
         let region = self.current_region();
         self.module.gates.push(Gate {
             kind,

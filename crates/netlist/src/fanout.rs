@@ -7,8 +7,6 @@
 //! PPA numbers for high-fanout designs include the repair cost the paper's
 //! synthesized netlists implicitly paid.
 
-use std::collections::HashMap;
-
 use pdk::CellKind;
 
 use crate::ir::{Gate, Module, NetId, Signal};
@@ -24,66 +22,31 @@ enum Reader {
     OutputBit(usize, usize),
 }
 
-/// Dense net → reading-gate index, shared with the worklist optimizer
-/// ([`crate::opt`]): `result[net][..]` lists every gate whose inputs
-/// reference the net. ROM address pins and output ports are not included —
-/// only gate-to-gate fanout, which is what incremental rewriting needs.
-pub(crate) fn gate_reader_index(module: &Module) -> Vec<Vec<u32>> {
-    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); module.net_count()];
-    for (gi, g) in module.gates.iter().enumerate() {
-        for s in &g.inputs {
-            if let Signal::Net(n) = s {
-                readers[n.index()].push(gi as u32);
-            }
-        }
-    }
-    readers
-}
-
 /// Histogram of net fanouts: `result[k]` = number of nets read exactly `k`
 /// times (index 0 counts driven-but-unread nets).
 pub fn fanout_histogram(module: &Module) -> Vec<usize> {
-    let mut fanout: HashMap<NetId, usize> = HashMap::new();
-    for port in &module.inputs {
-        for bit in &port.bits {
-            if let Signal::Net(n) = bit {
-                fanout.insert(*n, 0);
-            }
-        }
+    // Reads per net; UNSEEN marks nets nothing drives or reads.
+    const UNSEEN: u32 = u32::MAX;
+    let mut reads = vec![UNSEEN; module.net_count()];
+    let input_bits = module.inputs.iter().flat_map(|p| p.bits.iter());
+    let driven = input_bits
+        .filter_map(|s| s.net())
+        .chain(module.gates.iter().map(|g| g.output))
+        .chain(module.roms.iter().flat_map(|r| r.data.iter().copied()));
+    for n in driven {
+        reads[n.index()] = 0;
     }
-    for g in &module.gates {
-        fanout.insert(g.output, 0);
+    let gate_pins = module.gates.iter().flat_map(|g| g.inputs.iter());
+    let read = gate_pins
+        .chain(module.roms.iter().flat_map(|r| r.addr.iter()))
+        .chain(module.outputs.iter().flat_map(|p| p.bits.iter()));
+    for n in read.filter_map(|s| s.net()) {
+        let r = &mut reads[n.index()];
+        *r = if *r == UNSEEN { 1 } else { *r + 1 };
     }
-    for r in &module.roms {
-        for n in &r.data {
-            fanout.insert(*n, 0);
-        }
-    }
-    let mut bump = |s: &Signal| {
-        if let Signal::Net(n) = s {
-            *fanout.entry(*n).or_insert(0) += 1;
-        }
-    };
-    for g in &module.gates {
-        for s in &g.inputs {
-            bump(s);
-        }
-    }
-    for r in &module.roms {
-        for s in &r.addr {
-            bump(s);
-        }
-    }
-    for p in &module.outputs {
-        for s in &p.bits {
-            bump(s);
-        }
-    }
-    let max = fanout.values().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for (_, f) in fanout {
-        hist[f] += 1;
-    }
+    let seen = || reads.iter().filter(|&&r| r != UNSEEN).map(|&r| r as usize);
+    let mut hist = vec![0usize; seen().max().unwrap_or(0) + 1];
+    seen().for_each(|r| hist[r] += 1);
     hist
 }
 
@@ -106,51 +69,31 @@ pub fn insert_buffers(module: &Module, limit: usize) -> Module {
     assert!(limit >= 1, "fanout limit must be at least 1");
     let mut m = module.clone();
     loop {
-        // Collect readers per net.
-        let mut readers: HashMap<NetId, Vec<Reader>> = HashMap::new();
-        for (gi, g) in m.gates.iter().enumerate() {
-            for (pin, s) in g.inputs.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::GatePin(gi, pin));
-                }
+        // Readers per net, each list in gate, ROM, output-port order.
+        let mut readers: Vec<Vec<Reader>> = vec![Vec::new(); m.net_count()];
+        let gate_pins = m.gates.iter().enumerate().flat_map(|(i, g)| {
+            let pins = g.inputs.iter().enumerate();
+            pins.map(move |(pin, &s)| (Reader::GatePin(i, pin), s))
+        });
+        let rom_pins = m.roms.iter().enumerate().flat_map(|(i, r)| {
+            let pins = r.addr.iter().enumerate();
+            pins.map(move |(pin, &s)| (Reader::RomAddr(i, pin), s))
+        });
+        let port_pins = m.outputs.iter().enumerate().flat_map(|(i, p)| {
+            let pins = p.bits.iter().enumerate();
+            pins.map(move |(pin, &s)| (Reader::OutputBit(i, pin), s))
+        });
+        for (reader, s) in gate_pins.chain(rom_pins).chain(port_pins) {
+            if let Signal::Net(n) = s {
+                readers[n.index()].push(reader);
             }
         }
-        for (ri, r) in m.roms.iter().enumerate() {
-            for (pin, s) in r.addr.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::RomAddr(ri, pin));
-                }
-            }
-        }
-        for (pi, p) in m.outputs.iter().enumerate() {
-            for (pin, s) in p.bits.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::OutputBit(pi, pin));
-                }
-            }
-        }
-        // Tie-break on the net id: `readers` is a HashMap, and picking
-        // the first max in iteration order would make the buffer tree
-        // (and thus the module's content hash) vary run to run.
-        let mut worst: Option<(NetId, Vec<Reader>)> = None;
-        for (net, list) in readers {
-            if list.len() > limit
-                && worst
-                    .as_ref()
-                    .is_none_or(|(wn, w)| (list.len(), wn.0) > (w.len(), net.0))
-            {
-                worst = Some((net, list));
-            }
-        }
+        // The most-read net over the limit, the lowest-numbered on a tie
+        // (`max_by_key` keeps the last maximum, hence the reversal).
+        let by_net = readers.into_iter().enumerate().rev();
+        let worst = by_net
+            .filter(|(_, list)| list.len() > limit)
+            .max_by_key(|(_, list)| list.len());
         let Some((net, list)) = worst else { break };
         // Chunk readers behind fresh buffers.
         for chunk in list.chunks(limit) {
@@ -158,7 +101,7 @@ pub fn insert_buffers(module: &Module, limit: usize) -> Module {
             m.net_count += 1;
             m.gates.push(Gate {
                 kind: CellKind::Buf,
-                inputs: vec![Signal::Net(net)],
+                inputs: [Signal::Net(NetId(net as u32))].into(),
                 output: buf_out,
                 init: false,
                 region: 0,

@@ -111,7 +111,7 @@ pub fn inject(module: &Module, fault: Fault) -> Module {
         }
     };
     for g in &mut m.gates {
-        for s in &mut g.inputs {
+        for s in g.inputs.iter_mut() {
             resolve(s);
         }
     }

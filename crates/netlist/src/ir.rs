@@ -10,7 +10,9 @@
 //! macros. This is the representation the paper's PPA numbers are computed
 //! over.
 
-use serde::{Deserialize, Serialize};
+use std::ops::{Deref, DerefMut};
+
+use serde::{Deserialize, Serialize, Value};
 
 use pdk::rom::RomStyle;
 use pdk::CellKind;
@@ -73,14 +75,81 @@ impl From<bool> for Signal {
     }
 }
 
+/// A gate's input signals, held inline: no cell has more than
+/// [`Pins::MAX`] (`Mux2`), so a gate owns no heap memory. Derefs to the
+/// used prefix, and serializes and hashes as a `Vec<Signal>` would.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Pins {
+    len: u8,
+    /// Slots past `len` stay `Signal::ZERO`, so the derived traits see
+    /// only the used prefix.
+    sigs: [Signal; Pins::MAX],
+}
+
+impl Pins {
+    /// The most input pins any cell has.
+    pub const MAX: usize = 3;
+
+    /// The pins `sigs`, or `None` when there are more than [`Pins::MAX`].
+    pub(crate) fn new(sigs: &[Signal]) -> Option<Pins> {
+        let mut pins = Pins {
+            len: sigs.len() as u8,
+            sigs: [Signal::ZERO; Pins::MAX],
+        };
+        pins.sigs.get_mut(..sigs.len())?.copy_from_slice(sigs);
+        Some(pins)
+    }
+}
+
+impl<const N: usize> From<[Signal; N]> for Pins {
+    fn from(sigs: [Signal; N]) -> Pins {
+        const { assert!(N <= Pins::MAX, "no cell has more than three pins") };
+        Pins::new(&sigs).expect("N is at most Pins::MAX")
+    }
+}
+
+impl Deref for Pins {
+    type Target = [Signal];
+    fn deref(&self) -> &[Signal] {
+        &self.sigs[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Pins {
+    fn deref_mut(&mut self) -> &mut [Signal] {
+        &mut self.sigs[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Pins {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+impl Serialize for Pins {
+    fn to_value(&self) -> Value {
+        self[..].to_value()
+    }
+}
+
+impl Deserialize for Pins {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let sigs = Vec::<Signal>::from_value(v)?;
+        let n = sigs.len();
+        Pins::new(&sigs)
+            .ok_or_else(|| serde::Error::msg(format!("a gate has at most 3 input pins, got {n}")))
+    }
+}
+
 /// One standard-cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Gate {
     /// Cell kind (determines cost and logic function).
     pub kind: CellKind,
     /// Input signals, in the pin order documented on [`CellKind`]
     /// (for [`CellKind::Mux2`]: select, a = sel 0 branch, b = sel 1 branch).
-    pub inputs: Vec<Signal>,
+    pub inputs: Pins,
     /// The single output net this gate drives.
     pub output: NetId,
     /// Power-on state — meaningful only for [`CellKind::Dff`].
@@ -309,7 +378,7 @@ impl cache::Hashable for Gate {
     fn stable_hash(&self, h: &mut cache::StableHasher) {
         h.write_u64(self.kind as u64);
         h.write_seq_len(self.inputs.len());
-        for s in &self.inputs {
+        for s in self.inputs.iter() {
             s.stable_hash(h);
         }
         h.write_u64(u64::from(self.output.0));
@@ -411,14 +480,14 @@ mod tests {
         let n = NetId(0);
         m.gates.push(Gate {
             kind: CellKind::Inv,
-            inputs: vec![Signal::ONE],
+            inputs: [Signal::ONE].into(),
             output: n,
             init: false,
             region: 0,
         });
         m.gates.push(Gate {
             kind: CellKind::Inv,
-            inputs: vec![Signal::ZERO],
+            inputs: [Signal::ZERO].into(),
             output: n,
             init: false,
             region: 0,
@@ -433,7 +502,7 @@ mod tests {
         m.net_count = 2;
         m.gates.push(Gate {
             kind: CellKind::Nand2,
-            inputs: vec![Signal::ONE],
+            inputs: [Signal::ONE].into(),
             output: NetId(0),
             init: false,
             region: 0,
@@ -444,7 +513,7 @@ mod tests {
         m2.net_count = 2;
         m2.gates.push(Gate {
             kind: CellKind::Inv,
-            inputs: vec![Signal::Net(NetId(1))],
+            inputs: [Signal::Net(NetId(1))].into(),
             output: NetId(0),
             init: false,
             region: 0,

@@ -213,7 +213,7 @@ mod tests {
             Levels::try_new(&m),
             Err(SimError::CombinationalCycle { .. })
         ));
-        m.gates[0].inputs.clear();
+        m.gates[0].inputs = [].into();
         assert!(matches!(
             Levels::try_new(&m),
             Err(SimError::InvalidModule { .. })

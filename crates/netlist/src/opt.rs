@@ -17,28 +17,28 @@
 //!
 //! * a **union-find** over [`NetId`]s (path-compressed) records every
 //!   alias a rewrite creates, so substitution chains cost amortized O(α);
-//! * a **fanout index** (seeded from [`crate::fanout`]) re-enqueues only
-//!   the readers of a changed net instead of rescanning the module;
+//! * a **reader index** re-enqueues only the readers of a changed net
+//!   instead of rescanning the module: one CSR array over the input
+//!   module's gate pins, plus per-net lists of the readers rewrites add;
 //! * a **structural-hash table** (strash) merges structurally identical
 //!   gates the moment their inputs canonicalize to the same key, which is
-//!   CSE without a separate pass;
+//!   CSE without a separate pass. The key is a fixed-width `Copy` value
+//!   (kind, normalized [`Pins`], init) under a multiply-rotate hash, so
+//!   probing allocates nothing;
 //! * dead-gate elimination runs **once** at the end as a reachability
 //!   sweep from the output ports.
 //!
 //! The worklist drains when no rewrite is applicable anywhere — a true
-//! fixpoint, with no iteration cap. The rewrite rule set (constant
-//! folding, identities, double-inverter/inverted-pair, absorption and
-//! redundancy, CSE) is unchanged, so optimized netlists are bit-identical
-//! in function to the previous engine's output.
+//! fixpoint, with no iteration cap.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 use pdk::CellKind;
 use serde::Serialize;
 
-use crate::fanout::gate_reader_index;
-use crate::ir::{Gate, Module, NetId, Signal};
+use crate::ir::{Gate, Module, NetId, Pins, Signal};
 use crate::levels::drivers;
 
 /// Statistics from one [`optimize_with_stats`] call.
@@ -76,6 +76,10 @@ static OPT_CALLS: obs::Counter = obs::Counter::new("netlist.opt.calls");
 static OPT_GATES_IN: obs::Counter = obs::Counter::new("netlist.opt.gates_in");
 static OPT_GATES_OUT: obs::Counter = obs::Counter::new("netlist.opt.gates_out");
 static OPT_REWRITES: obs::Counter = obs::Counter::new("netlist.opt.rewrites");
+static OPT_ALIASED: obs::Counter = obs::Counter::new("netlist.opt.aliased");
+static OPT_REWRITTEN: obs::Counter = obs::Counter::new("netlist.opt.rewritten");
+static OPT_MERGED: obs::Counter = obs::Counter::new("netlist.opt.merged");
+static OPT_DEAD: obs::Counter = obs::Counter::new("netlist.opt.dead");
 static OPT_NS: obs::Counter = obs::Counter::new("netlist.opt.ns");
 
 /// Optimizes `module` to a fixpoint and returns the result.
@@ -124,6 +128,10 @@ pub fn optimize_with_stats(module: &Module) -> (Module, OptStats) {
     OPT_GATES_IN.add(stats.gates_in as u64);
     OPT_GATES_OUT.add(stats.gates_out as u64);
     OPT_REWRITES.add(stats.rewrites() as u64);
+    OPT_ALIASED.add(stats.aliased as u64);
+    OPT_REWRITTEN.add(stats.rewritten as u64);
+    OPT_MERGED.add(stats.merged as u64);
+    OPT_DEAD.add(stats.dead as u64);
     OPT_NS.add((stats.seconds * 1e9) as u64);
     debug_assert!(m.validate().is_ok(), "optimizer produced invalid module");
     #[cfg(debug_assertions)]
@@ -136,23 +144,49 @@ enum Action {
     /// Replace the gate's output everywhere with this signal; delete gate.
     Alias(Signal),
     /// Rewrite the gate in place.
-    Rewrite(CellKind, Vec<Signal>),
+    Rewrite(CellKind, Pins),
     /// Rewrite into `kind(inv(extra), other)`: used for mux collapses that
     /// need one inverted operand.
     RewriteInverted(CellKind, Signal, Signal),
 }
 
-/// Canonical ordering key for strash input normalization.
-fn sig_key(s: Signal) -> (u8, u64) {
+/// Canonical ordering word for strash input normalization:
+/// `Const(false) < Const(true) < Net(n)`, nets by index.
+fn sig_key(s: Signal) -> u64 {
     match s {
-        Signal::Const(false) => (0, 0),
-        Signal::Const(true) => (0, 1),
-        Signal::Net(n) => (1, n.index() as u64),
+        Signal::Const(b) => u64::from(b),
+        Signal::Net(n) => 2 + n.index() as u64,
     }
 }
 
 /// Structural hash key of a gate: kind, normalized inputs, DFF init.
-type CseKey = (CellKind, Vec<(u8, u64)>, bool);
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct CseKey(CellKind, Pins, bool);
+
+impl Hash for CseKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64((self.0 as u64) << 8 | (self.1.len() as u64) << 1 | u64::from(self.2));
+        self.1.iter().for_each(|&s| h.write_u64(sig_key(s)));
+    }
+}
+
+/// One multiply-rotate step per word (the FxHash mix). Strash keys are
+/// net indices the generators assigned, not chosen by an adversary, so
+/// SipHash's collision resistance would buy nothing.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sentinel for "net has no gate driver" in the dense driver index.
 const NO_GATE: u32 = u32::MAX;
@@ -165,16 +199,21 @@ struct Engine {
     subst: Vec<Option<Signal>>,
     /// Net -> index of the driving gate (`NO_GATE` for inputs/ROM data).
     driver: Vec<u32>,
-    /// Net -> gate indices reading it. May hold stale or duplicate
+    /// Net -> indices of the gates reading it: the input module's
+    /// readers as one CSR index (`csr[start[n]..start[n + 1]]`, in gate
+    /// then pin order, built like `compile::cone`'s fanout), then in
+    /// `added[n]` those rewrites add. May hold stale or duplicate
     /// entries; `alive` and `in_queue` filter them on wake-up.
-    readers: Vec<Vec<u32>>,
+    start: Vec<u32>,
+    csr: Vec<u32>,
+    added: Vec<Vec<u32>>,
     /// Structural-hash table: key -> canonical gate index. Entries always
-    /// point at live gates whose current key matches (`key_of` mirror).
-    strash: HashMap<CseKey, u32>,
-    key_of: Vec<Option<CseKey>>,
+    /// point at live gates whose current key matches.
+    strash: HashMap<CseKey, u32, BuildHasherDefault<WordHasher>>,
+    /// Whether the gate owns a strash entry under its current key.
+    keyed: Vec<bool>,
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
-    net_count: u32,
     aliased: usize,
     rewritten: usize,
     merged: usize,
@@ -185,22 +224,36 @@ impl Engine {
         let gates = module.gates.clone();
         let n_nets = module.net_count();
         let n_gates = gates.len();
+        let mut start = vec![0u32; n_nets + 1];
+        for g in &gates {
+            for n in g.inputs.iter().filter_map(|s| s.net()) {
+                start[n.index() + 1] += 1;
+            }
+        }
+        for n in 0..n_nets {
+            start[n + 1] += start[n];
+        }
+        let mut fill = start.clone();
+        let mut csr = vec![0u32; start[n_nets] as usize];
         let mut driver = vec![NO_GATE; n_nets];
         for (gi, g) in gates.iter().enumerate() {
             driver[g.output.index()] = gi as u32;
+            for n in g.inputs.iter().filter_map(|s| s.net()) {
+                csr[fill[n.index()] as usize] = gi as u32;
+                fill[n.index()] += 1;
+            }
         }
-        let mut queue = VecDeque::with_capacity(n_gates);
-        queue.extend(0..n_gates as u32);
         Engine {
             alive: vec![true; n_gates],
             subst: vec![None; n_nets],
             driver,
-            readers: gate_reader_index(module),
-            strash: HashMap::with_capacity(n_gates),
-            key_of: vec![None; n_gates],
-            queue,
+            start,
+            csr,
+            added: vec![Vec::new(); n_nets],
+            strash: HashMap::with_capacity_and_hasher(n_gates, Default::default()),
+            keyed: vec![false; n_gates],
+            queue: (0..n_gates as u32).collect(),
             in_queue: vec![true; n_gates],
-            net_count: module.net_count() as u32,
             gates,
             aliased: 0,
             rewritten: 0,
@@ -231,19 +284,19 @@ impl Engine {
         root
     }
 
+    /// The live `kind` gate driving `s`, if any.
+    fn driven_by(&self, s: Signal, kind: CellKind) -> Option<Gate> {
+        let gi = self.driver[s.net()?.index()] as usize;
+        let g = *self.gates.get(gi)?;
+        (g.kind == kind && self.alive[gi]).then_some(g)
+    }
+
     /// If `s` is driven by a live inverter, its (resolved) input.
     fn inv_input(&mut self, s: Signal) -> Option<Signal> {
-        let Signal::Net(n) = s else { return None };
-        let gi = self.driver[n.index()];
-        if gi == NO_GATE {
-            return None;
+        match self.driven_by(s, CellKind::Inv)?.inputs[..] {
+            [inp] => Some(self.resolve(inp)),
+            _ => None,
         }
-        let g = &self.gates[gi as usize];
-        if g.kind != CellKind::Inv || !self.alive[gi as usize] {
-            return None;
-        }
-        let inp = g.inputs[0];
-        Some(self.resolve(inp))
     }
 
     /// True when one operand is the inversion of the other.
@@ -253,17 +306,10 @@ impl Engine {
 
     /// Resolved operands of the `kind` gate driving `s`, if any.
     fn binop_operands(&mut self, s: Signal, kind: CellKind) -> Option<(Signal, Signal)> {
-        let Signal::Net(n) = s else { return None };
-        let gi = self.driver[n.index()];
-        if gi == NO_GATE {
-            return None;
+        match self.driven_by(s, kind)?.inputs[..] {
+            [x, y] => Some((self.resolve(x), self.resolve(y))),
+            _ => None,
         }
-        let g = &self.gates[gi as usize];
-        if g.kind != kind || !self.alive[gi as usize] {
-            return None;
-        }
-        let (x, y) = (g.inputs[0], g.inputs[1]);
-        Some((self.resolve(x), self.resolve(y)))
     }
 
     /// Absorption: `a & (a | x) = a`, `a | (a & x) = a`.
@@ -285,15 +331,10 @@ impl Engine {
             }
             // Redundancy: `plain OP (!plain DUAL x)` rewrites to
             // `plain OP x`.
-            let other = if self.complementary(x, plain) {
-                Some(y)
-            } else if self.complementary(y, plain) {
-                Some(x)
-            } else {
-                None
-            };
-            if let Some(x_only) = other {
-                return Some(Action::Rewrite(kind, vec![plain, x_only]));
+            for (inverted, x_only) in [(x, y), (y, x)] {
+                if self.complementary(inverted, plain) {
+                    return Some(Action::Rewrite(kind, [plain, x_only].into()));
+                }
             }
         }
         None
@@ -303,106 +344,89 @@ impl Engine {
     fn action_for(&mut self, gi: usize) -> Action {
         use CellKind::*;
         use Signal::Const as C;
-        let kind = self.gates[gi].kind;
-        if matches!(kind, And2 | Or2) {
-            let (a, b) = (self.gates[gi].inputs[0], self.gates[gi].inputs[1]);
+        let Gate { kind, inputs, .. } = self.gates[gi];
+        if let (And2 | Or2, &[a, b]) = (kind, &inputs[..]) {
             if let Some(action) = self.absorb(kind, a, b) {
                 return action;
             }
         }
-        let i0 = self.gates[gi].inputs.first().copied();
-        let i1 = self.gates[gi].inputs.get(1).copied();
-        let i2 = self.gates[gi].inputs.get(2).copied();
-        match kind {
-            Inv => match i0.unwrap() {
-                C(v) => Action::Alias(C(!v)),
-                s => match self.inv_input(s) {
-                    Some(orig) => Action::Alias(orig), // !!x = x
-                    None => Action::Keep,
-                },
+        match (kind, &inputs[..]) {
+            (Inv, &[C(v)]) => Action::Alias(C(!v)),
+            (Inv, &[s]) => match self.inv_input(s) {
+                Some(orig) => Action::Alias(orig), // !!x = x
+                None => Action::Keep,
             },
-            Buf => Action::Alias(i0.unwrap()),
-            And2 => match (i0.unwrap(), i1.unwrap()) {
+            (Buf, &[s]) => Action::Alias(s),
+            (And2, &[a, b]) => match (a, b) {
                 (C(false), _) | (_, C(false)) => Action::Alias(Signal::ZERO),
                 (C(true), x) | (x, C(true)) => Action::Alias(x),
                 (a, b) if a == b => Action::Alias(a),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ZERO),
                 _ => Action::Keep,
             },
-            Or2 => match (i0.unwrap(), i1.unwrap()) {
+            (Or2, &[a, b]) => match (a, b) {
                 (C(true), _) | (_, C(true)) => Action::Alias(Signal::ONE),
                 (C(false), x) | (x, C(false)) => Action::Alias(x),
                 (a, b) if a == b => Action::Alias(a),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ONE),
                 _ => Action::Keep,
             },
-            Nand2 => match (i0.unwrap(), i1.unwrap()) {
+            (Nand2, &[a, b]) => match (a, b) {
                 (C(false), _) | (_, C(false)) => Action::Alias(Signal::ONE),
-                (C(true), x) | (x, C(true)) => Action::Rewrite(Inv, vec![x]),
-                (a, b) if a == b => Action::Rewrite(Inv, vec![a]),
+                (C(true), x) | (x, C(true)) => Action::Rewrite(Inv, [x].into()),
+                (a, b) if a == b => Action::Rewrite(Inv, [a].into()),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ONE),
                 _ => Action::Keep,
             },
-            Nor2 => match (i0.unwrap(), i1.unwrap()) {
+            (Nor2, &[a, b]) => match (a, b) {
                 (C(true), _) | (_, C(true)) => Action::Alias(Signal::ZERO),
-                (C(false), x) | (x, C(false)) => Action::Rewrite(Inv, vec![x]),
-                (a, b) if a == b => Action::Rewrite(Inv, vec![a]),
+                (C(false), x) | (x, C(false)) => Action::Rewrite(Inv, [x].into()),
+                (a, b) if a == b => Action::Rewrite(Inv, [a].into()),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ZERO),
                 _ => Action::Keep,
             },
-            Xor2 => match (i0.unwrap(), i1.unwrap()) {
+            (Xor2, &[a, b]) => match (a, b) {
                 (C(x), C(y)) => Action::Alias(C(x ^ y)),
                 (C(false), x) | (x, C(false)) => Action::Alias(x),
-                (C(true), x) | (x, C(true)) => Action::Rewrite(Inv, vec![x]),
+                (C(true), x) | (x, C(true)) => Action::Rewrite(Inv, [x].into()),
                 (a, b) if a == b => Action::Alias(Signal::ZERO),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ONE),
                 _ => Action::Keep,
             },
-            Xnor2 => match (i0.unwrap(), i1.unwrap()) {
+            (Xnor2, &[a, b]) => match (a, b) {
                 (C(x), C(y)) => Action::Alias(C(!(x ^ y))),
                 (C(true), x) | (x, C(true)) => Action::Alias(x),
-                (C(false), x) | (x, C(false)) => Action::Rewrite(Inv, vec![x]),
+                (C(false), x) | (x, C(false)) => Action::Rewrite(Inv, [x].into()),
                 (a, b) if a == b => Action::Alias(Signal::ONE),
                 (a, b) if self.complementary(a, b) => Action::Alias(Signal::ZERO),
                 _ => Action::Keep,
             },
-            Mux2 => {
-                let (s, a, b) = (i0.unwrap(), i1.unwrap(), i2.unwrap());
-                match (s, a, b) {
-                    (C(false), a, _) => Action::Alias(a),
-                    (C(true), _, b) => Action::Alias(b),
-                    (_, a, b) if a == b => Action::Alias(a),
-                    (s, C(false), C(true)) => Action::Alias(s),
-                    (s, C(true), C(false)) => Action::Rewrite(Inv, vec![s]),
-                    (s, a, C(true)) => Action::Rewrite(Or2, vec![s, a]),
-                    (s, C(false), b) => Action::Rewrite(And2, vec![s, b]),
-                    // mux(s, a, 0) = !s & a ; mux(s, 1, b) = !s | b
-                    (s, a, C(false)) => Action::RewriteInverted(And2, s, a),
-                    (s, C(true), b) => Action::RewriteInverted(Or2, s, b),
-                    _ => Action::Keep,
-                }
-            }
-            Dff => Action::Keep,
-            RomBit | RomDot => Action::Keep,
+            (Mux2, &[s, a, b]) => match (s, a, b) {
+                (C(false), a, _) => Action::Alias(a),
+                (C(true), _, b) => Action::Alias(b),
+                (_, a, b) if a == b => Action::Alias(a),
+                (s, C(false), C(true)) => Action::Alias(s),
+                (s, C(true), C(false)) => Action::Rewrite(Inv, [s].into()),
+                (s, a, C(true)) => Action::Rewrite(Or2, [s, a].into()),
+                (s, C(false), b) => Action::Rewrite(And2, [s, b].into()),
+                // mux(s, a, 0) = !s & a ; mux(s, 1, b) = !s | b
+                (s, a, C(false)) => Action::RewriteInverted(And2, s, a),
+                (s, C(true), b) => Action::RewriteInverted(Or2, s, b),
+                _ => Action::Keep,
+            },
+            // Flip-flops, ROM bits, and pin counts their kind rules out.
+            _ => Action::Keep,
         }
     }
 
     fn make_key(&self, gi: usize) -> CseKey {
-        let gate = &self.gates[gi];
-        let commutative = matches!(
-            gate.kind,
-            CellKind::And2
-                | CellKind::Or2
-                | CellKind::Nand2
-                | CellKind::Nor2
-                | CellKind::Xor2
-                | CellKind::Xnor2
-        );
-        let mut key_inputs: Vec<(u8, u64)> = gate.inputs.iter().map(|&s| sig_key(s)).collect();
-        if commutative {
-            key_inputs.sort_unstable();
+        use CellKind::*;
+        let g = self.gates[gi];
+        let mut pins = g.inputs;
+        if matches!(g.kind, And2 | Or2 | Nand2 | Nor2 | Xor2 | Xnor2) {
+            pins.sort_unstable_by_key(|&s| sig_key(s));
         }
-        (gate.kind, key_inputs, gate.init)
+        CseKey(g.kind, pins, g.init)
     }
 
     fn enqueue(&mut self, gi: u32) {
@@ -413,9 +437,11 @@ impl Engine {
         }
     }
 
-    /// Drops the gate's strash entry (inputs changed or gate retired).
+    /// Drops the gate's strash entry. Called before its inputs change or
+    /// it retires, so its current inputs still give the key it owns.
     fn unkey(&mut self, gi: usize) {
-        if let Some(key) = self.key_of[gi].take() {
+        if std::mem::take(&mut self.keyed[gi]) {
+            let key = self.make_key(gi);
             if self.strash.get(&key) == Some(&(gi as u32)) {
                 self.strash.remove(&key);
             }
@@ -434,58 +460,56 @@ impl Engine {
         );
         self.driver[out.index()] = NO_GATE;
         self.subst[out.index()] = Some(target);
-        // The net is dead: its reader list is never needed again (readers
-        // re-register on the root when they canonicalize), so drain it.
-        for gi in std::mem::take(&mut self.readers[out.index()]) {
-            self.enqueue(gi);
-        }
+        // The net is dead and never woken again: its readers re-register
+        // on the root when they canonicalize.
+        self.wake_readers(out);
     }
 
     /// Wakes the readers of a live net whose driver was rewritten (rules
     /// at the readers inspect this gate's kind and operands).
     fn wake_readers(&mut self, net: NetId) {
-        let mut i = 0;
-        while i < self.readers[net.index()].len() {
-            let gi = self.readers[net.index()][i];
-            self.enqueue(gi);
-            i += 1;
+        let n = net.index();
+        for k in self.start[n]..self.start[n + 1] {
+            self.enqueue(self.csr[k as usize]);
+        }
+        for k in 0..self.added[n].len() {
+            self.enqueue(self.added[n][k]);
         }
     }
 
-    fn fresh_net(&mut self) -> NetId {
-        let n = NetId(self.net_count);
-        self.net_count += 1;
-        self.subst.push(None);
-        self.driver.push(NO_GATE);
-        self.readers.push(Vec::new());
-        n
-    }
-
-    fn add_gate(&mut self, gate: Gate) {
+    /// Appends a live, queued inverter of `input` driving a fresh net.
+    fn add_inverter(&mut self, input: Signal, region: u16) -> NetId {
         let gi = self.gates.len() as u32;
-        self.driver[gate.output.index()] = gi;
-        for s in &gate.inputs {
-            if let Signal::Net(n) = s {
-                self.readers[n.index()].push(gi);
-            }
+        let output = NetId(self.subst.len() as u32);
+        self.subst.push(None);
+        self.driver.push(gi);
+        self.start.push(self.csr.len() as u32);
+        self.added.push(Vec::new());
+        if let Signal::Net(n) = input {
+            self.added[n.index()].push(gi);
         }
-        self.gates.push(gate);
+        self.gates.push(Gate {
+            kind: CellKind::Inv,
+            inputs: [input].into(),
+            output,
+            init: false,
+            region,
+        });
         self.alive.push(true);
-        self.key_of.push(None);
+        self.keyed.push(false);
         self.in_queue.push(true);
         self.queue.push_back(gi);
+        output
     }
 
     /// Rewrites gate `gi` in place and re-enqueues it and its readers.
-    fn rewrite_in_place(&mut self, gi: usize, kind: CellKind, inputs: Vec<Signal>) {
+    fn rewrite_in_place(&mut self, gi: usize, kind: CellKind, inputs: Pins) {
         self.unkey(gi);
-        for s in &inputs {
-            // Redundancy rewrites pull in operands the gate never read
-            // before (they come from the compound's driver), so register
-            // the gate as a reader of every new input.
-            if let Signal::Net(n) = s {
-                self.readers[n.index()].push(gi as u32);
-            }
+        // Redundancy rewrites pull in operands the gate never read before
+        // (they come from the compound's driver), so register the gate as
+        // a reader of every new input.
+        for n in inputs.iter().filter_map(|s| s.net()) {
+            self.added[n.index()].push(gi as u32);
         }
         let out = self.gates[gi].output;
         let g = &mut self.gates[gi];
@@ -508,8 +532,8 @@ impl Engine {
                 self.merged += 1;
             }
             _ => {
-                self.strash.insert(key.clone(), gi as u32);
-                self.key_of[gi] = Some(key);
+                self.strash.insert(key, gi as u32);
+                self.keyed[gi] = true;
             }
         }
     }
@@ -520,21 +544,21 @@ impl Engine {
     /// and inverted-pair rules at a reader look *through* this gate at
     /// its operands, so a new operand set can newly enable them.
     fn canonicalize_inputs(&mut self, gi: usize) {
-        let n = self.gates[gi].inputs.len();
+        let mut pins = self.gates[gi].inputs;
         let mut changed = false;
-        for pin in 0..n {
-            let s = self.gates[gi].inputs[pin];
-            let r = self.resolve(s);
-            if r != s {
-                self.gates[gi].inputs[pin] = r;
+        for pin in pins.iter_mut() {
+            let r = self.resolve(*pin);
+            if r != *pin {
+                *pin = r;
                 changed = true;
                 if let Signal::Net(net) = r {
-                    self.readers[net.index()].push(gi as u32);
+                    self.added[net.index()].push(gi as u32);
                 }
             }
         }
         if changed {
             self.unkey(gi);
+            self.gates[gi].inputs = pins;
             let out = self.gates[gi].output;
             self.wake_readers(out);
         }
@@ -559,16 +583,8 @@ impl Engine {
                 }
                 Action::Rewrite(kind, inputs) => self.rewrite_in_place(gi, kind, inputs),
                 Action::RewriteInverted(kind, to_invert, other) => {
-                    let region = self.gates[gi].region;
-                    let helper = self.fresh_net();
-                    self.add_gate(Gate {
-                        kind: CellKind::Inv,
-                        inputs: vec![to_invert],
-                        output: helper,
-                        init: false,
-                        region,
-                    });
-                    self.rewrite_in_place(gi, kind, vec![Signal::Net(helper), other]);
+                    let helper = self.add_inverter(to_invert, self.gates[gi].region);
+                    self.rewrite_in_place(gi, kind, [Signal::Net(helper), other].into());
                 }
             }
         }
@@ -581,22 +597,16 @@ impl Engine {
         let mut m = Module::new(original.name.clone());
         m.inputs = original.inputs.clone();
         m.regions = original.regions.clone();
-        m.net_count = self.net_count;
+        m.net_count = self.subst.len() as u32;
         m.outputs = original.outputs.clone();
-        for port in &mut m.outputs {
-            for s in &mut port.bits {
-                *s = self.resolve(*s);
-            }
-        }
         m.roms = original.roms.clone();
-        for rom in &mut m.roms {
-            for s in &mut rom.addr {
-                *s = self.resolve(*s);
-            }
+        let port_bits = m.outputs.iter_mut().flat_map(|p| p.bits.iter_mut());
+        for s in port_bits.chain(m.roms.iter_mut().flat_map(|r| r.addr.iter_mut())) {
+            *s = self.resolve(*s);
         }
-        let mut alive = std::mem::take(&mut self.alive).into_iter();
+        let mut alive = self.alive.iter();
         let mut gates = std::mem::take(&mut self.gates);
-        gates.retain(|_| alive.next().unwrap());
+        gates.retain(|_| alive.next() == Some(&true));
         m.gates = gates;
         let before = m.gate_count();
         dce(&mut m);
@@ -608,28 +618,20 @@ impl Engine {
 /// Dead-code elimination: liveness over nets, seeded from output ports,
 /// traced through gate inputs and ROM address pins.
 fn dce(m: &mut Module) {
-    let mut live = vec![false; m.net_count as usize];
-    let mut work: Vec<NetId> = Vec::new();
-    let mark = |s: Signal, live: &mut Vec<bool>, work: &mut Vec<NetId>| {
-        if let Signal::Net(n) = s {
-            if !live[n.index()] {
-                live[n.index()] = true;
-                work.push(n);
-            }
-        }
-    };
-    for port in &m.outputs {
-        for &s in &port.bits {
-            mark(s, &mut live, &mut work);
-        }
-    }
     let drivers = drivers(m);
-    while let Some(n) = work.pop() {
-        let Some(driver) = drivers[n.index()] else {
+    let mut live = vec![false; m.net_count as usize];
+    let mut work: Vec<Signal> = m
+        .outputs
+        .iter()
+        .flat_map(|p| p.bits.iter().copied())
+        .collect();
+    while let Some(s) = work.pop() {
+        let Some(n) = s.net().filter(|n| !live[n.index()]) else {
             continue;
         };
-        for &s in driver.pins(m).0 {
-            mark(s, &mut live, &mut work);
+        live[n.index()] = true;
+        if let Some(driver) = drivers[n.index()] {
+            work.extend_from_slice(driver.pins(m).0);
         }
     }
     m.gates.retain(|g| live[g.output.index()]);
@@ -806,6 +808,21 @@ mod tests {
         let original = b.finish();
         let optimized = optimize(&original);
         assert!(optimized.gates_of(CellKind::Mux2).count() == 0);
+        assert_equivalent_exhaustive(&original, &optimized, 2);
+    }
+
+    #[test]
+    fn mux_collapse_trades_a_gate_for_transistors() {
+        // mux(s, 1, b) = !s | b: with nothing else to fold, one Mux2 (10
+        // transistors) becomes an inverter and an OR2 (8 together).
+        let mut b = NetlistBuilder::new("t");
+        let x = b.input("x", 2);
+        let m = b.mux(x[0], Signal::ONE, x[1]);
+        b.output("o", &[m]);
+        let original = b.finish();
+        let optimized = optimize(&original);
+        assert_eq!(optimized.gate_count(), 2);
+        assert!(optimized.transistor_count() < original.transistor_count());
         assert_equivalent_exhaustive(&original, &optimized, 2);
     }
 

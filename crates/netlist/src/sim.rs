@@ -464,14 +464,14 @@ mod tests {
         m.net_count = 2;
         m.gates.push(Gate {
             kind: CellKind::Inv,
-            inputs: vec![Signal::Net(NetId(1))],
+            inputs: [Signal::Net(NetId(1))].into(),
             output: NetId(0),
             init: false,
             region: 0,
         });
         m.gates.push(Gate {
             kind: CellKind::Inv,
-            inputs: vec![Signal::Net(NetId(0))],
+            inputs: [Signal::Net(NetId(0))].into(),
             output: NetId(1),
             init: false,
             region: 0,
@@ -489,7 +489,7 @@ mod tests {
         for (a, b) in [(1u32, 0u32), (0, 1)] {
             m.gates.push(Gate {
                 kind: CellKind::Inv,
-                inputs: vec![Signal::Net(NetId(a))],
+                inputs: [Signal::Net(NetId(a))].into(),
                 output: NetId(b),
                 init: false,
                 region: 0,

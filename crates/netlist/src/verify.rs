@@ -213,54 +213,40 @@ pub fn miter(a: &Module, b: &Module) -> Result<Module, MiterError> {
         src: &Module,
         shared: &[Vec<Signal>],
     ) -> Vec<Vec<Signal>> {
-        use std::collections::HashMap;
-        let mut map: HashMap<crate::ir::NetId, Signal> = HashMap::new();
-        for (pi, port) in src.inputs.iter().enumerate() {
-            for (bi, bit) in port.bits.iter().enumerate() {
+        // Dense net map: the shared input bits, then a fresh net per gate
+        // and ROM output (gates may reference each other in any order, so
+        // every output is mapped before any gate is emitted).
+        let mut map: Vec<Option<Signal>> = vec![None; src.net_count()];
+        for (port, bits) in src.inputs.iter().zip(shared) {
+            for (bit, &s) in port.bits.iter().zip(bits) {
                 if let Signal::Net(n) = bit {
-                    map.insert(*n, shared[pi][bi]);
+                    map[n.index()] = Some(s);
                 }
             }
         }
-        let remap = |map: &HashMap<crate::ir::NetId, Signal>, s: Signal| -> Signal {
-            match s {
-                Signal::Const(_) => s,
-                Signal::Net(n) => *map.get(&n).expect("source net mapped"),
-            }
+        let gate_outputs = src.gates.iter().map(|g| g.output);
+        let outputs = gate_outputs.chain(src.roms.iter().flat_map(|r| r.data.iter().copied()));
+        for n in outputs {
+            map[n.index()] = Some(Signal::Net(m.fresh_net()));
+        }
+        let remap = |s: Signal| match s {
+            Signal::Const(_) => s,
+            Signal::Net(n) => map[n.index()].expect("source net mapped"),
         };
-        // Pass 1: allocate a fresh net per gate/ROM output (gates may
-        // reference each other in any order, so all outputs are mapped
-        // before any gate is emitted).
-        let mut out_map: HashMap<crate::ir::NetId, Signal> = HashMap::new();
+        let net = |n: crate::ir::NetId| remap(Signal::Net(n)).net().expect("allocated net");
         for g in &src.gates {
-            let fresh = m.fresh_net();
-            out_map.insert(g.output, Signal::Net(fresh));
+            let mut inputs = g.inputs;
+            inputs.iter_mut().for_each(|s| *s = remap(*s));
+            m.push_raw_gate(g.kind, inputs, net(g.output));
         }
         for r in &src.roms {
-            for d in &r.data {
-                let fresh = m.fresh_net();
-                out_map.insert(*d, Signal::Net(fresh));
-            }
-        }
-        map.extend(out_map.iter().map(|(k, v)| (*k, *v)));
-        // Pass 2: emit gates wired through the map.
-        for g in &src.gates {
-            let inputs: Vec<Signal> = g.inputs.iter().map(|&s| remap(&map, s)).collect();
-            let out = map[&g.output].net().expect("allocated net");
-            m.push_raw_gate(g.kind, inputs, out);
-        }
-        for r in &src.roms {
-            let addr: Vec<Signal> = r.addr.iter().map(|&s| remap(&map, s)).collect();
-            let data: Vec<crate::ir::NetId> = r
-                .data
-                .iter()
-                .map(|d| map[d].net().expect("allocated net"))
-                .collect();
+            let addr = r.addr.iter().map(|&s| remap(s)).collect();
+            let data = r.data.iter().map(|&d| net(d)).collect();
             m.push_raw_rom(addr, data, r.contents.clone(), r.style);
         }
         src.outputs
             .iter()
-            .map(|p| p.bits.iter().map(|&s| remap(&map, s)).collect())
+            .map(|p| p.bits.iter().map(|&s| remap(s)).collect())
             .collect()
     }
 

@@ -94,6 +94,38 @@ fn disabled_obs_records_nothing() {
 }
 
 #[test]
+fn optimizer_rule_counters_match_opt_stats() {
+    let _lock = LOCK.lock().unwrap();
+    let _guard = EnableGuard;
+    let flow = TreeFlow::new(Application::Cardio, 4, 7);
+    let raw = printed_ml::core::bespoke::bespoke_parallel_raw(&flow.qt);
+    obs::set_enabled(true);
+    obs::reset();
+    let (optimized, stats) = netlist::optimize_with_stats(&raw);
+    let report = obs::report();
+    let per_rule = [
+        ("aliased", stats.aliased),
+        ("rewritten", stats.rewritten),
+        ("merged", stats.merged),
+        ("dead", stats.dead),
+    ];
+    for (rule, n) in per_rule {
+        assert!(n > 0, "the bespoke tree must exercise the {rule} rule");
+        let counter = report.counter(&format!("netlist.opt.{rule}"));
+        assert_eq!(counter, n as u64, "netlist.opt.{rule}");
+    }
+    assert_eq!(
+        report.counter("netlist.opt.rewrites"),
+        stats.rewrites() as u64
+    );
+    // Out of band: the same call with obs off returns the same module.
+    obs::set_enabled(false);
+    let (bare, _) = netlist::optimize_with_stats(&raw);
+    obs::set_enabled(true);
+    assert_eq!(optimized, bare);
+}
+
+#[test]
 fn exec_pool_counters_accumulate() {
     let _lock = LOCK.lock().unwrap();
     obs::reset();

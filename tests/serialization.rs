@@ -44,6 +44,27 @@ fn modules_round_trip_through_json() {
 }
 
 #[test]
+fn gates_with_more_than_three_inputs_are_a_typed_error() {
+    use printed_ml::netlist::NetlistBuilder;
+    let mut b = NetlistBuilder::new("wide");
+    let x = b.input("x", 2);
+    let y = b.nand(x[0], x[1]);
+    b.output("y", &[y]);
+    let json = serde_json::to_string(&b.finish()).expect("serialize module");
+    let two = r#""inputs":[{"Net":0},{"Net":1}]"#;
+    assert!(json.contains(two), "{json}");
+    let four = r#""inputs":[{"Net":0},{"Net":1},{"Net":0},{"Net":1}]"#;
+    let err = serde_json::from_str::<Module>(&json.replace(two, four))
+        .expect_err("a four-input gate must not deserialize");
+    assert!(err.to_string().contains("at most 3 input pins"), "{err}");
+    // Three pins or fewer deserialize, and validation names the mismatch.
+    let three = r#""inputs":[{"Net":0},{"Net":1},{"Net":0}]"#;
+    let m: Module = serde_json::from_str(&json.replace(two, three)).expect("three pins load");
+    let err = m.validate().expect_err("a three-input NAND2 is invalid");
+    assert!(err.contains("has 3 inputs, expected 2"), "{err}");
+}
+
+#[test]
 fn design_reports_serialize_for_tooling() {
     let flow = TreeFlow::new(Application::Cardio, 2, 7);
     let report = flow.report(TreeArch::BespokeParallel, Technology::Egt);
