@@ -12,7 +12,10 @@
 # fault grader's compile/cone.rs) check, the optimizer (opt.rs) and the
 # fanout pass (fanout.rs) rewrite, and the core flows (flow.rs,
 # signoff.rs) build and sign off, every architecture the CLI and the
-# benchmark reach, so they are held to the same rule.
+# benchmark reach, so they are held to the same rule. So are the analog
+# engine files the variation Monte-Carlo runs through (compile.rs,
+# variation.rs and the device, crossbar, SVM, tree and comparator
+# models); proto.rs, the fabricated-prototype models, is not yet.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -35,6 +38,13 @@ FILES=(
   crates/ml/src/metrics.rs
   crates/core/src/flow.rs
   crates/core/src/signoff.rs
+  crates/analog/src/compile.rs
+  crates/analog/src/variation.rs
+  crates/analog/src/device.rs
+  crates/analog/src/crossbar.rs
+  crates/analog/src/svm.rs
+  crates/analog/src/tree.rs
+  crates/analog/src/comparator.rs
 )
 
 status=0

@@ -16,22 +16,25 @@
 //!    a single time, and the nominal circuit is evaluated once per row
 //!    — not once per `(trial, row)`.
 //! 3. **Evaluate a lane-block of trials per pass over the rows.** Each
-//!    block perturbs [`LANES`] trials into a struct-of-arrays `f64`
-//!    lane matrix and sweeps the rows once, with flat inner loops over
-//!    the lane dimension that LLVM can autovectorize. Blocks shard
-//!    across [`exec::parallel_map`]; the tape is compiled once and
-//!    shared read-only by every shard.
+//!    block carries [`LANES`] trials. A tree row is decided by one walk
+//!    that routes a 64-lane mask through the topology, and a lane's
+//!    perturbed threshold is drawn only when the walk first takes that
+//!    lane to that split. An SVM block perturbs its crossbar terms into
+//!    a struct-of-arrays lane matrix, then accumulates every row with
+//!    one divide per distinct input voltage of each feature.
+//!    Blocks shard across [`exec::parallel_map`]; the tape is compiled
+//!    once and shared read-only by every shard.
 //!
 //! ## Determinism contract
 //!
-//! Trial `t` draws from `StdRng::seed_from_u64(task_seed(seed, t))` in
-//! exactly the order the scalar path draws (tree: one log-normal factor
-//! per split in split-ordinal order; SVM: positive column then negative
-//! column in term order), and every floating-point expression is kept
-//! operation-for-operation identical to the reference. Reports are
-//! therefore **bit-identical** to [`crate::variation::reference`] and
-//! bit-identical at any thread count or lane-block boundary
-//! (`tests/variation_engine.rs` pins both).
+//! Trial `t` draws from `StdRng::seed_from_u64(task_seed(seed, t))`
+//! exactly what the scalar path draws (tree: split `s` takes draws `2s`
+//! and `2s + 1`, reached directly by [`StdRng::advance`]; SVM: positive
+//! column then negative column in term order), and every floating-point
+//! expression is kept operation-for-operation identical to the
+//! reference. Reports are therefore **bit-identical** to
+//! [`crate::variation::reference`] and bit-identical at any thread
+//! count or lane-block boundary (`tests/variation_engine.rs` pins both).
 
 use exec::rng::StdRng;
 use exec::{parallel_map, task_seed};
@@ -43,16 +46,9 @@ use crate::svm::AnalogSvm;
 use crate::tree::{AnalogTree, AnalogTreeConfig};
 use crate::variation::{lognormal_factor, max_code_for_bits, VariationReport};
 
-/// Trials perturbed and evaluated per pass over the rows (one `u64`
-/// decision word per split in the dense tree strategy).
+/// Trials evaluated per pass over the rows: one bit of a `u64` lane
+/// mask each.
 pub const LANES: usize = 64;
-
-/// Splits at or below this count use the dense strategy: decide *every*
-/// split for all lanes into per-split `u64` decision words (branch-free,
-/// autovectorizable), then route each lane through the topology with
-/// integer ops only. Above it, the wasted off-path comparisons outgrow
-/// the vectorization win and lanes walk the tape directly.
-const DENSE_SPLIT_LIMIT: usize = 32;
 
 /// Tape builds (tree + SVM), mirroring `netlist.sim.compiles`.
 static COMPILES: obs::Counter = obs::Counter::new("analog.variation.compiles");
@@ -62,6 +58,9 @@ static TRIALS: obs::Counter = obs::Counter::new("analog.variation.trials");
 static ROWS: obs::Counter = obs::Counter::new("analog.variation.rows");
 /// Lane blocks sharded across the exec pool.
 static LANE_BLOCKS: obs::Counter = obs::Counter::new("analog.variation.lane_blocks");
+/// Perturbations drawn: per-lane split thresholds a walk reached (tree)
+/// and per-lane crossbar terms (SVM).
+static DRAWS: obs::Counter = obs::Counter::new("analog.variation.draws");
 
 /// Child/root encoding of the flat tree topology: `>= 0` is a split
 /// ordinal, `< 0` is a leaf storing `!class`.
@@ -84,6 +83,8 @@ pub struct CompiledTreeVariation {
     /// Root in child encoding (`< 0`: the tree is a single leaf).
     root: i32,
     device: Egt,
+    /// `device.ln_span()`, solved once instead of once per draw.
+    ln_span: f64,
     max_code: u64,
     /// Nominal analog realization, evaluated once per row at bind time.
     nominal: AnalogTree,
@@ -150,6 +151,7 @@ impl CompiledTreeVariation {
             right,
             root: encode_child(&ordinal_of, nodes, 0),
             device,
+            ln_span: device.ln_span(),
             max_code,
             nominal: AnalogTree::from_tree(tree, AnalogTreeConfig::default()),
         }
@@ -179,17 +181,93 @@ impl CompiledTreeVariation {
         }
     }
 
-    /// Perturbs one lane-block of trials (`lo ..` in `thr`, split-major
-    /// `thr[s * LANES + lane]`) exactly as the reference draws them.
-    fn perturb_block(&self, thr: &mut [f64], lo: usize, n: usize, sigma: f64, seed: u64) {
-        for lane in 0..n {
-            let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
-            for s in 0..self.r_nom.len() {
-                let factor = lognormal_factor(&mut rng, sigma);
-                let r = (self.r_nom[s] * factor).clamp(self.device.r_on, self.device.r_off);
-                thr[s * LANES + lane] = self.device.voltage_for_resistance(r);
+    /// Split `s`'s perturbed threshold voltage in the trial whose
+    /// stream is seeded `stream`: the factor from draws `2s` and
+    /// `2s + 1`, through the transistor law exactly as the reference
+    /// computes it.
+    #[inline]
+    fn threshold(&self, stream: u64, s: usize, sigma: f64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(stream);
+        rng.advance(2 * s as u64);
+        let factor = lognormal_factor(&mut rng, sigma);
+        let r = (self.r_nom[s] * factor).clamp(self.device.r_on, self.device.r_off);
+        self.device.voltage_in_span(r, self.ln_span)
+    }
+
+    /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
+    /// rows, plus the number of lane thresholds drawn.
+    ///
+    /// Each row is one walk: `(node, lane mask)` pairs on a stack start
+    /// from `(root, all lanes)`, and a split sends the lanes whose input
+    /// exceeds their threshold right and the rest left. A lane's
+    /// threshold at a split is drawn the first time any row's walk takes
+    /// that lane there, so splits no trial reaches cost nothing.
+    fn walk_block(
+        &self,
+        rows: &TreeRows,
+        lo: usize,
+        n: usize,
+        sigma: f64,
+        seed: u64,
+    ) -> ([u32; LANES], u64) {
+        let n_splits = self.feature.len();
+        let all = u64::MAX >> (LANES - n);
+        let mut streams = [0u64; LANES];
+        for (lane, stream) in streams.iter_mut().enumerate().take(n) {
+            *stream = task_seed(seed, (lo + lane) as u64);
+        }
+        // `thr[s * LANES + lane]`, valid where bit `lane` of `drawn[s]` is set.
+        let mut thr = vec![0.0f64; n_splits * LANES];
+        let mut drawn = vec![0u64; n_splits];
+        let mut stack: Vec<(i32, u64)> = Vec::new();
+        let mut agree = [0u32; LANES];
+        for r in 0..rows.n_rows {
+            let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
+            let nominal = rows.nominal_class[r];
+            let mut ok = 0u64;
+            stack.push((self.root, all));
+            while let Some((node, mask)) = stack.pop() {
+                if node < 0 {
+                    if (!node) as usize == nominal {
+                        ok |= mask;
+                    }
+                    continue;
+                }
+                let s = node as usize;
+                let lanes = &mut thr[s * LANES..(s + 1) * LANES];
+                let mut fresh = mask & !drawn[s];
+                drawn[s] |= fresh;
+                while fresh != 0 {
+                    let lane = fresh.trailing_zeros() as usize;
+                    fresh &= fresh - 1;
+                    lanes[lane] = self.threshold(streams[lane], s, sigma);
+                }
+                // Branch-free decision word. Built a byte per eight lanes,
+                // which LLVM packs better than one 64-lane loop. Lanes
+                // outside `mask` may hold stale thresholds; they are
+                // masked off below.
+                let x = volts[s];
+                let mut word = 0u64;
+                for (c, chunk) in lanes.chunks_exact(8).enumerate() {
+                    let mut b = 0u64;
+                    for (l, &t) in chunk.iter().enumerate() {
+                        b |= ((x > t) as u64) << l;
+                    }
+                    word |= b << (8 * c);
+                }
+                if mask & word != 0 {
+                    stack.push((self.right[s], mask & word));
+                }
+                if mask & !word != 0 {
+                    stack.push((self.left[s], mask & !word));
+                }
+            }
+            for (lane, a) in agree.iter_mut().enumerate() {
+                *a += ((ok >> lane) & 1) as u32;
             }
         }
+        let draws = drawn.iter().map(|d| u64::from(d.count_ones())).sum();
+        (agree, draws)
     }
 
     /// Runs the Monte-Carlo agreement analysis on pre-bound rows.
@@ -211,64 +289,13 @@ impl CompiledTreeVariation {
         assert!(!rows.is_empty(), "need evaluation rows");
         TRIALS.add(trials as u64);
         ROWS.add((trials * rows.n_rows) as u64);
-        let n_splits = self.feature.len();
         let block_ids: Vec<u64> = (0..trials.div_ceil(LANES) as u64).collect();
         LANE_BLOCKS.add(block_ids.len() as u64);
         let blocks: Vec<Vec<f64>> = parallel_map(&block_ids, |_, &b| {
             let lo = b as usize * LANES;
             let n = (trials - lo).min(LANES);
-            let mut thr = vec![0.0f64; n_splits * LANES];
-            self.perturb_block(&mut thr, lo, n, sigma, seed);
-            let mut agree = [0u32; LANES];
-            if n_splits <= DENSE_SPLIT_LIMIT {
-                // Dense strategy: one branch-free decision word per split,
-                // then an integer-only route per lane.
-                let mut decisions = vec![0u64; n_splits];
-                for r in 0..rows.n_rows {
-                    let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
-                    for (s, word) in decisions.iter_mut().enumerate() {
-                        let x = volts[s];
-                        let lanes = &thr[s * LANES..(s + 1) * LANES];
-                        let mut bits = 0u64;
-                        for (l, &t) in lanes.iter().enumerate() {
-                            bits |= ((x > t) as u64) << l;
-                        }
-                        *word = bits;
-                    }
-                    let nominal = rows.nominal_class[r];
-                    for (lane, a) in agree.iter_mut().enumerate().take(n) {
-                        let mut node = self.root;
-                        while node >= 0 {
-                            let s = node as usize;
-                            node = if (decisions[s] >> lane) & 1 != 0 {
-                                self.right[s]
-                            } else {
-                                self.left[s]
-                            };
-                        }
-                        *a += ((!node) as usize == nominal) as u32;
-                    }
-                }
-            } else {
-                // Sparse strategy: each lane walks only its own path —
-                // off-path splits of a deep tree are never decided.
-                for r in 0..rows.n_rows {
-                    let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
-                    let nominal = rows.nominal_class[r];
-                    for (lane, a) in agree.iter_mut().enumerate().take(n) {
-                        let mut node = self.root;
-                        while node >= 0 {
-                            let s = node as usize;
-                            node = if volts[s] > thr[s * LANES + lane] {
-                                self.right[s]
-                            } else {
-                                self.left[s]
-                            };
-                        }
-                        *a += ((!node) as usize == nominal) as u32;
-                    }
-                }
-            }
+            let (agree, draws) = self.walk_block(rows, lo, n, sigma, seed);
+            DRAWS.add(draws);
             agree[..n]
                 .iter()
                 .map(|&a| a as f64 / rows.n_rows as f64)
@@ -336,18 +363,21 @@ impl ColumnTape {
     }
 
     /// Draws one trial's perturbed weights (term order, matching the
-    /// reference RNG stream) and programs the column: conductances and
-    /// their total in ascending-row order, written into lane `lane` of
-    /// the split-major lane matrix `g[slot * LANES + lane]`.
+    /// reference RNG stream) into the buffer `w` and programs the
+    /// column into lane `lane` of `out`: conductances and their total in
+    /// ascending-row order. `g_grid` holds the conductance of every
+    /// printable grid point, so the snap of [`PrintedResistor::printable`]
+    /// becomes a table read.
     fn perturb_lane(
         &self,
         rng: &mut StdRng,
         sigma: f64,
+        g_grid: &[f64],
         lane: usize,
         w: &mut [f64],
-        g: &mut [f64],
-        total: &mut [f64],
+        out: &mut ColumnLanes,
     ) {
+        let w = &mut w[..self.mags.len()];
         for (wk, &m) in w.iter_mut().zip(&self.mags) {
             *wk = m * lognormal_factor(rng, sigma);
         }
@@ -358,23 +388,61 @@ impl ColumnTape {
         let mut t = 0.0f64;
         for (slot, &k) in self.eval.iter().enumerate() {
             let target = g_max * (w[k] / wmax);
-            let cond = 1.0 / PrintedResistor::printable(1.0 / target).resistance;
-            g[slot * LANES + lane] = cond;
+            let cond = g_grid[PrintedResistor::grid_index(1.0 / target)];
+            out.g[slot * LANES + lane] = cond;
             t += cond;
         }
-        total[lane] = t;
+        out.total[lane] = t;
     }
 
-    /// Accumulates this column's normalized weighted sum for one row
-    /// into `out[0..n]`, reproducing `CrossbarColumn::output` term by
-    /// term (`v * g / total`, summed in ascending-row order).
-    fn accumulate(&self, volts: &[f64], g: &[f64], total: &[f64], out: &mut [f64], n: usize) {
+    /// Accumulates this column's normalized weighted sum for every row
+    /// into `out[row * LANES + lane]`, reproducing `CrossbarColumn::output`
+    /// term by term (`v * g / total`, summed in ascending-row order).
+    ///
+    /// Slot-major, so each row still adds its terms in that order.
+    /// `v * g / total` is computed once per (voltage level, lane) of the
+    /// slot's feature into `quot`, and every row adds its level's quotient.
+    fn accumulate(
+        &self,
+        rows: &SvmRows,
+        column: &ColumnLanes,
+        out: &mut [f64],
+        quot: &mut Vec<f64>,
+        n: usize,
+    ) {
+        let n_rows = rows.n_rows;
+        let total = &column.total[..n];
         for (slot, &k) in self.eval.iter().enumerate() {
-            let v = volts[self.features[k]];
-            let lanes = &g[slot * LANES..slot * LANES + n];
-            for ((o, &gl), &tl) in out[..n].iter_mut().zip(lanes).zip(&total[..n]) {
-                *o += v * gl / tl;
+            let f = self.features[k];
+            let lanes = &column.g[slot * LANES..slot * LANES + n];
+            quot.clear();
+            for &v in &rows.levels[f] {
+                quot.extend(lanes.iter().zip(total).map(|(&gl, &tl)| v * gl / tl));
             }
+            let level = &rows.level[f * n_rows..(f + 1) * n_rows];
+            for (acc, &j) in out.chunks_exact_mut(LANES).zip(level) {
+                let q = &quot[j as usize * n..(j as usize + 1) * n];
+                for (o, &x) in acc[..n].iter_mut().zip(q) {
+                    *o += x;
+                }
+            }
+        }
+    }
+}
+
+/// One column programmed for a lane block of trials.
+struct ColumnLanes {
+    /// Slot-major conductances, `g[slot * LANES + lane]`.
+    g: Vec<f64>,
+    /// Each lane's total conductance.
+    total: [f64; LANES],
+}
+
+impl ColumnLanes {
+    fn new(slots: usize) -> Self {
+        ColumnLanes {
+            g: vec![0.0; slots * LANES],
+            total: [0.0; LANES],
         }
     }
 }
@@ -390,17 +458,22 @@ pub struct CompiledSvmVariation {
     n_classes: usize,
     n_features: usize,
     max_code: u64,
+    /// Conductance `1 / R` of each printable grid point.
+    g_grid: Vec<f64>,
     /// Nominal analog engine, evaluated once per row at bind time.
     nominal: AnalogSvm,
 }
 
-/// Rows bound to a [`CompiledSvmVariation`]: pre-normalized row voltages
-/// and the nominal engine's prediction for every row.
+/// Rows bound to a [`CompiledSvmVariation`]: each feature's distinct
+/// input voltages, each row's level per feature, and the nominal
+/// engine's prediction for every row.
 #[derive(Debug, Clone)]
 pub struct SvmRows {
-    /// `volts[row * row_len + feature]`.
-    volts: Vec<f64>,
-    row_len: usize,
+    /// `level[feature * n_rows + row]`: the row's index into
+    /// `levels[feature]`.
+    level: Vec<u32>,
+    /// Each feature's distinct voltages, ascending.
+    levels: Vec<Vec<f64>>,
     nominal_class: Vec<usize>,
     n_rows: usize,
 }
@@ -437,34 +510,50 @@ impl CompiledSvmVariation {
             n_classes: svm.n_classes(),
             n_features,
             max_code,
+            g_grid: (0..PrintedResistor::GRID_POINTS)
+                .map(|m| 1.0 / PrintedResistor::grid_point(m).resistance)
+                .collect(),
             nominal: AnalogSvm::from_svm(svm, n_features),
         }
     }
 
-    /// Normalizes `rows` to crossbar input voltages and evaluates the
-    /// nominal engine once per row.
+    /// Normalizes `rows` to crossbar input voltages, records each
+    /// feature's voltage levels, and evaluates the nominal engine once
+    /// per row.
     ///
     /// # Panics
     /// Panics if rows have inconsistent lengths or are shorter than the
     /// highest programmed crossbar row.
     pub fn bind(&self, rows: &[Vec<u64>]) -> SvmRows {
+        let n_rows = rows.len();
         let row_len = rows.first().map_or(self.n_features, Vec::len);
-        let mut volts = Vec::with_capacity(rows.len() * row_len);
-        let mut nominal_class = Vec::with_capacity(rows.len());
-        for codes in rows {
+        let mut volts = vec![0.0f64; row_len * n_rows];
+        let mut nominal_class = Vec::with_capacity(n_rows);
+        for (r, codes) in rows.iter().enumerate() {
             assert_eq!(codes.len(), row_len, "inconsistent row lengths");
-            volts.extend(
-                codes
-                    .iter()
-                    .map(|&c| c.min(self.max_code) as f64 / self.max_code as f64),
-            );
+            for (f, &c) in codes.iter().enumerate() {
+                volts[f * n_rows + r] = c.min(self.max_code) as f64 / self.max_code as f64;
+            }
             nominal_class.push(self.nominal.predict(codes));
         }
+        let mut level = Vec::with_capacity(volts.len());
+        let mut levels = Vec::with_capacity(row_len);
+        for column in volts.chunks(n_rows.max(1)) {
+            let mut distinct = column.to_vec();
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup();
+            level.extend(
+                column
+                    .iter()
+                    .map(|&v| distinct.partition_point(|&d| d < v) as u32),
+            );
+            levels.push(distinct);
+        }
         SvmRows {
-            volts,
-            row_len,
+            level,
+            levels,
             nominal_class,
-            n_rows: rows.len(),
+            n_rows,
         }
     }
 
@@ -489,49 +578,34 @@ impl CompiledSvmVariation {
             let lo = b as usize * LANES;
             let n = (trials - lo).min(LANES);
             let mut w = vec![0.0f64; k_pos.max(k_neg)];
-            let mut g_pos = vec![0.0f64; k_pos * LANES];
-            let mut g_neg = vec![0.0f64; k_neg * LANES];
-            let (mut total_pos, mut total_neg) = ([0.0f64; LANES], [0.0f64; LANES]);
+            let (mut pos, mut neg) = (ColumnLanes::new(k_pos), ColumnLanes::new(k_neg));
             for lane in 0..n {
                 let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
                 // Reference draw order: positive column, then negative,
                 // from the same per-trial stream.
-                if let Some(col) = &self.pos {
-                    col.perturb_lane(
-                        &mut rng,
-                        sigma,
-                        lane,
-                        &mut w[..k_pos],
-                        &mut g_pos,
-                        &mut total_pos,
-                    );
+                for (col, out) in [(&self.pos, &mut pos), (&self.neg, &mut neg)] {
+                    if let Some(col) = col {
+                        col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut w, out);
+                    }
                 }
-                if let Some(col) = &self.neg {
-                    col.perturb_lane(
-                        &mut rng,
-                        sigma,
-                        lane,
-                        &mut w[..k_neg],
-                        &mut g_neg,
-                        &mut total_neg,
-                    );
+            }
+            DRAWS.add((n * (k_pos + k_neg)) as u64);
+            let mut vp = vec![0.0f64; rows.n_rows * LANES];
+            let mut vn = vec![0.0f64; rows.n_rows * LANES];
+            let mut quot = Vec::new();
+            for (col, column, out) in [(&self.pos, &pos, &mut vp), (&self.neg, &neg, &mut vn)] {
+                if let Some(col) = col {
+                    col.accumulate(rows, column, out, &mut quot, n);
                 }
             }
             let mut agree = [0u32; LANES];
-            let (mut vp, mut vn) = ([0.0f64; LANES], [0.0f64; LANES]);
-            for r in 0..rows.n_rows {
-                let volts = &rows.volts[r * rows.row_len..(r + 1) * rows.row_len];
-                vp[..n].fill(0.0);
-                vn[..n].fill(0.0);
-                if let Some(col) = &self.pos {
-                    col.accumulate(volts, &g_pos, &total_pos, &mut vp, n);
-                }
-                if let Some(col) = &self.neg {
-                    col.accumulate(volts, &g_neg, &total_neg, &mut vn, n);
-                }
-                let nominal = rows.nominal_class[r];
-                for (lane, a) in agree.iter_mut().enumerate().take(n) {
-                    let d = vp[lane] * self.pos_scale - vn[lane] * self.neg_scale;
+            for ((p, q), &nominal) in vp
+                .chunks_exact(LANES)
+                .zip(vn.chunks_exact(LANES))
+                .zip(&rows.nominal_class)
+            {
+                for ((a, &pl), &ql) in agree[..n].iter_mut().zip(p).zip(q) {
+                    let d = pl * self.pos_scale - ql * self.neg_scale;
                     let class = self
                         .boundaries_v
                         .iter()

@@ -60,13 +60,29 @@ impl Egt {
     /// # Panics
     /// Panics if `r` is outside `[r_on, r_off]`.
     pub fn voltage_for_resistance(&self, r: f64) -> f64 {
+        self.voltage_in_span(r, self.ln_span())
+    }
+
+    /// `ln(r_on / r_off)`: the log-span of the transistor law, which
+    /// [`Egt::voltage_for_resistance`] divides by.
+    pub(crate) fn ln_span(&self) -> f64 {
+        (self.r_on / self.r_off).ln()
+    }
+
+    /// [`Egt::voltage_for_resistance`] with the log-span solved once by
+    /// the caller: bit-identical when `ln_span == self.ln_span()`.
+    ///
+    /// # Panics
+    /// Panics if `r` is outside `[r_on, r_off]`.
+    #[inline]
+    pub(crate) fn voltage_in_span(&self, r: f64, ln_span: f64) -> f64 {
         assert!(
             r >= self.r_on && r <= self.r_off,
             "resistance {r} outside [{}, {}]",
             self.r_on,
             self.r_off
         );
-        (r / self.r_off).ln() / (self.r_on / self.r_off).ln() * VDD
+        (r / self.r_off).ln() / ln_span * VDD
     }
 
     /// Footprint of one analog EGT (hand-crafted minimal device — no
@@ -94,22 +110,42 @@ impl PrintedResistor {
     /// resolution of the inkjet printer).
     pub const VALUES_PER_DECADE: usize = 48;
 
+    /// Number of printable values: the grid `R_MIN · 10^(m / VALUES_PER_DECADE)`
+    /// for `m` in `0..GRID_POINTS` spans the four decades from [`R_MIN`]
+    /// to [`R_MAX`], both included.
+    pub(crate) const GRID_POINTS: usize = 4 * Self::VALUES_PER_DECADE + 1;
+
     /// Creates a resistor, snapping to the nearest printable value.
     ///
     /// # Panics
     /// Panics if `r` is not positive or not finite.
     pub fn printable(r: f64) -> Self {
+        Self::grid_point(Self::grid_index(r))
+    }
+
+    /// Index `m` of the grid point [`PrintedResistor::printable`] snaps
+    /// `r` to, always below [`PrintedResistor::GRID_POINTS`].
+    ///
+    /// # Panics
+    /// Panics if `r` is not positive or not finite.
+    #[inline]
+    pub(crate) fn grid_index(r: f64) -> usize {
         assert!(
             r.is_finite() && r > 0.0,
             "resistance must be positive, got {r}"
         );
         let clamped = r.clamp(R_MIN, R_MAX);
         // Geometric grid: VALUES_PER_DECADE points per decade.
-        let steps_per_decade = Self::VALUES_PER_DECADE as f64;
         let exponent = (clamped / R_MIN).log10();
-        let snapped = (exponent * steps_per_decade).round() / steps_per_decade;
+        let m = (exponent * Self::VALUES_PER_DECADE as f64).round() as usize;
+        m.min(Self::GRID_POINTS - 1)
+    }
+
+    /// The printable resistor at grid index `m`.
+    pub(crate) fn grid_point(m: usize) -> Self {
+        let steps_per_decade = Self::VALUES_PER_DECADE as f64;
         PrintedResistor {
-            resistance: R_MIN * 10f64.powf(snapped),
+            resistance: R_MIN * 10f64.powf(m as f64 / steps_per_decade),
         }
     }
 
@@ -169,6 +205,16 @@ mod tests {
         // Error of an arbitrary value is bounded by half a grid step.
         let max_rel = 10f64.powf(0.5 / PrintedResistor::VALUES_PER_DECADE as f64) - 1.0;
         assert!(PrintedResistor::snap_error(123_456.0) <= max_rel + 1e-9);
+    }
+
+    #[test]
+    fn the_grid_spans_the_printable_range() {
+        assert_eq!(PrintedResistor::grid_point(0).resistance, R_MIN);
+        let last = PrintedResistor::GRID_POINTS - 1;
+        assert_eq!(PrintedResistor::grid_point(last).resistance, R_MAX);
+        assert_eq!(PrintedResistor::grid_index(R_MAX), last);
+        assert_eq!(PrintedResistor::grid_index(f64::MAX), last);
+        assert_eq!(PrintedResistor::grid_index(f64::MIN_POSITIVE), 0);
     }
 
     #[test]

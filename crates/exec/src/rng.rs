@@ -16,6 +16,10 @@ use std::ops::{Range, RangeInclusive};
 
 use crate::seed::mix64;
 
+/// SplitMix64's Weyl increment: the state advances by this odd constant
+/// per draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The workspace's deterministic generator (SplitMix64).
 ///
 /// Named `StdRng` so call sites read identically to the `rand`-based
@@ -35,8 +39,18 @@ impl StdRng {
     /// walk, [`mix64`] output stage).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         mix64(self.state)
+    }
+
+    /// Skips the next `k` draws in constant time.
+    ///
+    /// The state is a Weyl sequence, so after `k` draws it is
+    /// `seed + k·GAMMA` (mod 2⁶⁴): the next draw after `advance(k)` is
+    /// draw `k` of the stream, with no pass over the draws before it.
+    #[inline]
+    pub fn advance(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(GAMMA));
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 random mantissa bits.
@@ -157,6 +171,38 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_reaches_draw_k_directly() {
+        let nth = |k: u64| {
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..k {
+                rng.next_u64();
+            }
+            rng.next_u64()
+        };
+        for k in [0, 1, 63] {
+            let mut rng = StdRng::seed_from_u64(7);
+            rng.advance(k);
+            assert_eq!(rng.next_u64(), nth(k), "k = {k}");
+        }
+        // 2^40 draws are too many to step through: check 2^20 against
+        // stepping, then 2^40 against 2^20 skips of 2^20.
+        let mut stepped = StdRng::seed_from_u64(7);
+        let mut skipped = stepped.clone();
+        for _ in 0..1u64 << 20 {
+            stepped.next_u64();
+        }
+        skipped.advance(1 << 20);
+        assert_eq!(skipped, stepped);
+        let mut far = StdRng::seed_from_u64(7);
+        far.advance(1 << 40);
+        let mut hops = StdRng::seed_from_u64(7);
+        for _ in 0..1u64 << 20 {
+            hops.advance(1 << 20);
+        }
+        assert_eq!(far.next_u64(), hops.next_u64());
     }
 
     #[test]

@@ -25,6 +25,13 @@ use printed_ml::ml::synth::Application;
 use printed_ml::netlist::{to_testbench, to_verilog};
 use printed_ml::pdk::Technology;
 
+/// Largest relative print-variation sigma `variation --svm` accepts. A
+/// Box–Muller normal from 53-bit uniforms stays within |z| < 8.6, so up
+/// to here every factor `exp(sigma * z)` and every crossbar weight ratio
+/// is finite and nonzero. Trees clamp each perturbed resistance to the
+/// transistor's range and take any finite sigma.
+const MAX_SVM_SIGMA: f64 = 10.0;
+
 fn usage() -> &'static str {
     "printed-ml — printed machine-learning classifier generator\n\
      \n\
@@ -45,7 +52,9 @@ fn usage() -> &'static str {
      \n\
      Defaults: --depth 4, --arch bespoke-parallel (trees) / bespoke (svm),\n\
                --tech egt, seed 7; variation: --sigmas 0.02,0.05,0.1,0.2,\n\
-               --trials 100, --rows 100.\n\
+               --trials 100, --rows 100. Each sigma must be finite and at\n\
+               least 0, and at most 10 with --svm: past that a crossbar\n\
+               weight's log-normal print factor can overflow or vanish.\n\
      \n\
      Trained models, optimized netlists and PPA results are memoized in a\n\
      content-addressed cache (bench/out/cache/ by default; override with\n\
@@ -330,6 +339,7 @@ fn run() -> Result<(), String> {
                     Ok(())
                 }
                 "variation" => {
+                    let max_sigma = if is_svm { MAX_SVM_SIGMA } else { f64::MAX };
                     let sigmas: Vec<f64> = flags
                         .get("sigmas")
                         .map(String::as_str)
@@ -339,8 +349,14 @@ fn run() -> Result<(), String> {
                             s.trim()
                                 .parse::<f64>()
                                 .ok()
-                                .filter(|v| *v >= 0.0)
-                                .ok_or_else(|| format!("bad sigma {s}"))
+                                .filter(|v| (0.0..=max_sigma).contains(v))
+                                .ok_or_else(|| {
+                                    if is_svm {
+                                        format!("bad sigma {s} (want 0 to {MAX_SVM_SIGMA})")
+                                    } else {
+                                        format!("bad sigma {s} (want a finite value >= 0)")
+                                    }
+                                })
                         })
                         .collect::<Result<_, _>>()?;
                     let parse_n = |key: &str, default: usize| -> Result<usize, String> {

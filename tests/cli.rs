@@ -193,3 +193,34 @@ fn analog_svm_outside_egt_fails_cleanly() {
     ]);
     assert!(stderr.contains("EGT"), "{stderr}");
 }
+
+#[test]
+fn variation_rejects_sigmas_past_the_limit() {
+    // Past sigma 10, exp(sigma * z) can overflow or vanish, and the SVM
+    // engine would panic on a NaN or zero crossbar weight ratio.
+    for sigma in ["200", "1000", "inf", "1e300", "NaN", "10.5"] {
+        let stderr = rejected(&["variation", "--app", "redwine", "--svm", "--sigmas", sigma]);
+        assert!(stderr.contains("bad sigma"), "{sigma}: {stderr}");
+    }
+    // Trees take any finite sigma, but not a non-finite or negative one.
+    for sigma in ["inf", "-inf", "NaN", "-0.5"] {
+        let stderr = rejected(&["variation", "--app", "redwine", "--sigmas", sigma]);
+        assert!(stderr.contains("bad sigma"), "{sigma}: {stderr}");
+    }
+}
+
+#[test]
+fn variation_runs_at_the_largest_accepted_sigmas() {
+    // SVMs take sigma up to 10. A tree clamps every perturbed resistance
+    // to the transistor's range, so it takes any finite sigma.
+    for args in [
+        &["--svm", "--sigmas", "10"][..],
+        &["--sigmas", "50,1e300"][..],
+    ] {
+        let mut argv = vec!["variation", "--app", "redwine", "--trials", "20"];
+        argv.extend_from_slice(args);
+        let (stdout, stderr, ok) = run(&argv);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("worst agreement"), "{args:?}: {stdout}");
+    }
+}

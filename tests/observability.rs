@@ -174,6 +174,19 @@ fn variation_paths_record_identical_obs_keys() {
     }
     let svm_report = obs::report();
 
+    // Draws: the tree draws only the lane thresholds its walks reach; the
+    // SVM draws every crossbar term of every trial.
+    let tree_draws = tree_report.counter("analog.variation.draws");
+    assert!(
+        tree_draws > 0 && tree_draws <= 65 * flow.qt.comparison_count() as u64,
+        "tree draws {tree_draws}"
+    );
+    let terms = svm_flow.qs.pos_terms().len() + svm_flow.qs.neg_terms().len();
+    assert_eq!(
+        svm_report.counter("analog.variation.draws"),
+        65 * terms as u64
+    );
+
     for report in [&tree_report, &svm_report] {
         assert_eq!(report.counter("analog.variation.compiles"), 1);
         assert_eq!(report.counter("analog.variation.trials"), 65);

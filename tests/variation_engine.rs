@@ -29,14 +29,19 @@ fn tree_workload(app: Application, depth: usize, bits: usize) -> (QuantizedTree,
 }
 
 fn svm_workload() -> (QuantizedSvm, Vec<Vec<u64>>) {
+    svm_workload_at(8, 60)
+}
+
+fn svm_workload_at(bits: usize, n_rows: usize) -> (QuantizedSvm, Vec<Vec<u64>>) {
     let data = Application::RedWine.generate(7);
     let (train, test) = data.split(0.7, 42);
     let s = Standardizer::fit(&train);
     let (train, test) = (s.transform(&train), s.transform(&test));
     let svm = SvmRegressor::fit(&train, 150, 1e-4);
-    let fq = FeatureQuantizer::fit(&train, 8);
+    let fq = FeatureQuantizer::fit(&train, bits);
     let qs = QuantizedSvm::from_svm(&svm, &fq);
-    let rows: Vec<Vec<u64>> = test.x.iter().take(60).map(|r| fq.code_row(r)).collect();
+    let rows: Vec<Vec<u64>> = test.x.iter().take(n_rows).map(|r| fq.code_row(r)).collect();
+    assert_eq!(rows.len(), n_rows, "test split too small");
     (qs, rows)
 }
 
@@ -61,36 +66,49 @@ fn compiled_tree_reports_are_bit_identical_to_reference() {
 
 #[test]
 fn compiled_tree_matches_reference_on_a_deep_tree() {
-    // Depth 8 pushes the split count past the dense-strategy limit, so
-    // this exercises the sparse per-lane walk.
+    // A deep tree has many splits off each trial's paths, so its lanes
+    // draw only part of the tape. At sigma 1 most lanes also leave the
+    // nominal path, so nearly every walk forks its lane mask.
     let (qt, rows) = tree_workload(Application::Pendigits, 8, 6);
     let engine = CompiledTreeVariation::compile(&qt);
     assert!(
         engine.split_count() > 32,
-        "want the sparse path, got {} splits",
+        "want a deep tree, got {} splits",
         engine.split_count()
     );
-    for trials in [5, 65] {
-        let oracle = reference::analyze_tree_variation(&qt, &rows, 0.1, trials, 21);
-        let compiled = engine.analyze_rows(&rows, 0.1, trials, 21);
-        assert_eq!(compiled, oracle, "deep tree, trials {trials}");
+    for sigma in [0.1, 1.0] {
+        for trials in [5, 65] {
+            let oracle = reference::analyze_tree_variation(&qt, &rows, sigma, trials, 21);
+            for threads in THREADS {
+                let compiled =
+                    with_threads(threads, || engine.analyze_rows(&rows, sigma, trials, 21));
+                assert_eq!(
+                    compiled, oracle,
+                    "deep tree sigma {sigma} trials {trials} threads {threads}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn compiled_svm_reports_are_bit_identical_to_reference() {
-    let (qs, rows) = svm_workload();
-    for sigma in [0.02, 0.3] {
-        for trials in TRIALS {
-            let oracle = reference::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5);
-            for threads in THREADS {
-                let compiled = with_threads(threads, || {
-                    variation::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5)
-                });
-                assert_eq!(
-                    compiled, oracle,
-                    "svm sigma {sigma} trials {trials} threads {threads}"
-                );
+    // The 4-bit quantizer gives each feature at most 16 voltage levels
+    // over 120 rows, so its crossbars divide once per level, not per row.
+    for (bits, n_rows) in [(8, 60), (4, 120)] {
+        let (qs, rows) = svm_workload_at(bits, n_rows);
+        for sigma in [0.02, 0.3] {
+            for trials in TRIALS {
+                let oracle = reference::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5);
+                for threads in THREADS {
+                    let compiled = with_threads(threads, || {
+                        variation::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5)
+                    });
+                    assert_eq!(
+                        compiled, oracle,
+                        "{bits}-bit svm sigma {sigma} trials {trials} threads {threads}"
+                    );
+                }
             }
         }
     }
