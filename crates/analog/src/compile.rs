@@ -304,17 +304,6 @@ impl CompiledTreeVariation {
         let agreements: Vec<f64> = blocks.into_iter().flatten().collect();
         summarize(sigma, trials, &agreements)
     }
-
-    /// Convenience: [`CompiledTreeVariation::bind`] + analyze in one call.
-    pub fn analyze_rows(
-        &self,
-        rows: &[Vec<u64>],
-        sigma: f64,
-        trials: usize,
-        seed: u64,
-    ) -> VariationReport {
-        self.analyze(&self.bind(rows), sigma, trials, seed)
-    }
 }
 
 /// Folds per-trial agreements into a [`VariationReport`] with the exact
@@ -622,16 +611,5 @@ impl CompiledSvmVariation {
         });
         let agreements: Vec<f64> = blocks.into_iter().flatten().collect();
         summarize(sigma, trials, &agreements)
-    }
-
-    /// Convenience: [`CompiledSvmVariation::bind`] + analyze in one call.
-    pub fn analyze_rows(
-        &self,
-        rows: &[Vec<u64>],
-        sigma: f64,
-        trials: usize,
-        seed: u64,
-    ) -> VariationReport {
-        self.analyze(&self.bind(rows), sigma, trials, seed)
     }
 }

@@ -51,6 +51,6 @@ pub use svm::AnalogSvm;
 pub use transient::{simulate_node, Stimulus, Waveform};
 pub use tree::{AnalogTree, AnalogTreeConfig};
 pub use variation::{
-    analyze_svm_variation, analyze_tree_variation, max_code_for_bits, svm_variation_sweep,
-    variation_sweep, VariationReport,
+    check_sigma, max_code_for_bits, svm_variation_sweep, variation_sweep, VariationError,
+    VariationReport, MAX_SVM_SIGMA,
 };

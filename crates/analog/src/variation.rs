@@ -17,10 +17,11 @@
 //! produces **bit-identical** reports at any thread count — the thread
 //! pool only changes wall-clock time, never results.
 //!
-//! The public analyzers route through the compiled lane-batched engine
-//! in [`crate::compile`] (compile the model once, bind rows once,
-//! evaluate 64 trials per pass over the rows). The original scalar
-//! implementation is preserved verbatim in [`reference`] as the
+//! [`variation_sweep`] and [`svm_variation_sweep`] are the entry points.
+//! Each checks its inputs, then runs the compiled lane-batched engine in
+//! [`crate::compile`]: compile the model once, bind rows once, and
+//! evaluate 64 trials per pass over the rows at every sigma. The original
+//! scalar implementation is preserved verbatim in [`reference`] as the
 //! property-test oracle: `tests/variation_engine.rs` pins compiled
 //! reports bit-identical to the reference at every trial count and
 //! thread count.
@@ -73,75 +74,118 @@ pub struct VariationReport {
     pub worst_agreement: f64,
 }
 
-/// Runs a Monte-Carlo variation analysis of the analog realization of
-/// `tree`: every node's printed resistor is perturbed by a log-normal
-/// factor with relative sigma `sigma`, and the perturbed circuit is
-/// evaluated on `rows` (quantized feature codes) against the nominal
-/// circuit.
-///
-/// Routes through the compiled lane-batched engine
-/// ([`CompiledTreeVariation`]); trial `t` still draws from the stream
-/// seeded `task_seed(seed, t)`, so the report is bit-identical at any
-/// thread count and bit-identical to
-/// [`reference::analyze_tree_variation`].
-///
-/// # Panics
-/// Panics if `trials` is zero or `rows` is empty.
-pub fn analyze_tree_variation(
-    tree: &QuantizedTree,
-    rows: &[Vec<u64>],
-    sigma: f64,
-    trials: usize,
-    seed: u64,
-) -> VariationReport {
-    CompiledTreeVariation::compile(tree).analyze_rows(rows, sigma, trials, seed)
+/// Largest relative print-variation sigma an SVM sweep accepts. A
+/// Box–Muller normal from 53-bit uniforms stays within |z| < 8.6, so up
+/// to here every factor `exp(sigma * z)` and every crossbar weight ratio
+/// is finite and nonzero. Trees clamp each perturbed resistance to the
+/// transistor's range and take any finite sigma.
+pub const MAX_SVM_SIGMA: f64 = 10.0;
+
+/// Why a variation sweep was rejected before it ran.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VariationError {
+    /// A tree sigma that is NaN, infinite or negative.
+    BadSigma(f64),
+    /// An SVM sigma outside `0..=MAX_SVM_SIGMA` (NaN included).
+    BadSvmSigma(f64),
+    /// Zero Monte-Carlo trials.
+    NoTrials,
+    /// No evaluation rows.
+    NoRows,
 }
 
-/// Sweeps variation sigmas and reports agreement at each — the data
-/// behind a "how much print tolerance can the classifier absorb" plot.
+impl std::fmt::Display for VariationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            VariationError::BadSigma(s) => write!(f, "bad sigma {s:?} (want a finite value >= 0)"),
+            VariationError::BadSvmSigma(s) => {
+                write!(f, "bad sigma {s:?} (want 0 to {MAX_SVM_SIGMA})")
+            }
+            VariationError::NoTrials => write!(f, "need at least one trial"),
+            VariationError::NoRows => write!(f, "need evaluation rows"),
+        }
+    }
+}
+
+impl std::error::Error for VariationError {}
+
+/// Checks one relative print-variation sigma: finite and at least 0 for a
+/// tree, and at most [`MAX_SVM_SIGMA`] for an SVM (`svm`).
+///
+/// # Errors
+/// [`VariationError::BadSigma`] or [`VariationError::BadSvmSigma`].
+pub fn check_sigma(sigma: f64, svm: bool) -> Result<(), VariationError> {
+    if svm && !(0.0..=MAX_SVM_SIGMA).contains(&sigma) {
+        Err(VariationError::BadSvmSigma(sigma))
+    } else if !(sigma.is_finite() && sigma >= 0.0) {
+        Err(VariationError::BadSigma(sigma))
+    } else {
+        Ok(())
+    }
+}
+
+/// Rejects a sweep the engines cannot run: a bad sigma, zero trials or
+/// no rows.
+fn check_sweep(
+    sigmas: &[f64],
+    svm: bool,
+    trials: usize,
+    rows: usize,
+) -> Result<(), VariationError> {
+    sigmas.iter().try_for_each(|&s| check_sigma(s, svm))?;
+    if trials == 0 {
+        return Err(VariationError::NoTrials);
+    }
+    if rows == 0 {
+        return Err(VariationError::NoRows);
+    }
+    Ok(())
+}
+
+/// Monte-Carlo variation analysis of the analog realization of `tree`
+/// at each of `sigmas`: every node's printed resistor is perturbed by a
+/// log-normal factor with that relative sigma, and the perturbed circuit
+/// is evaluated on `rows` (quantized feature codes) against the nominal
+/// circuit — the data behind a "how much print tolerance can the
+/// classifier absorb" plot.
 ///
 /// The tree is compiled and the rows bound **once**, shared across all
 /// sigma points (and across every [`exec::parallel_map`] shard within
-/// each point).
+/// each point). Trial `t` draws from the stream seeded
+/// `task_seed(seed, t)`, so each report is bit-identical at any thread
+/// count and bit-identical to [`reference::analyze_tree_variation`].
+///
+/// # Errors
+/// Rejects a NaN, infinite or negative sigma, zero trials and empty
+/// `rows` with a [`VariationError`].
 pub fn variation_sweep(
     tree: &QuantizedTree,
     rows: &[Vec<u64>],
     sigmas: &[f64],
     trials: usize,
     seed: u64,
-) -> Vec<VariationReport> {
+) -> Result<Vec<VariationReport>, VariationError> {
+    check_sweep(sigmas, false, trials, rows.len())?;
     let engine = CompiledTreeVariation::compile(tree);
     let bound = engine.bind(rows);
-    sigmas
+    Ok(sigmas
         .iter()
         .map(|&s| engine.analyze(&bound, s, trials, seed))
-        .collect()
+        .collect())
 }
 
-/// Monte-Carlo variation analysis of an analog SVM: the crossbar's printed
-/// resistances are perturbed (log-normal, relative sigma) and the
-/// perturbed engine's predictions are compared with the nominal analog
-/// engine on `rows`.
+/// Monte-Carlo variation analysis of an analog SVM at each of `sigmas`:
+/// the crossbar's printed resistances are perturbed (log-normal, relative
+/// sigma) and the perturbed engine's predictions are compared with the
+/// nominal analog engine on `rows`.
 ///
-/// Routes through the compiled lane-batched engine
-/// ([`CompiledSvmVariation`]); reports are bit-identical at any thread
-/// count and bit-identical to [`reference::analyze_svm_variation`].
+/// The crossbar tape is compiled and the rows bound once across all
+/// sigma points; reports are bit-identical at any thread count and
+/// bit-identical to [`reference::analyze_svm_variation`].
 ///
-/// # Panics
-/// Panics if `trials` is zero or `rows` is empty.
-pub fn analyze_svm_variation(
-    svm: &QuantizedSvm,
-    n_features: usize,
-    rows: &[Vec<u64>],
-    sigma: f64,
-    trials: usize,
-    seed: u64,
-) -> VariationReport {
-    CompiledSvmVariation::compile(svm, n_features).analyze_rows(rows, sigma, trials, seed)
-}
-
-/// Sweeps variation sigmas for an analog SVM, compiling the crossbar
-/// tape and binding the rows once across all sigma points.
+/// # Errors
+/// Rejects a sigma outside `0..=MAX_SVM_SIGMA`, zero trials and empty
+/// `rows` with a [`VariationError`].
 pub fn svm_variation_sweep(
     svm: &QuantizedSvm,
     n_features: usize,
@@ -149,13 +193,14 @@ pub fn svm_variation_sweep(
     sigmas: &[f64],
     trials: usize,
     seed: u64,
-) -> Vec<VariationReport> {
+) -> Result<Vec<VariationReport>, VariationError> {
+    check_sweep(sigmas, true, trials, rows.len())?;
     let engine = CompiledSvmVariation::compile(svm, n_features);
     let bound = engine.bind(rows);
-    sigmas
+    Ok(sigmas
         .iter()
         .map(|&s| engine.analyze(&bound, s, trials, seed))
-        .collect()
+        .collect())
 }
 
 pub mod reference {
@@ -186,7 +231,7 @@ pub mod reference {
         thresholds: Vec<f64>,
     }
 
-    /// Scalar oracle for [`super::analyze_tree_variation`].
+    /// Scalar oracle for [`super::variation_sweep`], one sigma at a time.
     ///
     /// # Panics
     /// Panics if `trials` is zero or `rows` is empty.
@@ -289,7 +334,8 @@ pub mod reference {
         }
     }
 
-    /// Scalar oracle for [`super::analyze_svm_variation`].
+    /// Scalar oracle for [`super::svm_variation_sweep`], one sigma at a
+    /// time.
     ///
     /// # Panics
     /// Panics if `trials` is zero or `rows` is empty.
@@ -411,7 +457,7 @@ mod tests {
     #[test]
     fn zero_variation_agrees_perfectly() {
         let (qt, rows) = workload();
-        let r = analyze_tree_variation(&qt, &rows, 0.0, 3, 1);
+        let r = &variation_sweep(&qt, &rows, &[0.0], 3, 1).unwrap()[0];
         assert_eq!(r.mean_agreement, 1.0);
         assert_eq!(r.worst_agreement, 1.0);
     }
@@ -419,7 +465,7 @@ mod tests {
     #[test]
     fn agreement_degrades_monotonically_with_sigma() {
         let (qt, rows) = workload();
-        let sweep = variation_sweep(&qt, &rows, &[0.0, 0.05, 0.2, 0.8], 8, 42);
+        let sweep = variation_sweep(&qt, &rows, &[0.0, 0.05, 0.2, 0.8], 8, 42).unwrap();
         for pair in sweep.windows(2) {
             assert!(
                 pair[1].mean_agreement <= pair[0].mean_agreement + 0.02,
@@ -438,16 +484,48 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_in_seed() {
         let (qt, rows) = workload();
-        let a = analyze_tree_variation(&qt, &rows, 0.1, 5, 9);
-        let b = analyze_tree_variation(&qt, &rows, 0.1, 5, 9);
+        let a = variation_sweep(&qt, &rows, &[0.1], 5, 9);
+        let b = variation_sweep(&qt, &rows, &[0.1], 5, 9);
         assert_eq!(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn zero_trials_are_rejected() {
+    fn bad_inputs_are_rejected_before_the_engine_runs() {
         let (qt, rows) = workload();
-        analyze_tree_variation(&qt, &rows, 0.1, 0, 1);
+        let sweep = |sigmas: &[f64], trials, rows: &[Vec<u64>]| {
+            variation_sweep(&qt, rows, sigmas, trials, 1)
+        };
+        assert_eq!(sweep(&[0.1], 0, &rows), Err(VariationError::NoTrials));
+        assert_eq!(sweep(&[0.1], 4, &[]), Err(VariationError::NoRows));
+        for bad in [-0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                sweep(&[0.1, bad], 4, &rows),
+                Err(VariationError::BadSigma(bad))
+            );
+        }
+        assert!(matches!(
+            sweep(&[f64::NAN], 4, &rows),
+            Err(VariationError::BadSigma(s)) if s.is_nan()
+        ));
+        // Trees clamp every perturbed resistance: any finite sigma runs.
+        assert!(sweep(&[200.0, 1e300], 4, &rows).is_ok());
+    }
+
+    #[test]
+    fn svm_sigmas_stop_at_the_limit() {
+        assert_eq!(check_sigma(MAX_SVM_SIGMA, true), Ok(()));
+        assert_eq!(check_sigma(0.0, true), Ok(()));
+        for bad in [10.5, 200.0, -0.1, f64::INFINITY] {
+            assert_eq!(
+                check_sigma(bad, true),
+                Err(VariationError::BadSvmSigma(bad))
+            );
+        }
+        assert!(check_sigma(f64::NAN, true).is_err());
+        assert_eq!(check_sigma(200.0, false), Ok(()));
+        assert!(VariationError::BadSvmSigma(200.0)
+            .to_string()
+            .starts_with("bad sigma"));
     }
 }
 
@@ -474,15 +552,15 @@ mod svm_variation_tests {
     #[test]
     fn tiny_variation_barely_moves_svm_decisions() {
         let (qs, rows) = workload();
-        let r = analyze_svm_variation(&qs, 11, &rows, 0.01, 5, 3);
+        let r = &svm_variation_sweep(&qs, 11, &rows, &[0.01], 5, 3).unwrap()[0];
         assert!(r.mean_agreement > 0.9, "agreement {}", r.mean_agreement);
     }
 
     #[test]
     fn svm_agreement_degrades_with_sigma() {
         let (qs, rows) = workload();
-        let small = analyze_svm_variation(&qs, 11, &rows, 0.02, 10, 3);
-        let large = analyze_svm_variation(&qs, 11, &rows, 0.5, 10, 3);
+        let sweep = svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.5], 10, 3).unwrap();
+        let (small, large) = (&sweep[0], &sweep[1]);
         assert!(
             large.mean_agreement < small.mean_agreement + 1e-9,
             "small {} large {}",
@@ -494,16 +572,20 @@ mod svm_variation_tests {
     #[test]
     fn svm_variation_is_deterministic() {
         let (qs, rows) = workload();
-        let a = analyze_svm_variation(&qs, 11, &rows, 0.1, 4, 8);
-        let b = analyze_svm_variation(&qs, 11, &rows, 0.1, 4, 8);
+        let a = svm_variation_sweep(&qs, 11, &rows, &[0.1], 4, 8);
+        let b = svm_variation_sweep(&qs, 11, &rows, &[0.1], 4, 8);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn svm_sweep_matches_pointwise_analysis() {
+    fn svm_sweep_matches_one_sigma_sweeps() {
+        // Sharing the compiled tape and bound rows across sigma points
+        // must not change any point.
         let (qs, rows) = workload();
-        let sweep = svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.2], 4, 8);
-        assert_eq!(sweep[0], analyze_svm_variation(&qs, 11, &rows, 0.02, 4, 8));
-        assert_eq!(sweep[1], analyze_svm_variation(&qs, 11, &rows, 0.2, 4, 8));
+        let sweep = svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.2], 4, 8).unwrap();
+        for (r, sigma) in sweep.iter().zip([0.02, 0.2]) {
+            let alone = svm_variation_sweep(&qs, 11, &rows, &[sigma], 4, 8).unwrap();
+            assert_eq!(*r, alone[0]);
+        }
     }
 }

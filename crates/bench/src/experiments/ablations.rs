@@ -413,6 +413,7 @@ pub fn variation_analysis() -> Table {
             .collect();
         for report in
             analog::variation_sweep(&qt, &rows, &[0.02, 0.05, 0.1, 0.2], mc_trials(), SEED)
+                .expect("fixed sigmas, trials and rows are valid")
         {
             t.row(vec![
                 format!("{} (tree)", app.name()),
@@ -442,6 +443,7 @@ pub fn variation_analysis() -> Table {
             .collect();
         for report in
             analog::svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.05, 0.1, 0.2], mc_trials(), SEED)
+                .expect("fixed sigmas, trials and rows are valid")
         {
             t.row(vec![
                 "redwine (svm)".into(),

@@ -275,10 +275,12 @@ pub fn variation_case(seed: u64) -> Result<u64, String> {
     let tree = DecisionTree::fit(&data, TreeParams::with_depth(rng.gen_range(2..=3usize)));
     let qt = QuantizedTree::from_tree(&tree, &fq);
     if qt.comparison_count() > 0 {
-        let compiled = analog::variation::analyze_tree_variation(&qt, &rows, sigma, trials, seed);
+        let sweep = analog::variation_sweep(&qt, &rows, &[sigma], trials, seed)
+            .map_err(|e| format!("tree variation sweep rejected a valid case: {e}"))?;
+        let compiled = &sweep[0];
         let reference =
             analog::variation::reference::analyze_tree_variation(&qt, &rows, sigma, trials, seed);
-        if compiled != reference {
+        if *compiled != reference {
             return Err(format!(
                 "compiled tree variation diverges from the scalar reference at sigma \
                  {sigma}, {trials} trials: compiled {compiled:?}, reference {reference:?}"
@@ -292,10 +294,12 @@ pub fn variation_case(seed: u64) -> Result<u64, String> {
         let svm = SvmRegressor::fit(&data, 40, 1e-4);
         let qs = QuantizedSvm::from_svm(&svm, &fq);
         let n = data.n_features();
-        let compiled = analog::variation::analyze_svm_variation(&qs, n, &rows, sigma, trials, seed);
+        let sweep = analog::svm_variation_sweep(&qs, n, &rows, &[sigma], trials, seed)
+            .map_err(|e| format!("SVM variation sweep rejected a valid case: {e}"))?;
+        let compiled = &sweep[0];
         let reference =
             analog::variation::reference::analyze_svm_variation(&qs, n, &rows, sigma, trials, seed);
-        if compiled != reference {
+        if *compiled != reference {
             return Err(format!(
                 "compiled SVM variation diverges from the scalar reference at sigma \
                  {sigma}, {trials} trials: compiled {compiled:?}, reference {reference:?}"

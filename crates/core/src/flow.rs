@@ -7,7 +7,7 @@
 //! architectures in any technology.
 
 use analog::tree::AnalogTreeConfig;
-use analog::VariationReport;
+use analog::{VariationError, VariationReport};
 use ml::data::{Dataset, Standardizer};
 use ml::metrics::accuracy;
 use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
@@ -97,25 +97,13 @@ impl TreeFlow {
     /// Trains a depth-`depth` tree on `app` (seeded) and runs the width
     /// search.
     pub fn new(app: Application, depth: usize, seed: u64) -> Self {
-        Self::with_params(app, depth, seed, TreeParams::with_depth(depth))
-    }
-
-    /// Like [`TreeFlow::new`], but first tunes the CART stopping
-    /// parameters with randomized search + k-fold CV (the paper's
-    /// `RandomizedSearchCV` step, scaled down to `iters` candidates).
-    pub fn with_search(app: Application, depth: usize, seed: u64, iters: usize) -> Self {
-        let (train, _) = standardized_split(app, seed);
-        let params = ml::search::search_tree_params(&train, depth, iters, 3, seed);
-        Self::with_params(app, depth, seed, params)
-    }
-
-    fn with_params(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
+        let params = TreeParams::with_depth(depth);
         cache::memo("core.flow.tree", &(app.name(), depth, seed, params), || {
-            Self::with_params_impl(app, depth, seed, params)
+            Self::new_impl(app, depth, seed, params)
         })
     }
 
-    fn with_params_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
+    fn new_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
         let (train, test) = standardized_split(app, seed);
         let tree = DecisionTree::fit(&train, params);
         let float_accuracy = accuracy(
@@ -189,13 +177,17 @@ impl TreeFlow {
     /// log-normal factor at each sigma and reports agreement with the
     /// nominal circuit over the first `rows` test rows. Runs on the
     /// compiled lane-batched engine; bit-identical at any thread count.
+    ///
+    /// # Errors
+    /// Rejects a NaN, infinite or negative sigma, zero `trials` and zero
+    /// `rows` with a [`VariationError`].
     pub fn variation_sweep(
         &self,
         sigmas: &[f64],
         trials: usize,
         rows: usize,
         seed: u64,
-    ) -> Vec<VariationReport> {
+    ) -> Result<Vec<VariationReport>, VariationError> {
         analog::variation_sweep(&self.qt, &self.coded_rows(rows), sigmas, trials, seed)
     }
 
@@ -258,29 +250,24 @@ pub struct SvmFlow {
 }
 
 impl SvmFlow {
+    /// Training epochs of the SVM regressor.
+    const EPOCHS: usize = 200;
+    /// L2 regularization of the SVM regressor.
+    const L2: f64 = 1e-4;
+
     /// Trains an SVM regressor on `app` (seeded) and runs the width search.
     pub fn new(app: Application, seed: u64) -> Self {
-        Self::with_hyper(app, seed, 200, 1e-4)
+        cache::memo(
+            "core.flow.svm",
+            &(app.name(), seed, Self::EPOCHS, Self::L2),
+            || Self::new_impl(app, seed),
+        )
     }
 
-    /// Like [`SvmFlow::new`], but first tunes epochs and regularization
-    /// with randomized search + k-fold CV.
-    pub fn with_search(app: Application, seed: u64, iters: usize) -> Self {
-        let (train, _) = standardized_split(app, seed);
-        let (epochs, l2) = ml::search::search_svm_params(&train, iters, 3, seed);
-        Self::with_hyper(app, seed, epochs, l2)
-    }
-
-    fn with_hyper(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
-        cache::memo("core.flow.svm", &(app.name(), seed, epochs, l2), || {
-            Self::with_hyper_impl(app, seed, epochs, l2)
-        })
-    }
-
-    fn with_hyper_impl(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
+    fn new_impl(app: Application, seed: u64) -> Self {
         let (train, test) = standardized_split(app, seed);
         let n_features = train.n_features();
-        let svm = SvmRegressor::fit(&train, epochs, l2);
+        let svm = SvmRegressor::fit(&train, Self::EPOCHS, Self::L2);
         let float_accuracy = accuracy(
             test.x.iter().map(|r| svm.predict(r)),
             test.y.iter().copied(),
@@ -315,13 +302,17 @@ impl SvmFlow {
     /// reports agreement with the nominal engine over the first `rows`
     /// test rows. Runs on the compiled lane-batched engine;
     /// bit-identical at any thread count.
+    ///
+    /// # Errors
+    /// Rejects a sigma outside `0..=`[`analog::MAX_SVM_SIGMA`], zero
+    /// `trials` and zero `rows` with a [`VariationError`].
     pub fn variation_sweep(
         &self,
         sigmas: &[f64],
         trials: usize,
         rows: usize,
         seed: u64,
-    ) -> Vec<VariationReport> {
+    ) -> Result<Vec<VariationReport>, VariationError> {
         analog::svm_variation_sweep(
             &self.qs,
             self.n_features,
@@ -495,28 +486,16 @@ mod tests {
         assert!(cnt.latency > si.latency);
     }
 
-    /// The float tree a flow with these inputs trains, quantized at 8 bits.
-    fn own_tree_at_8_bits(app: Application, seed: u64, params: TreeParams) -> QuantizedTree {
-        let (train, _) = standardized_split(app, seed);
-        let tree = DecisionTree::fit(&train, params);
-        QuantizedTree::from_tree(&tree, &FeatureQuantizer::fit(&train, 8))
-    }
-
     #[test]
     fn conventional_engines_load_the_flows_own_tree() {
-        // Both flows choose a width other than 8, so the conventional
+        // The flow chooses a width other than 8, so the conventional
         // engines need a second quantization of the same tree.
-        let seeded = TreeFlow::new(Application::Cardio, 4, 3);
-        assert_ne!(seeded.fq.bits(), 8);
-        let expected = own_tree_at_8_bits(Application::Cardio, 3, TreeParams::with_depth(4));
-        assert_eq!(seeded.conv_qt, expected);
-
-        let searched = TreeFlow::with_search(Application::Arrhythmia, 2, 7, 4);
-        assert_ne!(searched.fq.bits(), 8);
-        let (train, _) = standardized_split(Application::Arrhythmia, 7);
-        let params = ml::search::search_tree_params(&train, 2, 4, 3, 7);
-        let expected = own_tree_at_8_bits(Application::Arrhythmia, 7, params);
-        assert_eq!(searched.conv_qt, expected);
+        let flow = TreeFlow::new(Application::Cardio, 4, 3);
+        assert_ne!(flow.fq.bits(), 8);
+        let (train, _) = standardized_split(Application::Cardio, 3);
+        let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
+        let expected = QuantizedTree::from_tree(&tree, &FeatureQuantizer::fit(&train, 8));
+        assert_eq!(flow.conv_qt, expected);
     }
 
     #[test]
@@ -548,39 +527,6 @@ mod tests {
         let _ = flow.report(
             TreeArch::Analog(AnalogTreeConfig::default()),
             Technology::Tsmc40,
-        );
-    }
-}
-
-#[cfg(test)]
-mod search_tests {
-    use super::*;
-
-    #[test]
-    fn searched_tree_flow_is_at_least_as_accurate() {
-        let plain = TreeFlow::new(Application::RedWine, 4, 7);
-        let searched = TreeFlow::with_search(Application::RedWine, 4, 7, 4);
-        assert!(
-            searched.float_accuracy >= plain.float_accuracy - 0.03,
-            "searched {} vs plain {}",
-            searched.float_accuracy,
-            plain.float_accuracy
-        );
-        assert_eq!(searched.depth, 4);
-    }
-
-    #[test]
-    fn searched_svm_flow_produces_a_working_design() {
-        let flow = SvmFlow::with_search(Application::Har, 7, 2);
-        let r = flow.report(SvmArch::Bespoke, Technology::Egt);
-        assert!(r.area.as_mm2() > 0.0);
-        // SVM regression over HAR's *nominal* activity labels is weak by
-        // nature (the paper's HAR strength comes from its ordinal-ish
-        // real encoding); the search must still beat chance (1/5).
-        assert!(
-            flow.choice.accuracy > 0.2,
-            "accuracy {}",
-            flow.choice.accuracy
         );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The API mirrors the slice of `rand` this workspace used:
 //! `StdRng::seed_from_u64`, `gen_range` over integer/float ranges, and a
-//! [`SliceRandom`] extension with `shuffle`/`choose`.
+//! [`SliceRandom`] extension with `shuffle`.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -129,33 +129,17 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     }
 }
 
-/// Shuffle/choose extension, mirroring `rand::seq::SliceRandom`.
+/// Shuffle extension, mirroring `rand::seq::SliceRandom`.
 pub trait SliceRandom {
-    /// Element type.
-    type Item;
-
     /// Fisher–Yates shuffle, deterministic in the generator state.
     fn shuffle(&mut self, rng: &mut StdRng);
-
-    /// Uniformly chosen element, `None` on an empty slice.
-    fn choose<'a>(&'a self, rng: &mut StdRng) -> Option<&'a Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
-    type Item = T;
-
     fn shuffle(&mut self, rng: &mut StdRng) {
         for i in (1..self.len()).rev() {
             let j = rng.gen_range(0..i + 1);
             self.swap(i, j);
-        }
-    }
-
-    fn choose<'a>(&'a self, rng: &mut StdRng) -> Option<&'a T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[rng.gen_range(0..self.len())])
         }
     }
 }
@@ -254,19 +238,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(a, sorted, "50 elements should not shuffle to identity");
-    }
-
-    #[test]
-    fn choose_covers_all_elements() {
-        let opts = [2usize, 4, 8, 16];
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            let c = *opts.choose(&mut rng).unwrap();
-            seen[opts.iter().position(|&o| o == c).unwrap()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        let empty: [usize; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
     }
 }

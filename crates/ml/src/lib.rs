@@ -16,8 +16,7 @@
 //! * [`mlp`] — small ReLU perceptrons (MLP-1 / MLP-3 baselines);
 //! * [`quant`] — fixed-point feature/model quantization onto 4–16-bit
 //!   datapaths, in the exact arithmetic the generated hardware uses;
-//! * [`opcount`] — Table II's `#C` / `#M` operation counting;
-//! * [`search`] — randomized hyper-parameter search with k-fold CV.
+//! * [`opcount`] — Table II's `#C` / `#M` operation counting.
 //!
 //! ```
 //! use ml::synth::Application;
@@ -39,7 +38,6 @@ pub mod metrics;
 pub mod mlp;
 pub mod opcount;
 pub mod quant;
-pub mod search;
 pub mod synth;
 pub mod tree;
 

@@ -7,6 +7,8 @@
 //! appear only in the Table II algorithm comparison, where their MAC counts
 //! disqualify them for printed implementation.
 
+use std::cmp::Ordering;
+
 use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
@@ -263,7 +265,7 @@ impl LogisticRegression {
         let s = scores(&self.weights, &self.biases, row);
         s.iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }

@@ -3,9 +3,8 @@
 /// Why a metric could not be computed.
 ///
 /// Carried as data instead of a panic so harnesses that score *generated*
-/// models (the differential fuzzer, hyperparameter search over synthetic
-/// folds) can distinguish "the metric rejected this input" from "two
-/// engines disagree on a valid input".
+/// models (the differential fuzzer) can distinguish "the metric rejected
+/// this input" from "two engines disagree on a valid input".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricsError {
     /// The prediction and label streams have different lengths.

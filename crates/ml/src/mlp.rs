@@ -5,6 +5,8 @@
 //! participate in the §III algorithm comparison: their MAC counts make them
 //! prohibitively expensive in printed technologies.
 
+use std::cmp::Ordering;
+
 use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
@@ -153,7 +155,7 @@ impl Mlp {
         }
         act.iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }

@@ -16,6 +16,8 @@
 //! * arrhythmia and the wines are intentionally noisy, capping accuracy for
 //!   every algorithm.
 
+use std::cmp::Ordering;
+
 use exec::rng::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -240,7 +242,7 @@ fn generate_ordinal(name: &str, p: &Profile, rng: &mut StdRng) -> Dataset {
     // Quantile thresholds with a centre-heavy distribution, like real wine
     // quality scores (most wines are average).
     let mut sorted = scores.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     let quantiles: Vec<f64> = centre_heavy_quantiles(p.n_classes)
         .into_iter()
         .map(|q| sorted[((sorted.len() - 1) as f64 * q) as usize])

@@ -35,7 +35,7 @@ const SAMPLE_ROOT: u64 = 0x9e3779b97f4a7c15;
 /// packed vectors per work item in exhaustive mode. Fixed (not derived
 /// from the thread count) so span boundaries — and the per-span RNG
 /// streams — are identical at every thread count.
-const SAMPLE_SPAN: usize = 1024;
+const SAMPLE_SPAN: u64 = 1024;
 const EXHAUSTIVE_SPAN: u64 = 1 << 16;
 
 /// Why a miter could not be built: the two modules do not present the
@@ -353,7 +353,7 @@ fn check_equivalence_inner(
     // One compilation, shared by every shard below.
     let compiled = Arc::new(CompiledNetlist::try_compile(&m)?);
     if total_bits < 64 && total_bits <= exhaustive_limit {
-        prove_exhaustive(&compiled, total_bits)
+        prove(&compiled, 1u64 << total_bits, Vectors::Exhaustive)
     } else {
         if total_bits >= 64 && exhaustive_limit >= 64 {
             eprintln!(
@@ -362,29 +362,58 @@ fn check_equivalence_inner(
                 m.name
             );
         }
-        prove_sampled(&compiled, samples)
+        prove(&compiled, samples as u64, Vectors::Sampled)
     }
 }
 
 /// One shard's outcome: its first counter-example, if any.
 type Shard = Result<Option<Vec<u64>>, SimError>;
 
-/// Exhaustive proof: all `2^total_bits` packed input vectors, 256 lanes
-/// per settle, sharded over fixed `EXHAUSTIVE_SPAN` ranges.
-fn prove_exhaustive(
+/// Where a proof's input vectors come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Vectors {
+    /// Every packed vector `0..2^total_bits`: vector `v` gives the ports
+    /// consecutive bit fields of `v`, first port lowest.
+    Exhaustive,
+    /// Deterministic pseudo-random vectors: xorshift draws per (vector,
+    /// port), seeded per span by `exec::task_seed`. The stream is a
+    /// function of the vector index alone, so the chunk width does not
+    /// shift it.
+    Sampled,
+}
+
+impl Vectors {
+    /// Vectors per [`exec::parallel_map`] work item.
+    fn span(self) -> u64 {
+        match self {
+            Vectors::Exhaustive => EXHAUSTIVE_SPAN,
+            Vectors::Sampled => SAMPLE_SPAN,
+        }
+    }
+}
+
+/// Tries `count` vectors from `source` on the compiled miter, 256 lanes
+/// per settle, sharded over fixed spans. Exhaustive over all `count`
+/// packed vectors it is a proof; sampled it is a falsification attempt.
+/// The first counter-example in vector order wins at any thread count.
+fn prove(
     compiled: &Arc<CompiledNetlist>,
-    total_bits: u32,
+    count: u64,
+    source: Vectors,
 ) -> Result<Equivalence, VerifyError> {
-    let count = 1u64 << total_bits;
     let widths: Vec<usize> = compiled.input_widths();
-    let spans: Vec<u64> = (0..count.div_ceil(EXHAUSTIVE_SPAN)).collect();
+    let span_len = source.span();
+    let spans: Vec<u64> = (0..count.div_ceil(span_len)).collect();
     let failures: Vec<Shard> = exec::parallel_map(&spans, |_, &span| {
         let mut sim: WideSim<VERIFY_W> = WideSim::new(Arc::clone(compiled));
         let mut lanes = LaneBuffer::new(widths.len());
         let mut settles = 0u64;
         let mut lane_vectors = 0u64;
-        let start = span * EXHAUSTIVE_SPAN;
-        let end = (start + EXHAUSTIVE_SPAN).min(count);
+        // xorshift needs a nonzero state; task_seed(root, span) == 0 is a
+        // 1-in-2^64 fluke but would freeze the stream entirely.
+        let mut state = exec::task_seed(SAMPLE_ROOT, span).max(1);
+        let start = span * span_len;
+        let end = (start + span_len).min(count);
         let mut base = start;
         let mut witness = None;
         while base < end {
@@ -392,8 +421,21 @@ fn prove_exhaustive(
             for lane in 0..n {
                 let mut rest = base + lane as u64;
                 for (p, &w) in widths.iter().enumerate() {
-                    lanes.per_port[p][lane] = rest & width_mask(w);
-                    rest >>= w;
+                    let value = match source {
+                        Vectors::Exhaustive => {
+                            let value = rest;
+                            rest >>= w;
+                            value
+                        }
+                        Vectors::Sampled => {
+                            // xorshift64.
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            state
+                        }
+                    };
+                    lanes.per_port[p][lane] = value & width_mask(w);
                 }
             }
             lanes.load(&mut sim, n)?;
@@ -414,68 +456,7 @@ fn prove_exhaustive(
         Some(values) => Equivalence::CounterExample(values),
         None => Equivalence::Equivalent {
             vectors: count as usize,
-            exhaustive: true,
-        },
-    })
-}
-
-/// Sampled falsification: `samples` deterministic pseudo-random vectors,
-/// 256 lanes per settle, sharded over fixed `SAMPLE_SPAN` ranges with
-/// per-span seed streams (`exec::task_seed`), so the tried vectors do not
-/// depend on the thread count. Draws advance per (vector, port) — the
-/// stream is a function of the vector index alone, so the chunk width
-/// does not shift it.
-fn prove_sampled(
-    compiled: &Arc<CompiledNetlist>,
-    samples: usize,
-) -> Result<Equivalence, VerifyError> {
-    let widths: Vec<usize> = compiled.input_widths();
-    let spans: Vec<usize> = (0..samples.div_ceil(SAMPLE_SPAN)).collect();
-    let failures: Vec<Shard> = exec::parallel_map(&spans, |_, &span| {
-        let mut sim: WideSim<VERIFY_W> = WideSim::new(Arc::clone(compiled));
-        let mut lanes = LaneBuffer::new(widths.len());
-        let mut settles = 0u64;
-        let mut lane_vectors = 0u64;
-        // xorshift needs a nonzero state; task_seed(root, span) == 0 is a
-        // 1-in-2^64 fluke but would freeze the stream entirely.
-        let mut state = exec::task_seed(SAMPLE_ROOT, span as u64).max(1);
-        let mut next = move || {
-            // xorshift64, seeded per span.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let start = span * SAMPLE_SPAN;
-        let end = (start + SAMPLE_SPAN).min(samples);
-        let mut base = start;
-        let mut witness = None;
-        while base < end {
-            let n = (end - base).min(VERIFY_LANES);
-            for lane in 0..n {
-                for (p, &w) in widths.iter().enumerate() {
-                    lanes.per_port[p][lane] = next() & width_mask(w);
-                }
-            }
-            lanes.load(&mut sim, n)?;
-            sim.settle();
-            settles += 1;
-            lane_vectors += n as u64;
-            if let Some(lane) = first_diff_lane(&sim, n) {
-                witness = Some(lanes.vector(lane));
-                break;
-            }
-            base += n;
-        }
-        record_settles(settles, lane_vectors);
-        Ok(witness)
-    });
-    let failures = failures.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(match failures.into_iter().flatten().next() {
-        Some(values) => Equivalence::CounterExample(values),
-        None => Equivalence::Equivalent {
-            vectors: samples,
-            exhaustive: false,
+            exhaustive: source == Vectors::Exhaustive,
         },
     })
 }

@@ -10,7 +10,6 @@
 //! cargo run --release --example robustness_audit [dataset]
 //! ```
 
-use printed_ml::analog::analyze_tree_variation;
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::ml::metrics::accuracy;
 use printed_ml::ml::synth::Application;
@@ -39,18 +38,13 @@ fn main() {
 
     // 1. Analog print tolerance.
     println!("1. printed-resistor tolerance (analog realization)");
-    let rows: Vec<Vec<u64>> = flow
-        .test
-        .x
-        .iter()
-        .take(150)
-        .map(|r| flow.fq.code_row(r))
-        .collect();
-    for sigma in [0.02, 0.05, 0.1, 0.2] {
-        let r = analyze_tree_variation(&flow.qt, &rows, sigma, 16, 7);
+    let reports = flow
+        .variation_sweep(&[0.02, 0.05, 0.1, 0.2], 16, 150, 7)
+        .expect("fixed sigmas, trials and rows are valid");
+    for r in reports {
         println!(
             "   sigma {:>4.0}%: mean agreement {:.3}, worst {:.3}",
-            sigma * 100.0,
+            r.sigma * 100.0,
             r.mean_agreement,
             r.worst_agreement
         );

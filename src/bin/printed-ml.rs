@@ -18,19 +18,12 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use printed_ml::analog::AnalogTreeConfig;
+use printed_ml::analog::{check_sigma, AnalogTreeConfig};
 use printed_ml::core::flow::{SvmArch, SvmFlow, TreeArch, TreeFlow};
 use printed_ml::core::LookupConfig;
 use printed_ml::ml::synth::Application;
 use printed_ml::netlist::{to_testbench, to_verilog};
 use printed_ml::pdk::Technology;
-
-/// Largest relative print-variation sigma `variation --svm` accepts. A
-/// Box–Muller normal from 53-bit uniforms stays within |z| < 8.6, so up
-/// to here every factor `exp(sigma * z)` and every crossbar weight ratio
-/// is finite and nonzero. Trees clamp each perturbed resistance to the
-/// transistor's range and take any finite sigma.
-const MAX_SVM_SIGMA: f64 = 10.0;
 
 fn usage() -> &'static str {
     "printed-ml — printed machine-learning classifier generator\n\
@@ -339,26 +332,21 @@ fn run() -> Result<(), String> {
                     Ok(())
                 }
                 "variation" => {
-                    let max_sigma = if is_svm { MAX_SVM_SIGMA } else { f64::MAX };
+                    // Checked here too, so a bad sigma fails before training.
                     let sigmas: Vec<f64> = flags
                         .get("sigmas")
                         .map(String::as_str)
                         .unwrap_or("0.02,0.05,0.1,0.2")
                         .split(',')
                         .map(|s| {
-                            s.trim()
-                                .parse::<f64>()
-                                .ok()
-                                .filter(|v| (0.0..=max_sigma).contains(v))
-                                .ok_or_else(|| {
-                                    if is_svm {
-                                        format!("bad sigma {s} (want 0 to {MAX_SVM_SIGMA})")
-                                    } else {
-                                        format!("bad sigma {s} (want a finite value >= 0)")
-                                    }
-                                })
+                            let v: f64 = s
+                                .trim()
+                                .parse()
+                                .map_err(|_| format!("bad sigma {s} (not a number)"))?;
+                            check_sigma(v, is_svm).map_err(|e| e.to_string())?;
+                            Ok(v)
                         })
-                        .collect::<Result<_, _>>()?;
+                        .collect::<Result<_, String>>()?;
                     let parse_n = |key: &str, default: usize| -> Result<usize, String> {
                         flags
                             .get(key)
@@ -395,6 +383,7 @@ fn run() -> Result<(), String> {
                         );
                         (model, flow.variation_sweep(&sigmas, trials, rows, seed))
                     };
+                    let reports = reports.map_err(|e| e.to_string())?;
                     println!("model: {model}; {trials} trials, seed {seed}");
                     println!(
                         "{:<8} {:>16} {:>17}",

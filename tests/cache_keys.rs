@@ -17,7 +17,6 @@ use printed_ml::core::flow::{ForestFlow, SvmFlow, TreeArch, TreeFlow};
 use printed_ml::ml::data::Dataset;
 use printed_ml::ml::linear::{LogisticRegression, SvmClassifier};
 use printed_ml::ml::mlp::{Mlp, MlpParams};
-use printed_ml::ml::search::{search_svm_params, search_tree_params};
 use printed_ml::ml::synth::Application;
 use printed_ml::netlist::analyze;
 use printed_ml::pdk::{CellLibrary, Technology};
@@ -53,19 +52,9 @@ const PINNED: &[&str] = &[
     "ml.forest.fit/fb2a9b47275fafc458b4845f9a60c495.json",
     "ml.lr.fit/bd26e68c8f960831943d6b7f0f959d9a.json",
     "ml.mlp.fit/803e63ffaccd4cae2fb5d178b44934f4.json",
-    "ml.search.svm/86584389031e5c41979b1d7e3557802a.json",
-    "ml.search.tree/4b1d0a5504115244b886c6b255686865.json",
-    "ml.svm.fit/6c6ac7a4203371c32c47c20db240bcd1.json",
-    "ml.svm.fit/75b34dc7effa6d8c363f363d5a6e1e3b.json",
     "ml.svm.fit/8e0f3c982d360897ee40664bd2c6ac7b.json",
-    "ml.svm.fit/9f19f58f6f94cd018fc1f9c1cc4007af.json",
-    "ml.svm.fit/fae642f5a3a84f74eed61be265134e56.json",
     "ml.svmc.fit/146ca23a3385aa6bf37ecd4a5b5efb0e.json",
-    "ml.tree.fit/21adbe7ce27d9167a1aedaedc4984240.json",
-    "ml.tree.fit/29fa1b545cd62344e67e419ed9cea867.json",
-    "ml.tree.fit/6d08291fab821700f55cbfc45a55749f.json",
     "ml.tree.fit/cc9e99fa1f85fdeb741cfb8d8c3bfb5e.json",
-    "ml.tree.fit/f02bffed7b429530da7ee48542b098fd.json",
     "netlist.opt/b6906c0ad9dfb01f766b129bebf858a2.json",
     "netlist.ppa/6421d5d179f2948601c8091f506de033.json",
     "netlist.ppa/b81402577562f44a584322a7d8968dcc.json",
@@ -86,10 +75,8 @@ fn every_cached_domain_keeps_its_key() {
     SvmFlow::new(Application::Har, 7);
     ForestFlow::new(Application::Har, 2, 7);
 
-    // The remaining trainers and searches, on fixed toy data.
+    // The remaining trainers, on fixed toy data.
     let data = toy();
-    search_tree_params(&data, 2, 2, 2, 7);
-    search_svm_params(&data, 2, 2, 7);
     SvmClassifier::fit(&data, 2, 0.01, 7);
     LogisticRegression::fit(&data, 2, 0.1);
     let mlp = MlpParams {

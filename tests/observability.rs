@@ -159,7 +159,7 @@ fn variation_paths_record_identical_obs_keys() {
     obs::reset();
     {
         let _root = obs::span("test.variation");
-        analog::analyze_tree_variation(&flow.qt, &rows, 0.1, 65, 7);
+        analog::variation_sweep(&flow.qt, &rows, &[0.1], 65, 7).unwrap();
     }
     let tree_report = obs::report();
 
@@ -170,7 +170,8 @@ fn variation_paths_record_identical_obs_keys() {
     obs::reset();
     {
         let _root = obs::span("test.variation");
-        analog::analyze_svm_variation(&svm_flow.qs, svm_flow.n_features, &svm_rows, 0.1, 65, 7);
+        let n = svm_flow.n_features;
+        analog::svm_variation_sweep(&svm_flow.qs, n, &svm_rows, &[0.1], 65, 7).unwrap();
     }
     let svm_report = obs::report();
 

@@ -2,10 +2,15 @@
 //! (`analog::compile`): every report must be **bit-identical** to the
 //! preserved scalar oracle (`analog::variation::reference`) across
 //! trial counts that straddle the 64-trial lane-block boundary and
-//! across thread counts, for both the tree and SVM analyzers.
+//! across thread counts, for both the tree and SVM sweeps. Each check
+//! runs one sweep over all its sigmas, so the tape and row binding the
+//! sweep shares across sigma points is what gets checked.
 
 use printed_ml::analog::compile::{CompiledSvmVariation, CompiledTreeVariation};
-use printed_ml::analog::variation::{self, reference};
+use printed_ml::analog::variation::{
+    reference, svm_variation_sweep, variation_sweep, VariationError, VariationReport,
+};
+use printed_ml::core::flow::{SvmFlow, TreeFlow};
 use printed_ml::exec::with_threads;
 use printed_ml::ml::data::Standardizer;
 use printed_ml::ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
@@ -45,21 +50,24 @@ fn svm_workload_at(bits: usize, n_rows: usize) -> (QuantizedSvm, Vec<Vec<u64>>) 
     (qs, rows)
 }
 
+/// The scalar oracle's report at each of `sigmas`.
+fn oracle(sigmas: &[f64], one: impl Fn(f64) -> VariationReport) -> Vec<VariationReport> {
+    sigmas.iter().map(|&sigma| one(sigma)).collect()
+}
+
 #[test]
 fn compiled_tree_reports_are_bit_identical_to_reference() {
     let (qt, rows) = tree_workload(Application::Har, 4, 6);
-    for sigma in [0.05, 0.3] {
-        for trials in TRIALS {
-            let oracle = reference::analyze_tree_variation(&qt, &rows, sigma, trials, 9);
-            for threads in THREADS {
-                let compiled = with_threads(threads, || {
-                    variation::analyze_tree_variation(&qt, &rows, sigma, trials, 9)
-                });
-                assert_eq!(
-                    compiled, oracle,
-                    "tree sigma {sigma} trials {trials} threads {threads}"
-                );
-            }
+    let sigmas = [0.05, 0.3];
+    for trials in TRIALS {
+        let oracle = oracle(&sigmas, |sigma| {
+            reference::analyze_tree_variation(&qt, &rows, sigma, trials, 9)
+        });
+        for threads in THREADS {
+            let compiled = with_threads(threads, || {
+                variation_sweep(&qt, &rows, &sigmas, trials, 9).unwrap()
+            });
+            assert_eq!(compiled, oracle, "tree trials {trials} threads {threads}");
         }
     }
 }
@@ -70,23 +78,21 @@ fn compiled_tree_matches_reference_on_a_deep_tree() {
     // draw only part of the tape. At sigma 1 most lanes also leave the
     // nominal path, so nearly every walk forks its lane mask.
     let (qt, rows) = tree_workload(Application::Pendigits, 8, 6);
-    let engine = CompiledTreeVariation::compile(&qt);
-    assert!(
-        engine.split_count() > 32,
-        "want a deep tree, got {} splits",
-        engine.split_count()
-    );
-    for sigma in [0.1, 1.0] {
-        for trials in [5, 65] {
-            let oracle = reference::analyze_tree_variation(&qt, &rows, sigma, trials, 21);
-            for threads in THREADS {
-                let compiled =
-                    with_threads(threads, || engine.analyze_rows(&rows, sigma, trials, 21));
-                assert_eq!(
-                    compiled, oracle,
-                    "deep tree sigma {sigma} trials {trials} threads {threads}"
-                );
-            }
+    let splits = CompiledTreeVariation::compile(&qt).split_count();
+    assert!(splits > 32, "want a deep tree, got {splits} splits");
+    let sigmas = [0.1, 1.0];
+    for trials in [5, 65] {
+        let oracle = oracle(&sigmas, |sigma| {
+            reference::analyze_tree_variation(&qt, &rows, sigma, trials, 21)
+        });
+        for threads in THREADS {
+            let compiled = with_threads(threads, || {
+                variation_sweep(&qt, &rows, &sigmas, trials, 21).unwrap()
+            });
+            assert_eq!(
+                compiled, oracle,
+                "deep tree trials {trials} threads {threads}"
+            );
         }
     }
 }
@@ -95,20 +101,21 @@ fn compiled_tree_matches_reference_on_a_deep_tree() {
 fn compiled_svm_reports_are_bit_identical_to_reference() {
     // The 4-bit quantizer gives each feature at most 16 voltage levels
     // over 120 rows, so its crossbars divide once per level, not per row.
+    let sigmas = [0.02, 0.3];
     for (bits, n_rows) in [(8, 60), (4, 120)] {
         let (qs, rows) = svm_workload_at(bits, n_rows);
-        for sigma in [0.02, 0.3] {
-            for trials in TRIALS {
-                let oracle = reference::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5);
-                for threads in THREADS {
-                    let compiled = with_threads(threads, || {
-                        variation::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5)
-                    });
-                    assert_eq!(
-                        compiled, oracle,
-                        "{bits}-bit svm sigma {sigma} trials {trials} threads {threads}"
-                    );
-                }
+        for trials in TRIALS {
+            let oracle = oracle(&sigmas, |sigma| {
+                reference::analyze_svm_variation(&qs, 11, &rows, sigma, trials, 5)
+            });
+            for threads in THREADS {
+                let compiled = with_threads(threads, || {
+                    svm_variation_sweep(&qs, 11, &rows, &sigmas, trials, 5).unwrap()
+                });
+                assert_eq!(
+                    compiled, oracle,
+                    "{bits}-bit svm trials {trials} threads {threads}"
+                );
             }
         }
     }
@@ -118,17 +125,54 @@ fn compiled_svm_reports_are_bit_identical_to_reference() {
 fn zero_sigma_agreement_is_perfect_in_both_engines() {
     let (qt, rows) = tree_workload(Application::Har, 4, 6);
     let oracle = reference::analyze_tree_variation(&qt, &rows, 0.0, 65, 3);
-    let compiled = variation::analyze_tree_variation(&qt, &rows, 0.0, 65, 3);
-    assert_eq!(compiled, oracle);
-    assert_eq!(compiled.mean_agreement, 1.0);
-    assert_eq!(compiled.worst_agreement, 1.0);
+    let compiled = variation_sweep(&qt, &rows, &[0.0], 65, 3).unwrap();
+    assert_eq!(compiled, [oracle]);
+    assert_eq!(compiled[0].mean_agreement, 1.0);
+    assert_eq!(compiled[0].worst_agreement, 1.0);
 
     let (qs, svm_rows) = svm_workload();
     let oracle = reference::analyze_svm_variation(&qs, 11, &svm_rows, 0.0, 65, 3);
-    let compiled = variation::analyze_svm_variation(&qs, 11, &svm_rows, 0.0, 65, 3);
-    assert_eq!(compiled, oracle);
-    assert_eq!(compiled.mean_agreement, 1.0);
-    assert_eq!(compiled.worst_agreement, 1.0);
+    let compiled = svm_variation_sweep(&qs, 11, &svm_rows, &[0.0], 65, 3).unwrap();
+    assert_eq!(compiled, [oracle]);
+    assert_eq!(compiled[0].mean_agreement, 1.0);
+    assert_eq!(compiled[0].worst_agreement, 1.0);
+}
+
+#[test]
+fn flow_sweeps_reject_bad_input_with_typed_errors() {
+    // Each of these used to panic in a pool worker or an `assert!`.
+    let tree = TreeFlow::new(Application::Har, 2, 7);
+    assert!(matches!(
+        tree.variation_sweep(&[f64::NAN], 8, 10, 7),
+        Err(VariationError::BadSigma(s)) if s.is_nan()
+    ));
+    assert_eq!(
+        tree.variation_sweep(&[0.1, -0.5], 8, 10, 7),
+        Err(VariationError::BadSigma(-0.5))
+    );
+    assert_eq!(
+        tree.variation_sweep(&[0.1], 0, 10, 7),
+        Err(VariationError::NoTrials)
+    );
+    assert_eq!(
+        tree.variation_sweep(&[0.1], 8, 0, 7),
+        Err(VariationError::NoRows)
+    );
+
+    let svm = SvmFlow::new(Application::RedWine, 7);
+    assert_eq!(
+        svm.variation_sweep(&[200.0], 8, 10, 7),
+        Err(VariationError::BadSvmSigma(200.0))
+    );
+    assert_eq!(
+        svm.variation_sweep(&[0.1], 0, 10, 7),
+        Err(VariationError::NoTrials)
+    );
+    assert_eq!(
+        svm.variation_sweep(&[0.1], 8, 0, 7),
+        Err(VariationError::NoRows)
+    );
+    assert!(svm.variation_sweep(&[0.0, 10.0], 8, 10, 7).is_ok());
 }
 
 #[test]

@@ -227,12 +227,13 @@ fn variation_reports_are_pinned_bit_for_bit() {
         for depth in [4, 8] {
             let flow = TreeFlow::new(app, depth, SEED);
             let rows = sampled_rows(&flow.test, &flow.fq, ROWS, SEED);
-            let reports = variation_sweep(&flow.qt, &rows, &SIGMAS, TRIALS, SEED);
+            let reports = variation_sweep(&flow.qt, &rows, &SIGMAS, TRIALS, SEED).unwrap();
             got.push(pin(format!("{}/DT-{depth}", app.name()), &reports));
         }
         let flow = SvmFlow::new(app, SEED);
         let rows = sampled_rows(&flow.test, &flow.fq, ROWS, SEED);
-        let reports = svm_variation_sweep(&flow.qs, flow.n_features, &rows, &SIGMAS, TRIALS, SEED);
+        let reports =
+            svm_variation_sweep(&flow.qs, flow.n_features, &rows, &SIGMAS, TRIALS, SEED).unwrap();
         got.push(pin(format!("{}/SVM", app.name()), &reports));
     }
     let pinned: Vec<Pin> = PINNED
