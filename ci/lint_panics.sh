@@ -12,11 +12,13 @@
 # fault grader's compile/cone.rs) check, the optimizer (opt.rs) and the
 # fanout pass (fanout.rs) rewrite, and the core flows (flow.rs,
 # signoff.rs) build and sign off, every architecture the CLI and the
-# benchmark reach, so they are held to the same rule. So are the analog
-# engine files the variation Monte-Carlo runs through (compile.rs,
-# variation.rs and the device, crossbar, SVM, tree and comparator
-# models); proto.rs, the fabricated-prototype models, is not yet. Every
-# ml file is: the flows train through all of them.
+# benchmark reach, so they are held to the same rule. So are the core
+# generators those flows call (the bespoke, lookup, forest, serial-SVM
+# and conventional-SVM generators and the shared helpers in lib.rs), the
+# analog engine files the variation Monte-Carlo runs through
+# (compile.rs, variation.rs and the device, crossbar, SVM, tree and
+# comparator models) and proto.rs, the fabricated-prototype models.
+# Every ml file is: the flows train through all of them.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -48,6 +50,16 @@ FILES=(
   crates/ml/src/tree.rs
   crates/core/src/flow.rs
   crates/core/src/signoff.rs
+  crates/core/src/lib.rs
+  crates/core/src/bespoke/parallel_tree.rs
+  crates/core/src/bespoke/serial_tree.rs
+  crates/core/src/bespoke/svm.rs
+  crates/core/src/lookup/mod.rs
+  crates/core/src/lookup/tree.rs
+  crates/core/src/lookup/svm.rs
+  crates/core/src/ensemble.rs
+  crates/core/src/extension/serial_svm.rs
+  crates/core/src/conventional/svm.rs
   crates/analog/src/compile.rs
   crates/analog/src/variation.rs
   crates/analog/src/device.rs
@@ -55,6 +67,7 @@ FILES=(
   crates/analog/src/svm.rs
   crates/analog/src/tree.rs
   crates/analog/src/comparator.rs
+  crates/analog/src/proto.rs
 )
 
 status=0

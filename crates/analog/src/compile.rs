@@ -39,12 +39,12 @@
 use exec::rng::StdRng;
 use exec::{parallel_map, task_seed};
 
-use ml::quant::{QNode, QuantizedSvm, QuantizedTree};
+use ml::quant::{max_code_for_bits, QNode, QuantizedSvm, QuantizedTree};
 
 use crate::device::{Egt, PrintedResistor, R_MIN};
 use crate::svm::AnalogSvm;
 use crate::tree::{AnalogTree, AnalogTreeConfig};
-use crate::variation::{lognormal_factor, max_code_for_bits, VariationReport};
+use crate::variation::{lognormal_factor, VariationReport};
 
 /// Trials evaluated per pass over the rows: one bit of a `u64` lane
 /// mask each.

@@ -51,6 +51,6 @@ pub use svm::AnalogSvm;
 pub use transient::{simulate_node, Stimulus, Waveform};
 pub use tree::{AnalogTree, AnalogTreeConfig};
 pub use variation::{
-    check_sigma, max_code_for_bits, svm_variation_sweep, variation_sweep, VariationError,
-    VariationReport, MAX_SVM_SIGMA,
+    check_sigma, svm_variation_sweep, variation_sweep, VariationError, VariationReport,
+    MAX_SVM_SIGMA,
 };

@@ -86,15 +86,18 @@ impl MultiLevelRom {
             (2.0 * VDD / 3.0, 0b10),
             (VDD, 0b11),
         ];
-        nominal
+        // `abs` never yields -0.0, so `total_cmp` is the numeric order on
+        // these distances; a NaN read-out decodes without a panic.
+        let distance = |level: f64| (level - voltage).abs();
+        nominal[1..]
             .iter()
-            .min_by(|a, b| {
-                (a.0 - voltage)
-                    .abs()
-                    .partial_cmp(&(b.0 - voltage).abs())
-                    .unwrap()
+            .fold(nominal[0], |best, &cand| {
+                if distance(cand.0).total_cmp(&distance(best.0)).is_lt() {
+                    cand
+                } else {
+                    best
+                }
             })
-            .unwrap()
             .1
     }
 
@@ -233,6 +236,26 @@ mod tests {
             for noise in [-0.08, 0.0, 0.08] {
                 assert_eq!(rom.decode((v + noise).clamp(0.0, 1.0)), rom.read(row));
             }
+        }
+    }
+
+    #[test]
+    fn nan_decodes_without_a_panic_and_levels_decode_as_before() {
+        let rom = MultiLevelRom::paper_prototype();
+        assert!(rom.decode(f64::NAN) < 4);
+        // The `partial_cmp` nearest-level search `decode` used to run,
+        // over every level, the midpoints between them and out-of-range
+        // read-outs.
+        let nominal = [0.0, VDD / 3.0, 2.0 * VDD / 3.0, VDD];
+        let before = |v: f64| {
+            let d = |i: usize| (nominal[i] - v).abs();
+            (0..4)
+                .min_by(|&a, &b| d(a).partial_cmp(&d(b)).expect("finite"))
+                .expect("four levels") as u8
+        };
+        for step in -40..=140 {
+            let v = f64::from(step) * VDD / 120.0;
+            assert_eq!(rom.decode(v), before(v), "{v}");
         }
     }
 

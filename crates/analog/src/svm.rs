@@ -43,7 +43,7 @@ pub struct AnalogSvm {
 impl AnalogSvm {
     /// Programs crossbar columns realizing a quantized SVM regressor.
     pub fn from_svm(svm: &QuantizedSvm, n_features: usize) -> Self {
-        let max_code = crate::variation::max_code_for_bits(svm.bits());
+        let max_code = ml::quant::max_code_for_bits(svm.bits());
         let column = |terms: &[(usize, u64)]| -> (Option<CrossbarColumn>, f64) {
             if terms.is_empty() {
                 return (None, 0.0);

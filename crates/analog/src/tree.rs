@@ -72,7 +72,7 @@ impl AnalogTree {
     /// threshold resistor is derived for the voltage midway between the
     /// threshold code and its successor.
     pub fn from_tree(tree: &QuantizedTree, config: AnalogTreeConfig) -> Self {
-        let max_code = crate::variation::max_code_for_bits(tree.bits());
+        let max_code = ml::quant::max_code_for_bits(tree.bits());
         let mut nodes = Vec::new();
         let root = build(tree, 0, 0, max_code, config, &mut nodes);
         let (root, constant_class) = match root {

@@ -32,19 +32,6 @@ use ml::quant::{QuantizedSvm, QuantizedTree};
 
 use crate::compile::{CompiledSvmVariation, CompiledTreeVariation};
 
-/// Largest representable feature code for a `bits`-wide quantizer,
-/// clamped so `bits >= 64` saturates instead of overflowing the shift
-/// (the same treatment `netlist::verify` gives exhaustive input spans).
-///
-/// `bits` must be at least 1 (a 0-bit code space has no codes to
-/// normalize against; `FeatureQuantizer` already rejects it).
-///
-/// Thin re-export of [`ml::quant::max_code_for_bits`], the single
-/// source of truth for code-space bounds.
-pub fn max_code_for_bits(bits: usize) -> u64 {
-    ml::quant::max_code_for_bits(bits)
-}
-
 /// Draws one log-normal perturbation factor `exp(sigma * z)`, with `z`
 /// standard normal via Box–Muller over the deterministic `StdRng`
 /// stream (two `next_f64` draws per factor).
@@ -217,9 +204,9 @@ pub mod reference {
     use exec::rng::StdRng;
     use exec::{parallel_map, task_seed};
 
-    use ml::quant::{QNode, QuantizedTree};
+    use ml::quant::{max_code_for_bits, QNode, QuantizedTree};
 
-    use super::{lognormal_factor, max_code_for_bits, VariationReport};
+    use super::{lognormal_factor, VariationReport};
     use crate::device::Egt;
     use crate::tree::{AnalogTree, AnalogTreeConfig};
 
@@ -420,18 +407,6 @@ mod tests {
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let rows: Vec<Vec<u64>> = test.x.iter().take(100).map(|r| fq.code_row(r)).collect();
         (qt, rows)
-    }
-
-    #[test]
-    fn max_code_saturates_at_the_shift_boundary() {
-        assert_eq!(max_code_for_bits(1), 1);
-        assert_eq!(max_code_for_bits(6), 63);
-        assert_eq!(max_code_for_bits(16), 65_535);
-        assert_eq!(max_code_for_bits(63), (1u64 << 63) - 1);
-        // bits >= 64 used to overflow the shift (panic in debug, wrap to
-        // max_code == 0 in release); now saturates.
-        assert_eq!(max_code_for_bits(64), u64::MAX);
-        assert_eq!(max_code_for_bits(200), u64::MAX);
     }
 
     #[test]

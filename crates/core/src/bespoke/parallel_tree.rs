@@ -9,19 +9,15 @@
 //! trees in EGT, and — unlike the conventional case — *strictly better*
 //! than its serial sibling.
 
+use std::collections::HashMap;
+
 use ml::quant::{QNode, QuantizedTree};
 use netlist::builder::NetlistBuilder;
 use netlist::comb::unsigned_gt;
 use netlist::ir::{Module, Signal};
 use netlist::optimize;
 
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use crate::ceil_log2;
 
 /// Generates the bespoke parallel tree for `tree` (post-optimization).
 ///
@@ -37,52 +33,78 @@ pub fn bespoke_parallel(tree: &QuantizedTree) -> Module {
 /// netlist against this structural original.
 pub fn bespoke_parallel_raw(tree: &QuantizedTree) -> Module {
     let mut b = NetlistBuilder::new("bespoke_parallel_tree");
-    let used = tree.used_features();
-    let feature_ports: Vec<Vec<Signal>> = used
-        .iter()
-        .enumerate()
-        .map(|(slot, _)| b.input(format!("f{slot}"), tree.bits()))
-        .collect();
-    let slot_of = |feature: usize| {
-        used.iter()
-            .position(|&f| f == feature)
-            .expect("used feature")
-    };
+    let ports = slot_ports(&mut b, tree);
     let class_bits = ceil_log2(tree.n_classes());
-
-    fn emit(
-        b: &mut NetlistBuilder,
-        tree: &QuantizedTree,
-        node: usize,
-        feature_ports: &[Vec<Signal>],
-        slot_of: &dyn Fn(usize) -> usize,
-        class_bits: usize,
-    ) -> Vec<Signal> {
-        match &tree.nodes()[node] {
-            QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-            QNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                let x = &feature_ports[slot_of(*feature)];
-                let tau = b.const_word(*threshold, x.len());
-                b.push_region("compare");
-                let r = unsigned_gt(b, x, &tau);
-                b.pop_region();
-                let l = emit(b, tree, *left, feature_ports, slot_of, class_bits);
-                let rgt = emit(b, tree, *right, feature_ports, slot_of, class_bits);
-                b.push_region("select");
-                let out = b.mux_word(r, &l, &rgt);
-                b.pop_region();
-                out
-            }
-        }
-    }
-    let class = emit(&mut b, tree, 0, &feature_ports, &slot_of, class_bits);
+    let class = select_class(
+        &mut b,
+        tree,
+        0,
+        class_bits,
+        "select",
+        &mut |b, _, feature, threshold| {
+            b.push_region("compare");
+            let r = compare(b, &ports[&feature], threshold);
+            b.pop_region();
+            r
+        },
+    );
     b.output("class", &class);
     b.finish()
+}
+
+/// Declares the single-tree input ports, `f{slot}` per used feature in
+/// [`QuantizedTree::used_features`] order, keyed by feature.
+pub(crate) fn slot_ports(
+    b: &mut NetlistBuilder,
+    tree: &QuantizedTree,
+) -> HashMap<usize, Vec<Signal>> {
+    let used = tree.used_features().into_iter().enumerate();
+    used.map(|(slot, f)| (f, b.input(format!("f{slot}"), tree.bits())))
+        .collect()
+}
+
+/// The hardwired node comparator `x > τ`.
+pub(crate) fn compare(b: &mut NetlistBuilder, x: &[Signal], threshold: u64) -> Signal {
+    let tau = b.const_word(threshold, x.len());
+    unsigned_gt(b, x, &tau)
+}
+
+/// Emits the class-select mux tree of `tree`'s subtree at `node` (0 for
+/// the whole tree) and returns its `class_bits`-wide class word: leaves
+/// are constant class codes, and each split muxes its right subtree's
+/// word over its left one when its decision bit is set.
+///
+/// `decide(b, node, feature, threshold)` makes a split's decision bit; it
+/// runs before the split's subtrees are emitted. The muxes are tagged
+/// `mux_region`.
+pub(crate) fn select_class<F>(
+    b: &mut NetlistBuilder,
+    tree: &QuantizedTree,
+    node: usize,
+    class_bits: usize,
+    mux_region: &str,
+    decide: &mut F,
+) -> Vec<Signal>
+where
+    F: FnMut(&mut NetlistBuilder, usize, usize, u64) -> Signal,
+{
+    match tree.nodes()[node] {
+        QNode::Leaf { class } => b.const_word(class as u64, class_bits),
+        QNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } => {
+            let r = decide(b, node, feature, threshold);
+            let l = select_class(b, tree, left, class_bits, mux_region, decide);
+            let rgt = select_class(b, tree, right, class_bits, mux_region, decide);
+            b.push_region(mux_region);
+            let out = b.mux_word(r, &l, &rgt);
+            b.pop_region();
+            out
+        }
+    }
 }
 
 #[cfg(test)]

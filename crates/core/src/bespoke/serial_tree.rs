@@ -12,6 +12,7 @@ use netlist::ir::Module;
 use netlist::optimize;
 use pdk::rom::RomStyle;
 
+use crate::ceil_log2;
 use crate::conventional::serial_tree::{generate, program, SerialTreeSpec};
 
 /// Derives the bespoke engine dimensions for a trained tree.
@@ -29,14 +30,6 @@ pub fn bespoke_spec(tree: &QuantizedTree) -> SerialTreeSpec {
         tau_bits,
         input_registers: false,
         rom_style: RomStyle::Crossbar,
-    }
-}
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
     }
 }
 

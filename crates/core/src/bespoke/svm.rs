@@ -9,7 +9,9 @@
 //! each boundary test `P − N > B` becomes `P > N + B` with the constant
 //! folded in.
 
-use ml::quant::QuantizedSvm;
+use std::collections::HashMap;
+
+use ml::quant::{max_code_for_bits, QuantizedSvm};
 use netlist::arith::{add, adder_tree, const_multiply};
 use netlist::builder::NetlistBuilder;
 use netlist::comb::unsigned_gt;
@@ -33,93 +35,98 @@ pub fn bespoke_svm(svm: &QuantizedSvm) -> Module {
 /// `--verify` flow equivalence-checks [`bespoke_svm`]'s rewritten netlist
 /// against.
 pub fn bespoke_svm_raw(svm: &QuantizedSvm) -> Module {
-    let mut b = NetlistBuilder::new("bespoke_svm");
-    let width = svm.bits();
+    svm_engine("bespoke_svm", svm, const_multiply)
+}
 
-    // One port per live feature.
-    let mut live: Vec<usize> = svm
-        .pos_terms()
-        .iter()
-        .chain(svm.neg_terms())
-        .map(|&(f, _)| f)
-        .collect();
-    live.sort_unstable();
-    live.dedup();
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = live
-        .iter()
-        .map(|&f| (f, b.input(format!("x{f}"), width)))
-        .collect();
-
-    // Value bounds decide the common comparison width.
-    let max_code: u128 = (1u128 << width) - 1;
-    let max_p: u128 = svm
-        .pos_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_n: u128 = svm
-        .neg_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_b: u128 = svm
-        .boundaries()
-        .iter()
-        .map(|&v| v.unsigned_abs() as u128)
-        .max()
-        .unwrap_or(0);
-    let max_val = max_p.max(max_n + max_b).max(1);
-    let cmp_width = (128 - max_val.leading_zeros() as usize) + 1;
-
-    let tree_for = |b: &mut NetlistBuilder, terms: &[(usize, u64)]| -> Vec<Signal> {
+/// The fully parallel SVM datapath: one `x{f}` port per live feature,
+/// one `product(b, x, m)` per coefficient term, adder trees `P` and `N`,
+/// and the class mapper driving the `class` and `therm` outputs.
+pub(crate) fn svm_engine(
+    name: &str,
+    svm: &QuantizedSvm,
+    mut product: impl FnMut(&mut NetlistBuilder, &[Signal], u64) -> Vec<Signal>,
+) -> Module {
+    let mut b = NetlistBuilder::new(name);
+    let ports = live_ports(&mut b, svm);
+    let width = comparison_width(svm);
+    let mut tree_for = |b: &mut NetlistBuilder, terms: &[(usize, u64)]| -> Vec<Signal> {
         if terms.is_empty() {
-            return b.const_word(0, cmp_width);
+            return b.const_word(0, width);
         }
         let products: Vec<Vec<Signal>> = terms
             .iter()
-            .map(|&(f, m)| const_multiply(b, &ports[&f], m))
+            .map(|&(f, m)| product(b, &ports[&f], m))
             .collect();
         let mut sum = adder_tree(b, &products);
-        sum.resize(cmp_width, Signal::ZERO);
+        sum.resize(width, Signal::ZERO);
         sum
     };
     let p = tree_for(&mut b, svm.pos_terms());
     let n = tree_for(&mut b, svm.neg_terms());
-
-    // Boundary tests: P − N > B_c, kept unsigned by moving the constant.
-    let mut therm = Vec::with_capacity(svm.boundaries().len());
-    for &boundary in svm.boundaries() {
-        let t = if boundary >= 0 {
-            let bconst = b.const_word(boundary as u64, cmp_width);
-            let mut rhs = add(&mut b, &n, &bconst);
-            rhs.resize(cmp_width + 1, Signal::ZERO);
-            let mut lhs = p.clone();
-            lhs.resize(cmp_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        } else {
-            let bconst = b.const_word(boundary.unsigned_abs(), cmp_width);
-            let mut lhs = add(&mut b, &p, &bconst);
-            lhs.resize(cmp_width + 1, Signal::ZERO);
-            let mut rhs = n.clone();
-            rhs.resize(cmp_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        };
-        therm.push(t);
-    }
-
-    let class = if therm.is_empty() {
-        b.const_word(0, 1)
-    } else {
-        popcount(&mut b, &therm)
-    };
+    let (class, therm) = class_mapper(&mut b, svm.boundaries(), &p, &n);
     b.output("class", &class);
-    let therm_out = if therm.is_empty() {
-        vec![Signal::ZERO]
-    } else {
-        therm
-    };
-    b.output("therm", &therm_out);
+    b.output("therm", &therm);
     b.finish()
+}
+
+/// Declares one `x{f}` input per feature with a non-zero trained
+/// coefficient, in ascending feature order, keyed by feature.
+pub(crate) fn live_ports(
+    b: &mut NetlistBuilder,
+    svm: &QuantizedSvm,
+) -> HashMap<usize, Vec<Signal>> {
+    let terms = svm.pos_terms().iter().chain(svm.neg_terms());
+    let mut live: Vec<usize> = terms.map(|&(f, _)| f).collect();
+    live.sort_unstable();
+    live.dedup();
+    live.into_iter()
+        .map(|f| (f, b.input(format!("x{f}"), svm.bits())))
+        .collect()
+}
+
+/// Width of the `P` and `N` sums: wide enough for the largest of `P` and
+/// `N + |B|` over the whole code space, plus one guard bit.
+pub(crate) fn comparison_width(svm: &QuantizedSvm) -> usize {
+    let max_code = u128::from(max_code_for_bits(svm.bits()));
+    let bound =
+        |terms: &[(usize, u64)]| -> u128 { terms.iter().map(|&(_, m)| m as u128 * max_code).sum() };
+    let max_b = svm.boundaries().iter().map(|&v| v.unsigned_abs() as u128);
+    let max_val = bound(svm.pos_terms())
+        .max(bound(svm.neg_terms()) + max_b.max().unwrap_or(0))
+        .max(1);
+    (128 - max_val.leading_zeros() as usize) + 1
+}
+
+/// The class mapper: one boundary test `P − N > B_c` per boundary, kept
+/// unsigned by moving the constant to the side that keeps it positive,
+/// and a population count of the thermometer bits. `p` and `n` share one
+/// width. Returns the `class` and `therm` output words.
+pub(crate) fn class_mapper(
+    b: &mut NetlistBuilder,
+    boundaries: &[i64],
+    p: &[Signal],
+    n: &[Signal],
+) -> (Vec<Signal>, Vec<Signal>) {
+    let width = p.len();
+    let therm: Vec<Signal> = boundaries
+        .iter()
+        .map(|&boundary| {
+            let bconst = b.const_word(boundary.unsigned_abs(), width);
+            let (mut lhs, mut rhs) = if boundary >= 0 {
+                (p.to_vec(), add(b, n, &bconst))
+            } else {
+                (add(b, p, &bconst), n.to_vec())
+            };
+            lhs.resize(width + 1, Signal::ZERO);
+            rhs.resize(width + 1, Signal::ZERO);
+            unsigned_gt(b, &lhs, &rhs)
+        })
+        .collect();
+    if therm.is_empty() {
+        (b.const_word(0, 1), vec![Signal::ZERO])
+    } else {
+        (popcount(b, &therm), therm)
+    }
 }
 
 #[cfg(test)]

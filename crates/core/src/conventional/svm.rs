@@ -10,6 +10,8 @@ use netlist::builder::NetlistBuilder;
 use netlist::comb::unsigned_gt;
 use netlist::ir::{Module, Signal};
 
+use crate::ceil_log2;
+
 /// Structural parameters of a conventional SVM engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmSpec {
@@ -34,12 +36,8 @@ impl SvmSpec {
 
     /// Width of the dot-product accumulator.
     pub fn sum_width(&self) -> usize {
-        2 * self.width + ceil_log2(self.n_features.max(2))
+        2 * self.width + ceil_log2(self.n_features)
     }
-}
-
-fn ceil_log2(n: usize) -> usize {
-    (usize::BITS - (n - 1).leading_zeros()) as usize
 }
 
 /// Generates the conventional SVM engine.

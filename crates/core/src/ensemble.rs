@@ -10,49 +10,16 @@
 
 use std::collections::HashMap;
 
-use ml::quant::{QNode, QuantizedForest, QuantizedTree};
+use ml::quant::QuantizedForest;
 use netlist::builder::NetlistBuilder;
 use netlist::comb::{equals, unsigned_gt};
 use netlist::ir::{Module, Signal};
 use netlist::optimize;
 
+use crate::bespoke::parallel_tree::{compare, select_class};
+use crate::ceil_log2;
 use crate::conventional::svm::popcount;
-use crate::lookup::{emit_lut, LookupConfig};
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
-
-/// Emits one bespoke tree's class word (shared with the parallel-tree
-/// generator's structure, but against a shared feature-port map).
-fn emit_tree(
-    b: &mut NetlistBuilder,
-    tree: &QuantizedTree,
-    node: usize,
-    ports: &std::collections::HashMap<usize, Vec<Signal>>,
-    class_bits: usize,
-) -> Vec<Signal> {
-    match &tree.nodes()[node] {
-        QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-        QNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            let x = ports[feature].clone();
-            let tau = b.const_word(*threshold, x.len());
-            let r = unsigned_gt(b, &x, &tau);
-            let l = emit_tree(b, tree, *left, ports, class_bits);
-            let rgt = emit_tree(b, tree, *right, ports, class_bits);
-            b.mux_word(r, &l, &rgt)
-        }
-    }
-}
+use crate::lookup::{lookup_decisions, LookupConfig};
 
 /// Comparator implementation of a forest engine's decision nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,91 +49,43 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
         ForestStyle::Lookup(_) => "lookup_forest",
     });
     let class_bits = ceil_log2(forest.n_classes());
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = forest
+    let ports: HashMap<usize, Vec<Signal>> = forest
         .used_features()
         .into_iter()
-        .map(|f| {
-            let port = b.input(format!("f{f}"), forest.bits());
-            (f, port)
-        })
+        .map(|f| (f, b.input(format!("f{f}"), forest.bits())))
         .collect();
 
     // Every tree evaluates concurrently.
     b.push_region("trees");
-    let tree_classes: Vec<Vec<Signal>> = match style {
-        ForestStyle::Bespoke => forest
-            .trees()
-            .iter()
-            .map(|t| emit_tree(&mut b, t, 0, &ports, class_bits))
-            .collect(),
-        ForestStyle::Lookup(config) => {
-            // Cross-tree decoder sharing: one LUT per feature covering the
-            // thresholds of EVERY member tree.
-            let words = 1usize << forest.bits();
-            let mut groups: HashMap<usize, Vec<(usize, usize, u64)>> = HashMap::new();
-            for (ti, tree) in forest.trees().iter().enumerate() {
-                for (ni, node) in tree.nodes().iter().enumerate() {
-                    if let QNode::Split {
-                        feature, threshold, ..
-                    } = node
-                    {
-                        groups
-                            .entry(*feature)
-                            .or_default()
-                            .push((ti, ni, *threshold));
-                    }
-                }
-            }
-            let mut decision: HashMap<(usize, usize), Signal> = HashMap::new();
-            let mut features: Vec<_> = groups.into_iter().collect();
-            features.sort_by_key(|(f, _)| *f);
-            for (feature, nodes) in features {
-                // A ROM word carries at most 64 columns; very popular
-                // features split across multiple LUTs (each chunk still
-                // shares one decoder).
-                for chunk in nodes.chunks(64) {
-                    let contents: Vec<u64> = (0..words as u64)
-                        .map(|code| {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .fold(0u64, |acc, (j, &(_, _, tau))| {
-                                    acc | (((code > tau) as u64) << j)
-                                })
-                        })
-                        .collect();
-                    let outs = emit_lut(&mut b, &ports[&feature], &contents, chunk.len(), config);
-                    for (j, &(ti, ni, _)) in chunk.iter().enumerate() {
-                        decision.insert((ti, ni), outs[j]);
-                    }
-                }
-            }
-            fn emit_lookup_tree(
-                b: &mut NetlistBuilder,
-                tree: &QuantizedTree,
-                ti: usize,
-                node: usize,
-                decision: &HashMap<(usize, usize), Signal>,
-                class_bits: usize,
-            ) -> Vec<Signal> {
-                match &tree.nodes()[node] {
-                    QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-                    QNode::Split { left, right, .. } => {
-                        let r = decision[&(ti, node)];
-                        let l = emit_lookup_tree(b, tree, ti, *left, decision, class_bits);
-                        let rg = emit_lookup_tree(b, tree, ti, *right, decision, class_bits);
-                        b.mux_word(r, &l, &rg)
-                    }
-                }
-            }
-            forest
-                .trees()
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| emit_lookup_tree(&mut b, t, ti, 0, &decision, class_bits))
-                .collect()
-        }
+    let decision = match style {
+        ForestStyle::Bespoke => None,
+        // Cross-tree decoder sharing: one LUT per feature covering the
+        // thresholds of EVERY member tree.
+        ForestStyle::Lookup(config) => Some(lookup_decisions(
+            &mut b,
+            forest.trees(),
+            |f| &ports[&f],
+            config,
+        )),
     };
+    let tree_classes: Vec<Vec<Signal>> = forest
+        .trees()
+        .iter()
+        .enumerate()
+        .map(|(ti, tree)| {
+            select_class(
+                &mut b,
+                tree,
+                0,
+                class_bits,
+                "trees",
+                &mut |b, node, feature, threshold| match &decision {
+                    Some(decision) => decision[ti][node],
+                    None => compare(b, &ports[&feature], threshold),
+                },
+            )
+        })
+        .collect();
     b.pop_region();
 
     // Vote counters: per class, match each tree's output against the

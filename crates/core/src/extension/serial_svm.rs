@@ -17,21 +17,13 @@
 use ml::quant::QuantizedSvm;
 use netlist::arith::{add, multiply};
 use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
 use netlist::ir::{Module, Signal};
 use netlist::optimize;
 use netlist::seq::shift_register;
 use pdk::rom::RomStyle;
 
-use crate::conventional::svm::popcount;
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use crate::bespoke::svm::{class_mapper, comparison_width, live_ports};
+use crate::ceil_log2;
 
 /// Dimensions of a generated serial SVM engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,34 +53,10 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
         .chain(svm.neg_terms().iter().map(|&(f, m)| (f, m, false)))
         .collect();
     let cycles = terms.len().max(1);
-
-    let max_code: u128 = (1u128 << width) - 1;
-    let max_p: u128 = svm
-        .pos_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_n: u128 = svm
-        .neg_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_b: u128 = svm
-        .boundaries()
-        .iter()
-        .map(|&v| v.unsigned_abs() as u128)
-        .max()
-        .unwrap_or(0);
-    let acc_width = (128 - (max_p.max(max_n + max_b).max(1)).leading_zeros() as usize) + 1;
+    let acc_width = comparison_width(svm);
 
     let mut b = NetlistBuilder::new("serial_svm");
-    let mut live: Vec<usize> = terms.iter().map(|&(f, _, _)| f).collect();
-    live.sort_unstable();
-    live.dedup();
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = live
-        .iter()
-        .map(|&f| (f, b.input(format!("x{f}"), width)))
-        .collect();
+    let ports = live_ports(&mut b, svm);
 
     // Step counter as a one-hot walking shift register (cheap decode, the
     // same trick as the serial tree's node pointer).
@@ -113,7 +81,7 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
         .max(1);
     b.push_region("coefficients");
     // Binary step index from one-hot: OR of the one-hot lines per bit.
-    let idx_bits = ceil_log2(cycles.max(2));
+    let idx_bits = ceil_log2(cycles);
     let idx: Vec<Signal> = (0..idx_bits)
         .map(|bit| {
             let contributors: Vec<Signal> = (0..cycles)
@@ -170,39 +138,11 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
 
     // Class mapper (combinational, valid when done).
     b.push_region("classmap");
-    let mut therm = Vec::with_capacity(svm.boundaries().len());
-    for &boundary in svm.boundaries() {
-        let t = if boundary >= 0 {
-            let bc = b.const_word(boundary as u64, acc_width);
-            let mut rhs = add(&mut b, &n_reg, &bc);
-            rhs.resize(acc_width + 1, Signal::ZERO);
-            let mut lhs = p_reg.clone();
-            lhs.resize(acc_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        } else {
-            let bc = b.const_word(boundary.unsigned_abs(), acc_width);
-            let mut lhs = add(&mut b, &p_reg, &bc);
-            lhs.resize(acc_width + 1, Signal::ZERO);
-            let mut rhs = n_reg.clone();
-            rhs.resize(acc_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        };
-        therm.push(t);
-    }
-    let class = if therm.is_empty() {
-        b.const_word(0, 1)
-    } else {
-        popcount(&mut b, &therm)
-    };
+    let (class, therm) = class_mapper(&mut b, svm.boundaries(), &p_reg, &n_reg);
     b.pop_region();
 
     b.output("class", &class);
-    let therm_out = if therm.is_empty() {
-        vec![Signal::ZERO]
-    } else {
-        therm
-    };
-    b.output("therm", &therm_out);
+    b.output("therm", &therm);
     b.output("done", &[done]);
     let module = optimize(&b.finish());
     (
@@ -253,6 +193,32 @@ mod tests {
             }
             sim.settle();
             assert_eq!(sim.get("done"), 1, "done after {} cycles", info.cycles);
+            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+        }
+    }
+
+    #[test]
+    fn schedules_longer_than_a_machine_word_keep_one_walking_step() {
+        // GasId keeps more than 64 coefficient terms at 8 bits, so the
+        // one-hot step register is longer than its u64 power-on word.
+        let (qs, fq, test) = setup(Application::GasId, 8);
+        let (module, info) = serial_svm(&qs);
+        assert!(info.cycles > 64, "{} cycles", info.cycles);
+        let mut sim = Simulator::new(&module);
+        for row in test.x.iter().take(4) {
+            let codes = fq.code_row(row);
+            sim.reset();
+            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
+                sim.set(&format!("x{f}"), codes[f]);
+            }
+            for _ in 0..info.cycles - 1 {
+                sim.step();
+            }
+            sim.settle();
+            assert_eq!(sim.get("done"), 0, "done before the last term");
+            sim.step();
+            sim.settle();
+            assert_eq!(sim.get("done"), 1);
             assert_eq!(sim.get("class") as usize, qs.predict(&codes));
         }
     }

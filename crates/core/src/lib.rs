@@ -58,6 +58,15 @@ pub(crate) fn record_generated(m: netlist::Module) -> netlist::Module {
     m
 }
 
+/// Bits needed to tell `n` values apart, at least one.
+pub(crate) fn ceil_log2(n: usize) -> usize {
+    if n <= 2 {
+        1
+    } else {
+        (usize::BITS - (n - 1).leading_zeros()) as usize
+    }
+}
+
 pub use bitwidth::{choose_svm_width, choose_tree_width, WidthChoice, WIDTHS};
 pub use ensemble::{bespoke_forest, forest_engine, ForestStyle};
 pub use estimate::{estimate, ComponentCosts, CostEstimate};

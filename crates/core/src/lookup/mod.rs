@@ -21,6 +21,9 @@ pub mod tree;
 pub use svm::{lookup_svm, lookup_svm_raw};
 pub use tree::{lookup_parallel, lookup_parallel_raw};
 
+use std::collections::BTreeMap;
+
+use ml::quant::{QNode, QuantizedTree};
 use netlist::builder::NetlistBuilder;
 use netlist::ir::Signal;
 use pdk::rom::RomStyle;
@@ -117,6 +120,55 @@ pub(crate) fn emit_lut(
             Column::Unique(j) => outputs[*j],
         })
         .collect()
+}
+
+/// Replaces the comparators of `trees` by shared-decoder lookup tables:
+/// one LUT per tested feature, addressed by `port(feature)`, whose column
+/// `j` stores `code > τ_j` for the `j`-th split testing that feature
+/// (trees in order, nodes in index order). A ROM word carries at most 64
+/// columns, so very popular features split across several LUTs, each
+/// still sharing one decoder.
+///
+/// Returns each split's decision bit, indexed `[tree][node]` (leaf
+/// entries are unused).
+pub(crate) fn lookup_decisions<'p>(
+    b: &mut NetlistBuilder,
+    trees: &[QuantizedTree],
+    port: impl Fn(usize) -> &'p [Signal],
+    config: LookupConfig,
+) -> Vec<Vec<Signal>> {
+    let mut groups: BTreeMap<usize, Vec<(usize, usize, u64)>> = BTreeMap::new();
+    for (ti, tree) in trees.iter().enumerate() {
+        for (ni, node) in tree.nodes().iter().enumerate() {
+            if let QNode::Split {
+                feature, threshold, ..
+            } = *node
+            {
+                groups.entry(feature).or_default().push((ti, ni, threshold));
+            }
+        }
+    }
+    let mut decision: Vec<Vec<Signal>> = trees
+        .iter()
+        .map(|t| vec![Signal::ZERO; t.nodes().len()])
+        .collect();
+    for (feature, nodes) in groups {
+        let addr = port(feature);
+        for chunk in nodes.chunks(64) {
+            let contents: Vec<u64> = (0..1u64 << addr.len())
+                .map(|code| {
+                    chunk.iter().enumerate().fold(0, |acc, (j, &(_, _, tau))| {
+                        acc | (((code > tau) as u64) << j)
+                    })
+                })
+                .collect();
+            let outs = emit_lut(b, addr, &contents, chunk.len(), config);
+            for (&(ti, ni, _), &out) in chunk.iter().zip(&outs) {
+                decision[ti][ni] = out;
+            }
+        }
+    }
+    decision
 }
 
 #[cfg(test)]

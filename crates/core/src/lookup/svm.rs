@@ -9,14 +9,11 @@
 //! bits) and dot-resistor arrays only pay for set bits.
 
 use ml::quant::QuantizedSvm;
-use netlist::arith::{add, adder_tree};
-use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
-use netlist::ir::{Module, Signal};
+use netlist::ir::Module;
 use netlist::optimize;
 
 use super::{emit_lut, LookupConfig};
-use crate::conventional::svm::popcount;
+use crate::bespoke::svm::svm_engine;
 
 /// Generates the lookup-based SVM engine (post-optimization).
 ///
@@ -31,94 +28,13 @@ pub fn lookup_svm(svm: &QuantizedSvm, config: LookupConfig) -> Module {
 /// `--verify` flow equivalence-checks [`lookup_svm`]'s rewritten netlist
 /// against.
 pub fn lookup_svm_raw(svm: &QuantizedSvm, config: LookupConfig) -> Module {
-    let mut b = NetlistBuilder::new("lookup_svm");
-    let width = svm.bits();
-    let words = 1usize << width;
-
-    let mut live: Vec<usize> = svm
-        .pos_terms()
-        .iter()
-        .chain(svm.neg_terms())
-        .map(|&(f, _)| f)
-        .collect();
-    live.sort_unstable();
-    live.dedup();
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = live
-        .iter()
-        .map(|&f| (f, b.input(format!("x{f}"), width)))
-        .collect();
-
-    let max_code: u128 = (1u128 << width) - 1;
-    let max_p: u128 = svm
-        .pos_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_n: u128 = svm
-        .neg_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_b: u128 = svm
-        .boundaries()
-        .iter()
-        .map(|&v| v.unsigned_abs() as u128)
-        .max()
-        .unwrap_or(0);
-    let max_val = max_p.max(max_n + max_b).max(1);
-    let cmp_width = (128 - max_val.leading_zeros() as usize) + 1;
-
     // Product LUT per term: addr = feature code, data = m * code.
-    let product_lut = |b: &mut NetlistBuilder, f: usize, m: u64| -> Vec<Signal> {
-        let bits = (64 - (m * (words as u64 - 1)).leading_zeros() as usize).max(1);
-        let contents: Vec<u64> = (0..words as u64).map(|code| m * code).collect();
-        emit_lut(b, &ports[&f], &contents, bits, config)
-    };
-    let tree_for = |b: &mut NetlistBuilder, terms: &[(usize, u64)]| -> Vec<Signal> {
-        if terms.is_empty() {
-            return b.const_word(0, cmp_width);
-        }
-        let products: Vec<Vec<Signal>> = terms.iter().map(|&(f, m)| product_lut(b, f, m)).collect();
-        let mut sum = adder_tree(b, &products);
-        sum.resize(cmp_width, Signal::ZERO);
-        sum
-    };
-    let p = tree_for(&mut b, svm.pos_terms());
-    let n = tree_for(&mut b, svm.neg_terms());
-
-    let mut therm = Vec::with_capacity(svm.boundaries().len());
-    for &boundary in svm.boundaries() {
-        let t = if boundary >= 0 {
-            let bconst = b.const_word(boundary as u64, cmp_width);
-            let mut rhs = add(&mut b, &n, &bconst);
-            rhs.resize(cmp_width + 1, Signal::ZERO);
-            let mut lhs = p.clone();
-            lhs.resize(cmp_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        } else {
-            let bconst = b.const_word(boundary.unsigned_abs(), cmp_width);
-            let mut lhs = add(&mut b, &p, &bconst);
-            lhs.resize(cmp_width + 1, Signal::ZERO);
-            let mut rhs = n.clone();
-            rhs.resize(cmp_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        };
-        therm.push(t);
-    }
-
-    let class = if therm.is_empty() {
-        b.const_word(0, 1)
-    } else {
-        popcount(&mut b, &therm)
-    };
-    b.output("class", &class);
-    let therm_out = if therm.is_empty() {
-        vec![Signal::ZERO]
-    } else {
-        therm
-    };
-    b.output("therm", &therm_out);
-    b.finish()
+    svm_engine("lookup_svm", svm, |b, x, m| {
+        let top = m * ((1u64 << x.len()) - 1);
+        let bits = (64 - top.leading_zeros() as usize).max(1);
+        let contents: Vec<u64> = (0..1u64 << x.len()).map(|code| m * code).collect();
+        emit_lut(b, x, &contents, bits, config)
+    })
 }
 
 #[cfg(test)]

@@ -7,22 +7,14 @@
 //! sharing to win; deep trees amortize beautifully — exactly Fig. 9's
 //! pattern.
 
-use std::collections::HashMap;
-
-use ml::quant::{QNode, QuantizedTree};
+use ml::quant::QuantizedTree;
 use netlist::builder::NetlistBuilder;
-use netlist::ir::{Module, Signal};
+use netlist::ir::Module;
 use netlist::optimize;
 
-use super::{emit_lut, LookupConfig};
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use super::{lookup_decisions, LookupConfig};
+use crate::bespoke::parallel_tree::{select_class, slot_ports};
+use crate::ceil_log2;
 
 /// Generates the lookup-based parallel tree (post-optimization).
 ///
@@ -39,75 +31,17 @@ pub fn lookup_parallel(tree: &QuantizedTree, config: LookupConfig) -> Module {
 /// netlist against.
 pub fn lookup_parallel_raw(tree: &QuantizedTree, config: LookupConfig) -> Module {
     let mut b = NetlistBuilder::new("lookup_parallel_tree");
-    let used = tree.used_features();
-    let feature_ports: Vec<Vec<Signal>> = used
-        .iter()
-        .enumerate()
-        .map(|(slot, _)| b.input(format!("f{slot}"), tree.bits()))
-        .collect();
+    let ports = slot_ports(&mut b, tree);
+    let decision = lookup_decisions(&mut b, std::slice::from_ref(tree), |f| &ports[&f], config);
     let class_bits = ceil_log2(tree.n_classes());
-    let words = 1usize << tree.bits();
-
-    // Group split nodes by feature: (node index -> column) per feature.
-    let mut groups: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
-    for (i, node) in tree.nodes().iter().enumerate() {
-        if let QNode::Split {
-            feature, threshold, ..
-        } = node
-        {
-            groups.entry(*feature).or_default().push((i, *threshold));
-        }
-    }
-
-    // One shared-decoder LUT per feature; column j of feature f's table
-    // stores `code > τ_j` for that feature's j-th node.
-    let mut decision: HashMap<usize, Signal> = HashMap::new();
-    let mut features_sorted: Vec<(&usize, &Vec<(usize, u64)>)> = groups.iter().collect();
-    features_sorted.sort_by_key(|(f, _)| **f);
-    for (feature, nodes) in features_sorted {
-        let slot = used
-            .iter()
-            .position(|f| f == feature)
-            .expect("used feature");
-        // ROM words carry at most 64 columns; chunk very popular features
-        // (each chunk still shares one decoder).
-        for chunk in nodes.chunks(64) {
-            let contents: Vec<u64> = (0..words as u64)
-                .map(|code| {
-                    chunk.iter().enumerate().fold(0u64, |acc, (j, &(_, tau))| {
-                        acc | (((code > tau) as u64) << j)
-                    })
-                })
-                .collect();
-            let outs = emit_lut(&mut b, &feature_ports[slot], &contents, chunk.len(), config);
-            for (j, &(node_idx, _)) in chunk.iter().enumerate() {
-                decision.insert(node_idx, outs[j]);
-            }
-        }
-    }
-
-    // Class selection mux tree steered by the LUT outputs.
-    fn emit(
-        b: &mut NetlistBuilder,
-        tree: &QuantizedTree,
-        node: usize,
-        decision: &HashMap<usize, Signal>,
-        class_bits: usize,
-    ) -> Vec<Signal> {
-        match &tree.nodes()[node] {
-            QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-            QNode::Split { left, right, .. } => {
-                let r = decision[&node];
-                let l = emit(b, tree, *left, decision, class_bits);
-                let rgt = emit(b, tree, *right, decision, class_bits);
-                b.push_region("select");
-                let out = b.mux_word(r, &l, &rgt);
-                b.pop_region();
-                out
-            }
-        }
-    }
-    let class = emit(&mut b, tree, 0, &decision, class_bits);
+    let class = select_class(
+        &mut b,
+        tree,
+        0,
+        class_bits,
+        "select",
+        &mut |_, node, _, _| decision[0][node],
+    );
     b.output("class", &class);
     b.finish()
 }

@@ -436,12 +436,15 @@ mod tests {
             );
         }
         assert_eq!(max_code_for_bits(1), 1);
+        assert_eq!(max_code_for_bits(6), 63);
+        assert_eq!(max_code_for_bits(16), 65_535);
         assert_eq!(max_code_for_bits(31), (1u64 << 31) - 1);
         assert_eq!(max_code_for_bits(32), u32::MAX as u64);
         assert_eq!(max_code_for_bits(63), (1u64 << 63) - 1);
         // At and past the word width the code space saturates.
         assert_eq!(max_code_for_bits(64), u64::MAX);
         assert_eq!(max_code_for_bits(65), u64::MAX);
+        assert_eq!(max_code_for_bits(200), u64::MAX);
         // Strictly monotone below saturation.
         for bits in 1..64usize {
             assert!(max_code_for_bits(bits) < max_code_for_bits(bits + 1));

@@ -10,13 +10,14 @@ use crate::ir::Signal;
 /// A shift register of `len` bits that shifts `d` in at the LSB each cycle.
 ///
 /// `init` provides the little-endian power-on contents (the serial tree
-/// seeds it with `1`). Returns the Q bits, LSB first.
+/// seeds it with `1`); stages past bit 63 power on clear. Returns the Q
+/// bits, LSB first.
 pub fn shift_register(b: &mut NetlistBuilder, d: Signal, len: usize, init: u64) -> Vec<Signal> {
     assert!(len >= 1, "shift register needs at least one stage");
     let mut qs = Vec::with_capacity(len);
     let mut input = d;
     for i in 0..len {
-        let q = b.dff(input, (init >> i) & 1 == 1);
+        let q = b.dff(input, i < 64 && (init >> i) & 1 == 1);
         qs.push(q);
         input = q;
     }
@@ -27,6 +28,18 @@ pub fn shift_register(b: &mut NetlistBuilder, d: Signal, len: usize, init: u64) 
 mod tests {
     use super::*;
     use crate::sim::Simulator;
+
+    #[test]
+    fn stages_past_the_init_word_power_on_clear() {
+        let mut b = NetlistBuilder::new("t");
+        let q = shift_register(&mut b, Signal::ZERO, 130, 1);
+        b.output("q", &q);
+        let m = b.finish();
+        let init: Vec<bool> = m.gates.iter().map(|g| g.init).collect();
+        assert_eq!(init.len(), 130);
+        assert_eq!(init.iter().filter(|&&v| v).count(), 1);
+        assert!(init[0]);
+    }
 
     #[test]
     fn shift_register_walks() {

@@ -43,11 +43,12 @@ fn usage() -> &'static str {
      ARCH (--svm): conv | bespoke | lookup | lookup-opt | analog\n\
      TECH:         egt | cnt | tsmc40\n\
      \n\
-     Defaults: --depth 4, --arch bespoke-parallel (trees) / bespoke (svm),\n\
-               --tech egt, seed 7; variation: --sigmas 0.02,0.05,0.1,0.2,\n\
-               --trials 100, --rows 100. Each sigma must be finite and at\n\
-               least 0, and at most 10 with --svm: past that a crossbar\n\
-               weight's log-normal print factor can overflow or vanish.\n\
+     Defaults: --depth 4 (1 to 16), --arch bespoke-parallel (trees) /\n\
+               bespoke (svm), --tech egt, seed 7; variation: --sigmas\n\
+               0.02,0.05,0.1,0.2, --trials 100, --rows 100. Each sigma\n\
+               must be finite and at least 0, and at most 10 with --svm:\n\
+               past that a crossbar weight's log-normal print factor can\n\
+               overflow or vanish.\n\
      \n\
      Trained models, optimized netlists and PPA results are memoized in a\n\
      content-addressed cache (bench/out/cache/ by default; override with\n\
@@ -90,6 +91,18 @@ fn parse_app(flags: &HashMap<String, String>) -> Result<Application, String> {
                 Application::ALL.map(|a| a.name()).join(" ")
             )
         })
+}
+
+/// Deepest tree the CLI trains: the conventional parallel tree doubles
+/// per level, and depth 16 (about 4.3 M gates on `har`) is the deepest
+/// that still builds.
+const MAX_DEPTH: usize = 16;
+
+fn parse_depth(d: &str) -> Result<usize, String> {
+    match d.parse() {
+        Ok(depth) if (1..=MAX_DEPTH).contains(&depth) => Ok(depth),
+        _ => Err(format!("bad depth {d}: expected 1..={MAX_DEPTH}")),
+    }
 }
 
 fn parse_tech(flags: &HashMap<String, String>) -> Result<Technology, String> {
@@ -199,9 +212,9 @@ fn run() -> Result<(), String> {
                 printed_ml::cache::enable_default();
             }
             let app = parse_app(&flags)?;
-            let depth: usize = flags
+            let depth = flags
                 .get("depth")
-                .map(|d| d.parse().map_err(|_| format!("bad depth {d}")))
+                .map(|d| parse_depth(d))
                 .transpose()?
                 .unwrap_or(4);
             let tech = parse_tech(&flags)?;

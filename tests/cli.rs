@@ -224,3 +224,30 @@ fn variation_runs_at_the_largest_accepted_sigmas() {
         assert!(stdout.contains("worst agreement"), "{args:?}: {stdout}");
     }
 }
+
+#[test]
+fn depth_outside_one_to_sixteen_is_rejected_before_training() {
+    // These used to panic in the ROM builder (0), index past the parallel
+    // tree's decisions (64), abort (100), or price a serial tree from a
+    // wrapped shift (64).
+    for (depth, arch) in [
+        ("0", "conv-serial"),
+        ("17", "conv-parallel"),
+        ("64", "conv-parallel"),
+        ("64", "conv-serial"),
+        ("100", "conv-serial"),
+        ("-1", "bespoke-parallel"),
+    ] {
+        let stderr = rejected(&["report", "--app", "har", "--depth", depth, "--arch", arch]);
+        assert!(stderr.contains("bad depth"), "{depth}: {stderr}");
+    }
+}
+
+#[test]
+fn depth_bounds_are_accepted() {
+    for depth in ["1", "16"] {
+        let (stdout, stderr, ok) = run(&["report", "--app", "har", "--depth", depth, "--no-cache"]);
+        assert!(ok, "{depth}: {stderr}");
+        assert!(stdout.contains(&format!("DT-{depth}")), "{stdout}");
+    }
+}
