@@ -18,7 +18,10 @@
 # analog engine files the variation Monte-Carlo runs through
 # (compile.rs, variation.rs and the device, crossbar, SVM, tree and
 # comparator models) and proto.rs, the fabricated-prototype models.
-# Every ml file is: the flows train through all of them.
+# Every ml file is: the flows train through all of them. So are the
+# code the `printed-ml` CLI runs on user input (the CLI itself, the
+# Verilog testbench emitter, the width search, the analog and PPA
+# reports) and the ratio figures of the reproduction.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -38,6 +41,7 @@ FILES=(
   crates/netlist/src/stats.rs
   crates/netlist/src/opt.rs
   crates/netlist/src/fanout.rs
+  crates/netlist/src/testbench.rs
   crates/ml/src/data.rs
   crates/ml/src/forest.rs
   crates/ml/src/lib.rs
@@ -50,6 +54,9 @@ FILES=(
   crates/ml/src/tree.rs
   crates/core/src/flow.rs
   crates/core/src/signoff.rs
+  crates/core/src/bitwidth.rs
+  crates/core/src/analog_arch.rs
+  crates/core/src/report.rs
   crates/core/src/lib.rs
   crates/core/src/bespoke/parallel_tree.rs
   crates/core/src/bespoke/serial_tree.rs
@@ -68,6 +75,8 @@ FILES=(
   crates/analog/src/tree.rs
   crates/analog/src/comparator.rs
   crates/analog/src/proto.rs
+  crates/bench/src/experiments/figures.rs
+  src/bin/printed-ml.rs
 )
 
 status=0

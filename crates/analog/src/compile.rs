@@ -284,31 +284,45 @@ impl CompiledTreeVariation {
         trials: usize,
         seed: u64,
     ) -> VariationReport {
-        let _span = obs::span("analog.variation");
-        assert!(trials > 0, "need at least one trial");
-        assert!(!rows.is_empty(), "need evaluation rows");
-        TRIALS.add(trials as u64);
-        ROWS.add((trials * rows.n_rows) as u64);
-        let block_ids: Vec<u64> = (0..trials.div_ceil(LANES) as u64).collect();
-        LANE_BLOCKS.add(block_ids.len() as u64);
-        let blocks: Vec<Vec<f64>> = parallel_map(&block_ids, |_, &b| {
-            let lo = b as usize * LANES;
-            let n = (trials - lo).min(LANES);
+        monte_carlo(sigma, trials, rows.n_rows, |lo, n| {
             let (agree, draws) = self.walk_block(rows, lo, n, sigma, seed);
             DRAWS.add(draws);
-            agree[..n]
-                .iter()
-                .map(|&a| a as f64 / rows.n_rows as f64)
-                .collect()
-        });
-        let agreements: Vec<f64> = blocks.into_iter().flatten().collect();
-        summarize(sigma, trials, &agreements)
+            agree
+        })
     }
 }
 
-/// Folds per-trial agreements into a [`VariationReport`] with the exact
-/// reduction (and reduction order) of the scalar reference.
-pub(crate) fn summarize(sigma: f64, trials: usize, agreements: &[f64]) -> VariationReport {
+/// The lane-block driver both engines share: shards `trials` into
+/// blocks of [`LANES`] across the pool, where `block(lo, n)` returns how
+/// many of the `n_rows` bound rows each of trials `lo .. lo + n` agrees
+/// on, then folds the per-trial agreements into a [`VariationReport`]
+/// with the exact reduction (and reduction order) of the scalar
+/// reference.
+///
+/// # Panics
+/// Panics if `trials` or `n_rows` is zero.
+fn monte_carlo(
+    sigma: f64,
+    trials: usize,
+    n_rows: usize,
+    block: impl Fn(usize, usize) -> [u32; LANES] + Sync,
+) -> VariationReport {
+    let _span = obs::span("analog.variation");
+    assert!(trials > 0, "need at least one trial");
+    assert!(n_rows > 0, "need evaluation rows");
+    TRIALS.add(trials as u64);
+    ROWS.add((trials * n_rows) as u64);
+    let block_ids: Vec<u64> = (0..trials.div_ceil(LANES) as u64).collect();
+    LANE_BLOCKS.add(block_ids.len() as u64);
+    let blocks: Vec<Vec<f64>> = parallel_map(&block_ids, |_, &b| {
+        let lo = b as usize * LANES;
+        let n = (trials - lo).min(LANES);
+        block(lo, n)[..n]
+            .iter()
+            .map(|&a| a as f64 / n_rows as f64)
+            .collect()
+    });
+    let agreements: Vec<f64> = blocks.into_iter().flatten().collect();
     let mean = agreements.iter().sum::<f64>() / trials as f64;
     let worst = agreements.iter().cloned().fold(f64::INFINITY, f64::min);
     VariationReport {
@@ -554,18 +568,9 @@ impl CompiledSvmVariation {
     /// # Panics
     /// Panics if `trials` is zero or `rows` is empty.
     pub fn analyze(&self, rows: &SvmRows, sigma: f64, trials: usize, seed: u64) -> VariationReport {
-        let _span = obs::span("analog.variation");
-        assert!(trials > 0, "need at least one trial");
-        assert!(!rows.is_empty(), "need evaluation rows");
-        TRIALS.add(trials as u64);
-        ROWS.add((trials * rows.n_rows) as u64);
         let k_pos = self.pos.as_ref().map_or(0, |c| c.features.len());
         let k_neg = self.neg.as_ref().map_or(0, |c| c.features.len());
-        let block_ids: Vec<u64> = (0..trials.div_ceil(LANES) as u64).collect();
-        LANE_BLOCKS.add(block_ids.len() as u64);
-        let blocks: Vec<Vec<f64>> = parallel_map(&block_ids, |_, &b| {
-            let lo = b as usize * LANES;
-            let n = (trials - lo).min(LANES);
+        monte_carlo(sigma, trials, rows.n_rows, |lo, n| {
             let mut w = vec![0.0f64; k_pos.max(k_neg)];
             let (mut pos, mut neg) = (ColumnLanes::new(k_pos), ColumnLanes::new(k_neg));
             for lane in 0..n {
@@ -604,12 +609,7 @@ impl CompiledSvmVariation {
                     *a += (class == nominal) as u32;
                 }
             }
-            agree[..n]
-                .iter()
-                .map(|&a| a as f64 / rows.n_rows as f64)
-                .collect()
-        });
-        let agreements: Vec<f64> = blocks.into_iter().flatten().collect();
-        summarize(sigma, trials, &agreements)
+            agree
+        })
     }
 }

@@ -6,24 +6,6 @@ use pdk::Technology;
 use printed_core::flow::{SvmArch, TreeArch, TreeFlow};
 use printed_core::powerfit::{assign_sets, summarize};
 use printed_core::report::{DesignReport, Improvement};
-
-/// Component-wise median of a set of improvements.
-fn median_improvement(items: &[Improvement]) -> Improvement {
-    fn med(mut v: Vec<f64>) -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = v.len();
-        if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            (v[n / 2 - 1] + v[n / 2]) / 2.0
-        }
-    }
-    Improvement {
-        delay: med(items.iter().map(|i| i.delay).collect()),
-        area: med(items.iter().map(|i| i.area).collect()),
-        power: med(items.iter().map(|i| i.power).collect()),
-    }
-}
 use printed_core::LookupConfig;
 
 use crate::workloads::{deep_depths, depths, svm_flows, tree_flows, SEED};
@@ -70,22 +52,7 @@ pub fn tree_ratio_figure(
             ]);
         }
     }
-    let mean = Improvement::mean(&improvements);
-    t.row(vec![
-        "AVERAGE".into(),
-        "-".into(),
-        fmt_ratio(mean.delay),
-        fmt_ratio(mean.area),
-        fmt_ratio(mean.power),
-    ]);
-    let median = median_improvement(&improvements);
-    t.row(vec![
-        "MEDIAN".into(),
-        "-".into(),
-        fmt_ratio(median.delay),
-        fmt_ratio(median.area),
-        fmt_ratio(median.power),
-    ]);
+    summary_rows(&mut t, &improvements, &["-"]);
     t
 }
 
@@ -106,21 +73,22 @@ pub fn svm_ratio_figure(title: &str, arch: SvmArch, baseline: SvmArch, tech: Tec
             fmt_ratio(imp.power),
         ]);
     }
-    let mean = Improvement::mean(&improvements);
-    t.row(vec![
-        "AVERAGE".into(),
-        fmt_ratio(mean.delay),
-        fmt_ratio(mean.area),
-        fmt_ratio(mean.power),
-    ]);
-    let median = median_improvement(&improvements);
-    t.row(vec![
-        "MEDIAN".into(),
-        fmt_ratio(median.delay),
-        fmt_ratio(median.area),
-        fmt_ratio(median.power),
-    ]);
+    summary_rows(&mut t, &improvements, &[]);
     t
+}
+
+/// Appends a ratio figure's AVERAGE and MEDIAN rows; `keys` fills the
+/// key columns between the label and the ratios.
+fn summary_rows(t: &mut Table, improvements: &[Improvement], keys: &[&str]) {
+    for (label, imp) in [
+        ("AVERAGE", Improvement::mean(improvements)),
+        ("MEDIAN", Improvement::median(improvements)),
+    ] {
+        let mut row = vec![label.to_string()];
+        row.extend(keys.iter().map(|k| k.to_string()));
+        row.extend([imp.delay, imp.area, imp.power].map(fmt_ratio));
+        t.row(row);
+    }
 }
 
 fn feasibility_table(title: &str, reports: Vec<DesignReport>) -> Table {

@@ -27,6 +27,8 @@
 
 use std::sync::Arc;
 
+use analog::variation::reference;
+use analog::{VariationError, VariationReport};
 use exec::rng::StdRng;
 use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
 use ml::tree::{DecisionTree, TreeParams};
@@ -104,6 +106,8 @@ fn error_kind(e: &SimError) -> &'static str {
         SimError::TooManyLanes { .. } => "too-many-lanes",
         SimError::VectorArity { .. } => "vector-arity",
         SimError::ImageLength { .. } => "image-length",
+        SimError::PortCount { .. } => "port-count",
+        SimError::PortShape { .. } => "port-shape",
     }
 }
 
@@ -275,40 +279,50 @@ pub fn variation_case(seed: u64) -> Result<u64, String> {
     let tree = DecisionTree::fit(&data, TreeParams::with_depth(rng.gen_range(2..=3usize)));
     let qt = QuantizedTree::from_tree(&tree, &fq);
     if qt.comparison_count() > 0 {
-        let sweep = analog::variation_sweep(&qt, &rows, &[sigma], trials, seed)
-            .map_err(|e| format!("tree variation sweep rejected a valid case: {e}"))?;
-        let compiled = &sweep[0];
-        let reference =
-            analog::variation::reference::analyze_tree_variation(&qt, &rows, sigma, trials, seed);
-        if *compiled != reference {
-            return Err(format!(
-                "compiled tree variation diverges from the scalar reference at sigma \
-                 {sigma}, {trials} trials: compiled {compiled:?}, reference {reference:?}"
-            ));
-        }
-        h.write_f64(compiled.mean_agreement);
-        h.write_f64(compiled.worst_agreement);
+        agree(
+            &mut h,
+            "tree",
+            analog::variation_sweep(&qt, &rows, &[sigma], trials, seed),
+            || reference::analyze_tree_variation(&qt, &rows, sigma, trials, seed),
+        )?;
     }
 
     if rng.gen_bool(0.5) {
         let svm = SvmRegressor::fit(&data, 40, 1e-4);
         let qs = QuantizedSvm::from_svm(&svm, &fq);
         let n = data.n_features();
-        let sweep = analog::svm_variation_sweep(&qs, n, &rows, &[sigma], trials, seed)
-            .map_err(|e| format!("SVM variation sweep rejected a valid case: {e}"))?;
-        let compiled = &sweep[0];
-        let reference =
-            analog::variation::reference::analyze_svm_variation(&qs, n, &rows, sigma, trials, seed);
-        if *compiled != reference {
-            return Err(format!(
-                "compiled SVM variation diverges from the scalar reference at sigma \
-                 {sigma}, {trials} trials: compiled {compiled:?}, reference {reference:?}"
-            ));
-        }
-        h.write_f64(compiled.mean_agreement);
-        h.write_f64(compiled.worst_agreement);
+        agree(
+            &mut h,
+            "SVM",
+            analog::svm_variation_sweep(&qs, n, &rows, &[sigma], trials, seed),
+            || reference::analyze_svm_variation(&qs, n, &rows, sigma, trials, seed),
+        )?;
     }
     Ok(key_word(h.finish()))
+}
+
+/// The variation oracle's compare-and-hash step: a compiled one-sigma
+/// `sweep` must equal the scalar `reference` bit for bit, and its two
+/// agreements go into `h`.
+fn agree(
+    h: &mut cache::StableHasher,
+    model: &str,
+    sweep: Result<Vec<VariationReport>, VariationError>,
+    reference: impl FnOnce() -> VariationReport,
+) -> Result<(), String> {
+    let sweep = sweep.map_err(|e| format!("{model} variation sweep rejected a valid case: {e}"))?;
+    let compiled = &sweep[0];
+    let reference = reference();
+    if *compiled != reference {
+        return Err(format!(
+            "compiled {model} variation diverges from the scalar reference at sigma \
+             {}, {} trials: compiled {compiled:?}, reference {reference:?}",
+            compiled.sigma, compiled.trials
+        ));
+    }
+    h.write_f64(compiled.mean_agreement);
+    h.write_f64(compiled.worst_agreement);
+    Ok(())
 }
 
 /// Optimizer oracle over an explicit module: `optimize` must produce a

@@ -10,7 +10,7 @@
 use analog::tree::{AnalogTree, AnalogTreeConfig};
 use analog::AnalogSvm;
 use ml::quant::{QuantizedSvm, QuantizedTree};
-use pdk::units::{Area, Power};
+use pdk::units::{Area, Delay, Power};
 use pdk::Technology;
 
 use crate::report::DesignReport;
@@ -18,38 +18,49 @@ use crate::report::DesignReport;
 /// Prices an analog decision tree.
 pub fn analog_tree_report(tree: &QuantizedTree, config: AnalogTreeConfig) -> DesignReport {
     let at = AnalogTree::from_tree(tree, config);
-    DesignReport {
-        name: format!("analog-tree-d{}", tree.depth()),
-        technology: Technology::Egt,
-        latency: at.latency(),
-        area: at.area(),
-        power: at.static_power(),
-        logic_area: at.area(),
-        memory_area: Area::ZERO,
-        logic_power: at.static_power(),
-        memory_power: Power::ZERO,
-        gate_count: 0,
-        cycles: 1,
-        transistors: at.transistor_count(),
-    }
+    analog_report(
+        format!("analog-tree-d{}", tree.depth()),
+        at.latency(),
+        at.area(),
+        at.static_power(),
+        at.transistor_count(),
+    )
 }
 
 /// Prices an analog SVM engine.
 pub fn analog_svm_report(svm: &QuantizedSvm, n_features: usize) -> DesignReport {
     let asvm = AnalogSvm::from_svm(svm, n_features);
+    analog_report(
+        "analog-svm".into(),
+        asvm.latency(),
+        asvm.area(),
+        asvm.static_power(),
+        asvm.transistor_count(),
+    )
+}
+
+/// An EGT design with no memory and no gates: all of its area and power
+/// is analog logic, decided in one cycle.
+fn analog_report(
+    name: String,
+    latency: Delay,
+    area: Area,
+    power: Power,
+    transistors: usize,
+) -> DesignReport {
     DesignReport {
-        name: "analog-svm".into(),
+        name,
         technology: Technology::Egt,
-        latency: asvm.latency(),
-        area: asvm.area(),
-        power: asvm.static_power(),
-        logic_area: asvm.area(),
+        latency,
+        area,
+        power,
+        logic_area: area,
         memory_area: Area::ZERO,
-        logic_power: asvm.static_power(),
+        logic_power: power,
         memory_power: Power::ZERO,
         gate_count: 0,
         cycles: 1,
-        transistors: asvm.transistor_count(),
+        transistors,
     }
 }
 

@@ -38,38 +38,11 @@ pub fn choose_tree_width(
     train: &Dataset,
     test: &Dataset,
 ) -> (FeatureQuantizer, QuantizedTree, WidthChoice, QuantizedTree) {
-    let candidates: Vec<(FeatureQuantizer, QuantizedTree, f64)> = WIDTHS
-        .iter()
-        .map(|&bits| {
-            let fq = FeatureQuantizer::fit(train, bits);
-            let qt = QuantizedTree::from_tree(tree, &fq);
-            let acc = accuracy(
-                test.x.iter().map(|r| qt.predict(&fq.code_row(r))),
-                test.y.iter().copied(),
-            )
-            .expect("predictions align with test labels");
-            (fq, qt, acc)
-        })
-        .collect();
-    let qt8 = candidates
-        .iter()
-        .find(|c| c.0.bits() == 8)
-        .map(|c| c.1.clone())
-        .expect("WIDTHS includes 8 bits");
-    let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
-    let (fq, qt, acc) = candidates
-        .into_iter()
-        .find(|c| round3(c.2) >= best)
-        .expect("at least one candidate");
-    let bits = fq.bits();
-    (
-        fq,
-        qt,
-        WidthChoice {
-            bits,
-            accuracy: acc,
-        },
-        qt8,
+    sweep(
+        train,
+        test,
+        |fq| QuantizedTree::from_tree(tree, fq),
+        QuantizedTree::predict,
     )
 }
 
@@ -79,32 +52,57 @@ pub fn choose_svm_width(
     train: &Dataset,
     test: &Dataset,
 ) -> (FeatureQuantizer, QuantizedSvm, WidthChoice) {
-    let candidates: Vec<(FeatureQuantizer, QuantizedSvm, f64)> = WIDTHS
+    let (fq, qs, choice, _) = sweep(
+        train,
+        test,
+        |fq| QuantizedSvm::from_svm(svm, fq),
+        QuantizedSvm::predict,
+    );
+    (fq, qs, choice)
+}
+
+/// The selection rule: quantizes the model at every width in [`WIDTHS`],
+/// scores each candidate's test accuracy, and keeps the narrowest whose
+/// accuracy matches the best to three significant digits. Also returns
+/// the 8-bit candidate.
+fn sweep<M: Clone>(
+    train: &Dataset,
+    test: &Dataset,
+    quantize: impl Fn(&FeatureQuantizer) -> M,
+    predict: impl Fn(&M, &[u64]) -> usize,
+) -> (FeatureQuantizer, M, WidthChoice, M) {
+    let candidates: Vec<(FeatureQuantizer, M, f64)> = WIDTHS
         .iter()
         .map(|&bits| {
             let fq = FeatureQuantizer::fit(train, bits);
-            let qs = QuantizedSvm::from_svm(svm, &fq);
+            let model = quantize(&fq);
             let acc = accuracy(
-                test.x.iter().map(|r| qs.predict(&fq.code_row(r))),
+                test.x.iter().map(|r| predict(&model, &fq.code_row(r))),
                 test.y.iter().copied(),
             )
             .expect("predictions align with test labels");
-            (fq, qs, acc)
+            (fq, model, acc)
         })
         .collect();
+    let at8 = candidates
+        .iter()
+        .find(|c| c.0.bits() == 8)
+        .map(|c| c.1.clone())
+        .expect("WIDTHS includes 8 bits");
     let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
-    let (fq, qs, acc) = candidates
+    let (fq, model, acc) = candidates
         .into_iter()
         .find(|c| round3(c.2) >= best)
         .expect("at least one candidate");
     let bits = fq.bits();
     (
         fq,
-        qs,
+        model,
         WidthChoice {
             bits,
             accuracy: acc,
         },
+        at8,
     )
 }
 

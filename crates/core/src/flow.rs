@@ -164,12 +164,7 @@ impl TreeFlow {
     /// The first `rows` test rows quantized to feature codes — the
     /// evaluation set the variation and sign-off stages share.
     pub fn coded_rows(&self, rows: usize) -> Vec<Vec<u64>> {
-        self.test
-            .x
-            .iter()
-            .take(rows)
-            .map(|r| self.fq.code_row(r))
-            .collect()
+        coded_rows(&self.test, &self.fq, rows)
     }
 
     /// Monte-Carlo print-variation sweep of the analog realization
@@ -191,6 +186,17 @@ impl TreeFlow {
         analog::variation_sweep(&self.qt, &self.coded_rows(rows), sigmas, trials, seed)
     }
 
+    /// Clock cycles per inference of `arch`: the conventional serial
+    /// engine walks its configured depth, the bespoke one the trained
+    /// tree's depth, and every parallel engine decides in one.
+    pub fn cycles(&self, arch: TreeArch) -> usize {
+        match arch {
+            TreeArch::ConventionalSerial => self.depth.max(1),
+            TreeArch::BespokeSerial => self.qt.depth().max(1),
+            _ => 1,
+        }
+    }
+
     /// Prices `arch` in `tech`.
     ///
     /// # Panics
@@ -198,23 +204,38 @@ impl TreeFlow {
     /// technology (the paper's analog designs are EGT-only).
     pub fn report(&self, arch: TreeArch, tech: Technology) -> DesignReport {
         let name = format!("{}-dt{}-{}", self.app.name(), self.depth, kind_tag(arch));
-        match self.realize(arch) {
-            Ok(module) => {
-                let cycles = match arch {
-                    TreeArch::ConventionalSerial => self.depth.max(1),
-                    TreeArch::BespokeSerial => self.qt.depth().max(1),
-                    _ => 1,
-                };
-                let lib = CellLibrary::for_technology(tech);
-                report_from_ppa(name, tech, &analyze(&module, &lib), cycles)
-            }
-            Err(config) => {
-                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
-                DesignReport {
-                    name,
-                    ..analog_tree_report(&self.qt, config)
-                }
-            }
+        let design = self
+            .realize(arch)
+            .map_err(|config| analog_tree_report(&self.qt, config));
+        price(name, tech, design, self.cycles(arch))
+    }
+}
+
+/// The first `rows` rows of `test` quantized to feature codes by `fq`.
+fn coded_rows(test: &Dataset, fq: &FeatureQuantizer, rows: usize) -> Vec<Vec<u64>> {
+    test.x.iter().take(rows).map(|r| fq.code_row(r)).collect()
+}
+
+/// Prices a design under `name`: a netlist through [`analyze`] and
+/// [`report_from_ppa`] at `cycles` per inference, an analog design as
+/// its analog report.
+///
+/// # Panics
+/// Panics if an analog design is priced outside EGT.
+fn price(
+    name: String,
+    tech: Technology,
+    design: Result<Module, DesignReport>,
+    cycles: usize,
+) -> DesignReport {
+    match design {
+        Ok(module) => {
+            let lib = CellLibrary::for_technology(tech);
+            report_from_ppa(name, tech, &analyze(&module, &lib), cycles)
+        }
+        Err(analog) => {
+            assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
+            DesignReport { name, ..analog }
         }
     }
 }
@@ -288,12 +309,7 @@ impl SvmFlow {
     /// The first `rows` test rows quantized to feature codes — the
     /// evaluation set the variation and sign-off stages share.
     pub fn coded_rows(&self, rows: usize) -> Vec<Vec<u64>> {
-        self.test
-            .x
-            .iter()
-            .take(rows)
-            .map(|r| self.fq.code_row(r))
-            .collect()
+        coded_rows(&self.test, &self.fq, rows)
     }
 
     /// Monte-Carlo print-variation sweep of the analog crossbar
@@ -348,19 +364,10 @@ impl SvmFlow {
     /// Panics if [`SvmArch::Analog`] is requested outside EGT.
     pub fn report(&self, arch: SvmArch, tech: Technology) -> DesignReport {
         let name = format!("{}-svm-{}", self.app.name(), svm_tag(arch));
-        match self.module(arch) {
-            Some(module) => {
-                let lib = CellLibrary::for_technology(tech);
-                report_from_ppa(name, tech, &analyze(&module, &lib), 1)
-            }
-            None => {
-                assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
-                DesignReport {
-                    name,
-                    ..analog_svm_report(&self.qs, self.n_features)
-                }
-            }
-        }
+        let design = self
+            .module(arch)
+            .ok_or_else(|| analog_svm_report(&self.qs, self.n_features));
+        price(name, tech, design, 1)
     }
 }
 

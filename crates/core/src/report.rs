@@ -100,6 +100,27 @@ impl Improvement {
             power: items.iter().map(|i| i.power).sum::<f64>() / n,
         }
     }
+
+    /// Component-wise median improvement across a set of designs: the
+    /// middle value, or the mean of the two middle values.
+    pub fn median(items: &[Improvement]) -> Improvement {
+        assert!(!items.is_empty(), "median over no improvements");
+        let median = |ratio: fn(&Improvement) -> f64| {
+            let mut v: Vec<f64> = items.iter().map(ratio).collect();
+            v.sort_by(f64::total_cmp);
+            let n = v.len();
+            if n % 2 == 1 {
+                v[n / 2]
+            } else {
+                (v[n / 2 - 1] + v[n / 2]) / 2.0
+            }
+        };
+        Improvement {
+            delay: median(|i| i.delay),
+            area: median(|i| i.area),
+            power: median(|i| i.power),
+        }
+    }
 }
 
 impl fmt::Display for Improvement {

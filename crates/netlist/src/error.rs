@@ -1,9 +1,10 @@
-//! Typed simulation errors.
+//! Typed simulation and equivalence-check errors.
 //!
 //! Both engines in this crate (the scalar reference
 //! [`crate::sim::Simulator`] and the compiled
 //! [`crate::compile::CompiledNetlist`] / [`crate::compile::WideSim`] tape)
-//! expose fallible `try_*` entry points returning [`SimError`]. The historical panicking
+//! expose fallible `try_*` entry points returning [`SimError`], and so do
+//! [`crate::verify::miter`] and [`crate::verify::check_equivalence`]. The historical panicking
 //! names remain as thin convenience wrappers over those, so library callers
 //! — the differential fuzzer in `crates/check` first among them — can
 //! distinguish "this input was rejected" from "two engines disagree"
@@ -12,7 +13,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Why a module could not be simulated, or a port binding failed.
+/// Why a module could not be simulated, a port binding failed, or two
+/// modules could not be compared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The module failed [`crate::ir::Module::validate`].
@@ -64,6 +66,27 @@ pub enum SimError {
         /// Words expected.
         want: usize,
     },
+    /// Two modules handed to a miter disagree on input/output port count.
+    PortCount {
+        /// `"input"` or `"output"`.
+        direction: &'static str,
+        /// Port count of module `a`.
+        a: usize,
+        /// Port count of module `b`.
+        b: usize,
+    },
+    /// A corresponding port pair of two miter modules differs in name or
+    /// width.
+    PortShape {
+        /// `"input"` or `"output"`.
+        direction: &'static str,
+        /// Index of the mismatched port pair.
+        index: usize,
+        /// `name[width]` of module `a`'s port.
+        a: String,
+        /// `name[width]` of module `b`'s port.
+        b: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -102,6 +125,15 @@ impl fmt::Display for SimError {
             SimError::ImageLength { got, want } => {
                 write!(f, "packed image has {got} words, expected {want}")
             }
+            SimError::PortCount { direction, a, b } => {
+                write!(f, "{direction} port count differs: {a} vs {b}")
+            }
+            SimError::PortShape {
+                direction,
+                index,
+                a,
+                b,
+            } => write!(f, "{direction} port {index} differs: {a} vs {b}"),
         }
     }
 }
@@ -127,18 +159,40 @@ mod tests {
 
     #[test]
     fn display_carries_the_context() {
-        let e = SimError::CombinationalCycle {
-            module: "ring".into(),
-            net: 7,
-        };
-        assert_eq!(
-            e.to_string(),
-            "combinational cycle through net 7 in module ring"
-        );
-        let e = SimError::UnknownPort {
-            direction: "input",
-            name: "x".into(),
-        };
-        assert_eq!(e.to_string(), "no input port named x");
+        for (e, shown) in [
+            (
+                SimError::CombinationalCycle {
+                    module: "ring".into(),
+                    net: 7,
+                },
+                "combinational cycle through net 7 in module ring",
+            ),
+            (
+                SimError::UnknownPort {
+                    direction: "input",
+                    name: "x".into(),
+                },
+                "no input port named x",
+            ),
+            (
+                SimError::PortCount {
+                    direction: "output",
+                    a: 2,
+                    b: 3,
+                },
+                "output port count differs: 2 vs 3",
+            ),
+            (
+                SimError::PortShape {
+                    direction: "input",
+                    index: 1,
+                    a: "x[2]".into(),
+                    b: "y[2]".into(),
+                },
+                "input port 1 differs: x[2] vs y[2]",
+            ),
+        ] {
+            assert_eq!(e.to_string(), shown);
+        }
     }
 }

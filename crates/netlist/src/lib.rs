@@ -71,5 +71,5 @@ pub use opt::{optimize, optimize_with_stats, OptStats};
 pub use sim::Simulator;
 pub use stats::{logic_levels, max_logic_levels};
 pub use testbench::to_testbench;
-pub use verify::{check_equivalence, miter, Equivalence, MiterError, VerifyError};
+pub use verify::{check_equivalence, miter, Equivalence};
 pub use verilog::to_verilog;

@@ -7,12 +7,10 @@
 //! prints `FAIL`; a clean run prints `PASS`.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use crate::compile::{CompiledNetlist, WideSim};
 use crate::ir::Module;
 use crate::sim::Simulator;
-use crate::verilog::to_verilog;
+use crate::verilog::{sanitize, to_verilog};
 
 /// One stimulus: a value per input port, in the module's port order.
 pub type Vector = Vec<u64>;
@@ -20,20 +18,25 @@ pub type Vector = Vec<u64>;
 /// Renders `module` plus a self-checking testbench over `vectors`.
 ///
 /// For combinational modules each vector is applied and checked after a
-/// settle delay; for sequential modules the testbench pulses the clock
-/// `cycles_per_vector` times after applying each vector (matching how the
+/// settle delay. For sequential modules the testbench first returns every
+/// flip-flop to its power-on value, so each vector starts from the state
+/// its expected outputs were computed from, then pulses the clock
+/// `cycles_per_vector` times after applying the vector (matching how the
 /// serial tree consumes one inference per `depth` cycles).
 ///
-/// Expected outputs are this crate's own semantics made executable:
-/// combinational modules are batched through the compiled wide-lane
-/// kernel (256 vectors per settle), sequential ones are stepped through
-/// the scalar [`Simulator`].
+/// Expected outputs are this crate's own semantics made executable: the
+/// scalar reference [`Simulator`], reset before every vector.
 ///
 /// # Panics
 /// Panics if any vector's length differs from the module's input count.
 pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usize) -> String {
     let mut out = to_verilog(module);
     let sequential = !module.is_combinational();
+    let cycles = if sequential {
+        cycles_per_vector.max(1)
+    } else {
+        0
+    };
     for (vi, vector) in vectors.iter().enumerate() {
         assert_eq!(
             vector.len(),
@@ -43,30 +46,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
             module.inputs.len()
         );
     }
-    // Expected outputs for combinational modules, one row per vector
-    // (values per output port), computed 256 lanes at a time.
-    let mut expected_rows: Vec<Vec<u64>> = Vec::with_capacity(vectors.len());
-    if !sequential {
-        let mut sim: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(module)));
-        for chunk in vectors.chunks(WideSim::<4>::LANES) {
-            let image = sim.pack_vectors(chunk);
-            sim.load_packed(&image);
-            sim.settle();
-            let per_port: Vec<Vec<u64>> = module
-                .outputs
-                .iter()
-                .map(|p| sim.lanes(&p.name, chunk.len()))
-                .collect();
-            for lane in 0..chunk.len() {
-                expected_rows.push(per_port.iter().map(|col| col[lane]).collect());
-            }
-        }
-        crate::compile::record_settles(
-            vectors.len().div_ceil(WideSim::<4>::LANES) as u64,
-            vectors.len() as u64,
-        );
-    }
-    let mut sim = sequential.then(|| Simulator::new(module));
+    let mut sim = Simulator::new(module);
 
     let _ = writeln!(out, "\nmodule tb;");
     if sequential {
@@ -96,55 +76,40 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
     for p in module.inputs.iter().chain(&module.outputs) {
         ports.push(format!(".{0}({0})", p.name));
     }
-    let name: String = module
-        .name
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let _ = writeln!(out, "  {name} dut ({});", ports.join(", "));
+    let _ = writeln!(
+        out,
+        "  {} dut ({});",
+        sanitize(&module.name),
+        ports.join(", ")
+    );
     let _ = writeln!(out, "  integer errors = 0;");
     let _ = writeln!(out, "  initial begin");
 
     for (vi, vector) in vectors.iter().enumerate() {
-        // Drive the scalar simulator (sequential only) to learn the
-        // expected outputs; combinational expectations were batched above.
-        if let Some(sim) = sim.as_mut() {
-            sim.reset();
+        sim.reset();
+        // The DUT's registers, as `to_verilog` names them, back to the
+        // same power-on values.
+        for (gi, gate) in module.gates.iter().enumerate() {
+            if gate.kind.is_sequential() {
+                let _ = writeln!(out, "    dut.q{gi} = 1'b{};", gate.init as u8);
+            }
         }
         for (p, &v) in module.inputs.iter().zip(vector) {
-            if let Some(sim) = sim.as_mut() {
-                sim.set(&p.name, v);
-            }
+            sim.set(&p.name, v);
             let _ = writeln!(out, "    {} = {}'d{};", p.name, p.width(), v);
         }
-        if let Some(sim) = sim.as_mut() {
-            for _ in 0..cycles_per_vector.max(1) {
-                sim.step();
-            }
-            sim.settle();
-            // The DUT needs a reset per vector in general; this testbench
-            // targets designs whose state converges from the vector alone
-            // within the cycle budget, so we simply wait the cycles out.
-            let _ = writeln!(
-                out,
-                "    repeat ({}) @(posedge clk);",
-                cycles_per_vector.max(1)
-            );
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim.settle();
+        if sequential {
+            let _ = writeln!(out, "    repeat ({cycles}) @(posedge clk);");
             let _ = writeln!(out, "    #1;");
         } else {
             let _ = writeln!(out, "    #10;");
         }
-        for (oi, p) in module.outputs.iter().enumerate() {
-            let expect = match sim.as_mut() {
-                Some(sim) => sim.get(&p.name),
-                None => expected_rows[vi][oi],
-            };
+        for p in &module.outputs {
+            let expect = sim.get(&p.name);
             let _ = writeln!(
                 out,
                 "    if ({} !== {}'d{}) begin $display(\"FAIL vector {} port {}: got %0d want {}\", {}); errors = errors + 1; end",
@@ -200,6 +165,42 @@ mod tests {
         assert!(tb.contains("always #5 clk = ~clk;"));
         assert!(tb.contains("repeat (1) @(posedge clk);"));
         assert!(tb.contains("2'd2"));
+    }
+
+    #[test]
+    fn sequential_testbench_reinitializes_state_before_every_vector() {
+        // An accumulator: `acc <= acc ^ d` carries state from one vector
+        // to the next unless the registers return to their power-on
+        // values first.
+        let mut b = NetlistBuilder::new("acc");
+        let d = b.input("d", 2);
+        let acc = b.register(&d, 0b01);
+        for (&q, &x) in acc.iter().zip(&d) {
+            let next = b.xor(q, x);
+            b.set_dff_input(q, next);
+        }
+        b.output("q", &acc);
+        let m = b.finish();
+        let tb = to_testbench(&m, &[vec![2], vec![2], vec![3]], 1);
+        let reinit: Vec<usize> = tb.match_indices("    dut.q").map(|(i, _)| i).collect();
+        let applied: Vec<usize> = tb.match_indices("    d = 2'd").map(|(i, _)| i).collect();
+        assert_eq!(reinit.len(), 2 * applied.len(), "{tb}");
+        for (v, &at) in applied.iter().enumerate() {
+            let block = &tb[..at];
+            let previous = if v == 0 { 0 } else { applied[v - 1] };
+            assert_eq!(
+                block[previous..].matches("    dut.q").count(),
+                2,
+                "vector {v} is not preceded by both re-inits:\n{tb}"
+            );
+        }
+        // Power-on state 01: each vector's golden is `1 ^ d` alone.
+        for (v, want) in [(0, 3), (1, 3), (2, 2)] {
+            assert!(
+                tb.contains(&format!("FAIL vector {v} port q: got %0d want {want}\"")),
+                "vector {v} should expect {want}:\n{tb}"
+            );
+        }
     }
 
     #[test]

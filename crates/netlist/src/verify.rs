@@ -13,7 +13,6 @@
 //! 256 lanes subdivides spans differently but preserves the vector
 //! order, the per-span sample streams and the first-difference witness.
 
-use std::fmt;
 use std::sync::Arc;
 
 use crate::builder::NetlistBuilder;
@@ -37,98 +36,6 @@ const SAMPLE_ROOT: u64 = 0x9e3779b97f4a7c15;
 /// streams — are identical at every thread count.
 const SAMPLE_SPAN: u64 = 1024;
 const EXHAUSTIVE_SPAN: u64 = 1 << 16;
-
-/// Why a miter could not be built: the two modules do not present the
-/// same interface, so there is no shared input space to compare them
-/// over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MiterError {
-    /// One of the modules is sequential.
-    Sequential {
-        /// Name of the offending module.
-        module: String,
-    },
-    /// The modules disagree on input/output port count.
-    PortCount {
-        /// `"input"` or `"output"`.
-        direction: &'static str,
-        /// Port count of module `a`.
-        a: usize,
-        /// Port count of module `b`.
-        b: usize,
-    },
-    /// A corresponding port pair differs in name or width.
-    PortShape {
-        /// `"input"` or `"output"`.
-        direction: &'static str,
-        /// Index of the mismatched port pair.
-        index: usize,
-        /// `name[width]` of module `a`'s port.
-        a: String,
-        /// `name[width]` of module `b`'s port.
-        b: String,
-    },
-}
-
-impl fmt::Display for MiterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MiterError::Sequential { module } => {
-                write!(
-                    f,
-                    "module {module} is sequential; miter needs combinational modules"
-                )
-            }
-            MiterError::PortCount { direction, a, b } => {
-                write!(f, "{direction} port count differs: {a} vs {b}")
-            }
-            MiterError::PortShape {
-                direction,
-                index,
-                a,
-                b,
-            } => write!(f, "{direction} port {index} differs: {a} vs {b}"),
-        }
-    }
-}
-
-impl std::error::Error for MiterError {}
-
-/// Why an equivalence check could not produce a verdict: either the two
-/// modules present incompatible interfaces ([`MiterError`]) or the miter
-/// could not be simulated ([`SimError`] — e.g. a combinational cycle in
-/// one of the inputs). Both propagate as errors instead of aborting so
-/// differential harnesses can classify rejected inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyError {
-    /// The miter could not be built.
-    Miter(MiterError),
-    /// The miter could not be compiled or simulated.
-    Sim(SimError),
-}
-
-impl fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VerifyError::Miter(e) => e.fmt(f),
-            VerifyError::Sim(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for VerifyError {}
-
-impl From<MiterError> for VerifyError {
-    fn from(e: MiterError) -> Self {
-        VerifyError::Miter(e)
-    }
-}
-
-impl From<SimError> for VerifyError {
-    fn from(e: SimError) -> Self {
-        VerifyError::Sim(e)
-    }
-}
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,12 +72,13 @@ impl Equivalence {
 /// differs.
 ///
 /// # Errors
-/// Returns a [`MiterError`] if the modules' port names/widths differ or
-/// either is sequential.
-pub fn miter(a: &Module, b: &Module) -> Result<Module, MiterError> {
+/// Returns [`SimError::Sequential`] if either module is sequential, and
+/// [`SimError::PortCount`] or [`SimError::PortShape`] if their port
+/// names/widths differ.
+pub fn miter(a: &Module, b: &Module) -> Result<Module, SimError> {
     for m in [a, b] {
         if !m.is_combinational() {
-            return Err(MiterError::Sequential {
+            return Err(SimError::Sequential {
                 module: m.name.clone(),
             });
         }
@@ -181,7 +89,7 @@ pub fn miter(a: &Module, b: &Module) -> Result<Module, MiterError> {
         ("output", &a.outputs, &b.outputs),
     ] {
         if pa.len() != pb.len() {
-            return Err(MiterError::PortCount {
+            return Err(SimError::PortCount {
                 direction,
                 a: pa.len(),
                 b: pb.len(),
@@ -189,7 +97,7 @@ pub fn miter(a: &Module, b: &Module) -> Result<Module, MiterError> {
         }
         for (index, (x, y)) in pa.iter().zip(pb.iter()).enumerate() {
             if x.name != y.name || x.width() != y.width() {
-                return Err(MiterError::PortShape {
+                return Err(SimError::PortShape {
                     direction,
                     index,
                     a: shape(x),
@@ -323,15 +231,15 @@ impl LaneBuffer {
 /// sampling (with a note on stderr).
 ///
 /// # Errors
-/// Returns [`VerifyError::Miter`] when the two modules' port shapes
-/// differ and [`VerifyError::Sim`] when the miter cannot be compiled
-/// (e.g. a combinational cycle in one of the inputs).
+/// Returns the [`miter`] error when the two modules cannot share one,
+/// and the compile error when the miter cannot be compiled (e.g. a
+/// combinational cycle in one of the inputs).
 pub fn check_equivalence(
     a: &Module,
     b: &Module,
     exhaustive_limit: u32,
     samples: usize,
-) -> Result<Equivalence, VerifyError> {
+) -> Result<Equivalence, SimError> {
     let _span = obs::span("netlist.verify.equivalence");
     let result = check_equivalence_inner(a, b, exhaustive_limit, samples);
     if let Ok(eq) = &result {
@@ -346,7 +254,7 @@ fn check_equivalence_inner(
     b: &Module,
     exhaustive_limit: u32,
     samples: usize,
-) -> Result<Equivalence, VerifyError> {
+) -> Result<Equivalence, SimError> {
     let m = miter(a, b)?;
     let total_bits: u32 = m.inputs.iter().map(|p| p.width() as u32).sum();
 
@@ -400,7 +308,7 @@ fn prove(
     compiled: &Arc<CompiledNetlist>,
     count: u64,
     source: Vectors,
-) -> Result<Equivalence, VerifyError> {
+) -> Result<Equivalence, SimError> {
     let widths: Vec<usize> = compiled.input_widths();
     let span_len = source.span();
     let spans: Vec<u64> = (0..count.div_ceil(span_len)).collect();
@@ -573,7 +481,7 @@ mod tests {
         let err = miter(&b1.finish(), &b2.finish()).unwrap_err();
         assert_eq!(
             err,
-            MiterError::PortShape {
+            SimError::PortShape {
                 direction: "input",
                 index: 0,
                 a: "x[2]".into(),
@@ -591,7 +499,7 @@ mod tests {
         b.output("q", &[q]);
         let seq = b.finish();
         let err = miter(&seq, &seq).unwrap_err();
-        assert!(matches!(err, MiterError::Sequential { .. }));
+        assert!(matches!(err, SimError::Sequential { .. }));
     }
 
     /// Regression: the scalar checker's sampled path masked each port with

@@ -47,16 +47,6 @@ impl Value {
         matches!(self, Value::Float(_))
     }
 
-    /// True for strings.
-    pub fn is_string(&self) -> bool {
-        matches!(self, Value::Str(_))
-    }
-
-    /// True for arrays.
-    pub fn is_array(&self) -> bool {
-        matches!(self, Value::Array(_))
-    }
-
     /// True for objects.
     pub fn is_object(&self) -> bool {
         matches!(self, Value::Object(_))

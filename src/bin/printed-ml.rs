@@ -33,7 +33,7 @@ fn usage() -> &'static str {
        printed-ml report    --app <dataset> [--depth N] [--arch ARCH] [--tech TECH] [--svm]\n\
        printed-ml generate  --app <dataset> [--depth N] [--arch ARCH] [--svm]\n\
                             [--verilog PATH] [--testbench PATH]\n\
-       printed-ml sweep     --app <dataset> [--depth N]\n\
+       printed-ml sweep     --app <dataset> [--depth N] [--tech TECH]\n\
        printed-ml variation --app <dataset> [--depth N] [--svm] [--sigmas S1,S2,..]\n\
                             [--trials N] [--rows N] [--seed N]\n\
        printed-ml cache     stats | clear\n\
@@ -50,6 +50,9 @@ fn usage() -> &'static str {
                past that a crossbar weight's log-normal print factor can\n\
                overflow or vanish.\n\
      \n\
+     Each command takes only the flags its line above names, plus\n\
+     --no-cache; any other flag is rejected.\n\
+     \n\
      Trained models, optimized netlists and PPA results are memoized in a\n\
      content-addressed cache (bench/out/cache/ by default; override with\n\
      PRINTED_ML_CACHE_DIR). Disable per run with --no-cache or\n\
@@ -57,12 +60,26 @@ fn usage() -> &'static str {
      `cache clear`."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `command`'s usage line names; every command also takes
+/// `--no-cache`.
+fn command_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "report" => &["app", "depth", "arch", "tech", "svm"],
+        "generate" => &["app", "depth", "arch", "svm", "verilog", "testbench"],
+        "sweep" => &["app", "depth", "tech"],
+        _ => &["app", "depth", "svm", "sigmas", "trials", "rows", "seed"],
+    }
+}
+
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if name != "no-cache" && !command_flags(command).contains(&name) {
+                return Err(format!("`{command}` takes no --{name} flag"));
+            }
             if name == "svm" || name == "no-cache" {
                 flags.insert(name.to_string(), "true".to_string());
                 i += 1;
@@ -207,7 +224,7 @@ fn run() -> Result<(), String> {
             }
         }
         "report" | "generate" | "sweep" | "variation" => {
-            let flags = parse_flags(&args[1..])?;
+            let flags = parse_flags(command, &args[1..])?;
             if !flags.contains_key("no-cache") {
                 printed_ml::cache::enable_default();
             }
@@ -219,12 +236,11 @@ fn run() -> Result<(), String> {
                 .unwrap_or(4);
             let tech = parse_tech(&flags)?;
             let is_svm = flags.contains_key("svm");
+            let arch = flags.get("arch").map(String::as_str);
             match command.as_str() {
                 "report" => {
-                    if is_svm {
-                        let arch = parse_svm_arch(
-                            flags.get("arch").map(String::as_str).unwrap_or("bespoke"),
-                        )?;
+                    let r = if is_svm {
+                        let arch = parse_svm_arch(arch.unwrap_or("bespoke"))?;
                         egt_only_if_analog(arch == SvmArch::Analog, tech)?;
                         let flow = SvmFlow::new(app, 7);
                         println!(
@@ -233,16 +249,9 @@ fn run() -> Result<(), String> {
                             flow.choice.bits,
                             flow.choice.accuracy
                         );
-                        let r = flow.report(arch, tech);
-                        println!("{r}");
-                        println!("power: {}", r.feasibility());
+                        flow.report(arch, tech)
                     } else {
-                        let arch = parse_tree_arch(
-                            flags
-                                .get("arch")
-                                .map(String::as_str)
-                                .unwrap_or("bespoke-parallel"),
-                        )?;
+                        let arch = parse_tree_arch(arch.unwrap_or("bespoke-parallel"))?;
                         egt_only_if_analog(matches!(arch, TreeArch::Analog(_)), tech)?;
                         let flow = TreeFlow::new(app, depth, 7);
                         println!(
@@ -251,31 +260,22 @@ fn run() -> Result<(), String> {
                             flow.choice.bits,
                             flow.choice.accuracy
                         );
-                        let r = flow.report(arch, tech);
-                        println!("{r}");
-                        println!("power: {}", r.feasibility());
-                    }
+                        flow.report(arch, tech)
+                    };
+                    println!("{r}");
+                    println!("power: {}", r.feasibility());
                     Ok(())
                 }
                 "generate" => {
-                    let module = if is_svm {
-                        let arch = parse_svm_arch(
-                            flags.get("arch").map(String::as_str).unwrap_or("bespoke"),
-                        )?;
-                        SvmFlow::new(app, 7)
-                            .module(arch)
-                            .ok_or("analog designs have no netlist; use `report`")?
+                    let (module, cycles) = if is_svm {
+                        let arch = parse_svm_arch(arch.unwrap_or("bespoke"))?;
+                        (SvmFlow::new(app, 7).module(arch), depth)
                     } else {
-                        let arch = parse_tree_arch(
-                            flags
-                                .get("arch")
-                                .map(String::as_str)
-                                .unwrap_or("bespoke-parallel"),
-                        )?;
-                        TreeFlow::new(app, depth, 7)
-                            .module(arch)
-                            .ok_or("analog designs have no netlist; use `report`")?
+                        let arch = parse_tree_arch(arch.unwrap_or("bespoke-parallel"))?;
+                        let flow = TreeFlow::new(app, depth, 7);
+                        (flow.module(arch), flow.cycles(arch))
                     };
+                    let module = module.ok_or("analog designs have no netlist; use `report`")?;
                     println!(
                         "generated {}: {} gates, {} ROMs, {} nets",
                         module.name,
@@ -304,7 +304,7 @@ fn run() -> Result<(), String> {
                                     .collect()
                             })
                             .collect();
-                        std::fs::write(path, to_testbench(&module, &vectors, depth.max(1)))
+                        std::fs::write(path, to_testbench(&module, &vectors, cycles))
                             .map_err(|e| format!("writing {path}: {e}"))?;
                         println!("wrote {path}");
                     }

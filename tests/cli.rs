@@ -251,3 +251,53 @@ fn depth_bounds_are_accepted() {
         assert!(stdout.contains(&format!("DT-{depth}")), "{stdout}");
     }
 }
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    // The flag each command does not take is the fourth argument.
+    for args in [
+        &["report", "--app", "har", "--bogus", "3"][..],
+        &["report", "--app", "har", "--dpeth", "8"],
+        &["sweep", "--app", "redwine", "--svm"],
+        &["variation", "--app", "har", "--tech", "egt"],
+        &["generate", "--app", "har", "--tech", "egt"],
+    ] {
+        let stderr = rejected(args);
+        assert!(
+            stderr.contains(args[3]) && stderr.contains(args[0]),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn sweep_takes_a_technology() {
+    let (stdout, stderr, ok) = run(&["sweep", "--app", "har", "--depth", "2", "--tech", "cnt"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("CNT"), "{stdout}");
+}
+
+#[test]
+fn serial_testbench_clocks_the_trained_depth() {
+    // A depth-16 request on har trains a depth-10 tree; the bespoke
+    // serial engine decides in 10 cycles, and its state must be
+    // re-initialized before each vector.
+    let tb = std::env::temp_dir().join(format!("printed-ml-serial-tb-{}.v", std::process::id()));
+    let (stdout, stderr, ok) = run(&[
+        "generate",
+        "--app",
+        "har",
+        "--depth",
+        "16",
+        "--arch",
+        "bespoke-serial",
+        "--testbench",
+        tb.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    let text = std::fs::read_to_string(&tb).unwrap();
+    let _ = std::fs::remove_file(&tb);
+    assert_eq!(text.matches("repeat (10) @(posedge clk);").count(), 8);
+    assert!(!text.contains("repeat (16)"));
+    assert!(text.contains("    dut.q"), "no register re-init");
+}
