@@ -21,7 +21,10 @@
 # Every ml file is: the flows train through all of them. So are the
 # code the `printed-ml` CLI runs on user input (the CLI itself, the
 # Verilog testbench emitter, the width search, the analog and PPA
-# reports) and the ratio figures of the reproduction.
+# reports) and the ratio figures of the reproduction. So is the artifact
+# cache (store.rs, hash.rs, lib.rs): every cached flow runs through
+# `cache::memo`, so its locks recover from poisoning instead of
+# unwrapping.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -76,6 +79,9 @@ FILES=(
   crates/analog/src/comparator.rs
   crates/analog/src/proto.rs
   crates/bench/src/experiments/figures.rs
+  crates/cache/src/store.rs
+  crates/cache/src/hash.rs
+  crates/cache/src/lib.rs
   src/bin/printed-ml.rs
 )
 

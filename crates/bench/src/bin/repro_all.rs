@@ -19,9 +19,9 @@
 //!   report lists them in canonical order;
 //! - `--no-cache` — disable the content-addressed artifact cache (also
 //!   settable via `PRINTED_ML_NO_CACHE=1`); by default warm runs reuse
-//!   trained models, optimized netlists and PPA results from
-//!   `bench/out/cache/` (see `docs/caching.md`) and produce
-//!   byte-identical `experiments`/`verify` sections;
+//!   trained models and flow builds from `bench/out/cache/` (netlist
+//!   optimization and PPA always recompute, see `docs/caching.md`) and
+//!   produce byte-identical `experiments`/`verify` sections;
 //! - `--verify` — append the equivalence/fault-grading sign-off stage
 //!   (see [`bench::verify`]); the process exits nonzero if any
 //!   architecture disagrees with its unoptimized reference;

@@ -14,7 +14,7 @@
 //!
 //! Every hash stream is seeded with the cache schema version
 //! ([`crate::SCHEMA`]) and a caller-chosen *domain* string (e.g.
-//! `"netlist.opt"`), so artifacts of different kinds — or of different
+//! `"ml.tree.fit"`), so artifacts of different kinds — or of different
 //! cache generations — can never alias.
 
 use serde::Value;
@@ -165,18 +165,12 @@ macro_rules! impl_hashable_uint {
     ($($t:ty),*) => {$(
         impl Hashable for $t {
             fn stable_hash(&self, h: &mut StableHasher) {
-                h.write_u64(u64::from(*self));
+                h.write_u64(*self as u64);
             }
         }
     )*};
 }
-impl_hashable_uint!(u8, u16, u32, u64);
-
-impl Hashable for usize {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(*self as u64);
-    }
-}
+impl_hashable_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_hashable_int {
     ($($t:ty),*) => {$(
@@ -298,21 +292,11 @@ pub fn key_for<T: Hashable + ?Sized>(domain: &str, artifact: &T) -> Key {
     h.finish()
 }
 
-/// Hashes any [`serde::Serialize`] value through its canonical JSON
+/// Keys any [`serde::Serialize`] artifact through its canonical JSON
 /// [`Value`] tree — the generic fallback when a hand-written
-/// [`Hashable`] impl is not worth the code. The tree is only built when
-/// the hash is taken.
-pub struct Serialized<'a, T: ?Sized>(pub &'a T);
-
-impl<T: serde::Serialize + ?Sized> Hashable for Serialized<'_, T> {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.to_value().stable_hash(h);
-    }
-}
-
-/// Keys any [`serde::Serialize`] artifact through [`Serialized`].
+/// [`Hashable`] impl is not worth the code.
 pub fn key_for_serialized<T: serde::Serialize + ?Sized>(domain: &str, artifact: &T) -> Key {
-    key_for(domain, &Serialized(artifact))
+    key_for(domain, &artifact.to_value())
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //!
 //! The experiment pipeline recomputes the same artifacts many times
 //! over: the 17 `repro_all` regenerators independently train the same
-//! models, generate and optimize the same netlists and re-run the same
-//! PPA analyses. This crate provides the two pieces that make all of
-//! that reusable without ever changing a result:
+//! models and build the same flows. This crate provides the two pieces
+//! that make that reusable without ever changing a result:
 //!
 //! * [`StableHasher`]/[`Hashable`] ([`hash`]) — a portable structural
 //!   hasher producing 128-bit [`Key`]s over canonical artifact
@@ -17,7 +16,9 @@
 //!   (in-process memo map + on-disk JSON under `bench/out/cache/cache-v1/`,
 //!   via the in-repo serde shims) keyed by those hashes. A cached stage
 //!   is a single `memo(domain, &input, || compute(..))` call; with the
-//!   cache disabled it is just `compute()`.
+//!   cache disabled it is just `compute()`. A stage is cached only when
+//!   its warm load (key, read, decode) is measured cheaper than its
+//!   compute, which is why netlist optimization and PPA are not.
 //!
 //! **Determinism contract.** A cache hit returns a value equal to what
 //! the compute closure would have produced: keys cover the complete
@@ -45,7 +46,7 @@ pub mod store;
 /// any producer's semantics change.
 pub const SCHEMA: &str = "cache-v1";
 
-pub use hash::{key_for, key_for_serialized, Hashable, Key, Serialized, StableHasher};
+pub use hash::{key_for, key_for_serialized, Hashable, Key, StableHasher};
 pub use store::{
     clear, clear_memory, disk_root, disk_stats, enable_default, enabled, memo, set_disk_root,
     set_enabled, DomainStats, DEFAULT_DISK_ROOT,

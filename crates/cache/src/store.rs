@@ -1,17 +1,15 @@
 //! Two-tier content-addressed store.
 //!
-//! Tier 1 is an in-process memo map (`(domain, key) → Arc<artifact>`)
-//! that deduplicates repeated constructions within one run. Tier 2 is an
-//! on-disk JSON store (`<root>/cache-v1/<domain>/<key>.json`, written
-//! through the in-repo serde shims) that lets a later process skip the
-//! work entirely.
+//! Tier 1 is an in-process map with one single-flight slot per
+//! `(domain, key)`, so each artifact is built or decoded once per run.
+//! Tier 2 is an on-disk JSON store (`<root>/cache-v1/<domain>/<key>.json`,
+//! written through the in-repo serde shims) that lets a later process
+//! skip the work entirely.
 //!
 //! [`memo`] is the one entry point: every cached pipeline stage is a
 //! single `memo(domain, &input, || compute(..))` call. The store is
 //! **off by default**: unless a binary opted in via [`set_enabled`],
-//! `memo` falls straight through to the compute closure with no hashing
-//! or locking on the way. This keeps tests and library consumers
-//! byte-for-byte on the uncached path unless they ask otherwise.
+//! `memo` is a pass-through.
 //!
 //! Correctness stance: keys are full content hashes (see
 //! [`crate::hash`]), values round-trip exactly through the serde shims
@@ -24,7 +22,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::hash::{key_for, Hashable, Key};
 
@@ -40,19 +38,25 @@ static STALE_DROPS: obs::Counter = obs::Counter::new("cache.stale_drops");
 static BYTES_READ: obs::Counter = obs::Counter::new("cache.bytes_read");
 /// Bytes written to the on-disk store.
 static BYTES_WRITTEN: obs::Counter = obs::Counter::new("cache.bytes_written");
+/// Nanoseconds spent hashing inputs into keys.
+static KEY_NS: obs::Counter = obs::Counter::new("cache.key_ns");
+/// Nanoseconds spent reading and decoding disk entries.
+static LOAD_NS: obs::Counter = obs::Counter::new("cache.load_ns");
+/// Nanoseconds spent encoding and writing disk entries on misses.
+static STORE_NS: obs::Counter = obs::Counter::new("cache.store_ns");
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// Memory tier: one `Arc<OnceLock<T>>` slot per key (see [`memo`]).
 type MemMap = HashMap<(&'static str, Key), Arc<dyn Any + Send + Sync>>;
+static MEM: LazyLock<Mutex<MemMap>> = LazyLock::new(Mutex::default);
+/// Disk tier root, if any.
+static DISK: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-fn mem() -> &'static Mutex<MemMap> {
-    static MEM: OnceLock<Mutex<MemMap>> = OnceLock::new();
-    MEM.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn disk() -> &'static Mutex<Option<PathBuf>> {
-    static DISK: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    DISK.get_or_init(|| Mutex::new(None))
+/// Locks `m` even if a panicking holder poisoned it: no compute runs
+/// under these locks, so a panic cannot leave their data half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Turns the cache on or off process-wide. Off (the default) makes
@@ -69,12 +73,12 @@ pub fn enabled() -> bool {
 /// Sets (or clears) the on-disk tier's root directory. The schema
 /// directory (`cache-v1`) is appended beneath it.
 pub fn set_disk_root(root: Option<PathBuf>) {
-    *disk().lock().unwrap() = root;
+    *lock(&DISK) = root;
 }
 
 /// The configured on-disk root, if any.
 pub fn disk_root() -> Option<PathBuf> {
-    disk().lock().unwrap().clone()
+    lock(&DISK).clone()
 }
 
 /// Default on-disk root used by the binaries.
@@ -99,7 +103,7 @@ pub fn enable_default() {
 /// Drops every in-process memo entry (the disk tier is untouched).
 /// Used by benchmarks to measure warm-from-disk performance.
 pub fn clear_memory() {
-    mem().lock().unwrap().clear();
+    lock(&MEM).clear();
 }
 
 fn entry_path(root: &Path, domain: &str, key: Key) -> PathBuf {
@@ -115,6 +119,14 @@ fn entry_path(root: &Path, domain: &str, key: Key) -> PathBuf {
 /// `input` must cover everything the computation depends on (a tuple
 /// of the arguments, typically). When the cache is disabled this is
 /// just `compute()`: `input` is never hashed and no lock is taken.
+///
+/// Single-flight: each `(domain, key)` is loaded or computed at most
+/// once per process (until [`clear_memory`]). Its memory slot is an
+/// `Arc<OnceLock<T>>`, taken under the map lock and filled outside it,
+/// so a concurrent caller of the same key waits for the first instead
+/// of repeating its disk decode or compute. A `compute` may itself call
+/// `memo` for another domain (a flow build fits its model through
+/// `ml.*`): domains nest acyclically, so no slot ever waits on itself.
 pub fn memo<I, T, F>(domain: &'static str, input: &I, compute: F) -> T
 where
     I: Hashable + ?Sized,
@@ -124,51 +136,62 @@ where
     if !enabled() {
         return compute();
     }
-    let key = key_for(domain, input);
-    if let Some(hit) = mem().lock().unwrap().get(&(domain, key)) {
-        if let Some(value) = hit.downcast_ref::<T>() {
-            MEM_HITS.incr();
-            return value.clone();
-        }
+    let key = KEY_NS.time(|| key_for(domain, input));
+    let slot = Arc::clone(
+        lock(&MEM)
+            .entry((domain, key))
+            .or_insert_with(|| Arc::new(OnceLock::<T>::new())),
+    );
+    // A domain reused for another artifact type gets a private slot.
+    let cell = slot.downcast::<OnceLock<T>>().unwrap_or_default();
+    let mut filled = false;
+    let value = cell
+        .get_or_init(|| {
+            filled = true;
+            load_or_compute(domain, key, compute)
+        })
+        .clone();
+    if !filled {
+        MEM_HITS.incr();
     }
-    if let Some(root) = disk_root() {
-        let path = entry_path(&root, domain, key);
-        match std::fs::read_to_string(&path) {
-            Ok(body) => match serde_json::from_str::<T>(&body) {
-                Ok(value) => {
-                    DISK_HITS.incr();
-                    BYTES_READ.add(body.len() as u64);
-                    mem()
-                        .lock()
-                        .unwrap()
-                        .insert((domain, key), Arc::new(value.clone()));
-                    return value;
-                }
-                Err(_) => {
-                    // Corrupted or stale (schema-incompatible) entry:
-                    // drop it and fall through to recompute.
-                    STALE_DROPS.incr();
-                    let _ = std::fs::remove_file(&path);
-                }
-            },
-            Err(err) if err.kind() != std::io::ErrorKind::NotFound => {
-                STALE_DROPS.incr();
-                let _ = std::fs::remove_file(&path);
+    value
+}
+
+/// The disk tier behind one memory slot: the stored entry if it
+/// decodes, else `compute()`, stored for the next process. A missing
+/// entry is a plain miss; an unreadable or undecodable one (corrupted,
+/// or written under another shape) is dropped and replaced.
+fn load_or_compute<T, F>(domain: &str, key: Key, compute: F) -> T
+where
+    T: serde::Serialize + serde::Deserialize,
+    F: FnOnce() -> T,
+{
+    let path = disk_root().map(|root| entry_path(&root, domain, key));
+    if let Some(path) = &path {
+        let read = LOAD_NS.time(|| {
+            std::fs::read_to_string(path).map(|body| (serde_json::from_str::<T>(&body), body.len()))
+        });
+        match read {
+            Ok((Ok(value), bytes)) => {
+                DISK_HITS.incr();
+                BYTES_READ.add(bytes as u64);
+                return value;
             }
-            Err(_) => {}
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
+            _ => {
+                STALE_DROPS.incr();
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
     MISSES.incr();
     let value = compute();
-    mem()
-        .lock()
-        .unwrap()
-        .insert((domain, key), Arc::new(value.clone()));
-    if let Some(root) = disk_root() {
-        let path = entry_path(&root, domain, key);
-        if let Ok(body) = serde_json::to_string(&value) {
-            write_atomic(&path, &body);
-        }
+    if let Some(path) = path {
+        STORE_NS.time(|| {
+            if let Ok(body) = serde_json::to_string(&value) {
+                write_atomic(&path, &body);
+            }
+        });
     }
     value
 }
@@ -376,6 +399,38 @@ mod tests {
     fn temp_paths_are_unique_per_write() {
         let path = Path::new("store/domain/key.json");
         assert_ne!(temp_path(path), temp_path(path));
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_compute_it_once() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        set_enabled(true);
+        set_disk_root(None);
+        clear_memory();
+        let calls = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        memo("test.flight", "flight", || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(100));
+                            vec![1, 2, 3]
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(results, vec![vec![1, 2, 3]; 2]);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "the second caller recomputed"
+        );
     }
 
     #[test]

@@ -275,6 +275,10 @@ impl SvmFlow {
     const EPOCHS: usize = 200;
     /// L2 regularization of the SVM regressor.
     const L2: f64 = 1e-4;
+    /// Clock cycles per inference of every SVM architecture: each
+    /// decides in one (the conventional engine registers only its
+    /// inputs).
+    pub const CYCLES: usize = 1;
 
     /// Trains an SVM regressor on `app` (seeded) and runs the width search.
     pub fn new(app: Application, seed: u64) -> Self {
@@ -367,7 +371,7 @@ impl SvmFlow {
         let design = self
             .module(arch)
             .ok_or_else(|| analog_svm_report(&self.qs, self.n_features));
-        price(name, tech, design, 1)
+        price(name, tech, design, Self::CYCLES)
     }
 }
 

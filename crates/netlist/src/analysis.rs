@@ -69,15 +69,6 @@ impl Ppa {
 /// [`crate::builder::NetlistBuilder::finish`] and the generators never
 /// do; a module read through serde may.
 pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
-    // Keyed by module content + full library parameters. The Ppa payload
-    // is a handful of floats, so warm runs skip the critical-path walk
-    // over six-figure-gate conventional engines for a tiny disk read.
-    cache::memo("netlist.ppa", &(module, cache::Serialized(lib)), || {
-        analyze_impl(module, lib)
-    })
-}
-
-fn analyze_impl(module: &Module, lib: &CellLibrary) -> Ppa {
     let mut logic_area = Area::ZERO;
     let mut logic_power = Power::ZERO;
     for gate in &module.gates {

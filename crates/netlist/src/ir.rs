@@ -415,9 +415,9 @@ impl cache::Hashable for Port {
     }
 }
 
-/// Hand-rolled content hash: modules are the largest cached artifacts
-/// (hundreds of thousands of gates), so keying must not detour through a
-/// serde `Value` tree.
+/// Hand-rolled content digest: modules run to hundreds of thousands of
+/// gates, so hashing must not detour through a serde `Value` tree. The
+/// fuzz oracle and the pin tests use it to fingerprint netlists.
 impl cache::Hashable for Module {
     fn stable_hash(&self, h: &mut cache::StableHasher) {
         h.write_str(&self.name);

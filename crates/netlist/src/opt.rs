@@ -103,9 +103,7 @@ static OPT_NS: obs::Counter = obs::Counter::new("netlist.opt.ns");
 /// assert_eq!(m.gate_count(), 0);
 /// ```
 pub fn optimize(module: &Module) -> Module {
-    // Keyed by the pre-optimization structural hash: a warm run returns
-    // the stored optimized module without running the engine at all.
-    cache::memo("netlist.opt", module, || optimize_with_stats(module).0)
+    optimize_with_stats(module).0
 }
 
 /// Like [`optimize`], additionally returning per-call [`OptStats`].

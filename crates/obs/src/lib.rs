@@ -80,3 +80,12 @@ pub fn reset() {
 pub fn report() -> Report {
     report::build()
 }
+
+#[cfg(test)]
+/// Serializes every unit test of this crate that resets or toggles the
+/// process-global registries, whichever module it lives in.
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -164,13 +164,10 @@ pub(crate) fn snapshot_gauges() -> Vec<(&'static str, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counters_accumulate_and_zero_registers() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         static C: Counter = Counter::new("test.counter");
         C.add(0);
@@ -187,7 +184,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_the_last_value() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         static G: Gauge = Gauge::new("test.gauge");
         assert_eq!(G.get(), 0.0);
@@ -198,7 +195,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_drop_updates() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         crate::set_enabled(false);
         counter_add("test.disabled", 7);

@@ -207,13 +207,10 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn tree_assembles_with_self_time_and_sorted_children() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         {
             let _a = crate::span("root");
@@ -242,7 +239,7 @@ mod tests {
 
     #[test]
     fn orphan_children_synthesize_their_parent() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         crate::with_path(&["never_closed"], || {
             let _c = crate::span("task");
@@ -257,7 +254,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         {
             let _a = crate::span("rt");
@@ -275,7 +272,7 @@ mod tests {
 
     #[test]
     fn text_summary_lists_spans_and_metrics() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         {
             let _a = crate::span("stage");

@@ -127,14 +127,10 @@ pub(crate) fn snapshot_spans() -> Vec<(SpanPath, SpanStat)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that touch the process-wide registry/flag.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn nested_spans_record_full_paths() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         {
             let _a = span("outer");
@@ -154,7 +150,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         crate::set_enabled(false);
         {
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn with_path_installs_and_restores() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         let _root = span("root");
         assert_eq!(current_path(), vec!["root"]);
@@ -181,7 +177,7 @@ mod tests {
 
     #[test]
     fn with_path_restores_on_panic() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         let before = current_path();
         let caught = std::panic::catch_unwind(|| with_path(&["doomed"], || panic!("boom")));
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_attach_under_captured_path() {
-        let _l = LOCK.lock().unwrap();
+        let _l = crate::test_lock();
         crate::reset();
         {
             let _root = span("parent");

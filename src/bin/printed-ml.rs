@@ -53,11 +53,10 @@ fn usage() -> &'static str {
      Each command takes only the flags its line above names, plus\n\
      --no-cache; any other flag is rejected.\n\
      \n\
-     Trained models, optimized netlists and PPA results are memoized in a\n\
-     content-addressed cache (bench/out/cache/ by default; override with\n\
-     PRINTED_ML_CACHE_DIR). Disable per run with --no-cache or\n\
-     PRINTED_ML_NO_CACHE=1; inspect with `cache stats`, wipe with\n\
-     `cache clear`."
+     Trained models and flow builds are memoized in a content-addressed\n\
+     cache (bench/out/cache/ by default; override with PRINTED_ML_CACHE_DIR).\n\
+     Disable per run with --no-cache or PRINTED_ML_NO_CACHE=1; inspect with\n\
+     `cache stats`, wipe with `cache clear`."
 }
 
 /// The flags `command`'s usage line names; every command also takes
@@ -166,6 +165,18 @@ fn egt_only_if_analog(analog: bool, tech: Technology) -> Result<(), String> {
     Ok(())
 }
 
+/// One line naming a trained tree: requested depth, nodes and width.
+fn tree_model(flow: &TreeFlow) -> String {
+    let (nodes, bits) = (flow.qt.comparison_count(), flow.choice.bits);
+    format!("DT-{}, {nodes} nodes, {bits} bits", flow.depth)
+}
+
+/// One line naming a trained SVM: terms and width.
+fn svm_model(flow: &SvmFlow) -> String {
+    let (terms, bits) = (flow.qs.mac_count(), flow.choice.bits);
+    format!("SVM-R, {terms} terms, {bits} bits")
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -243,23 +254,15 @@ fn run() -> Result<(), String> {
                         let arch = parse_svm_arch(arch.unwrap_or("bespoke"))?;
                         egt_only_if_analog(arch == SvmArch::Analog, tech)?;
                         let flow = SvmFlow::new(app, 7);
-                        println!(
-                            "model: SVM-R, {} terms, {} bits, accuracy {:.3}",
-                            flow.qs.mac_count(),
-                            flow.choice.bits,
-                            flow.choice.accuracy
-                        );
+                        let accuracy = flow.choice.accuracy;
+                        println!("model: {}, accuracy {accuracy:.3}", svm_model(&flow));
                         flow.report(arch, tech)
                     } else {
                         let arch = parse_tree_arch(arch.unwrap_or("bespoke-parallel"))?;
                         egt_only_if_analog(matches!(arch, TreeArch::Analog(_)), tech)?;
                         let flow = TreeFlow::new(app, depth, 7);
-                        println!(
-                            "model: DT-{depth}, {} nodes, {} bits, accuracy {:.3}",
-                            flow.qt.comparison_count(),
-                            flow.choice.bits,
-                            flow.choice.accuracy
-                        );
+                        let accuracy = flow.choice.accuracy;
+                        println!("model: {}, accuracy {accuracy:.3}", tree_model(&flow));
                         flow.report(arch, tech)
                     };
                     println!("{r}");
@@ -269,7 +272,7 @@ fn run() -> Result<(), String> {
                 "generate" => {
                     let (module, cycles) = if is_svm {
                         let arch = parse_svm_arch(arch.unwrap_or("bespoke"))?;
-                        (SvmFlow::new(app, 7).module(arch), depth)
+                        (SvmFlow::new(app, 7).module(arch), SvmFlow::CYCLES)
                     } else {
                         let arch = parse_tree_arch(arch.unwrap_or("bespoke-parallel"))?;
                         let flow = TreeFlow::new(app, depth, 7);
@@ -289,18 +292,23 @@ fn run() -> Result<(), String> {
                         println!("wrote {path}");
                     }
                     if let Some(path) = flags.get("testbench") {
-                        // A small smoke set: zero, all-ones, and ramps.
-                        let width_max: u64 = module
-                            .inputs
-                            .iter()
-                            .map(|p| (1u64 << p.width().min(16)) - 1)
-                            .max()
-                            .unwrap_or(1);
-                        let n = module.inputs.len();
+                        // A small smoke set: all zeros, every port at its
+                        // maximum, then six ramps reduced to each port's
+                        // own range.
                         let vectors: Vec<Vec<u64>> = (0..8u64)
                             .map(|k| {
-                                (0..n)
-                                    .map(|i| (k * 37 + i as u64 * 11) % (width_max + 1))
+                                module
+                                    .inputs
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, p)| {
+                                        let max = u64::MAX >> (64 - p.width().clamp(1, 64));
+                                        match k {
+                                            0 => 0,
+                                            1 => max,
+                                            _ => (k * 37 + i as u64 * 11) & max,
+                                        }
+                                    })
                                     .collect()
                             })
                             .collect();
@@ -324,23 +332,19 @@ fn run() -> Result<(), String> {
                         ("lookup-opt", TreeArch::Lookup(LookupConfig::optimized())),
                         ("analog", TreeArch::Analog(AnalogTreeConfig::default())),
                     ] {
-                        let techs: &[Technology] = if matches!(arch, TreeArch::Analog(_)) {
-                            &[Technology::Egt]
-                        } else {
-                            &[tech]
-                        };
-                        for &t in techs {
-                            let r = flow.report(arch, t);
-                            println!(
-                                "{:<18} {:<9} {:>12} {:>12} {:>12}  {}",
-                                name,
-                                t.to_string(),
-                                r.latency.to_string(),
-                                r.area.to_string(),
-                                r.power.to_string(),
-                                r.feasibility().source_name()
-                            );
-                        }
+                        // The analog engine exists in EGT only.
+                        let analog = matches!(arch, TreeArch::Analog(_));
+                        let t = if analog { Technology::Egt } else { tech };
+                        let r = flow.report(arch, t);
+                        println!(
+                            "{:<18} {:<9} {:>12} {:>12} {:>12}  {}",
+                            name,
+                            t.to_string(),
+                            r.latency.to_string(),
+                            r.area.to_string(),
+                            r.power.to_string(),
+                            r.feasibility().source_name()
+                        );
                     }
                     Ok(())
                 }
@@ -381,20 +385,12 @@ fn run() -> Result<(), String> {
                         .unwrap_or(7);
                     let (model, reports) = if is_svm {
                         let flow = SvmFlow::new(app, 7);
-                        let model = format!(
-                            "SVM-R, {} terms, {} bits",
-                            flow.qs.mac_count(),
-                            flow.choice.bits
-                        );
-                        (model, flow.variation_sweep(&sigmas, trials, rows, seed))
+                        let reports = flow.variation_sweep(&sigmas, trials, rows, seed);
+                        (svm_model(&flow), reports)
                     } else {
                         let flow = TreeFlow::new(app, depth, 7);
-                        let model = format!(
-                            "DT-{depth}, {} nodes, {} bits",
-                            flow.qt.comparison_count(),
-                            flow.choice.bits
-                        );
-                        (model, flow.variation_sweep(&sigmas, trials, rows, seed))
+                        let reports = flow.variation_sweep(&sigmas, trials, rows, seed);
+                        (tree_model(&flow), reports)
                     };
                     let reports = reports.map_err(|e| e.to_string())?;
                     println!("model: {model}; {trials} trials, seed {seed}");

@@ -301,3 +301,67 @@ fn serial_testbench_clocks_the_trained_depth() {
     assert!(!text.contains("repeat (16)"));
     assert!(text.contains("    dut.q"), "no register re-init");
 }
+
+/// Writes the testbench of `generate <args>` to a temp file and returns it.
+fn testbench(tag: &str, args: &[&str]) -> String {
+    let tb = std::env::temp_dir().join(format!("printed-ml-tb-{tag}-{}.v", std::process::id()));
+    let mut argv = vec![
+        "generate",
+        "--no-cache",
+        "--testbench",
+        tb.to_str().unwrap(),
+    ];
+    argv.extend_from_slice(args);
+    let (stdout, stderr, ok) = run(&argv);
+    assert!(ok, "{stdout}{stderr}");
+    let text = std::fs::read_to_string(&tb).unwrap();
+    let _ = std::fs::remove_file(&tb);
+    text
+}
+
+#[test]
+fn testbench_values_fit_their_ports() {
+    for (tag, args) in [
+        (
+            "conv-svm",
+            &["--app", "redwine", "--svm", "--arch", "conv"][..],
+        ),
+        ("tree", &["--app", "redwine", "--depth", "4"][..]),
+    ] {
+        let text = testbench(tag, args);
+        let mut literals = 0;
+        for line in text.lines() {
+            // `name = W'dV;`, the stimulus assignments.
+            let Some((name, literal)) = line.trim().split_once(" = ") else {
+                continue;
+            };
+            let Some((width, value)) = literal.trim_end_matches(';').split_once("'d") else {
+                continue;
+            };
+            assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
+            let width: u32 = width.parse().unwrap();
+            let value: u128 = value.parse().unwrap();
+            assert!(
+                value < 1u128 << width,
+                "{tag}: `{}` overflows its port",
+                line.trim()
+            );
+            literals += 1;
+        }
+        assert!(literals > 8, "{tag}: only {literals} stimulus literals");
+    }
+}
+
+#[test]
+fn svm_testbench_clocks_one_cycle_at_any_depth() {
+    let args = |depth| {
+        [
+            "--app", "redwine", "--svm", "--arch", "conv", "--depth", depth,
+        ]
+    };
+    let shallow = testbench("svm-d1", &args("1"));
+    let deep = testbench("svm-d4", &args("4"));
+    assert!(shallow == deep, "--depth changed the SVM testbench");
+    assert_eq!(shallow.matches("repeat (1) @(posedge clk);").count(), 8);
+    assert_eq!(shallow.matches("repeat (").count(), 8);
+}

@@ -2,11 +2,11 @@
 //!
 //! The generators share their building blocks (the class-select walk,
 //! the per-feature lookup tables, the SVM datapath), and those blocks
-//! may be reorganized as long as every netlist comes out the same: the
-//! `netlist.opt` and `netlist.ppa` cache entries are keyed on its bytes,
-//! gate order, net numbering and region tags included. For all seven
-//! applications, trained with model seed 7, this test pins the content
-//! key of:
+//! may be reorganized as long as every netlist comes out the same, gate
+//! order, net numbering and region tags included: the optimizer, the PPA
+//! analysis and the other pin tests all start from these bytes. For all
+//! seven applications, trained with model seed 7, this test pins the
+//! content key of:
 //!
 //! * the unoptimized bespoke parallel tree and the baseline and
 //!   optimized lookup trees at depths 1/2/4/8, and the bespoke serial

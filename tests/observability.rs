@@ -9,6 +9,7 @@
 
 use std::sync::Mutex;
 
+use printed_ml::cache;
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::exec::with_threads;
 use printed_ml::ml::synth::Application;
@@ -123,6 +124,46 @@ fn optimizer_rule_counters_match_opt_stats() {
     let (bare, _) = netlist::optimize_with_stats(&raw);
     obs::set_enabled(true);
     assert_eq!(optimized, bare);
+}
+
+#[test]
+fn cache_cost_counters_time_keys_loads_and_stores() {
+    let _lock = LOCK.lock().unwrap();
+    let _guard = EnableGuard;
+    let root = std::env::temp_dir().join(format!("printed_ml_obs_cache_{}", std::process::id()));
+    let input: Vec<u64> = (0..4096).collect();
+    // A cold-then-warm `memo` pair over an emptied store.
+    let pair = || {
+        let _ = std::fs::remove_dir_all(&root);
+        cache::clear_memory();
+        let cold: Vec<u64> = cache::memo("test.obs.cache", &input, || {
+            input.iter().map(|x| x * 3).collect()
+        });
+        cache::clear_memory();
+        let warm: Vec<u64> = cache::memo("test.obs.cache", &input, Vec::new);
+        (cold, warm)
+    };
+    cache::set_disk_root(Some(root.clone()));
+    cache::set_enabled(true);
+    obs::set_enabled(true);
+    obs::reset();
+    let instrumented = pair();
+    let report = obs::report();
+    obs::set_enabled(false);
+    let bare = pair();
+    obs::set_enabled(true);
+    cache::set_enabled(false);
+    cache::set_disk_root(None);
+    cache::clear_memory();
+    let _ = std::fs::remove_dir_all(&root);
+
+    assert_eq!(report.counter("cache.misses"), 1);
+    assert_eq!(report.counter("cache.disk_hits"), 1);
+    for name in ["cache.key_ns", "cache.load_ns", "cache.store_ns"] {
+        assert!(report.counter(name) > 0, "{name} recorded nothing");
+    }
+    assert_eq!(instrumented.0, instrumented.1, "the warm call missed");
+    assert_eq!(instrumented, bare, "instrumentation changed the value");
 }
 
 #[test]
