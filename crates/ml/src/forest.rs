@@ -60,6 +60,7 @@ impl RandomForest {
     }
 
     fn fit_impl(data: &Dataset, params: ForestParams) -> Self {
+        let _span = obs::span("ml.forest.fit");
         let mut rng = StdRng::seed_from_u64(params.seed);
         let n = data.len();
         let subset_size = ((data.n_features() as f64).sqrt().ceil() as usize)

@@ -50,3 +50,13 @@ pub use opcount::{CountOps, OpCount};
 pub use quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
 pub use synth::Application;
 pub use tree::{DecisionTree, TreeNode, TreeParams};
+
+/// The value `Iterator::sum` starts an `f64` sum from (`-0.0` on current
+/// toolchains). The training kernels start each interleaved dot product
+/// here, so it keeps the bits of the `.sum()` it stands in for.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+#[cfg(test)]
+mod test_data;

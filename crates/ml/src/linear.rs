@@ -115,9 +115,9 @@ impl SvmClassifier {
     }
 
     fn fit_impl(data: &Dataset, epochs: usize, lambda: f64, seed: u64) -> Self {
-        let _span = obs::span("ml.svm.fit");
-        obs::counter_add("ml.svm.fits", 1);
-        obs::counter_add("ml.svm.epochs", epochs as u64);
+        let _span = obs::span("ml.svmc.fit");
+        obs::counter_add("ml.svmc.fits", 1);
+        obs::counter_add("ml.svmc.epochs", epochs as u64);
         let mut machines = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for a in 0..data.n_classes {
@@ -232,31 +232,35 @@ impl LogisticRegression {
         let k = data.n_classes;
         let d = data.n_features();
         let n = data.len() as f64;
-        let mut w = vec![vec![0.0; d]; k];
-        let mut b = vec![0.0; k];
+        let mut fit = LrEpoch {
+            d,
+            w: vec![0.0; k * d],
+            b: vec![0.0; k],
+            gw: vec![0.0; k * d],
+            gb: vec![0.0; k],
+            err: vec![0.0; LR_ROWS * k],
+        };
         for _ in 0..epochs {
-            let mut gw = vec![vec![0.0; d]; k];
-            let mut gb = vec![0.0; k];
-            for (row, &label) in data.x.iter().zip(&data.y) {
-                let probs = softmax(&scores(&w, &b, row));
-                for c in 0..k {
-                    let err = probs[c] - (c == label) as usize as f64;
-                    for (g, xi) in gw[c].iter_mut().zip(row) {
-                        *g += err * xi;
-                    }
-                    gb[c] += err;
-                }
+            fit.gw.fill(0.0);
+            fit.gb.fill(0.0);
+            let mut xs = data.x.chunks_exact(LR_ROWS);
+            let mut ys = data.y.chunks_exact(LR_ROWS);
+            for (x, y) in (&mut xs).zip(&mut ys) {
+                fit.accumulate::<LR_ROWS>(x, y);
             }
-            for c in 0..k {
-                for (wi, g) in w[c].iter_mut().zip(&gw[c]) {
-                    *wi -= lr * g / n;
-                }
-                b[c] -= lr * gb[c] / n;
+            for (x, y) in xs.remainder().chunks(1).zip(ys.remainder().chunks(1)) {
+                fit.accumulate::<1>(x, y);
+            }
+            for (wi, g) in fit.w.iter_mut().zip(&fit.gw) {
+                *wi -= lr * g / n;
+            }
+            for (bc, g) in fit.b.iter_mut().zip(&fit.gb) {
+                *bc -= lr * g / n;
             }
         }
         LogisticRegression {
-            weights: w,
-            biases: b,
+            weights: (0..k).map(|c| fit.w[c * d..][..d].to_vec()).collect(),
+            biases: fit.b,
         }
     }
 
@@ -288,12 +292,75 @@ fn scores(w: &[Vec<f64>], b: &[f64], row: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn softmax(s: &[f64]) -> Vec<f64> {
-    let m = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = s.iter().map(|v| (v - m).exp()).collect();
-    let z: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / z).collect()
+/// Rows one [`LrEpoch::accumulate`] pass scores against each weight row.
+const LR_ROWS: usize = 4;
+
+/// One full-batch logistic-regression epoch in flight: the `k × d`
+/// weights row-major, and the gradients being summed over the rows.
+///
+/// Every scalar sum keeps the terms, start value and order of a row-by-row
+/// loop (dot products start at `Iterator::sum`'s identity, gradients at
+/// `+0.0`, rows add in dataset order); only sums of different rows are
+/// interleaved, so the trained weights do not move by a bit.
+struct LrEpoch {
+    d: usize,
+    w: Vec<f64>,
+    b: Vec<f64>,
+    gw: Vec<f64>,
+    gb: Vec<f64>,
+    /// `R × k` per-row scores, then softmax errors.
+    err: Vec<f64>,
 }
+
+impl LrEpoch {
+    /// Adds the softmax cross-entropy gradients of `R` consecutive rows.
+    /// Each weight is loaded once for all `R` dot products, and each
+    /// gradient is read and written once for all `R` rows.
+    fn accumulate<const R: usize>(&mut self, x: &[Vec<f64>], y: &[usize]) {
+        let d = self.d;
+        let k = self.b.len();
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &x[r][..d]);
+        let err = &mut self.err[..R * k];
+        for c in 0..k {
+            let mut acc = [crate::sum_start(); R];
+            for (j, wj) in self.w[c * d..][..d].iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += wj * row[j];
+                }
+            }
+            for (r, a) in acc.into_iter().enumerate() {
+                err[r * k + c] = a + self.b[c];
+            }
+        }
+        for (r, &label) in y.iter().enumerate() {
+            let s = &mut err[r * k..][..k];
+            let m = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            for v in s.iter_mut() {
+                *v = (*v - m).exp();
+            }
+            let z: f64 = s.iter().sum();
+            for (c, v) in s.iter_mut().enumerate() {
+                *v = *v / z - (c == label) as usize as f64;
+            }
+        }
+        for c in 0..k {
+            let e: [f64; R] = std::array::from_fn(|r| err[r * k + c]);
+            for (j, g) in self.gw[c * d..][..d].iter_mut().enumerate() {
+                let mut sum = *g;
+                for (er, row) in e.iter().zip(&rows) {
+                    sum += er * row[j];
+                }
+                *g = sum;
+            }
+            for er in e {
+                self.gb[c] += er;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -355,12 +422,5 @@ mod tests {
         assert!(acc > 0.8, "LR cardio accuracy {acc}");
         assert_eq!(m.n_classes(), 3);
         assert_eq!(m.n_features(), 19);
-    }
-
-    #[test]
-    fn softmax_is_a_distribution() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(p[2] > p[1] && p[1] > p[0]);
     }
 }

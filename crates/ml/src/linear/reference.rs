@@ -1,0 +1,105 @@
+//! The row-by-row logistic-regression trainer that [`LrEpoch`] replaced,
+//! kept as its bit-for-bit oracle.
+
+use super::*;
+use crate::synth::Application;
+use crate::test_data;
+
+fn fit(data: &Dataset, epochs: usize, lr: f64) -> LogisticRegression {
+    let k = data.n_classes;
+    let d = data.n_features();
+    let n = data.len() as f64;
+    let mut w = vec![vec![0.0; d]; k];
+    let mut b = vec![0.0; k];
+    for _ in 0..epochs {
+        let mut gw = vec![vec![0.0; d]; k];
+        let mut gb = vec![0.0; k];
+        for (row, &label) in data.x.iter().zip(&data.y) {
+            let probs = softmax(&scores(&w, &b, row));
+            for c in 0..k {
+                let err = probs[c] - (c == label) as usize as f64;
+                for (g, xi) in gw[c].iter_mut().zip(row) {
+                    *g += err * xi;
+                }
+                gb[c] += err;
+            }
+        }
+        for c in 0..k {
+            for (wi, g) in w[c].iter_mut().zip(&gw[c]) {
+                *wi -= lr * g / n;
+            }
+            b[c] -= lr * gb[c] / n;
+        }
+    }
+    LogisticRegression {
+        weights: w,
+        biases: b,
+    }
+}
+
+fn softmax(s: &[f64]) -> Vec<f64> {
+    let m = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = s.iter().map(|v| (v - m).exp()).collect();
+    let z: f64 = exps.iter().sum();
+    exps.into_iter().map(|e| e / z).collect()
+}
+
+/// Every weight and bias by its bits, so `-0.0` and `+0.0` differ.
+fn bits(m: &LogisticRegression) -> Vec<u64> {
+    m.weights
+        .iter()
+        .flatten()
+        .chain(&m.biases)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+fn assert_same(data: &Dataset, epochs: usize, lr: f64) {
+    let kernel = LogisticRegression::fit_impl(data, epochs, lr);
+    let reference = fit(data, epochs, lr);
+    assert_eq!(
+        bits(&kernel),
+        bits(&reference),
+        "{} rows x {} features, {} classes, {epochs} epochs",
+        data.len(),
+        data.n_features(),
+        data.n_classes
+    );
+}
+
+#[test]
+fn kernel_matches_the_row_by_row_trainer_at_every_row_tail() {
+    for rows in 8..=11 {
+        for epochs in 1..=3 {
+            assert_same(&test_data::random(rows, 6, 3, rows as u64), epochs, 0.5);
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_on_one_feature_and_two_classes() {
+    for rows in 1..=5 {
+        assert_same(&test_data::random(rows, 1, 2, 3), 2, 0.5);
+    }
+}
+
+#[test]
+fn kernel_matches_on_table2_data() {
+    for app in [Application::Cardio, Application::Pendigits] {
+        let (train, _) = app.generate(7).split(0.7, 42);
+        for rows in [
+            train.len(),
+            train.len() - 1,
+            train.len() - 2,
+            train.len() - 3,
+        ] {
+            let data = Dataset::new(
+                "prefix",
+                train.x[..rows].to_vec(),
+                train.y[..rows].to_vec(),
+                train.n_classes,
+            );
+            assert_same(&data, 3, 0.5);
+        }
+    }
+}

@@ -30,8 +30,9 @@ impl Layer {
     }
 }
 
-/// The dot product training and inference share, so both do the same
-/// arithmetic in the same order.
+/// The inference dot product. Training's forward pass sums the same
+/// terms from the same start value in the same order, one batch row per
+/// lane, so a trained model predicts what it was trained to.
 fn dot(w: &[f64], x: &[f64]) -> f64 {
     w.iter().zip(x).map(|(w, v)| w * v).sum()
 }
@@ -109,34 +110,19 @@ impl Mlp {
         dims.extend(&params.hidden);
         dims.push(data.n_classes);
         let mut net = FlatNet::new(dims, &mut rng);
-        let mut grad = Grads {
-            w: vec![0.0; net.w.len()],
-            b: vec![0.0; net.b.len()],
-        };
         let widest = net.dims.iter().copied().max().unwrap_or(0);
-        let mut scratch = Scratch {
-            acts: vec![0.0; net.b.len()],
-            delta: vec![0.0; widest],
-            prev: vec![0.0; widest],
+        let mut lanes = BatchLanes {
+            input: vec![[0.0; BATCH]; data.n_features()],
+            acts: vec![[0.0; BATCH]; net.b.len()],
+            delta: vec![[0.0; BATCH]; widest],
+            prev: vec![[0.0; BATCH]; widest],
         };
 
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..params.epochs {
             order.shuffle(&mut rng);
-            for batch in order.chunks(16) {
-                // Accumulate gradients over the batch.
-                grad.w.fill(0.0);
-                grad.b.fill(0.0);
-                for &i in batch {
-                    net.backprop(&data.x[i], data.y[i], &mut grad, &mut scratch);
-                }
-                let scale = params.lr / batch.len() as f64;
-                for (w, g) in net.w.iter_mut().zip(&grad.w) {
-                    *w -= scale * g;
-                }
-                for (b, g) in net.b.iter_mut().zip(&grad.b) {
-                    *b -= scale * g;
-                }
+            for batch in order.chunks(BATCH) {
+                net.train_batch(data, batch, params.lr, &mut lanes);
             }
         }
         net.into_mlp()
@@ -174,35 +160,46 @@ impl Mlp {
     }
 }
 
+/// Rows per SGD mini-batch, and lanes of [`BatchLanes`].
+const BATCH: usize = 16;
+
+/// One value per batch row.
+type Lanes = [f64; BATCH];
+
 /// The network while it trains: every layer's `out × in` weights
 /// row-major in one buffer, layer after layer, and all biases in another.
+///
+/// It trains a whole mini-batch at once, one row per lane. Every scalar
+/// sum keeps the terms, start value and order the row-by-row loop gave
+/// it: dot products start at `Iterator::sum`'s identity, gradients and
+/// back-propagated errors at `+0.0`, and gradients add the batch's rows
+/// in order. Only independent sums run side by side, so the trained
+/// weights do not move by a bit.
 struct FlatNet {
     /// Layer widths, input first.
     dims: Vec<usize>,
     /// Start of layer `l`'s weights in `w`.
     w_off: Vec<usize>,
     /// Start of layer `l`'s biases in `b`, and of its outputs in
-    /// [`Scratch::acts`].
+    /// [`BatchLanes::acts`].
     b_off: Vec<usize>,
     w: Vec<f64>,
     b: Vec<f64>,
 }
 
-/// Batch gradients, shaped like [`FlatNet`]'s buffers.
-struct Grads {
-    w: Vec<f64>,
-    b: Vec<f64>,
-}
-
-/// Per-row working buffers, allocated once per fit.
-struct Scratch {
+/// A mini-batch's working buffers, feature-major with one lane per
+/// batch row, allocated once per fit. Lanes past a short last batch hold
+/// stale values that never reach a gradient.
+struct BatchLanes {
+    /// The batch's feature rows.
+    input: Vec<Lanes>,
     /// Every layer's outputs (after ReLU on hidden layers), at
     /// [`FlatNet::b_off`].
-    acts: Vec<f64>,
+    acts: Vec<Lanes>,
     /// The error signal at the layer being back-propagated.
-    delta: Vec<f64>,
+    delta: Vec<Lanes>,
     /// The error signal being formed for the layer below.
-    prev: Vec<f64>,
+    prev: Vec<Lanes>,
 }
 
 impl FlatNet {
@@ -243,28 +240,42 @@ impl FlatNet {
         &self.w[self.w_off[l]..][..m * n]
     }
 
-    /// Adds one row's softmax cross-entropy gradients into `grad`.
-    ///
-    /// Every sum adds the same terms in the same order as a per-row,
-    /// per-layer nested-`Vec` computation would, so the flat layout
-    /// changes no bit of the trained weights.
-    fn backprop(&self, x: &[f64], label: usize, grad: &mut Grads, s: &mut Scratch) {
+    /// One SGD step on the rows `batch` of `data`: softmax cross-entropy
+    /// gradients summed over the batch, then every weight moves once.
+    fn train_batch(&mut self, data: &Dataset, batch: &[usize], lr: f64, s: &mut BatchLanes) {
+        for (lane, &i) in batch.iter().enumerate() {
+            for (x, &v) in s.input.iter_mut().zip(&data.x[i]) {
+                x[lane] = v;
+            }
+        }
+        let mut labels = [usize::MAX; BATCH];
+        for (label, &i) in labels.iter_mut().zip(batch) {
+            *label = data.y[i];
+        }
         let last = self.layers() - 1;
         // Forward, caching every layer's activation.
         for l in 0..=last {
             let (n, m) = self.shape(l);
             let (below, here) = s.acts.split_at_mut(self.b_off[l]);
             let input = if l == 0 {
-                x
+                &s.input[..n]
             } else {
-                &below[self.b_off[l - 1]..]
+                &below[self.b_off[l - 1]..][..n]
             };
             let w = self.weights(l);
             let b = &self.b[self.b_off[l]..];
             for (o, z) in here[..m].iter_mut().enumerate() {
-                *z = dot(&w[o * n..][..n], input) + b[o];
-                if l < last {
-                    *z = z.max(0.0);
+                let mut acc: Lanes = [crate::sum_start(); BATCH];
+                for (wj, x) in w[o * n..][..n].iter().zip(input) {
+                    for (a, v) in acc.iter_mut().zip(x) {
+                        *a += wj * v;
+                    }
+                }
+                for (zl, a) in z.iter_mut().zip(acc) {
+                    *zl = a + b[o];
+                    if l < last {
+                        *zl = zl.max(0.0);
+                    }
                 }
             }
         }
@@ -272,46 +283,76 @@ impl FlatNet {
         let (_, k) = self.shape(last);
         let out = &s.acts[self.b_off[last]..][..k];
         let delta = &mut s.delta[..k];
-        let top = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut top: Lanes = [f64::NEG_INFINITY; BATCH];
+        for v in out {
+            for (t, v) in top.iter_mut().zip(v) {
+                *t = t.max(*v);
+            }
+        }
         for (e, v) in delta.iter_mut().zip(out) {
-            *e = (v - top).exp();
+            for ((e, v), t) in e.iter_mut().zip(v).zip(&top) {
+                *e = (v - t).exp();
+            }
         }
-        let z: f64 = delta.iter().sum();
+        let mut z: Lanes = [crate::sum_start(); BATCH];
+        for e in delta.iter() {
+            for (z, e) in z.iter_mut().zip(e) {
+                *z += e;
+            }
+        }
         for (c, d) in delta.iter_mut().enumerate() {
-            *d = *d / z - (c == label) as usize as f64;
+            for ((d, z), &label) in d.iter_mut().zip(&z).zip(&labels) {
+                *d = *d / z - (c == label) as usize as f64;
+            }
         }
-        // Backward.
+        // Backward. A layer's error for the layer below is formed from its
+        // weights before they move; the layers below never read them again.
+        let scale = lr / batch.len() as f64;
         for l in (0..=last).rev() {
             let (n, m) = self.shape(l);
             let input = if l == 0 {
-                x
+                &s.input[..n]
             } else {
                 &s.acts[self.b_off[l - 1]..][..n]
             };
-            let delta = &s.delta[..m];
-            let gw = &mut grad.w[self.w_off[l]..];
-            let gb = &mut grad.b[self.b_off[l]..];
-            for (o, &d) in delta.iter().enumerate() {
-                for (g, xi) in gw[o * n..][..n].iter_mut().zip(input) {
-                    *g += d * xi;
-                }
-                gb[o] += d;
-            }
             if l > 0 {
                 let w = self.weights(l);
                 let prev = &mut s.prev[..n];
-                prev.fill(0.0);
-                for (o, &d) in delta.iter().enumerate() {
-                    for (p, w) in prev.iter_mut().zip(&w[o * n..][..n]) {
-                        *p += d * w;
+                prev.fill([0.0; BATCH]);
+                for (o, d) in s.delta[..m].iter().enumerate() {
+                    for (p, wj) in prev.iter_mut().zip(&w[o * n..][..n]) {
+                        for (p, d) in p.iter_mut().zip(d) {
+                            *p += d * wj;
+                        }
                     }
                 }
                 // ReLU derivative on the hidden activation.
                 for (p, a) in prev.iter_mut().zip(input) {
-                    if *a <= 0.0 {
-                        *p = 0.0;
+                    for (p, a) in p.iter_mut().zip(a) {
+                        if *a <= 0.0 {
+                            *p = 0.0;
+                        }
                     }
                 }
+            }
+            let w = &mut self.w[self.w_off[l]..][..m * n];
+            let b = &mut self.b[self.b_off[l]..][..m];
+            for (o, d) in s.delta[..m].iter().enumerate() {
+                let d = &d[..batch.len()];
+                for (w, x) in w[o * n..][..n].iter_mut().zip(input) {
+                    let mut g = 0.0;
+                    for (d, x) in d.iter().zip(x) {
+                        g += d * x;
+                    }
+                    *w -= scale * g;
+                }
+                let mut gb = 0.0;
+                for d in d {
+                    gb += d;
+                }
+                b[o] -= scale * gb;
+            }
+            if l > 0 {
                 std::mem::swap(&mut s.delta, &mut s.prev);
             }
         }
@@ -332,6 +373,9 @@ impl FlatNet {
         Mlp { layers }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

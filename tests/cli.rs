@@ -1,13 +1,29 @@
 //! End-to-end tests of the `printed-ml` command-line interface.
 
-use std::process::Command;
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_printed-ml"))
+/// Runs `printed-ml args` over an artifact store of its own, a fresh
+/// temporary directory removed afterwards, so no test reads or writes
+/// the user's store (`bench/out/cache/` or `PRINTED_ML_CACHE_DIR`).
+fn cli(args: &[&str]) -> Output {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let store = std::env::temp_dir().join(format!(
+        "printed-ml-cli-store-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let out = Command::new(env!("CARGO_BIN_EXE_printed-ml"))
+        .args(args)
+        .env("PRINTED_ML_CACHE_DIR", &store)
+        .output()
+        .expect("spawn printed-ml");
+    let _ = std::fs::remove_dir_all(&store);
+    out
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
-    let out = cli().args(args).output().expect("spawn printed-ml");
+    let out = cli(args);
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -171,7 +187,7 @@ fn sweep_covers_all_architectures() {
 
 /// Runs `args`, expects exit code 1 without a panic, returns stderr.
 fn rejected(args: &[&str]) -> String {
-    let out = cli().args(args).output().expect("spawn printed-ml");
+    let out = cli(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");

@@ -179,3 +179,44 @@ fn table2_models_are_pinned_bit_for_bit() {
     );
     assert_eq!(cart, PINNED_CART, "the CART split search moved: {cart:?}");
 }
+
+/// `(application, [MLP-1, MLP-3, LR] digests)` at Table II's full
+/// schedules: MLP-1 60 epochs, MLP-3 80, LR 150.
+const PINNED_FULL: &[(&str, [u64; 3])] = &[
+    (
+        "cardio",
+        [0x10d6fc6c314c5bc4, 0x6e854af901168f2f, 0x8773a26781e038c9],
+    ),
+    (
+        "redwine",
+        [0x0fcb7735d4e89f0f, 0x698edebf5b9501de, 0x1fe1e5b2e11049cd],
+    ),
+];
+
+/// The pins above run two to five epochs; these run the schedules
+/// Table II trains, so a drift that only builds up over many epochs
+/// still shows at full precision rather than in a 3-decimal accuracy.
+#[test]
+fn table2_full_schedules_are_pinned_bit_for_bit() {
+    cache::set_enabled(false);
+    let got: Vec<(&str, [u64; 3])> = [Application::Cardio, Application::RedWine]
+        .iter()
+        .map(|app| {
+            let data = app.generate(7);
+            let (train, _) = data.split(0.7, 42);
+            let train = Standardizer::fit(&train).transform(&train);
+            (
+                app.name(),
+                [
+                    digest(&Mlp::fit(&train, &MlpParams::mlp1())),
+                    digest(&Mlp::fit(&train, &MlpParams::mlp3())),
+                    digest(&LogisticRegression::fit(&train, 150, 0.5)),
+                ],
+            )
+        })
+        .collect();
+    assert_eq!(
+        got, PINNED_FULL,
+        "a full-schedule model moved ([MLP-1, MLP-3, LR]):\n{got:#x?}"
+    );
+}

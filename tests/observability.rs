@@ -12,6 +12,7 @@ use std::sync::Mutex;
 use printed_ml::cache;
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::exec::with_threads;
+use printed_ml::ml::linear::SvmClassifier;
 use printed_ml::ml::synth::Application;
 use printed_ml::netlist;
 use printed_ml::obs;
@@ -164,6 +165,29 @@ fn cache_cost_counters_time_keys_loads_and_stores() {
     }
     assert_eq!(instrumented.0, instrumented.1, "the warm call missed");
     assert_eq!(instrumented, bare, "instrumentation changed the value");
+}
+
+#[test]
+fn svm_classifier_fits_count_under_their_own_name() {
+    let _lock = LOCK.lock().unwrap();
+    let _guard = EnableGuard;
+    let was_cached = cache::enabled();
+    cache::set_enabled(false);
+    obs::set_enabled(true);
+    obs::reset();
+    {
+        let _root = obs::span("test.svmc");
+        SvmClassifier::fit(&Application::Cardio.generate(7), 2, 1e-3, 7);
+    }
+    let report = obs::report();
+    cache::set_enabled(was_cached);
+
+    assert_eq!(report.counter("ml.svm.fits"), 0, "SVM-C counted as SVM-R");
+    assert_eq!(report.counter("ml.svm.epochs"), 0);
+    assert_eq!(report.counter("ml.svmc.fits"), 1);
+    assert_eq!(report.counter("ml.svmc.epochs"), 2);
+    assert!(report.span(&["test.svmc", "ml.svmc.fit"]).is_some());
+    assert!(report.span(&["test.svmc", "ml.svm.fit"]).is_none());
 }
 
 #[test]
