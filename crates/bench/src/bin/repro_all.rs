@@ -12,23 +12,21 @@
 //! - `--threads N` — pin the worker count (also settable via the
 //!   `PRINTED_ML_THREADS` environment variable; defaults to the
 //!   machine's hardware parallelism);
-//! - `--smoke` — run every experiment over reduced workloads (CI's
-//!   end-to-end harness check);
 //! - `--only NAME` — run just the named experiment (`table1` … `table5`,
 //!   `fig3` … `fig19`, `ablations`); repeat the flag for several. The
 //!   report lists them in canonical order;
-//! - `--no-cache` — disable the content-addressed artifact cache (also
-//!   settable via `PRINTED_ML_NO_CACHE=1`); by default warm runs reuse
-//!   trained models and flow builds from `bench/out/cache/` (netlist
+//! - `--no-cache` — disable the content-addressed artifact cache; by
+//!   default warm runs reuse trained models and flow builds from
+//!   `bench/out/cache/` or `PRINTED_ML_CACHE_DIR` (netlist
 //!   optimization and PPA always recompute, see `docs/caching.md`) and
 //!   produce byte-identical `experiments`/`verify` sections;
 //! - `--verify` — append the equivalence/fault-grading sign-off stage
 //!   (see [`bench::verify`]); the process exits nonzero if any
 //!   architecture disagrees with its unoptimized reference;
-//! - `--json PATH` — write the report (thread count, smoke flag,
-//!   per-experiment tables, the `--verify` section when requested, and
-//!   the unified [`obs`] `report` section with the span tree and
-//!   pipeline counters) to `PATH`.
+//! - `--json PATH` — write the report (thread count, per-experiment
+//!   tables, the `--verify` section when requested, and the unified
+//!   [`obs`] `report` section with the span tree and pipeline counters)
+//!   to `PATH`.
 //!
 //! Timing and optimizer throughput live exclusively in the `report`
 //! section: per-experiment wall-clock under the `repro_all > <name>`
@@ -55,7 +53,6 @@ struct ExperimentResult {
 #[derive(Serialize)]
 struct Report {
     threads: usize,
-    smoke: bool,
     experiments: Vec<ExperimentResult>,
     /// Sign-off outcomes (present with `--verify`).
     verify: Option<bench::verify::VerifyReport>,
@@ -67,7 +64,7 @@ struct Report {
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: repro_all [--threads N] [--smoke] [--only NAME]... [--verify] [--no-cache] [--json PATH]"
+        "usage: repro_all [--threads N] [--only NAME]... [--verify] [--no-cache] [--json PATH]"
     );
     let names: Vec<&str> = ALL.iter().map(|&(name, _)| name).collect();
     eprintln!("experiments: {}", names.join(", "));
@@ -75,7 +72,6 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut smoke = false;
     let mut verify = false;
     let mut no_cache = false;
     let mut json_path: Option<String> = None;
@@ -84,7 +80,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => smoke = true,
             "--verify" => verify = true,
             "--no-cache" => no_cache = true,
             "--threads" => {
@@ -115,7 +110,6 @@ fn main() {
         }
         i += 1;
     }
-    bench::workloads::set_smoke(smoke);
     if !no_cache {
         cache::enable_default();
     }
@@ -128,10 +122,9 @@ fn main() {
         .collect();
     let threads = exec::threads();
     eprintln!(
-        "[repro] running {} experiments on {} thread(s){}, cache {}",
+        "[repro] running {} experiments on {} thread(s), cache {}",
         experiments.len(),
         threads,
-        if smoke { " (smoke)" } else { "" },
         if cache::enabled() { "on" } else { "off" }
     );
     let finished: Vec<Vec<bench::Table>> = exec::parallel_map(&experiments, |_, &(name, f)| {
@@ -166,7 +159,6 @@ fn main() {
     if let Some(path) = json_path {
         let report = Report {
             threads,
-            smoke,
             experiments: results,
             verify: verify_report.clone(),
             report: obs_report,

@@ -21,7 +21,7 @@ use printed_core::flow::{TreeArch, TreeFlow};
 use printed_core::system::{ClassifierSystem, FeatureExtraction};
 use printed_core::WIDTHS;
 
-use crate::workloads::{mc_trials, row_cap, SEED};
+use crate::workloads::SEED;
 use crate::{fmt3, Table};
 
 fn egt() -> CellLibrary {
@@ -405,15 +405,9 @@ pub fn variation_analysis() -> Table {
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
         let fq = FeatureQuantizer::fit(&train, 6);
         let qt = QuantizedTree::from_tree(&tree, &fq);
-        let rows: Vec<Vec<u64>> = test
-            .x
-            .iter()
-            .take(row_cap(150))
-            .map(|r| fq.code_row(r))
-            .collect();
-        for report in
-            analog::variation_sweep(&qt, &rows, &[0.02, 0.05, 0.1, 0.2], mc_trials(), SEED)
-                .expect("fixed sigmas, trials and rows are valid")
+        let rows: Vec<Vec<u64>> = test.x.iter().take(150).map(|r| fq.code_row(r)).collect();
+        for report in analog::variation_sweep(&qt, &rows, &[0.02, 0.05, 0.1, 0.2], 16, SEED)
+            .expect("fixed sigmas, trials and rows are valid")
         {
             t.row(vec![
                 format!("{} (tree)", app.name()),
@@ -435,15 +429,9 @@ pub fn variation_analysis() -> Table {
         let svm = SvmRegressor::fit(&train, 150, 1e-4);
         let fq = FeatureQuantizer::fit(&train, 8);
         let qs = QuantizedSvm::from_svm(&svm, &fq);
-        let rows: Vec<Vec<u64>> = test
-            .x
-            .iter()
-            .take(row_cap(150))
-            .map(|r| fq.code_row(r))
-            .collect();
-        for report in
-            analog::svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.05, 0.1, 0.2], mc_trials(), SEED)
-                .expect("fixed sigmas, trials and rows are valid")
+        let rows: Vec<Vec<u64>> = test.x.iter().take(150).map(|r| fq.code_row(r)).collect();
+        for report in analog::svm_variation_sweep(&qs, 11, &rows, &[0.02, 0.05, 0.1, 0.2], 16, SEED)
+            .expect("fixed sigmas, trials and rows are valid")
         {
             t.row(vec![
                 "redwine (svm)".into(),
@@ -468,7 +456,7 @@ pub fn fault_coverage_analysis() -> Table {
     for app in [Application::Har, Application::Cardio] {
         let flow = TreeFlow::new(app, 4, SEED);
         let module = flow.module(TreeArch::BespokeParallel).expect("digital");
-        let vectors = crate::workloads::tree_test_vectors(&flow, row_cap(150));
+        let vectors = crate::workloads::tree_test_vectors(&flow, 150);
         let cov = netlist::fault_coverage(&module, &vectors);
         t.row(vec![
             app.name().into(),

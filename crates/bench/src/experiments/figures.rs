@@ -8,7 +8,7 @@ use printed_core::powerfit::{assign_sets, summarize};
 use printed_core::report::{DesignReport, Improvement};
 use printed_core::LookupConfig;
 
-use crate::workloads::{deep_depths, depths, svm_flows, tree_flows, SEED};
+use crate::workloads::{svm_flows, tree_flows, DEPTHS, SEED};
 use crate::{fmt3, fmt_ratio, Table};
 
 /// Builds a per-dataset ratio figure: `arch` normalized against
@@ -114,7 +114,7 @@ fn feasibility_table(title: &str, reports: Vec<DesignReport>) -> Table {
 /// Fig. 3: which printed sources can power *conventional* EGT trees.
 pub fn fig3() -> Vec<Table> {
     let mut reports = Vec::new();
-    for depth in depths() {
+    for depth in DEPTHS {
         // Use cardio as the representative loaded model; conventional
         // engine cost is model-independent.
         let flow = TreeFlow::new(Application::Cardio, depth, SEED);
@@ -135,7 +135,7 @@ pub fn fig3() -> Vec<Table> {
 pub fn fig6() -> Vec<Table> {
     vec![tree_ratio_figure(
         "Fig. 6: bespoke serial trees normalized against conventional serial (EGT)",
-        &depths(),
+        &DEPTHS,
         TreeArch::BespokeSerial,
         TreeArch::ConventionalSerial,
         Technology::Egt,
@@ -146,7 +146,7 @@ pub fn fig6() -> Vec<Table> {
 pub fn fig7() -> Vec<Table> {
     vec![tree_ratio_figure(
         "Fig. 7: bespoke parallel trees normalized against conventional parallel (EGT)",
-        &depths(),
+        &DEPTHS,
         TreeArch::BespokeParallel,
         TreeArch::ConventionalParallel,
         Technology::Egt,
@@ -160,7 +160,7 @@ pub fn fig9() -> Vec<Table> {
     // deep-tree configurations.
     vec![tree_ratio_figure(
         "Fig. 9: lookup-based parallel trees normalized against bespoke parallel (EGT)",
-        &deep_depths(),
+        &[4, 8],
         TreeArch::Lookup(LookupConfig::baseline()),
         TreeArch::BespokeParallel,
         Technology::Egt,
@@ -171,7 +171,7 @@ pub fn fig9() -> Vec<Table> {
 pub fn fig10() -> Vec<Table> {
     vec![tree_ratio_figure(
         "Fig. 10: optimized lookup trees (const-column + dots) vs bespoke parallel (EGT)",
-        &deep_depths(),
+        &[4, 8],
         TreeArch::Lookup(LookupConfig::optimized()),
         TreeArch::BespokeParallel,
         Technology::Egt,
@@ -212,7 +212,7 @@ pub fn fig13() -> Vec<Table> {
 pub fn fig16() -> Vec<Table> {
     vec![tree_ratio_figure(
         "Fig. 16: analog trees normalized against bespoke parallel digital trees (EGT)",
-        &depths(),
+        &DEPTHS,
         TreeArch::Analog(AnalogTreeConfig::default()),
         TreeArch::BespokeParallel,
         Technology::Egt,

@@ -6,6 +6,7 @@ use ml::linear::{LogisticRegression, SvmClassifier, SvmRegressor};
 use ml::metrics::accuracy;
 use ml::mlp::{Mlp, MlpParams};
 use ml::opcount::{CountOps, OpCount};
+use ml::synth::Application;
 use ml::tree::{DecisionTree, TreeParams};
 use netlist::analyze;
 use pdk::units::{Area, Delay};
@@ -17,7 +18,7 @@ use printed_core::conventional::serial_tree::{
 use printed_core::conventional::svm::{generate as gen_svm, SvmSpec};
 use printed_core::estimate::component_modules;
 
-use crate::workloads::{apps, depths, SEED};
+use crate::workloads::{DEPTHS, SEED};
 use crate::{fmt3, Table};
 
 /// A table unit: the conversion into it and its label.
@@ -86,7 +87,7 @@ pub fn table2() -> Vec<Table> {
         "Table II: accuracy (A), op counts (#C, #M) and projected EGT cost",
         &["dataset", "model", "A", "#C", "#M", "EGT area", "EGT power"],
     );
-    for app in apps() {
+    for app in Application::ALL {
         let data = app.generate(SEED);
         let (train, test) = data.split(0.7, 42);
         let s = Standardizer::fit(&train);
@@ -107,7 +108,7 @@ pub fn table2() -> Vec<Table> {
                 format!("{}", est.power),
             ]
         };
-        for depth in depths() {
+        for depth in DEPTHS {
             let m = DecisionTree::fit(&train, TreeParams::with_depth(depth));
             t.row(row(
                 &format!("DT-{depth}"),

@@ -19,7 +19,7 @@ use printed_core::flow::{SvmFlow, TreeArch, TreeFlow};
 use printed_core::signoff::{SignoffRecord, SignoffStatus};
 use serde::Serialize;
 
-use crate::workloads::{row_cap, smoke, tree_test_vectors, SEED};
+use crate::workloads::{tree_test_vectors, SEED};
 use crate::{fmt3, Table};
 
 /// Exhaustive-enumeration cutoff (total input bits) for sign-off checks.
@@ -67,39 +67,6 @@ impl VerifyReport {
     }
 }
 
-/// Tree workloads signed off: the quick trio at a realistic depth, plus a
-/// shallow tree outside smoke mode (shallow trees stress the constant
-/// folding hardest — most of the netlist collapses).
-fn tree_workloads() -> Vec<(Application, usize)> {
-    let mut w: Vec<(Application, usize)> = crate::workloads::quick_apps()
-        .into_iter()
-        .map(|app| (app, 4))
-        .collect();
-    if !smoke() {
-        w.push((Application::Pendigits, 2));
-    }
-    w
-}
-
-/// SVM workloads signed off.
-fn svm_workloads() -> Vec<Application> {
-    if smoke() {
-        vec![Application::RedWine]
-    } else {
-        vec![Application::RedWine, Application::Cardio]
-    }
-}
-
-/// Sampled vectors per sign-off check (when exhaustive enumeration does
-/// not apply).
-fn samples() -> usize {
-    if smoke() {
-        512
-    } else {
-        4096
-    }
-}
-
 fn status_cell(status: &SignoffStatus) -> String {
     match status {
         SignoffStatus::Pass => "pass".into(),
@@ -108,14 +75,29 @@ fn status_cell(status: &SignoffStatus) -> String {
     }
 }
 
-/// Runs both sign-off sub-stages over the smoke-aware default workloads,
-/// returning printable tables and the JSON report section.
+/// Runs both sign-off sub-stages, returning printable tables and the
+/// JSON report section. The trees are one easy, one hard and one ordinal
+/// dataset at a realistic depth, plus a shallow tree (shallow trees
+/// stress the constant folding hardest — most of the netlist collapses);
+/// checks sample 4,096 vectors where exhaustive enumeration does not
+/// apply, and fault grading feeds each tree 150 test-set rows.
 pub fn run_verify() -> (Vec<Table>, VerifyReport) {
-    run_configured(&tree_workloads(), &svm_workloads(), samples(), row_cap(150))
+    let trees = [
+        (Application::Har, 4),
+        (Application::Cardio, 4),
+        (Application::RedWine, 4),
+        (Application::Pendigits, 2),
+    ];
+    run_configured(
+        &trees,
+        &[Application::RedWine, Application::Cardio],
+        4096,
+        150,
+    )
 }
 
-/// [`run_verify`] with every workload knob explicit (tests use this to
-/// stay independent of the process-wide smoke flag).
+/// [`run_verify`] with every workload knob explicit, so the unit test
+/// can sign off a reduced workload at debug-build speed.
 fn run_configured(
     trees: &[(Application, usize)],
     svms: &[Application],

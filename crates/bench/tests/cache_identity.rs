@@ -32,7 +32,6 @@ fn render() -> String {
 
 #[test]
 fn warm_replay_is_bit_identical_at_any_thread_count() {
-    bench::workloads::set_smoke(true);
     let dir =
         std::env::temp_dir().join(format!("printed_ml_cache_identity_{}", std::process::id()));
     cache::set_disk_root(Some(dir.clone()));

@@ -48,6 +48,6 @@ pub const SCHEMA: &str = "cache-v1";
 
 pub use hash::{key_for, key_for_serialized, Hashable, Key, StableHasher};
 pub use store::{
-    clear, clear_memory, disk_root, disk_stats, enable_default, enabled, memo, set_disk_root,
-    set_enabled, DomainStats, DEFAULT_DISK_ROOT,
+    clear, clear_memory, default_disk_root, disk_root, disk_stats, enable_default, enabled, memo,
+    set_disk_root, set_enabled, DomainStats,
 };

@@ -81,22 +81,17 @@ pub fn disk_root() -> Option<PathBuf> {
     lock(&DISK).clone()
 }
 
-/// Default on-disk root used by the binaries.
-pub const DEFAULT_DISK_ROOT: &str = "bench/out/cache";
+/// The binaries' on-disk root: `PRINTED_ML_CACHE_DIR` when set, else
+/// `bench/out/cache`.
+pub fn default_disk_root() -> PathBuf {
+    std::env::var_os("PRINTED_ML_CACHE_DIR").map_or_else(|| "bench/out/cache".into(), PathBuf::from)
+}
 
-/// Opts a binary into both tiers with the conventional defaults: memo
-/// map on, disk store under `bench/out/cache` (overridable via the
-/// `PRINTED_ML_CACHE_DIR` environment variable). Setting
-/// `PRINTED_ML_NO_CACHE=1` wins over everything and leaves the cache
-/// disabled — the same effect as the binaries' `--no-cache` flag.
+/// Opts a binary into both tiers: memo map on, disk store at
+/// [`default_disk_root`]. The binaries' `--no-cache` flag skips this
+/// call.
 pub fn enable_default() {
-    if std::env::var("PRINTED_ML_NO_CACHE").is_ok_and(|v| v == "1") {
-        return;
-    }
-    let root = std::env::var("PRINTED_ML_CACHE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(DEFAULT_DISK_ROOT));
-    set_disk_root(Some(root));
+    set_disk_root(Some(default_disk_root()));
     set_enabled(true);
 }
 

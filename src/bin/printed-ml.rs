@@ -55,8 +55,8 @@ fn usage() -> &'static str {
      \n\
      Trained models and flow builds are memoized in a content-addressed\n\
      cache (bench/out/cache/ by default; override with PRINTED_ML_CACHE_DIR).\n\
-     Disable per run with --no-cache or PRINTED_ML_NO_CACHE=1; inspect with\n\
-     `cache stats`, wipe with `cache clear`."
+     Disable per run with --no-cache; inspect with `cache stats`, wipe with\n\
+     `cache clear`."
 }
 
 /// The flags `command`'s usage line names; every command also takes
@@ -200,11 +200,10 @@ fn run() -> Result<(), String> {
         }
         "cache" => {
             // Point at the store without enabling lookups: stats/clear
-            // are administrative and must work even under
-            // PRINTED_ML_NO_CACHE=1.
-            let root = std::env::var("PRINTED_ML_CACHE_DIR")
-                .unwrap_or_else(|_| printed_ml::cache::DEFAULT_DISK_ROOT.to_string());
-            printed_ml::cache::set_disk_root(Some(root.clone().into()));
+            // are administrative.
+            let root = printed_ml::cache::default_disk_root();
+            printed_ml::cache::set_disk_root(Some(root.clone()));
+            let root = root.display();
             match args.get(1).map(String::as_str) {
                 Some("stats") => {
                     match printed_ml::cache::disk_stats() {
