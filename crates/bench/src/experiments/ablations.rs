@@ -298,24 +298,30 @@ pub fn system_level() -> Table {
     t
 }
 
-/// All ablations bundled for the `ablations` binary.
+/// All ablations bundled for the `ablations` experiment, each sub-table
+/// under its own `obs` span (`ablations.<name>`), so the report breaks
+/// the experiment's time down per table.
 pub fn ablations() -> Vec<Table> {
+    let timed = |name: &'static str, table: fn() -> Table| {
+        let _span = obs::span(name);
+        table()
+    };
     vec![
-        ablation_bitwidth(),
-        ablation_analog_buffers(),
-        ablation_threshold_encoding(),
-        ablation_multiplier_encoding(),
-        ablation_rom_style(),
-        ablation_forest_scaling(),
-        ablation_serial_svm(),
-        ablation_fanout(),
-        region_breakdown(),
-        variation_analysis(),
-        drift_robustness(),
-        fault_coverage_analysis(),
-        battery_life(),
-        bent_corner(),
-        system_level(),
+        timed("ablations.bitwidth", ablation_bitwidth),
+        timed("ablations.analog_buffers", ablation_analog_buffers),
+        timed("ablations.threshold_encoding", ablation_threshold_encoding),
+        timed("ablations.multipliers", ablation_multiplier_encoding),
+        timed("ablations.rom_style", ablation_rom_style),
+        timed("ablations.forest_scaling", ablation_forest_scaling),
+        timed("ablations.serial_svm", ablation_serial_svm),
+        timed("ablations.fanout", ablation_fanout),
+        timed("ablations.region_breakdown", region_breakdown),
+        timed("ablations.variation", variation_analysis),
+        timed("ablations.drift", drift_robustness),
+        timed("ablations.fault_coverage", fault_coverage_analysis),
+        timed("ablations.battery_life", battery_life),
+        timed("ablations.bent_corner", bent_corner),
+        timed("ablations.system_level", system_level),
     ]
 }
 

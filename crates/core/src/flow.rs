@@ -63,7 +63,7 @@ pub enum SvmArch {
 /// bespoke, lookup and analog engines load it at the searched width
 /// (`qt`), the general-purpose conventional engines at their fixed 8 bits
 /// (`conv_qt`). Both come out of the same width search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeFlow {
     /// Source application.
     pub app: Application,
@@ -93,25 +93,82 @@ fn standardized_split(app: Application, seed: u64) -> (Dataset, Dataset) {
     (s.transform(&train), s.transform(&test))
 }
 
-impl TreeFlow {
-    /// Trains a depth-`depth` tree on `app` (seeded) and runs the width
-    /// search.
-    pub fn new(app: Application, depth: usize, seed: u64) -> Self {
-        let params = TreeParams::with_depth(depth);
-        cache::memo("core.flow.tree", &(app.name(), depth, seed, params), || {
-            Self::new_impl(app, depth, seed, params)
-        })
-    }
-
-    fn new_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
+/// A flow's model part, memoized under `domain` and `key`, and its
+/// standardized test split, memoized once per `(app, seed)` under
+/// `core.flow.test`, so every flow of one application and seed shares
+/// one stored split. `fit` gets the training and test parts; the split
+/// it was given also fills the test entry, so a flow that computes both
+/// (a cold store, or the cache off) generates its dataset once.
+fn memo_with_test<K, M>(
+    domain: &'static str,
+    key: &K,
+    app: Application,
+    seed: u64,
+    fit: impl FnOnce(&Dataset, &Dataset) -> M,
+) -> (M, Dataset)
+where
+    K: cache::Hashable + ?Sized,
+    M: Serialize + Deserialize + Clone + Send + Sync + 'static,
+{
+    let mut split = None;
+    let model = cache::memo(domain, key, || {
         let (train, test) = standardized_split(app, seed);
-        let tree = DecisionTree::fit(&train, params);
+        let model = fit(&train, &test);
+        split = Some(test);
+        model
+    });
+    let test = cache::memo("core.flow.test", &(app.name(), seed), || {
+        split.unwrap_or_else(|| standardized_split(app, seed).1)
+    });
+    (model, test)
+}
+
+/// What [`TreeFlow`] stores under `core.flow.tree`: the trained,
+/// quantized tree without the test split.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct TreeModel {
+    qt: QuantizedTree,
+    conv_qt: QuantizedTree,
+    fq: FeatureQuantizer,
+    choice: WidthChoice,
+    float_accuracy: f64,
+}
+
+impl TreeModel {
+    fn fit(train: &Dataset, test: &Dataset, params: TreeParams) -> Self {
+        let tree = DecisionTree::fit(train, params);
         let float_accuracy = accuracy(
             test.x.iter().map(|r| tree.predict(r)),
             test.y.iter().copied(),
         )
         .expect("predictions align with test labels");
-        let (fq, qt, choice, conv_qt) = choose_tree_width(&tree, &train, &test);
+        let (fq, qt, choice, conv_qt) = choose_tree_width(&tree, train, test);
+        TreeModel {
+            qt,
+            conv_qt,
+            fq,
+            choice,
+            float_accuracy,
+        }
+    }
+}
+
+impl TreeFlow {
+    /// Trains a depth-`depth` tree on `app` (seeded) and runs the width
+    /// search.
+    pub fn new(app: Application, depth: usize, seed: u64) -> Self {
+        let params = TreeParams::with_depth(depth);
+        let key = (app.name(), depth, seed, params);
+        let (model, test) = memo_with_test("core.flow.tree", &key, app, seed, |train, test| {
+            TreeModel::fit(train, test, params)
+        });
+        let TreeModel {
+            qt,
+            conv_qt,
+            fq,
+            choice,
+            float_accuracy,
+        } = model;
         TreeFlow {
             app,
             depth,
@@ -252,7 +309,7 @@ fn kind_tag(arch: TreeArch) -> &'static str {
 }
 
 /// A trained, quantized SVM-regression workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SvmFlow {
     /// Source application.
     pub app: Application,
@@ -282,23 +339,30 @@ impl SvmFlow {
 
     /// Trains an SVM regressor on `app` (seeded) and runs the width search.
     pub fn new(app: Application, seed: u64) -> Self {
-        cache::memo(
-            "core.flow.svm",
-            &(app.name(), seed, Self::EPOCHS, Self::L2),
-            || Self::new_impl(app, seed),
-        )
-    }
-
-    fn new_impl(app: Application, seed: u64) -> Self {
-        let (train, test) = standardized_split(app, seed);
-        let n_features = train.n_features();
-        let svm = SvmRegressor::fit(&train, Self::EPOCHS, Self::L2);
-        let float_accuracy = accuracy(
-            test.x.iter().map(|r| svm.predict(r)),
-            test.y.iter().copied(),
-        )
-        .expect("predictions align with test labels");
-        let (fq, qs, choice) = choose_svm_width(&svm, &train, &test);
+        let key = (app.name(), seed, Self::EPOCHS, Self::L2);
+        let (model, test) = memo_with_test("core.flow.svm", &key, app, seed, |train, test| {
+            let svm = SvmRegressor::fit(train, Self::EPOCHS, Self::L2);
+            let float_accuracy = accuracy(
+                test.x.iter().map(|r| svm.predict(r)),
+                test.y.iter().copied(),
+            )
+            .expect("predictions align with test labels");
+            let (fq, qs, choice) = choose_svm_width(&svm, train, test);
+            SvmModel {
+                qs,
+                fq,
+                choice,
+                float_accuracy,
+                n_features: train.n_features(),
+            }
+        });
+        let SvmModel {
+            qs,
+            fq,
+            choice,
+            float_accuracy,
+            n_features,
+        } = model;
         SvmFlow {
             app,
             qs,
@@ -375,6 +439,17 @@ impl SvmFlow {
     }
 }
 
+/// What [`SvmFlow`] stores under `core.flow.svm`: the trained,
+/// quantized SVM without the test split.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SvmModel {
+    qs: QuantizedSvm,
+    fq: FeatureQuantizer,
+    choice: WidthChoice,
+    float_accuracy: f64,
+    n_features: usize,
+}
+
 fn svm_tag(arch: SvmArch) -> &'static str {
     match arch {
         SvmArch::Conventional => "conv",
@@ -386,7 +461,7 @@ fn svm_tag(arch: SvmArch) -> &'static str {
 
 /// A trained, quantized random-forest workload (§III's tunable
 /// accuracy/cost ensemble).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ForestFlow {
     /// Source application.
     pub app: Application,
@@ -406,22 +481,20 @@ impl ForestFlow {
     /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
     /// members) on `app` at 8-bit quantization.
     pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
-        cache::memo("core.flow.forest", &(app.name(), n_trees, seed), || {
-            Self::new_impl(app, n_trees, seed)
-        })
-    }
-
-    fn new_impl(app: Application, n_trees: usize, seed: u64) -> Self {
-        let (train, test) = standardized_split(app, seed);
-        let forest =
-            ml::forest::RandomForest::fit(&train, ml::forest::ForestParams::paper(n_trees));
-        let fq = FeatureQuantizer::fit(&train, 8);
-        let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
-        let accuracy = ml::metrics::accuracy(
-            test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
-            test.y.iter().copied(),
-        )
-        .expect("predictions align with test labels");
+        let key = (app.name(), n_trees, seed);
+        let (model, test) = memo_with_test("core.flow.forest", &key, app, seed, |train, test| {
+            let forest =
+                ml::forest::RandomForest::fit(train, ml::forest::ForestParams::paper(n_trees));
+            let fq = FeatureQuantizer::fit(train, 8);
+            let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
+            let accuracy = ml::metrics::accuracy(
+                test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
+                test.y.iter().copied(),
+            )
+            .expect("predictions align with test labels");
+            ForestModel { qf, fq, accuracy }
+        });
+        let ForestModel { qf, fq, accuracy } = model;
         ForestFlow {
             app,
             n_trees,
@@ -431,6 +504,15 @@ impl ForestFlow {
             test,
         }
     }
+}
+
+/// What [`ForestFlow`] stores under `core.flow.forest`: the quantized
+/// forest without the test split.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ForestModel {
+    qf: ml::quant::QuantizedForest,
+    fq: FeatureQuantizer,
+    accuracy: f64,
 }
 
 #[cfg(test)]
@@ -510,11 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn tree_flow_without_its_8_bit_tree_does_not_decode() {
+    fn tree_model_without_its_8_bit_tree_does_not_decode() {
         // Store entries written before `conv_qt` was a plain field carry
         // `null` there; they must miss and recompute, never decode.
-        let flow = TreeFlow::new(Application::Har, 2, 7);
-        let serde::Value::Object(fields) = flow.to_value() else {
+        // Entries written while the flow stored its test split still
+        // decode: the extra field is ignored.
+        let (train, test) = standardized_split(Application::Har, 7);
+        let model = TreeModel::fit(&train, &test, TreeParams::with_depth(2));
+        let serde::Value::Object(fields) = model.to_value() else {
             panic!("a struct serializes to an object");
         };
         let with = |conv_qt: Option<serde::Value>| {
@@ -524,9 +609,10 @@ mod tests {
                 .cloned()
                 .collect();
             fields.extend(conv_qt.map(|v| ("conv_qt".to_string(), v)));
-            TreeFlow::from_value(&serde::Value::Object(fields))
+            fields.push(("test".to_string(), test.to_value()));
+            TreeModel::from_value(&serde::Value::Object(fields))
         };
-        assert!(with(Some(flow.conv_qt.to_value())).is_ok());
+        assert!(with(Some(model.conv_qt.to_value())).is_ok());
         assert!(with(Some(serde::Value::Null)).is_err());
         assert!(with(None).is_err());
     }

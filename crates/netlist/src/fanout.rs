@@ -7,6 +7,9 @@
 //! PPA numbers for high-fanout designs include the repair cost the paper's
 //! synthesized netlists implicitly paid.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use pdk::CellKind;
 
 use crate::ir::{Gate, Module, NetId, Signal};
@@ -59,46 +62,36 @@ pub fn max_fanout(module: &Module) -> usize {
 ///
 /// Readers of an over-driven net are chunked into groups of `limit`, each
 /// behind a fresh buffer; the buffers themselves become readers of the
-/// source and the process repeats until every net (including the new
-/// buffer outputs) obeys the limit. Function is preserved (a buffer is
-/// the identity); area, power and delay grow accordingly.
+/// source, which is repaired again while it still has too many. Nets are
+/// repaired most-read first, the lowest-numbered on a tie, until every
+/// net (including the new buffer outputs) obeys the limit. Function is
+/// preserved (a buffer is the identity); area, power and delay grow
+/// accordingly.
+///
+/// The reader index is built once: buffering a net moves its readers to
+/// the new buffer outputs and touches no other net's readers, so the
+/// repair runs in one pass over a max-heap of over-limit nets.
 ///
 /// # Panics
-/// Panics if `limit` is zero.
+/// Panics if `limit` is below 2: a net with `k >= 2` readers behind
+/// single-reader buffers has `k` readers again, so no repair exists.
 pub fn insert_buffers(module: &Module, limit: usize) -> Module {
-    assert!(limit >= 1, "fanout limit must be at least 1");
+    assert!(limit >= 2, "fanout limit must be at least 2");
     let mut m = module.clone();
-    loop {
-        // Readers per net, each list in gate, ROM, output-port order.
-        let mut readers: Vec<Vec<Reader>> = vec![Vec::new(); m.net_count()];
-        let gate_pins = m.gates.iter().enumerate().flat_map(|(i, g)| {
-            let pins = g.inputs.iter().enumerate();
-            pins.map(move |(pin, &s)| (Reader::GatePin(i, pin), s))
-        });
-        let rom_pins = m.roms.iter().enumerate().flat_map(|(i, r)| {
-            let pins = r.addr.iter().enumerate();
-            pins.map(move |(pin, &s)| (Reader::RomAddr(i, pin), s))
-        });
-        let port_pins = m.outputs.iter().enumerate().flat_map(|(i, p)| {
-            let pins = p.bits.iter().enumerate();
-            pins.map(move |(pin, &s)| (Reader::OutputBit(i, pin), s))
-        });
-        for (reader, s) in gate_pins.chain(rom_pins).chain(port_pins) {
-            if let Signal::Net(n) = s {
-                readers[n.index()].push(reader);
-            }
-        }
-        // The most-read net over the limit, the lowest-numbered on a tie
-        // (`max_by_key` keeps the last maximum, hence the reversal).
-        let by_net = readers.into_iter().enumerate().rev();
-        let worst = by_net
-            .filter(|(_, list)| list.len() > limit)
-            .max_by_key(|(_, list)| list.len());
-        let Some((net, list)) = worst else { break };
-        // Chunk readers behind fresh buffers.
+    let mut readers = reader_index(&m);
+    // Over-limit nets, most-read first, the lowest-numbered on a tie.
+    let mut over: BinaryHeap<(usize, Reverse<usize>)> = readers
+        .iter()
+        .enumerate()
+        .filter(|(_, list)| list.len() > limit)
+        .map(|(net, list)| (list.len(), Reverse(net)))
+        .collect();
+    while let Some((_, Reverse(net))) = over.pop() {
+        let list = std::mem::take(&mut readers[net]);
         for chunk in list.chunks(limit) {
             let buf_out = NetId(m.net_count);
             m.net_count += 1;
+            readers[net].push(Reader::GatePin(m.gates.len(), 0));
             m.gates.push(Gate {
                 kind: CellKind::Buf,
                 inputs: [Signal::Net(NetId(net as u32))].into(),
@@ -106,20 +99,51 @@ pub fn insert_buffers(module: &Module, limit: usize) -> Module {
                 init: false,
                 region: 0,
             });
-            for reader in chunk {
-                let slot = match *reader {
-                    Reader::GatePin(gi, pin) => &mut m.gates[gi].inputs[pin],
-                    Reader::RomAddr(ri, pin) => &mut m.roms[ri].addr[pin],
-                    Reader::OutputBit(pi, pin) => &mut m.outputs[pi].bits[pin],
-                };
-                *slot = Signal::Net(buf_out);
+            // The buffer's output has at most `limit` readers, so it is
+            // never queued and needs no index entry.
+            for &reader in chunk {
+                *pin_slot(&mut m, reader) = Signal::Net(buf_out);
             }
         }
-        // Loop: the buffers themselves may now exceed the limit on `net`
-        // (handled next iteration by buffering the buffers).
+        // The buffers themselves may still exceed the limit on `net`.
+        if readers[net].len() > limit {
+            over.push((readers[net].len(), Reverse(net)));
+        }
     }
     debug_assert!(m.validate().is_ok(), "buffer insertion broke the module");
     m
+}
+
+/// Readers per net, each list in gate, ROM, output-port order.
+fn reader_index(m: &Module) -> Vec<Vec<Reader>> {
+    let mut readers: Vec<Vec<Reader>> = vec![Vec::new(); m.net_count()];
+    let gate_pins = m.gates.iter().enumerate().flat_map(|(i, g)| {
+        let pins = g.inputs.iter().enumerate();
+        pins.map(move |(pin, &s)| (Reader::GatePin(i, pin), s))
+    });
+    let rom_pins = m.roms.iter().enumerate().flat_map(|(i, r)| {
+        let pins = r.addr.iter().enumerate();
+        pins.map(move |(pin, &s)| (Reader::RomAddr(i, pin), s))
+    });
+    let port_pins = m.outputs.iter().enumerate().flat_map(|(i, p)| {
+        let pins = p.bits.iter().enumerate();
+        pins.map(move |(pin, &s)| (Reader::OutputBit(i, pin), s))
+    });
+    for (reader, s) in gate_pins.chain(rom_pins).chain(port_pins) {
+        if let Signal::Net(n) = s {
+            readers[n.index()].push(reader);
+        }
+    }
+    readers
+}
+
+/// The input slot `reader` names.
+fn pin_slot(m: &mut Module, reader: Reader) -> &mut Signal {
+    match reader {
+        Reader::GatePin(gi, pin) => &mut m.gates[gi].inputs[pin],
+        Reader::RomAddr(ri, pin) => &mut m.roms[ri].addr[pin],
+        Reader::OutputBit(pi, pin) => &mut m.outputs[pi].bits[pin],
+    }
 }
 
 #[cfg(test)]
@@ -128,7 +152,108 @@ mod tests {
     use crate::analysis::analyze;
     use crate::builder::NetlistBuilder;
     use crate::sim::Simulator;
+    use exec::rng::StdRng;
+    use pdk::rom::RomStyle;
     use pdk::{CellLibrary, Technology};
+
+    /// The repair as one round per buffered net, each rebuilding the
+    /// whole reader index: the loop [`insert_buffers`] replaced, kept as
+    /// its oracle.
+    fn reference_insert_buffers(module: &Module, limit: usize) -> Module {
+        let mut m = module.clone();
+        loop {
+            // The most-read net over the limit, the lowest-numbered on a
+            // tie (`max_by_key` keeps the last maximum, hence the
+            // reversal).
+            let by_net = reader_index(&m).into_iter().enumerate().rev();
+            let worst = by_net
+                .filter(|(_, list)| list.len() > limit)
+                .max_by_key(|(_, list)| list.len());
+            let Some((net, list)) = worst else { break };
+            for chunk in list.chunks(limit) {
+                let buf_out = NetId(m.net_count);
+                m.net_count += 1;
+                m.gates.push(Gate {
+                    kind: CellKind::Buf,
+                    inputs: [Signal::Net(NetId(net as u32))].into(),
+                    output: buf_out,
+                    init: false,
+                    region: 0,
+                });
+                for &reader in chunk {
+                    *pin_slot(&mut m, reader) = Signal::Net(buf_out);
+                }
+            }
+        }
+        m
+    }
+
+    /// A random module whose nets fan out widely: gates read any earlier
+    /// signal, often one net on several pins; a ROM's address pins and
+    /// the output-port bits read shared nets too.
+    fn random_module(seed: u64) -> Module {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new("random");
+        let mut pool = b.input("x", 3);
+        let kinds = [
+            CellKind::Inv,
+            CellKind::Nand2,
+            CellKind::Xor2,
+            CellKind::Mux2,
+        ];
+        for _ in 0..rng.gen_range(4..40usize) {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            // Half the pins read one of the three inputs, so those fan
+            // out widely; the rest read one of the newest few signals,
+            // so some nets are read twice by one gate.
+            let inputs: Vec<Signal> = (0..kind.input_count())
+                .map(|_| match rng.gen_bool(0.5) {
+                    true => pool[rng.gen_range(0..3usize)],
+                    false => pool[pool.len() - 1 - rng.gen_range(0..pool.len().min(4))],
+                })
+                .collect();
+            pool.push(b.gate(kind, &inputs));
+        }
+        let pick = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
+        let addr: Vec<Signal> = (0..2).map(|_| pick(&mut rng)).collect();
+        let data = b.rom(&addr, vec![1, 2, 3, 0], 2, RomStyle::Crossbar);
+        let mut bits: Vec<Signal> = (0..rng.gen_range(1..12usize))
+            .map(|_| pick(&mut rng))
+            .collect();
+        bits.extend(data);
+        b.output("o", &bits);
+        b.finish()
+    }
+
+    #[test]
+    fn one_pass_repair_matches_the_round_by_round_loop() {
+        let modules: Vec<Module> = (0..64).map(random_module).collect();
+        for limit in 2..=8 {
+            let mut repaired = 0;
+            for (seed, m) in modules.iter().enumerate() {
+                let got = insert_buffers(m, limit);
+                assert_eq!(
+                    got,
+                    reference_insert_buffers(m, limit),
+                    "seed {seed}, limit {limit}"
+                );
+                repaired += usize::from(got.gate_count() > m.gate_count());
+            }
+            // Past the limit often enough to be a test at every limit.
+            assert!(
+                repaired >= 8,
+                "limit {limit}: only {repaired} modules repaired"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn a_limit_of_one_is_rejected() {
+        // Buffering k >= 2 readers one per buffer leaves the net with k
+        // readers again, so limit 1 has no repair.
+        let _ = insert_buffers(&fan_module(2), 1);
+    }
 
     /// One input net fanned out to `n` inverters.
     fn fan_module(n: usize) -> Module {

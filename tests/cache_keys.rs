@@ -48,6 +48,7 @@ fn listing(root: &Path) -> Vec<String> {
 const PINNED: &[&str] = &[
     "core.flow.forest/4f018266824485cb3dd0838155024769.json",
     "core.flow.svm/63a339c541452297e6857ed4c275ca0e.json",
+    "core.flow.test/2c4afe445ab0416a8723bb6690e9e5e7.json",
     "core.flow.tree/06a11f2d3d4bb1cde153f4ba93dd0d17.json",
     "ml.forest.fit/fb2a9b47275fafc458b4845f9a60c495.json",
     "ml.lr.fit/bd26e68c8f960831943d6b7f0f959d9a.json",
@@ -88,8 +89,30 @@ fn every_cached_domain_keeps_its_key() {
     analyze(&module, &CellLibrary::for_technology(Technology::CntTft));
 
     let got = listing(&root);
+    let embedded = embedded_splits(&root, &got);
     cache::set_enabled(false);
     cache::set_disk_root(None);
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(got, PINNED, "a cache key moved; bump cache::SCHEMA");
+    assert!(
+        embedded.is_empty(),
+        "flow entries embed their test split (stored once under core.flow.test): {embedded:?}"
+    );
+}
+
+/// The `core.flow.*` model entries of `listing` that carry a `test`
+/// field.
+fn embedded_splits(root: &Path, listing: &[String]) -> Vec<String> {
+    let schema = root.join(cache::SCHEMA);
+    let models = listing
+        .iter()
+        .filter(|e| e.starts_with("core.flow.") && !e.starts_with("core.flow.test/"));
+    models
+        .filter(|entry| {
+            let body = std::fs::read_to_string(schema.join(entry)).expect("entry reads");
+            let value: serde::Value = serde_json::from_str(&body).expect("entry parses");
+            value.get("test").is_some()
+        })
+        .cloned()
+        .collect()
 }
