@@ -108,6 +108,7 @@ fn error_kind(e: &SimError) -> &'static str {
         SimError::ImageLength { .. } => "image-length",
         SimError::PortCount { .. } => "port-count",
         SimError::PortShape { .. } => "port-shape",
+        SimError::NoSamples { .. } => "no-samples",
     }
 }
 

@@ -18,8 +18,9 @@
 //!   column), large ROMs fall back to per-lane addressing.
 //! * [`WideSim`] — a lane-width-generic evaluator whose net values are
 //!   `[u64; W]` blocks (64·W vectors per settle; `W = 1` and `W = 4`
-//!   are the shipped widths). The per-instruction word loop is written
-//!   so LLVM auto-vectorizes it. Stimulus enters and per-lane ROM
+//!   are the shipped widths). A settle walks the tape in ROM-free
+//!   spans, each writing one run of consecutive slots, and the
+//!   per-instruction word loop is written so LLVM auto-vectorizes it. Stimulus enters and per-lane ROM
 //!   addresses leave lane order through one branchless 64×64 bit-matrix
 //!   transpose.
 //! * `cone` (crate-private) — event-driven stuck-at propagation over a
@@ -176,7 +177,9 @@ pub struct CompiledNetlist {
     /// Compiled ROM macros.
     roms: Vec<CompiledRom>,
     /// ROM schedule: `(tape position, rom index)` — ROMs at position `p`
-    /// evaluate before instruction `p`.
+    /// evaluate before instruction `p`. Positions never decrease, so the
+    /// positions cut the tape into ROM-free *spans*, and the outputs of a
+    /// span's instructions are consecutive slots.
     rom_order: Vec<(usize, usize)>,
     /// Largest row-select scratch any [`RomStrategy::Mask`] ROM needs.
     max_mask_rows: usize,
@@ -383,6 +386,16 @@ impl CompiledNetlist {
         for s in input_slots.iter_mut() {
             *s = map(*s);
         }
+        // Every net has one driver, so the renumbering above hands each
+        // span's outputs one run of slots; the settle walk relies on it.
+        let mut start = 0;
+        for end in rom_order.iter().map(|&(pos, _)| pos).chain([outs.len()]) {
+            assert!(
+                outs[start..end].windows(2).all(|w| w[1] == w[0] + 1),
+                "tape span {start}..{end} writes non-consecutive slots"
+            );
+            start = end;
+        }
 
         COMPILES.incr();
         COMPILED_GATES.add(ops.len() as u64);
@@ -480,10 +493,175 @@ pub struct WideSim<const W: usize> {
     compiled: Arc<CompiledNetlist>,
     /// Per-slot lane blocks; slots 0/1 permanently hold the constants.
     values: Vec<[u64; W]>,
-    /// Row-select scratch for [`RomStrategy::Mask`] ROMs.
-    sel_scratch: Vec<[u64; W]>,
-    /// Data-column scratch shared by both ROM strategies.
-    data_scratch: Vec<[u64; W]>,
+    /// ROM evaluation scratch.
+    rom: RomScratch<W>,
+}
+
+/// Scratch of one ROM evaluation.
+#[derive(Debug, Clone)]
+struct RomScratch<const W: usize> {
+    /// Row-select masks for [`RomStrategy::Mask`] ROMs.
+    sel: Vec<[u64; W]>,
+    /// Data columns, shared by both strategies.
+    data: Vec<[u64; W]>,
+}
+
+/// Evaluates one instruction over the slot values. The settle walk and
+/// the cone grader both call it.
+#[inline(always)]
+fn eval_instr<const W: usize>(
+    values: &[[u64; W]],
+    op: Opcode,
+    [a, b, c]: [u32; 3],
+    inv: u64,
+) -> [u64; W] {
+    let va = values[a as usize];
+    let mut v = [0u64; W];
+    match op {
+        Opcode::And => {
+            let vb = values[b as usize];
+            for w in 0..W {
+                v[w] = (va[w] & vb[w]) ^ inv;
+            }
+        }
+        Opcode::Or => {
+            let vb = values[b as usize];
+            for w in 0..W {
+                v[w] = (va[w] | vb[w]) ^ inv;
+            }
+        }
+        Opcode::Xor => {
+            let vb = values[b as usize];
+            for w in 0..W {
+                v[w] = (va[w] ^ vb[w]) ^ inv;
+            }
+        }
+        Opcode::Mux => {
+            let vb = values[b as usize];
+            let vc = values[c as usize];
+            for w in 0..W {
+                v[w] = ((!va[w] & vb[w]) | (va[w] & vc[w])) ^ inv;
+            }
+        }
+        Opcode::Buf => {
+            for w in 0..W {
+                v[w] = va[w] ^ inv;
+            }
+        }
+    }
+    v
+}
+
+impl CompiledNetlist {
+    /// Evaluates the ROM-free tape span `start..end`, writing its
+    /// outputs as the consecutive slots compilation gave them.
+    #[inline(always)]
+    fn settle_span<const W: usize>(&self, values: &mut [[u64; W]], start: usize, end: usize) {
+        if start == end {
+            return;
+        }
+        let first = self.outs[start] as usize;
+        let tape = self.ops[start..end]
+            .iter()
+            .zip(&self.srcs[start..end])
+            .zip(&self.inv[start..end]);
+        for (out, ((&op, &src), &inv)) in (first..).zip(tape) {
+            values[out] = eval_instr(values, op, src, inv);
+        }
+    }
+}
+
+impl<const W: usize> RomScratch<W> {
+    /// Evaluates `rom` over `values` into the first `rom.data.len()`
+    /// blocks of [`Self::data`].
+    fn eval(&mut self, values: &[[u64; W]], rom: &CompiledRom) {
+        let d = rom.data.len();
+        for block in self.data[..d].iter_mut() {
+            *block = [0u64; W];
+        }
+        match rom.strategy {
+            RomStrategy::Mask => self.eval_mask(values, rom),
+            RomStrategy::PerLane => self.eval_per_lane(values, rom),
+        }
+    }
+
+    /// Bitwise ROM evaluation: recursive-doubling expansion of the
+    /// row-select lane masks over the address words, then one
+    /// OR-accumulate per set data bit per nonzero row. All `64·W` lanes
+    /// resolve in `O(2^k + set_bits)` word operations instead of a
+    /// per-lane scalar address loop.
+    fn eval_mask(&mut self, values: &[[u64; W]], rom: &CompiledRom) {
+        let rows = 1usize << rom.addr.len();
+        let sels = &mut self.sel[..rows];
+        sels[0] = [u64::MAX; W];
+        let mut size = 1usize;
+        for &aslot in &rom.addr {
+            let a = values[aslot as usize];
+            // Address bits are little-endian, so each new bit is the MSB
+            // of the row index built so far: set → rows `idx + size`,
+            // clear → rows `idx`.
+            for idx in 0..size {
+                let s = sels[idx];
+                let mut hi = [0u64; W];
+                let mut lo = [0u64; W];
+                for w in 0..W {
+                    hi[w] = s[w] & a[w];
+                    lo[w] = s[w] & !a[w];
+                }
+                sels[idx + size] = hi;
+                sels[idx] = lo;
+            }
+            size *= 2;
+        }
+        let d = rom.data.len();
+        let data_mask = if d >= 64 { u64::MAX } else { (1u64 << d) - 1 };
+        for (a, &row) in rom.contents.iter().take(rows).enumerate() {
+            let mut bits = row & data_mask;
+            if bits == 0 {
+                continue;
+            }
+            let sel = sels[a];
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let acc = &mut self.data[j];
+                for w in 0..W {
+                    acc[w] |= sel[w];
+                }
+            }
+        }
+    }
+
+    /// Per-lane ROM evaluation for address spaces too large to expand,
+    /// one 64-lane word at a time: transpose the address bit-words into
+    /// 64 lane addresses, gather each lane's row, and transpose the rows
+    /// back into data bit-words.
+    fn eval_per_lane(&mut self, values: &[[u64; W]], rom: &CompiledRom) {
+        let d = rom.data.len();
+        for w in 0..W {
+            let mut m = [0u64; 64];
+            // Lanes with an address bit at or above bit 64 read past any
+            // stored contents, so they read zero.
+            let mut beyond = 0u64;
+            for (bit, &aslot) in rom.addr.iter().enumerate() {
+                let word = values[aslot as usize][w];
+                match m.get_mut(bit) {
+                    Some(row) => *row = word,
+                    None => beyond |= word,
+                }
+            }
+            transpose64(&mut m, 64);
+            for (lane, row) in m.iter_mut().enumerate() {
+                let keep = ((beyond >> lane) & 1).wrapping_sub(1);
+                let addr = usize::try_from(*row).unwrap_or(usize::MAX);
+                *row = rom.contents.get(addr).copied().unwrap_or(0) & keep;
+            }
+            transpose64(&mut m, d);
+            for (acc, &word) in self.data[..d].iter_mut().zip(&m) {
+                acc[w] = word;
+            }
+        }
+    }
 }
 
 impl<const W: usize> WideSim<W> {
@@ -494,13 +672,14 @@ impl<const W: usize> WideSim<W> {
     pub fn new(compiled: Arc<CompiledNetlist>) -> Self {
         let mut values = vec![[0u64; W]; compiled.slots];
         values[SLOT_ONE as usize] = [u64::MAX; W];
-        let sel_scratch = vec![[0u64; W]; compiled.max_mask_rows];
-        let data_scratch = vec![[0u64; W]; compiled.max_rom_data];
+        let rom = RomScratch {
+            sel: vec![[0u64; W]; compiled.max_mask_rows],
+            data: vec![[0u64; W]; compiled.max_rom_data],
+        };
         WideSim {
             compiled,
             values,
-            sel_scratch,
-            data_scratch,
+            rom,
         }
     }
 
@@ -625,161 +804,25 @@ impl<const W: usize> WideSim<W> {
         Ok(())
     }
 
-    /// Replays the tape once, in levelized order.
+    /// Replays the tape once, in levelized order: each ROM-free span of
+    /// instructions, then the ROMs due where it ends.
     pub fn settle(&mut self) {
-        let compiled = Arc::clone(&self.compiled);
-        let mut rom_cursor = 0usize;
-        for pos in 0..compiled.ops.len() {
-            while rom_cursor < compiled.rom_order.len() && compiled.rom_order[rom_cursor].0 <= pos {
-                self.settle_rom(&compiled.roms[compiled.rom_order[rom_cursor].1]);
-                rom_cursor += 1;
+        let WideSim {
+            compiled,
+            values,
+            rom: scratch,
+        } = self;
+        let mut start = 0;
+        for &(end, ri) in &compiled.rom_order {
+            compiled.settle_span(values, start, end);
+            let rom = &compiled.roms[ri];
+            scratch.eval(values, rom);
+            for (&slot, &block) in rom.data.iter().zip(&scratch.data) {
+                values[slot as usize] = block;
             }
-            self.values[compiled.outs[pos] as usize] = self.eval_instr(&compiled, pos);
+            start = end;
         }
-        for &(_, ri) in &compiled.rom_order[rom_cursor..] {
-            self.settle_rom(&compiled.roms[ri]);
-        }
-    }
-
-    /// Evaluates `rom` and writes its data slots.
-    fn settle_rom(&mut self, rom: &CompiledRom) {
-        self.eval_rom(rom);
-        for (&slot, &block) in rom.data.iter().zip(&self.data_scratch) {
-            self.values[slot as usize] = block;
-        }
-    }
-
-    /// Evaluates instruction `pos` over the current slot values.
-    #[inline(always)]
-    fn eval_instr(&self, compiled: &CompiledNetlist, pos: usize) -> [u64; W] {
-        let [a, b, c] = compiled.srcs[pos];
-        let inv = compiled.inv[pos];
-        let va = self.values[a as usize];
-        let mut v = [0u64; W];
-        match compiled.ops[pos] {
-            Opcode::And => {
-                let vb = self.values[b as usize];
-                for w in 0..W {
-                    v[w] = (va[w] & vb[w]) ^ inv;
-                }
-            }
-            Opcode::Or => {
-                let vb = self.values[b as usize];
-                for w in 0..W {
-                    v[w] = (va[w] | vb[w]) ^ inv;
-                }
-            }
-            Opcode::Xor => {
-                let vb = self.values[b as usize];
-                for w in 0..W {
-                    v[w] = (va[w] ^ vb[w]) ^ inv;
-                }
-            }
-            Opcode::Mux => {
-                let vb = self.values[b as usize];
-                let vc = self.values[c as usize];
-                for w in 0..W {
-                    v[w] = ((!va[w] & vb[w]) | (va[w] & vc[w])) ^ inv;
-                }
-            }
-            Opcode::Buf => {
-                for w in 0..W {
-                    v[w] = va[w] ^ inv;
-                }
-            }
-        }
-        v
-    }
-
-    /// Evaluates `rom` over the current slot values into the first
-    /// `rom.data.len()` blocks of the data-column scratch.
-    fn eval_rom(&mut self, rom: &CompiledRom) {
-        let d = rom.data.len();
-        for block in self.data_scratch[..d].iter_mut() {
-            *block = [0u64; W];
-        }
-        match rom.strategy {
-            RomStrategy::Mask => self.eval_rom_mask(rom),
-            RomStrategy::PerLane => self.eval_rom_per_lane(rom),
-        }
-    }
-
-    /// Bitwise ROM evaluation: recursive-doubling expansion of the
-    /// row-select lane masks over the address words, then one
-    /// OR-accumulate per set data bit per nonzero row. All `64·W` lanes
-    /// resolve in `O(2^k + set_bits)` word operations instead of a
-    /// per-lane scalar address loop.
-    fn eval_rom_mask(&mut self, rom: &CompiledRom) {
-        let rows = 1usize << rom.addr.len();
-        let sels = &mut self.sel_scratch[..rows];
-        sels[0] = [u64::MAX; W];
-        let mut size = 1usize;
-        for &aslot in &rom.addr {
-            let a = self.values[aslot as usize];
-            // Address bits are little-endian, so each new bit is the MSB
-            // of the row index built so far: set → rows `idx + size`,
-            // clear → rows `idx`.
-            for idx in 0..size {
-                let s = sels[idx];
-                let mut hi = [0u64; W];
-                let mut lo = [0u64; W];
-                for w in 0..W {
-                    hi[w] = s[w] & a[w];
-                    lo[w] = s[w] & !a[w];
-                }
-                sels[idx + size] = hi;
-                sels[idx] = lo;
-            }
-            size *= 2;
-        }
-        let d = rom.data.len();
-        let data_mask = if d >= 64 { u64::MAX } else { (1u64 << d) - 1 };
-        for (a, &row) in rom.contents.iter().take(rows).enumerate() {
-            let mut bits = row & data_mask;
-            if bits == 0 {
-                continue;
-            }
-            let sel = sels[a];
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let acc = &mut self.data_scratch[j];
-                for w in 0..W {
-                    acc[w] |= sel[w];
-                }
-            }
-        }
-    }
-
-    /// Per-lane ROM evaluation for address spaces too large to expand,
-    /// one 64-lane word at a time: transpose the address bit-words into
-    /// 64 lane addresses, gather each lane's row, and transpose the rows
-    /// back into data bit-words.
-    fn eval_rom_per_lane(&mut self, rom: &CompiledRom) {
-        let d = rom.data.len();
-        for w in 0..W {
-            let mut m = [0u64; 64];
-            // Lanes with an address bit at or above bit 64 read past any
-            // stored contents, so they read zero.
-            let mut beyond = 0u64;
-            for (bit, &aslot) in rom.addr.iter().enumerate() {
-                let word = self.values[aslot as usize][w];
-                match m.get_mut(bit) {
-                    Some(row) => *row = word,
-                    None => beyond |= word,
-                }
-            }
-            transpose64(&mut m, 64);
-            for (lane, row) in m.iter_mut().enumerate() {
-                let keep = ((beyond >> lane) & 1).wrapping_sub(1);
-                let addr = usize::try_from(*row).unwrap_or(usize::MAX);
-                *row = rom.contents.get(addr).copied().unwrap_or(0) & keep;
-            }
-            transpose64(&mut m, d);
-            for (acc, &word) in self.data_scratch[..d].iter_mut().zip(&m) {
-                acc[w] = word;
-            }
-        }
+        compiled.settle_span(values, start, compiled.ops.len());
     }
 
     fn read(&self, slot: u32) -> [u64; W] {
@@ -1102,6 +1145,115 @@ mod tests {
             scalar.settle();
             assert_eq!(got[v as usize], scalar.get("o"), "v={v}");
         }
+    }
+
+    /// Settles `m` over `64·W` pseudo-random vectors and compares every
+    /// output lane with the scalar simulator.
+    fn matches_scalar<const W: usize>(m: &Module) {
+        let mut sim: WideSim<W> = WideSim::new(compile(m));
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let vectors: Vec<Vec<u64>> = (0..WideSim::<W>::LANES)
+            .map(|_| {
+                m.inputs
+                    .iter()
+                    .map(|p| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state & ((1u64 << p.width()) - 1)
+                    })
+                    .collect()
+            })
+            .collect();
+        let image = sim.try_pack_vectors(&vectors).unwrap();
+        sim.try_load_packed(&image).unwrap();
+        sim.settle();
+        let wide: Vec<Vec<u64>> = m
+            .outputs
+            .iter()
+            .map(|p| sim.try_lanes(&p.name, vectors.len()).unwrap())
+            .collect();
+        let mut scalar = Simulator::new(m);
+        for (lane, vector) in vectors.iter().enumerate() {
+            for (port, &v) in m.inputs.iter().zip(vector) {
+                scalar.set(&port.name, v);
+            }
+            scalar.settle();
+            for (port, wide) in m.outputs.iter().zip(&wide) {
+                let name = &port.name;
+                assert_eq!(wide[lane], scalar.get(name), "W={W} lane {lane} {name}");
+            }
+        }
+    }
+
+    /// Compiles `m`, checks its ROM schedule, and compares the span walk
+    /// with the scalar simulator at `W = 1` and `W = 4`.
+    fn spans_match_scalar(m: &Module, rom_order: &[(usize, usize)], ops: usize) {
+        let compiled = CompiledNetlist::compile(m);
+        assert_eq!(compiled.rom_order, rom_order, "{}: ROM schedule", m.name);
+        assert_eq!(compiled.ops.len(), ops, "{}: instructions", m.name);
+        matches_scalar::<1>(m);
+        matches_scalar::<4>(m);
+    }
+
+    #[test]
+    fn a_rom_at_tape_position_zero_precedes_the_first_span() {
+        let mut b = NetlistBuilder::new("rom_first");
+        let x = b.input("x", 3);
+        let d = b.rom(&x, vec![5, 1, 6, 3, 0, 7, 2], 3, RomStyle::Crossbar);
+        let o = b.xor(d[0], d[1]);
+        let p = b.or(o, d[2]);
+        b.output("o", &[o, p]);
+        spans_match_scalar(&b.finish(), &[(0, 0)], 2);
+    }
+
+    #[test]
+    fn a_rom_after_the_last_instruction_still_settles() {
+        let mut b = NetlistBuilder::new("rom_last");
+        let x = b.input("x", 3);
+        let n = b.not(x[0]);
+        let a = b.and(x[1], x[2]);
+        let d = b.rom(
+            &[n, a, x[0]],
+            vec![3, 6, 1, 4, 7, 2, 5, 0],
+            3,
+            RomStyle::Crossbar,
+        );
+        b.output("d", &d);
+        spans_match_scalar(&b.finish(), &[(2, 0)], 2);
+    }
+
+    #[test]
+    fn two_roms_due_at_one_position_both_settle() {
+        let mut b = NetlistBuilder::new("rom_pair");
+        let x = b.input("x", 3);
+        let g = b.xor(x[0], x[1]);
+        let d1 = b.rom(&[g, x[2]], vec![1, 2, 3, 0], 2, RomStyle::Crossbar);
+        let d2 = b.rom(&[x[0], x[2]], vec![2, 3, 0, 1], 2, RomStyle::BespokeDots);
+        let o = b.and(d1[0], d2[0]);
+        let p = b.xor(d1[1], d2[1]);
+        b.output("o", &[o, p]);
+        spans_match_scalar(&b.finish(), &[(1, 0), (1, 1)], 3);
+    }
+
+    #[test]
+    fn a_rom_only_module_settles_without_instructions() {
+        let mut b = NetlistBuilder::new("roms_only");
+        let x = b.input("x", 3);
+        let d1 = b.rom(&x, vec![7, 3, 5, 1, 6, 2, 4, 0], 3, RomStyle::Crossbar);
+        let d2 = b.rom(&x[1..], vec![2, 0, 3], 2, RomStyle::Crossbar);
+        b.output("d1", &d1);
+        b.output("d2", &d2);
+        spans_match_scalar(&b.finish(), &[(0, 0), (0, 1)], 0);
+    }
+
+    #[test]
+    fn a_module_without_gates_settles_to_its_wiring() {
+        let mut b = NetlistBuilder::new("wires");
+        let x = b.input("x", 2);
+        let y = b.input("y", 1);
+        b.output("o", &[x[1], y[0], Signal::ONE, x[0], Signal::ZERO]);
+        spans_match_scalar(&b.finish(), &[], 0);
     }
 
     #[test]

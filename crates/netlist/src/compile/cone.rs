@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use super::{slot_of, word_mask, CompiledNetlist, Opcode, WideSim};
+use super::{eval_instr, slot_of, word_mask, CompiledNetlist, Opcode, WideSim};
 use crate::error::SimError;
 use crate::ir::{NetId, Signal};
 
@@ -227,15 +227,16 @@ impl<const W: usize> ConeSim<W> {
             if ev & ROM_EVENT == 0 {
                 let pos = ev as usize;
                 let out = compiled.outs[pos];
-                let block = self.sim.eval_instr(compiled, pos);
+                let src = compiled.srcs[pos];
+                let block = eval_instr(&self.sim.values, compiled.ops[pos], src, compiled.inv[pos]);
                 if self.write(out, block) && fanout.observed[out as usize] {
                     return true;
                 }
             } else {
                 let rom = &compiled.roms[(ev & !ROM_EVENT) as usize];
-                self.sim.eval_rom(rom);
+                self.sim.rom.eval(&self.sim.values, rom);
                 for (j, &slot) in rom.data.iter().enumerate() {
-                    let block = self.sim.data_scratch[j];
+                    let block = self.sim.rom.data[j];
                     if self.write(slot, block) && fanout.observed[slot as usize] {
                         return true;
                     }

@@ -87,6 +87,12 @@ pub enum SimError {
         /// `name[width]` of module `b`'s port.
         b: String,
     },
+    /// A sampled equivalence check was asked to try zero vectors, which
+    /// would pass without trying any.
+    NoSamples {
+        /// Name of the miter the check built.
+        module: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -134,6 +140,12 @@ impl fmt::Display for SimError {
                 a,
                 b,
             } => write!(f, "{direction} port {index} differs: {a} vs {b}"),
+            SimError::NoSamples { module } => {
+                write!(
+                    f,
+                    "{module} is too wide to prove exhaustively and no samples were requested"
+                )
+            }
         }
     }
 }

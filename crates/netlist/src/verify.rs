@@ -12,19 +12,26 @@
 //! identical at every thread count; widening the settle chunk from 64 to
 //! 256 lanes subdivides spans differently but preserves the vector
 //! order, the per-span sample streams and the first-difference witness.
+//! A raw and an optimized netlist from one generator usually carry the
+//! same ROMs; the miter keeps one copy of each such pair.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::builder::NetlistBuilder;
 use crate::compile::{record_settles, CompiledNetlist, WideSim};
 use crate::error::SimError;
-use crate::ir::{Module, Signal};
+use crate::ir::{Module, NetId, Signal};
 
 /// Lane width of the verification shards (one `WideSim<VERIFY_W>` per
 /// work item over the shared compiled miter).
 const VERIFY_W: usize = 4;
 /// Vectors per settle pass at that width.
 const VERIFY_LANES: usize = 64 * VERIFY_W;
+
+/// ROMs a miter evaluates once for both halves: ROMs of `b` that read
+/// the data of an identical ROM of `a` instead of a copy of their own.
+static SHARED_ROMS: obs::Counter = obs::Counter::new("netlist.verify.shared_roms");
 
 /// Root seed of the deterministic sampling stream (golden-ratio constant,
 /// kept from the original scalar checker).
@@ -71,6 +78,13 @@ impl Equivalence {
 /// shapes: shared inputs, one `diff` output that is 1 iff any output bit
 /// differs.
 ///
+/// A ROM of `b` that reads the same inputs and constants as a ROM of `a`
+/// and has the same contents and data width is instantiated once: `b`'s
+/// readers read `a`'s copy. The two copies compute one function, so the
+/// miter's `diff` is unchanged on every input vector, and the check
+/// evaluates the ROM once instead of twice (counted by
+/// `netlist.verify.shared_roms`).
+///
 /// # Errors
 /// Returns [`SimError::Sequential`] if either module is sequential, and
 /// [`SimError::PortCount`] or [`SimError::PortShape`] if their port
@@ -115,51 +129,8 @@ pub fn miter(a: &Module, b: &Module) -> Result<Module, SimError> {
         .map(|p| m.input(p.name.clone(), p.width()))
         .collect();
 
-    // Instantiate a copy of `src` into the miter, remapping nets.
-    fn instantiate(
-        m: &mut NetlistBuilder,
-        src: &Module,
-        shared: &[Vec<Signal>],
-    ) -> Vec<Vec<Signal>> {
-        // Dense net map: the shared input bits, then a fresh net per gate
-        // and ROM output (gates may reference each other in any order, so
-        // every output is mapped before any gate is emitted).
-        let mut map: Vec<Option<Signal>> = vec![None; src.net_count()];
-        for (port, bits) in src.inputs.iter().zip(shared) {
-            for (bit, &s) in port.bits.iter().zip(bits) {
-                if let Signal::Net(n) = bit {
-                    map[n.index()] = Some(s);
-                }
-            }
-        }
-        let gate_outputs = src.gates.iter().map(|g| g.output);
-        let outputs = gate_outputs.chain(src.roms.iter().flat_map(|r| r.data.iter().copied()));
-        for n in outputs {
-            map[n.index()] = Some(Signal::Net(m.fresh_net()));
-        }
-        let remap = |s: Signal| match s {
-            Signal::Const(_) => s,
-            Signal::Net(n) => map[n.index()].expect("source net mapped"),
-        };
-        let net = |n: crate::ir::NetId| remap(Signal::Net(n)).net().expect("allocated net");
-        for g in &src.gates {
-            let mut inputs = g.inputs;
-            inputs.iter_mut().for_each(|s| *s = remap(*s));
-            m.push_raw_gate(g.kind, inputs, net(g.output));
-        }
-        for r in &src.roms {
-            let addr = r.addr.iter().map(|&s| remap(s)).collect();
-            let data = r.data.iter().map(|&d| net(d)).collect();
-            m.push_raw_rom(addr, data, r.contents.clone(), r.style);
-        }
-        src.outputs
-            .iter()
-            .map(|p| p.bits.iter().map(|&s| remap(s)).collect())
-            .collect()
-    }
-
-    let outs_a = instantiate(&mut m, a, &shared);
-    let outs_b = instantiate(&mut m, b, &shared);
+    let (outs_a, roms_a) = instantiate(&mut m, a, &shared, &HashMap::new());
+    let (outs_b, _) = instantiate(&mut m, b, &shared, &roms_a);
 
     let mut diffs = Vec::new();
     for (wa, wb) in outs_a.iter().zip(&outs_b) {
@@ -174,6 +145,96 @@ pub fn miter(a: &Module, b: &Module) -> Result<Module, SimError> {
     };
     m.output("diff", &[diff]);
     Ok(m.finish())
+}
+
+/// A ROM that reads only miter inputs and constants, as the miter sees
+/// it: address signals, contents and data width. Two ROMs with equal keys
+/// compute the same function of the miter's inputs.
+type RomKey<'m> = (Vec<Signal>, &'m [u64], usize);
+
+/// Instantiates a copy of `src` into the miter over its `shared` input
+/// bits, remapping nets, and returns the copy's output bits. A ROM of
+/// `src` whose key is in `reuse` is not instantiated again: its readers
+/// read the data of the ROM already there. The returned table holds the
+/// keys of the ROMs this copy did instantiate.
+fn instantiate<'m>(
+    m: &mut NetlistBuilder,
+    src: &'m Module,
+    shared: &[Vec<Signal>],
+    reuse: &HashMap<RomKey<'m>, Vec<Signal>>,
+) -> (Vec<Vec<Signal>>, HashMap<RomKey<'m>, Vec<Signal>>) {
+    // Dense net map: the shared input bits, then the data of every reused
+    // ROM, then a fresh net per gate and remaining ROM output (gates may
+    // reference each other in any order, so every output is mapped before
+    // any gate is emitted).
+    let mut map: Vec<Option<Signal>> = vec![None; src.net_count()];
+    for (port, bits) in src.inputs.iter().zip(shared) {
+        for (bit, &s) in port.bits.iter().zip(bits) {
+            if let Signal::Net(n) = bit {
+                map[n.index()] = Some(s);
+            }
+        }
+    }
+    // Only input bits are mapped so far, so a key exists exactly for the
+    // ROMs addressed by inputs and constants.
+    let keys: Vec<Option<RomKey<'m>>> = src
+        .roms
+        .iter()
+        .map(|r| {
+            let addr = r.addr.iter().map(|&s| match s {
+                Signal::Const(_) => Some(s),
+                Signal::Net(n) => map[n.index()],
+            });
+            let addr = addr.collect::<Option<Vec<Signal>>>()?;
+            Some((addr, r.contents.as_slice(), r.data.len()))
+        })
+        .collect();
+    // A ROM with an identical twin already in the miter maps its data to
+    // the twin's; the others are instantiated below.
+    let mut fresh = Vec::with_capacity(src.roms.len());
+    for (r, key) in src.roms.iter().zip(keys) {
+        match key.as_ref().and_then(|k| reuse.get(k)) {
+            Some(twin) => {
+                for (d, &s) in r.data.iter().zip(twin) {
+                    map[d.index()] = Some(s);
+                }
+            }
+            None => fresh.push((r, key)),
+        }
+    }
+    SHARED_ROMS.add((src.roms.len() - fresh.len()) as u64);
+    let gate_outputs = src.gates.iter().map(|g| g.output);
+    let rom_outputs = fresh.iter().flat_map(|(r, _)| r.data.iter().copied());
+    for n in gate_outputs.chain(rom_outputs) {
+        map[n.index()] = Some(Signal::Net(m.fresh_net()));
+    }
+    let remap = |s: Signal| match s {
+        Signal::Const(_) => s,
+        Signal::Net(n) => map[n.index()].expect("source net mapped"),
+    };
+    let net = |n: NetId| remap(Signal::Net(n)).net().expect("allocated net");
+    for g in &src.gates {
+        let mut inputs = g.inputs;
+        inputs.iter_mut().for_each(|s| *s = remap(*s));
+        m.push_raw_gate(g.kind, inputs, net(g.output));
+    }
+    let mut emitted = HashMap::new();
+    for (r, key) in fresh {
+        let data: Vec<NetId> = r.data.iter().map(|&d| net(d)).collect();
+        if let Some(key) = key {
+            emitted
+                .entry(key)
+                .or_insert_with(|| data.iter().copied().map(Signal::Net).collect());
+        }
+        let addr = r.addr.iter().map(|&s| remap(s)).collect();
+        m.push_raw_rom(addr, data, r.contents.clone(), r.style);
+    }
+    let outputs = src
+        .outputs
+        .iter()
+        .map(|p| p.bits.iter().map(|&s| remap(s)).collect())
+        .collect();
+    (outputs, emitted)
 }
 
 /// A full-width mask for a `w`-bit input port (`w = 64` must keep bit 63 —
@@ -232,8 +293,9 @@ impl LaneBuffer {
 ///
 /// # Errors
 /// Returns the [`miter`] error when the two modules cannot share one,
-/// and the compile error when the miter cannot be compiled (e.g. a
-/// combinational cycle in one of the inputs).
+/// the compile error when the miter cannot be compiled (e.g. a
+/// combinational cycle in one of the inputs), and
+/// [`SimError::NoSamples`] when the check must sample but `samples` is 0.
 pub fn check_equivalence(
     a: &Module,
     b: &Module,
@@ -269,6 +331,9 @@ fn check_equivalence_inner(
                  window; falling back to {samples} sampled vectors",
                 m.name
             );
+        }
+        if samples == 0 {
+            return Err(SimError::NoSamples { module: m.name });
         }
         prove(&compiled, samples as u64, Vectors::Sampled)
     }
@@ -546,6 +611,29 @@ mod tests {
             Equivalence::Equivalent {
                 vectors: 100,
                 exhaustive: false
+            }
+        );
+    }
+
+    /// Regression: a sampled check of zero vectors returned
+    /// `Equivalent { vectors: 0, exhaustive: false }` without trying one.
+    #[test]
+    fn a_sampled_check_of_zero_vectors_is_rejected() {
+        let mut b1 = NetlistBuilder::new("wide");
+        let x = b1.input("x", 20);
+        let o = b1.and(x[0], x[19]);
+        b1.output("o", &[o]);
+        let a = b1.finish();
+        let opt = optimize(&a);
+        let err = check_equivalence(&a, &opt, 16, 0).unwrap_err();
+        assert!(matches!(err, SimError::NoSamples { .. }), "{err:?}");
+        // Within the exhaustive limit the sample count is not used.
+        let verdict = check_equivalence(&a, &opt, 20, 0).unwrap();
+        assert_eq!(
+            verdict,
+            Equivalence::Equivalent {
+                vectors: 1 << 20,
+                exhaustive: true
             }
         );
     }

@@ -3,11 +3,11 @@
 //! checked with a miter, exhaustively where the input space allows.
 
 use printed_ml::core::bespoke::{bespoke_parallel, bespoke_parallel_raw};
-use printed_ml::core::lookup::{lookup_parallel, LookupConfig};
+use printed_ml::core::lookup::{lookup_parallel, lookup_parallel_raw, LookupConfig};
 use printed_ml::ml::quant::{FeatureQuantizer, QuantizedTree};
 use printed_ml::ml::synth::Application;
 use printed_ml::ml::tree::{DecisionTree, TreeParams};
-use printed_ml::netlist::{check_equivalence, optimize, Equivalence};
+use printed_ml::netlist::{check_equivalence, miter, optimize, Equivalence, Module, Simulator};
 
 fn small_tree(app: Application, depth: usize, bits: usize) -> QuantizedTree {
     let data = app.generate(7);
@@ -86,5 +86,50 @@ fn counterexamples_surface_real_divergence() {
             !verdict.is_equivalent(),
             "depth-2 and depth-4 HAR trees should differ somewhere"
         );
+    }
+}
+
+/// Output port values of `m` under one input vector (values per port).
+fn respond(m: &Module, vector: &[u64]) -> Vec<u64> {
+    let mut sim = Simulator::new(m);
+    for (port, &v) in m.inputs.iter().zip(vector) {
+        sim.set(&port.name, v);
+    }
+    sim.settle();
+    m.outputs.iter().map(|p| sim.get(&p.name)).collect()
+}
+
+#[test]
+fn shared_miter_roms_never_hide_a_difference() {
+    let qt = small_tree(Application::Pendigits, 4, 4);
+    let config = LookupConfig::optimized();
+    let raw = lookup_parallel_raw(&qt, config);
+    let optimized = lookup_parallel(&qt, config);
+    assert!(!optimized.roms.is_empty(), "the lookup tree reads ROMs");
+    // Every ROM of the optimized netlist matches its raw twin, so the
+    // miter instantiates each one once.
+    let shared = miter(&raw, &optimized).expect("port shapes");
+    assert_eq!(shared.roms.len(), raw.roms.len());
+    let verdict = check_equivalence(&raw, &optimized, 20, 5000).expect("port shapes");
+    assert!(verdict.is_equivalent(), "{verdict:?}");
+
+    let mut flipped = optimized.clone();
+    let rom = &mut flipped.roms[0];
+    let row = rom.contents.len() / 2;
+    rom.contents[row] ^= 1;
+    let mut swapped = optimized.clone();
+    let last = swapped.roms[0].addr.len() - 1;
+    swapped.roms[0].addr.swap(0, last);
+    for (what, candidate) in [("flipped bit", &flipped), ("swapped address", &swapped)] {
+        let m = miter(&raw, candidate).expect("port shapes");
+        assert_eq!(m.roms.len(), raw.roms.len() + 1, "{what}: ROM kept apart");
+        match check_equivalence(&raw, candidate, 20, 5000).expect("port shapes") {
+            Equivalence::CounterExample(v) => assert_ne!(
+                respond(&raw, &v),
+                respond(candidate, &v),
+                "{what}: witness {v:?} does not replay"
+            ),
+            other => panic!("{what}: difference hidden, got {other:?}"),
+        }
     }
 }
