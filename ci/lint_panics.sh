@@ -17,7 +17,9 @@
 # and conventional-SVM generators and the shared helpers in lib.rs), the
 # analog engine files the variation Monte-Carlo runs through
 # (compile.rs, variation.rs and the device, crossbar, SVM, tree and
-# comparator models) and proto.rs, the fabricated-prototype models.
+# comparator models), the transient solver (transient.rs) and proto.rs,
+# the fabricated-prototype models. Every pdk file is: every PPA number
+# and every analog model reads its cell library and device parameters.
 # Every ml file is: the flows train through all of them. So are the
 # code the `printed-ml` CLI runs on user input (the CLI itself, the
 # Verilog testbench emitter, the width search, the analog and PPA
@@ -27,8 +29,10 @@
 # unwrapping.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
-# to end-of-file is stripped before grepping, which is why these files
-# keep all their test modules at the bottom.
+# to end-of-file is stripped before grepping. So these files keep all
+# their test modules at the bottom, and the lint fails on any top-level
+# item below the first `#[cfg(test)]` that is not itself `#[cfg(test)]`
+# (such an item would never be linted).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,6 +82,15 @@ FILES=(
   crates/analog/src/tree.rs
   crates/analog/src/comparator.rs
   crates/analog/src/proto.rs
+  crates/analog/src/transient.rs
+  crates/pdk/src/cell.rs
+  crates/pdk/src/fab.rs
+  crates/pdk/src/lib.rs
+  crates/pdk/src/library.rs
+  crates/pdk/src/power_src.rs
+  crates/pdk/src/rom.rs
+  crates/pdk/src/tech.rs
+  crates/pdk/src/units.rs
   crates/bench/src/experiments/figures.rs
   crates/cache/src/store.rs
   crates/cache/src/hash.rs
@@ -95,6 +108,20 @@ for f in "${FILES[@]}"; do
   if [ -n "$hits" ]; then
     echo "lint_panics: forbidden panic!/unwrap in non-test code of $f:" >&2
     printf '%s\n' "$hits" >&2
+    status=1
+  fi
+  # Below the first #[cfg(test)], every top-level item (a line that
+  # starts in column 0 and is not a brace, paren, comment or attribute)
+  # must follow a #[cfg(test)] attribute.
+  hidden=$(awk '
+    /^#\[cfg\(test\)\]/ { seen = 1; pending = 1; next }
+    !seen || /^($|[ \t}),\]]|\/\/|#)/ { next }
+    pending { pending = 0; next }
+    { print FNR ": " $0 }
+  ' "$f")
+  if [ -n "$hidden" ]; then
+    echo "lint_panics: non-test item below the first #[cfg(test)] of $f (move it above):" >&2
+    printf '%s\n' "$hidden" >&2
     status=1
   fi
 done

@@ -205,6 +205,34 @@ pub fn two_level_tree_transients(
     (s1, s2, c3, c4)
 }
 
+/// Transient class-line waveforms of the §IV-C *digital* depth-2 bespoke
+/// tree prototype (Fig. 5, right panel): given the settled logic values of
+/// the four class lines, produce the RC-shaped scope traces an EGT
+/// implementation exhibits when the inputs step at `t = 0`.
+///
+/// `class_levels` are the four logic values (exactly one should be true);
+/// EGT gates slew with millisecond time constants, so the traces rise or
+/// fall over several ms like the paper's measurement.
+pub fn digital_tree_transients(
+    class_levels: [bool; 4],
+    t_end: f64,
+    samples: usize,
+) -> [Waveform; 4] {
+    // A depth-2 bespoke tree is 2-3 gate levels deep; each EGT logic
+    // stage contributes ~1 ms of slew.
+    let tau = 1.2e-3;
+    class_levels.map(|level| {
+        simulate_node(
+            &[Stimulus::constant(if level { VDD } else { 0.0 })],
+            |l| l[0],
+            tau,
+            VDD / 2.0,
+            t_end,
+            samples,
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,34 +336,6 @@ mod tests {
         let (s1, s2, _, _) = two_level_tree_transients(0.9, 0.5, 30e-3, 200);
         assert!(s1.margin_against(&s2) > 0.405);
     }
-}
-
-/// Transient class-line waveforms of the §IV-C *digital* depth-2 bespoke
-/// tree prototype (Fig. 5, right panel): given the settled logic values of
-/// the four class lines, produce the RC-shaped scope traces an EGT
-/// implementation exhibits when the inputs step at `t = 0`.
-///
-/// `class_levels` are the four logic values (exactly one should be true);
-/// EGT gates slew with millisecond time constants, so the traces rise or
-/// fall over several ms like the paper's measurement.
-pub fn digital_tree_transients(
-    class_levels: [bool; 4],
-    t_end: f64,
-    samples: usize,
-) -> [Waveform; 4] {
-    // A depth-2 bespoke tree is 2-3 gate levels deep; each EGT logic
-    // stage contributes ~1 ms of slew.
-    let tau = 1.2e-3;
-    class_levels.map(|level| {
-        simulate_node(
-            &[Stimulus::constant(if level { VDD } else { 0.0 })],
-            |l| l[0],
-            tau,
-            VDD / 2.0,
-            t_end,
-            samples,
-        )
-    })
 }
 
 #[cfg(test)]

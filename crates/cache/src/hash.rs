@@ -12,6 +12,13 @@
 //! are concatenated into a 128-bit [`Key`], making accidental collisions
 //! across a repository-sized artifact population negligible.
 //!
+//! Byte-serial FNV costs about 20 ns per hashed `f64`, so bulk numeric
+//! content (a training set of a million values) goes through
+//! [`StableHasher::write_words`] instead: four independent
+//! multiply/xor-shift lanes take one 64-bit word each in turn (about one
+//! cycle per word), and only their 128-bit digest and the word count
+//! enter the FNV lanes.
+//!
 //! Every hash stream is seeded with the cache schema version
 //! ([`crate::SCHEMA`]) and a caller-chosen *domain* string (e.g.
 //! `"ml.tree.fit"`), so artifacts of different kinds — or of different
@@ -39,6 +46,34 @@ mod tag {
     pub const OPT_SOME: u8 = 0x09;
     pub const NULL: u8 = 0x0a;
     pub const OBJECT: u8 = 0x0b;
+    pub const WORDS: u8 = 0x0c;
+}
+
+/// Seeds of [`StableHasher::write_words`]' four word lanes (digits of pi).
+const WORD_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// Odd multiplier of the word lanes.
+const WORD_MUL: u64 = 0x9fb2_1c65_1e98_df25;
+
+/// One word-lane step: a bijection of `lane` for a fixed `word` and of
+/// `word` for a fixed `lane`, so a single changed word always changes its
+/// lane's final state.
+fn word_step(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(WORD_MUL);
+    x ^ (x >> 29)
+}
+
+/// The murmur3 64-bit finalizer: a full-avalanche bijection.
+fn fmix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 /// A 128-bit content digest, rendered as 32 lowercase hex characters.
@@ -136,18 +171,38 @@ impl StableHasher {
         self.raw(&(len as u64).to_le_bytes());
     }
 
+    /// Hashes a sequence of 64-bit words in one pass, at about one cycle
+    /// per word instead of [`write_u64`](Self::write_u64)'s 18 FNV steps.
+    ///
+    /// Word `i` enters lane `i % 4`; the lanes are then folded, with the
+    /// word count, into a 128-bit digest that both FNV lanes absorb. The
+    /// count is also written, so appending a `0` word changes the key.
+    /// The words carry no framing of their own: a caller hashing nested
+    /// data writes each inner length as a word before its items.
+    pub fn write_words(&mut self, words: impl IntoIterator<Item = u64>) {
+        self.byte(tag::WORDS);
+        // Rotating the lanes keeps all four in registers: the word that
+        // updates a lane arrives four steps after its previous update.
+        let (lanes, n) = words
+            .into_iter()
+            .fold((WORD_SEEDS, 0u64), |([a, b, c, d], n), w| {
+                ([b, c, d, word_step(a, w)], n + 1)
+            });
+        let (mut lo, mut hi) = (fmix64(n), fmix64(n ^ LANE_B_TWEAK));
+        for lane in lanes {
+            lo = fmix64(lo ^ lane);
+            hi = fmix64(hi.wrapping_add(lane).rotate_left(31));
+        }
+        self.raw(&n.to_le_bytes());
+        self.raw(&lo.to_le_bytes());
+        self.raw(&hi.to_le_bytes());
+    }
+
     /// Finishes the stream into a 128-bit key.
     pub fn finish(&self) -> Key {
         // One final avalanche round per lane so short inputs still spread
         // across all 128 bits.
-        let mix = |mut x: u64| {
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-            x ^ (x >> 33)
-        };
-        let (a, b) = (mix(self.a), mix(self.b));
+        let (a, b) = (fmix64(self.a), fmix64(self.b));
         let mut out = [0u8; 16];
         out[..8].copy_from_slice(&a.to_le_bytes());
         out[8..].copy_from_slice(&b.to_le_bytes());
@@ -341,6 +396,70 @@ mod tests {
             key_for("t", &("app", 7u64, 0.5f64, 3usize, true)),
             h.finish()
         );
+    }
+
+    fn words_key(words: &[u64]) -> Key {
+        let mut h = StableHasher::new("t");
+        h.write_words(words.iter().copied());
+        h.finish()
+    }
+
+    /// Rows encoded the way `Dataset` keys them: each row's length, then
+    /// its values' bit patterns.
+    fn rows_key(rows: &[&[f64]]) -> Key {
+        let mut h = StableHasher::new("t");
+        h.write_words(rows.iter().flat_map(|row| {
+            std::iter::once(row.len() as u64).chain(row.iter().map(|v| v.to_bits()))
+        }));
+        h.finish()
+    }
+
+    /// Eleven distinct words: not a multiple of the four lanes.
+    fn sample_words() -> Vec<u64> {
+        (0..11u64)
+            .map(|i| (i as f64 * 0.37 - 1.5).to_bits() ^ (i << 7))
+            .collect()
+    }
+
+    #[test]
+    fn every_flipped_word_bit_moves_the_key() {
+        let words = sample_words();
+        let base = words_key(&words);
+        let last = words.len() - 1;
+        for pos in (0..5).chain([last]) {
+            for bit in [0, 31, 52, 63] {
+                let mut flipped = words.clone();
+                flipped[pos] ^= 1 << bit;
+                assert_ne!(words_key(&flipped), base, "bit {bit} of word {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_order_count_and_rows_move_the_key() {
+        let words = sample_words();
+        let base = words_key(&words);
+        for i in 0..words.len() - 1 {
+            let mut swapped = words.clone();
+            swapped.swap(i, i + 1);
+            assert_ne!(words_key(&swapped), base, "swap of words {i} and {}", i + 1);
+        }
+        let mut longer = words.clone();
+        longer.push(0);
+        assert_ne!(words_key(&longer), base);
+        assert_ne!(words_key(&[]), words_key(&[0]));
+
+        let (a, b, c) = (0.5, -1.25, 3.0);
+        assert_ne!(rows_key(&[&[a, b], &[c]]), rows_key(&[&[a], &[b, c]]));
+        assert_ne!(rows_key(&[&[0.0]]), rows_key(&[&[-0.0]]));
+        assert_eq!(rows_key(&[&[a, b], &[c]]), rows_key(&[&[a, b], &[c]]));
+    }
+
+    #[test]
+    fn word_writer_is_framed_apart_from_scalar_writes() {
+        let mut scalar = StableHasher::new("t");
+        scalar.write_u64(7);
+        assert_ne!(words_key(&[7]), scalar.finish());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Golden cache keys: pinned hex digests of representative keys.
 //!
-//! A cache key is a contract with every store a user has on disk — if
-//! any of these change, previously cached artifacts silently stop
-//! matching (at best a cold restart, at worst a schema mismatch that
-//! should have bumped [`cache::SCHEMA`] instead). Whoever edits the
-//! hasher, an encoding, or the schema tag must bump `cache::SCHEMA`
-//! and re-pin these digests in the same commit.
+//! A cache key is a contract with every store a user has on disk. These
+//! pins fix the digest of each writer and each `Hashable` encoding of
+//! this crate: if one moves, every key built on it moves and stored
+//! artifacts silently stop matching. A new encoding is added as a new
+//! writer with a new pin (as `write_words` was), never by editing a
+//! pinned one. `cache::SCHEMA` is bumped when a stored value's encoding
+//! or a producer's meaning changes.
 
 use cache::{key_for, StableHasher};
 
@@ -43,6 +44,30 @@ fn writer_surface_digests_are_pinned() {
     h.write_bool(true);
     h.write_seq_len(4);
     assert_eq!(hex(h.finish()), "17cd0ed94d3dcca86369a9b9924ae28a");
+}
+
+/// The bulk word writer on the encoding `Dataset` keys use: a row
+/// length, the row's `f64` bit patterns, then labels.
+fn golden_words() -> StableHasher {
+    let mut h = StableHasher::new("golden.words");
+    h.write_words([
+        2,
+        0.25f64.to_bits(),
+        (-1.0f64).to_bits(),
+        1,
+        3.5f64.to_bits(),
+        0,
+        1,
+    ]);
+    h
+}
+
+#[test]
+fn word_writer_digest_is_pinned() {
+    assert_eq!(
+        hex(golden_words().finish()),
+        "64deea7fab8696e4a44f36bd70d71b15"
+    );
 }
 
 #[test]
@@ -128,6 +153,7 @@ fn print_current_digests() {
     h.write_bool(true);
     h.write_seq_len(4);
     println!("PIN_WRITERS2 = {}", hex(h.finish()));
+    println!("PIN_WORDS = {}", hex(golden_words().finish()));
     println!("PIN_U64 = {}", hex(key_for("golden.u64", &42u64)));
     println!("PIN_STR = {}", hex(key_for("golden.str", &"cardio")));
     println!(

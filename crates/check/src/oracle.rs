@@ -463,7 +463,8 @@ pub fn cache_key_stable_module(module: &Module) -> Result<u64, String> {
 
 /// Cache-key oracle: structural and serialized-form keys of modules and
 /// datasets must be stable across re-encodes (and across repeat
-/// hashing — [`cache::StableHasher`] has no hidden state).
+/// hashing — [`cache::StableHasher`] has no hidden state), and flipping
+/// one bit of one dataset value must move the dataset's key.
 pub fn cache_case(seed: u64) -> Result<u64, String> {
     let module = gen::random_module(seed);
     let fp = cache_key_stable_module(&module)?;
@@ -482,6 +483,18 @@ pub fn cache_case(seed: u64) -> Result<u64, String> {
     if k1 != k3 {
         return Err(format!(
             "dataset cache key drifted across a serde round-trip: {k1:?} vs {k3:?}"
+        ));
+    }
+    let mut rng = StdRng::seed_from_u64(exec::seed::mix64(seed ^ 0xB17F11));
+    let mut flipped = data.clone();
+    let row = rng.gen_range(0..flipped.x.len());
+    let col = rng.gen_range(0..flipped.x[row].len());
+    let bit = rng.gen_range(0..64u32);
+    let v = &mut flipped.x[row][col];
+    *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
+    if cache::key_for("check.fuzz.dataset", &flipped) == k1 {
+        return Err(format!(
+            "flipping bit {bit} of x[{row}][{col}] left the dataset cache key at {k1:?}"
         ));
     }
     let mut h = hasher("check.cache.case");

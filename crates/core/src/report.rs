@@ -156,6 +156,47 @@ pub fn report_from_ppa(
     }
 }
 
+/// Duty-cycled deployment model: the classifier evaluates `samples_per_hour`
+/// times an hour and is power-gated in between (printed tags sleep; the
+/// paper's applications have "low precision, duty cycle, and sample rate
+/// requirements", §III).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct DutyCycle {
+    /// Inferences per hour.
+    pub samples_per_hour: f64,
+}
+
+impl DutyCycle {
+    /// One inference per minute — the smart-packaging cadence.
+    pub fn per_minute() -> Self {
+        DutyCycle {
+            samples_per_hour: 60.0,
+        }
+    }
+}
+
+impl DesignReport {
+    /// Average power draw under a duty cycle: full power during the
+    /// inference latency, zero while gated.
+    pub fn average_power(&self, duty: DutyCycle) -> Power {
+        let active_fraction = (self.latency.as_secs() * duty.samples_per_hour / 3600.0).min(1.0);
+        self.power * active_fraction
+    }
+
+    /// Days a battery lasts powering this design at the given cadence
+    /// (`None` for harvesters, over-budget demands, or zero draw).
+    pub fn battery_days(&self, battery: &pdk::PowerSource, duty: DutyCycle) -> Option<f64> {
+        // Peak feasibility first: the battery must survive the active
+        // burst, not just the average.
+        if !battery.can_power(self.power) {
+            return None;
+        }
+        battery
+            .lifetime_hours(self.average_power(duty))
+            .map(|h| h / 24.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,47 +257,6 @@ mod tests {
         let s = format!("{}", report(1.0, 1.0, 1.0));
         assert!(s.contains("EGT"));
         assert!(s.contains("gates"));
-    }
-}
-
-/// Duty-cycled deployment model: the classifier evaluates `samples_per_hour`
-/// times an hour and is power-gated in between (printed tags sleep; the
-/// paper's applications have "low precision, duty cycle, and sample rate
-/// requirements", §III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct DutyCycle {
-    /// Inferences per hour.
-    pub samples_per_hour: f64,
-}
-
-impl DutyCycle {
-    /// One inference per minute — the smart-packaging cadence.
-    pub fn per_minute() -> Self {
-        DutyCycle {
-            samples_per_hour: 60.0,
-        }
-    }
-}
-
-impl DesignReport {
-    /// Average power draw under a duty cycle: full power during the
-    /// inference latency, zero while gated.
-    pub fn average_power(&self, duty: DutyCycle) -> Power {
-        let active_fraction = (self.latency.as_secs() * duty.samples_per_hour / 3600.0).min(1.0);
-        self.power * active_fraction
-    }
-
-    /// Days a battery lasts powering this design at the given cadence
-    /// (`None` for harvesters, over-budget demands, or zero draw).
-    pub fn battery_days(&self, battery: &pdk::PowerSource, duty: DutyCycle) -> Option<f64> {
-        // Peak feasibility first: the battery must survive the active
-        // burst, not just the average.
-        if !battery.can_power(self.power) {
-            return None;
-        }
-        battery
-            .lifetime_hours(self.average_power(duty))
-            .map(|h| h / 24.0)
     }
 }
 

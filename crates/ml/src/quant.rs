@@ -408,6 +408,73 @@ impl QuantizedSvm {
     }
 }
 
+/// Integer-threshold random forest: per-tree quantized mirrors plus a
+/// majority vote, the function a printed ensemble engine computes.
+///
+/// Ties break toward the lowest class index (the ascending-scan argmax the
+/// hardware voter implements).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QuantizedForest {
+    trees: Vec<QuantizedTree>,
+    n_classes: usize,
+    bits: usize,
+}
+
+impl QuantizedForest {
+    /// Quantizes every member tree of a trained forest through `fq`.
+    pub fn from_forest(forest: &crate::forest::RandomForest, fq: &FeatureQuantizer) -> Self {
+        let trees: Vec<QuantizedTree> = forest
+            .trees()
+            .iter()
+            .map(|t| QuantizedTree::from_tree(t, fq))
+            .collect();
+        let n_classes = trees.first().map_or(1, |t| t.n_classes());
+        QuantizedForest {
+            trees,
+            n_classes,
+            bits: fq.bits(),
+        }
+    }
+
+    /// Majority-vote prediction from quantized feature codes.
+    pub fn predict(&self, codes: &[u64]) -> usize {
+        let mut votes = vec![0usize; self.n_classes];
+        for t in &self.trees {
+            votes[t.predict(codes)] += 1;
+        }
+        let mut best = 0usize;
+        for (c, &v) in votes.iter().enumerate() {
+            if v > votes[best] {
+                best = c;
+            }
+        }
+        best
+    }
+
+    /// The member trees.
+    pub fn trees(&self) -> &[QuantizedTree] {
+        &self.trees
+    }
+
+    /// Number of classes.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// Datapath width.
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// Union of features tested by any member tree.
+    pub fn used_features(&self) -> Vec<usize> {
+        let mut f: Vec<usize> = self.trees.iter().flat_map(|t| t.used_features()).collect();
+        f.sort_unstable();
+        f.dedup();
+        f
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,73 +695,6 @@ mod tests {
                 .min(qs.n_classes() - 1);
             assert_eq!(qs.predict(&codes), expect);
         }
-    }
-}
-
-/// Integer-threshold random forest: per-tree quantized mirrors plus a
-/// majority vote, the function a printed ensemble engine computes.
-///
-/// Ties break toward the lowest class index (the ascending-scan argmax the
-/// hardware voter implements).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedForest {
-    trees: Vec<QuantizedTree>,
-    n_classes: usize,
-    bits: usize,
-}
-
-impl QuantizedForest {
-    /// Quantizes every member tree of a trained forest through `fq`.
-    pub fn from_forest(forest: &crate::forest::RandomForest, fq: &FeatureQuantizer) -> Self {
-        let trees: Vec<QuantizedTree> = forest
-            .trees()
-            .iter()
-            .map(|t| QuantizedTree::from_tree(t, fq))
-            .collect();
-        let n_classes = trees.first().map_or(1, |t| t.n_classes());
-        QuantizedForest {
-            trees,
-            n_classes,
-            bits: fq.bits(),
-        }
-    }
-
-    /// Majority-vote prediction from quantized feature codes.
-    pub fn predict(&self, codes: &[u64]) -> usize {
-        let mut votes = vec![0usize; self.n_classes];
-        for t in &self.trees {
-            votes[t.predict(codes)] += 1;
-        }
-        let mut best = 0usize;
-        for (c, &v) in votes.iter().enumerate() {
-            if v > votes[best] {
-                best = c;
-            }
-        }
-        best
-    }
-
-    /// The member trees.
-    pub fn trees(&self) -> &[QuantizedTree] {
-        &self.trees
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
-    /// Datapath width.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Union of features tested by any member tree.
-    pub fn used_features(&self) -> Vec<usize> {
-        let mut f: Vec<usize> = self.trees.iter().flat_map(|t| t.used_features()).collect();
-        f.sort_unstable();
-        f.dedup();
-        f
     }
 }
 

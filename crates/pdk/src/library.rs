@@ -192,6 +192,44 @@ impl CellLibrary {
     }
 }
 
+impl CellLibrary {
+    /// A derated copy of the library for harsh deployment conditions.
+    ///
+    /// §VII: EGTs bend reliably to a 10 mm radius with <10 % change in
+    /// electrical characteristics; humidity and dirt are handled by a
+    /// passivation layer. Derating multiplies every cell's delay and
+    /// power by the given factors (≥ 1) so designs can be signed off at
+    /// the bent/hot corner rather than nominal.
+    ///
+    /// # Panics
+    /// Panics if either factor is below 1 (derating never improves).
+    pub fn derated(&self, delay_factor: f64, power_factor: f64) -> CellLibrary {
+        assert!(
+            delay_factor >= 1.0 && power_factor >= 1.0,
+            "derating factors must be >= 1"
+        );
+        let scale = |c: CellCost| CellCost {
+            area: c.area,
+            delay: c.delay * delay_factor,
+            power: c.power * power_factor,
+        };
+        CellLibrary {
+            technology: self.technology,
+            inv_area: self.inv_area,
+            inv_power: self.inv_power * power_factor,
+            unit_delay: self.unit_delay * delay_factor,
+            dff: scale(self.dff),
+            rom_bit: scale(self.rom_bit),
+            rom_dot: scale(self.rom_dot),
+        }
+    }
+
+    /// The §VII bent-to-10-mm-radius corner: 10 % slower, 10 % hungrier.
+    pub fn bent_corner(&self) -> CellLibrary {
+        self.derated(1.1, 1.1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,44 +308,6 @@ mod tests {
                 assert!(c.power.as_mw() > 0.0, "{tech} {kind}");
             }
         }
-    }
-}
-
-impl CellLibrary {
-    /// A derated copy of the library for harsh deployment conditions.
-    ///
-    /// §VII: EGTs bend reliably to a 10 mm radius with <10 % change in
-    /// electrical characteristics; humidity and dirt are handled by a
-    /// passivation layer. Derating multiplies every cell's delay and
-    /// power by the given factors (≥ 1) so designs can be signed off at
-    /// the bent/hot corner rather than nominal.
-    ///
-    /// # Panics
-    /// Panics if either factor is below 1 (derating never improves).
-    pub fn derated(&self, delay_factor: f64, power_factor: f64) -> CellLibrary {
-        assert!(
-            delay_factor >= 1.0 && power_factor >= 1.0,
-            "derating factors must be >= 1"
-        );
-        let scale = |c: CellCost| CellCost {
-            area: c.area,
-            delay: c.delay * delay_factor,
-            power: c.power * power_factor,
-        };
-        CellLibrary {
-            technology: self.technology,
-            inv_area: self.inv_area,
-            inv_power: self.inv_power * power_factor,
-            unit_delay: self.unit_delay * delay_factor,
-            dff: scale(self.dff),
-            rom_bit: scale(self.rom_bit),
-            rom_dot: scale(self.rom_dot),
-        }
-    }
-
-    /// The §VII bent-to-10-mm-radius corner: 10 % slower, 10 % hungrier.
-    pub fn bent_corner(&self) -> CellLibrary {
-        self.derated(1.1, 1.1)
     }
 }
 
