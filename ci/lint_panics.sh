@@ -14,7 +14,8 @@
 # signoff.rs) build and sign off, every architecture the CLI and the
 # benchmark reach, so they are held to the same rule. So are the core
 # generators those flows call (the bespoke, lookup, forest, serial-SVM
-# and conventional-SVM generators and the shared helpers in lib.rs), the
+# and conventional-SVM generators, the shared helpers in lib.rs and the
+# port maps in ports.rs), the
 # analog engine files the variation Monte-Carlo runs through
 # (compile.rs, variation.rs and the device, crossbar, SVM, tree and
 # comparator models), the transient solver (transient.rs) and proto.rs,
@@ -23,7 +24,9 @@
 # Every ml file is: the flows train through all of them. So are the
 # code the `printed-ml` CLI runs on user input (the CLI itself, the
 # Verilog testbench emitter, the width search, the analog and PPA
-# reports) and the ratio figures of the reproduction. So is the artifact
+# reports) and the ratio figures of the reproduction, and the shared
+# workload builders (bench's workloads.rs) that every `repro_all` run,
+# its `--verify` fault grading included, goes through. So is the artifact
 # cache (store.rs, hash.rs, lib.rs): every cached flow runs through
 # `cache::memo`, so its locks recover from poisoning instead of
 # unwrapping.
@@ -65,6 +68,7 @@ FILES=(
   crates/core/src/analog_arch.rs
   crates/core/src/report.rs
   crates/core/src/lib.rs
+  crates/core/src/ports.rs
   crates/core/src/bespoke/parallel_tree.rs
   crates/core/src/bespoke/serial_tree.rs
   crates/core/src/bespoke/svm.rs
@@ -92,6 +96,7 @@ FILES=(
   crates/pdk/src/tech.rs
   crates/pdk/src/units.rs
   crates/bench/src/experiments/figures.rs
+  crates/bench/src/workloads.rs
   crates/cache/src/store.rs
   crates/cache/src/hash.rs
   crates/cache/src/lib.rs

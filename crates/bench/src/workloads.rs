@@ -2,6 +2,7 @@
 
 use ml::synth::Application;
 use printed_core::flow::{SvmFlow, TreeFlow};
+use printed_core::tree_inputs;
 
 /// The seed every reproduction run uses (deterministic results).
 pub const SEED: u64 = 7;
@@ -25,29 +26,23 @@ pub fn svm_flows() -> Vec<SvmFlow> {
         .collect()
 }
 
-/// The Table-VII-style manufacturing-test stimulus for a tree workload:
-/// up to `rows` real test-set rows (they exercise the trained decision
-/// paths) plus per-feature min/max corner vectors (they toggle every
-/// comparator). Shared by the fault-coverage ablation and the `--verify`
-/// fault-grading stage so they both grade the same vector set.
+/// The Table-VII-style manufacturing-test stimulus for a tree workload's
+/// bespoke parallel engine: up to `rows` real test-set rows (they
+/// exercise the trained decision paths) plus per-feature min/max corner
+/// vectors (they toggle every comparator). Shared by the fault-coverage
+/// ablation and the `--verify` fault-grading stage so they both grade
+/// the same vector set.
 pub fn tree_test_vectors(flow: &TreeFlow, rows: usize) -> Vec<Vec<u64>> {
     let used = flow.qt.used_features();
-    let mut vectors: Vec<Vec<u64>> = flow
-        .test
-        .x
-        .iter()
-        .take(rows)
-        .map(|row| {
-            let codes = flow.fq.code_row(row);
-            used.iter().map(|&f| codes[f]).collect()
-        })
-        .collect();
+    let inputs = |codes: &[u64]| tree_inputs(&flow.qt, codes, used.len());
+    let rows = flow.test.x.iter().take(rows);
+    let mut vectors: Vec<Vec<u64>> = rows.map(|row| inputs(&flow.fq.code_row(row))).collect();
     let max_code = (1u64 << flow.choice.bits) - 1;
-    for f in 0..used.len() {
+    for &f in &used {
         for corner in [0, max_code] {
-            let mut v: Vec<u64> = vec![max_code / 2; used.len()];
-            v[f] = corner;
-            vectors.push(v);
+            let mut codes = vec![max_code / 2; flow.test.n_features()];
+            codes[f] = corner;
+            vectors.push(inputs(&codes));
         }
     }
     vectors

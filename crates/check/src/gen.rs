@@ -87,10 +87,7 @@ pub fn random_module(seed: u64) -> Module {
             .collect();
         b.output(format!("out{o}"), &bits);
     }
-    match b.try_finish() {
-        Ok(m) => m,
-        Err(e) => unreachable!("generator produced an invalid module for seed {seed:#x}: {e}"),
-    }
+    b.finish()
 }
 
 /// A [`random_module`] with one D flip-flop appended, making it
@@ -103,10 +100,7 @@ pub fn random_sequential_module(seed: u64) -> Module {
     let q = b.dff(x[0], rng.gen_bool(0.5));
     let y = b.xor(q, x[x.len() - 1]);
     b.output("out0", &[y]);
-    match b.try_finish() {
-        Ok(m) => m,
-        Err(e) => unreachable!("generator produced an invalid module for seed {seed:#x}: {e}"),
-    }
+    b.finish()
 }
 
 /// Random input vectors for `module`: one masked value per input port.

@@ -155,18 +155,11 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
             // Scalar reference: one settle per vector.
             let mut expected: Vec<Vec<u64>> = vec![Vec::with_capacity(lanes); out_names.len()];
             for v in &vectors {
-                for (port, &value) in module.inputs.iter().zip(v) {
-                    scalar
-                        .try_set(&port.name, value)
-                        .map_err(|e| format!("scalar set failed: {e}"))?;
-                }
-                scalar.settle();
-                for (o, name) in out_names.iter().enumerate() {
-                    expected[o].push(
-                        scalar
-                            .try_get(name)
-                            .map_err(|e| format!("scalar get failed: {e}"))?,
-                    );
+                let outputs = scalar
+                    .try_apply(v, 0)
+                    .map_err(|e| format!("scalar apply failed: {e}"))?;
+                for (column, value) in expected.iter_mut().zip(outputs) {
+                    column.push(value);
                 }
             }
 
@@ -223,20 +216,16 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
                 let faulty = netlist::faults::inject(module, fault);
                 let mut ref_sim = Simulator::try_new(&faulty)
                     .map_err(|e| format!("reference fault injection broke the module: {e}"))?;
+                let faulty_outputs = vectors
+                    .iter()
+                    .map(|v| ref_sim.try_apply(v, 0))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| format!("faulty scalar apply failed: {e}"))?;
                 let mut detected = false;
-                for (o, name) in out_names.iter().enumerate() {
-                    for (lane, v) in vectors.iter().enumerate() {
-                        for (port, &value) in faulty.inputs.iter().zip(v) {
-                            ref_sim
-                                .try_set(&port.name, value)
-                                .map_err(|e| format!("faulty scalar set failed: {e}"))?;
-                        }
-                        ref_sim.settle();
-                        let want = ref_sim
-                            .try_get(name)
-                            .map_err(|e| format!("faulty scalar get failed: {e}"))?;
-                        detected |= want != expected[o][lane];
-                        h.write_u64(want);
+                for (o, column) in expected.iter().enumerate() {
+                    for (outputs, &good) in faulty_outputs.iter().zip(column) {
+                        detected |= outputs[o] != good;
+                        h.write_u64(outputs[o]);
                     }
                 }
                 let graded = netlist::try_fault_coverage(module, &vectors)

@@ -9,8 +9,6 @@
 //! trees in EGT, and — unlike the conventional case — *strictly better*
 //! than its serial sibling.
 
-use std::collections::HashMap;
-
 use ml::quant::{QNode, QuantizedTree};
 use netlist::builder::NetlistBuilder;
 use netlist::comb::unsigned_gt;
@@ -18,11 +16,13 @@ use netlist::ir::{Module, Signal};
 use netlist::optimize;
 
 use crate::ceil_log2;
+use crate::ports::tree_ports;
 
 /// Generates the bespoke parallel tree for `tree` (post-optimization).
 ///
 /// Ports: `f{slot}` for each *used* feature (slot order =
-/// [`QuantizedTree::used_features`] order) and the `class` output.
+/// [`QuantizedTree::used_features`] order; see [`crate::ports`]) and the
+/// `class` output.
 pub fn bespoke_parallel(tree: &QuantizedTree) -> Module {
     let _span = obs::span("gen.bespoke_parallel_tree");
     crate::record_generated(optimize(&bespoke_parallel_raw(tree)))
@@ -33,7 +33,7 @@ pub fn bespoke_parallel(tree: &QuantizedTree) -> Module {
 /// netlist against this structural original.
 pub fn bespoke_parallel_raw(tree: &QuantizedTree) -> Module {
     let mut b = NetlistBuilder::new("bespoke_parallel_tree");
-    let ports = slot_ports(&mut b, tree);
+    let ports = tree_ports(&mut b, tree);
     let class_bits = ceil_log2(tree.n_classes());
     let class = select_class(
         &mut b,
@@ -50,17 +50,6 @@ pub fn bespoke_parallel_raw(tree: &QuantizedTree) -> Module {
     );
     b.output("class", &class);
     b.finish()
-}
-
-/// Declares the single-tree input ports, `f{slot}` per used feature in
-/// [`QuantizedTree::used_features`] order, keyed by feature.
-pub(crate) fn slot_ports(
-    b: &mut NetlistBuilder,
-    tree: &QuantizedTree,
-) -> HashMap<usize, Vec<Signal>> {
-    let used = tree.used_features().into_iter().enumerate();
-    used.map(|(slot, f)| (f, b.input(format!("f{slot}"), tree.bits())))
-        .collect()
 }
 
 /// The hardwired node comparator `x > τ`.
@@ -111,6 +100,7 @@ where
 mod tests {
     use super::*;
     use crate::conventional::parallel_tree::{generate as gen_conv, ParallelTreeSpec};
+    use crate::ports::tree_inputs;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::tree::{DecisionTree, TreeParams};
@@ -134,14 +124,11 @@ mod tests {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = bespoke_parallel(&qt);
         let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
         for row in test.x.iter().take(samples) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            let inputs = tree_inputs(&qt, &codes, module.inputs.len());
+            let class = qt.predict(&codes) as u64;
+            assert_eq!(sim.try_apply(&inputs, 0), Ok(vec![class]));
         }
     }
 

@@ -47,6 +47,7 @@ pub fn bespoke_serial(tree: &QuantizedTree) -> (SerialTreeSpec, Module) {
 mod tests {
     use super::*;
     use crate::conventional::serial_tree::SerialTreeSpec as Spec;
+    use crate::ports::tree_inputs;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::tree::{DecisionTree, TreeParams};
@@ -66,24 +67,29 @@ mod tests {
         (QuantizedTree::from_tree(&tree, &fq), fq, test)
     }
 
+    /// Runs `samples` test rows through `tree`'s bespoke serial engine,
+    /// `spec.depth` clocks each, against the software tree; `class` and
+    /// `done` are the outputs.
+    fn check_engine(
+        tree: &QuantizedTree,
+        fq: &FeatureQuantizer,
+        test: &ml::Dataset,
+        samples: usize,
+    ) {
+        let (spec, module) = bespoke_serial(tree);
+        let mut sim = Simulator::new(&module);
+        for row in test.x.iter().take(samples) {
+            let codes = fq.code_row(row);
+            let inputs = tree_inputs(tree, &codes, spec.n_features);
+            let class = tree.predict(&codes) as u64;
+            assert_eq!(sim.try_apply(&inputs, spec.depth), Ok(vec![class, 1]));
+        }
+    }
+
     #[test]
     fn bespoke_serial_matches_software_tree() {
         let (qt, fq, test) = setup(Application::RedWine, 4, 8);
-        let (spec, module) = bespoke_serial(&qt);
-        let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
-        for row in test.x.iter().take(120) {
-            let codes = fq.code_row(row);
-            sim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            for _ in 0..spec.depth {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
-        }
+        check_engine(&qt, &fq, &test, 120);
     }
 
     #[test]
@@ -123,21 +129,7 @@ mod tests {
     #[test]
     fn narrow_width_trees_build_and_verify() {
         let (qt, fq, test) = setup(Application::Har, 2, 4);
-        let (spec, module) = bespoke_serial(&qt);
-        assert_eq!(spec.width, 4);
-        let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
-        for row in test.x.iter().take(60) {
-            let codes = fq.code_row(row);
-            sim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            for _ in 0..spec.depth {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
-        }
+        assert_eq!(bespoke_spec(&qt).width, 4);
+        check_engine(&qt, &fq, &test, 60);
     }
 }

@@ -9,8 +9,6 @@
 //! each boundary test `P − N > B` becomes `P > N + B` with the constant
 //! folded in.
 
-use std::collections::HashMap;
-
 use ml::quant::{max_code_for_bits, QuantizedSvm};
 use netlist::arith::{add, adder_tree, const_multiply};
 use netlist::builder::NetlistBuilder;
@@ -19,6 +17,7 @@ use netlist::ir::{Module, Signal};
 use netlist::optimize;
 
 use crate::conventional::svm::popcount;
+use crate::ports::svm_ports;
 
 /// Generates the bespoke SVM engine for a quantized regressor
 /// (post-optimization).
@@ -47,7 +46,7 @@ pub(crate) fn svm_engine(
     mut product: impl FnMut(&mut NetlistBuilder, &[Signal], u64) -> Vec<Signal>,
 ) -> Module {
     let mut b = NetlistBuilder::new(name);
-    let ports = live_ports(&mut b, svm);
+    let ports = svm_ports(&mut b, svm);
     let width = comparison_width(svm);
     let mut tree_for = |b: &mut NetlistBuilder, terms: &[(usize, u64)]| -> Vec<Signal> {
         if terms.is_empty() {
@@ -67,21 +66,6 @@ pub(crate) fn svm_engine(
     b.output("class", &class);
     b.output("therm", &therm);
     b.finish()
-}
-
-/// Declares one `x{f}` input per feature with a non-zero trained
-/// coefficient, in ascending feature order, keyed by feature.
-pub(crate) fn live_ports(
-    b: &mut NetlistBuilder,
-    svm: &QuantizedSvm,
-) -> HashMap<usize, Vec<Signal>> {
-    let terms = svm.pos_terms().iter().chain(svm.neg_terms());
-    let mut live: Vec<usize> = terms.map(|&(f, _)| f).collect();
-    live.sort_unstable();
-    live.dedup();
-    live.into_iter()
-        .map(|f| (f, b.input(format!("x{f}"), svm.bits())))
-        .collect()
 }
 
 /// Width of the `P` and `N` sums: wide enough for the largest of `P` and
@@ -133,6 +117,7 @@ pub(crate) fn class_mapper(
 mod tests {
     use super::*;
     use crate::conventional::svm::{generate as gen_conv, SvmSpec};
+    use crate::ports::svm_inputs;
     use ml::data::Standardizer;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
@@ -157,15 +142,9 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(samples) {
             let codes = fq.code_row(row);
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(
-                sim.get("class") as usize,
-                qs.predict(&codes),
-                "row mismatch"
-            );
+            let outputs = sim.try_apply(&svm_inputs(&qs, &codes), 0);
+            // Outputs: `class`, then `therm`.
+            assert_eq!(outputs.map(|o| o[0]), Ok(qs.predict(&codes) as u64));
         }
     }
 
@@ -216,11 +195,8 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            sim.settle();
-            let t = sim.get("therm");
+            let outputs = sim.try_apply(&svm_inputs(&qs, &codes), 0);
+            let t = outputs.expect("one value per live feature")[1];
             // Thermometer: once a zero appears, no ones above it.
             let ones = t.trailing_ones() as u64;
             assert_eq!(t, (1u64 << ones) - 1, "non-thermometer pattern {t:b}");

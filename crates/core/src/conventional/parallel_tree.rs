@@ -123,21 +123,14 @@ mod tests {
         };
         let m = generate(&spec);
         let mut sim = Simulator::new(&m);
-        // thresholds: root (node 0, feature 0) at 100; node 1 (feature 1)
-        // at 50; node 2 (feature 2) at 150.
-        sim.set("thr0", 100);
-        sim.set("thr1", 50);
-        sim.set("thr2", 150);
-        for (leaf, class) in [(0u64, 10u64), (1, 11), (2, 12), (3, 13)] {
-            sim.set(&format!("cls{leaf}"), class);
-        }
+        // Ports `f0..f2`, `thr0..thr2`, `cls0..cls3`. Thresholds: root
+        // (node 0, feature 0) at 100; node 1 (feature 1) at 50; node 2
+        // (feature 2) at 150. Leaves 0..=3 carry classes 10..=13.
         let mut check = |f0: u64, f1: u64, f2: u64, expect: u64| {
-            sim.set("f0", f0);
-            sim.set("f1", f1);
-            sim.set("f2", f2);
-            sim.step(); // load registers
-            sim.settle();
-            assert_eq!(sim.get("class"), expect, "f=({f0},{f1},{f2})");
+            let vector = [f0, f1, f2, 100, 50, 150, 10, 11, 12, 13];
+            // One clock loads the registers.
+            let class = sim.try_apply(&vector, 1);
+            assert_eq!(class, Ok(vec![expect]), "f=({f0},{f1},{f2})");
         };
         // f0 <= 100 -> left subtree (node 1 on f1): f1 <= 50 -> leaf 0.
         check(80, 40, 0, 10);

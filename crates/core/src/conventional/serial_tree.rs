@@ -77,26 +77,23 @@ pub struct SerialTreeProgram {
 /// outside the engine's mux, or a class outside `class_bits`.
 pub fn program(tree: &QuantizedTree, spec: &SerialTreeSpec) -> SerialTreeProgram {
     assert!(tree.depth() <= spec.depth, "tree deeper than engine");
-    let fbits = feature_bits(spec.n_features);
     let max_tau = (1u64 << spec.tau_bits) - 1;
     let mut threshold_rom = vec![max_tau; 1 << (spec.depth + 1)];
     let (splits, leaves) = tree.heap_layout();
-    // Feature indices are remapped onto the engine's mux inputs in
-    // first-use order.
-    let used = tree.used_features();
-    let mux_slot = |feature: usize| -> u64 {
-        used.iter()
-            .position(|&f| f == feature)
-            .expect("feature in used list") as u64
-    };
+    // Feature indices are remapped onto the engine's mux inputs in the
+    // slot order of `crate::ports`: slot `k` is the `k`-th used feature.
+    let slots = tree.used_features();
     assert!(
-        used.len() <= spec.n_features,
+        slots.len() <= spec.n_features,
         "tree uses more features than the engine has"
     );
     for (pos, feature, tau) in &splits {
         assert!(*tau <= max_tau);
-        threshold_rom[*pos] = tau | (mux_slot(*feature) << spec.tau_bits);
-        let _ = fbits;
+        let slot = slots
+            .iter()
+            .position(|f| f == feature)
+            .expect("feature in the slot list") as u64;
+        threshold_rom[*pos] = tau | (slot << spec.tau_bits);
     }
     let mut class_rom = vec![0u64; 1 << spec.depth];
     for (pos, depth, class) in &leaves {
@@ -189,6 +186,7 @@ pub fn generate(spec: &SerialTreeSpec, prog: &SerialTreeProgram) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::tree_inputs;
     use ml::quant::{FeatureQuantizer, QuantizedTree};
     use ml::synth::Application;
     use ml::tree::{DecisionTree, TreeParams};
@@ -208,20 +206,15 @@ mod tests {
         (QuantizedTree::from_tree(&tree, &fq), fq, test)
     }
 
-    /// Runs one inference on the engine simulator.
-    fn infer(sim: &mut Simulator, qt: &QuantizedTree, codes: &[u64], depth: usize) -> u64 {
-        sim.reset();
-        let used = qt.used_features();
-        for (slot, &f) in used.iter().enumerate() {
-            sim.set(&format!("f{slot}"), codes[f]);
-        }
-        // Unused mux slots read zero by default (ports default to 0).
-        for _ in 0..depth {
-            sim.step();
-        }
-        sim.settle();
-        assert_eq!(sim.get("done"), 1, "done must assert after depth cycles");
-        sim.get("class")
+    /// Runs one inference on the engine simulator; unused mux slots
+    /// read zero. The engine's outputs are `class` and `done`.
+    fn infer(sim: &mut Simulator, qt: &QuantizedTree, codes: &[u64], spec: &SerialTreeSpec) -> u64 {
+        let inputs = tree_inputs(qt, codes, spec.n_features);
+        let outputs = sim
+            .try_apply(&inputs, spec.depth)
+            .expect("one value per slot");
+        assert_eq!(outputs[1], 1, "done must assert after depth cycles");
+        outputs[0]
     }
 
     #[test]
@@ -233,7 +226,7 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(120) {
             let codes = fq.code_row(row);
-            let hw = infer(&mut sim, &qt, &codes, 4);
+            let hw = infer(&mut sim, &qt, &codes, &spec);
             assert_eq!(hw as usize, qt.predict(&codes));
         }
     }
@@ -250,7 +243,10 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(120) {
             let codes = fq.code_row(row);
-            assert_eq!(infer(&mut sim, &qt, &codes, 4) as usize, qt.predict(&codes));
+            assert_eq!(
+                infer(&mut sim, &qt, &codes, &spec) as usize,
+                qt.predict(&codes)
+            );
         }
     }
 

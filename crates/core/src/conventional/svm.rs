@@ -119,23 +119,18 @@ mod tests {
         };
         let m = generate(&spec);
         let mut sim = Simulator::new(&m);
-        // sum = 3*5 + 2*7 + 1*4 = 33.
-        for (i, (x, w)) in [(3u64, 5u64), (2, 7), (1, 4)].iter().enumerate() {
-            sim.set(&format!("x{i}"), *x);
-            sim.set(&format!("w{i}"), *w);
-        }
-        sim.set("b0", 30);
-        sim.set("b1", 40);
-        sim.step(); // load registers
-        sim.settle();
-        assert_eq!(sim.get("sum"), 33);
-        assert_eq!(sim.get("class"), 1); // crossed b0 only
-                                         // Push the sum over the second boundary.
-        sim.set("x0", 5);
-        sim.step();
-        sim.settle();
-        assert_eq!(sim.get("sum"), 43);
-        assert_eq!(sim.get("class"), 2);
+        // Ports `x0, w0, x1, w1, x2, w2, b0, b1`; one clock loads the
+        // registers. sum = 3*5 + 2*7 + 1*4 = 33 crosses b0 only; outputs
+        // are `sum` and `class`.
+        assert_eq!(
+            sim.try_apply(&[3, 5, 2, 7, 1, 4, 30, 40], 1),
+            Ok(vec![33, 1])
+        );
+        // Push the sum over the second boundary.
+        assert_eq!(
+            sim.try_apply(&[5, 5, 2, 7, 1, 4, 30, 40], 1),
+            Ok(vec![43, 2])
+        );
     }
 
     #[test]
@@ -148,15 +143,11 @@ mod tests {
         let m = generate_combinational(&spec);
         assert!(m.is_combinational());
         let mut sim = Simulator::new(&m);
-        for (i, (x, w)) in [(3u64, 5u64), (2, 7), (1, 4)].iter().enumerate() {
-            sim.set(&format!("x{i}"), *x);
-            sim.set(&format!("w{i}"), *w);
-        }
-        sim.set("b0", 30);
-        sim.set("b1", 40);
-        sim.settle(); // no load step: the datapath is unregistered
-        assert_eq!(sim.get("sum"), 33);
-        assert_eq!(sim.get("class"), 1);
+        // No load clock: the datapath is unregistered.
+        assert_eq!(
+            sim.try_apply(&[3, 5, 2, 7, 1, 4, 30, 40], 0),
+            Ok(vec![33, 1])
+        );
     }
 
     #[test]
@@ -168,9 +159,7 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         for v in 0..32u64 {
-            sim.set("x", v);
-            sim.settle();
-            assert_eq!(sim.get("c"), v.count_ones() as u64);
+            assert_eq!(sim.try_apply(&[v], 0), Ok(vec![v.count_ones() as u64]));
         }
     }
 

@@ -8,8 +8,6 @@
 //! ascending-scan argmax picks the majority class (ties to the lowest
 //! class index, matching [`ml::quant::QuantizedForest::predict`]).
 
-use std::collections::HashMap;
-
 use ml::quant::QuantizedForest;
 use netlist::builder::NetlistBuilder;
 use netlist::comb::{equals, unsigned_gt};
@@ -20,6 +18,7 @@ use crate::bespoke::parallel_tree::{compare, select_class};
 use crate::ceil_log2;
 use crate::conventional::svm::popcount;
 use crate::lookup::{lookup_decisions, LookupConfig};
+use crate::ports::forest_ports;
 
 /// Comparator implementation of a forest engine's decision nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +48,7 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
         ForestStyle::Lookup(_) => "lookup_forest",
     });
     let class_bits = ceil_log2(forest.n_classes());
-    let ports: HashMap<usize, Vec<Signal>> = forest
-        .used_features()
-        .into_iter()
-        .map(|f| (f, b.input(format!("f{f}"), forest.bits())))
-        .collect();
+    let ports = forest_ports(&mut b, forest);
 
     // Every tree evaluates concurrently.
     b.push_region("trees");
@@ -133,6 +128,7 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::forest_inputs;
     use ml::forest::{ForestParams, RandomForest};
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
@@ -152,19 +148,28 @@ mod tests {
         (QuantizedForest::from_forest(&forest, &fq), fq, test)
     }
 
+    /// Runs `samples` test rows through `module`, a forest engine of
+    /// `qf`, and checks its `class` output (the last) against the model.
+    pub(super) fn check_engine(
+        module: &Module,
+        qf: &QuantizedForest,
+        fq: &FeatureQuantizer,
+        test: &ml::Dataset,
+        samples: usize,
+    ) {
+        let mut sim = Simulator::new(module);
+        for row in test.x.iter().take(samples) {
+            let codes = fq.code_row(row);
+            let outputs = sim.try_apply(&forest_inputs(qf, &codes), 0);
+            let class = outputs.map(|o| o[o.len() - 1]);
+            assert_eq!(class, Ok(qf.predict(&codes) as u64));
+        }
+    }
+
     #[test]
     fn forest_engine_matches_software_forest() {
         let (qf, fq, test) = setup(Application::Cardio, 4, 8);
-        let module = bespoke_forest(&qf);
-        let mut sim = Simulator::new(&module);
-        for row in test.x.iter().take(80) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes));
-        }
+        check_engine(&bespoke_forest(&qf), &qf, &fq, &test, 80);
     }
 
     #[test]
@@ -173,14 +178,12 @@ mod tests {
         let module = bespoke_forest(&qf);
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(40) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
-            }
-            sim.settle();
-            let total: u64 = (0..qf.n_classes())
-                .map(|c| sim.get(&format!("votes{c}")))
-                .sum();
+            let inputs = forest_inputs(&qf, &fq.code_row(row));
+            let outputs = sim
+                .try_apply(&inputs, 0)
+                .expect("one value per used feature");
+            // Outputs: `votes{c}` per class, then `class`.
+            let total: u64 = outputs[..qf.n_classes()].iter().sum();
             assert_eq!(total, qf.trees().len() as u64);
         }
     }
@@ -208,13 +211,13 @@ mod tests {
 
 #[cfg(test)]
 mod lookup_forest_tests {
+    use super::tests::check_engine;
     use super::*;
     use ml::forest::{ForestParams, RandomForest};
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::tree::TreeParams;
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use pdk::{CellLibrary, Technology};
 
     fn deep_forest(bits: usize) -> (QuantizedForest, FeatureQuantizer, ml::Dataset) {
@@ -236,15 +239,7 @@ mod lookup_forest_tests {
     fn lookup_forest_matches_software_forest() {
         let (qf, fq, test) = deep_forest(4);
         let module = forest_engine(&qf, ForestStyle::Lookup(LookupConfig::optimized()));
-        let mut sim = Simulator::new(&module);
-        for row in test.x.iter().take(60) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes));
-        }
+        check_engine(&module, &qf, &fq, &test, 60);
     }
 
     #[test]

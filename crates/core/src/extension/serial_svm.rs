@@ -22,8 +22,9 @@ use netlist::optimize;
 use netlist::seq::shift_register;
 use pdk::rom::RomStyle;
 
-use crate::bespoke::svm::{class_mapper, comparison_width, live_ports};
+use crate::bespoke::svm::{class_mapper, comparison_width};
 use crate::ceil_log2;
+use crate::ports::svm_ports;
 
 /// Dimensions of a generated serial SVM engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +57,7 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
     let acc_width = comparison_width(svm);
 
     let mut b = NetlistBuilder::new("serial_svm");
-    let ports = live_ports(&mut b, svm);
+    let ports = svm_ports(&mut b, svm);
 
     // Step counter as a one-hot walking shift register (cheap decode, the
     // same trick as the serial tree's node pointer).
@@ -159,6 +160,7 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
 mod tests {
     use super::*;
     use crate::bespoke::bespoke_svm;
+    use crate::ports::svm_inputs;
     use ml::data::Standardizer;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
@@ -177,6 +179,15 @@ mod tests {
         (QuantizedSvm::from_svm(&svm, &fq), fq, test)
     }
 
+    /// `(class, done)` after `cycles` clocks of one inference; the
+    /// engine's outputs are `class`, `therm` and `done`.
+    fn infer(sim: &mut Simulator, inputs: &[u64], cycles: usize) -> (u64, u64) {
+        let outputs = sim
+            .try_apply(inputs, cycles)
+            .expect("one value per live feature");
+        (outputs[0], outputs[2])
+    }
+
     #[test]
     fn serial_svm_matches_software_svm() {
         let (qs, fq, test) = setup(Application::RedWine, 6);
@@ -184,16 +195,9 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
-            sim.reset();
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            for _ in 0..info.cycles {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.get("done"), 1, "done after {} cycles", info.cycles);
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+            let class = qs.predict(&codes) as u64;
+            let inputs = svm_inputs(&qs, &codes);
+            assert_eq!(infer(&mut sim, &inputs, info.cycles), (class, 1));
         }
     }
 
@@ -207,19 +211,11 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(4) {
             let codes = fq.code_row(row);
-            sim.reset();
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            for _ in 0..info.cycles - 1 {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.get("done"), 0, "done before the last term");
-            sim.step();
-            sim.settle();
-            assert_eq!(sim.get("done"), 1);
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+            let inputs = svm_inputs(&qs, &codes);
+            let (_, done) = infer(&mut sim, &inputs, info.cycles - 1);
+            assert_eq!(done, 0, "done before the last term");
+            let class = qs.predict(&codes) as u64;
+            assert_eq!(infer(&mut sim, &inputs, info.cycles), (class, 1));
         }
     }
 
@@ -246,21 +242,14 @@ mod tests {
         let (qs, fq, test) = setup(Application::Har, 4);
         let (module, info) = serial_svm(&qs);
         let mut sim = Simulator::new(&module);
-        let codes = fq.code_row(&test.x[0]);
-        sim.reset();
-        for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-            sim.set(&format!("x{f}"), codes[f]);
-        }
-        for _ in 0..info.cycles {
-            sim.step();
-        }
-        sim.settle();
-        let class = sim.get("class");
-        for _ in 0..3 {
-            sim.step();
-            sim.settle();
-            assert_eq!(sim.get("done"), 1, "done must latch");
-            assert_eq!(sim.get("class"), class, "class must hold after done");
+        let inputs = svm_inputs(&qs, &fq.code_row(&test.x[0]));
+        let (class, _) = infer(&mut sim, &inputs, info.cycles);
+        for extra in 1..=3 {
+            assert_eq!(
+                infer(&mut sim, &inputs, info.cycles + extra),
+                (class, 1),
+                "done must latch and class hold after done"
+            );
         }
     }
 }

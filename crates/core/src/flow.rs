@@ -640,11 +640,10 @@ mod forest_flow_tests {
         let mut sim = netlist::Simulator::new(&module);
         for row in flow.test.x.iter().take(30) {
             let codes = flow.fq.code_row(row);
-            for &f in &flow.qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, flow.qf.predict(&codes));
+            let outputs = sim.try_apply(&crate::forest_inputs(&flow.qf, &codes), 0);
+            // Outputs: `votes{c}` per class, then `class`.
+            let class = outputs.map(|o| o[o.len() - 1]);
+            assert_eq!(class, Ok(flow.qf.predict(&codes) as u64));
         }
         let lib = CellLibrary::for_technology(Technology::Egt);
         assert!(analyze(&module, &lib).area.as_mm2() > 0.0);

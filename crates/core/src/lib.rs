@@ -19,6 +19,8 @@
 //!   common interface (§VI);
 //! * [`bitwidth`] — the §IV-A 4/8/12/16-bit datapath search;
 //! * [`flow`] — one-stop train → quantize → generate → price pipelines;
+//! * [`ports`] — the one map from a row of feature codes to a generated
+//!   classifier's input vector;
 //! * [`report`] / [`powerfit`] — PPA reports, improvement ratios and the
 //!   Fig. 3 / Fig. 19 power-source feasibility sets.
 //!
@@ -43,6 +45,7 @@ pub mod estimate;
 pub mod extension;
 pub mod flow;
 pub mod lookup;
+pub mod ports;
 pub mod powerfit;
 pub mod report;
 pub mod signoff;
@@ -73,6 +76,7 @@ pub use estimate::{estimate, ComponentCosts, CostEstimate};
 pub use extension::{serial_svm, SerialSvmInfo};
 pub use flow::{ForestFlow, SvmArch, SvmFlow, TreeArch, TreeFlow};
 pub use lookup::LookupConfig;
+pub use ports::{forest_inputs, svm_inputs, tree_inputs};
 pub use report::{report_from_ppa, DesignReport, Improvement};
 pub use signoff::{signoff_pair, SignoffRecord, SignoffStatus};
 pub use system::{Adc, ClassifierSystem, FeatureExtraction, Sensor};

@@ -190,10 +190,8 @@ mod tests {
         // The surviving ROM carries only 2 data columns.
         assert_eq!(m.roms[0].data.len(), 2);
         let mut sim = Simulator::new(&m);
-        for (a, want) in contents.iter().enumerate() {
-            sim.set("a", a as u64);
-            sim.settle();
-            assert_eq!(sim.get("o"), *want);
+        for (a, &want) in contents.iter().enumerate() {
+            assert_eq!(sim.try_apply(&[a as u64], 0), Ok(vec![want]));
         }
     }
 

@@ -41,6 +41,7 @@ pub fn lookup_svm_raw(svm: &QuantizedSvm, config: LookupConfig) -> Module {
 mod tests {
     use super::*;
     use crate::bespoke::svm::bespoke_svm;
+    use crate::ports::svm_inputs;
     use ml::data::Standardizer;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
@@ -65,11 +66,9 @@ mod tests {
         let mut sim = Simulator::new(&module);
         for row in test.x.iter().take(80) {
             let codes = fq.code_row(row);
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+            let outputs = sim.try_apply(&svm_inputs(&qs, &codes), 0);
+            // Outputs: `class`, then `therm`.
+            assert_eq!(outputs.map(|o| o[0]), Ok(qs.predict(&codes) as u64));
         }
     }
 

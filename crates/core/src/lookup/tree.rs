@@ -13,8 +13,9 @@ use netlist::ir::Module;
 use netlist::optimize;
 
 use super::{lookup_decisions, LookupConfig};
-use crate::bespoke::parallel_tree::{select_class, slot_ports};
+use crate::bespoke::parallel_tree::select_class;
 use crate::ceil_log2;
+use crate::ports::tree_ports;
 
 /// Generates the lookup-based parallel tree (post-optimization).
 ///
@@ -31,7 +32,7 @@ pub fn lookup_parallel(tree: &QuantizedTree, config: LookupConfig) -> Module {
 /// netlist against.
 pub fn lookup_parallel_raw(tree: &QuantizedTree, config: LookupConfig) -> Module {
     let mut b = NetlistBuilder::new("lookup_parallel_tree");
-    let ports = slot_ports(&mut b, tree);
+    let ports = tree_ports(&mut b, tree);
     let decision = lookup_decisions(&mut b, std::slice::from_ref(tree), |f| &ports[&f], config);
     let class_bits = ceil_log2(tree.n_classes());
     let class = select_class(
@@ -50,6 +51,7 @@ pub fn lookup_parallel_raw(tree: &QuantizedTree, config: LookupConfig) -> Module
 mod tests {
     use super::*;
     use crate::bespoke::parallel_tree::bespoke_parallel;
+    use crate::ports::tree_inputs;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::tree::{DecisionTree, TreeParams};
@@ -73,14 +75,11 @@ mod tests {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = lookup_parallel(&qt, config);
         let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
         for row in test.x.iter().take(100) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            let inputs = tree_inputs(&qt, &codes, module.inputs.len());
+            let class = qt.predict(&codes) as u64;
+            assert_eq!(sim.try_apply(&inputs, 0), Ok(vec![class]));
         }
     }
 

@@ -213,10 +213,7 @@ mod tests {
         let mut sim = Simulator::new(&m);
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
-                sim.settle();
-                assert_eq!(sim.get("s"), x + y);
+                assert_eq!(sim.try_apply(&[x, y], 0), Ok(vec![x + y]));
             }
         }
     }
@@ -233,11 +230,8 @@ mod tests {
         let mut sim = Simulator::new(&m);
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
-                sim.settle();
-                assert_eq!(sim.get("d"), x.wrapping_sub(y) & 0xF);
-                assert_eq!(sim.get("nb"), (x >= y) as u64);
+                let want = vec![x.wrapping_sub(y) & 0xF, (x >= y) as u64];
+                assert_eq!(sim.try_apply(&[x, y], 0), Ok(want));
             }
         }
     }
@@ -254,10 +248,7 @@ mod tests {
         let mut sim = Simulator::new(&m);
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
-                sim.settle();
-                assert_eq!(sim.get("p"), x * y, "{x}*{y}");
+                assert_eq!(sim.try_apply(&[x, y], 0), Ok(vec![x * y]), "{x}*{y}");
             }
         }
     }
@@ -275,11 +266,7 @@ mod tests {
         for x in 0..8u64 {
             for y in 0..8u64 {
                 for z in (0..64u64).step_by(7) {
-                    sim.set("a", x);
-                    sim.set("b", y);
-                    sim.set("acc", z);
-                    sim.settle();
-                    assert_eq!(sim.get("o"), x * y + z);
+                    assert_eq!(sim.try_apply(&[x, y, z], 0), Ok(vec![x * y + z]));
                 }
             }
         }
@@ -310,11 +297,10 @@ mod tests {
             b.output("p", &p);
             let m = b.finish();
             let mut sim = Simulator::new(&m);
+            let mask = (1u64 << p.len().min(63)) - 1;
             for v in 0..64u64 {
-                sim.set("x", v);
-                sim.settle();
-                let mask = (1u64 << p.len().min(63)) - 1;
-                assert_eq!(sim.get("p"), (v * k) & mask, "k={k} v={v}");
+                let want = Ok(vec![(v * k) & mask]);
+                assert_eq!(sim.try_apply(&[v], 0), want, "k={k} v={v}");
             }
         }
     }
@@ -352,10 +338,8 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         for v in 0..16u64 {
-            sim.set("x", v);
-            sim.settle();
             let expect = if v >= 8 { 0 } else { v }; // MSB = sign
-            assert_eq!(sim.get("y"), expect);
+            assert_eq!(sim.try_apply(&[v], 0), Ok(vec![expect]));
         }
     }
 
@@ -368,10 +352,6 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         let vals = [3u64, 15, 7, 9, 12];
-        for (i, v) in vals.iter().enumerate() {
-            sim.set(&format!("w{i}"), *v);
-        }
-        sim.settle();
-        assert_eq!(sim.get("s"), vals.iter().sum::<u64>());
+        assert_eq!(sim.try_apply(&vals, 0), Ok(vec![vals.iter().sum()]));
     }
 }

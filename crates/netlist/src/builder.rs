@@ -14,7 +14,6 @@
 use pdk::rom::RomStyle;
 use pdk::CellKind;
 
-use crate::error::SimError;
 use crate::ir::{Gate, Module, NetId, Pins, Port, RomInstance, Signal};
 
 /// Incrementally builds a [`Module`].
@@ -367,32 +366,17 @@ impl NetlistBuilder {
     /// Finalizes and returns the module.
     ///
     /// # Panics
-    /// Panics if the module fails [`Module::validate`]; generators in this
-    /// crate never produce invalid modules, so a panic indicates a bug.
-    /// Callers assembling modules from untrusted or randomized input (the
-    /// differential fuzzer's netlist generator, for one) should use
-    /// [`NetlistBuilder::try_finish`] instead.
+    /// Panics if the module fails [`Module::validate`]. A valid module is
+    /// the builder's invariant: every generator, the differential
+    /// fuzzer's random netlists included, builds only from signals the
+    /// builder handed out, so a panic here is a bug in the generator.
+    /// [`Module::validate`] stays the fallible check for modules from
+    /// anywhere else.
     pub fn finish(self) -> Module {
-        match self.try_finish() {
-            Ok(m) => m,
-            Err(SimError::InvalidModule { module, reason }) => {
-                panic!("generated module {module} is invalid: {reason}")
-            }
-            Err(e) => e.raise(),
+        if let Err(reason) = self.module.validate() {
+            panic!("generated module {} is invalid: {reason}", self.module.name)
         }
-    }
-
-    /// Finalizes the module, returning the validation failure (wrapped in
-    /// [`SimError::InvalidModule`]) instead of panicking, so callers can
-    /// report which generator produced the invalid module.
-    pub fn try_finish(self) -> Result<Module, SimError> {
-        match self.module.validate() {
-            Ok(()) => Ok(self.module),
-            Err(reason) => Err(SimError::InvalidModule {
-                module: self.module.name.clone(),
-                reason,
-            }),
-        }
+        self.module
     }
 }
 
@@ -421,22 +405,17 @@ mod tests {
     }
 
     #[test]
-    fn try_finish_reports_validation_errors() {
+    fn validate_reports_what_finish_rejects() {
         let mut b = NetlistBuilder::new("bad");
         let dangling = b.fresh_net();
         b.output("o", &[Signal::Net(dangling)]);
-        match b.try_finish() {
-            Err(SimError::InvalidModule { module, reason }) => {
-                assert_eq!(module, "bad");
-                assert!(!reason.is_empty());
-            }
-            other => panic!("expected InvalidModule, got {other:?}"),
-        }
+        let reason = b.module.validate().expect_err("an undriven output net");
+        assert!(!reason.is_empty());
 
         let mut b = NetlistBuilder::new("good");
         let x = b.input("x", 1);
         b.output("o", &[x[0]]);
-        assert!(b.try_finish().is_ok());
+        assert!(b.module.validate().is_ok());
     }
 
     #[test]

@@ -60,10 +60,8 @@ mod tests {
         let mut sim = Simulator::new(&m);
         for x in 0..(1u64 << width) {
             for y in 0..(1u64 << width) {
-                sim.set("a", x);
-                sim.set("b", y);
-                sim.settle();
-                assert_eq!(sim.get("o"), expect(x, y), "x={x} y={y}");
+                let want = Ok(vec![expect(x, y)]);
+                assert_eq!(sim.try_apply(&[x, y], 0), want, "x={x} y={y}");
             }
         }
     }

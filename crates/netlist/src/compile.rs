@@ -907,10 +907,8 @@ mod tests {
         let got = sim.lanes("s", 256);
         let mut scalar = Simulator::new(&m);
         for lane in 0..256 {
-            scalar.set("x", xs[lane]);
-            scalar.set("y", ys[lane]);
-            scalar.settle();
-            assert_eq!(got[lane], scalar.get("s"), "lane {lane}");
+            let want = scalar.try_apply(&[xs[lane], ys[lane]], 0);
+            assert_eq!(Ok(vec![got[lane]]), want, "lane {lane}");
         }
     }
 
@@ -938,9 +936,7 @@ mod tests {
         let got = sim.lanes("o", 8);
         let mut scalar = Simulator::new(&m);
         for (lane, &v) in vs.iter().enumerate() {
-            scalar.set("x", v);
-            scalar.settle();
-            assert_eq!(got[lane], scalar.get("o"), "x={v}");
+            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(&[v], 0), "x={v}");
         }
     }
 
@@ -989,9 +985,7 @@ mod tests {
         let got = sim.lanes("d", 64);
         let mut scalar = Simulator::new(&m);
         for (lane, &v) in addrs.iter().enumerate() {
-            scalar.set("a", v);
-            scalar.settle();
-            assert_eq!(got[lane], scalar.get("d"), "addr {v}");
+            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(&[v], 0), "addr {v}");
         }
     }
 
@@ -1043,13 +1037,9 @@ mod tests {
                     let mut good = Simulator::new(&m);
                     let faulty = crate::faults::inject(&m, fault);
                     let mut bad = Simulator::new(&faulty);
-                    vectors.iter().any(|v| {
-                        good.set("a", v[0]);
-                        bad.set("a", v[0]);
-                        good.settle();
-                        bad.settle();
-                        good.get("d") != bad.get("d") || good.get("o") != bad.get("o")
-                    })
+                    vectors
+                        .iter()
+                        .any(|v| good.try_apply(v, 0).unwrap() != bad.try_apply(v, 0).unwrap())
                 })
                 .collect();
             for per_lane in [false, true] {
@@ -1141,9 +1131,8 @@ mod tests {
         let got = sim.lanes("o", 4);
         let mut scalar = Simulator::new(&m);
         for v in 0..4u64 {
-            scalar.set("x", v);
-            scalar.settle();
-            assert_eq!(got[v as usize], scalar.get("o"), "v={v}");
+            let want = scalar.try_apply(&[v], 0);
+            assert_eq!(Ok(vec![got[v as usize]]), want, "v={v}");
         }
     }
 
@@ -1175,13 +1164,10 @@ mod tests {
             .collect();
         let mut scalar = Simulator::new(m);
         for (lane, vector) in vectors.iter().enumerate() {
-            for (port, &v) in m.inputs.iter().zip(vector) {
-                scalar.set(&port.name, v);
-            }
-            scalar.settle();
-            for (port, wide) in m.outputs.iter().zip(&wide) {
+            let outputs = scalar.try_apply(vector, 0).unwrap();
+            for ((port, wide), want) in m.outputs.iter().zip(&wide).zip(outputs) {
                 let name = &port.name;
-                assert_eq!(wide[lane], scalar.get(name), "W={W} lane {lane} {name}");
+                assert_eq!(wide[lane], want, "W={W} lane {lane} {name}");
             }
         }
     }

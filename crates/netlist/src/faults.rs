@@ -290,12 +290,8 @@ mod tests {
         let faulty = inject(&m, f);
         let mut sim = Simulator::new(&faulty);
         // x0 stuck at 1: output follows x1 regardless of driven x0.
-        sim.set("x", 0b10);
-        sim.settle();
-        assert_eq!(sim.get("y"), 1);
-        sim.set("x", 0b00);
-        sim.settle();
-        assert_eq!(sim.get("y"), 0);
+        assert_eq!(sim.try_apply(&[0b10], 0), Ok(vec![1]));
+        assert_eq!(sim.try_apply(&[0b00], 0), Ok(vec![0]));
     }
 
     #[test]

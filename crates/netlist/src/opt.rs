@@ -667,19 +667,21 @@ mod tests {
     use pdk::Technology;
 
     /// Optimized and original modules must agree on every input we try.
-    fn assert_equivalent_exhaustive(original: &Module, optimized: &Module, width: usize) {
+    pub(super) fn assert_equivalent_exhaustive(
+        original: &Module,
+        optimized: &Module,
+        width: usize,
+    ) {
         let mut s0 = Simulator::new(original);
         let mut s1 = Simulator::new(optimized);
-        let names: Vec<String> = original.inputs.iter().map(|p| p.name.clone()).collect();
-        assert_eq!(names.len(), 1, "helper supports single-input modules");
+        assert_eq!(
+            original.inputs.len(),
+            1,
+            "helper supports single-input modules"
+        );
         for v in 0..(1u64 << width) {
-            s0.set(&names[0], v);
-            s1.set(&names[0], v);
-            s0.settle();
-            s1.settle();
-            for port in &original.outputs {
-                assert_eq!(s0.get(&port.name), s1.get(&port.name), "input {v}");
-            }
+            let want = s0.try_apply(&[v], 0).unwrap();
+            assert_eq!(s1.try_apply(&[v], 0), Ok(want), "input {v}");
         }
     }
 
@@ -898,10 +900,10 @@ mod tests {
 
 #[cfg(test)]
 mod absorption_tests {
+    use super::tests::assert_equivalent_exhaustive;
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::comb::unsigned_le;
-    use crate::sim::Simulator;
 
     #[test]
     fn absorption_folds_a_and_a_or_b() {
@@ -939,15 +941,7 @@ mod absorption_tests {
         // One OR gate should remain (the inverter and AND die).
         assert_eq!(optimized.gate_count(), 1);
         assert_eq!(optimized.gates[0].kind, CellKind::Or2);
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
-        for v in 0..4u64 {
-            s0.set("x", v);
-            s1.set("x", v);
-            s0.settle();
-            s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "v={v}");
-        }
+        assert_equivalent_exhaustive(&original, &optimized, 2);
     }
 
     #[test]
@@ -962,15 +956,7 @@ mod absorption_tests {
         let optimized = optimize(&original);
         assert_eq!(optimized.gate_count(), 1);
         assert_eq!(optimized.gates[0].kind, CellKind::And2);
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
-        for v in 0..4u64 {
-            s0.set("x", v);
-            s1.set("x", v);
-            s0.settle();
-            s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "v={v}");
-        }
+        assert_equivalent_exhaustive(&original, &optimized, 2);
     }
 
     #[test]
@@ -992,15 +978,6 @@ mod absorption_tests {
             "expected tight folding, got {} gates",
             optimized.gate_count()
         );
-        // Equivalence on every input.
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
-        for v in 0..256u64 {
-            s0.set("x", v);
-            s1.set("x", v);
-            s0.settle();
-            s1.settle();
-            assert_eq!(s0.get("le"), s1.get("le"), "v={v}");
-        }
+        assert_equivalent_exhaustive(&original, &optimized, 8);
     }
 }

@@ -4,6 +4,8 @@
 //! combinational gates and ROM macros) and then evaluates it: `set` input
 //! ports, `settle` combinational logic, `get` outputs, and `step` a clock
 //! edge for sequential designs like the serial decision tree.
+//! [`Simulator::try_apply`] runs one whole inference — reset, drive every
+//! input, clock, settle, read every output — in port order.
 //!
 //! Simulation is the verification backbone of this reproduction: every
 //! generated classifier netlist is checked bit-for-bit against the software
@@ -49,9 +51,8 @@ enum EvalItem {
 /// let m = b.finish();
 ///
 /// let mut sim = Simulator::new(&m);
-/// sim.set("x", 0b10);
-/// sim.settle();
-/// assert_eq!(sim.get("y"), 1);
+/// // One inference: drive `x`, settle, read every output.
+/// assert_eq!(sim.try_apply(&[0b10], 0), Ok(vec![1]));
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'m> {
@@ -60,7 +61,8 @@ pub struct Simulator<'m> {
     /// Current Q of each gate slot (only meaningful for DFFs).
     state: Vec<bool>,
     order: Vec<EvalItem>,
-    input_ports: HashMap<String, Vec<NetId>>,
+    /// Input port name → index into `module.inputs`.
+    input_ports: HashMap<String, usize>,
 }
 
 impl<'m> Simulator<'m> {
@@ -194,11 +196,8 @@ impl<'m> Simulator<'m> {
         let input_ports = module
             .inputs
             .iter()
-            .map(|p| {
-                // validate() has already rejected constant input-port bits.
-                let nets = p.bits.iter().filter_map(|s| s.net()).collect();
-                (p.name.clone(), nets)
-            })
+            .enumerate()
+            .map(|(i, p)| (p.name.clone(), i))
             .collect();
 
         Ok(Simulator {
@@ -224,17 +223,55 @@ impl<'m> Simulator<'m> {
     /// Fallible port binding: drives input port `name`, reporting an
     /// unknown name as [`SimError::UnknownPort`].
     pub fn try_set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        let Some(nets) = self.input_ports.get(name) else {
+        let Some(&port) = self.input_ports.get(name) else {
             return Err(SimError::UnknownPort {
                 direction: "input",
                 name: name.to_string(),
             });
         };
-        let nets = nets.clone();
-        for (i, net) in nets.iter().enumerate() {
+        self.drive(port, value);
+        Ok(())
+    }
+
+    /// Drives input port number `port` with the little-endian bits of
+    /// `value`.
+    fn drive(&mut self, port: usize, value: u64) {
+        // validate() has already rejected constant input-port bits.
+        let nets = self.module.inputs[port].bits.iter().filter_map(|s| s.net());
+        for (i, net) in nets.enumerate() {
             self.values[net.index()] = (value >> i) & 1 == 1;
         }
-        Ok(())
+    }
+
+    /// Runs one inference: resets every flip-flop, drives every input
+    /// port with its value of `vector` (declaration order), clocks
+    /// `cycles` edges, settles, and returns every output port's word in
+    /// declaration order. A combinational module takes `cycles = 0`; a
+    /// clocked one the cycles per inference of its architecture. Calls
+    /// are independent: no state carries from one to the next.
+    ///
+    /// # Errors
+    /// A `vector` whose length is not the module's input-port count is
+    /// rejected with [`SimError::VectorArity`].
+    pub fn try_apply(&mut self, vector: &[u64], cycles: usize) -> Result<Vec<u64>, SimError> {
+        let want = self.module.inputs.len();
+        if vector.len() != want {
+            return Err(SimError::VectorArity {
+                index: 0,
+                got: vector.len(),
+                want,
+            });
+        }
+        self.reset();
+        for (port, &value) in vector.iter().enumerate() {
+            self.drive(port, value);
+        }
+        for _ in 0..cycles {
+            self.step();
+        }
+        self.settle();
+        let module = self.module;
+        Ok(module.outputs.iter().map(|p| self.word(&p.bits)).collect())
     }
 
     /// Propagates all combinational logic (one levelized pass).
@@ -311,13 +348,18 @@ impl<'m> Simulator<'m> {
                 name: name.to_string(),
             });
         };
+        Ok(self.word(&port.bits))
+    }
+
+    /// Reads `bits` as a little-endian word.
+    fn word(&self, bits: &[Signal]) -> u64 {
         let mut v = 0u64;
-        for (i, sig) in port.bits.iter().enumerate() {
+        for (i, sig) in bits.iter().enumerate() {
             if self.read(*sig) {
                 v |= 1 << i;
             }
         }
-        Ok(v)
+        v
     }
 
     /// Reads a single signal's current value.
@@ -378,8 +420,7 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         for v in 0..4u64 {
-            sim.set("x", v);
-            sim.settle();
+            let o = sim.try_apply(&[v], 0).unwrap()[0];
             let (a, bb) = (v & 1 == 1, v & 2 == 2);
             let expect = [
                 !a,
@@ -392,7 +433,7 @@ mod tests {
                 !(a ^ bb),
             ];
             for (i, e) in expect.into_iter().enumerate() {
-                assert_eq!((sim.get("o") >> i) & 1 == 1, e, "v={v} out={i}");
+                assert_eq!((o >> i) & 1 == 1, e, "v={v} out={i}");
             }
         }
     }
@@ -406,10 +447,9 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         for v in 0..8u64 {
-            sim.set("x", v);
-            sim.settle();
             let (sel, a, bb) = (v & 1 == 1, v & 2 == 2, v & 4 == 4);
-            assert_eq!(sim.get("o") == 1, if sel { bb } else { a });
+            let want = if sel { bb } else { a };
+            assert_eq!(sim.try_apply(&[v], 0), Ok(vec![want as u64]));
         }
     }
 
@@ -422,9 +462,7 @@ mod tests {
         let m = b.finish();
         let mut sim = Simulator::new(&m);
         for (a, want) in [(0u64, 5u64), (1, 9), (2, 14), (3, 0)] {
-            sim.set("a", a);
-            sim.settle();
-            assert_eq!(sim.get("d"), want);
+            assert_eq!(sim.try_apply(&[a], 0), Ok(vec![want]));
         }
     }
 
@@ -525,6 +563,81 @@ mod tests {
         );
     }
 
+    /// The manual inference sequence [`Simulator::try_apply`] stands
+    /// for, by port name.
+    fn manual(sim: &mut Simulator, m: &Module, vector: &[u64], cycles: usize) -> Vec<u64> {
+        sim.reset();
+        for (port, &v) in m.inputs.iter().zip(vector) {
+            sim.set(&port.name, v);
+        }
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim.settle();
+        m.outputs.iter().map(|port| sim.get(&port.name)).collect()
+    }
+
+    /// Combinational: `q = d & en` and `any = d[0] | d[1]`.
+    fn masker() -> Module {
+        let mut b = NetlistBuilder::new("mask");
+        let d = b.input("d", 2);
+        let en = b.input("en", 1);
+        let q = [b.and(d[0], en[0]), b.and(d[1], en[0])];
+        let any = b.or(d[0], d[1]);
+        b.output("q", &q);
+        b.output("any", &[any]);
+        b.finish()
+    }
+
+    /// Clocked: `q <= q ^ (d & en)` from power-on `01`, and the
+    /// combinational `any = d[0] | d[1]`.
+    fn xor_accumulator() -> Module {
+        let mut b = NetlistBuilder::new("acc");
+        let d = b.input("d", 2);
+        let en = b.input("en", 1);
+        let q = b.register(&d, 0b01);
+        for (&qi, &di) in q.iter().zip(&d) {
+            let masked = b.and(di, en[0]);
+            let next = b.xor(qi, masked);
+            b.set_dff_input(qi, next);
+        }
+        let any = b.or(d[0], d[1]);
+        b.output("q", &q);
+        b.output("any", &[any]);
+        b.finish()
+    }
+
+    #[test]
+    fn try_apply_is_the_manual_inference_sequence() {
+        for m in [masker(), xor_accumulator()] {
+            let mut reference = Simulator::new(&m);
+            let mut sim = Simulator::new(&m);
+            for (cycles, d, en) in (0..4).flat_map(|c| (0..8).map(move |v| (c, v & 3, v >> 2))) {
+                let want = manual(&mut reference, &m, &[d, en], cycles);
+                // Twice: no state may carry over from one call.
+                for _ in 0..2 {
+                    let got = sim.try_apply(&[d, en], cycles);
+                    assert_eq!(got, Ok(want.clone()), "{} {d} {en} {cycles}", m.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn try_apply_rejects_a_vector_of_the_wrong_length() {
+        let m = xor_accumulator();
+        let mut sim = Simulator::new(&m);
+        for got in [0, 1, 3] {
+            let want = SimError::VectorArity {
+                index: 0,
+                got,
+                want: 2,
+            };
+            assert_eq!(sim.try_apply(&vec![1; got], 1), Err(want));
+        }
+        assert_eq!(sim.try_apply(&[3, 1], 1), Ok(vec![0b10, 1]));
+    }
+
     #[test]
     fn deep_ripple_chains_do_not_overflow_the_stack() {
         let mut b = NetlistBuilder::new("deep");
@@ -536,8 +649,6 @@ mod tests {
         b.output("o", &[s]);
         let m = b.finish();
         let mut sim = Simulator::new(&m);
-        sim.set("x", 1);
-        sim.settle();
-        assert_eq!(sim.get("o"), 1); // even number of inversions
+        assert_eq!(sim.try_apply(&[1], 0), Ok(vec![1])); // even number of inversions
     }
 }

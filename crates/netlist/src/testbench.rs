@@ -24,8 +24,9 @@ pub type Vector = Vec<u64>;
 /// `cycles_per_vector` times after applying the vector (matching how the
 /// serial tree consumes one inference per `depth` cycles).
 ///
-/// Expected outputs are this crate's own semantics made executable: the
-/// scalar reference [`Simulator`], reset before every vector.
+/// Expected outputs are this crate's own semantics made executable: one
+/// [`Simulator::try_apply`] per vector, which resets, drives, clocks and
+/// settles the same way.
 ///
 /// # Panics
 /// Panics if any vector's length differs from the module's input count.
@@ -86,7 +87,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
     let _ = writeln!(out, "  initial begin");
 
     for (vi, vector) in vectors.iter().enumerate() {
-        sim.reset();
+        let expected = sim.try_apply(vector, cycles).unwrap_or_else(|e| e.raise());
         // The DUT's registers, as `to_verilog` names them, back to the
         // same power-on values.
         for (gi, gate) in module.gates.iter().enumerate() {
@@ -95,21 +96,15 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
             }
         }
         for (p, &v) in module.inputs.iter().zip(vector) {
-            sim.set(&p.name, v);
             let _ = writeln!(out, "    {} = {}'d{};", p.name, p.width(), v);
         }
-        for _ in 0..cycles {
-            sim.step();
-        }
-        sim.settle();
         if sequential {
             let _ = writeln!(out, "    repeat ({cycles}) @(posedge clk);");
             let _ = writeln!(out, "    #1;");
         } else {
             let _ = writeln!(out, "    #10;");
         }
-        for p in &module.outputs {
-            let expect = sim.get(&p.name);
+        for (p, expect) in module.outputs.iter().zip(expected) {
             let _ = writeln!(
                 out,
                 "    if ({} !== {}'d{}) begin $display(\"FAIL vector {} port {}: got %0d want {}\", {}); errors = errors + 1; end",

@@ -17,6 +17,7 @@
 
 use printed_ml::analog::{digital_tree_transients, two_level_tree_transients, MultiLevelRom};
 use printed_ml::core::bespoke::bespoke_parallel;
+use printed_ml::core::tree_inputs;
 use printed_ml::ml::quant::{QNode, QuantizedTree};
 use printed_ml::netlist::Simulator;
 
@@ -72,13 +73,14 @@ fn main() {
         module.transistor_count()
     );
     let mut sim = Simulator::new(&module);
+    let mut infer = |codes: [u64; 2]| {
+        let inputs = tree_inputs(&qt, &codes, module.inputs.len());
+        sim.try_apply(&inputs, 0).expect("one value per port")[0]
+    };
     println!("x1 x2 | C1 C2 C3 C4   (exactly one class line active)");
     for x1 in 0..4u64 {
         for x2 in 0..4u64 {
-            sim.set("f0", x1);
-            sim.set("f1", x2);
-            sim.settle();
-            let class = sim.get("class");
+            let class = infer([x1, x2]);
             let onehot: Vec<&str> = (0..4)
                 .map(|c| if c == class { " 1" } else { " 0" })
                 .collect();
@@ -89,10 +91,7 @@ fn main() {
     println!("fully functional: hardware matches the trained tree on all 16 inputs");
 
     // Scope-style transient of one input step (Fig. 5, right panel).
-    sim.set("f0", 0);
-    sim.set("f1", 3);
-    sim.settle();
-    let class = sim.get("class");
+    let class = infer([0, 3]);
     let mut levels = [false; 4];
     levels[class as usize] = true;
     let traces = digital_tree_transients(levels, 12e-3, 120);

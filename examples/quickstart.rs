@@ -11,6 +11,7 @@
 //! ```
 
 use printed_ml::core::flow::{TreeArch, TreeFlow};
+use printed_ml::core::tree_inputs;
 use printed_ml::ml::synth::Application;
 use printed_ml::netlist::{to_verilog, Simulator};
 use printed_ml::pdk::Technology;
@@ -38,15 +39,12 @@ fn main() {
         .module(TreeArch::BespokeParallel)
         .expect("digital design");
     let mut sim = Simulator::new(&module);
-    let used = flow.qt.used_features();
     let mut agree = 0usize;
     for row in &flow.test.x {
         let codes = flow.fq.code_row(row);
-        for (slot, &f) in used.iter().enumerate() {
-            sim.set(&format!("f{slot}"), codes[f]);
-        }
-        sim.settle();
-        agree += (sim.get("class") as usize == flow.qt.predict(&codes)) as usize;
+        let inputs = tree_inputs(&flow.qt, &codes, module.inputs.len());
+        let class = sim.try_apply(&inputs, 0).expect("one value per port")[0];
+        agree += (class as usize == flow.qt.predict(&codes)) as usize;
     }
     println!(
         "netlist vs software model: {}/{} test rows agree ({} gates)\n",

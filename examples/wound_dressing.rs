@@ -13,7 +13,7 @@
 //! ```
 
 use printed_ml::core::flow::{TreeArch, TreeFlow};
-use printed_ml::core::LookupConfig;
+use printed_ml::core::{tree_inputs, LookupConfig};
 use printed_ml::ml::synth::Application;
 use printed_ml::netlist::Simulator;
 use printed_ml::pdk::Technology;
@@ -56,24 +56,21 @@ fn main() {
         .module(TreeArch::BespokeSerial)
         .expect("digital design");
     let mut sim = Simulator::new(&module);
-    let row = &flow.test.x[0];
-    let codes = flow.fq.code_row(row);
-    sim.reset();
-    for (slot, &f) in flow.qt.used_features().iter().enumerate() {
-        sim.set(&format!("f{slot}"), codes[f]);
-    }
+    let codes = flow.fq.code_row(&flow.test.x[0]);
+    let inputs = tree_inputs(&flow.qt, &codes, module.inputs.len());
     println!("serial engine trace (one inference):");
-    for cycle in 0..flow.qt.depth().max(1) {
-        sim.step();
-        sim.settle();
+    // Each line re-runs the inference from reset for one more clock; the
+    // engine's outputs are `class` and `done`.
+    let mut class = 0;
+    for cycle in 1..=flow.cycles(TreeArch::BespokeSerial) {
+        let outputs = sim.try_apply(&inputs, cycle).expect("one value per port");
+        class = outputs[0];
         println!(
             "  cycle {:>2}: done={} class-so-far={}",
-            cycle + 1,
-            sim.get("done"),
-            sim.get("class")
+            cycle, outputs[1], class
         );
     }
-    let hw = sim.get("class") as usize;
+    let hw = class as usize;
     let sw = flow.qt.predict(&codes);
     println!("hardware says class {hw}, software model says {sw}");
     assert_eq!(hw, sw);

@@ -91,12 +91,8 @@ fn counterexamples_surface_real_divergence() {
 
 /// Output port values of `m` under one input vector (values per port).
 fn respond(m: &Module, vector: &[u64]) -> Vec<u64> {
-    let mut sim = Simulator::new(m);
-    for (port, &v) in m.inputs.iter().zip(vector) {
-        sim.set(&port.name, v);
-    }
-    sim.settle();
-    m.outputs.iter().map(|p| sim.get(&p.name)).collect()
+    let outputs = Simulator::new(m).try_apply(vector, 0);
+    outputs.expect("one value per input port")
 }
 
 #[test]

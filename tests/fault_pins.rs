@@ -15,11 +15,12 @@
 use printed_ml::cache;
 use printed_ml::core::bespoke::{bespoke_parallel_raw, bespoke_svm_raw};
 use printed_ml::core::flow::{SvmFlow, TreeFlow};
+use printed_ml::core::{svm_inputs, tree_inputs};
 use printed_ml::exec::rng::StdRng;
 use printed_ml::ml::data::Dataset;
 use printed_ml::ml::quant::FeatureQuantizer;
 use printed_ml::ml::synth::Application;
-use printed_ml::netlist::{fault_coverage, optimize, FaultCoverage, Module};
+use printed_ml::netlist::{fault_coverage, optimize, FaultCoverage};
 
 /// The paper's model seed, also the stimulus seed.
 const SEED: u64 = 7;
@@ -49,29 +50,6 @@ fn sampled_rows(test: &Dataset, fq: &FeatureQuantizer, n: usize, seed: u64) -> V
         .collect()
 }
 
-/// One vector per row: each input port (`f3`, `x17`) carries the code of
-/// the feature `feature` maps its index suffix to.
-fn port_vectors(
-    module: &Module,
-    rows: &[Vec<u64>],
-    feature: impl Fn(usize) -> usize,
-) -> Vec<Vec<u64>> {
-    let features: Vec<usize> = module
-        .inputs
-        .iter()
-        .map(|port| {
-            feature(
-                port.name[1..]
-                    .parse()
-                    .expect("feature ports end in an index"),
-            )
-        })
-        .collect();
-    rows.iter()
-        .map(|codes| features.iter().map(|&f| codes[f]).collect())
-        .collect()
-}
-
 fn pin(design: String, cov: &FaultCoverage) -> Pin {
     let mut words = vec![cov.total as u64, cov.detected as u64];
     words.extend(
@@ -92,7 +70,7 @@ fn signoff_fault_grading_is_pinned_site_for_site() {
         let flow = SvmFlow::new(app, SEED);
         let module = optimize(&bespoke_svm_raw(&flow.qs));
         let rows = sampled_rows(&flow.test, &flow.fq, ROWS, SEED);
-        let vectors = port_vectors(&module, &rows, |f| f);
+        let vectors: Vec<_> = rows.iter().map(|r| svm_inputs(&flow.qs, r)).collect();
         got.push(pin(
             format!("{}-svm", app.name()),
             &fault_coverage(&module, &vectors),
@@ -101,9 +79,12 @@ fn signoff_fault_grading_is_pinned_site_for_site() {
     for app in [Application::Cardio, Application::Har] {
         let flow = TreeFlow::new(app, 4, SEED);
         let module = optimize(&bespoke_parallel_raw(&flow.qt));
-        let used = flow.qt.used_features();
         let rows = sampled_rows(&flow.test, &flow.fq, ROWS, SEED);
-        let vectors = port_vectors(&module, &rows, |slot| used[slot]);
+        let ports = module.inputs.len();
+        let vectors: Vec<_> = rows
+            .iter()
+            .map(|r| tree_inputs(&flow.qt, r, ports))
+            .collect();
         got.push(pin(
             format!("{}-dt4", app.name()),
             &fault_coverage(&module, &vectors),

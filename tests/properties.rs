@@ -16,6 +16,7 @@ use exec::task_seed;
 
 use printed_ml::core::bespoke::{bespoke_parallel, bespoke_svm};
 use printed_ml::core::lookup::{lookup_parallel, LookupConfig};
+use printed_ml::core::{forest_inputs, svm_inputs, tree_inputs};
 use printed_ml::ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
 use printed_ml::ml::tree::{DecisionTree, TreeParams};
 use printed_ml::ml::{Dataset, SvmRegressor};
@@ -138,14 +139,10 @@ fn bespoke_parallel_equals_model_on_random_datasets() {
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = bespoke_parallel(&qt);
         let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
         for row in data.x.iter().take(30) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes), "case {case}");
+            let class = sim.try_apply(&tree_inputs(&qt, &codes, module.inputs.len()), 0);
+            assert_eq!(class, Ok(vec![qt.predict(&codes) as u64]), "case {case}");
         }
     });
 }
@@ -160,14 +157,10 @@ fn lookup_tree_equals_model_on_random_datasets() {
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = lookup_parallel(&qt, LookupConfig::optimized());
         let mut sim = Simulator::new(&module);
-        let used = qt.used_features();
         for row in data.x.iter().take(30) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes), "case {case}");
+            let class = sim.try_apply(&tree_inputs(&qt, &codes, module.inputs.len()), 0);
+            assert_eq!(class, Ok(vec![qt.predict(&codes) as u64]), "case {case}");
         }
     });
 }
@@ -183,11 +176,9 @@ fn bespoke_svm_equals_model_on_random_datasets() {
         let mut sim = Simulator::new(&module);
         for row in data.x.iter().take(25) {
             let codes = fq.code_row(row);
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes), "case {case}");
+            // Outputs: `class`, then `therm`.
+            let class = sim.try_apply(&svm_inputs(&qs, &codes), 0).map(|o| o[0]);
+            assert_eq!(class, Ok(qs.predict(&codes) as u64), "case {case}");
         }
     });
 }
@@ -206,11 +197,8 @@ fn optimizer_preserves_function_of_random_circuits() {
         let mut s0 = Simulator::new(&original);
         let mut s1 = Simulator::new(&optimized);
         for v in 0..(1u64 << n_inputs) {
-            s0.set("x", v);
-            s1.set("x", v);
-            s0.settle();
-            s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "case {case} input {v}");
+            let want = s0.try_apply(&[v], 0).unwrap();
+            assert_eq!(s1.try_apply(&[v], 0), Ok(want), "case {case} input {v}");
         }
     });
 }
@@ -288,12 +276,10 @@ fn const_multiplier_is_exact_for_any_coefficient() {
         let p = const_multiply(&mut b, &xin, k);
         b.output("p", &p);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        sim.set("x", x);
-        sim.settle();
         let width = m.output("p").unwrap().width().min(63);
         let mask = (1u64 << width) - 1;
-        assert_eq!(sim.get("p"), (x * k) & mask, "case {case}: k={k} x={x}");
+        let got = Simulator::new(&m).try_apply(&[x], 0);
+        assert_eq!(got, Ok(vec![(x * k) & mask]), "case {case}: k={k} x={x}");
     });
 }
 
@@ -316,9 +302,8 @@ fn wide_sim_matches_scalar_on_random_circuits() {
         let got = narrow.lanes("o", vectors.len());
         let mut scalar = Simulator::new(&m);
         for (lane, &v) in vectors.iter().enumerate() {
-            scalar.set("x", v);
-            scalar.settle();
-            assert_eq!(got[lane], scalar.get("o"), "case {case} v={v}");
+            let want = scalar.try_apply(&[v], 0);
+            assert_eq!(Ok(vec![got[lane]]), want, "case {case} v={v}");
         }
     });
 }
@@ -342,13 +327,9 @@ fn wide_sim_matches_scalar_at_every_lane_count() {
             narrow.settle();
             let got = narrow.lanes("o", lanes);
             for (lane, &v) in vectors.iter().enumerate() {
-                scalar.set("x", v);
-                scalar.settle();
-                assert_eq!(
-                    got[lane],
-                    scalar.get("o"),
-                    "case {case} lanes={lanes} lane={lane} v={v}"
-                );
+                let want = scalar.try_apply(&[v], 0);
+                let at = format!("case {case} lanes={lanes} lane={lane} v={v}");
+                assert_eq!(Ok(vec![got[lane]]), want, "{at}");
             }
         }
     });
@@ -377,14 +358,8 @@ fn wide_sim_matches_scalar_at_boundary_lane_counts() {
             wide.settle();
             let got = wide.lanes("o", lanes);
             for (lane, v) in vectors.iter().enumerate() {
-                scalar.set("x", v[0]);
-                scalar.settle();
-                assert_eq!(
-                    got[lane],
-                    scalar.get("o"),
-                    "case {case} lanes={lanes} lane={lane} v={}",
-                    v[0]
-                );
+                let at = format!("case {case} lanes={lanes} lane={lane} v={v:?}");
+                assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(v, 0), "{at}");
             }
         }
     });
@@ -409,24 +384,16 @@ fn fault_verdicts_match_clone_injection_per_site() {
                 .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
                 .collect();
             let mut good = Simulator::new(&m);
-            let expected: Vec<u64> = vectors
-                .iter()
-                .map(|v| {
-                    good.set("x", v[0]);
-                    good.settle();
-                    good.get("o")
-                })
-                .collect();
+            let expected: Vec<_> = vectors.iter().map(|v| good.try_apply(v, 0)).collect();
             let cov = fault_coverage(&m, &vectors);
             assert_eq!(cov.total, sites.len());
             for fault in &sites {
                 let faulty = inject(&m, *fault);
                 let mut bad = Simulator::new(&faulty);
-                let detected = vectors.iter().zip(&expected).any(|(v, &want)| {
-                    bad.set("x", v[0]);
-                    bad.settle();
-                    bad.get("o") != want
-                });
+                let detected = vectors
+                    .iter()
+                    .zip(&expected)
+                    .any(|(v, want)| bad.try_apply(v, 0) != *want);
                 assert_eq!(
                     !cov.undetected.contains(fault),
                     detected,
@@ -487,11 +454,10 @@ fn forest_hardware_matches_model_on_random_datasets() {
         let mut sim = Simulator::new(&module);
         for row in data.x.iter().take(20) {
             let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
-            }
-            sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes), "case {case}");
+            // Outputs: `votes{c}` per class, then `class`.
+            let outputs = sim.try_apply(&forest_inputs(&qf, &codes), 0);
+            let class = outputs.map(|o| o[o.len() - 1]);
+            assert_eq!(class, Ok(qf.predict(&codes) as u64), "case {case}");
         }
     });
 }
@@ -509,22 +475,12 @@ fn serial_tree_matches_parallel_tree_on_random_datasets() {
         let (spec, serial) = bespoke_serial(&qt);
         let mut psim = Simulator::new(&parallel);
         let mut ssim = Simulator::new(&serial);
-        let used = qt.used_features();
         for row in data.x.iter().take(20) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                psim.set(&format!("f{slot}"), codes[f]);
-            }
-            psim.settle();
-            ssim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                ssim.set(&format!("f{slot}"), codes[f]);
-            }
-            for _ in 0..spec.depth {
-                ssim.step();
-            }
-            ssim.settle();
-            assert_eq!(psim.get("class"), ssim.get("class"), "case {case}");
+            let p = psim.try_apply(&tree_inputs(&qt, &codes, parallel.inputs.len()), 0);
+            let s = ssim.try_apply(&tree_inputs(&qt, &codes, spec.n_features), spec.depth);
+            // `class` is both engines' first output.
+            assert_eq!(p.map(|o| o[0]), s.map(|o| o[0]), "case {case}");
         }
     });
 }
