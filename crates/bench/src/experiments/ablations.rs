@@ -11,7 +11,7 @@ use ml::synth::Application;
 use ml::tree::{DecisionTree, TreeParams};
 use netlist::arith::{const_multiply, multiply};
 use netlist::builder::NetlistBuilder;
-use netlist::{analyze, optimize};
+use netlist::{analyze, analyze_all, optimize};
 use pdk::rom::RomStyle;
 use pdk::{CellLibrary, FabModel, Technology};
 use printed_core::bespoke::bespoke_parallel;
@@ -227,8 +227,9 @@ pub fn ablation_forest_scaling() -> Table {
     let data = Application::Pendigits.generate(SEED);
     let (train, test) = data.split(0.7, 42);
     let fq = FeatureQuantizer::fit(&train, 8);
+    let rf8 = RandomForest::fit(&train, ForestParams::paper(8));
     for n in [1usize, 2, 4, 8] {
-        let forest = RandomForest::fit(&train, ForestParams::paper(n));
+        let forest = rf8.prefix(n);
         let qf = QuantizedForest::from_forest(&forest, &fq);
         let acc = accuracy(
             test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
@@ -594,11 +595,12 @@ pub fn bent_corner() -> Table {
     );
     let nominal = egt();
     let bent = nominal.bent_corner();
+    let libs = [nominal, bent];
     for app in [Application::Cardio, Application::Pendigits] {
         let flow = TreeFlow::new(app, 4, SEED);
         let module = flow.module(TreeArch::BespokeParallel).expect("digital");
-        for (name, lib) in [("nominal", &nominal), ("bent", &bent)] {
-            let ppa = analyze(&module, lib);
+        let corners = analyze_all(&module, &libs);
+        for (name, ppa) in ["nominal", "bent"].into_iter().zip(corners) {
             let feas = pdk::classify(ppa.power);
             t.row(vec![
                 app.name().into(),

@@ -7,8 +7,8 @@ use ml::metrics::accuracy;
 use ml::mlp::{Mlp, MlpParams};
 use ml::opcount::{CountOps, OpCount};
 use ml::synth::Application;
-use ml::tree::{DecisionTree, TreeParams};
-use netlist::analyze;
+use ml::tree::DecisionTree;
+use netlist::{analyze_all, Ppa};
 use pdk::units::{Area, Delay};
 use pdk::{CellLibrary, Technology};
 use printed_core::conventional::parallel_tree::{generate as gen_parallel, ParallelTreeSpec};
@@ -34,6 +34,13 @@ fn units(tech: Technology) -> (Unit<Delay>, Unit<Area>) {
     }
 }
 
+/// `module` priced in every technology, in `Technology::ALL` order, from
+/// one levelization.
+fn price(module: &netlist::Module) -> impl Iterator<Item = (Technology, Ppa)> {
+    let libs = Technology::ALL.map(CellLibrary::for_technology);
+    Technology::ALL.into_iter().zip(analyze_all(module, &libs))
+}
+
 /// Table I: PPA of an 8-bit comparator, 8-bit MAC and 8-bit ReLU in each
 /// technology.
 pub fn table1() -> Vec<Table> {
@@ -57,8 +64,7 @@ pub fn table1() -> Vec<Table> {
         ),
     ];
     for ((name, references), module) in paper.into_iter().zip(component_modules()) {
-        for (tech, reference) in Technology::ALL.into_iter().zip(references) {
-            let ppa = analyze(&module, &CellLibrary::for_technology(tech));
+        for ((tech, ppa), reference) in price(&module).zip(references) {
             let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 name.to_string(),
@@ -108,16 +114,17 @@ pub fn table2() -> Vec<Table> {
                 format!("{}", est.power),
             ]
         };
-        for depth in DEPTHS {
-            let m = DecisionTree::fit(&train, TreeParams::with_depth(depth));
+        let trees = DecisionTree::fit_depths(&train, &DEPTHS);
+        for (depth, m) in DEPTHS.into_iter().zip(trees) {
             t.row(row(
                 &format!("DT-{depth}"),
                 m.op_count(),
                 acc(&mut |r| m.predict(r)),
             ));
         }
+        let rf8 = RandomForest::fit(&train, ForestParams::paper(8));
         for n in [2usize, 4, 8] {
-            let m = RandomForest::fit(&train, ForestParams::paper(n));
+            let m = rf8.prefix(n);
             t.row(row(
                 &format!("RF-{n}"),
                 m.op_count(),
@@ -154,9 +161,7 @@ pub fn table3() -> Vec<Table> {
             class_rom: vec![0; 1 << depth],
         };
         let module = gen_serial(&spec, &prog);
-        for tech in Technology::ALL {
-            let lib = CellLibrary::for_technology(tech);
-            let ppa = analyze(&module, &lib);
+        for (tech, ppa) in price(&module) {
             let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("DT-{depth}"),
@@ -181,9 +186,7 @@ pub fn table4() -> Vec<Table> {
     );
     for depth in [1usize, 2, 4, 8] {
         let module = gen_parallel(&ParallelTreeSpec::conventional(depth));
-        for tech in Technology::ALL {
-            let lib = CellLibrary::for_technology(tech);
-            let ppa = analyze(&module, &lib);
+        for (tech, ppa) in price(&module) {
             let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("DT-{depth}"),
@@ -206,9 +209,7 @@ pub fn table5() -> Vec<Table> {
     );
     for width in [4usize, 8, 12, 16] {
         let module = gen_svm(&SvmSpec::conventional(width));
-        for tech in Technology::ALL {
-            let lib = CellLibrary::for_technology(tech);
-            let ppa = analyze(&module, &lib);
+        for (tech, ppa) in price(&module) {
             let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("SVM-{width}"),

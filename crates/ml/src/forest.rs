@@ -95,6 +95,17 @@ impl RandomForest {
             .unwrap_or(0)
     }
 
+    /// The forest of this one's first `n` trees (all of them when `n` is
+    /// larger). The trees draw their bootstrap samples and feature subsets
+    /// from one sequential RNG stream, so the first `n` trees of a fit
+    /// with `params` are the fit with `params.n_trees = n`.
+    pub fn prefix(&self, n: usize) -> RandomForest {
+        RandomForest {
+            trees: self.trees.iter().take(n).cloned().collect(),
+            n_classes: self.n_classes,
+        }
+    }
+
     /// The ensemble members.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees

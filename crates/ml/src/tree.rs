@@ -120,6 +120,95 @@ impl DecisionTree {
         grow(data, &indices, params, None)
     }
 
+    /// Fits one tree per entry of `depths`, each equal to
+    /// `fit(data, TreeParams::with_depth(d))`, from one (memoized) fit at
+    /// the deepest of them.
+    ///
+    /// Greedy CART picks every split without looking at the depth limit,
+    /// so a shallower tree is the deepest one cut at its depth: each cut
+    /// node becomes a leaf of the majority class among the training rows
+    /// routed to it, which is the leaf a direct fit would have made there.
+    pub fn fit_depths(data: &Dataset, depths: &[usize]) -> Vec<Self> {
+        let Some(&deepest) = depths.iter().max() else {
+            return Vec::new();
+        };
+        let tree = Self::fit(data, TreeParams::with_depth(deepest));
+        let counts = tree.node_counts(data);
+        depths.iter().map(|&d| tree.cut(&counts, d)).collect()
+    }
+
+    /// Per node, the per-class counts of `data`'s rows that reach it.
+    fn node_counts(&self, data: &Dataset) -> Vec<Vec<usize>> {
+        let mut counts = vec![vec![0usize; self.n_classes]; self.nodes.len()];
+        for (row, &y) in data.x.iter().zip(&data.y) {
+            let mut i = 0;
+            loop {
+                counts[i][y] += 1;
+                match &self.nodes[i] {
+                    TreeNode::Leaf { .. } => break,
+                    TreeNode::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        i = if row[*feature] <= *threshold {
+                            *left
+                        } else {
+                            *right
+                        }
+                    }
+                }
+            }
+        }
+        counts
+    }
+
+    /// This tree cut at `depth`: a split at that depth becomes a leaf of
+    /// its majority class in `counts` (from [`Self::node_counts`]), and
+    /// the kept nodes are renumbered in the pre-order `grow` emits.
+    fn cut(&self, counts: &[Vec<usize>], depth: usize) -> Self {
+        fn emit(
+            nodes: &[TreeNode],
+            counts: &[Vec<usize>],
+            i: usize,
+            depth_left: usize,
+            out: &mut Vec<TreeNode>,
+        ) -> usize {
+            let me = out.len();
+            match &nodes[i] {
+                &TreeNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } if depth_left > 0 => {
+                    out.push(TreeNode::Leaf { class: 0 }); // placeholder
+                    let left = emit(nodes, counts, left, depth_left - 1, out);
+                    let right = emit(nodes, counts, right, depth_left - 1, out);
+                    out[me] = TreeNode::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    };
+                }
+                TreeNode::Split { .. } => out.push(TreeNode::Leaf {
+                    class: majority(&counts[i]),
+                }),
+                leaf => out.push(leaf.clone()),
+            }
+            me
+        }
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        emit(&self.nodes, counts, 0, depth, &mut nodes);
+        DecisionTree {
+            nodes,
+            n_classes: self.n_classes,
+            n_features: self.n_features,
+        }
+    }
+
     /// Fits on a subset of samples, optionally restricting candidate
     /// features per split (used by random forests). `sample_indices` may
     /// repeat a sample (a bootstrap draw); every copy counts as a sample.

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use pdk::rom::{rom_cost, RomSpec, RomStyle};
-use pdk::{Area, CellLibrary, Delay, Power};
+use pdk::{Area, CellKind, CellLibrary, Delay, Power};
 
 use crate::ir::Module;
 use crate::levels::{Item, Levels};
@@ -47,7 +47,13 @@ impl Ppa {
     }
 }
 
-/// Analyzes `module` against `lib`.
+/// Modules levelized for PPA (one per [`analyze_all`] call).
+static LEVELIZATIONS: obs::Counter = obs::Counter::new("netlist.ppa.levelizations");
+/// Libraries priced from those levelizations.
+static LIBRARIES: obs::Counter = obs::Counter::new("netlist.ppa.libraries");
+
+/// Analyzes `module` against `lib`: the one-library case of
+/// [`analyze_all`].
 ///
 /// ```
 /// use netlist::builder::NetlistBuilder;
@@ -64,85 +70,152 @@ impl Ppa {
 /// ```
 ///
 /// # Panics
+/// As [`analyze_all`].
+pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
+    analyze_all(module, std::slice::from_ref(lib))
+        .pop()
+        .expect("one library prices to one report")
+}
+
+/// Libraries one arrival sweep carries side by side: the paper's three
+/// technologies.
+const LANES: usize = 3;
+
+/// Analyzes `module` against each of `libs`, in order, from one
+/// levelization. One forward sweep over it carries up to three
+/// libraries' arrival times side by side (more are priced three at a
+/// time). Each report is bit-identical to [`analyze`] with its library
+/// alone: every library's sums and arrivals see the same operations in
+/// the same order.
+///
+/// ```
+/// use netlist::builder::NetlistBuilder;
+/// use netlist::analysis::{analyze, analyze_all};
+/// use pdk::{CellLibrary, Technology};
+///
+/// let mut b = NetlistBuilder::new("pair");
+/// let x = b.input("x", 2);
+/// let y = b.and(x[0], x[1]);
+/// b.output("y", &[y]);
+/// let m = b.finish();
+/// let libs = Technology::ALL.map(CellLibrary::for_technology);
+/// let all = analyze_all(&m, &libs);
+/// assert_eq!(all[2].delay, analyze(&m, &libs[2]).delay);
+/// ```
+///
+/// # Panics
 /// Panics with the [`crate::SimError`] message if `module` fails
 /// [`Module::validate`] or contains a combinational cycle. Modules from
 /// [`crate::builder::NetlistBuilder::finish`] and the generators never
 /// do; a module read through serde may.
-pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
-    let mut logic_area = Area::ZERO;
-    let mut logic_power = Power::ZERO;
-    for gate in &module.gates {
-        let c = lib.cost(gate.kind);
-        logic_area += c.area;
-        logic_power += c.power;
-    }
-
-    let mut rom_area = Area::ZERO;
-    let mut rom_power = Power::ZERO;
-    let mut rom_bits = 0usize;
-    let mut rom_delays: Vec<Delay> = Vec::with_capacity(module.roms.len());
-    for rom in &module.roms {
-        // The decoder is sized for the full address space the instance
-        // wires up (the paper sizes serial-tree ROMs for a full tree).
-        let words = 1usize << rom.addr.len().min(30);
-        let spec = match rom.style {
-            RomStyle::Crossbar => RomSpec::crossbar(words, rom.data.len()),
-            RomStyle::BespokeDots => RomSpec::bespoke(words, rom.data.len(), rom.set_bits()),
-        };
-        let cost = rom_cost(&spec, lib);
-        rom_area += cost.area;
-        rom_power += cost.power;
-        rom_bits += match rom.style {
-            RomStyle::Crossbar => words * rom.data.len(),
-            RomStyle::BespokeDots => rom.set_bits(),
-        };
-        rom_delays.push(cost.delay);
-    }
-
-    let delay = critical_path(module, lib, &rom_delays);
-
-    Ppa {
-        delay,
-        area: logic_area + rom_area,
-        power: logic_power + rom_power,
-        logic_area,
-        rom_area,
-        logic_power,
-        rom_power,
-        gate_count: module.gate_count(),
-        dff_count: module.dff_count(),
-        rom_bits,
-    }
-}
-
-/// Longest combinational path through the module: one forward sweep of
-/// arrival times over the shared order, then the latest arrival at any
-/// module output or flip-flop D pin.
-fn critical_path(module: &Module, lib: &CellLibrary, rom_delays: &[Delay]) -> Delay {
+pub fn analyze_all(module: &Module, libs: &[CellLibrary]) -> Vec<Ppa> {
+    let _span = obs::span("netlist.analyze");
     let levels = match Levels::try_new(module) {
         Ok(levels) => levels,
         Err(e) => e.raise(),
     };
-    // Sources (inputs, constants) arrive at 0, DFF outputs at clk-to-Q.
-    let mut arrival = vec![Delay::ZERO; module.net_count()];
+    LEVELIZATIONS.incr();
+    LIBRARIES.add(libs.len() as u64);
+    libs.chunks(LANES)
+        .flat_map(|group| match group.len() {
+            1 => price::<1>(module, &levels, group),
+            2 => price::<2>(module, &levels, group),
+            _ => price::<LANES>(module, &levels, group),
+        })
+        .collect()
+}
+
+/// Prices `module` in the `N` libraries of `libs`, lane `j` for library
+/// `j`, from its levelization.
+fn price<const N: usize>(module: &Module, levels: &Levels, libs: &[CellLibrary]) -> Vec<Ppa> {
+    let libs: &[CellLibrary; N] = libs.try_into().expect("one library per lane");
+    // Every cell kind's cost per lane, looked up rather than recomputed
+    // per gate (`CellKind::ALL` is in declaration order).
+    let costs = CellKind::ALL.map(|c| libs.each_ref().map(|lib| lib.cost(c)));
+    let cost = |kind: CellKind| &costs[kind as usize];
+
+    let mut logic = [(Area::ZERO, Power::ZERO); N];
+    for gate in &module.gates {
+        for ((area, power), c) in logic.iter_mut().zip(cost(gate.kind)) {
+            *area += c.area;
+            *power += c.power;
+        }
+    }
+
+    let mut rom = [(Area::ZERO, Power::ZERO); N];
+    let mut rom_bits = 0usize;
+    let mut rom_delays: Vec<[Delay; N]> = Vec::with_capacity(module.roms.len());
+    for r in &module.roms {
+        // The decoder is sized for the full address space the instance
+        // wires up (the paper sizes serial-tree ROMs for a full tree).
+        let words = 1usize << r.addr.len().min(30);
+        let spec = match r.style {
+            RomStyle::Crossbar => RomSpec::crossbar(words, r.data.len()),
+            RomStyle::BespokeDots => RomSpec::bespoke(words, r.data.len(), r.set_bits()),
+        };
+        let costs = libs.each_ref().map(|lib| rom_cost(&spec, lib));
+        for ((area, power), c) in rom.iter_mut().zip(&costs) {
+            *area += c.area;
+            *power += c.power;
+        }
+        rom_delays.push(costs.map(|c| c.delay));
+        rom_bits += match r.style {
+            RomStyle::Crossbar => words * r.data.len(),
+            RomStyle::BespokeDots => r.set_bits(),
+        };
+    }
+
+    // Critical path: one forward sweep of arrival times over the shared
+    // order, then the latest arrival at any module output or flip-flop D
+    // pin. Sources (inputs, constants) arrive at 0, DFF outputs at
+    // clk-to-Q.
+    let mut arrival = vec![[Delay::ZERO; N]; module.net_count()];
     let dffs = || module.gates.iter().filter(|g| g.kind.is_sequential());
     for g in dffs() {
-        arrival[g.output.index()] = lib.cost(g.kind).delay;
+        arrival[g.output.index()] = cost(g.kind).map(|c| c.delay);
     }
-    let arrival = levels.sweep(module, arrival, |item, worst| {
-        worst
-            + match item {
-                Item::Gate(i) => lib.cost(module.gates[i as usize].kind).delay,
-                Item::Rom(i) => rom_delays[i as usize],
+    let arrival = levels.sweep(module, arrival, |item, worst| match item {
+        Item::Gate(i) => {
+            for (w, c) in worst.iter_mut().zip(cost(module.gates[i as usize].kind)) {
+                *w += c.delay;
             }
+        }
+        Item::Rom(i) => {
+            for (w, &d) in worst.iter_mut().zip(&rom_delays[i as usize]) {
+                *w += d;
+            }
+        }
     });
-    module
+    let mut delay = [Delay::ZERO; N];
+    let endpoints = module
         .outputs
         .iter()
         .flat_map(|p| &p.bits)
-        .chain(dffs().map(|g| &g.inputs[0]))
-        .map(|s| s.net().map_or(Delay::ZERO, |n| arrival[n.index()]))
-        .fold(Delay::ZERO, Delay::max)
+        .chain(dffs().map(|g| &g.inputs[0]));
+    for s in endpoints {
+        let at = s.net().map_or([Delay::ZERO; N], |n| arrival[n.index()]);
+        for (d, a) in delay.iter_mut().zip(at) {
+            *d = d.max(a);
+        }
+    }
+
+    (0..N)
+        .map(|j| {
+            let ((logic_area, logic_power), (rom_area, rom_power)) = (logic[j], rom[j]);
+            Ppa {
+                delay: delay[j],
+                area: logic_area + rom_area,
+                power: logic_power + rom_power,
+                logic_area,
+                rom_area,
+                logic_power,
+                rom_power,
+                gate_count: module.gate_count(),
+                dff_count: module.dff_count(),
+                rom_bits,
+            }
+        })
+        .collect()
 }
 
 /// Per-region (hierarchy tag) area and power breakdown.

@@ -2,9 +2,11 @@
 //!
 //! The tape compiler ([`crate::compile`]), the critical-path analysis
 //! ([`crate::analysis`]) and the logic-depth statistics
-//! ([`crate::stats`]) share one validated driver index and one
-//! topological order, both dense vectors; each of them is a forward
-//! sweep over that order.
+//! ([`crate::stats`]) share one validated topological order, a dense
+//! vector; each of them is a forward sweep over that order. One sweep
+//! can carry several values per net, so PPA prices a module in every
+//! cell library from one levelization. The optimizer's dead-code pass
+//! reads the dense driver index ([`drivers`]) alone.
 //!
 //! The scalar [`crate::sim::Simulator`] keeps its own levelization on
 //! purpose: it is the independent reference the differential fuzzer
@@ -79,84 +81,113 @@ impl Levels {
                 module: module.name.clone(),
                 reason,
             })?;
-        let drivers = drivers(module);
         let n_gates = module.gates.len();
-        let slot = |item: Item| match item {
-            Item::Gate(g) => g as usize,
-            Item::Rom(r) => n_gates + r as usize,
+        let n_cells = n_gates + module.roms.len();
+        let item = |slot: u32| match slot.checked_sub(n_gates as u32) {
+            None => Item::Gate(slot),
+            Some(r) => Item::Rom(r),
         };
-        let is_comb = |item: &Item| match *item {
+        // Per net: the slot (gate index, or `n_gates` + ROM index) of the
+        // combinational cell driving it; `NONE` for input bits, flip-flop
+        // outputs and undriven nets.
+        const NONE: u32 = u32::MAX;
+        let mut comb = vec![NONE; module.net_count()];
+        for (i, g) in module.gates.iter().enumerate() {
+            if !g.kind.is_sequential() {
+                comb[g.output.index()] = i as u32;
+            }
+        }
+        for (i, r) in module.roms.iter().enumerate() {
+            for n in &r.data {
+                comb[n.index()] = (n_gates + i) as u32;
+            }
+        }
+
+        // 0 = unvisited, 1 = on the DFS stack, 2 = ordered. Flip-flops are
+        // never roots and never reached, so they stay 0.
+        let mut mark = vec![0u8; n_cells];
+        let mut order = Vec::with_capacity(n_cells);
+        // (cell slot, next input to follow)
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        let roots = (0..n_cells as u32).filter(|&slot| match item(slot) {
             Item::Gate(g) => !module.gates[g as usize].kind.is_sequential(),
             Item::Rom(_) => true,
-        };
-
-        // 0 = unvisited, 1 = on the DFS stack, 2 = ordered.
-        let mut mark = vec![0u8; n_gates + module.roms.len()];
-        let mut order = Vec::with_capacity(mark.len());
-        let mut stack: Vec<(Item, usize)> = Vec::new();
-        let roots = (0..n_gates as u32)
-            .map(Item::Gate)
-            .chain((0..module.roms.len() as u32).map(Item::Rom))
-            .filter(is_comb);
+        });
         for root in roots {
-            if mark[slot(root)] != 0 {
+            if mark[root as usize] != 0 {
                 continue;
             }
-            mark[slot(root)] = 1;
+            mark[root as usize] = 1;
             stack.push((root, 0));
-            while let Some((item, next)) = stack.last_mut() {
-                let item = *item;
-                let Some(&sig) = item.pins(module).0.get(*next) else {
-                    mark[slot(item)] = 2;
-                    order.push(item);
-                    stack.pop();
-                    continue;
-                };
-                *next += 1;
-                let Signal::Net(n) = sig else { continue };
-                let Some(dep) = drivers[n.index()].filter(is_comb) else {
-                    continue;
-                };
-                match mark[slot(dep)] {
-                    0 => {
-                        mark[slot(dep)] = 1;
-                        stack.push((dep, 0));
+            while let Some((slot, next)) = stack.last_mut() {
+                let inputs = item(*slot).pins(module).0;
+                // Follow the next input driven by an unvisited cell, or
+                // order this one once every input is settled.
+                let mut dep = None;
+                while let Some(&sig) = inputs.get(*next) {
+                    *next += 1;
+                    let Signal::Net(n) = sig else { continue };
+                    let d = comb[n.index()];
+                    if d == NONE {
+                        continue;
                     }
-                    1 => {
-                        return Err(SimError::CombinationalCycle {
-                            module: module.name.clone(),
-                            net: n.index(),
-                        })
+                    match mark[d as usize] {
+                        0 => {
+                            dep = Some(d);
+                            break;
+                        }
+                        1 => {
+                            return Err(SimError::CombinationalCycle {
+                                module: module.name.clone(),
+                                net: n.index(),
+                            })
+                        }
+                        _ => {}
                     }
-                    _ => {}
+                }
+                match dep {
+                    Some(d) => {
+                        mark[d as usize] = 1;
+                        stack.push((d, 0));
+                    }
+                    None => {
+                        let slot = *slot;
+                        mark[slot as usize] = 2;
+                        order.push(item(slot));
+                        stack.pop();
+                    }
                 }
             }
         }
         Ok(Levels { order })
     }
 
-    /// One forward sweep over the order: each cell's output nets get
-    /// `step(cell, worst)`, where `worst` is the largest value among its
-    /// input nets (`T::default()` when it has none). `at` holds the
-    /// source values (inputs, flip-flop outputs) on entry and every net's
-    /// value on return.
-    pub(crate) fn sweep<T: Copy + Default + PartialOrd>(
+    /// One forward sweep over the order carrying `N` values per net. For
+    /// each cell, `step` receives its position-wise worst inputs (the
+    /// largest value at each position among its input nets, `T::default()`
+    /// when it has none) and turns them in place into the values every
+    /// output net gets. `at` holds the source values (inputs, flip-flop
+    /// outputs) on entry and every net's values on return. Positions never
+    /// mix, so each one equals a one-value sweep of its own.
+    pub(crate) fn sweep<T: Copy + Default + PartialOrd, const N: usize>(
         &self,
         module: &Module,
-        mut at: Vec<T>,
-        step: impl Fn(Item, T) -> T,
-    ) -> Vec<T> {
+        mut at: Vec<[T; N]>,
+        step: impl Fn(Item, &mut [T; N]),
+    ) -> Vec<[T; N]> {
         for &item in &self.order {
             let (inputs, outputs) = item.pins(module);
-            let mut worst = T::default();
+            let mut worst = [T::default(); N];
             for n in inputs.iter().filter_map(|s| s.net()) {
-                if at[n.index()] > worst {
-                    worst = at[n.index()];
+                for (w, &v) in worst.iter_mut().zip(&at[n.index()]) {
+                    if v > *w {
+                        *w = v;
+                    }
                 }
             }
-            let v = step(item, worst);
+            step(item, &mut worst);
             for n in outputs {
-                at[n.index()] = v;
+                at[n.index()] = worst;
             }
         }
         at
@@ -185,9 +216,17 @@ mod tests {
             levels.order,
             vec![Item::Gate(0), Item::Rom(0), Item::Gate(1), Item::Gate(3)]
         );
-        let depth = levels.sweep(&m, vec![0; m.net_count()], |_, w| w + 1);
-        assert_eq!(depth[p.net().unwrap().index()], 1);
-        assert_eq!(depth[o.net().unwrap().index()], 3);
+        let depth = levels.sweep(&m, vec![[0]; m.net_count()], |_, w| w[0] += 1);
+        assert_eq!(depth[p.net().unwrap().index()], [1]);
+        assert_eq!(depth[o.net().unwrap().index()], [3]);
+        // Two values per net: depth and twice the depth never mix.
+        let both = levels.sweep(&m, vec![[0, 0]; m.net_count()], |_, w| {
+            w[0] += 1;
+            w[1] += 2;
+        });
+        for (&[d], &pair) in depth.iter().zip(&both) {
+            assert_eq!(pair, [d, 2 * d]);
+        }
     }
 
     #[test]

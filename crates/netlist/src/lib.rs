@@ -58,7 +58,7 @@ pub mod testbench;
 pub mod verify;
 pub mod verilog;
 
-pub use analysis::{analyze, Ppa};
+pub use analysis::{analyze, analyze_all, Ppa};
 pub use builder::NetlistBuilder;
 pub use compile::{CompiledNetlist, WideSim};
 pub use error::SimError;

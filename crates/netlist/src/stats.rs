@@ -18,11 +18,13 @@ use crate::levels::Levels;
 /// [`SimError::InvalidModule`] or [`SimError::CombinationalCycle`] when
 /// the module cannot be levelized.
 pub fn logic_levels(module: &Module) -> Result<Vec<(String, usize, usize)>, SimError> {
-    let depth = Levels::try_new(module)?.sweep(module, vec![0; module.net_count()], |_, w| w + 1);
+    let depth = Levels::try_new(module)?.sweep(module, vec![[0]; module.net_count()], |_, w| {
+        w[0] += 1;
+    });
     let mut rows = Vec::new();
     for port in &module.outputs {
         for (bit, sig) in port.bits.iter().enumerate() {
-            let d = sig.net().map_or(0, |n| depth[n.index()]);
+            let d = sig.net().map_or(0, |n| depth[n.index()][0]);
             rows.push((port.name.clone(), bit, d));
         }
     }
