@@ -30,21 +30,27 @@
 //! Trial `t` draws from `StdRng::seed_from_u64(task_seed(seed, t))`
 //! exactly what the scalar path draws (tree: split `s` takes draws `2s`
 //! and `2s + 1`, reached directly by [`StdRng::advance`]; SVM: positive
-//! column then negative column in term order), and every floating-point
-//! expression is kept operation-for-operation identical to the
-//! reference. Reports are therefore **bit-identical** to
-//! [`crate::variation::reference`] and bit-identical at any thread
-//! count or lane-block boundary (`tests/variation_engine.rs` pins both).
+//! column then negative column in term order), through the same
+//! Box–Muller expression. Only a decision leaves a draw: a tree lane's
+//! `x > t` at every code level `x`, an SVM term's printable grid index.
+//! The engine decides it in the log domain, from `sz = sigma * z` added
+//! to a logarithm solved at compile time, and runs the reference's exact
+//! device chain only when that value lies within 1e-6 of a code or grid
+//! step of a point where the decision could change. Everything after
+//! the draws keeps the reference's operation order. Reports are
+//! therefore **bit-identical** to [`crate::variation::reference`] and
+//! bit-identical at any thread count or lane-block boundary
+//! (`tests/variation_engine.rs` pins both).
 
 use exec::rng::StdRng;
 use exec::{parallel_map, task_seed};
 
 use ml::quant::{max_code_for_bits, QNode, QuantizedSvm, QuantizedTree};
 
-use crate::device::{Egt, PrintedResistor, R_MIN};
+use crate::device::{Egt, PrintedResistor, R_MIN, VDD};
 use crate::svm::AnalogSvm;
 use crate::tree::{AnalogTree, AnalogTreeConfig};
-use crate::variation::{lognormal_factor, VariationReport};
+use crate::variation::{standard_normal, VariationReport};
 
 /// Trials evaluated per pass over the rows: one bit of a `u64` lane
 /// mask each.
@@ -61,6 +67,14 @@ static LANE_BLOCKS: obs::Counter = obs::Counter::new("analog.variation.lane_bloc
 /// Perturbations drawn: per-lane split thresholds a walk reached (tree)
 /// and per-lane crossbar terms (SVM).
 static DRAWS: obs::Counter = obs::Counter::new("analog.variation.draws");
+/// Draws the log-domain form left to the exact device chain.
+static EXACT: obs::Counter = obs::Counter::new("analog.variation.exact");
+
+/// How close, in code steps (tree) or grid steps (SVM), a log-domain
+/// value may come to a point where the decision changes before the
+/// exact device chain decides instead. The two forms differ by rounding
+/// only, below 1e-9 of a step even at 16 bits and sigma 10.
+const MARGIN: f64 = 1e-6;
 
 /// Child/root encoding of the flat tree topology: `>= 0` is a split
 /// ordinal, `< 0` is a leaf storing `!class`.
@@ -78,6 +92,8 @@ pub struct CompiledTreeVariation {
     feature: Vec<usize>,
     /// Nominal printed resistance realizing each split's threshold.
     r_nom: Vec<f64>,
+    /// `ln(r_nom / r_off)`: the log-domain form of each `r_nom`.
+    ln_ratio: Vec<f64>,
     left: Vec<i32>,
     right: Vec<i32>,
     /// Root in child encoding (`< 0`: the tree is a single leaf).
@@ -86,6 +102,8 @@ pub struct CompiledTreeVariation {
     /// `device.ln_span()`, solved once instead of once per draw.
     ln_span: f64,
     max_code: u64,
+    /// `max_code / ln_span`: code steps per unit of `ln(r / r_off)`.
+    codes_per_ln: f64,
     /// Nominal analog realization, evaluated once per row at bind time.
     nominal: AnalogTree,
 }
@@ -144,15 +162,18 @@ impl CompiledTreeVariation {
                 right.push(encode_child(&ordinal_of, nodes, *r));
             }
         }
+        let ln_span = device.ln_span();
         CompiledTreeVariation {
             feature,
+            ln_ratio: r_nom.iter().map(|r| (r / device.r_off).ln()).collect(),
             r_nom,
             left,
             right,
             root: encode_child(&ordinal_of, nodes, 0),
             device,
-            ln_span: device.ln_span(),
+            ln_span,
             max_code,
+            codes_per_ln: max_code as f64 / ln_span,
             nominal: AnalogTree::from_tree(tree, AnalogTreeConfig::default()),
         }
     }
@@ -164,6 +185,9 @@ impl CompiledTreeVariation {
 
     /// Normalizes `rows` to per-split node voltages and evaluates the
     /// nominal circuit once per row.
+    ///
+    /// # Panics
+    /// Panics if a row is shorter than a split's feature index plus one.
     pub fn bind(&self, rows: &[Vec<u64>]) -> TreeRows {
         let n_splits = self.feature.len();
         let mut split_volts = Vec::with_capacity(rows.len() * n_splits);
@@ -181,21 +205,38 @@ impl CompiledTreeVariation {
         }
     }
 
-    /// Split `s`'s perturbed threshold voltage in the trial whose
-    /// stream is seeded `stream`: the factor from draws `2s` and
-    /// `2s + 1`, through the transistor law exactly as the reference
-    /// computes it.
+    /// Split `s`'s perturbed threshold voltage for the perturbation
+    /// `sz = sigma * z`, and whether the exact chain set it.
+    ///
+    /// The threshold is `clamp((ln(r_nom / r_off) + sz) / ln_span, 0, VDD)`
+    /// in the log domain, and only `x > t` over the code levels `x`
+    /// leaves the draw. Away from every level any value between the same
+    /// two levels decides alike, so the exact chain runs only within
+    /// [`MARGIN`] of one. Beyond the clamp edges the clamp decides.
     #[inline]
-    fn threshold(&self, stream: u64, s: usize, sigma: f64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(stream);
-        rng.advance(2 * s as u64);
-        let factor = lognormal_factor(&mut rng, sigma);
-        let r = (self.r_nom[s] * factor).clamp(self.device.r_on, self.device.r_off);
+    fn threshold(&self, s: usize, sz: f64) -> (f64, bool) {
+        let code = (self.ln_ratio[s] + sz) * self.codes_per_ln;
+        if code <= -MARGIN {
+            (0.0, false)
+        } else if code >= self.max_code as f64 + MARGIN {
+            (VDD, false)
+        } else if (code - code.round()).abs() < MARGIN {
+            (self.exact_threshold(s, sz), true)
+        } else {
+            (code / self.max_code as f64 * VDD, false)
+        }
+    }
+
+    /// [`Self::threshold`] through the transistor law exactly as the
+    /// reference computes it.
+    fn exact_threshold(&self, s: usize, sz: f64) -> f64 {
+        let r = (self.r_nom[s] * sz.exp()).clamp(self.device.r_on, self.device.r_off);
         self.device.voltage_in_span(r, self.ln_span)
     }
 
     /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
-    /// rows, plus the number of lane thresholds drawn.
+    /// rows, plus the number of lane thresholds drawn and how many of
+    /// those the exact chain decided.
     ///
     /// Each row is one walk: `(node, lane mask)` pairs on a stack start
     /// from `(root, all lanes)`, and a split sends the lanes whose input
@@ -209,7 +250,7 @@ impl CompiledTreeVariation {
         n: usize,
         sigma: f64,
         seed: u64,
-    ) -> ([u32; LANES], u64) {
+    ) -> ([u32; LANES], u64, u64) {
         let n_splits = self.feature.len();
         let all = u64::MAX >> (LANES - n);
         let mut streams = [0u64; LANES];
@@ -221,6 +262,7 @@ impl CompiledTreeVariation {
         let mut drawn = vec![0u64; n_splits];
         let mut stack: Vec<(i32, u64)> = Vec::new();
         let mut agree = [0u32; LANES];
+        let mut exact = 0u64;
         for r in 0..rows.n_rows {
             let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
             let nominal = rows.nominal_class[r];
@@ -240,7 +282,12 @@ impl CompiledTreeVariation {
                 while fresh != 0 {
                     let lane = fresh.trailing_zeros() as usize;
                     fresh &= fresh - 1;
-                    lanes[lane] = self.threshold(streams[lane], s, sigma);
+                    // Split `s` takes draws `2s` and `2s + 1` of the stream.
+                    let mut rng = StdRng::seed_from_u64(streams[lane]);
+                    rng.advance(2 * s as u64);
+                    let (t, by_chain) = self.threshold(s, sigma * standard_normal(&mut rng));
+                    lanes[lane] = t;
+                    exact += u64::from(by_chain);
                 }
                 // Branch-free decision word. Built a byte per eight lanes,
                 // which LLVM packs better than one 64-lane loop. Lanes
@@ -267,7 +314,7 @@ impl CompiledTreeVariation {
             }
         }
         let draws = drawn.iter().map(|d| u64::from(d.count_ones())).sum();
-        (agree, draws)
+        (agree, draws, exact)
     }
 
     /// Runs the Monte-Carlo agreement analysis on pre-bound rows.
@@ -285,8 +332,9 @@ impl CompiledTreeVariation {
         seed: u64,
     ) -> VariationReport {
         monte_carlo(sigma, trials, rows.n_rows, |lo, n| {
-            let (agree, draws) = self.walk_block(rows, lo, n, sigma, seed);
+            let (agree, draws, exact) = self.walk_block(rows, lo, n, sigma, seed);
             DRAWS.add(draws);
+            EXACT.add(exact);
             agree
         })
     }
@@ -333,12 +381,25 @@ fn monte_carlo(
     }
 }
 
+/// The largest conductance a programmed crossbar column uses, at its
+/// largest weight (`CrossbarColumn::program`).
+const G_MAX: f64 = 1.0 / (2.0 * R_MIN);
+/// Grid index, before rounding, of the largest weight's resistance
+/// `1 / G_MAX = 2·R_MIN`: `VALUES_PER_DECADE · log10 2`.
+const GRID_AT_MAX: f64 = PrintedResistor::VALUES_PER_DECADE as f64 * std::f64::consts::LOG10_2;
+/// Grid steps per unit of `ln(wmax / w)`: `VALUES_PER_DECADE · log10 e`.
+const GRID_PER_LN: f64 = PrintedResistor::VALUES_PER_DECADE as f64 * std::f64::consts::LOG10_E;
+/// The top grid index, where every resistance past `R_MAX` snaps.
+const GRID_TOP: usize = PrintedResistor::GRID_POINTS - 1;
+
 /// One crossbar column's frozen layout.
 #[derive(Debug, Clone)]
 struct ColumnTape {
     /// `(feature, magnitude)` in **term order** — the RNG draw order.
     features: Vec<usize>,
     mags: Vec<f64>,
+    /// `ln` of each magnitude: the log-domain form of the weights.
+    ln_mags: Vec<f64>,
     /// Indices into `features`/`mags` sorted by ascending feature — the
     /// order `CrossbarColumn::program` builds resistors and sums
     /// conductances in.
@@ -360,42 +421,92 @@ impl ColumnTape {
         );
         Some(ColumnTape {
             features,
+            ln_mags: mags.iter().map(|m| m.ln()).collect(),
             mags,
             eval,
         })
     }
 
-    /// Draws one trial's perturbed weights (term order, matching the
-    /// reference RNG stream) into the buffer `w` and programs the
+    /// Snaps each term to its printable grid index for the perturbations
+    /// `sz` (term order; term `k`'s weight is `mags[k] * exp(sz[k])`),
+    /// calling `snap(slot, m)` in ascending-row slot order. Returns how
+    /// many terms the exact chain decided.
+    ///
+    /// With `L_k = ln mags[k] + sz[k]`, term `k` snaps to
+    /// `round(48·(log10 2 + (max L − L_k)·log10 e))`, capped at the top
+    /// index. Only a value within [`MARGIN`] of a half-integer, where
+    /// the rounding could go either way, takes the exact chain.
+    #[inline]
+    fn grid_indices(&self, sz: &[f64], mut snap: impl FnMut(usize, usize)) -> u64 {
+        let log_weight = |k: usize| self.ln_mags[k] + sz[k];
+        let l_max = (0..sz.len())
+            .map(log_weight)
+            .fold(f64::NEG_INFINITY, f64::max);
+        // The exact chain's largest weight, solved on its first use.
+        let mut w_max = None;
+        let mut exact = 0u64;
+        for (slot, &k) in self.eval.iter().enumerate() {
+            let e = GRID_AT_MAX + (l_max - log_weight(k)) * GRID_PER_LN;
+            let m = if e >= GRID_TOP as f64 {
+                GRID_TOP
+            } else if (e.fract() - 0.5).abs() < MARGIN {
+                exact += 1;
+                let w_max = *w_max.get_or_insert_with(|| self.exact_max_weight(sz));
+                self.exact_grid_index(k, sz, w_max)
+            } else {
+                e.round() as usize
+            };
+            snap(slot, m);
+        }
+        exact
+    }
+
+    /// The largest perturbed weight, as `CrossbarColumn::program` takes
+    /// the max over the full dense weight vector (`f64::max` is exact,
+    /// so the sparse max matches).
+    fn exact_max_weight(&self, sz: &[f64]) -> f64 {
+        self.mags
+            .iter()
+            .zip(sz)
+            .map(|(&m, &s)| m * s.exp())
+            .fold(0.0f64, f64::max)
+    }
+
+    /// Term `k`'s grid index through the reference chain: perturbed
+    /// weight, conductance target, resistance, snap.
+    fn exact_grid_index(&self, k: usize, sz: &[f64], w_max: f64) -> usize {
+        let target = G_MAX * (self.mags[k] * sz[k].exp() / w_max);
+        PrintedResistor::grid_index(1.0 / target)
+    }
+
+    /// Draws one trial's perturbations (term order, matching the
+    /// reference RNG stream) into the buffer `sz` and programs the
     /// column into lane `lane` of `out`: conductances and their total in
     /// ascending-row order. `g_grid` holds the conductance of every
     /// printable grid point, so the snap of [`PrintedResistor::printable`]
-    /// becomes a table read.
+    /// becomes a table read. Returns how many terms the exact chain
+    /// decided.
     fn perturb_lane(
         &self,
         rng: &mut StdRng,
         sigma: f64,
         g_grid: &[f64],
         lane: usize,
-        w: &mut [f64],
+        sz: &mut [f64],
         out: &mut ColumnLanes,
-    ) {
-        let w = &mut w[..self.mags.len()];
-        for (wk, &m) in w.iter_mut().zip(&self.mags) {
-            *wk = m * lognormal_factor(rng, sigma);
+    ) -> u64 {
+        let sz = &mut sz[..self.mags.len()];
+        for s in sz.iter_mut() {
+            *s = sigma * standard_normal(rng);
         }
-        // `CrossbarColumn::program` takes the max over the full dense
-        // weight vector; `f64::max` is exact, so the sparse max matches.
-        let wmax = w.iter().cloned().fold(0.0f64, f64::max);
-        let g_max = 1.0 / (2.0 * R_MIN);
         let mut t = 0.0f64;
-        for (slot, &k) in self.eval.iter().enumerate() {
-            let target = g_max * (w[k] / wmax);
-            let cond = g_grid[PrintedResistor::grid_index(1.0 / target)];
+        let exact = self.grid_indices(sz, |slot, m| {
+            let cond = g_grid[m];
             out.g[slot * LANES + lane] = cond;
             t += cond;
-        }
+        });
         out.total[lane] = t;
+        exact
     }
 
     /// Accumulates this column's normalized weighted sum for every row
@@ -459,7 +570,6 @@ pub struct CompiledSvmVariation {
     neg_scale: f64,
     boundaries_v: Vec<f64>,
     n_classes: usize,
-    n_features: usize,
     max_code: u64,
     /// Conductance `1 / R` of each printable grid point.
     g_grid: Vec<f64>,
@@ -511,7 +621,6 @@ impl CompiledSvmVariation {
                 .map(|&b| b as f64 / max_code as f64)
                 .collect(),
             n_classes: svm.n_classes(),
-            n_features,
             max_code,
             g_grid: (0..PrintedResistor::GRID_POINTS)
                 .map(|m| 1.0 / PrintedResistor::grid_point(m).resistance)
@@ -520,27 +629,32 @@ impl CompiledSvmVariation {
         }
     }
 
-    /// Normalizes `rows` to crossbar input voltages, records each
-    /// feature's voltage levels, and evaluates the nominal engine once
-    /// per row.
+    /// Normalizes `rows` to crossbar input voltages, records the voltage
+    /// levels of each feature a crossbar row reads, and evaluates the
+    /// nominal engine once per row. Codes past those features are not
+    /// read, so rows may differ in length.
     ///
     /// # Panics
-    /// Panics if rows have inconsistent lengths or are shorter than the
-    /// highest programmed crossbar row.
+    /// Panics if a row is shorter than the highest programmed crossbar
+    /// row plus one.
     pub fn bind(&self, rows: &[Vec<u64>]) -> SvmRows {
         let n_rows = rows.len();
-        let row_len = rows.first().map_or(self.n_features, Vec::len);
-        let mut volts = vec![0.0f64; row_len * n_rows];
+        let n_read = [&self.pos, &self.neg]
+            .into_iter()
+            .flatten()
+            .flat_map(|c| c.features.iter().map(|&f| f + 1))
+            .max()
+            .unwrap_or(0);
+        let mut volts = vec![0.0f64; n_read * n_rows];
         let mut nominal_class = Vec::with_capacity(n_rows);
         for (r, codes) in rows.iter().enumerate() {
-            assert_eq!(codes.len(), row_len, "inconsistent row lengths");
-            for (f, &c) in codes.iter().enumerate() {
+            for (f, &c) in codes[..n_read].iter().enumerate() {
                 volts[f * n_rows + r] = c.min(self.max_code) as f64 / self.max_code as f64;
             }
             nominal_class.push(self.nominal.predict(codes));
         }
         let mut level = Vec::with_capacity(volts.len());
-        let mut levels = Vec::with_capacity(row_len);
+        let mut levels = Vec::with_capacity(n_read);
         for column in volts.chunks(n_rows.max(1)) {
             let mut distinct = column.to_vec();
             distinct.sort_by(f64::total_cmp);
@@ -571,19 +685,22 @@ impl CompiledSvmVariation {
         let k_pos = self.pos.as_ref().map_or(0, |c| c.features.len());
         let k_neg = self.neg.as_ref().map_or(0, |c| c.features.len());
         monte_carlo(sigma, trials, rows.n_rows, |lo, n| {
-            let mut w = vec![0.0f64; k_pos.max(k_neg)];
+            let mut sz = vec![0.0f64; k_pos.max(k_neg)];
             let (mut pos, mut neg) = (ColumnLanes::new(k_pos), ColumnLanes::new(k_neg));
+            let mut exact = 0u64;
             for lane in 0..n {
                 let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
                 // Reference draw order: positive column, then negative,
                 // from the same per-trial stream.
                 for (col, out) in [(&self.pos, &mut pos), (&self.neg, &mut neg)] {
                     if let Some(col) = col {
-                        col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut w, out);
+                        exact +=
+                            col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut sz, out);
                     }
                 }
             }
             DRAWS.add((n * (k_pos + k_neg)) as u64);
+            EXACT.add(exact);
             let mut vp = vec![0.0f64; rows.n_rows * LANES];
             let mut vn = vec![0.0f64; rows.n_rows * LANES];
             let mut quot = Vec::new();
@@ -611,5 +728,167 @@ impl CompiledSvmVariation {
             }
             agree
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::variation::MAX_SVM_SIGMA;
+    use ml::data::Dataset;
+    use ml::quant::FeatureQuantizer;
+    use ml::tree::{DecisionTree, TreeParams};
+
+    /// Tree sigmas the decision checks draw at: trees take any finite one.
+    const TREE_SIGMAS: [f64; 8] = [0.0, 1e-3, 0.05, 0.2, 1.0, 10.0, 50.0, 1e300];
+    /// Random draws per (split, sigma) or (column, sigma).
+    const DRAWS_PER_SIGMA: usize = 64;
+    /// Ulps either side of each solved boundary.
+    const ULPS: i64 = 3;
+
+    /// `x` moved `n` representable values up (or `-n` down).
+    fn ulps(x: f64, n: i64) -> f64 {
+        (0..n.abs()).fold(x, |y, _| if n > 0 { y.next_up() } else { y.next_down() })
+    }
+
+    /// A `bits`-wide tape of seven splits spread over the code range.
+    fn tree_tape(bits: usize) -> CompiledTreeVariation {
+        let x: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64]).collect();
+        let y = (0..64).map(|i| (i / 8) % 2).collect();
+        let data = Dataset::new("steps", x, y, 2);
+        let tree = DecisionTree::fit(&data, TreeParams::with_depth(3));
+        let fq = FeatureQuantizer::fit(&data, bits);
+        CompiledTreeVariation::compile(&QuantizedTree::from_tree(&tree, &fq))
+    }
+
+    /// Checks that split `s`'s log-domain threshold at `sz` decides
+    /// `x > t` like the exact chain at every code level `x`, and returns
+    /// whether the exact chain decided it. The levels ascend, so the
+    /// number of levels above a threshold fixes every decision.
+    fn tree_decides_alike(tape: &CompiledTreeVariation, levels: &[f64], s: usize, sz: f64) -> bool {
+        let (fast, by_chain) = tape.threshold(s, sz);
+        let exact = tape.exact_threshold(s, sz);
+        let above = |t: f64| levels.len() - levels.partition_point(|&x| x <= t);
+        assert_eq!(
+            above(fast),
+            above(exact),
+            "max code {} split {s} sz {sz:e}: fast {fast:e}, exact {exact:e}",
+            tape.max_code
+        );
+        by_chain
+    }
+
+    #[test]
+    fn log_domain_tree_thresholds_decide_like_the_exact_chain() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let (mut random, mut random_exact) = (0usize, 0usize);
+        for bits in 1..=16 {
+            let tape = tree_tape(bits);
+            let max_code = tape.max_code;
+            let levels: Vec<f64> = (0..=max_code).map(|k| k as f64 / max_code as f64).collect();
+            // Every level up to 8 bits, then every `max_code / 128`-th,
+            // both clamp edges included.
+            let stride = (max_code / 128).max(1);
+            let probed: Vec<u64> = (0..=max_code)
+                .step_by(stride as usize)
+                .chain([1, max_code - 1, max_code])
+                .collect();
+            for s in 0..tape.split_count() {
+                for sigma in TREE_SIGMAS {
+                    for _ in 0..DRAWS_PER_SIGMA {
+                        let sz = sigma * standard_normal(&mut rng);
+                        random += 1;
+                        random_exact += tree_decides_alike(&tape, &levels, s, sz) as usize;
+                    }
+                }
+                for &k in &probed {
+                    // `sz` putting the threshold on level `k`, and one
+                    // margin either side of it, then a few ulps around each.
+                    for (offset, on_level) in [(0.0, true), (-MARGIN, false), (MARGIN, false)] {
+                        let sz = (k as f64 + offset) / tape.codes_per_ln - tape.ln_ratio[s];
+                        for n in -ULPS..=ULPS {
+                            let by_chain = tree_decides_alike(&tape, &levels, s, ulps(sz, n));
+                            assert!(
+                                by_chain || !on_level,
+                                "{bits} bits split {s}: level {k} decided without the exact chain"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The fast form must decide nearly every random draw itself.
+        assert!(
+            random_exact * 1000 < random,
+            "{random_exact} of {random} draws exact"
+        );
+    }
+
+    /// Checks that `column`'s log-domain grid indices at `sz` equal the
+    /// exact chain's for every term, and returns how many the exact
+    /// chain decided.
+    fn column_snaps_alike(column: &ColumnTape, sz: &[f64]) -> u64 {
+        let mut fast = Vec::new();
+        let by_chain = column.grid_indices(sz, |slot, m| {
+            assert_eq!(slot, fast.len());
+            fast.push(m);
+        });
+        let w_max = column.exact_max_weight(sz);
+        let exact: Vec<usize> = column
+            .eval
+            .iter()
+            .map(|&k| column.exact_grid_index(k, sz, w_max))
+            .collect();
+        assert_eq!(fast, exact, "mags {:?} sz {sz:?}", column.mags);
+        by_chain
+    }
+
+    #[test]
+    fn log_domain_grid_indices_snap_like_the_exact_chain() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let (mut random, mut random_exact) = (0u64, 0u64);
+        for bits in [2u32, 4, 8, 12, 16] {
+            let top = (1u64 << (bits - 1)) - 1;
+            let terms: Vec<(usize, u64)> = (0..6)
+                .map(|f| (5 - f, rng.gen_range(1..=top.max(1))))
+                .collect();
+            let column = ColumnTape::new(&terms).expect("terms");
+            let mut sz = vec![0.0; terms.len()];
+            for sigma in [0.0, 1e-3, 0.05, 0.2, 1.0, 3.0, MAX_SVM_SIGMA] {
+                for _ in 0..DRAWS_PER_SIGMA {
+                    for s in sz.iter_mut() {
+                        *s = sigma * standard_normal(&mut rng);
+                    }
+                    random += terms.len() as u64;
+                    random_exact += column_snaps_alike(&column, &sz);
+                }
+            }
+            // Term 0 is the largest weight at `sz = 0`; solve term 1's
+            // `sz` to put its grid value on every half-integer, on the
+            // top index (`r = R_MAX`) and on the cap, then a few ulps
+            // around each.
+            let (l0, l1) = (column.ln_mags[0], column.ln_mags[1]);
+            let targets = (15..GRID_TOP).map(|j| (j as f64 + 0.5, true));
+            for (e, half) in
+                targets.chain([(GRID_TOP as f64, false), (GRID_TOP as f64 + 0.5, false)])
+            {
+                // The other terms sit one unit of `ln` below term 0.
+                let mut sz: Vec<f64> = column.ln_mags.iter().map(|l| l0 - l - 1.0).collect();
+                sz[0] = 0.0;
+                let solved = l0 - (e - GRID_AT_MAX) / GRID_PER_LN - l1;
+                for n in -ULPS..=ULPS {
+                    sz[1] = ulps(solved, n);
+                    let by_chain = column_snaps_alike(&column, &sz);
+                    assert!(
+                        by_chain > 0 || !half,
+                        "{bits} bits: grid value {e} snapped without the exact chain"
+                    );
+                }
+            }
+        }
+        assert!(
+            random_exact * 1000 < random,
+            "{random_exact} of {random} terms exact"
+        );
     }
 }

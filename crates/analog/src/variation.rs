@@ -21,30 +21,39 @@
 //! Each checks its inputs, then runs the compiled lane-batched engine in
 //! [`crate::compile`]: compile the model once, bind rows once, and
 //! evaluate 64 trials per pass over the rows at every sigma. The original
-//! scalar implementation is preserved verbatim in [`reference`] as the
+//! scalar implementation is preserved verbatim in [`mod@reference`] as the
 //! property-test oracle: `tests/variation_engine.rs` pins compiled
 //! reports bit-identical to the reference at every trial count and
 //! thread count.
 
 use exec::rng::StdRng;
 
-use ml::quant::{QuantizedSvm, QuantizedTree};
+use ml::quant::{max_code_for_bits, QNode, QuantizedSvm, QuantizedTree};
 
 use crate::compile::{CompiledSvmVariation, CompiledTreeVariation};
+use crate::device::Egt;
+use crate::tree::{AnalogTree, AnalogTreeConfig};
 
-/// Draws one log-normal perturbation factor `exp(sigma * z)`, with `z`
-/// standard normal via Box–Muller over the deterministic `StdRng`
-/// stream (two `next_f64` draws per factor).
+/// Draws one standard normal `z` via Box–Muller over the deterministic
+/// `StdRng` stream (two `next_f64` draws).
 ///
 /// `1.0 - u1` keeps the log argument in `(0, 1]` — `next_f64` can
-/// return exactly 0.0 but never 1.0 — so the draw never hits `ln(0)`.
+/// return exactly 0.0 but never 1.0 — so the draw never hits `ln(0)`,
+/// and `|z|` stays below 8.6.
+#[inline]
+pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1 = rng.next_f64();
+    let u2 = rng.next_f64();
+    (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draws one log-normal perturbation factor `exp(sigma * z)`, with `z`
+/// from `standard_normal`.
+///
 /// At `sigma == 0.0` the factor is exactly `1.0`, which the
 /// perfect-agreement invariant tests rely on.
 pub fn lognormal_factor(rng: &mut StdRng, sigma: f64) -> f64 {
-    let u1 = rng.next_f64();
-    let u2 = rng.next_f64();
-    let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    (sigma * z).exp()
+    (sigma * standard_normal(rng)).exp()
 }
 
 /// Result of a variation sweep.
@@ -79,6 +88,16 @@ pub enum VariationError {
     NoTrials,
     /// No evaluation rows.
     NoRows,
+    /// An evaluation row with `len` feature codes where the model reads
+    /// feature `need - 1`: a tree split's feature or a crossbar row.
+    ShortRow {
+        /// Index of the first such row.
+        row: usize,
+        /// Its number of feature codes.
+        len: usize,
+        /// The number every row needs.
+        need: usize,
+    },
 }
 
 impl std::fmt::Display for VariationError {
@@ -90,6 +109,9 @@ impl std::fmt::Display for VariationError {
             }
             VariationError::NoTrials => write!(f, "need at least one trial"),
             VariationError::NoRows => write!(f, "need evaluation rows"),
+            VariationError::ShortRow { row, len, need } => {
+                write!(f, "row {row} has {len} feature codes, need {need}")
+            }
         }
     }
 }
@@ -111,22 +133,35 @@ pub fn check_sigma(sigma: f64, svm: bool) -> Result<(), VariationError> {
     }
 }
 
-/// Rejects a sweep the engines cannot run: a bad sigma, zero trials or
-/// no rows.
+/// Rejects a sweep the engines cannot run: a bad sigma, zero trials, no
+/// rows, or a row shorter than the `need` feature codes the model reads.
 fn check_sweep(
     sigmas: &[f64],
     svm: bool,
     trials: usize,
-    rows: usize,
+    rows: &[Vec<u64>],
+    need: usize,
 ) -> Result<(), VariationError> {
     sigmas.iter().try_for_each(|&s| check_sigma(s, svm))?;
     if trials == 0 {
         return Err(VariationError::NoTrials);
     }
-    if rows == 0 {
+    if rows.is_empty() {
         return Err(VariationError::NoRows);
     }
-    Ok(())
+    match rows.iter().position(|r| r.len() < need) {
+        Some(row) => Err(VariationError::ShortRow {
+            row,
+            len: rows[row].len(),
+            need,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Feature codes a row needs to cover every feature in `features`.
+fn codes_needed(features: impl IntoIterator<Item = usize>) -> usize {
+    features.into_iter().map(|f| f + 1).max().unwrap_or(0)
 }
 
 /// Monte-Carlo variation analysis of the analog realization of `tree`
@@ -143,8 +178,8 @@ fn check_sweep(
 /// count and bit-identical to [`reference::analyze_tree_variation`].
 ///
 /// # Errors
-/// Rejects a NaN, infinite or negative sigma, zero trials and empty
-/// `rows` with a [`VariationError`].
+/// Rejects a NaN, infinite or negative sigma, zero trials, empty `rows`
+/// and a row too short for a split's feature with a [`VariationError`].
 pub fn variation_sweep(
     tree: &QuantizedTree,
     rows: &[Vec<u64>],
@@ -152,7 +187,13 @@ pub fn variation_sweep(
     trials: usize,
     seed: u64,
 ) -> Result<Vec<VariationReport>, VariationError> {
-    check_sweep(sigmas, false, trials, rows.len())?;
+    check_sweep(
+        sigmas,
+        false,
+        trials,
+        rows,
+        codes_needed(tree.used_features()),
+    )?;
     let engine = CompiledTreeVariation::compile(tree);
     let bound = engine.bind(rows);
     Ok(sigmas
@@ -171,8 +212,9 @@ pub fn variation_sweep(
 /// bit-identical to [`reference::analyze_svm_variation`].
 ///
 /// # Errors
-/// Rejects a sigma outside `0..=MAX_SVM_SIGMA`, zero trials and empty
-/// `rows` with a [`VariationError`].
+/// Rejects a sigma outside `0..=MAX_SVM_SIGMA`, zero trials, empty `rows`
+/// and a row too short for a programmed crossbar row with a
+/// [`VariationError`].
 pub fn svm_variation_sweep(
     svm: &QuantizedSvm,
     n_features: usize,
@@ -181,13 +223,112 @@ pub fn svm_variation_sweep(
     trials: usize,
     seed: u64,
 ) -> Result<Vec<VariationReport>, VariationError> {
-    check_sweep(sigmas, true, trials, rows.len())?;
+    let terms = svm.pos_terms().iter().chain(svm.neg_terms());
+    check_sweep(
+        sigmas,
+        true,
+        trials,
+        rows,
+        codes_needed(terms.map(|&(f, _)| f)),
+    )?;
     let engine = CompiledSvmVariation::compile(svm, n_features);
     let bound = engine.bind(rows);
     Ok(sigmas
         .iter()
         .map(|&s| engine.analyze(&bound, s, trials, seed))
         .collect())
+}
+
+/// The exact expected agreement that [`variation_sweep`]'s Monte-Carlo
+/// mean estimates for `tree` on `rows` at `sigma`, with no random
+/// numbers: a test oracle for the engine.
+///
+/// A split with nominal threshold voltage `v` has the perturbed threshold
+/// `clamp(v + sigma·z / ln(r_on / r_off), 0, VDD)`, from the [`Egt`] law,
+/// the log-normal factor and the clamp to `[r_on, r_off]`. So an input
+/// `x > 0` goes right with probability `Φ((x − v) · ln(r_off / r_on) / sigma)`,
+/// and `x = 0` never does. Splits draw independently and a path visits a
+/// split at most once, so a row agrees with the probability mass of the
+/// leaves of its nominal class, the product of branch probabilities
+/// along each path.
+///
+/// # Panics
+/// Panics if `sigma` is not positive and finite, `rows` is empty, or a
+/// row is shorter than a split's feature.
+pub fn expected_tree_agreement(tree: &QuantizedTree, rows: &[Vec<u64>], sigma: f64) -> f64 {
+    assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
+    assert!(!rows.is_empty(), "need evaluation rows");
+    let nominal = AnalogTree::from_tree(tree, AnalogTreeConfig::default());
+    let device = Egt::default();
+    let max_code = max_code_for_bits(tree.bits());
+    // Standard deviations of `z` per volt of `x − v`, over `sqrt 2` for `erfc`.
+    let scale = (device.r_off / device.r_on).ln() / (sigma * std::f64::consts::SQRT_2);
+    let total: f64 = rows
+        .iter()
+        .map(|codes| {
+            let p_right = |feature: usize, threshold: u64| {
+                let x = codes[feature].min(max_code) as f64 / max_code as f64;
+                let v = ((threshold as f64 + 0.5) / max_code as f64).clamp(0.0, 1.0);
+                if x == 0.0 {
+                    0.0
+                } else {
+                    0.5 * erfc((v - x) * scale)
+                }
+            };
+            leaf_mass(tree.nodes(), 0, nominal.predict(codes), &p_right)
+        })
+        .sum();
+    total / rows.len() as f64
+}
+
+/// Probability mass of the leaves of `class` under `node`, where split
+/// `(feature, threshold)` goes right with probability
+/// `p_right(feature, threshold)`.
+fn leaf_mass(
+    nodes: &[QNode],
+    node: usize,
+    class: usize,
+    p_right: &impl Fn(usize, u64) -> f64,
+) -> f64 {
+    match nodes[node] {
+        QNode::Leaf { class: c } => f64::from(u8::from(c == class)),
+        QNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } => {
+            let p = p_right(feature, threshold);
+            p * leaf_mass(nodes, right, class, p_right)
+                + (1.0 - p) * leaf_mass(nodes, left, class, p_right)
+        }
+    }
+}
+
+/// The complementary error function, by the Numerical Recipes Chebyshev
+/// fit (`erfcc`): relative error below 1.2e-7 everywhere.
+fn erfc(x: f64) -> f64 {
+    const COEFFS: [f64; 10] = [
+        -1.265_512_23,
+        1.000_023_68,
+        0.374_091_96,
+        0.096_784_18,
+        -0.186_288_06,
+        0.278_868_07,
+        -1.135_203_98,
+        1.488_515_87,
+        -0.822_152_23,
+        0.170_872_77,
+    ];
+    let z = x.abs();
+    let t = 1.0 / (1.0 + 0.5 * z);
+    let poly = COEFFS.iter().rev().fold(0.0, |acc, &c| c + t * acc);
+    let tail = t * (-z * z + poly).exp();
+    if x >= 0.0 {
+        tail
+    } else {
+        2.0 - tail
+    }
 }
 
 pub mod reference {
@@ -484,6 +625,24 @@ mod tests {
         ));
         // Trees clamp every perturbed resistance: any finite sigma runs.
         assert!(sweep(&[200.0, 1e300], 4, &rows).is_ok());
+    }
+
+    #[test]
+    fn erfc_matches_tabulated_values() {
+        for (x, want) in [
+            (0.0, 1.0),
+            (0.5, 0.479_500_122_186_953_5),
+            (1.0, 0.157_299_207_050_285_1),
+            (2.0, 4.677_734_981_047_266e-3),
+            (4.0, 1.541_725_790_028_002e-8),
+            (-1.0, 1.842_700_792_949_715),
+        ] {
+            let got = erfc(x);
+            assert!(
+                (got - want).abs() <= 1.2e-7 * want,
+                "erfc({x}) = {got}, want {want}"
+            );
+        }
     }
 
     #[test]

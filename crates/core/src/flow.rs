@@ -232,7 +232,8 @@ impl TreeFlow {
     ///
     /// # Errors
     /// Rejects a NaN, infinite or negative sigma, zero `trials` and zero
-    /// `rows` with a [`VariationError`].
+    /// `rows` with a [`VariationError`]. The coded test rows cover every
+    /// feature, so [`VariationError::ShortRow`] does not arise here.
     pub fn variation_sweep(
         &self,
         sigmas: &[f64],
@@ -389,7 +390,9 @@ impl SvmFlow {
     ///
     /// # Errors
     /// Rejects a sigma outside `0..=`[`analog::MAX_SVM_SIGMA`], zero
-    /// `trials` and zero `rows` with a [`VariationError`].
+    /// `trials` and zero `rows` with a [`VariationError`]. The coded test
+    /// rows cover every feature, so [`VariationError::ShortRow`] does not
+    /// arise here.
     pub fn variation_sweep(
         &self,
         sigmas: &[f64],

@@ -259,6 +259,18 @@ fn variation_paths_record_identical_obs_keys() {
         assert_eq!(report.counter("analog.variation.rows"), 65 * 30);
         // 65 trials = one full 64-lane block plus a one-lane remainder.
         assert_eq!(report.counter("analog.variation.lane_blocks"), 2);
+        // Draws the log-domain form left to the exact device chain: added
+        // once per lane block, so present even at zero.
+        assert!(
+            report
+                .counters
+                .iter()
+                .any(|c| c.name == "analog.variation.exact"),
+            "analog.variation.exact not recorded"
+        );
+        assert!(
+            report.counter("analog.variation.exact") <= report.counter("analog.variation.draws")
+        );
         let root = report.span(&["test.variation"]).expect("root span");
         assert!(
             root.children.iter().any(|c| c.name == "analog.variation"),

@@ -8,7 +8,8 @@
 
 use printed_ml::analog::compile::{CompiledSvmVariation, CompiledTreeVariation};
 use printed_ml::analog::variation::{
-    reference, svm_variation_sweep, variation_sweep, VariationError, VariationReport,
+    expected_tree_agreement, reference, svm_variation_sweep, variation_sweep, VariationError,
+    VariationReport,
 };
 use printed_ml::core::flow::{SvmFlow, TreeFlow};
 use printed_ml::exec::with_threads;
@@ -187,5 +188,92 @@ fn bound_rows_are_reusable_across_sigmas_and_seeds() {
             reference::analyze_svm_variation(&qs, 11, &rows, sigma, 10, seed),
             "sigma {sigma} seed {seed}"
         );
+    }
+}
+
+#[test]
+fn short_rows_are_typed_errors_and_ragged_svm_rows_run() {
+    // Each of these used to panic inside `bind` or the crossbar.
+    let (qt, rows) = tree_workload(Application::Har, 4, 6);
+    let need = qt.used_features().last().unwrap() + 1;
+    let mut short = rows.clone();
+    short[3].truncate(need - 1);
+    assert_eq!(
+        variation_sweep(&qt, &short, &[0.1], 4, 1),
+        Err(VariationError::ShortRow {
+            row: 3,
+            len: need - 1,
+            need
+        })
+    );
+    // Codes past the last feature a split reads are never read.
+    let mut trimmed = rows.clone();
+    trimmed[3].truncate(need);
+    assert_eq!(
+        variation_sweep(&qt, &trimmed, &[0.1], 65, 1),
+        variation_sweep(&qt, &rows, &[0.1], 65, 1)
+    );
+
+    let (qs, rows) = svm_workload();
+    let terms = qs.pos_terms().iter().chain(qs.neg_terms());
+    let need = terms.map(|&(f, _)| f + 1).max().unwrap();
+    let mut short = rows.clone();
+    short[0].truncate(need - 1);
+    let err = svm_variation_sweep(&qs, 11, &short, &[0.1], 4, 1).unwrap_err();
+    assert_eq!(
+        err,
+        VariationError::ShortRow {
+            row: 0,
+            len: need - 1,
+            need
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        format!("row 0 has {} feature codes, need {need}", need - 1)
+    );
+    // Ragged rows that cover the crossbar run, bit-identical to the
+    // reference, which reads each row on its own.
+    let mut ragged = rows.clone();
+    ragged[1].extend([3, 1, 4]);
+    ragged[2].truncate(need);
+    let sweep = svm_variation_sweep(&qs, 11, &ragged, &[0.1], 65, 1).unwrap();
+    assert_eq!(
+        sweep,
+        [reference::analyze_svm_variation(
+            &qs, 11, &ragged, 0.1, 65, 1
+        )]
+    );
+    assert_eq!(
+        sweep,
+        svm_variation_sweep(&qs, 11, &rows, &[0.1], 65, 1).unwrap()
+    );
+}
+
+#[test]
+fn tree_means_lie_within_five_standard_errors_of_the_closed_form() {
+    // The `perf` benchmark's variation trees: every application at
+    // depths 4 and 8, at its three sigmas. The closed form draws no
+    // random numbers, so it checks the engine's log-domain decisions
+    // from outside the shared RNG stream.
+    const SIGMAS: [f64; 3] = [0.05, 0.1, 0.2];
+    const TRIALS: usize = 1024;
+    for app in Application::ALL {
+        for depth in [4, 8] {
+            let flow = TreeFlow::new(app, depth, 7);
+            let rows = flow.coded_rows(100);
+            let sweep = variation_sweep(&flow.qt, &rows, &SIGMAS, TRIALS, 7).unwrap();
+            for report in sweep {
+                let m = expected_tree_agreement(&flow.qt, &rows, report.sigma);
+                let tolerance = 5.0 * (m * (1.0 - m) / TRIALS as f64).sqrt();
+                let gap = (report.mean_agreement - m).abs();
+                assert!(
+                    gap <= tolerance,
+                    "{app:?} DT-{depth} sigma {}: Monte-Carlo {} vs exact {m} (gap {gap:e} > {tolerance:e})",
+                    report.sigma,
+                    report.mean_agreement
+                );
+            }
+        }
     }
 }
