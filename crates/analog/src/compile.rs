@@ -20,8 +20,9 @@
 //!    that routes a 64-lane mask through the topology, and a lane's
 //!    perturbed threshold is drawn only when the walk first takes that
 //!    lane to that split. An SVM block perturbs its crossbar terms into
-//!    a struct-of-arrays lane matrix, then accumulates every row with
-//!    one divide per distinct input voltage of each feature.
+//!    a struct-of-arrays lane matrix, then sums every row's columns in
+//!    register tiles. Duplicate rows are bound once and counted by
+//!    multiplicity.
 //!    Blocks shard across [`exec::parallel_map`]; the tape is compiled
 //!    once and shared read-only by every shard.
 //!
@@ -36,11 +37,15 @@
 //! The engine decides it in the log domain, from `sz = sigma * z` added
 //! to a logarithm solved at compile time, and runs the reference's exact
 //! device chain only when that value lies within 1e-6 of a code or grid
-//! step of a point where the decision could change. Everything after
-//! the draws keeps the reference's operation order. Reports are
+//! step of a point where the decision could change. SVM column sums
+//! are reassociated, and a class is taken from them only when no
+//! boundary lies within a proven bound on the reassociation's rounding;
+//! otherwise the columns are re-added in the reference's order. Reports are
 //! therefore **bit-identical** to [`crate::variation::reference`] and
 //! bit-identical at any thread count or lane-block boundary
 //! (`tests/variation_engine.rs` pins both).
+
+use std::collections::hash_map::{Entry, HashMap};
 
 use exec::rng::StdRng;
 use exec::{parallel_map, task_seed};
@@ -69,6 +74,9 @@ static LANE_BLOCKS: obs::Counter = obs::Counter::new("analog.variation.lane_bloc
 static DRAWS: obs::Counter = obs::Counter::new("analog.variation.draws");
 /// Draws the log-domain form left to the exact device chain.
 static EXACT: obs::Counter = obs::Counter::new("analog.variation.exact");
+/// `(distinct row, lane)` SVM decisions a class boundary within the
+/// reassociation bound left to the reference-order column sums.
+static EXACT_SUMS: obs::Counter = obs::Counter::new("analog.variation.exact_sums");
 
 /// How close, in code steps (tree) or grid steps (SVM), a log-domain
 /// value may come to a point where the decision changes before the
@@ -109,13 +117,17 @@ pub struct CompiledTreeVariation {
 }
 
 /// Rows bound to a [`CompiledTreeVariation`]: pre-normalized node
-/// voltages (one slot per split, in split-ordinal order) and the
-/// nominal circuit's prediction for every row.
+/// voltages (one slot per split, in split-ordinal order), how many
+/// caller rows each distinct row stands for, and the nominal circuit's
+/// prediction for it.
 #[derive(Debug, Clone)]
 pub struct TreeRows {
     /// `volts[row * n_splits + s]` — the voltage split `s` compares.
     split_volts: Vec<f64>,
+    /// Caller rows per distinct row.
+    mult: Vec<u32>,
     nominal_class: Vec<usize>,
+    /// Caller rows, duplicates included: the agreement denominator.
     n_rows: usize,
 }
 
@@ -183,24 +195,27 @@ impl CompiledTreeVariation {
         self.feature.len()
     }
 
-    /// Normalizes `rows` to per-split node voltages and evaluates the
-    /// nominal circuit once per row.
+    /// Normalizes `rows` to per-split node voltages, keeping each
+    /// distinct row once with its multiplicity, and evaluates the nominal
+    /// circuit once per distinct row.
     ///
     /// # Panics
     /// Panics if a row is shorter than a split's feature index plus one.
     pub fn bind(&self, rows: &[Vec<u64>]) -> TreeRows {
-        let n_splits = self.feature.len();
-        let mut split_volts = Vec::with_capacity(rows.len() * n_splits);
-        let mut nominal_class = Vec::with_capacity(rows.len());
-        for codes in rows {
+        let mut read = self.feature.clone();
+        read.sort_unstable();
+        read.dedup();
+        let (distinct, mult) = distinct_rows(rows, &read);
+        let mut split_volts = Vec::with_capacity(distinct.len() * self.feature.len());
+        for codes in &distinct {
             for &f in &self.feature {
                 split_volts.push(codes[f].min(self.max_code) as f64 / self.max_code as f64);
             }
-            nominal_class.push(self.nominal.predict(codes));
         }
         TreeRows {
             split_volts,
-            nominal_class,
+            nominal_class: distinct.iter().map(|c| self.nominal.predict(c)).collect(),
+            mult,
             n_rows: rows.len(),
         }
     }
@@ -238,7 +253,7 @@ impl CompiledTreeVariation {
     /// rows, plus the number of lane thresholds drawn and how many of
     /// those the exact chain decided.
     ///
-    /// Each row is one walk: `(node, lane mask)` pairs on a stack start
+    /// Each distinct row is one walk: `(node, lane mask)` pairs on a stack start
     /// from `(root, all lanes)`, and a split sends the lanes whose input
     /// exceeds their threshold right and the rest left. A lane's
     /// threshold at a split is drawn the first time any row's walk takes
@@ -263,9 +278,8 @@ impl CompiledTreeVariation {
         let mut stack: Vec<(i32, u64)> = Vec::new();
         let mut agree = [0u32; LANES];
         let mut exact = 0u64;
-        for r in 0..rows.n_rows {
+        for (r, (&mult, &nominal)) in rows.mult.iter().zip(&rows.nominal_class).enumerate() {
             let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
-            let nominal = rows.nominal_class[r];
             let mut ok = 0u64;
             stack.push((self.root, all));
             while let Some((node, mask)) = stack.pop() {
@@ -310,7 +324,7 @@ impl CompiledTreeVariation {
                 }
             }
             for (lane, a) in agree.iter_mut().enumerate() {
-                *a += ((ok >> lane) & 1) as u32;
+                *a += mult * ((ok >> lane) & 1) as u32;
             }
         }
         let draws = drawn.iter().map(|d| u64::from(d.count_ones())).sum();
@@ -508,40 +522,6 @@ impl ColumnTape {
         out.total[lane] = t;
         exact
     }
-
-    /// Accumulates this column's normalized weighted sum for every row
-    /// into `out[row * LANES + lane]`, reproducing `CrossbarColumn::output`
-    /// term by term (`v * g / total`, summed in ascending-row order).
-    ///
-    /// Slot-major, so each row still adds its terms in that order.
-    /// `v * g / total` is computed once per (voltage level, lane) of the
-    /// slot's feature into `quot`, and every row adds its level's quotient.
-    fn accumulate(
-        &self,
-        rows: &SvmRows,
-        column: &ColumnLanes,
-        out: &mut [f64],
-        quot: &mut Vec<f64>,
-        n: usize,
-    ) {
-        let n_rows = rows.n_rows;
-        let total = &column.total[..n];
-        for (slot, &k) in self.eval.iter().enumerate() {
-            let f = self.features[k];
-            let lanes = &column.g[slot * LANES..slot * LANES + n];
-            quot.clear();
-            for &v in &rows.levels[f] {
-                quot.extend(lanes.iter().zip(total).map(|(&gl, &tl)| v * gl / tl));
-            }
-            let level = &rows.level[f * n_rows..(f + 1) * n_rows];
-            for (acc, &j) in out.chunks_exact_mut(LANES).zip(level) {
-                let q = &quot[j as usize * n..(j as usize + 1) * n];
-                for (o, &x) in acc[..n].iter_mut().zip(q) {
-                    *o += x;
-                }
-            }
-        }
-    }
 }
 
 /// One column programmed for a lane block of trials.
@@ -559,40 +539,158 @@ impl ColumnLanes {
             total: [0.0; LANES],
         }
     }
+
+    /// Each lane's `1 / total`, or 0 for a column with no terms, whose
+    /// output is 0 in the reference.
+    fn recip(&self) -> [f64; LANES] {
+        self.total.map(|t| if t > 0.0 { 1.0 / t } else { 0.0 })
+    }
+
+    /// Lane `lane`'s column output for the bound row whose voltages are
+    /// `volts` (one per slot) as `CrossbarColumn::output` computes it:
+    /// `v * g / total` added in slot (ascending-row) order from `+0.0`.
+    fn exact_output(&self, volts: impl Iterator<Item = f64>, lane: usize) -> f64 {
+        let total = self.total[lane];
+        volts
+            .zip(self.g.iter().skip(lane).step_by(LANES))
+            .fold(0.0, |sum, (v, &g)| sum + v * g / total)
+    }
+}
+
+/// Bound rows per register tile of [`column_sums`]; the row voltage
+/// tables interleave this many rows.
+const TILE_ROWS: usize = 2;
+/// Lanes per register tile of [`column_sums`].
+const TILE_LANES: usize = 8;
+
+/// Each bound row's unnormalized column sum `Σ v·g` for every lane:
+/// `sums[row * LANES + lane]`, from the row voltages `volts` (term-major
+/// within each tile of [`TILE_ROWS`] rows) and the slot-major
+/// conductances `g`.
+///
+/// A tile of `TILE_ROWS × TILE_LANES` sums stays in registers while the
+/// column's terms stream past, so no accumulator is re-read per term;
+/// the terms add in slot order, but the reassociation against the
+/// reference's `Σ (v·g / total)` is only bounded, not exact (see
+/// [`CompiledSvmVariation::gap`]).
+fn column_sums(volts: &[f64], g: &[f64], sums: &mut [f64]) {
+    let k = g.len() / LANES;
+    if k == 0 {
+        return;
+    }
+    for (v, out) in volts
+        .chunks_exact(k * TILE_ROWS)
+        .zip(sums.chunks_exact_mut(TILE_ROWS * LANES))
+    {
+        for lo in (0..LANES).step_by(TILE_LANES) {
+            let mut acc = [[0.0f64; TILE_LANES]; TILE_ROWS];
+            for (vs, gs) in v.chunks_exact(TILE_ROWS).zip(g.chunks_exact(LANES)) {
+                let gs = &gs[lo..lo + TILE_LANES];
+                for (a, &x) in acc.iter_mut().zip(vs) {
+                    for (s, &gl) in a.iter_mut().zip(gs) {
+                        *s += x * gl;
+                    }
+                }
+            }
+            for (a, o) in acc.iter().zip(out.chunks_exact_mut(LANES)) {
+                o[lo..lo + TILE_LANES].copy_from_slice(a);
+            }
+        }
+    }
+}
+
+/// An `n`-row by `k`-slot voltage table in [`column_sums`]' layout:
+/// `table[(tile * k + slot) * TILE_ROWS + r]` holds `volt(row, slot)` for
+/// `row = tile * TILE_ROWS + r`, and zero-voltage rows pad the last tile.
+fn tiled(n: usize, k: usize, volt: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    let mut table = vec![0.0f64; n.div_ceil(TILE_ROWS) * TILE_ROWS * k];
+    for row in 0..n {
+        let (tile, r) = (row / TILE_ROWS, row % TILE_ROWS);
+        for slot in 0..k {
+            table[(tile * k + slot) * TILE_ROWS + r] = volt(row, slot);
+        }
+    }
+    table
+}
+
+/// Row `row`'s `k` voltages, in slot order, from a [`tiled`] table.
+fn row_volts(table: &[f64], k: usize, row: usize) -> impl Iterator<Item = f64> + '_ {
+    let (tile, r) = (row / TILE_ROWS, row % TILE_ROWS);
+    let start = (tile * k * TILE_ROWS + r).min(table.len());
+    table[start..].iter().step_by(TILE_ROWS).take(k).copied()
+}
+
+/// The reassociated decision value `d̃ = x̃_p − x̃_n` of one bound row and
+/// lane, with `x̃ = sum · recip · scale` per column, and its bound `B`:
+/// the reference's `d` lies within `B` of `d̃` ([`CompiledSvmVariation::gap`]).
+#[inline]
+fn reassociated(sums: [f64; 2], recip: [f64; 2], scales: [f64; 2], gap: f64) -> (f64, f64) {
+    let xp = sums[0] * recip[0] * scales[0];
+    let xn = sums[1] * recip[1] * scales[1];
+    (xp - xn, gap * (xp + xn))
+}
+
+/// The distinct rows of `rows` by their codes at `read`, the features a
+/// model reads, in first-seen order, and how many of `rows` each one
+/// stands for. A trial decides a distinct row once and its agreement
+/// counts it that many times.
+///
+/// # Panics
+/// Panics if a row is shorter than a feature of `read` plus one.
+fn distinct_rows<'r>(rows: &'r [Vec<u64>], read: &[usize]) -> (Vec<&'r [u64]>, Vec<u32>) {
+    let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+    let (mut first, mut mult) = (Vec::new(), Vec::<u32>::new());
+    for codes in rows {
+        match index.entry(read.iter().map(|&f| codes[f]).collect()) {
+            Entry::Occupied(e) => mult[*e.get()] += 1,
+            Entry::Vacant(e) => {
+                e.insert(first.len());
+                first.push(codes.as_slice());
+                mult.push(1);
+            }
+        }
+    }
+    (first, mult)
 }
 
 /// A quantized SVM compiled into a flat variation-evaluation tape.
 #[derive(Debug, Clone)]
 pub struct CompiledSvmVariation {
-    pos: Option<ColumnTape>,
-    neg: Option<ColumnTape>,
-    pos_scale: f64,
-    neg_scale: f64,
+    /// Positive then negative column: the reference draw order.
+    columns: [Option<ColumnTape>; 2],
+    /// Each column's output scale, `Σ` of its magnitudes.
+    scales: [f64; 2],
     boundaries_v: Vec<f64>,
     n_classes: usize,
     max_code: u64,
     /// Conductance `1 / R` of each printable grid point.
     g_grid: Vec<f64>,
+    /// Relative bound on the gap between the reassociated and the
+    /// reference decision values; see [`Self::gap`].
+    gap: f64,
     /// Nominal analog engine, evaluated once per row at bind time.
     nominal: AnalogSvm,
 }
 
-/// Rows bound to a [`CompiledSvmVariation`]: each feature's distinct
-/// input voltages, each row's level per feature, and the nominal
-/// engine's prediction for every row.
+/// Rows bound to a [`CompiledSvmVariation`]: the voltages each distinct
+/// row drives into every crossbar row, how many caller rows it stands
+/// for, and the nominal engine's prediction for it.
 #[derive(Debug, Clone)]
 pub struct SvmRows {
-    /// `level[feature * n_rows + row]`: the row's index into
-    /// `levels[feature]`.
-    level: Vec<u32>,
-    /// Each feature's distinct voltages, ascending.
-    levels: Vec<Vec<f64>>,
+    /// Per column, every distinct row's voltage at each slot, term-major
+    /// within tiles of [`TILE_ROWS`] rows:
+    /// `volts[c][(tile * k + slot) * TILE_ROWS + r]` for the `k`-slot
+    /// column `c`. The last tile is padded with zero-voltage rows.
+    volts: [Vec<f64>; 2],
+    /// Caller rows per distinct row.
+    mult: Vec<u32>,
     nominal_class: Vec<usize>,
+    /// Caller rows, duplicates included: the agreement denominator.
     n_rows: usize,
 }
 
 impl SvmRows {
-    /// Number of bound evaluation rows.
+    /// Number of bound evaluation rows, duplicates included.
     pub fn len(&self) -> usize {
         self.n_rows
     }
@@ -607,14 +705,17 @@ impl CompiledSvmVariation {
     /// Freezes `svm`'s crossbar layout (draw order and ascending-row
     /// summation order), class boundaries and scale factors, plus the
     /// nominal analog engine used as the agreement baseline.
+    ///
+    /// # Panics
+    /// Panics if `n_features` is below the highest crossbar feature plus
+    /// one.
     pub fn compile(svm: &QuantizedSvm, n_features: usize) -> Self {
         COMPILES.incr();
         let max_code = max_code_for_bits(svm.bits());
+        let terms = [svm.pos_terms(), svm.neg_terms()];
         CompiledSvmVariation {
-            pos: ColumnTape::new(svm.pos_terms()),
-            neg: ColumnTape::new(svm.neg_terms()),
-            pos_scale: svm.pos_terms().iter().map(|&(_, m)| m as f64).sum(),
-            neg_scale: svm.neg_terms().iter().map(|&(_, m)| m as f64).sum(),
+            columns: terms.map(ColumnTape::new),
+            scales: terms.map(|t| t.iter().map(|&(_, m)| m as f64).sum()),
             boundaries_v: svm
                 .boundaries()
                 .iter()
@@ -625,53 +726,158 @@ impl CompiledSvmVariation {
             g_grid: (0..PrintedResistor::GRID_POINTS)
                 .map(|m| 1.0 / PrintedResistor::grid_point(m).resistance)
                 .collect(),
+            gap: Self::gap(terms.iter().map(|t| t.len()).max().unwrap_or(0)),
             nominal: AnalogSvm::from_svm(svm, n_features),
         }
     }
 
-    /// Normalizes `rows` to crossbar input voltages, records the voltage
-    /// levels of each feature a crossbar row reads, and evaluates the
-    /// nominal engine once per row. Codes past those features are not
-    /// read, so rows may differ in length.
+    /// `2·(S + 4)·ε`: times `x̃_p + x̃_n`, a bound on how far the decision
+    /// value `d̃ = x̃_p − x̃_n` that [`column_sums`] leads to lies from the
+    /// reference's `d`, for columns of at most `S` terms.
+    ///
+    /// The reference scales each column's output
+    /// `Σ fl(fl(v·g) / T)`, added in slot order, by its magnitude sum `P`:
+    /// `x = fl(out·P)`. The engine takes `x̃ = fl(fl(Σ̂ fl(v·g) · fl(1/T))·P)`,
+    /// with `Σ̂` in any order. With `u = ε/2` and `γ_m = m·u / (1 − m·u)`,
+    /// and every term `v·g ≥ 0`, each is a sum of the exact terms
+    /// `a_i = v_i·g_i·P / T` times factors `(1 + θ_i)` with
+    /// `|θ_i| ≤ γ_{S+2}` (reference: one product, one divide, `S − 1`
+    /// adds, one scale) or `γ_{S+3}` (engine: one product, `S − 1` adds,
+    /// the reciprocal, its product, one scale). No sign cancels, so with
+    /// `A = Σ a_i`, `|x − A| ≤ γ_{S+2}·A` and `|x̃ − A| ≤ γ_{S+3}·A`. The
+    /// final subtraction adds at most `u·(x_p + x_n)` to each side, so
+    /// `|d̃ − d| ≤ 2·γ_{S+4}·(A_p + A_n)`, and
+    /// `A ≤ x̃ / (1 − γ_{S+3})`. For `S` below 2^40 that is under
+    /// `1.01·(S + 4)·ε·(x̃_p + x̃_n)`; the factor 2 also covers the
+    /// rounding of the bound itself and of `d̃ ± B`. Voltages are 0 or at
+    /// least `1 / max_code` and conductances at least `1 / R_MAX`, so no
+    /// term is subnormal and the model holds; a zero voltage gives exact
+    /// zeros in both forms.
+    fn gap(terms: usize) -> f64 {
+        2.0 * (terms as f64 + 4.0) * f64::EPSILON
+    }
+
+    /// Normalizes `rows` to the voltages each crossbar column reads, in
+    /// slot order, keeping each distinct row once with its multiplicity,
+    /// and evaluates the nominal engine once per distinct row. Codes past
+    /// the crossbar's features are not read, so rows may differ in
+    /// length.
     ///
     /// # Panics
     /// Panics if a row is shorter than the highest programmed crossbar
     /// row plus one.
     pub fn bind(&self, rows: &[Vec<u64>]) -> SvmRows {
-        let n_rows = rows.len();
-        let n_read = [&self.pos, &self.neg]
-            .into_iter()
+        let mut read: Vec<usize> = self
+            .columns
+            .iter()
             .flatten()
-            .flat_map(|c| c.features.iter().map(|&f| f + 1))
-            .max()
-            .unwrap_or(0);
-        let mut volts = vec![0.0f64; n_read * n_rows];
-        let mut nominal_class = Vec::with_capacity(n_rows);
-        for (r, codes) in rows.iter().enumerate() {
-            for (f, &c) in codes[..n_read].iter().enumerate() {
-                volts[f * n_rows + r] = c.min(self.max_code) as f64 / self.max_code as f64;
-            }
-            nominal_class.push(self.nominal.predict(codes));
-        }
-        let mut level = Vec::with_capacity(volts.len());
-        let mut levels = Vec::with_capacity(n_read);
-        for column in volts.chunks(n_rows.max(1)) {
-            let mut distinct = column.to_vec();
-            distinct.sort_by(f64::total_cmp);
-            distinct.dedup();
-            level.extend(
-                column
-                    .iter()
-                    .map(|&v| distinct.partition_point(|&d| d < v) as u32),
-            );
-            levels.push(distinct);
-        }
+            .flat_map(|c| c.features.iter().copied())
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        let (distinct, mult) = distinct_rows(rows, &read);
+        let volts = self.columns.each_ref().map(|col| {
+            let Some(col) = col else { return Vec::new() };
+            tiled(distinct.len(), col.eval.len(), |row, slot| {
+                let code = distinct[row][col.features[col.eval[slot]]];
+                code.min(self.max_code) as f64 / self.max_code as f64
+            })
+        });
         SvmRows {
-            level,
-            levels,
-            nominal_class,
-            n_rows,
+            volts,
+            nominal_class: distinct.iter().map(|c| self.nominal.predict(c)).collect(),
+            mult,
+            n_rows: rows.len(),
         }
+    }
+
+    /// The class the comparator bank gives the decision value `d`.
+    fn class(&self, d: f64) -> usize {
+        let above = self.boundaries_v.iter().filter(|&&bv| d > bv).count();
+        above.min(self.n_classes - 1)
+    }
+
+    /// The class every decision value within `b` of `d` shares, or `None`
+    /// when a boundary lies between `d − b` and `d + b`.
+    #[inline]
+    fn settled_class(&self, d: f64, b: f64) -> Option<usize> {
+        let (lo, hi) = (d - b, d + b);
+        let (mut n_lo, mut n_hi) = (0usize, 0usize);
+        for &bv in &self.boundaries_v {
+            n_lo += usize::from(lo > bv);
+            n_hi += usize::from(hi > bv);
+        }
+        let top = self.n_classes - 1;
+        (n_lo.min(top) == n_hi.min(top)).then_some(n_lo.min(top))
+    }
+
+    /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
+    /// rows, the number of draws the exact device chain decided, and the
+    /// number of `(distinct row, lane)` pairs the reference-order sums
+    /// decided.
+    ///
+    /// Every lane's columns are drawn in the reference order, then
+    /// [`column_sums`] sums every distinct row, and `d̃` with its bound
+    /// `B` ([`Self::gap`]) decides a pair when no boundary lies within
+    /// `B`. The rest re-add both columns in the reference order and
+    /// decide exactly, so every class equals the reference's.
+    fn block(
+        &self,
+        rows: &SvmRows,
+        lo: usize,
+        n: usize,
+        sigma: f64,
+        seed: u64,
+    ) -> ([u32; LANES], u64, u64) {
+        let k = self
+            .columns
+            .each_ref()
+            .map(|c| c.as_ref().map_or(0, |c| c.eval.len()));
+        let mut sz = vec![0.0f64; k[0].max(k[1])];
+        let mut lanes = k.map(ColumnLanes::new);
+        let mut exact_draws = 0u64;
+        for lane in 0..n {
+            let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
+            // Reference draw order: positive column, then negative, from
+            // the same per-trial stream.
+            for (col, out) in self.columns.iter().zip(&mut lanes) {
+                if let Some(col) = col {
+                    exact_draws +=
+                        col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut sz, out);
+                }
+            }
+        }
+        let padded = rows.mult.len().div_ceil(TILE_ROWS) * TILE_ROWS;
+        let sums = [0, 1].map(|c| {
+            let mut sums = vec![0.0f64; padded * LANES];
+            column_sums(&rows.volts[c], &lanes[c].g, &mut sums);
+            sums
+        });
+        let recip = lanes.each_ref().map(ColumnLanes::recip);
+        let mut agree = [0u32; LANES];
+        let mut exact_sums = 0u64;
+        for (i, (&mult, &nominal)) in rows.mult.iter().zip(&rows.nominal_class).enumerate() {
+            let sp = &sums[0][i * LANES..][..LANES];
+            let sn = &sums[1][i * LANES..][..LANES];
+            for lane in 0..n {
+                let sums = [sp[lane], sn[lane]];
+                let recip = [recip[0][lane], recip[1][lane]];
+                let (d, b) = reassociated(sums, recip, self.scales, self.gap);
+                let class = match self.settled_class(d, b) {
+                    Some(class) => class,
+                    None => {
+                        exact_sums += 1;
+                        let [xp, xn] = [0, 1].map(|c| {
+                            let volts = row_volts(&rows.volts[c], k[c], i);
+                            lanes[c].exact_output(volts, lane) * self.scales[c]
+                        });
+                        self.class(xp - xn)
+                    }
+                };
+                agree[lane] += mult * u32::from(class == nominal);
+            }
+        }
+        (agree, exact_draws, exact_sums)
     }
 
     /// Runs the Monte-Carlo agreement analysis on pre-bound rows.
@@ -682,50 +888,12 @@ impl CompiledSvmVariation {
     /// # Panics
     /// Panics if `trials` is zero or `rows` is empty.
     pub fn analyze(&self, rows: &SvmRows, sigma: f64, trials: usize, seed: u64) -> VariationReport {
-        let k_pos = self.pos.as_ref().map_or(0, |c| c.features.len());
-        let k_neg = self.neg.as_ref().map_or(0, |c| c.features.len());
+        let terms: usize = self.columns.iter().flatten().map(|c| c.eval.len()).sum();
         monte_carlo(sigma, trials, rows.n_rows, |lo, n| {
-            let mut sz = vec![0.0f64; k_pos.max(k_neg)];
-            let (mut pos, mut neg) = (ColumnLanes::new(k_pos), ColumnLanes::new(k_neg));
-            let mut exact = 0u64;
-            for lane in 0..n {
-                let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
-                // Reference draw order: positive column, then negative,
-                // from the same per-trial stream.
-                for (col, out) in [(&self.pos, &mut pos), (&self.neg, &mut neg)] {
-                    if let Some(col) = col {
-                        exact +=
-                            col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut sz, out);
-                    }
-                }
-            }
-            DRAWS.add((n * (k_pos + k_neg)) as u64);
-            EXACT.add(exact);
-            let mut vp = vec![0.0f64; rows.n_rows * LANES];
-            let mut vn = vec![0.0f64; rows.n_rows * LANES];
-            let mut quot = Vec::new();
-            for (col, column, out) in [(&self.pos, &pos, &mut vp), (&self.neg, &neg, &mut vn)] {
-                if let Some(col) = col {
-                    col.accumulate(rows, column, out, &mut quot, n);
-                }
-            }
-            let mut agree = [0u32; LANES];
-            for ((p, q), &nominal) in vp
-                .chunks_exact(LANES)
-                .zip(vn.chunks_exact(LANES))
-                .zip(&rows.nominal_class)
-            {
-                for ((a, &pl), &ql) in agree[..n].iter_mut().zip(p).zip(q) {
-                    let d = pl * self.pos_scale - ql * self.neg_scale;
-                    let class = self
-                        .boundaries_v
-                        .iter()
-                        .filter(|&&bv| d > bv)
-                        .count()
-                        .min(self.n_classes - 1);
-                    *a += (class == nominal) as u32;
-                }
-            }
+            let (agree, exact_draws, exact_sums) = self.block(rows, lo, n, sigma, seed);
+            DRAWS.add((n * terms) as u64);
+            EXACT.add(exact_draws);
+            EXACT_SUMS.add(exact_sums);
             agree
         })
     }
@@ -890,5 +1058,117 @@ mod tests {
             random_exact * 1000 < random,
             "{random_exact} of {random} terms exact"
         );
+    }
+
+    /// The conductance of every printable grid point.
+    fn grid_conductances() -> Vec<f64> {
+        (0..PrintedResistor::GRID_POINTS)
+            .map(|m| 1.0 / PrintedResistor::grid_point(m).resistance)
+            .collect()
+    }
+
+    #[test]
+    fn reassociated_decisions_lie_within_the_gap_bound() {
+        const ROWS: usize = 2 * TILE_ROWS + 1;
+        let mut rng = StdRng::seed_from_u64(36);
+        let g_grid = grid_conductances();
+        let (mut pairs, mut moved) = (0usize, 0usize);
+        for s in (1..=256).chain([300, 512, 1000]) {
+            // One column has `s` terms, the other none (an empty column),
+            // one, `s` or a random count, on alternating sides.
+            let other = match s % 4 {
+                0 => 0,
+                1 => 1,
+                2 => s,
+                _ => rng.gen_range(0..=s),
+            };
+            let k = if s % 8 < 4 { [s, other] } else { [other, s] };
+            let max_code = max_code_for_bits([1, 4, 8, 16][s % 4]);
+            // Conductances anywhere on the printable grid.
+            let mut lanes = k.map(ColumnLanes::new);
+            for (col, &kc) in lanes.iter_mut().zip(&k) {
+                for lane in 0..LANES {
+                    let mut total = 0.0;
+                    for slot in 0..kc {
+                        let g = g_grid[rng.gen_range(0..g_grid.len())];
+                        col.g[slot * LANES + lane] = g;
+                        total += g;
+                    }
+                    col.total[lane] = total;
+                }
+            }
+            // `volts[c][row * k + slot]`, a quarter of them zero.
+            let volts = k.map(|kc| {
+                (0..ROWS * kc)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => 0.0,
+                        _ => rng.gen_range(0..=max_code) as f64 / max_code as f64,
+                    })
+                    .collect::<Vec<f64>>()
+            });
+            let sums = [0, 1].map(|c| {
+                let table = tiled(ROWS, k[c], |row, slot| volts[c][row * k[c] + slot]);
+                let mut sums = vec![0.0; ROWS.div_ceil(TILE_ROWS) * TILE_ROWS * LANES];
+                column_sums(&table, &lanes[c].g, &mut sums);
+                sums
+            });
+            let scales = k.map(|kc| (0..kc).map(|_| rng.gen_range(1..=255u64) as f64).sum());
+            let gap = CompiledSvmVariation::gap(s);
+            let recip = lanes.each_ref().map(ColumnLanes::recip);
+            for row in 0..ROWS {
+                for lane in 0..LANES {
+                    let (d, b) = reassociated(
+                        [sums[0][row * LANES + lane], sums[1][row * LANES + lane]],
+                        [recip[0][lane], recip[1][lane]],
+                        scales,
+                        gap,
+                    );
+                    // `CrossbarColumn::output`'s order, written out.
+                    let [xp, xn] = [0, 1].map(|c| {
+                        let col = &lanes[c];
+                        let mut out = 0.0;
+                        for slot in 0..k[c] {
+                            let v = volts[c][row * k[c] + slot];
+                            out += v * col.g[slot * LANES + lane] / col.total[lane];
+                        }
+                        out * scales[c]
+                    });
+                    let d_ref = xp - xn;
+                    assert!(
+                        (d - d_ref).abs() <= b,
+                        "terms {k:?} row {row} lane {lane}: d~ {d:e}, reference {d_ref:e}, bound {b:e}"
+                    );
+                    pairs += 1;
+                    moved += usize::from(d != d_ref);
+                }
+            }
+        }
+        // The check means something only where the two orders differ.
+        assert!(
+            moved * 4 > pairs,
+            "only {moved} of {pairs} decision values moved"
+        );
+    }
+
+    #[test]
+    fn forced_reference_order_sums_decide_like_the_reference() {
+        let (qs, rows) = crate::variation::svm_variation_tests::workload();
+        let mut engine = CompiledSvmVariation::compile(&qs, 11);
+        // No decision value is then settled: every pair with a nonzero
+        // column re-adds both columns in the reference order.
+        engine.gap = f64::MAX;
+        let bound = engine.bind(&rows);
+        let distinct = bound.mult.len() as u64;
+        for (sigma, trials, seed) in [(0.05, 64, 3u64), (0.3, 65, 8)] {
+            let (_, _, exact_sums) = engine.block(&bound, 0, 64, sigma, seed);
+            assert_eq!(exact_sums, distinct * 64, "sigma {sigma}");
+            assert_eq!(
+                engine.analyze(&bound, sigma, trials, seed),
+                crate::variation::reference::analyze_svm_variation(
+                    &qs, 11, &rows, sigma, trials, seed
+                ),
+                "sigma {sigma} trials {trials}"
+            );
+        }
     }
 }

@@ -98,6 +98,14 @@ pub enum VariationError {
         /// The number every row needs.
         need: usize,
     },
+    /// An SVM declared with `n_features` features whose crossbar programs
+    /// feature `need - 1`.
+    FewFeatures {
+        /// The declared feature count.
+        n_features: usize,
+        /// The count the crossbar needs.
+        need: usize,
+    },
 }
 
 impl std::fmt::Display for VariationError {
@@ -111,6 +119,12 @@ impl std::fmt::Display for VariationError {
             VariationError::NoRows => write!(f, "need evaluation rows"),
             VariationError::ShortRow { row, len, need } => {
                 write!(f, "row {row} has {len} feature codes, need {need}")
+            }
+            VariationError::FewFeatures { n_features, need } => {
+                write!(
+                    f,
+                    "SVM declares {n_features} features, its crossbar reads {need}"
+                )
             }
         }
     }
@@ -212,8 +226,9 @@ pub fn variation_sweep(
 /// bit-identical to [`reference::analyze_svm_variation`].
 ///
 /// # Errors
-/// Rejects a sigma outside `0..=MAX_SVM_SIGMA`, zero trials, empty `rows`
-/// and a row too short for a programmed crossbar row with a
+/// Rejects a sigma outside `0..=MAX_SVM_SIGMA`, zero trials, empty
+/// `rows`, a row too short for a programmed crossbar row and an
+/// `n_features` below one past the highest crossbar row with a
 /// [`VariationError`].
 pub fn svm_variation_sweep(
     svm: &QuantizedSvm,
@@ -224,13 +239,11 @@ pub fn svm_variation_sweep(
     seed: u64,
 ) -> Result<Vec<VariationReport>, VariationError> {
     let terms = svm.pos_terms().iter().chain(svm.neg_terms());
-    check_sweep(
-        sigmas,
-        true,
-        trials,
-        rows,
-        codes_needed(terms.map(|&(f, _)| f)),
-    )?;
+    let need = codes_needed(terms.map(|&(f, _)| f));
+    check_sweep(sigmas, true, trials, rows, need)?;
+    if n_features < need {
+        return Err(VariationError::FewFeatures { n_features, need });
+    }
     let engine = CompiledSvmVariation::compile(svm, n_features);
     let bound = engine.bind(rows);
     Ok(sigmas
@@ -664,14 +677,15 @@ mod tests {
 }
 
 #[cfg(test)]
-mod svm_variation_tests {
+pub(crate) mod svm_variation_tests {
     use super::*;
     use ml::data::Standardizer;
     use ml::quant::{FeatureQuantizer, QuantizedSvm};
     use ml::synth::Application;
     use ml::SvmRegressor;
 
-    fn workload() -> (QuantizedSvm, Vec<Vec<u64>>) {
+    /// RedWine's 8-bit SVM and 120 of its coded test rows.
+    pub(crate) fn workload() -> (QuantizedSvm, Vec<Vec<u64>>) {
         let data = Application::RedWine.generate(7);
         let (train, test) = data.split(0.7, 42);
         let s = Standardizer::fit(&train);

@@ -391,8 +391,9 @@ impl SvmFlow {
     /// # Errors
     /// Rejects a sigma outside `0..=`[`analog::MAX_SVM_SIGMA`], zero
     /// `trials` and zero `rows` with a [`VariationError`]. The coded test
-    /// rows cover every feature, so [`VariationError::ShortRow`] does not
-    /// arise here.
+    /// rows and the flow's feature count cover every feature, so
+    /// [`VariationError::ShortRow`] and [`VariationError::FewFeatures`] do
+    /// not arise here.
     pub fn variation_sweep(
         &self,
         sigmas: &[f64],

@@ -40,13 +40,31 @@ impl SvmRegressor {
         obs::counter_add("ml.svm.epochs", epochs as u64);
         let d = data.n_features();
         let n = data.len() as f64;
+        // Rows in whole blocks; all of them take the row loop when there
+        // are no features to block.
+        let blocked = match d {
+            0 => 0,
+            _ => data.len() - data.len() % SVM_ROWS,
+        };
+        // Each block's rows feature-major: row `i`'s feature `j` at
+        // `xt[(i / SVM_ROWS * d + j) * SVM_ROWS + i % SVM_ROWS]`.
+        let mut xt = vec![0.0; d * blocked];
+        for (i, row) in data.x[..blocked].iter().enumerate() {
+            for (j, &x) in row.iter().take(d).enumerate() {
+                xt[(i / SVM_ROWS * d + j) * SVM_ROWS + i % SVM_ROWS] = x;
+            }
+        }
         let mut w = vec![0.0; d];
         let mut b = 0.0;
         let lr = 0.5;
         for _ in 0..epochs {
             let mut gw = vec![0.0; d];
             let mut gb = 0.0;
-            for (row, &label) in data.x.iter().zip(&data.y) {
+            let labels = data.y[..blocked].chunks_exact(SVM_ROWS);
+            for (x, labels) in xt.chunks_exact(d.max(1) * SVM_ROWS).zip(labels) {
+                svm_block(x, labels, &w, b, &mut gw, &mut gb);
+            }
+            for (row, &label) in data.x[blocked..].iter().zip(&data.y[blocked..]) {
                 let pred: f64 = w.iter().zip(row).map(|(wi, xi)| wi * xi).sum::<f64>() + b;
                 let err = pred - label as f64;
                 for (g, xi) in gw.iter_mut().zip(row) {
@@ -95,6 +113,38 @@ impl SvmRegressor {
     /// Number of classes the label range covers.
     pub fn n_classes(&self) -> usize {
         self.n_classes
+    }
+}
+
+/// Rows one [`svm_block`] scores against the weights.
+const SVM_ROWS: usize = 16;
+
+/// Adds the squared-loss gradients of one block of [`SVM_ROWS`] rows,
+/// stored feature-major in `x` (`x[j * SVM_ROWS + r]`), to `gw` and `gb`.
+/// Each weight is loaded once for all the rows' dot products, which run
+/// as independent chains, and each gradient is read and written once.
+///
+/// Every scalar sum keeps the terms, start value and order of a
+/// row-by-row loop (dot products start at `Iterator::sum`'s identity,
+/// gradients add rows in dataset order), so the trained weights do not
+/// move by a bit.
+fn svm_block(x: &[f64], labels: &[usize], w: &[f64], b: f64, gw: &mut [f64], gb: &mut f64) {
+    let mut pred = [crate::sum_start(); SVM_ROWS];
+    for (wj, xj) in w.iter().zip(x.chunks_exact(SVM_ROWS)) {
+        for (p, x) in pred.iter_mut().zip(xj) {
+            *p += wj * x;
+        }
+    }
+    let err: [f64; SVM_ROWS] = std::array::from_fn(|r| pred[r] + b - labels[r] as f64);
+    for (g, xj) in gw.iter_mut().zip(x.chunks_exact(SVM_ROWS)) {
+        let mut sum = *g;
+        for (e, x) in err.iter().zip(xj) {
+            sum += e * x;
+        }
+        *g = sum;
+    }
+    for e in err {
+        *gb += e;
     }
 }
 

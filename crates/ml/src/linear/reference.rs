@@ -1,5 +1,5 @@
-//! The row-by-row logistic-regression trainer that [`LrEpoch`] replaced,
-//! kept as its bit-for-bit oracle.
+//! The row-by-row trainers that [`LrEpoch`] and [`svm_block`] replaced,
+//! kept as their bit-for-bit oracles.
 
 use super::*;
 use crate::synth::Application;
@@ -100,6 +100,86 @@ fn kernel_matches_on_table2_data() {
                 train.n_classes,
             );
             assert_same(&data, 3, 0.5);
+        }
+    }
+}
+
+fn fit_svm(data: &Dataset, epochs: usize, l2: f64) -> SvmRegressor {
+    let d = data.n_features();
+    let n = data.len() as f64;
+    let mut w = vec![0.0; d];
+    let mut b = 0.0;
+    let lr = 0.5;
+    for _ in 0..epochs {
+        let mut gw = vec![0.0; d];
+        let mut gb = 0.0;
+        for (row, &label) in data.x.iter().zip(&data.y) {
+            let pred: f64 = w.iter().zip(row).map(|(wi, xi)| wi * xi).sum::<f64>() + b;
+            let err = pred - label as f64;
+            for (g, xi) in gw.iter_mut().zip(row) {
+                *g += err * xi;
+            }
+            gb += err;
+        }
+        for (wi, g) in w.iter_mut().zip(&gw) {
+            *wi -= lr * (g / n + l2 * *wi);
+        }
+        b -= lr * gb / n;
+    }
+    SvmRegressor {
+        weights: w,
+        bias: b,
+        n_classes: data.n_classes,
+    }
+}
+
+fn assert_same_svm(data: &Dataset, epochs: usize, l2: f64) {
+    let bits = |m: &SvmRegressor| -> Vec<u64> {
+        m.weights
+            .iter()
+            .chain([&m.bias])
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(
+        bits(&SvmRegressor::fit_impl(data, epochs, l2)),
+        bits(&fit_svm(data, epochs, l2)),
+        "{} rows x {} features, {epochs} epochs",
+        data.len(),
+        data.n_features()
+    );
+}
+
+#[test]
+fn svm_kernel_matches_the_row_by_row_trainer_at_every_row_tail() {
+    for rows in 32..=48 {
+        for epochs in 1..=3 {
+            assert_same_svm(&test_data::random(rows, 6, 3, rows as u64), epochs, 1e-4);
+        }
+    }
+}
+
+#[test]
+fn svm_kernel_matches_on_few_features_and_short_data() {
+    for rows in [1, 5, 15, 16, 17] {
+        assert_same_svm(&test_data::random(rows, 1, 2, 3), 2, 1e-4);
+    }
+    // No features: every row takes the row loop.
+    assert_same_svm(&test_data::random(20, 0, 2, 3), 2, 1e-4);
+}
+
+#[test]
+fn svm_kernel_matches_on_table2_data() {
+    for app in [Application::RedWine, Application::Arrhythmia] {
+        let (train, _) = app.generate(7).split(0.7, 42);
+        for rows in [train.len(), train.len() - 1, train.len() - 15] {
+            let data = Dataset::new(
+                "prefix",
+                train.x[..rows].to_vec(),
+                train.y[..rows].to_vec(),
+                train.n_classes,
+            );
+            assert_same_svm(&data, 3, 1e-4);
         }
     }
 }

@@ -252,6 +252,20 @@ fn variation_paths_record_identical_obs_keys() {
         svm_report.counter("analog.variation.draws"),
         65 * terms as u64
     );
+    // SVM decisions a boundary within the reassociation bound left to the
+    // reference-order column sums: added once per lane block, so present
+    // even at zero.
+    assert!(
+        svm_report
+            .counters
+            .iter()
+            .any(|c| c.name == "analog.variation.exact_sums"),
+        "analog.variation.exact_sums not recorded"
+    );
+    assert!(
+        svm_report.counter("analog.variation.exact_sums")
+            <= svm_report.counter("analog.variation.rows")
+    );
 
     for report in [&tree_report, &svm_report] {
         assert_eq!(report.counter("analog.variation.compiles"), 1);

@@ -12,6 +12,7 @@ use printed_ml::analog::variation::{
     VariationReport,
 };
 use printed_ml::core::flow::{SvmFlow, TreeFlow};
+use printed_ml::exec::rng::StdRng;
 use printed_ml::exec::with_threads;
 use printed_ml::ml::data::Standardizer;
 use printed_ml::ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
@@ -122,6 +123,50 @@ fn compiled_svm_reports_are_bit_identical_to_reference() {
     }
 }
 
+/// `n` of `rows` drawn with replacement, as the `perf` benchmark samples
+/// its evaluation rows: most of them more than once.
+fn with_replacement(rows: &[Vec<u64>], n: usize, seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| rows[rng.gen_range(0..rows.len())].clone())
+        .collect()
+}
+
+#[test]
+fn duplicate_rows_count_by_multiplicity_in_both_engines() {
+    // Each engine binds a distinct row once and weighs its agreement by
+    // its multiplicity; the reference evaluates every row.
+    let (qt, rows) = tree_workload(Application::Har, 4, 6);
+    let tree_rows = with_replacement(&rows[..20], 60, 1);
+    let (qs, rows) = svm_workload_at(8, 30);
+    let svm_rows = with_replacement(&rows, 90, 2);
+    for rows in [&tree_rows, &svm_rows] {
+        let distinct: std::collections::HashSet<&Vec<u64>> = rows.iter().collect();
+        assert!(distinct.len() * 3 < rows.len() * 2, "too few duplicates");
+    }
+    let sigmas = [0.05, 0.3];
+    for trials in [5, 65] {
+        let tree_oracle = oracle(&sigmas, |sigma| {
+            reference::analyze_tree_variation(&qt, &tree_rows, sigma, trials, 13)
+        });
+        let svm_oracle = oracle(&sigmas, |sigma| {
+            reference::analyze_svm_variation(&qs, 11, &svm_rows, sigma, trials, 13)
+        });
+        for threads in THREADS {
+            let (tree, svm) = with_threads(threads, || {
+                (
+                    variation_sweep(&qt, &tree_rows, &sigmas, trials, 13).unwrap(),
+                    svm_variation_sweep(&qs, 11, &svm_rows, &sigmas, trials, 13).unwrap(),
+                )
+            });
+            assert_eq!(tree, tree_oracle, "tree trials {trials} threads {threads}");
+            assert_eq!(svm, svm_oracle, "svm trials {trials} threads {threads}");
+        }
+    }
+    let engine = CompiledSvmVariation::compile(&qs, 11);
+    assert_eq!(engine.bind(&svm_rows).len(), svm_rows.len());
+}
+
 #[test]
 fn zero_sigma_agreement_is_perfect_in_both_engines() {
     let (qt, rows) = tree_workload(Application::Har, 4, 6);
@@ -174,6 +219,23 @@ fn flow_sweeps_reject_bad_input_with_typed_errors() {
         Err(VariationError::NoRows)
     );
     assert!(svm.variation_sweep(&[0.0, 10.0], 8, 10, 7).is_ok());
+    // A feature count below the crossbar's highest row plus one used to
+    // panic with an index out of bounds in `AnalogSvm::from_svm`.
+    let terms = svm.qs.pos_terms().iter().chain(svm.qs.neg_terms());
+    let need = terms.map(|&(f, _)| f + 1).max().unwrap();
+    assert!(need > 3, "the crossbar reads only features 0..{need}");
+    let err = svm_variation_sweep(&svm.qs, 3, &svm.coded_rows(10), &[0.1], 8, 7).unwrap_err();
+    assert_eq!(
+        err,
+        VariationError::FewFeatures {
+            n_features: 3,
+            need
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        format!("SVM declares 3 features, its crossbar reads {need}")
+    );
 }
 
 #[test]
