@@ -31,13 +31,17 @@
 //! Trial `t` draws from `StdRng::seed_from_u64(task_seed(seed, t))`
 //! exactly what the scalar path draws (tree: split `s` takes draws `2s`
 //! and `2s + 1`, reached directly by [`StdRng::advance`]; SVM: positive
-//! column then negative column in term order), through the same
-//! Box–Muller expression. Only a decision leaves a draw: a tree lane's
-//! `x > t` at every code level `x`, an SVM term's printable grid index.
-//! The engine decides it in the log domain, from `sz = sigma * z` added
-//! to a logarithm solved at compile time, and runs the reference's exact
-//! device chain only when that value lies within 1e-6 of a code or grid
-//! step of a point where the decision could change. SVM column sums
+//! column then negative column in term order). Only a decision leaves a
+//! draw: a tree lane's `x > t` at every code level `x`, an SVM term's
+//! printable grid index. The engine decides it in the log domain, from
+//! `sz = sigma * z` added to a logarithm solved at compile time, with `z`
+//! first from [`polynomial_normal`], which lies within [`Z_ERR`] of the
+//! reference's Box–Muller `z` (libm's `ln` and `cos`). A draw whose value
+//! lies within the slack of a point where the decision could change (1e-6
+//! of a code or grid step plus what the polynomials can move it) takes
+//! the reference's `z` from the same uniforms instead; an SVM column with
+//! such a term is re-drawn that way whole. Within 1e-6 of a step of that
+//! point the reference's exact device chain decides. SVM column sums
 //! are reassociated, and a class is taken from them only when no
 //! boundary lies within a proven bound on the reassociation's rounding;
 //! otherwise the columns are re-added in the reference's order. Reports are
@@ -72,17 +76,118 @@ static LANE_BLOCKS: obs::Counter = obs::Counter::new("analog.variation.lane_bloc
 /// Perturbations drawn: per-lane split thresholds a walk reached (tree)
 /// and per-lane crossbar terms (SVM).
 static DRAWS: obs::Counter = obs::Counter::new("analog.variation.draws");
-/// Draws the log-domain form left to the exact device chain.
+/// Draws whose decision took the reference's libm normal: tree thresholds
+/// and SVM terms within the slack of a decision boundary.
 static EXACT: obs::Counter = obs::Counter::new("analog.variation.exact");
 /// `(distinct row, lane)` SVM decisions a class boundary within the
 /// reassociation bound left to the reference-order column sums.
 static EXACT_SUMS: obs::Counter = obs::Counter::new("analog.variation.exact_sums");
 
 /// How close, in code steps (tree) or grid steps (SVM), a log-domain
-/// value may come to a point where the decision changes before the
-/// exact device chain decides instead. The two forms differ by rounding
-/// only, below 1e-9 of a step even at 16 bits and sigma 10.
+/// value from the reference's `z` may come to a point where the decision
+/// changes before the exact device chain decides instead. The two forms
+/// differ by rounding only, below 1e-9 of a step even at 16 bits and
+/// sigma 10. A value from [`polynomial_normal`]'s `z` needs a wider slack:
+/// see [`CompiledTreeVariation::slack`] and [`ColumnTape::slack`].
 const MARGIN: f64 = 1e-6;
+
+/// An upper bound on `|z|` and `|z̃|`: a 53-bit uniform keeps
+/// `1 − u1 ≥ 2^-53`, so `|z| ≤ sqrt(106·ln 2) < 8.58`.
+const Z_MAX: f64 = 8.6;
+
+/// A bound on `|z̃ − z|`, where `z̃` is [`polynomial_normal`]'s value and
+/// `z` is `standard_normal`'s from the same two uniforms.
+///
+/// Both take `w = 1 − u1` exactly (a multiple of 2^-53 in `(0, 1]`), and
+/// `z = R·C` with `R = sqrt(−2·ln w) < 8.58` and `C = cos(2π·u2)`; `u = ε/2`.
+/// * *`ln`, truncation.* With `|s| ≤ 3 − 2√2 < 0.1716`, the atanh series
+///   stopped after `s^13` leaves less than `2|s|^15 / (15·(1 − s²)) < 4.52e-13`
+///   of `ln m`, and under `|s|^14 / (15·(1 − s²)) < 1.32e-12` of it
+///   relative. For `w ≥ √½` (`k = 0`) `R < 0.833` moves by at most
+///   `R·1.32e-12 / 2 < 5.5e-13`; otherwise `|ln w| ≥ ln √2`, so `R > 0.83`
+///   and `R` moves by at most `4.52e-13 / R < 5.5e-13`.
+/// * *`cos`, truncation.* The `sin` series on `|x| ≤ π/2` alternates with
+///   falling terms, so stopping after `x^17` leaves under
+///   `(π/2)^19 / 19! < 4.4e-14`: under `3.8e-13` of `z`.
+/// * *Polynomial rounding.* The reductions are exact (bit operations,
+///   `m − 1` by Sterbenz, `1/4 − min(u2, 1 − u2)` on multiples of 2^-53).
+///   `R̃` then carries under `16u` relative error (`1.6e-14` of `z`), and
+///   Horner's bound puts `C̃` within `26u·sinh(π/2) < 6.7e-15` of `sin`'s
+///   series (`5.8e-14` of `z`).
+/// * *libm's own error.* `ln` and `cos` are within 1 ulp and `sqrt`
+///   rounds correctly, so `R` is within `2u` relative (`1.9e-15` of `z`).
+///   `cos` reads `fl(TAU·u2)`, within `|TAU − 2π| + u·2π < 9.5e-16` of
+///   `2π·u2`, so `C` is within `1.2e-15` (`1.0e-14` of `z`).
+/// * *The two products `R·C`* round by at most `u·Z_MAX` each (`1.9e-15`).
+///
+/// The sum is under `1.02e-12`; the bound keeps a factor of about 2.
+const Z_ERR: f64 = 2e-12;
+
+/// `2/(2j + 1)`: `ln m = s·Σ_j LN_COEFFS[j]·s^(2j)`, the atanh series of
+/// `ln m = 2·atanh(s)` through `s^13`.
+const LN_COEFFS: [f64; 7] = [
+    2.0,
+    2.0 / 3.0,
+    2.0 / 5.0,
+    2.0 / 7.0,
+    2.0 / 9.0,
+    2.0 / 11.0,
+    2.0 / 13.0,
+];
+
+/// `(−1)^j·(2π)^(2j + 1) / (2j + 1)!`: `sin(2π·c) = c·Σ_j SIN_COEFFS[j]·c^(2j)`,
+/// the Taylor series through `(2π·c)^17`, each coefficient rounded once.
+const SIN_COEFFS: [f64; 9] = [
+    std::f64::consts::TAU,
+    -41.341_702_240_399_76,
+    81.605_249_276_075_06,
+    -76.705_859_753_061_39,
+    42.058_693_944_897_655,
+    -15.094_642_576_822_99,
+    3.819_952_584_848_282,
+    -0.718_122_301_778_500_6,
+    0.104_229_162_208_139_84,
+];
+
+/// `Σ_j coeffs[j]·t^j` by Horner's rule.
+#[inline(always)]
+fn horner<const N: usize>(t: f64, coeffs: &[f64; N]) -> f64 {
+    coeffs[..N - 1]
+        .iter()
+        .rev()
+        .fold(coeffs[N - 1], |p, &c| c + t * p)
+}
+
+/// Box–Muller's `z = sqrt(−2·ln(1 − u1))·cos(2π·u2)` from the uniforms
+/// `u1, u2` in `[0, 1)`, with branch-free polynomials for `ln` and `cos`
+/// and no libm call: within [`Z_ERR`] of `standard_normal`'s value from
+/// the same uniforms.
+///
+/// `ln`: the bits of `w = 1 − u1` give `w = 2^k·m` with `m` in `[√½, √2)`
+/// (subtracting `√½`'s bits carries `k` into the exponent field), and
+/// `ln w = k·ln 2 + 2·atanh(s)` with `s = (m − 1)/(m + 1)`. `cos`: with
+/// `c = 1/4 − min(u2, 1 − u2)` in `[−1/4, 1/4]`, `cos(2π·u2) = sin(2π·c)`,
+/// an odd series, so no quadrant or sign is selected.
+#[inline]
+fn polynomial_normal(u1: f64, u2: f64) -> f64 {
+    const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+    let bits = (1.0 - u1).to_bits();
+    let k = (bits.wrapping_sub(SQRT_HALF_BITS) as i64) >> 52;
+    let m = f64::from_bits(bits.wrapping_sub((k as u64) << 52));
+    let s = (m - 1.0) / (m + 1.0);
+    let ln_w = k as f64 * std::f64::consts::LN_2 + s * horner(s * s, &LN_COEFFS);
+    let c = 0.25 - u2.min(1.0 - u2);
+    (-2.0 * ln_w).sqrt() * (c * horner(c * c, &SIN_COEFFS))
+}
+
+/// `x` rounded to the nearest integer, ties to even, for `|x| < 2^51`:
+/// adding `1.5·2^52` leaves no fraction bits. Unlike `f64::round` it
+/// makes no libm call on baseline x86-64.
+#[inline(always)]
+fn rint(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    (x + SHIFT) - SHIFT
+}
 
 /// Child/root encoding of the flat tree topology: `>= 0` is a split
 /// ordinal, `< 0` is a leaf storing `!class`.
@@ -221,25 +326,69 @@ impl CompiledTreeVariation {
     }
 
     /// Split `s`'s perturbed threshold voltage for the perturbation
-    /// `sz = sigma * z`, and whether the exact chain set it.
+    /// `sz = sigma * z`, or `None` within `slack` code steps of a code
+    /// level.
     ///
     /// The threshold is `clamp((ln(r_nom / r_off) + sz) / ln_span, 0, VDD)`
     /// in the log domain, and only `x > t` over the code levels `x`
     /// leaves the draw. Away from every level any value between the same
-    /// two levels decides alike, so the exact chain runs only within
-    /// [`MARGIN`] of one. Beyond the clamp edges the clamp decides.
+    /// two levels decides alike. Beyond the clamp edges the clamp decides;
+    /// those tests come first, so a huge sigma stays decided here.
     #[inline]
-    fn threshold(&self, s: usize, sz: f64) -> (f64, bool) {
+    fn threshold(&self, s: usize, sz: f64, slack: f64) -> Option<f64> {
         let code = (self.ln_ratio[s] + sz) * self.codes_per_ln;
-        if code <= -MARGIN {
-            (0.0, false)
-        } else if code >= self.max_code as f64 + MARGIN {
-            (VDD, false)
-        } else if (code - code.round()).abs() < MARGIN {
-            (self.exact_threshold(s, sz), true)
+        if code <= -slack {
+            Some(0.0)
+        } else if code >= self.max_code as f64 + slack {
+            Some(VDD)
+        } else if (code - rint(code)).abs() < slack {
+            None
         } else {
-            (code / self.max_code as f64 * VDD, false)
+            Some(code / self.max_code as f64 * VDD)
         }
+    }
+
+    /// [`MARGIN`] plus `δ = 2·(|c|·σ·(Z_ERR + 3ε·Z_MAX) + 2ε·max_code)`
+    /// (`c` = code steps per unit of `ln`): how close a code value from
+    /// [`polynomial_normal`] may come to a code level before the
+    /// reference's `z` decides instead.
+    ///
+    /// The code value is `fl(fl(l + fl(σz))·c)`, with `|l·c| ≤ max_code`.
+    /// With `u = ε/2`, moving `z` by at most [`Z_ERR`] moves `fl(σz)` by at
+    /// most `σ·Z_ERR + 2u·σ·Z_MAX`, the sum by that plus
+    /// `2u·(|l| + σ·Z_MAX)`, and the code value by `|c|` times that plus
+    /// `2u·|c|·(|l| + σ·Z_MAX)`: to first order
+    /// `|c|·σ·(Z_ERR + 6u·Z_MAX) + 4u·max_code`, which the factor 2 keeps
+    /// clear of second-order terms and of the rounding of the slack and of
+    /// the tests against it. A value more than the slack from every level
+    /// thus lies between the same two levels as the reference's value,
+    /// which lies more than [`MARGIN`] from both.
+    fn slack(&self, sigma: f64) -> f64 {
+        let z = self.codes_per_ln.abs() * sigma * (Z_ERR + 3.0 * f64::EPSILON * Z_MAX);
+        MARGIN + 2.0 * (z + 2.0 * f64::EPSILON * self.max_code as f64)
+    }
+
+    /// Split `s`'s perturbed threshold voltage for the draw from the
+    /// uniforms `(u1, u2)`, and whether the decision took the reference's
+    /// normal `exact_z()` because [`polynomial_normal`]'s value lay
+    /// within `slack` ([`Self::slack`]) of a code level. The reference's
+    /// value then decides like the reference: in the log domain, or by the
+    /// exact chain within [`MARGIN`] of a level.
+    #[inline]
+    fn draw_threshold(
+        &self,
+        s: usize,
+        sigma: f64,
+        slack: f64,
+        (u1, u2): (f64, f64),
+        exact_z: impl FnOnce() -> f64,
+    ) -> (f64, bool) {
+        if let Some(t) = self.threshold(s, sigma * polynomial_normal(u1, u2), slack) {
+            return (t, false);
+        }
+        let sz = sigma * exact_z();
+        let t = self.threshold(s, sz, MARGIN);
+        (t.unwrap_or_else(|| self.exact_threshold(s, sz)), true)
     }
 
     /// [`Self::threshold`] through the transistor law exactly as the
@@ -251,7 +400,7 @@ impl CompiledTreeVariation {
 
     /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
     /// rows, plus the number of lane thresholds drawn and how many of
-    /// those the exact chain decided.
+    /// those took the reference's normal.
     ///
     /// Each distinct row is one walk: `(node, lane mask)` pairs on a stack start
     /// from `(root, all lanes)`, and a split sends the lanes whose input
@@ -278,6 +427,7 @@ impl CompiledTreeVariation {
         let mut stack: Vec<(i32, u64)> = Vec::new();
         let mut agree = [0u32; LANES];
         let mut exact = 0u64;
+        let slack = self.slack(sigma);
         for (r, (&mult, &nominal)) in rows.mult.iter().zip(&rows.nominal_class).enumerate() {
             let volts = &rows.split_volts[r * n_splits..(r + 1) * n_splits];
             let mut ok = 0u64;
@@ -299,9 +449,13 @@ impl CompiledTreeVariation {
                     // Split `s` takes draws `2s` and `2s + 1` of the stream.
                     let mut rng = StdRng::seed_from_u64(streams[lane]);
                     rng.advance(2 * s as u64);
-                    let (t, by_chain) = self.threshold(s, sigma * standard_normal(&mut rng));
+                    let mut start = rng.clone();
+                    let u1 = rng.next_f64();
+                    let u2 = rng.next_f64();
+                    let (t, fell_back) = self
+                        .draw_threshold(s, sigma, slack, (u1, u2), || standard_normal(&mut start));
                     lanes[lane] = t;
-                    exact += u64::from(by_chain);
+                    exact += u64::from(fell_back);
                 }
                 // Branch-free decision word. Built a byte per eight lanes,
                 // which LLVM packs better than one 64-lane loop. Lanes
@@ -414,6 +568,8 @@ struct ColumnTape {
     mags: Vec<f64>,
     /// `ln` of each magnitude: the log-domain form of the weights.
     ln_mags: Vec<f64>,
+    /// The largest of `ln_mags`.
+    ln_mag_max: f64,
     /// Indices into `features`/`mags` sorted by ascending feature — the
     /// order `CrossbarColumn::program` builds resistors and sums
     /// conductances in.
@@ -433,9 +589,11 @@ impl ColumnTape {
             eval.windows(2).all(|w| features[w[0]] != features[w[1]]),
             "duplicate crossbar rows in SVM terms"
         );
+        let ln_mags: Vec<f64> = mags.iter().map(|m| m.ln()).collect();
         Some(ColumnTape {
             features,
-            ln_mags: mags.iter().map(|m| m.ln()).collect(),
+            ln_mag_max: ln_mags.iter().fold(0.0, |a, &b| b.max(a)),
+            ln_mags,
             mags,
             eval,
         })
@@ -444,35 +602,60 @@ impl ColumnTape {
     /// Snaps each term to its printable grid index for the perturbations
     /// `sz` (term order; term `k`'s weight is `mags[k] * exp(sz[k])`),
     /// calling `snap(slot, m)` in ascending-row slot order. Returns how
-    /// many terms the exact chain decided.
+    /// many terms lay within `slack` grid steps of a rounding boundary.
     ///
     /// With `L_k = ln mags[k] + sz[k]`, term `k` snaps to
     /// `round(48·(log10 2 + (max L − L_k)·log10 e))`, capped at the top
-    /// index. Only a value within [`MARGIN`] of a half-integer, where
-    /// the rounding could go either way, takes the exact chain.
+    /// index. A value within `slack` of a half-integer, where the rounding
+    /// could go either way, takes the exact chain over `sz`. At the top
+    /// index the cap and the rounding agree, so it is no boundary while
+    /// the slack stays below a half step, as it does up to any sigma an
+    /// SVM takes. A caller whose `sz` comes from [`polynomial_normal`]
+    /// discards the column when this returns more than 0.
     #[inline]
-    fn grid_indices(&self, sz: &[f64], mut snap: impl FnMut(usize, usize)) -> u64 {
+    fn grid_indices(&self, sz: &[f64], slack: f64, mut snap: impl FnMut(usize, usize)) -> u64 {
         let log_weight = |k: usize| self.ln_mags[k] + sz[k];
         let l_max = (0..sz.len())
             .map(log_weight)
             .fold(f64::NEG_INFINITY, f64::max);
         // The exact chain's largest weight, solved on its first use.
         let mut w_max = None;
-        let mut exact = 0u64;
+        let mut near = 0u64;
         for (slot, &k) in self.eval.iter().enumerate() {
             let e = GRID_AT_MAX + (l_max - log_weight(k)) * GRID_PER_LN;
+            let r = rint(e);
             let m = if e >= GRID_TOP as f64 {
                 GRID_TOP
-            } else if (e.fract() - 0.5).abs() < MARGIN {
-                exact += 1;
+            } else if (e - r).abs() > 0.5 - slack {
+                near += 1;
                 let w_max = *w_max.get_or_insert_with(|| self.exact_max_weight(sz));
                 self.exact_grid_index(k, sz, w_max)
             } else {
-                e.round() as usize
+                r as usize
             };
             snap(slot, m);
         }
-        exact
+        near
+    }
+
+    /// [`MARGIN`] plus `δ = 4·GRID_PER_LN·(σ·(Z_ERR + 2ε·Z_MAX) + ε·(L + 14))`,
+    /// `L = ln_mag_max`: how close a grid value from
+    /// [`polynomial_normal`] may come to a half-integer before the column
+    /// is drawn again from the reference's normal.
+    ///
+    /// With `u = ε/2`, moving each `z_k` by at most [`Z_ERR`] moves each
+    /// `L_k = fl(ln mags[k] + fl(σ·z_k))`, and so `max L`, by at most
+    /// `Δ = σ·Z_ERR + 2u·σ·Z_MAX + 2u·(L + σ·Z_MAX)` to first order. The
+    /// difference `D = fl(max L − L_k)` moves by `2Δ + 2u·|D|`, with
+    /// `|D| < 9` wherever the grid value is below the top index, and the
+    /// grid value `fl(GRID_AT_MAX + fl(D·GRID_PER_LN))` by `GRID_PER_LN`
+    /// times that plus `2u·(178 + 193)`. That is at most
+    /// `2·GRID_PER_LN·(σ·(Z_ERR + 2ε·Z_MAX) + ε·(L + 14))`, and the factor 2
+    /// keeps it clear of second-order terms and of the rounding of the
+    /// slack and of the test against it.
+    fn slack(&self, sigma: f64) -> f64 {
+        let z = sigma * (Z_ERR + 2.0 * f64::EPSILON * Z_MAX);
+        MARGIN + 4.0 * GRID_PER_LN * (z + f64::EPSILON * (self.ln_mag_max + 14.0))
     }
 
     /// The largest perturbed weight, as `CrossbarColumn::program` takes
@@ -498,8 +681,13 @@ impl ColumnTape {
     /// column into lane `lane` of `out`: conductances and their total in
     /// ascending-row order. `g_grid` holds the conductance of every
     /// printable grid point, so the snap of [`PrintedResistor::printable`]
-    /// becomes a table read. Returns how many terms the exact chain
-    /// decided.
+    /// becomes a table read. Returns how many terms lay within the slack
+    /// ([`Self::slack`]) of a rounding boundary.
+    ///
+    /// The terms first snap from [`polynomial_normal`]. If any lies within
+    /// the slack, the column is drawn again from `rng`'s saved state
+    /// through `standard_normal`, as the reference draws it: the largest
+    /// weight depends on every term, so no term can be redrawn alone.
     fn perturb_lane(
         &self,
         rng: &mut StdRng,
@@ -510,17 +698,31 @@ impl ColumnTape {
         out: &mut ColumnLanes,
     ) -> u64 {
         let sz = &mut sz[..self.mags.len()];
+        let slack = self.slack(sigma);
+        let start = rng.clone();
         for s in sz.iter_mut() {
-            *s = sigma * standard_normal(rng);
+            let u1 = rng.next_f64();
+            *s = sigma * polynomial_normal(u1, rng.next_f64());
         }
-        let mut t = 0.0f64;
-        let exact = self.grid_indices(sz, |slot, m| {
-            let cond = g_grid[m];
-            out.g[slot * LANES + lane] = cond;
-            t += cond;
-        });
-        out.total[lane] = t;
-        exact
+        let mut program = |sz: &[f64], slack: f64| {
+            let mut t = 0.0f64;
+            let near = self.grid_indices(sz, slack, |slot, m| {
+                let cond = g_grid[m];
+                out.g[slot * LANES + lane] = cond;
+                t += cond;
+            });
+            out.total[lane] = t;
+            near
+        };
+        let near = program(sz, slack);
+        if near > 0 {
+            let mut rng = start;
+            for s in sz.iter_mut() {
+                *s = sigma * standard_normal(&mut rng);
+            }
+            program(sz, MARGIN);
+        }
+        near
     }
 }
 
@@ -563,17 +765,17 @@ const TILE_ROWS: usize = 2;
 /// Lanes per register tile of [`column_sums`].
 const TILE_LANES: usize = 8;
 
-/// Each bound row's unnormalized column sum `Σ v·g` for every lane:
-/// `sums[row * LANES + lane]`, from the row voltages `volts` (term-major
-/// within each tile of [`TILE_ROWS`] rows) and the slot-major
-/// conductances `g`.
+/// Each bound row's unnormalized column sum `Σ v·g` for lanes
+/// `0..lanes` (a multiple of [`TILE_LANES`]): `sums[row * LANES + lane]`,
+/// from the row voltages `volts` (term-major within each tile of
+/// [`TILE_ROWS`] rows) and the slot-major conductances `g`.
 ///
 /// A tile of `TILE_ROWS × TILE_LANES` sums stays in registers while the
 /// column's terms stream past, so no accumulator is re-read per term;
 /// the terms add in slot order, but the reassociation against the
 /// reference's `Σ (v·g / total)` is only bounded, not exact (see
 /// [`CompiledSvmVariation::gap`]).
-fn column_sums(volts: &[f64], g: &[f64], sums: &mut [f64]) {
+fn column_sums(volts: &[f64], g: &[f64], lanes: usize, sums: &mut [f64]) {
     let k = g.len() / LANES;
     if k == 0 {
         return;
@@ -582,7 +784,7 @@ fn column_sums(volts: &[f64], g: &[f64], sums: &mut [f64]) {
         .chunks_exact(k * TILE_ROWS)
         .zip(sums.chunks_exact_mut(TILE_ROWS * LANES))
     {
-        for lo in (0..LANES).step_by(TILE_LANES) {
+        for lo in (0..lanes).step_by(TILE_LANES) {
             let mut acc = [[0.0f64; TILE_LANES]; TILE_ROWS];
             for (vs, gs) in v.chunks_exact(TILE_ROWS).zip(g.chunks_exact(LANES)) {
                 let gs = &gs[lo..lo + TILE_LANES];
@@ -812,9 +1014,9 @@ impl CompiledSvmVariation {
     }
 
     /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
-    /// rows, the number of draws the exact device chain decided, and the
-    /// number of `(distinct row, lane)` pairs the reference-order sums
-    /// decided.
+    /// rows, the number of terms whose draw took the reference's normal,
+    /// and the number of `(distinct row, lane)` pairs the reference-order
+    /// sums decided.
     ///
     /// Every lane's columns are drawn in the reference order, then
     /// [`column_sums`] sums every distinct row, and `d̃` with its bound
@@ -848,9 +1050,11 @@ impl CompiledSvmVariation {
             }
         }
         let padded = rows.mult.len().div_ceil(TILE_ROWS) * TILE_ROWS;
+        // A partial block sums only the lane tiles its trials occupy.
+        let tiled_lanes = n.div_ceil(TILE_LANES) * TILE_LANES;
         let sums = [0, 1].map(|c| {
             let mut sums = vec![0.0f64; padded * LANES];
-            column_sums(&rows.volts[c], &lanes[c].g, &mut sums);
+            column_sums(&rows.volts[c], &lanes[c].g, tiled_lanes, &mut sums);
             sums
         });
         let recip = lanes.each_ref().map(ColumnLanes::recip);
@@ -929,27 +1133,126 @@ mod tests {
         CompiledTreeVariation::compile(&QuantizedTree::from_tree(&tree, &fq))
     }
 
-    /// Checks that split `s`'s log-domain threshold at `sz` decides
-    /// `x > t` like the exact chain at every code level `x`, and returns
-    /// whether the exact chain decided it. The levels ascend, so the
-    /// number of levels above a threshold fixes every decision.
-    fn tree_decides_alike(tape: &CompiledTreeVariation, levels: &[f64], s: usize, sz: f64) -> bool {
-        let (fast, by_chain) = tape.threshold(s, sz);
+    /// `standard_normal`'s expression over explicit uniforms. The bound
+    /// test checks it bit for bit against `standard_normal` itself.
+    fn libm_normal(u1: f64, u2: f64) -> f64 {
+        (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+
+    /// One step of the 53-bit uniforms `StdRng::next_f64` returns.
+    const STEP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// The `u1` on the uniforms' grid whose Box–Muller radius
+    /// `sqrt(−2·ln(1 − u1))` is nearest `radius`.
+    fn u1_for_radius(radius: f64) -> f64 {
+        (-(-radius * radius / 2.0).exp_m1() / STEP).round() * STEP
+    }
+
+    /// `(u2, radius)` pairs a tree probe's draw is solved from: two with a
+    /// positive `cos(2π·u2)` and two with a negative one.
+    const TREE_SOLVES: [(f64, f64); 4] = [(0.0, 1.2), (0.1, 2.5), (0.5, 0.6), (0.6, 3.5)];
+
+    #[test]
+    fn polynomial_normal_lies_within_z_err_of_libm() {
+        let check = |u1: f64, u2: f64| {
+            let (fast, libm) = (polynomial_normal(u1, u2), libm_normal(u1, u2));
+            assert!(
+                (fast - libm).abs() <= Z_ERR,
+                "u1 {u1:e} u2 {u2:e}: polynomial {fast:e}, libm {libm:e}"
+            );
+        };
+        let mut rng = StdRng::seed_from_u64(37);
+        for _ in 0..1 << 16 {
+            let mut stream = rng.clone();
+            let (u1, u2) = (rng.next_f64(), rng.next_f64());
+            assert_eq!(
+                libm_normal(u1, u2).to_bits(),
+                standard_normal(&mut stream).to_bits()
+            );
+            check(u1, u2);
+        }
+        // `1 − u1` at and next to every power of two from 1 to 2^-53 and
+        // every `√½·2^-j` (the ends of `m`'s range, where `|s|` peaks), on
+        // the uniforms' grid.
+        let mut u1s = Vec::new();
+        for j in 0..=53 {
+            let p = 2f64.powi(-j);
+            for w in [
+                p,
+                (p * std::f64::consts::FRAC_1_SQRT_2 / STEP).round() * STEP,
+            ] {
+                for n in -3..=3 {
+                    let w = w + n as f64 * STEP;
+                    if (STEP..=1.0).contains(&w) {
+                        u1s.push(1.0 - w);
+                    }
+                }
+            }
+        }
+        assert!(u1s.contains(&0.0) && u1s.contains(&(1.0 - STEP)));
+        // `u2` at every eighth of a turn and 3 ulps either side.
+        let u2s: Vec<f64> = (0..=8)
+            .flat_map(|j| (-3..=3).map(move |n| ulps(j as f64 / 8.0, n)))
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect();
+        for &u1 in &u1s {
+            for &u2 in &u2s {
+                check(u1, u2);
+            }
+        }
+    }
+
+    /// Checks that the threshold `t` decides `x > t` like the exact
+    /// chain's threshold at `sz` at every code level `x`. The levels
+    /// ascend, so the number of levels above a threshold fixes every
+    /// decision.
+    fn assert_decides_alike(
+        tape: &CompiledTreeVariation,
+        levels: &[f64],
+        s: usize,
+        t: f64,
+        sz: f64,
+    ) {
         let exact = tape.exact_threshold(s, sz);
         let above = |t: f64| levels.len() - levels.partition_point(|&x| x <= t);
         assert_eq!(
-            above(fast),
+            above(t),
             above(exact),
-            "max code {} split {s} sz {sz:e}: fast {fast:e}, exact {exact:e}",
+            "max code {} split {s} sz {sz:e}: fast {t:e}, exact {exact:e}",
             tape.max_code
         );
-        by_chain
+    }
+
+    /// Checks split `s` at the reference's `sz` (decided within
+    /// [`MARGIN`]) against the exact chain, and returns whether the exact
+    /// chain decided it.
+    fn tree_decides_alike(tape: &CompiledTreeVariation, levels: &[f64], s: usize, sz: f64) -> bool {
+        let fast = tape.threshold(s, sz, MARGIN);
+        let t = fast.unwrap_or_else(|| tape.exact_threshold(s, sz));
+        assert_decides_alike(tape, levels, s, t, sz);
+        fast.is_none()
+    }
+
+    /// Checks split `s`'s draw from the uniforms `u` at `sigma` against
+    /// the exact chain at the reference's `z`, and returns whether the
+    /// draw took the reference's `z`.
+    fn tree_draw_decides_alike(
+        tape: &CompiledTreeVariation,
+        levels: &[f64],
+        s: usize,
+        sigma: f64,
+        u: (f64, f64),
+    ) -> bool {
+        let z = libm_normal(u.0, u.1);
+        let (t, fell_back) = tape.draw_threshold(s, sigma, tape.slack(sigma), u, || z);
+        assert_decides_alike(tape, levels, s, t, sigma * z);
+        fell_back
     }
 
     #[test]
     fn log_domain_tree_thresholds_decide_like_the_exact_chain() {
         let mut rng = StdRng::seed_from_u64(35);
-        let (mut random, mut random_exact) = (0usize, 0usize);
+        let (mut random, mut random_exact, mut random_libm) = (0usize, 0usize, 0usize);
         for bits in 1..=16 {
             let tape = tree_tape(bits);
             let max_code = tape.max_code;
@@ -964,9 +1267,12 @@ mod tests {
             for s in 0..tape.split_count() {
                 for sigma in TREE_SIGMAS {
                     for _ in 0..DRAWS_PER_SIGMA {
-                        let sz = sigma * standard_normal(&mut rng);
+                        let u = (rng.next_f64(), rng.next_f64());
                         random += 1;
+                        let sz = sigma * libm_normal(u.0, u.1);
                         random_exact += tree_decides_alike(&tape, &levels, s, sz) as usize;
+                        random_libm +=
+                            tree_draw_decides_alike(&tape, &levels, s, sigma, u) as usize;
                     }
                 }
                 for &k in &probed {
@@ -981,23 +1287,45 @@ mod tests {
                                 "{bits} bits split {s}: level {k} decided without the exact chain"
                             );
                         }
+                        // The same `sz` from uniforms: `u1` solved for a
+                        // radius at a few `u2`, and sigma for the rest,
+                        // then a few uniform steps of `u1` around it.
+                        for (u2, radius) in TREE_SOLVES {
+                            let u1 = u1_for_radius(radius);
+                            let z = libm_normal(u1, u2);
+                            if z * sz <= 0.0 {
+                                continue;
+                            }
+                            for n in -ULPS..=ULPS {
+                                let u = (u1 + n as f64 * STEP, u2);
+                                let libm = tree_draw_decides_alike(&tape, &levels, s, sz / z, u);
+                                assert!(
+                                    libm || !on_level || n != 0,
+                                    "{bits} bits split {s}: level {k} decided from the polynomial normal"
+                                );
+                            }
+                        }
                     }
                 }
             }
         }
-        // The fast form must decide nearly every random draw itself.
+        // Both fast forms must decide nearly every random draw themselves.
         assert!(
             random_exact * 1000 < random,
             "{random_exact} of {random} draws exact"
         );
+        assert!(
+            random_libm * 1000 < random,
+            "{random_libm} of {random} draws took libm's normal"
+        );
     }
 
-    /// Checks that `column`'s log-domain grid indices at `sz` equal the
-    /// exact chain's for every term, and returns how many the exact
-    /// chain decided.
+    /// Checks that `column`'s log-domain grid indices at the reference's
+    /// `sz` (decided within [`MARGIN`]) equal the exact chain's for every
+    /// term, and returns how many the exact chain decided.
     fn column_snaps_alike(column: &ColumnTape, sz: &[f64]) -> u64 {
         let mut fast = Vec::new();
-        let by_chain = column.grid_indices(sz, |slot, m| {
+        let by_chain = column.grid_indices(sz, MARGIN, |slot, m| {
             assert_eq!(slot, fast.len());
             fast.push(m);
         });
@@ -1011,24 +1339,60 @@ mod tests {
         by_chain
     }
 
+    /// Checks `column`'s draws from `uniforms` (one pair per term) at
+    /// `sigma` as [`ColumnTape::perturb_lane`] decides them: from the
+    /// polynomial normal when no term lies within the slack, else again
+    /// from the reference's. Returns how many terms lay within the slack.
+    fn column_draws_snap_alike(column: &ColumnTape, sigma: f64, uniforms: &[(f64, f64)]) -> u64 {
+        let draw = |normal: fn(f64, f64) -> f64| -> Vec<f64> {
+            uniforms
+                .iter()
+                .map(|&(u1, u2)| sigma * normal(u1, u2))
+                .collect()
+        };
+        let exact = draw(libm_normal);
+        let mut fast = Vec::new();
+        let near = column.grid_indices(&draw(polynomial_normal), column.slack(sigma), |_, m| {
+            fast.push(m);
+        });
+        if near == 0 {
+            let w_max = column.exact_max_weight(&exact);
+            let want: Vec<usize> = column
+                .eval
+                .iter()
+                .map(|&k| column.exact_grid_index(k, &exact, w_max))
+                .collect();
+            assert_eq!(fast, want, "sigma {sigma} uniforms {uniforms:?}");
+        } else {
+            column_snaps_alike(column, &exact);
+        }
+        near
+    }
+
     #[test]
     fn log_domain_grid_indices_snap_like_the_exact_chain() {
         let mut rng = StdRng::seed_from_u64(35);
-        let (mut random, mut random_exact) = (0u64, 0u64);
+        let (mut random, mut random_exact, mut random_near) = (0u64, 0u64, 0u64);
+        let mut solved = 0usize;
         for bits in [2u32, 4, 8, 12, 16] {
             let top = (1u64 << (bits - 1)) - 1;
             let terms: Vec<(usize, u64)> = (0..6)
                 .map(|f| (5 - f, rng.gen_range(1..=top.max(1))))
                 .collect();
             let column = ColumnTape::new(&terms).expect("terms");
-            let mut sz = vec![0.0; terms.len()];
+            let draw_uniforms = |rng: &mut StdRng| -> Vec<(f64, f64)> {
+                (0..6).map(|_| (rng.next_f64(), rng.next_f64())).collect()
+            };
             for sigma in [0.0, 1e-3, 0.05, 0.2, 1.0, 3.0, MAX_SVM_SIGMA] {
                 for _ in 0..DRAWS_PER_SIGMA {
-                    for s in sz.iter_mut() {
-                        *s = sigma * standard_normal(&mut rng);
-                    }
+                    let uniforms = draw_uniforms(&mut rng);
+                    let sz: Vec<f64> = uniforms
+                        .iter()
+                        .map(|&(u1, u2)| sigma * libm_normal(u1, u2))
+                        .collect();
                     random += terms.len() as u64;
                     random_exact += column_snaps_alike(&column, &sz);
+                    random_near += column_draws_snap_alike(&column, sigma, &uniforms);
                 }
             }
             // Term 0 is the largest weight at `sz = 0`; solve term 1's
@@ -1036,10 +1400,11 @@ mod tests {
             // top index (`r = R_MAX`) and on the cap, then a few ulps
             // around each.
             let (l0, l1) = (column.ln_mags[0], column.ln_mags[1]);
-            let targets = (15..GRID_TOP).map(|j| (j as f64 + 0.5, true));
-            for (e, half) in
-                targets.chain([(GRID_TOP as f64, false), (GRID_TOP as f64 + 0.5, false)])
-            {
+            let targets: Vec<(f64, bool)> = (15..GRID_TOP)
+                .map(|j| (j as f64 + 0.5, true))
+                .chain([(GRID_TOP as f64, false), (GRID_TOP as f64 + 0.5, false)])
+                .collect();
+            for &(e, half) in &targets {
                 // The other terms sit one unit of `ln` below term 0.
                 let mut sz: Vec<f64> = column.ln_mags.iter().map(|l| l0 - l - 1.0).collect();
                 sz[0] = 0.0;
@@ -1053,10 +1418,48 @@ mod tests {
                     );
                 }
             }
+            // The same grid values from uniforms: the other terms drawn at
+            // random, term 1's `u1` solved at each `u2` that reaches its
+            // `z` within a radius of 0.1 to 4, then a few uniform steps of
+            // `u1` around it.
+            for sigma in [0.3, 3.0, MAX_SVM_SIGMA] {
+                let mut uniforms = draw_uniforms(&mut rng);
+                let l_max = (0..terms.len())
+                    .filter(|&k| k != 1)
+                    .map(|k| column.ln_mags[k] + sigma * libm_normal(uniforms[k].0, uniforms[k].1))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                for &(e, half) in &targets {
+                    let z = (l_max - (e - GRID_AT_MAX) / GRID_PER_LN - l1) / sigma;
+                    for u2 in [0.0, 0.1, 0.5, 0.6] {
+                        let radius = z / (std::f64::consts::TAU * u2).cos();
+                        if !(0.1..=4.0).contains(&radius) {
+                            continue;
+                        }
+                        solved += 1;
+                        let u1 = u1_for_radius(radius);
+                        for n in -ULPS..=ULPS {
+                            uniforms[1] = (u1 + n as f64 * STEP, u2);
+                            let near = column_draws_snap_alike(&column, sigma, &uniforms);
+                            assert!(
+                                near > 0 || !half || n != 0,
+                                "{bits} bits sigma {sigma}: grid value {e} snapped from the polynomial normal"
+                            );
+                        }
+                    }
+                }
+            }
         }
+        assert!(
+            solved > 1000,
+            "only {solved} grid values solved from uniforms"
+        );
         assert!(
             random_exact * 1000 < random,
             "{random_exact} of {random} terms exact"
+        );
+        assert!(
+            random_near * 1000 < random,
+            "{random_near} of {random} terms took libm's normal"
         );
     }
 
@@ -1109,7 +1512,7 @@ mod tests {
             let sums = [0, 1].map(|c| {
                 let table = tiled(ROWS, k[c], |row, slot| volts[c][row * k[c] + slot]);
                 let mut sums = vec![0.0; ROWS.div_ceil(TILE_ROWS) * TILE_ROWS * LANES];
-                column_sums(&table, &lanes[c].g, &mut sums);
+                column_sums(&table, &lanes[c].g, LANES, &mut sums);
                 sums
             });
             let scales = k.map(|kc| (0..kc).map(|_| rng.gen_range(1..=255u64) as f64).sum());
@@ -1168,6 +1571,21 @@ mod tests {
                     &qs, 11, &rows, sigma, trials, seed
                 ),
                 "sigma {sigma} trials {trials}"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_lane_blocks_report_like_the_reference() {
+        // Blocks of 1 to 64 lanes sum only the lane tiles they occupy.
+        let (qs, rows) = crate::variation::svm_variation_tests::workload();
+        let engine = CompiledSvmVariation::compile(&qs, 11);
+        let bound = engine.bind(&rows);
+        for trials in [1, 5, 16, 17, 64, 65] {
+            assert_eq!(
+                engine.analyze(&bound, 0.2, trials, 5),
+                crate::variation::reference::analyze_svm_variation(&qs, 11, &rows, 0.2, trials, 5),
+                "{trials} trials"
             );
         }
     }

@@ -160,6 +160,12 @@ fn check_sweep(
     if trials == 0 {
         return Err(VariationError::NoTrials);
     }
+    check_rows(rows, need)
+}
+
+/// Rejects no rows, or a row shorter than the `need` feature codes the
+/// model reads.
+fn check_rows(rows: &[Vec<u64>], need: usize) -> Result<(), VariationError> {
     if rows.is_empty() {
         return Err(VariationError::NoRows);
     }
@@ -265,12 +271,23 @@ pub fn svm_variation_sweep(
 /// leaves of its nominal class, the product of branch probabilities
 /// along each path.
 ///
-/// # Panics
-/// Panics if `sigma` is not positive and finite, `rows` is empty, or a
-/// row is shorter than a split's feature.
-pub fn expected_tree_agreement(tree: &QuantizedTree, rows: &[Vec<u64>], sigma: f64) -> f64 {
-    assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
-    assert!(!rows.is_empty(), "need evaluation rows");
+/// At sigma 0 no resistance moves and every row agrees, so the
+/// agreement is defined as 1, what [`variation_sweep`] reports there.
+///
+/// # Errors
+/// Rejects what [`variation_sweep`] rejects: a NaN, infinite or negative
+/// sigma, empty `rows` and a row too short for a split's feature, with a
+/// [`VariationError`].
+pub fn expected_tree_agreement(
+    tree: &QuantizedTree,
+    rows: &[Vec<u64>],
+    sigma: f64,
+) -> Result<f64, VariationError> {
+    check_sigma(sigma, false)?;
+    check_rows(rows, codes_needed(tree.used_features()))?;
+    if sigma == 0.0 {
+        return Ok(1.0);
+    }
     let nominal = AnalogTree::from_tree(tree, AnalogTreeConfig::default());
     let device = Egt::default();
     let max_code = max_code_for_bits(tree.bits());
@@ -291,7 +308,7 @@ pub fn expected_tree_agreement(tree: &QuantizedTree, rows: &[Vec<u64>], sigma: f
             leaf_mass(tree.nodes(), 0, nominal.predict(codes), &p_right)
         })
         .sum();
-    total / rows.len() as f64
+    Ok(total / rows.len() as f64)
 }
 
 /// Probability mass of the leaves of `class` under `node`, where split
@@ -638,6 +655,53 @@ mod tests {
         ));
         // Trees clamp every perturbed resistance: any finite sigma runs.
         assert!(sweep(&[200.0, 1e300], 4, &rows).is_ok());
+    }
+
+    /// The closed form's agreement of the HAR workload at `sigma`.
+    fn closed_form(rows: &[Vec<u64>], sigma: f64) -> Result<f64, VariationError> {
+        expected_tree_agreement(&workload().0, rows, sigma)
+    }
+
+    #[test]
+    fn the_closed_form_rejects_a_bad_sigma() {
+        let rows = workload().1;
+        for bad in [-0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(closed_form(&rows, bad), Err(VariationError::BadSigma(bad)));
+        }
+        assert!(matches!(
+            closed_form(&rows, f64::NAN),
+            Err(VariationError::BadSigma(s)) if s.is_nan()
+        ));
+    }
+
+    #[test]
+    fn the_closed_form_rejects_no_rows() {
+        assert_eq!(closed_form(&[], 0.1), Err(VariationError::NoRows));
+    }
+
+    #[test]
+    fn the_closed_form_rejects_a_short_row() {
+        let (qt, mut rows) = workload();
+        let need = codes_needed(qt.used_features());
+        rows[3].truncate(need - 1);
+        assert_eq!(
+            closed_form(&rows, 0.1),
+            Err(VariationError::ShortRow {
+                row: 3,
+                len: need - 1,
+                need
+            })
+        );
+    }
+
+    #[test]
+    fn the_closed_form_is_nominal_agreement_at_zero_sigma() {
+        // As the sweep reports it.
+        let (qt, rows) = workload();
+        assert_eq!(closed_form(&rows, 0.0), Ok(1.0));
+        let swept = &variation_sweep(&qt, &rows, &[0.0], 2, 1).unwrap()[0];
+        assert_eq!(swept.mean_agreement, 1.0);
+        assert!(closed_form(&rows, 0.1).is_ok_and(|m| m > 0.0 && m < 1.0));
     }
 
     #[test]

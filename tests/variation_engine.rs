@@ -326,7 +326,7 @@ fn tree_means_lie_within_five_standard_errors_of_the_closed_form() {
             let rows = flow.coded_rows(100);
             let sweep = variation_sweep(&flow.qt, &rows, &SIGMAS, TRIALS, 7).unwrap();
             for report in sweep {
-                let m = expected_tree_agreement(&flow.qt, &rows, report.sigma);
+                let m = expected_tree_agreement(&flow.qt, &rows, report.sigma).unwrap();
                 let tolerance = 5.0 * (m * (1.0 - m) / TRIALS as f64).sqrt();
                 let gap = (report.mean_agreement - m).abs();
                 assert!(
