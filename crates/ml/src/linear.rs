@@ -40,20 +40,7 @@ impl SvmRegressor {
         obs::counter_add("ml.svm.epochs", epochs as u64);
         let d = data.n_features();
         let n = data.len() as f64;
-        // Rows in whole blocks; all of them take the row loop when there
-        // are no features to block.
-        let blocked = match d {
-            0 => 0,
-            _ => data.len() - data.len() % SVM_ROWS,
-        };
-        // Each block's rows feature-major: row `i`'s feature `j` at
-        // `xt[(i / SVM_ROWS * d + j) * SVM_ROWS + i % SVM_ROWS]`.
-        let mut xt = vec![0.0; d * blocked];
-        for (i, row) in data.x[..blocked].iter().enumerate() {
-            for (j, &x) in row.iter().take(d).enumerate() {
-                xt[(i / SVM_ROWS * d + j) * SVM_ROWS + i % SVM_ROWS] = x;
-            }
-        }
+        let (xt, blocked) = feature_major_blocks(data, SVM_ROWS);
         let mut w = vec![0.0; d];
         let mut b = 0.0;
         let lr = 0.5;
@@ -114,6 +101,26 @@ impl SvmRegressor {
     pub fn n_classes(&self) -> usize {
         self.n_classes
     }
+}
+
+/// `data`'s leading rows in whole blocks of `rows`, each block
+/// feature-major (row `i`'s feature `j` at
+/// `xt[(i / rows * d + j) * rows + i % rows]`), and how many rows the
+/// blocks hold. With no features to block there are none, and every row
+/// takes its trainer's one-row path.
+fn feature_major_blocks(data: &Dataset, rows: usize) -> (Vec<f64>, usize) {
+    let d = data.n_features();
+    let blocked = match d {
+        0 => 0,
+        _ => data.len() - data.len() % rows,
+    };
+    let mut xt = vec![0.0; d * blocked];
+    for (i, row) in data.x[..blocked].iter().enumerate() {
+        for (j, &x) in row.iter().take(d).enumerate() {
+            xt[(i / rows * d + j) * rows + i % rows] = x;
+        }
+    }
+    (xt, blocked)
 }
 
 /// Rows one [`svm_block`] scores against the weights.
@@ -290,15 +297,20 @@ impl LogisticRegression {
             gb: vec![0.0; k],
             err: vec![0.0; LR_ROWS * k],
         };
+        let (xt, blocked) = feature_major_blocks(data, LR_ROWS);
         for _ in 0..epochs {
             fit.gw.fill(0.0);
             fit.gb.fill(0.0);
-            let mut xs = data.x.chunks_exact(LR_ROWS);
-            let mut ys = data.y.chunks_exact(LR_ROWS);
-            for (x, y) in (&mut xs).zip(&mut ys) {
+            let xs = data.x[..blocked].chunks_exact(LR_ROWS);
+            let ys = data.y[..blocked].chunks_exact(LR_ROWS);
+            for ((x, y), xt) in xs.zip(ys).zip(xt.chunks_exact(d.max(1) * LR_ROWS)) {
+                fit.scores::<LR_ROWS>(xt);
                 fit.accumulate::<LR_ROWS>(x, y);
             }
-            for (x, y) in xs.remainder().chunks(1).zip(ys.remainder().chunks(1)) {
+            let xs = data.x[blocked..].chunks(1);
+            for (x, y) in xs.zip(data.y[blocked..].chunks(1)) {
+                // One row is its own feature-major block.
+                fit.scores::<1>(&x[0][..d]);
                 fit.accumulate::<1>(x, y);
             }
             for (wi, g) in fit.w.iter_mut().zip(&fit.gw) {
@@ -342,8 +354,8 @@ fn scores(w: &[Vec<f64>], b: &[f64], row: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Rows one [`LrEpoch::accumulate`] pass scores against each weight row.
-const LR_ROWS: usize = 4;
+/// Rows one [`LrEpoch::scores`] pass scores against each weight row.
+const LR_ROWS: usize = 8;
 
 /// One full-batch logistic-regression epoch in flight: the `k × d`
 /// weights row-major, and the gradients being summed over the rows.
@@ -358,43 +370,59 @@ struct LrEpoch {
     b: Vec<f64>,
     gw: Vec<f64>,
     gb: Vec<f64>,
-    /// `R × k` per-row scores, then softmax errors.
+    /// `k × R` scores of the rows in flight, class-major, then their
+    /// softmax errors.
     err: Vec<f64>,
 }
 
 impl LrEpoch {
-    /// Adds the softmax cross-entropy gradients of `R` consecutive rows.
-    /// Each weight is loaded once for all `R` dot products, and each
-    /// gradient is read and written once for all `R` rows.
-    fn accumulate<const R: usize>(&mut self, x: &[Vec<f64>], y: &[usize]) {
+    /// Scores `R` rows held feature-major in `xt` (`xt[j * R + r]`) into
+    /// `err`, two classes per pass so each row value loads once for both.
+    fn scores<const R: usize>(&mut self, xt: &[f64]) {
         let d = self.d;
         let k = self.b.len();
-        let rows: [&[f64]; R] = std::array::from_fn(|r| &x[r][..d]);
+        let w = |c: usize| &self.w[c * d..][..d];
         let err = &mut self.err[..R * k];
-        for c in 0..k {
-            let mut acc = [crate::sum_start(); R];
-            for (j, wj) in self.w[c * d..][..d].iter().enumerate() {
-                for (a, row) in acc.iter_mut().zip(&rows) {
-                    *a += wj * row[j];
-                }
-            }
-            for (r, a) in acc.into_iter().enumerate() {
-                err[r * k + c] = a + self.b[c];
+        let pairs = k - k % 2;
+        for (c, err) in (0..pairs).step_by(2).zip(err.chunks_exact_mut(2 * R)) {
+            let b = [self.b[c], self.b[c + 1]];
+            score_classes::<R, 2>(xt, [w(c), w(c + 1)], b, err);
+        }
+        if pairs < k {
+            score_classes::<R, 1>(xt, [w(pairs)], [self.b[pairs]], &mut err[pairs * R..]);
+        }
+    }
+
+    /// Turns the `R` rows' scores into softmax errors and adds the rows'
+    /// cross-entropy gradients. Each gradient is read and written once for
+    /// all `R` rows.
+    fn accumulate<const R: usize>(&mut self, x: &[Vec<f64>], y: &[usize]) {
+        let d = self.d;
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &x[r][..d]);
+        let err = &mut self.err[..R * self.b.len()];
+        let mut top = [f64::NEG_INFINITY; R];
+        for s in err.chunks_exact(R) {
+            for (t, &v) in top.iter_mut().zip(s) {
+                *t = t.max(v);
             }
         }
-        for (r, &label) in y.iter().enumerate() {
-            let s = &mut err[r * k..][..k];
-            let m = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            for v in s.iter_mut() {
-                *v = (*v - m).exp();
+        for s in err.chunks_exact_mut(R) {
+            for (v, t) in s.iter_mut().zip(&top) {
+                *v = (*v - t).exp();
             }
-            let z: f64 = s.iter().sum();
-            for (c, v) in s.iter_mut().enumerate() {
+        }
+        let mut z = [crate::sum_start(); R];
+        for s in err.chunks_exact(R) {
+            for (z, &v) in z.iter_mut().zip(s) {
+                *z += v;
+            }
+        }
+        for (c, s) in err.chunks_exact_mut(R).enumerate() {
+            for ((v, z), &label) in s.iter_mut().zip(&z).zip(y) {
                 *v = *v / z - (c == label) as usize as f64;
             }
         }
-        for c in 0..k {
-            let e: [f64; R] = std::array::from_fn(|r| err[r * k + c]);
+        for (c, (gb, e)) in self.gb.iter_mut().zip(err.chunks_exact(R)).enumerate() {
             for (j, g) in self.gw[c * d..][..d].iter_mut().enumerate() {
                 let mut sum = *g;
                 for (er, row) in e.iter().zip(&rows) {
@@ -403,8 +431,32 @@ impl LrEpoch {
                 *g = sum;
             }
             for er in e {
-                self.gb[c] += er;
+                *gb += er;
             }
+        }
+    }
+}
+
+/// Scores `R` rows held feature-major in `xt` against `C` classes' weight
+/// rows `w` and biases `b`, into `err` (`err[c * R + r]`).
+fn score_classes<const R: usize, const C: usize>(
+    xt: &[f64],
+    w: [&[f64]; C],
+    b: [f64; C],
+    err: &mut [f64],
+) {
+    let mut acc = [[crate::sum_start(); R]; C];
+    for (j, x) in xt.chunks_exact(R).enumerate() {
+        for (acc, w) in acc.iter_mut().zip(&w) {
+            let wj = w[j];
+            for (a, x) in acc.iter_mut().zip(x) {
+                *a += wj * x;
+            }
+        }
+    }
+    for ((err, acc), b) in err.chunks_exact_mut(R).zip(acc).zip(b) {
+        for (e, a) in err.iter_mut().zip(acc) {
+            *e = a + b;
         }
     }
 }

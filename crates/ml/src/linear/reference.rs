@@ -69,11 +69,23 @@ fn assert_same(data: &Dataset, epochs: usize, lr: f64) {
 
 #[test]
 fn kernel_matches_the_row_by_row_trainer_at_every_row_tail() {
-    for rows in 8..=11 {
-        for epochs in 1..=3 {
-            assert_same(&test_data::random(rows, 6, 3, rows as u64), epochs, 0.5);
+    // Two blocks of 8 rows and every tail of 0–7; an odd class count
+    // leaves one class to score alone, an even one pairs them all.
+    for rows in 16..=23 {
+        for classes in [3, 4] {
+            for epochs in 1..=3 {
+                let data = test_data::random(rows, 6, classes, rows as u64);
+                assert_same(&data, epochs, 0.5);
+            }
         }
     }
+}
+
+#[test]
+fn kernel_matches_on_one_class_and_without_features() {
+    assert_same(&test_data::random(19, 5, 1, 4), 2, 0.5);
+    // No features: every row takes the one-row path.
+    assert_same(&test_data::random(19, 0, 3, 4), 2, 0.5);
 }
 
 #[test]

@@ -116,6 +116,7 @@ impl Mlp {
             acts: vec![[0.0; BATCH]; net.b.len()],
             delta: vec![[0.0; BATCH]; widest],
             prev: vec![[0.0; BATCH]; widest],
+            grad: vec![0.0; net.weights(0).len()],
         };
 
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -200,6 +201,8 @@ struct BatchLanes {
     delta: Vec<Lanes>,
     /// The error signal being formed for the layer below.
     prev: Vec<Lanes>,
+    /// The input layer's gradient sums, `out × in` row-major.
+    grad: Vec<f64>,
 }
 
 impl FlatNet {
@@ -310,44 +313,58 @@ impl FlatNet {
         let scale = lr / batch.len() as f64;
         for l in (0..=last).rev() {
             let (n, m) = self.shape(l);
-            let input = if l == 0 {
-                &s.input[..n]
+            let delta = &s.delta[..m];
+            if l == 0 {
+                // The input layer's gradients sum `d·x` over the batch's
+                // rows of `data.x`, four rows per pass over the sums.
+                let g = &mut s.grad[..m * n];
+                g.fill(0.0);
+                let mut groups = batch.chunks_exact(4);
+                for (lane, group) in (0..).step_by(4).zip(&mut groups) {
+                    let rows: [_; 4] = std::array::from_fn(|r| &data.x[group[r]][..n]);
+                    add_row_terms(g, delta, lane, rows);
+                }
+                let tail = batch.len() - groups.remainder().len();
+                for (lane, &i) in (tail..).zip(groups.remainder()) {
+                    add_row_terms(g, delta, lane, [&data.x[i][..n]]);
+                }
+                for (w, g) in self.w[..m * n].iter_mut().zip(&*g) {
+                    *w -= scale * g;
+                }
             } else {
-                &s.acts[self.b_off[l - 1]..][..n]
-            };
-            if l > 0 {
+                let input = &s.acts[self.b_off[l - 1]..][..n];
                 let w = self.weights(l);
-                let prev = &mut s.prev[..n];
-                prev.fill([0.0; BATCH]);
-                for (o, d) in s.delta[..m].iter().enumerate() {
-                    for (p, wj) in prev.iter_mut().zip(&w[o * n..][..n]) {
-                        for (p, d) in p.iter_mut().zip(d) {
-                            *p += d * wj;
+                for (j, (p, a)) in s.prev[..n].iter_mut().zip(input).enumerate() {
+                    let mut e: Lanes = [0.0; BATCH];
+                    for (o, d) in delta.iter().enumerate() {
+                        let wj = w[o * n + j];
+                        for (e, d) in e.iter_mut().zip(d) {
+                            *e += d * wj;
                         }
                     }
+                    // ReLU derivative on the hidden activation, as a mask:
+                    // `+0.0` where `a <= 0.0`, else `e` (a NaN `a` keeps it).
+                    for ((p, e), a) in p.iter_mut().zip(e).zip(a) {
+                        let keep = ((*a <= 0.0) as u64).wrapping_sub(1);
+                        *p = f64::from_bits(e.to_bits() & keep);
+                    }
                 }
-                // ReLU derivative on the hidden activation.
-                for (p, a) in prev.iter_mut().zip(input) {
-                    for (p, a) in p.iter_mut().zip(a) {
-                        if *a <= 0.0 {
-                            *p = 0.0;
+                let w = &mut self.w[self.w_off[l]..][..m * n];
+                for (o, d) in delta.iter().enumerate() {
+                    let d = &d[..batch.len()];
+                    for (w, x) in w[o * n..][..n].iter_mut().zip(input) {
+                        let mut g = 0.0;
+                        for (d, x) in d.iter().zip(x) {
+                            g += d * x;
                         }
+                        *w -= scale * g;
                     }
                 }
             }
-            let w = &mut self.w[self.w_off[l]..][..m * n];
             let b = &mut self.b[self.b_off[l]..][..m];
-            for (o, d) in s.delta[..m].iter().enumerate() {
-                let d = &d[..batch.len()];
-                for (w, x) in w[o * n..][..n].iter_mut().zip(input) {
-                    let mut g = 0.0;
-                    for (d, x) in d.iter().zip(x) {
-                        g += d * x;
-                    }
-                    *w -= scale * g;
-                }
+            for (o, d) in delta.iter().enumerate() {
                 let mut gb = 0.0;
-                for d in d {
+                for d in &d[..batch.len()] {
                     gb += d;
                 }
                 b[o] -= scale * gb;
@@ -371,6 +388,24 @@ impl FlatNet {
             })
             .collect();
         Mlp { layers }
+    }
+}
+
+/// Adds the `d·x` terms of batch rows `lane..lane + R` to `g`, the input
+/// layer's gradient sums (`m × n` row-major, one row of `delta` per
+/// output), each sum taking the rows in order. `x` holds the rows'
+/// features; the sums of one output run side by side across them.
+fn add_row_terms<const R: usize>(g: &mut [f64], delta: &[Lanes], lane: usize, x: [&[f64]; R]) {
+    let n = x[0].len();
+    for (o, d) in delta.iter().enumerate() {
+        let d: [f64; R] = std::array::from_fn(|r| d[lane + r]);
+        for (j, g) in g[o * n..][..n].iter_mut().enumerate() {
+            let mut sum = *g;
+            for (d, x) in d.iter().zip(&x) {
+                sum += d * x[j];
+            }
+            *g = sum;
+        }
     }
 }
 

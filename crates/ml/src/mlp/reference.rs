@@ -2,6 +2,7 @@
 //! kept as its bit-for-bit oracle.
 
 use super::*;
+use crate::data::Standardizer;
 use crate::synth::Application;
 use crate::test_data;
 
@@ -127,8 +128,9 @@ const SHAPES: [&[usize]; 4] = [&[], &[5], &[5, 5, 5], &[3, 7]];
 
 #[test]
 fn kernel_matches_the_row_by_row_trainer_on_full_and_short_batches() {
-    // 32: full batches only; 37: a 5-row last batch; 7: one short batch.
-    for rows in [32, 37, 7] {
+    // 32: full batches only; 37: a 5-row last batch; 18: a 2-row last
+    // batch; 7: one short batch.
+    for rows in [32, 37, 18, 7] {
         let data = test_data::random(rows, 6, 3, rows as u64);
         for hidden in SHAPES {
             for epochs in 1..=3 {
@@ -152,6 +154,40 @@ fn kernel_matches_on_table2_data() {
         let (train, _) = app.generate(7).split(0.7, 42);
         for hidden in SHAPES {
             assert_same(&train, hidden, 2);
+        }
+    }
+    // A wide input layer (127 features): the first 37 rows of GasId's
+    // standardized train split, so the last batch is short.
+    let (train, _) = Application::GasId.generate(7).split(0.7, 42);
+    let train = Standardizer::fit(&train).transform(&train);
+    let rows = 37;
+    let prefix = Dataset::new(
+        "gasid-prefix",
+        train.x[..rows].to_vec(),
+        train.y[..rows].to_vec(),
+        train.n_classes,
+    );
+    for hidden in SHAPES {
+        assert_same(&prefix, hidden, 2);
+    }
+}
+
+#[test]
+fn kernel_matches_where_hidden_units_are_off() {
+    // Every third row is all zeros, so each hidden pre-activation on it is
+    // its bias: exactly 0 at the start, and a dead unit stays at 0. The
+    // other rows sit far from the origin on one side, which drives many
+    // pre-activations negative. Both leave ReLU outputs of exactly 0,
+    // where the error signal must be cut to `+0.0`.
+    let mut data = test_data::random(50, 4, 3, 9);
+    for (i, row) in data.x.iter_mut().enumerate() {
+        for v in row.iter_mut() {
+            *v = if i % 3 == 0 { 0.0 } else { *v - 3.0 };
+        }
+    }
+    for hidden in SHAPES {
+        for epochs in 1..=3 {
+            assert_same(&data, hidden, epochs);
         }
     }
 }

@@ -349,6 +349,7 @@ struct Grower<'a> {
 
 impl<'a> Grower<'a> {
     fn new(data: &'a Dataset, sample: &[usize], features: &'a [usize], params: TreeParams) -> Self {
+        let mut spare = Vec::new();
         let lists = features
             .iter()
             .map(|&f| {
@@ -359,7 +360,7 @@ impl<'a> Grower<'a> {
                         (data.x[i][f], row)
                     })
                     .collect();
-                list.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("feature values are not NaN"));
+                presort(&mut list, &mut spare);
                 list
             })
             .collect();
@@ -484,6 +485,64 @@ impl<'a> Grower<'a> {
     }
 }
 
+/// Sorts a feature list by value with a stable LSD radix sort on
+/// [`order_key`], one byte per pass. Tied values keep their input order,
+/// so the list equals `sort_by(partial_cmp)`'s except inside a run of
+/// both signed zeros, where `-0.0` now comes first. Nothing downstream
+/// reads tie order: the sweep keeps one count per distinct value and a
+/// split partitions by value. A pass whose byte is the same for every
+/// entry leaves the order as it is and is skipped.
+///
+/// # Panics
+/// Panics if a value is NaN: it has no place in the order.
+fn presort(list: &mut Vec<Entry>, spare: &mut Vec<Entry>) {
+    #[cfg(test)]
+    if tests::COMPARISON_PRESORT.get() {
+        return tests::comparison_presort(list);
+    }
+    let mut counts = [[0usize; 256]; 8];
+    let mut nan = false;
+    for &(v, _) in list.iter() {
+        nan |= v.is_nan();
+        let key = order_key(v);
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 0xff] += 1;
+        }
+    }
+    assert!(!nan, "feature values are not NaN");
+    let Some(&(first, _)) = list.first() else {
+        return;
+    };
+    spare.clear();
+    spare.resize(list.len(), (0.0, 0));
+    for (byte, count) in counts.iter().enumerate() {
+        let digit = |v: f64| (order_key(v) >> (8 * byte)) as usize & 0xff;
+        if count[digit(first)] == list.len() {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (next, &n) in next.iter_mut().zip(count) {
+            *next = start;
+            start += n;
+        }
+        for &e in list.iter() {
+            let d = digit(e.0);
+            spare[next[d]] = e;
+            next[d] += 1;
+        }
+        std::mem::swap(list, spare);
+    }
+}
+
+/// `v`'s bits mapped so that unsigned order is numeric order: a positive
+/// value gets its sign bit set, a negative one has every bit flipped.
+/// `-0.0` maps just below `+0.0`.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64) >> 63) as u64 | 1 << 63)
+}
+
 /// Stably moves the entries whose row goes left to the front of `list`,
 /// the rest after them, using `spill` as the holding buffer.
 fn stable_partition(list: &mut [Entry], goes_left: &[bool], spill: &mut Vec<Entry>) {
@@ -595,9 +654,151 @@ fn majority(counts: &[usize]) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+    use crate::forest::{ForestParams, RandomForest};
     use crate::metrics::accuracy;
     use crate::synth::Application;
+    use exec::rng::StdRng;
+
+    thread_local! {
+        /// While set, [`presort`] runs [`comparison_presort`] instead.
+        pub(super) static COMPARISON_PRESORT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The comparison presort the radix sort replaced, kept as its oracle.
+    pub(super) fn comparison_presort(list: &mut [Entry]) {
+        list.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("feature values are not NaN"));
+    }
+
+    fn with_comparison_presort<T>(fit: impl FnOnce() -> T) -> T {
+        COMPARISON_PRESORT.set(true);
+        let out = fit();
+        COMPARISON_PRESORT.set(false);
+        out
+    }
+
+    /// A value drawn from a small pool heavy in ties, signed zeros,
+    /// subnormals and extremes, or uniform over a wide range.
+    fn awkward_value(rng: &mut StdRng) -> f64 {
+        const POOL: [f64; 14] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e-310,
+            -1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            f64::MAX,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+        ];
+        match rng.gen_range(0..3u32) {
+            0 => POOL[rng.gen_range(0..POOL.len())],
+            1 => rng.gen_range(-4.0..4.0),
+            _ => rng.gen_range(-1e300..1e300),
+        }
+    }
+
+    #[test]
+    fn radix_presort_equals_the_comparison_sort() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut spare = Vec::new();
+        for len in [0usize, 1, 2, 3, 17, 256, 1000] {
+            for _ in 0..20 {
+                let rows = len.max(1);
+                let values: Vec<f64> = (0..rows).map(|_| awkward_value(&mut rng)).collect();
+                // A bootstrap draw: rows repeat, each copy with its row's value.
+                let list: Vec<Entry> = (0..len)
+                    .map(|_| {
+                        let i = rng.gen_range(0..rows);
+                        (values[i], i as u32)
+                    })
+                    .collect();
+                let mut radix = list.clone();
+                presort(&mut radix, &mut spare);
+                let mut reference = list.clone();
+                comparison_presort(&mut reference);
+                assert_eq!(radix.len(), reference.len());
+                for (r, c) in radix.iter().zip(&reference) {
+                    // Equal values; the same row unless both are zeros,
+                    // whose run the radix sort orders by sign.
+                    assert!(r.0 == c.0, "{r:?} vs {c:?}");
+                    assert!(r.1 == c.1 || r.0 == 0.0, "{r:?} vs {c:?}");
+                }
+                // Exactly the stable sort by `total_cmp`, which only
+                // adds `-0.0 < +0.0` to the comparison order.
+                let mut total = list;
+                total.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let bits = |l: &[Entry]| -> Vec<(u64, u32)> {
+                    l.iter().map(|&(v, i)| (v.to_bits(), i)).collect()
+                };
+                assert_eq!(bits(&radix), bits(&total));
+            }
+        }
+    }
+
+    /// Rows whose features take few values, `-0.0` and `+0.0` among them
+    /// in every order, with labels that depend on the features' signs.
+    fn signed_zero_dataset() -> Dataset {
+        let mut rng = StdRng::seed_from_u64(3);
+        const VALUES: [f64; 7] = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5];
+        let x: Vec<Vec<f64>> = (0..400)
+            .map(|_| {
+                (0..5)
+                    .map(|_| VALUES[rng.gen_range(0..VALUES.len())])
+                    .collect()
+            })
+            .collect();
+        let y = x
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let sign = r[0].is_sign_negative() as usize + 2 * (r[1] > 0.0) as usize;
+                (sign + (r[2] < 0.0) as usize + (i % 13 == 0) as usize) % 3
+            })
+            .collect();
+        Dataset::new("signed-zeros", x, y, 3)
+    }
+
+    #[test]
+    fn trees_and_forests_match_the_comparison_presort_on_signed_zeros() {
+        // Debug keeps a threshold's sign, which `==` on f64 ignores.
+        let shown = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        let data = signed_zero_dataset();
+        for depth in [1, 2, 4, 8] {
+            let params = TreeParams {
+                max_depth: depth,
+                min_samples_split: 2,
+                max_thresholds: 3,
+            };
+            let tree = DecisionTree::fit(&data, params);
+            let reference = with_comparison_presort(|| DecisionTree::fit(&data, params));
+            assert_eq!(shown(&tree), shown(&reference), "depth {depth}");
+        }
+        let depths = [1, 2, 4, 8];
+        let trees = DecisionTree::fit_depths(&data, &depths);
+        let reference = with_comparison_presort(|| DecisionTree::fit_depths(&data, &depths));
+        assert_eq!(shown(&trees), shown(&reference));
+        assert!(trees[3].comparison_count() > 8);
+        let params = ForestParams::paper(8);
+        let forest = RandomForest::fit(&data, params);
+        let reference = with_comparison_presort(|| RandomForest::fit(&data, params));
+        assert_eq!(shown(&forest), shown(&reference));
+    }
+
+    #[test]
+    #[should_panic(expected = "feature values are not NaN")]
+    fn a_nan_feature_is_rejected() {
+        let mut data = signed_zero_dataset();
+        data.x[17][3] = f64::NAN;
+        DecisionTree::fit(&data, TreeParams::with_depth(2));
+    }
 
     fn xor_dataset() -> Dataset {
         // Exact 2D XOR: every depth-1 cut has zero gain, so solving it
