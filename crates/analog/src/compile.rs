@@ -33,21 +33,21 @@
 //! and `2s + 1`, reached directly by [`StdRng::advance`]; SVM: positive
 //! column then negative column in term order). Only a decision leaves a
 //! draw: a tree lane's `x > t` at every code level `x`, an SVM term's
-//! printable grid index. The engine decides it in the log domain, from
-//! `sz = sigma * z` added to a logarithm solved at compile time, with `z`
-//! first from [`polynomial_normal`], which lies within [`Z_ERR`] of the
-//! reference's Box–Muller `z` (libm's `ln` and `cos`). A draw whose value
-//! lies within the slack of a point where the decision could change (1e-6
-//! of a code or grid step plus what the polynomials can move it) takes
-//! the reference's `z` from the same uniforms instead; an SVM column with
-//! such a term is re-drawn that way whole. Within 1e-6 of a step of that
-//! point the reference's exact device chain decides. SVM column sums
-//! are reassociated, and a class is taken from them only when no
-//! boundary lies within a proven bound on the reassociation's rounding;
-//! otherwise the columns are re-added in the reference's order. Reports are
-//! therefore **bit-identical** to [`crate::variation::reference`] and
-//! bit-identical at any thread count or lane-block boundary
-//! (`tests/variation_engine.rs` pins both).
+//! printable grid index. Each draw is decided one of two ways. The fast
+//! path decides it in the log domain, from `sz = sigma * z` added to a
+//! logarithm solved at compile time, with `z` from [`polynomial_normal`],
+//! which lies within [`Z_ERR`] of the reference's Box–Muller `z` (libm's
+//! `ln` and `cos`). A draw whose value lies within the slack of a point
+//! where the decision could change (1e-6 of a code or grid step plus what
+//! the polynomials can move it) is decided by the reference's own
+//! operations instead: [`box_muller`] over the draw's own two uniforms,
+//! then the device chain. An SVM column with such a term is decided that
+//! way whole. SVM column sums are reassociated, and a class is taken from
+//! them only when no boundary lies within a proven bound on the
+//! reassociation's rounding; otherwise the columns are re-added in the
+//! reference's order. Reports are therefore **bit-identical** to
+//! [`crate::variation::reference`] and bit-identical at any thread count
+//! or lane-block boundary (`tests/variation_engine.rs` pins both).
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -59,7 +59,7 @@ use ml::quant::{max_code_for_bits, QNode, QuantizedSvm, QuantizedTree};
 use crate::device::{Egt, PrintedResistor, R_MIN, VDD};
 use crate::svm::AnalogSvm;
 use crate::tree::{AnalogTree, AnalogTreeConfig};
-use crate::variation::{standard_normal, VariationReport};
+use crate::variation::{box_muller, VariationReport};
 
 /// Trials evaluated per pass over the rows: one bit of a `u64` lane
 /// mask each.
@@ -76,19 +76,20 @@ static LANE_BLOCKS: obs::Counter = obs::Counter::new("analog.variation.lane_bloc
 /// Perturbations drawn: per-lane split thresholds a walk reached (tree)
 /// and per-lane crossbar terms (SVM).
 static DRAWS: obs::Counter = obs::Counter::new("analog.variation.draws");
-/// Draws whose decision took the reference's libm normal: tree thresholds
-/// and SVM terms within the slack of a decision boundary.
+/// Draws the reference's own chain decided: tree thresholds and SVM terms
+/// whose polynomial normal put them within the slack of a decision
+/// boundary (such a term's whole column is redecided).
 static EXACT: obs::Counter = obs::Counter::new("analog.variation.exact");
 /// `(distinct row, lane)` SVM decisions a class boundary within the
 /// reassociation bound left to the reference-order column sums.
 static EXACT_SUMS: obs::Counter = obs::Counter::new("analog.variation.exact_sums");
 
-/// How close, in code steps (tree) or grid steps (SVM), a log-domain
-/// value from the reference's `z` may come to a point where the decision
-/// changes before the exact device chain decides instead. The two forms
-/// differ by rounding only, below 1e-9 of a step even at 16 bits and
-/// sigma 10. A value from [`polynomial_normal`]'s `z` needs a wider slack:
-/// see [`CompiledTreeVariation::slack`] and [`ColumnTape::slack`].
+/// The floor of both slacks, in code steps (tree) or grid steps (SVM): a
+/// log-domain value from the reference's `z` this far from every point
+/// where the decision changes decides like the exact device chain, since
+/// the two forms differ by rounding only, below 1e-9 of a step even at
+/// 16 bits and sigma 10. A value from [`polynomial_normal`]'s `z` needs
+/// more: see [`CompiledTreeVariation::slack`] and [`ColumnTape::slack`].
 const MARGIN: f64 = 1e-6;
 
 /// An upper bound on `|z|` and `|z̃|`: a 53-bit uniform keeps
@@ -96,7 +97,7 @@ const MARGIN: f64 = 1e-6;
 const Z_MAX: f64 = 8.6;
 
 /// A bound on `|z̃ − z|`, where `z̃` is [`polynomial_normal`]'s value and
-/// `z` is `standard_normal`'s from the same two uniforms.
+/// `z` is [`box_muller`]'s from the same two uniforms.
 ///
 /// Both take `w = 1 − u1` exactly (a multiple of 2^-53 in `(0, 1]`), and
 /// `z = R·C` with `R = sqrt(−2·ln w) < 8.58` and `C = cos(2π·u2)`; `u = ε/2`.
@@ -160,8 +161,8 @@ fn horner<const N: usize>(t: f64, coeffs: &[f64; N]) -> f64 {
 
 /// Box–Muller's `z = sqrt(−2·ln(1 − u1))·cos(2π·u2)` from the uniforms
 /// `u1, u2` in `[0, 1)`, with branch-free polynomials for `ln` and `cos`
-/// and no libm call: within [`Z_ERR`] of `standard_normal`'s value from
-/// the same uniforms.
+/// and no libm call: within [`Z_ERR`] of [`box_muller`]'s value from the
+/// same uniforms.
 ///
 /// `ln`: the bits of `w = 1 − u1` give `w = 2^k·m` with `m` in `[√½, √2)`
 /// (subtracting `√½`'s bits carries `k` into the exponent field), and
@@ -234,13 +235,6 @@ pub struct TreeRows {
     nominal_class: Vec<usize>,
     /// Caller rows, duplicates included: the agreement denominator.
     n_rows: usize,
-}
-
-impl TreeRows {
-    /// True when no rows are bound.
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
 }
 
 impl CompiledTreeVariation {
@@ -369,26 +363,16 @@ impl CompiledTreeVariation {
     }
 
     /// Split `s`'s perturbed threshold voltage for the draw from the
-    /// uniforms `(u1, u2)`, and whether the decision took the reference's
-    /// normal `exact_z()` because [`polynomial_normal`]'s value lay
-    /// within `slack` ([`Self::slack`]) of a code level. The reference's
-    /// value then decides like the reference: in the log domain, or by the
-    /// exact chain within [`MARGIN`] of a level.
+    /// uniforms `(u1, u2)`, and whether [`polynomial_normal`]'s value lay
+    /// within `slack` ([`Self::slack`]) of a code level. Such a draw takes
+    /// the reference's own threshold: [`box_muller`] over the same
+    /// uniforms, then the exact chain.
     #[inline]
-    fn draw_threshold(
-        &self,
-        s: usize,
-        sigma: f64,
-        slack: f64,
-        (u1, u2): (f64, f64),
-        exact_z: impl FnOnce() -> f64,
-    ) -> (f64, bool) {
-        if let Some(t) = self.threshold(s, sigma * polynomial_normal(u1, u2), slack) {
-            return (t, false);
+    fn draw_threshold(&self, s: usize, sigma: f64, slack: f64, u1: f64, u2: f64) -> (f64, bool) {
+        match self.threshold(s, sigma * polynomial_normal(u1, u2), slack) {
+            Some(t) => (t, false),
+            None => (self.exact_threshold(s, sigma * box_muller(u1, u2)), true),
         }
-        let sz = sigma * exact_z();
-        let t = self.threshold(s, sz, MARGIN);
-        (t.unwrap_or_else(|| self.exact_threshold(s, sz)), true)
     }
 
     /// [`Self::threshold`] through the transistor law exactly as the
@@ -400,7 +384,7 @@ impl CompiledTreeVariation {
 
     /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
     /// rows, plus the number of lane thresholds drawn and how many of
-    /// those took the reference's normal.
+    /// those the reference's own chain decided.
     ///
     /// Each distinct row is one walk: `(node, lane mask)` pairs on a stack start
     /// from `(root, all lanes)`, and a split sends the lanes whose input
@@ -449,11 +433,9 @@ impl CompiledTreeVariation {
                     // Split `s` takes draws `2s` and `2s + 1` of the stream.
                     let mut rng = StdRng::seed_from_u64(streams[lane]);
                     rng.advance(2 * s as u64);
-                    let mut start = rng.clone();
                     let u1 = rng.next_f64();
                     let u2 = rng.next_f64();
-                    let (t, fell_back) = self
-                        .draw_threshold(s, sigma, slack, (u1, u2), || standard_normal(&mut start));
+                    let (t, fell_back) = self.draw_threshold(s, sigma, slack, u1, u2);
                     lanes[lane] = t;
                     exact += u64::from(fell_back);
                 }
@@ -599,38 +581,32 @@ impl ColumnTape {
         })
     }
 
-    /// Snaps each term to its printable grid index for the perturbations
-    /// `sz` (term order; term `k`'s weight is `mags[k] * exp(sz[k])`),
-    /// calling `snap(slot, m)` in ascending-row slot order. Returns how
-    /// many terms lay within `slack` grid steps of a rounding boundary.
+    /// Snaps each term to its printable grid index in the log domain for
+    /// the perturbations `sz` (term order; term `k`'s weight is
+    /// `mags[k] * exp(sz[k])`), calling `snap(slot, m)` in ascending-row
+    /// slot order. Returns how many terms lay within `slack` grid steps of
+    /// a rounding boundary; their indices are not to be trusted.
     ///
     /// With `L_k = ln mags[k] + sz[k]`, term `k` snaps to
     /// `round(48·(log10 2 + (max L − L_k)·log10 e))`, capped at the top
-    /// index. A value within `slack` of a half-integer, where the rounding
-    /// could go either way, takes the exact chain over `sz`. At the top
-    /// index the cap and the rounding agree, so it is no boundary while
-    /// the slack stays below a half step, as it does up to any sigma an
-    /// SVM takes. A caller whose `sz` comes from [`polynomial_normal`]
-    /// discards the column when this returns more than 0.
+    /// index. A value within `slack` of a half-integer is one where the
+    /// rounding could go either way. At the top index the cap and the
+    /// rounding agree, so it is no boundary while the slack stays below a
+    /// half step, as it does up to any sigma an SVM takes.
     #[inline]
     fn grid_indices(&self, sz: &[f64], slack: f64, mut snap: impl FnMut(usize, usize)) -> u64 {
         let log_weight = |k: usize| self.ln_mags[k] + sz[k];
         let l_max = (0..sz.len())
             .map(log_weight)
             .fold(f64::NEG_INFINITY, f64::max);
-        // The exact chain's largest weight, solved on its first use.
-        let mut w_max = None;
         let mut near = 0u64;
         for (slot, &k) in self.eval.iter().enumerate() {
             let e = GRID_AT_MAX + (l_max - log_weight(k)) * GRID_PER_LN;
             let r = rint(e);
             let m = if e >= GRID_TOP as f64 {
                 GRID_TOP
-            } else if (e - r).abs() > 0.5 - slack {
-                near += 1;
-                let w_max = *w_max.get_or_insert_with(|| self.exact_max_weight(sz));
-                self.exact_grid_index(k, sz, w_max)
             } else {
+                near += u64::from((e - r).abs() > 0.5 - slack);
                 r as usize
             };
             snap(slot, m);
@@ -676,51 +652,39 @@ impl ColumnTape {
         PrintedResistor::grid_index(1.0 / target)
     }
 
-    /// Draws one trial's perturbations (term order, matching the
-    /// reference RNG stream) into the buffer `sz` and programs the
-    /// column into lane `lane` of `out`: conductances and their total in
-    /// ascending-row order. `g_grid` holds the conductance of every
-    /// printable grid point, so the snap of [`PrintedResistor::printable`]
-    /// becomes a table read. Returns how many terms lay within the slack
-    /// ([`Self::slack`]) of a rounding boundary.
+    /// Snaps one trial's terms to their grid indices from `uniforms`, each
+    /// term's two uniforms in term order (the reference's draw order),
+    /// calling `snap(slot, m)` in ascending-row slot order, with `sz` as
+    /// scratch for the perturbations. Returns how many terms
+    /// [`polynomial_normal`] put within `slack` ([`Self::slack`]) of a
+    /// rounding boundary.
     ///
-    /// The terms first snap from [`polynomial_normal`]. If any lies within
-    /// the slack, the column is drawn again from `rng`'s saved state
-    /// through `standard_normal`, as the reference draws it: the largest
-    /// weight depends on every term, so no term can be redrawn alone.
+    /// The terms first snap in the log domain from [`polynomial_normal`].
+    /// If any lies within the slack, every term snaps again as the
+    /// reference snaps it: [`box_muller`] over the same uniforms, the
+    /// largest weight, then each term's chain. The largest weight depends
+    /// on every term, so no term can be redecided alone.
     fn perturb_lane(
         &self,
-        rng: &mut StdRng,
+        uniforms: &[(f64, f64)],
         sigma: f64,
-        g_grid: &[f64],
-        lane: usize,
+        slack: f64,
         sz: &mut [f64],
-        out: &mut ColumnLanes,
+        mut snap: impl FnMut(usize, usize),
     ) -> u64 {
-        let sz = &mut sz[..self.mags.len()];
-        let slack = self.slack(sigma);
-        let start = rng.clone();
-        for s in sz.iter_mut() {
-            let u1 = rng.next_f64();
-            *s = sigma * polynomial_normal(u1, rng.next_f64());
+        let sz = &mut sz[..uniforms.len()];
+        for (s, &(u1, u2)) in sz.iter_mut().zip(uniforms) {
+            *s = sigma * polynomial_normal(u1, u2);
         }
-        let mut program = |sz: &[f64], slack: f64| {
-            let mut t = 0.0f64;
-            let near = self.grid_indices(sz, slack, |slot, m| {
-                let cond = g_grid[m];
-                out.g[slot * LANES + lane] = cond;
-                t += cond;
-            });
-            out.total[lane] = t;
-            near
-        };
-        let near = program(sz, slack);
+        let near = self.grid_indices(sz, slack, &mut snap);
         if near > 0 {
-            let mut rng = start;
-            for s in sz.iter_mut() {
-                *s = sigma * standard_normal(&mut rng);
+            for (s, &(u1, u2)) in sz.iter_mut().zip(uniforms) {
+                *s = sigma * box_muller(u1, u2);
             }
-            program(sz, MARGIN);
+            let w_max = self.exact_max_weight(sz);
+            for (slot, &k) in self.eval.iter().enumerate() {
+                snap(slot, self.exact_grid_index(k, sz, w_max));
+            }
         }
         near
     }
@@ -740,6 +704,13 @@ impl ColumnLanes {
             g: vec![0.0; slots * LANES],
             total: [0.0; LANES],
         }
+    }
+
+    /// Sets lane `lane`'s total to its conductances added in slot order,
+    /// as `CrossbarColumn::program` adds them.
+    fn sum_lane(&mut self, lane: usize) {
+        let g = self.g.iter().skip(lane).step_by(LANES);
+        self.total[lane] = g.fold(0.0, |t, &g| t + g);
     }
 
     /// Each lane's `1 / total`, or 0 for a column with no terms, whose
@@ -1014,9 +985,9 @@ impl CompiledSvmVariation {
     }
 
     /// Per-lane agreement counts of trials `lo .. lo + n` over the bound
-    /// rows, the number of terms whose draw took the reference's normal,
-    /// and the number of `(distinct row, lane)` pairs the reference-order
-    /// sums decided.
+    /// rows, the number of terms the polynomial normal put within the
+    /// slack ([`ColumnTape::perturb_lane`]), and the number of
+    /// `(distinct row, lane)` pairs the reference-order sums decided.
     ///
     /// Every lane's columns are drawn in the reference order, then
     /// [`column_sums`] sums every distinct row, and `d̃` with its bound
@@ -1036,17 +1007,20 @@ impl CompiledSvmVariation {
             .each_ref()
             .map(|c| c.as_ref().map_or(0, |c| c.eval.len()));
         let mut sz = vec![0.0f64; k[0].max(k[1])];
+        let mut uniforms = vec![(0.0f64, 0.0f64); sz.len()];
         let mut lanes = k.map(ColumnLanes::new);
         let mut exact_draws = 0u64;
         for lane in 0..n {
             let mut rng = StdRng::seed_from_u64(task_seed(seed, (lo + lane) as u64));
             // Reference draw order: positive column, then negative, from
-            // the same per-trial stream.
+            // the same per-trial stream, `u1` before `u2` for each term.
             for (col, out) in self.columns.iter().zip(&mut lanes) {
-                if let Some(col) = col {
-                    exact_draws +=
-                        col.perturb_lane(&mut rng, sigma, &self.g_grid, lane, &mut sz, out);
-                }
+                let Some(col) = col else { continue };
+                let uniforms = &mut uniforms[..col.mags.len()];
+                uniforms.fill_with(|| (rng.next_f64(), rng.next_f64()));
+                let snap = |slot: usize, m: usize| out.g[slot * LANES + lane] = self.g_grid[m];
+                exact_draws += col.perturb_lane(uniforms, sigma, col.slack(sigma), &mut sz, snap);
+                out.sum_lane(lane);
             }
         }
         let padded = rows.mult.len().div_ceil(TILE_ROWS) * TILE_ROWS;
@@ -1106,7 +1080,7 @@ impl CompiledSvmVariation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variation::MAX_SVM_SIGMA;
+    use crate::variation::{standard_normal, MAX_SVM_SIGMA};
     use ml::data::Dataset;
     use ml::quant::FeatureQuantizer;
     use ml::tree::{DecisionTree, TreeParams};
@@ -1133,12 +1107,6 @@ mod tests {
         CompiledTreeVariation::compile(&QuantizedTree::from_tree(&tree, &fq))
     }
 
-    /// `standard_normal`'s expression over explicit uniforms. The bound
-    /// test checks it bit for bit against `standard_normal` itself.
-    fn libm_normal(u1: f64, u2: f64) -> f64 {
-        (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// One step of the 53-bit uniforms `StdRng::next_f64` returns.
     const STEP: f64 = 1.0 / (1u64 << 53) as f64;
 
@@ -1155,7 +1123,7 @@ mod tests {
     #[test]
     fn polynomial_normal_lies_within_z_err_of_libm() {
         let check = |u1: f64, u2: f64| {
-            let (fast, libm) = (polynomial_normal(u1, u2), libm_normal(u1, u2));
+            let (fast, libm) = (polynomial_normal(u1, u2), box_muller(u1, u2));
             assert!(
                 (fast - libm).abs() <= Z_ERR,
                 "u1 {u1:e} u2 {u2:e}: polynomial {fast:e}, libm {libm:e}"
@@ -1166,7 +1134,7 @@ mod tests {
             let mut stream = rng.clone();
             let (u1, u2) = (rng.next_f64(), rng.next_f64());
             assert_eq!(
-                libm_normal(u1, u2).to_bits(),
+                box_muller(u1, u2).to_bits(),
                 standard_normal(&mut stream).to_bits()
             );
             check(u1, u2);
@@ -1223,29 +1191,33 @@ mod tests {
         );
     }
 
-    /// Checks split `s` at the reference's `sz` (decided within
-    /// [`MARGIN`]) against the exact chain, and returns whether the exact
-    /// chain decided it.
+    /// Checks split `s`'s log-domain threshold at the reference's `sz`
+    /// with the slack [`MARGIN`], which every slack is built on, against
+    /// the exact chain, and returns whether it lay within the margin of a
+    /// level.
     fn tree_decides_alike(tape: &CompiledTreeVariation, levels: &[f64], s: usize, sz: f64) -> bool {
-        let fast = tape.threshold(s, sz, MARGIN);
-        let t = fast.unwrap_or_else(|| tape.exact_threshold(s, sz));
-        assert_decides_alike(tape, levels, s, t, sz);
-        fast.is_none()
+        match tape.threshold(s, sz, MARGIN) {
+            Some(t) => {
+                assert_decides_alike(tape, levels, s, t, sz);
+                false
+            }
+            None => true,
+        }
     }
 
-    /// Checks split `s`'s draw from the uniforms `u` at `sigma` against
-    /// the exact chain at the reference's `z`, and returns whether the
-    /// draw took the reference's `z`.
+    /// Checks split `s`'s draw from the uniforms `u` at `sigma` with the
+    /// slack `slack` against the exact chain at the reference's `z`, and
+    /// returns whether the draw took the reference's own chain.
     fn tree_draw_decides_alike(
         tape: &CompiledTreeVariation,
         levels: &[f64],
         s: usize,
         sigma: f64,
+        slack: f64,
         u: (f64, f64),
     ) -> bool {
-        let z = libm_normal(u.0, u.1);
-        let (t, fell_back) = tape.draw_threshold(s, sigma, tape.slack(sigma), u, || z);
-        assert_decides_alike(tape, levels, s, t, sigma * z);
+        let (t, fell_back) = tape.draw_threshold(s, sigma, slack, u.0, u.1);
+        assert_decides_alike(tape, levels, s, t, sigma * box_muller(u.0, u.1));
         fell_back
     }
 
@@ -1269,10 +1241,17 @@ mod tests {
                     for _ in 0..DRAWS_PER_SIGMA {
                         let u = (rng.next_f64(), rng.next_f64());
                         random += 1;
-                        let sz = sigma * libm_normal(u.0, u.1);
+                        let sz = sigma * box_muller(u.0, u.1);
                         random_exact += tree_decides_alike(&tape, &levels, s, sz) as usize;
+                        let slack = tape.slack(sigma);
                         random_libm +=
-                            tree_draw_decides_alike(&tape, &levels, s, sigma, u) as usize;
+                            tree_draw_decides_alike(&tape, &levels, s, sigma, slack, u) as usize;
+                        // An infinite slack sends every draw to the
+                        // reference's chain.
+                        assert!(
+                            tree_draw_decides_alike(&tape, &levels, s, sigma, f64::INFINITY, u),
+                            "{bits} bits split {s} sigma {sigma}: {u:?} decided from the polynomial normal"
+                        );
                     }
                 }
                 for &k in &probed {
@@ -1292,13 +1271,15 @@ mod tests {
                         // then a few uniform steps of `u1` around it.
                         for (u2, radius) in TREE_SOLVES {
                             let u1 = u1_for_radius(radius);
-                            let z = libm_normal(u1, u2);
+                            let z = box_muller(u1, u2);
                             if z * sz <= 0.0 {
                                 continue;
                             }
+                            let (sigma, slack) = (sz / z, tape.slack(sz / z));
                             for n in -ULPS..=ULPS {
                                 let u = (u1 + n as f64 * STEP, u2);
-                                let libm = tree_draw_decides_alike(&tape, &levels, s, sz / z, u);
+                                let libm =
+                                    tree_draw_decides_alike(&tape, &levels, s, sigma, slack, u);
                                 assert!(
                                     libm || !on_level || n != 0,
                                     "{bits} bits split {s}: level {k} decided from the polynomial normal"
@@ -1320,52 +1301,60 @@ mod tests {
         );
     }
 
-    /// Checks that `column`'s log-domain grid indices at the reference's
-    /// `sz` (decided within [`MARGIN`]) equal the exact chain's for every
-    /// term, and returns how many the exact chain decided.
-    fn column_snaps_alike(column: &ColumnTape, sz: &[f64]) -> u64 {
-        let mut fast = Vec::new();
-        let by_chain = column.grid_indices(sz, MARGIN, |slot, m| {
-            assert_eq!(slot, fast.len());
-            fast.push(m);
-        });
+    /// `column`'s grid indices at `sz`, in slot order, through the
+    /// reference chain.
+    fn exact_indices(column: &ColumnTape, sz: &[f64]) -> Vec<usize> {
         let w_max = column.exact_max_weight(sz);
-        let exact: Vec<usize> = column
+        column
             .eval
             .iter()
             .map(|&k| column.exact_grid_index(k, sz, w_max))
-            .collect();
-        assert_eq!(fast, exact, "mags {:?} sz {sz:?}", column.mags);
-        by_chain
+            .collect()
     }
 
-    /// Checks `column`'s draws from `uniforms` (one pair per term) at
-    /// `sigma` as [`ColumnTape::perturb_lane`] decides them: from the
-    /// polynomial normal when no term lies within the slack, else again
-    /// from the reference's. Returns how many terms lay within the slack.
-    fn column_draws_snap_alike(column: &ColumnTape, sigma: f64, uniforms: &[(f64, f64)]) -> u64 {
-        let draw = |normal: fn(f64, f64) -> f64| -> Vec<f64> {
-            uniforms
-                .iter()
-                .map(|&(u1, u2)| sigma * normal(u1, u2))
-                .collect()
-        };
-        let exact = draw(libm_normal);
+    /// Checks that `column`'s log-domain grid indices at the reference's
+    /// `sz`, with the slack [`MARGIN`] that every slack is built on, equal
+    /// the exact chain's for every term when none lies within the margin,
+    /// and returns how many did.
+    fn column_snaps_alike(column: &ColumnTape, sz: &[f64]) -> u64 {
         let mut fast = Vec::new();
-        let near = column.grid_indices(&draw(polynomial_normal), column.slack(sigma), |_, m| {
+        let near = column.grid_indices(sz, MARGIN, |slot, m| {
+            assert_eq!(slot, fast.len());
             fast.push(m);
         });
         if near == 0 {
-            let w_max = column.exact_max_weight(&exact);
-            let want: Vec<usize> = column
-                .eval
-                .iter()
-                .map(|&k| column.exact_grid_index(k, &exact, w_max))
-                .collect();
-            assert_eq!(fast, want, "sigma {sigma} uniforms {uniforms:?}");
-        } else {
-            column_snaps_alike(column, &exact);
+            assert_eq!(
+                fast,
+                exact_indices(column, sz),
+                "mags {:?} sz {sz:?}",
+                column.mags
+            );
         }
+        near
+    }
+
+    /// Checks `column`'s draws from `uniforms` (one pair per term) at
+    /// `sigma` with the slack `slack`, as [`ColumnTape::perturb_lane`]
+    /// decides them, against the exact chain at the reference's normal.
+    /// Returns how many terms lay within the slack.
+    fn column_draws_snap_alike(
+        column: &ColumnTape,
+        sigma: f64,
+        slack: f64,
+        uniforms: &[(f64, f64)],
+    ) -> u64 {
+        let exact: Vec<f64> = uniforms
+            .iter()
+            .map(|&(u1, u2)| sigma * box_muller(u1, u2))
+            .collect();
+        let mut got = vec![usize::MAX; uniforms.len()];
+        let mut sz = vec![0.0; uniforms.len()];
+        let near = column.perturb_lane(uniforms, sigma, slack, &mut sz, |slot, m| got[slot] = m);
+        assert_eq!(
+            got,
+            exact_indices(column, &exact),
+            "sigma {sigma} slack {slack} uniforms {uniforms:?}"
+        );
         near
     }
 
@@ -1388,11 +1377,18 @@ mod tests {
                     let uniforms = draw_uniforms(&mut rng);
                     let sz: Vec<f64> = uniforms
                         .iter()
-                        .map(|&(u1, u2)| sigma * libm_normal(u1, u2))
+                        .map(|&(u1, u2)| sigma * box_muller(u1, u2))
                         .collect();
                     random += terms.len() as u64;
                     random_exact += column_snaps_alike(&column, &sz);
-                    random_near += column_draws_snap_alike(&column, sigma, &uniforms);
+                    let slack = column.slack(sigma);
+                    random_near += column_draws_snap_alike(&column, sigma, slack, &uniforms);
+                    // A half-step slack sends every column to the
+                    // reference's chain.
+                    assert!(
+                        column_draws_snap_alike(&column, sigma, 0.5, &uniforms) > 0,
+                        "{bits} bits sigma {sigma}: {uniforms:?} snapped from the polynomial normal"
+                    );
                 }
             }
             // Term 0 is the largest weight at `sz = 0`; solve term 1's
@@ -1426,7 +1422,7 @@ mod tests {
                 let mut uniforms = draw_uniforms(&mut rng);
                 let l_max = (0..terms.len())
                     .filter(|&k| k != 1)
-                    .map(|k| column.ln_mags[k] + sigma * libm_normal(uniforms[k].0, uniforms[k].1))
+                    .map(|k| column.ln_mags[k] + sigma * box_muller(uniforms[k].0, uniforms[k].1))
                     .fold(f64::NEG_INFINITY, f64::max);
                 for &(e, half) in &targets {
                     let z = (l_max - (e - GRID_AT_MAX) / GRID_PER_LN - l1) / sigma;
@@ -1439,7 +1435,8 @@ mod tests {
                         let u1 = u1_for_radius(radius);
                         for n in -ULPS..=ULPS {
                             uniforms[1] = (u1 + n as f64 * STEP, u2);
-                            let near = column_draws_snap_alike(&column, sigma, &uniforms);
+                            let slack = column.slack(sigma);
+                            let near = column_draws_snap_alike(&column, sigma, slack, &uniforms);
                             assert!(
                                 near > 0 || !half || n != 0,
                                 "{bits} bits sigma {sigma}: grid value {e} snapped from the polynomial normal"

@@ -10,7 +10,8 @@
 //!
 //! Each printed resistance is multiplied by a true log-normal factor
 //! `exp(sigma * z)` with `z` a standard normal drawn by Box–Muller over
-//! the deterministic [`exec`] stream — see [`lognormal_factor`].
+//! the deterministic [`exec`] stream, two uniforms per normal, as
+//! [`mod@reference`] draws it.
 //!
 //! Trials are embarrassingly parallel. Each trial draws from its own
 //! deterministic seed stream (`exec::task_seed(seed, trial)`), so a sweep
@@ -42,8 +43,14 @@ use crate::tree::{AnalogTree, AnalogTreeConfig};
 /// and `|z|` stays below 8.6.
 #[inline]
 pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1 = rng.next_f64();
-    let u2 = rng.next_f64();
+    box_muller(rng.next_f64(), rng.next_f64())
+}
+
+/// Box–Muller's `z = sqrt(−2·ln(1 − u1))·cos(2π·u2)` from the uniforms
+/// `u1, u2` in `[0, 1)`, through libm: the normal [`standard_normal`]
+/// returns for the stream's next two uniforms.
+#[inline]
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -52,7 +59,7 @@ pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
 ///
 /// At `sigma == 0.0` the factor is exactly `1.0`, which the
 /// perfect-agreement invariant tests rely on.
-pub fn lognormal_factor(rng: &mut StdRng, sigma: f64) -> f64 {
+pub(crate) fn lognormal_factor(rng: &mut StdRng, sigma: f64) -> f64 {
     (sigma * standard_normal(rng)).exp()
 }
 

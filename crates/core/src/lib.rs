@@ -51,13 +51,16 @@ pub mod report;
 pub mod signoff;
 pub mod system;
 
+static MODULES: obs::Counter = obs::Counter::new("gen.modules");
+static GATES: obs::Counter = obs::Counter::new("gen.gates");
+
 /// Tallies one generated module into the obs metrics registry.
 ///
 /// Every architecture generator funnels its finished [`netlist::Module`]
 /// through here so `gen.modules` / `gen.gates` count the whole run.
 pub(crate) fn record_generated(m: netlist::Module) -> netlist::Module {
-    obs::counter_add("gen.modules", 1);
-    obs::counter_add("gen.gates", m.gates.len() as u64);
+    MODULES.incr();
+    GATES.add(m.gates.len() as u64);
     m
 }
 

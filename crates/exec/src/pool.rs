@@ -81,15 +81,10 @@ pub fn threads() -> usize {
 }
 
 /// Sets the process-wide thread count (a `--threads N` flag). `0`
-/// resets to automatic resolution.
+/// resets to automatic resolution, which the next [`threads`] call
+/// performs afresh (environment included).
 pub fn set_threads(n: usize) {
-    if n == 0 {
-        DEFAULT_THREADS.store(0, Ordering::Relaxed);
-        // Force re-resolution on next call, ignoring the env cache too.
-        let _ = threads();
-    } else {
-        DEFAULT_THREADS.store(n, Ordering::Relaxed);
-    }
+    DEFAULT_THREADS.store(n, Ordering::Relaxed);
 }
 
 /// Runs `f` with the thread count pinned to `n` on the current thread.

@@ -14,6 +14,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 
+static SVM_FITS: obs::Counter = obs::Counter::new("ml.svm.fits");
+static SVM_EPOCHS: obs::Counter = obs::Counter::new("ml.svm.epochs");
+static SVMC_FITS: obs::Counter = obs::Counter::new("ml.svmc.fits");
+static SVMC_EPOCHS: obs::Counter = obs::Counter::new("ml.svmc.epochs");
+static LR_FITS: obs::Counter = obs::Counter::new("ml.lr.fits");
+static LR_EPOCHS: obs::Counter = obs::Counter::new("ml.lr.epochs");
+
 /// Linear SVM regressor over class labels (paper's SVM-R).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvmRegressor {
@@ -36,8 +43,8 @@ impl SvmRegressor {
 
     fn fit_impl(data: &Dataset, epochs: usize, l2: f64) -> Self {
         let _span = obs::span("ml.svm.fit");
-        obs::counter_add("ml.svm.fits", 1);
-        obs::counter_add("ml.svm.epochs", epochs as u64);
+        SVM_FITS.incr();
+        SVM_EPOCHS.add(epochs as u64);
         let d = data.n_features();
         let n = data.len() as f64;
         let (xt, blocked) = feature_major_blocks(data, SVM_ROWS);
@@ -173,8 +180,8 @@ impl SvmClassifier {
 
     fn fit_impl(data: &Dataset, epochs: usize, lambda: f64, seed: u64) -> Self {
         let _span = obs::span("ml.svmc.fit");
-        obs::counter_add("ml.svmc.fits", 1);
-        obs::counter_add("ml.svmc.epochs", epochs as u64);
+        SVMC_FITS.incr();
+        SVMC_EPOCHS.add(epochs as u64);
         let mut machines = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for a in 0..data.n_classes {
@@ -284,8 +291,8 @@ impl LogisticRegression {
 
     fn fit_impl(data: &Dataset, epochs: usize, lr: f64) -> Self {
         let _span = obs::span("ml.lr.fit");
-        obs::counter_add("ml.lr.fits", 1);
-        obs::counter_add("ml.lr.epochs", epochs as u64);
+        LR_FITS.incr();
+        LR_EPOCHS.add(epochs as u64);
         let k = data.n_classes;
         let d = data.n_features();
         let n = data.len() as f64;

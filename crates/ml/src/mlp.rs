@@ -12,6 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 
+static FITS: obs::Counter = obs::Counter::new("ml.mlp.fits");
+static EPOCHS: obs::Counter = obs::Counter::new("ml.mlp.epochs");
+
 /// One dense layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Layer {
@@ -103,8 +106,8 @@ impl Mlp {
 
     fn fit_impl(data: &Dataset, params: &MlpParams) -> Self {
         let _span = obs::span("ml.mlp.fit");
-        obs::counter_add("ml.mlp.fits", 1);
-        obs::counter_add("ml.mlp.epochs", params.epochs as u64);
+        FITS.incr();
+        EPOCHS.add(params.epochs as u64);
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut dims = vec![data.n_features()];
         dims.extend(&params.hidden);

@@ -25,6 +25,9 @@ const FAULT_W: usize = 4;
 /// Cone instructions plus ROMs evaluated while grading faults; shards
 /// tally locally and publish once, like [`record_settles`].
 static EVALS: obs::Counter = obs::Counter::new("netlist.faults.evals");
+static SITES: obs::Counter = obs::Counter::new("netlist.faults.sites");
+static DETECTED: obs::Counter = obs::Counter::new("netlist.faults.detected");
+static VECTORS: obs::Counter = obs::Counter::new("netlist.faults.vectors");
 
 /// One single-stuck-at fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,9 +187,9 @@ pub fn try_coverage(module: &Module, vectors: &[Vec<u64>]) -> Result<FaultCovera
     let sites = fault_sites(module);
     let verdicts = grade(compiled, &sites, vectors)?;
     let detected = verdicts.iter().filter(|&&d| d).count();
-    obs::counter_add("netlist.faults.sites", sites.len() as u64);
-    obs::counter_add("netlist.faults.detected", detected as u64);
-    obs::counter_add("netlist.faults.vectors", vectors.len() as u64);
+    SITES.add(sites.len() as u64);
+    DETECTED.add(detected as u64);
+    VECTORS.add(vectors.len() as u64);
     let undetected = sites
         .iter()
         .zip(&verdicts)

@@ -32,6 +32,8 @@ const VERIFY_LANES: usize = 64 * VERIFY_W;
 /// ROMs a miter evaluates once for both halves: ROMs of `b` that read
 /// the data of an identical ROM of `a` instead of a copy of their own.
 static SHARED_ROMS: obs::Counter = obs::Counter::new("netlist.verify.shared_roms");
+static CHECKS: obs::Counter = obs::Counter::new("netlist.verify.checks");
+static VECTORS: obs::Counter = obs::Counter::new("netlist.verify.vectors");
 
 /// Root seed of the deterministic sampling stream (golden-ratio constant,
 /// kept from the original scalar checker).
@@ -305,8 +307,8 @@ pub fn check_equivalence(
     let _span = obs::span("netlist.verify.equivalence");
     let result = check_equivalence_inner(a, b, exhaustive_limit, samples);
     if let Ok(eq) = &result {
-        obs::counter_add("netlist.verify.checks", 1);
-        obs::counter_add("netlist.verify.vectors", eq.vectors() as u64);
+        CHECKS.incr();
+        VECTORS.add(eq.vectors() as u64);
     }
     result
 }

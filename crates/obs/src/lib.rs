@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod report;
 pub mod span;
 
-pub use metrics::{counter_add, counter_value, gauge_set, gauge_value, Counter, Gauge};
+pub use metrics::{counter_value, gauge_value, Counter, Gauge};
 pub use report::{CounterValue, GaugeValue, Report, SpanNode, SCHEMA};
 pub use span::{current_path, span, with_path, SpanGuard};
 

@@ -109,7 +109,7 @@ impl Gauge {
 
 /// Adds `delta` to the counter `name` (no-op while instrumentation is
 /// disabled).
-pub fn counter_add(name: &'static str, delta: u64) {
+pub(crate) fn counter_add(name: &'static str, delta: u64) {
     if !crate::enabled() {
         return;
     }
@@ -123,7 +123,7 @@ pub fn counter_value(name: &str) -> u64 {
 
 /// Sets gauge `name` to `value` (no-op while instrumentation is
 /// disabled).
-pub fn gauge_set(name: &'static str, value: f64) {
+pub(crate) fn gauge_set(name: &'static str, value: f64) {
     if !crate::enabled() {
         return;
     }

@@ -259,8 +259,8 @@ mod tests {
         {
             let _a = crate::span("rt");
         }
-        crate::counter_add("rt.count", 3);
-        crate::gauge_set("rt.gauge", 0.5);
+        crate::metrics::counter_add("rt.count", 3);
+        crate::metrics::gauge_set("rt.gauge", 0.5);
         let r = build();
         let text = r.to_value().render_pretty();
         let back = Report::from_value(&serde::value::parse(&text).unwrap()).unwrap();
@@ -277,7 +277,7 @@ mod tests {
         {
             let _a = crate::span("stage");
         }
-        crate::counter_add("stage.items", 12);
+        crate::metrics::counter_add("stage.items", 12);
         let text = build().text_summary();
         assert!(text.contains("stage"), "{text}");
         assert!(text.contains("counter stage.items = 12"), "{text}");

@@ -84,9 +84,11 @@ fn disabled_obs_records_nothing() {
     obs::set_enabled(false);
     obs::reset();
     {
+        static GHOST_COUNTER: obs::Counter = obs::Counter::new("ghost.counter");
+        static GHOST_GAUGE: obs::Gauge = obs::Gauge::new("ghost.gauge");
         let _span = obs::span("ghost");
-        obs::counter_add("ghost.counter", 5);
-        obs::gauge_set("ghost.gauge", 1.0);
+        GHOST_COUNTER.add(5);
+        GHOST_GAUGE.set(1.0);
     }
     obs::set_enabled(true);
     let report = obs::report();
@@ -312,8 +314,10 @@ fn report_json_schema_is_pinned() {
     {
         let _outer = obs::span("golden.outer");
         let _inner = obs::span("golden.inner");
-        obs::counter_add("golden.counter", 3);
-        obs::gauge_set("golden.gauge", 0.5);
+        static GOLDEN_COUNTER: obs::Counter = obs::Counter::new("golden.counter");
+        static GOLDEN_GAUGE: obs::Gauge = obs::Gauge::new("golden.gauge");
+        GOLDEN_COUNTER.add(3);
+        GOLDEN_GAUGE.set(0.5);
     }
     let report = obs::report();
     let value = report.to_value();
