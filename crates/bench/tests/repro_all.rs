@@ -2,37 +2,21 @@
 //! exit cleanly, its `--json` report must parse and cover every
 //! experiment it was asked for, and the `--verify` sign-off section must
 //! record zero counter-examples. This is the same contract CI's
-//! reproduction job enforces on the release binary over all 17
-//! experiments. `--only` must narrow the run to the named experiments.
-//! `cnt_variants` must reject bad arguments before it runs its sweep.
+//! reproduction job enforces on the release binary over every
+//! experiment in `bench::experiments::ALL`. `--only` must narrow the run
+//! to the named experiments. `cnt_variants` must reject bad arguments before it runs its sweep.
 
 use std::process::Command;
-
-const EXPECTED: [&str; 17] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig3",
-    "fig6",
-    "fig7",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig16",
-    "fig17",
-    "fig19",
-    "ablations",
-];
 
 #[test]
 fn report_parses_and_covers_every_experiment_but_table2() {
     // Table II alone takes about a minute in a debug build; CI's release
     // run checks it byte for byte against repro_results.json.
-    let expected: Vec<&str> = EXPECTED.into_iter().filter(|&n| n != "table2").collect();
+    let expected: Vec<&str> = bench::experiments::ALL
+        .iter()
+        .map(|&(name, _)| name)
+        .filter(|&n| n != "table2")
+        .collect();
     let out_path =
         std::env::temp_dir().join(format!("printed_ml_repro_all_{}.json", std::process::id()));
     // Isolate the default-on artifact cache: the test must not seed the

@@ -1,7 +1,7 @@
 //! Differential fuzzing driver.
 //!
 //! ```text
-//! check_fuzz --smoke                 # the fixed CI block: seed 0xC0FFEE, 250 cases
+//! check_fuzz --smoke                 # the fixed CI block: seed 0xC0FFEE, 300 cases
 //! check_fuzz --seed 7 --cases 1000   # a custom block
 //! check_fuzz --threads 4             # pin the shard pool (default: all cores)
 //! check_fuzz --json                  # machine-readable summary on stdout
@@ -24,8 +24,8 @@ use check::{digest, oracle, shrink, CaseOutcome, OracleKind};
 /// The fixed CI smoke block: every CI run fuzzes exactly these cases,
 /// so a red fuzz job is reproducible with one command.
 const SMOKE_SEED: u64 = 0xC0FFEE;
-/// Smoke case count — 50 cases per oracle pair.
-const SMOKE_CASES: u64 = 250;
+/// Smoke case count — 50 cases per oracle.
+const SMOKE_CASES: u64 = 300;
 /// Smoke wall-clock budget: the run aborts (cleanly, between batches)
 /// rather than wedge a CI lane.
 const SMOKE_BUDGET_SECS: u64 = 55;
@@ -151,8 +151,8 @@ fn repin_corpus(dir: &std::path::Path) -> ExitCode {
 }
 
 /// Shrinks a mismatching engines/optimizer case and writes the
-/// minimized reproducer. Seed-driven oracles (variation) and value
-/// oracles (serde, cache) pin the bare seed.
+/// minimized reproducer. Seed-driven oracles (variation, model) pin the
+/// bare seed.
 fn write_reproducer(opts: &Options, outcome: &CaseOutcome) -> Option<PathBuf> {
     let module = match outcome.oracle {
         OracleKind::Engines | OracleKind::Optimizer | OracleKind::Serde | OracleKind::CacheKey => {
@@ -168,7 +168,9 @@ fn write_reproducer(opts: &Options, outcome: &CaseOutcome) -> Option<PathBuf> {
                     OracleKind::Optimizer => oracle::optimizer_holds(m),
                     OracleKind::Serde => oracle::serde_round_trip_module(m),
                     OracleKind::CacheKey => oracle::cache_key_stable_module(m),
-                    OracleKind::Variation => unreachable!("variation has no module"),
+                    OracleKind::Variation | OracleKind::Model => {
+                        unreachable!("seed-driven oracles have no module")
+                    }
                 };
                 r.is_err()
             };
@@ -178,7 +180,7 @@ fn write_reproducer(opts: &Options, outcome: &CaseOutcome) -> Option<PathBuf> {
                 Some(shrink::shrink_module(&raw, &still_fails))
             }
         }
-        OracleKind::Variation => None,
+        OracleKind::Variation | OracleKind::Model => None,
     };
     let repro = Reproducer {
         oracle: outcome.oracle.name().to_string(),
@@ -219,7 +221,7 @@ fn fuzz(opts: &Options) -> ExitCode {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let d = digest(&outcomes);
-    let mut per_oracle = [0usize; 5];
+    let mut per_oracle = [0usize; OracleKind::ALL.len()];
     let mut mismatches: Vec<&CaseOutcome> = Vec::new();
     for o in &outcomes {
         let slot = OracleKind::ALL

@@ -50,9 +50,10 @@ impl Reproducer {
             (Some(m), OracleKind::Optimizer) => oracle::optimizer_holds(m).map(|_| ()),
             (Some(m), OracleKind::Serde) => oracle::serde_round_trip_module(m).map(|_| ()),
             (Some(m), OracleKind::CacheKey) => oracle::cache_key_stable_module(m).map(|_| ()),
-            (Some(_), OracleKind::Variation) => {
-                Err("variation reproducers are seed-driven; drop the module field".to_string())
-            }
+            (Some(_), OracleKind::Variation | OracleKind::Model) => Err(format!(
+                "{} reproducers are seed-driven; drop the module field",
+                kind.name()
+            )),
             (None, kind) => oracle::run_oracle(kind, self.seed).map(|_| ()),
         }
     }

@@ -24,10 +24,16 @@ use pdk::RomStyle;
 /// to cover every cell kind and multi-level structure.
 pub const MAX_GATES: usize = 40;
 
+/// Address widths of the wide ROMs [`random_module`] draws: past the
+/// compiled kernel's 10-bit limit for row-mask evaluation, so it
+/// evaluates them per lane.
+pub const WIDE_ROM_ADDR_BITS: std::ops::RangeInclusive<usize> = 11..=12;
+
 /// Builds a random combinational module: 1–3 input ports (1–6 bits),
 /// a soup of up to [`MAX_GATES`] gates over every 1- and 2-input cell
 /// kind plus muxes, an optional crossbar/bespoke ROM, and 1–2 output
-/// ports sampling arbitrary internal signals.
+/// ports sampling arbitrary internal signals. Half the ROMs have
+/// [`WIDE_ROM_ADDR_BITS`] address bits, the rest 1–3.
 pub fn random_module(seed: u64) -> Module {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = NetlistBuilder::new(format!("fuzz_{seed:016x}"));
@@ -62,7 +68,11 @@ pub fn random_module(seed: u64) -> Module {
     }
 
     if rng.gen_bool(0.3) {
-        let addr_bits = rng.gen_range(1..=3usize);
+        let addr_bits = if rng.gen_bool(0.5) {
+            rng.gen_range(WIDE_ROM_ADDR_BITS)
+        } else {
+            rng.gen_range(1..=3usize)
+        };
         let addr: Vec<Signal> = (0..addr_bits)
             .map(|_| pool[rng.gen_range(0..pool.len())])
             .collect();

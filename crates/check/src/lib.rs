@@ -8,10 +8,12 @@
 //! an optimizer whose output is miter-verified against its input, a
 //! hand-rolled serde shim, and a content-addressed artifact cache.
 //! Redundancy is only a safety net if something *diffs* the redundant
-//! pairs continuously — that is this crate.
+//! pairs continuously — that is this crate. It also checks every
+//! digital circuit `printed_core` generates against the quantized model
+//! it loads.
 //!
 //! * [`gen`] — seed-driven random netlists, vectors and datasets;
-//! * [`oracle`] — the five differential oracles;
+//! * [`oracle`] — the six differential oracles;
 //! * [`shrink`] — greedy reproducer minimization;
 //! * [`corpus`] — pinned minimized reproducers, replayed in CI.
 //!
@@ -47,8 +49,8 @@ pub struct CaseOutcome {
 
 /// Runs `cases` fuzz cases under `root_seed`, sharded across the
 /// [`exec`] thread pool. Case `i` draws seed `task_seed(root_seed, i)`
-/// and exercises oracle `i % 5`, so a fixed `(root_seed, cases)` block
-/// covers all five oracle pairs with a deterministic case list —
+/// and exercises oracle `i % 6`, so a fixed `(root_seed, cases)` block
+/// covers all six oracles with a deterministic case list —
 /// results are in case order and bit-identical at any thread count.
 pub fn run_cases(root_seed: u64, cases: u64) -> Vec<CaseOutcome> {
     let indices: Vec<u64> = (0..cases).collect();
@@ -95,8 +97,8 @@ mod tests {
 
     #[test]
     fn a_small_block_runs_clean_across_all_oracles() {
-        let outcomes = run_cases(0xC0FFEE, 10);
-        assert_eq!(outcomes.len(), 10);
+        let outcomes = run_cases(0xC0FFEE, 12);
+        assert_eq!(outcomes.len(), 12);
         for o in &outcomes {
             assert!(
                 o.mismatch.is_none(),
@@ -107,9 +109,9 @@ mod tests {
             );
             assert_ne!(o.fingerprint, 0);
         }
-        // All five oracles were exercised.
+        // All six oracles were exercised.
         let kinds: std::collections::HashSet<_> = outcomes.iter().map(|o| o.oracle).collect();
-        assert_eq!(kinds.len(), 5);
+        assert_eq!(kinds.len(), OracleKind::ALL.len());
     }
 
     #[test]

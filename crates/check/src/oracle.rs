@@ -1,4 +1,4 @@
-//! The five differential oracles.
+//! The six differential oracles.
 //!
 //! Each oracle cross-checks a pair (or more) of independently
 //! implemented paths that must agree bit-for-bit:
@@ -19,6 +19,9 @@
 //! 5. **Cache keys** — [`cache::key_for`] must be stable across a serde
 //!    re-encode of the artifact (a drifting key silently invalidates —
 //!    or worse, aliases — the content-addressed artifact cache).
+//! 6. **Model** — every digital circuit `printed_core` generates from a
+//!    quantized tree, SVM or forest, simulated on the scalar reference,
+//!    against the model's own prediction ([`circuits_match_model`]).
 //!
 //! Every oracle returns `Ok(fingerprint)` on agreement, where the
 //! fingerprint hashes the *observed behavior* (output words, reports,
@@ -30,17 +33,25 @@ use std::sync::Arc;
 use analog::variation::reference;
 use analog::{VariationError, VariationReport};
 use exec::rng::StdRng;
-use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
+use ml::forest::{ForestParams, RandomForest};
+use ml::quant::{FeatureQuantizer, QuantizedForest, QuantizedSvm, QuantizedTree};
 use ml::tree::{DecisionTree, TreeParams};
 use ml::SvmRegressor;
 use netlist::{
     check_equivalence, optimize, CompiledNetlist, Equivalence, Fault, Module, SimError, Simulator,
     WideSim,
 };
+use printed_core::bespoke::{bespoke_parallel, bespoke_serial, bespoke_svm};
+use printed_core::conventional::serial_tree::{self, SerialTreeSpec};
+use printed_core::lookup::{lookup_parallel, lookup_svm};
+use printed_core::{
+    bespoke_forest, forest_engine, forest_inputs, serial_svm, svm_inputs, tree_inputs, ForestStyle,
+    LookupConfig, SvmFlow,
+};
 
 use crate::gen;
 
-/// Identifies one of the five oracle pairs.
+/// Identifies one of the six oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleKind {
     /// Digital simulation engines (scalar reference / compiled kernel).
@@ -53,16 +64,19 @@ pub enum OracleKind {
     Serde,
     /// Content-addressed cache key stability.
     CacheKey,
+    /// Generated circuits vs the quantized models they load.
+    Model,
 }
 
 impl OracleKind {
     /// All oracles, in the round-robin order cases are assigned.
-    pub const ALL: [OracleKind; 5] = [
+    pub const ALL: [OracleKind; 6] = [
         OracleKind::Engines,
         OracleKind::Variation,
         OracleKind::Optimizer,
         OracleKind::Serde,
         OracleKind::CacheKey,
+        OracleKind::Model,
     ];
 
     /// Stable name used in corpus file names and reports.
@@ -73,6 +87,7 @@ impl OracleKind {
             OracleKind::Optimizer => "optimizer",
             OracleKind::Serde => "serde",
             OracleKind::CacheKey => "cache",
+            OracleKind::Model => "model",
         }
     }
 
@@ -492,6 +507,211 @@ pub fn cache_case(seed: u64) -> Result<u64, String> {
     Ok(key_word(h.finish()))
 }
 
+/// A quantized model, named with the circuits [`circuits_match_model`]
+/// generates from it.
+#[derive(Debug, Clone, Copy)]
+pub enum Model<'a> {
+    /// A tree, through the bespoke parallel and serial engines and the
+    /// baseline and optimized lookup engines.
+    Tree(&'a QuantizedTree),
+    /// A tree loaded as the program of the conventional serial engine
+    /// sized for the given depth ([`SerialTreeSpec::conventional`]).
+    ConventionalTree(&'a QuantizedTree, usize),
+    /// An SVM, through the bespoke parallel and serial engines and, up
+    /// to [`LOOKUP_SVM_BITS`], the baseline and optimized lookup engines.
+    Svm(&'a QuantizedSvm),
+    /// A forest, through the bespoke and the optimized lookup engines.
+    Forest(&'a QuantizedForest),
+}
+
+/// The widest SVM [`circuits_match_model`] builds lookup engines for:
+/// each term's product table holds `2^bits` words, so a 16-bit lookup
+/// SVM is deliberately catastrophic.
+pub const LOOKUP_SVM_BITS: usize = 8;
+
+/// One generated circuit: what it is, its netlist and its clock cycles
+/// per inference.
+type Circuit = (&'static str, Module, usize);
+
+impl Model<'_> {
+    /// Every digital circuit generated from the model.
+    fn circuits(self) -> Result<Vec<Circuit>, String> {
+        let lookups = [
+            ("baseline lookup", LookupConfig::baseline()),
+            ("optimized lookup", LookupConfig::optimized()),
+        ];
+        Ok(match self {
+            Model::Tree(qt) => {
+                let (spec, serial) = bespoke_serial(qt);
+                let mut circuits = vec![
+                    ("bespoke parallel tree", bespoke_parallel(qt), 1),
+                    ("bespoke serial tree", serial, spec.depth),
+                ];
+                for (name, config) in lookups {
+                    circuits.push((name, lookup_parallel(qt, config), 1));
+                }
+                circuits
+            }
+            Model::ConventionalTree(qt, depth) => {
+                let spec = SerialTreeSpec::conventional(depth);
+                if qt.depth() > spec.depth
+                    || qt.bits() > spec.width
+                    || qt.used_features().len() > spec.n_features
+                    || qt.n_classes() > 1 << spec.class_bits
+                {
+                    return Err(format!(
+                        "a depth-{} {}-bit tree over {} features and {} classes does not \
+                         fit the conventional depth-{depth} serial engine",
+                        qt.depth(),
+                        qt.bits(),
+                        qt.used_features().len(),
+                        qt.n_classes()
+                    ));
+                }
+                let program = serial_tree::program(qt, &spec);
+                let module = serial_tree::generate(&spec, &program);
+                vec![("conventional serial tree", module, spec.depth)]
+            }
+            Model::Svm(qs) => {
+                let (serial, info) = serial_svm(qs);
+                let mut circuits = vec![
+                    ("bespoke SVM", bespoke_svm(qs), SvmFlow::CYCLES),
+                    ("serial SVM", serial, info.cycles),
+                ];
+                if qs.bits() <= LOOKUP_SVM_BITS {
+                    for (name, config) in lookups {
+                        circuits.push((name, lookup_svm(qs, config), SvmFlow::CYCLES));
+                    }
+                }
+                circuits
+            }
+            Model::Forest(qf) => {
+                let lookup = ForestStyle::Lookup(LookupConfig::optimized());
+                vec![
+                    ("bespoke forest", bespoke_forest(qf), 1),
+                    ("lookup forest", forest_engine(qf, lookup), 1),
+                ]
+            }
+        })
+    }
+
+    /// The input vector of a `ports`-input circuit for feature `codes`.
+    fn inputs(self, codes: &[u64], ports: usize) -> Vec<u64> {
+        match self {
+            Model::Tree(qt) | Model::ConventionalTree(qt, _) => tree_inputs(qt, codes, ports),
+            Model::Svm(qs) => svm_inputs(qs, codes),
+            Model::Forest(qf) => forest_inputs(qf, codes),
+        }
+    }
+
+    /// The model's class for feature `codes`.
+    fn predict(self, codes: &[u64]) -> usize {
+        match self {
+            Model::Tree(qt) | Model::ConventionalTree(qt, _) => qt.predict(codes),
+            Model::Svm(qs) => qs.predict(codes),
+            Model::Forest(qf) => qf.predict(codes),
+        }
+    }
+}
+
+/// The model oracle's comparison: generates every digital circuit of
+/// `model` and checks each with [`circuit_matches_model`]. The
+/// fingerprint hashes the classes, not the netlists, so a generator
+/// rewrite that keeps every class keeps it.
+pub fn circuits_match_model(model: Model<'_>, rows: &[Vec<u64>]) -> Result<u64, String> {
+    let mut h = hasher("check.model");
+    for (name, module, cycles) in model.circuits()? {
+        h.write_str(name);
+        for class in circuit_matches_model(model, name, &module, cycles, rows)? {
+            h.write_u64(class);
+        }
+    }
+    Ok(key_word(h.finish()))
+}
+
+/// Simulates each row of feature codes through `module`, the `name`
+/// circuit generated from `model`, on the scalar [`Simulator`] at
+/// `cycles` clock cycles per inference. Its `class` output must equal
+/// the model's prediction on every row; returns those classes.
+pub fn circuit_matches_model(
+    model: Model<'_>,
+    name: &str,
+    module: &Module,
+    cycles: usize,
+    rows: &[Vec<u64>],
+) -> Result<Vec<u64>, String> {
+    let class = module
+        .outputs
+        .iter()
+        .position(|p| p.name == "class")
+        .ok_or_else(|| format!("the {name} circuit has no class output"))?;
+    let mut sim = Simulator::try_new(module)
+        .map_err(|e| format!("the simulator rejected the {name} circuit: {e}"))?;
+    let mut classes = Vec::with_capacity(rows.len());
+    for codes in rows {
+        let inputs = model.inputs(codes, module.inputs.len());
+        let outputs = sim
+            .try_apply(&inputs, cycles)
+            .map_err(|e| format!("the {name} circuit failed to simulate: {e}"))?;
+        let (got, want) = (outputs[class], model.predict(codes) as u64);
+        if got != want {
+            return Err(format!(
+                "the {name} circuit computes class {got} where its model predicts \
+                 {want}, for feature codes {codes:?}"
+            ));
+        }
+        classes.push(got);
+    }
+    Ok(classes)
+}
+
+/// Model oracle: fits a depth 1–4 tree, an SVM-R and a 3-tree forest to
+/// a random dataset, quantizes the tree and forest at 2–8 bits, the SVM
+/// at 2–6 and the tree again at the conventional engines' 8, and checks
+/// every circuit generated from each against it on every dataset row.
+pub fn model_case(seed: u64) -> Result<u64, String> {
+    let mut rng = StdRng::seed_from_u64(exec::seed::mix64(seed ^ 0x30DE1));
+    let data = gen::random_dataset(seed);
+    let depth = rng.gen_range(1..=4usize);
+    let bits = rng.gen_range(2..=8usize);
+    let svm_bits = rng.gen_range(2..=6usize);
+    let params = TreeParams::with_depth(depth);
+    let tree = DecisionTree::fit(&data, params);
+    let forest = RandomForest::fit(
+        &data,
+        ForestParams {
+            n_trees: 3,
+            tree: params,
+            seed,
+        },
+    );
+    let svm = SvmRegressor::fit(&data, 40, 1e-4);
+
+    let quantizer = |bits| {
+        let fq = FeatureQuantizer::fit(&data, bits);
+        let rows: Vec<Vec<u64>> = data.x.iter().map(|r| fq.code_row(r)).collect();
+        (fq, rows)
+    };
+    let (fq, rows) = quantizer(bits);
+    let (fq8, rows8) = quantizer(8);
+    let (fqs, rows_svm) = quantizer(svm_bits);
+    let qt = QuantizedTree::from_tree(&tree, &fq);
+    let qt8 = QuantizedTree::from_tree(&tree, &fq8);
+    let qs = QuantizedSvm::from_svm(&svm, &fqs);
+    let qf = QuantizedForest::from_forest(&forest, &fq);
+
+    let mut h = hasher("check.model.case");
+    for (model, rows) in [
+        (Model::Tree(&qt), &rows),
+        (Model::ConventionalTree(&qt8, depth), &rows8),
+        (Model::Svm(&qs), &rows_svm),
+        (Model::Forest(&qf), &rows),
+    ] {
+        h.write_u64(circuits_match_model(model, rows)?);
+    }
+    Ok(key_word(h.finish()))
+}
+
 /// Dispatches a case seed to its oracle.
 pub fn run_oracle(kind: OracleKind, seed: u64) -> Result<u64, String> {
     match kind {
@@ -500,5 +720,6 @@ pub fn run_oracle(kind: OracleKind, seed: u64) -> Result<u64, String> {
         OracleKind::Optimizer => optimizer_case(seed),
         OracleKind::Serde => serde_case(seed),
         OracleKind::CacheKey => cache_case(seed),
+        OracleKind::Model => model_case(seed),
     }
 }

@@ -5,7 +5,7 @@
 use check::{digest, run_cases};
 
 const SEED: u64 = 0xC0FFEE;
-const CASES: u64 = 60; // 12 cases per oracle pair
+const CASES: u64 = 60; // 10 cases per oracle
 
 #[test]
 fn outcomes_are_bit_identical_at_1_4_and_8_threads() {

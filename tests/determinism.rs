@@ -36,20 +36,15 @@ fn variation_sweep_is_identical_at_any_thread_count() {
 #[test]
 fn fault_coverage_is_identical_at_any_thread_count() {
     use printed_ml::core::flow::{TreeArch, TreeFlow};
+    use printed_ml::core::tree_inputs;
     let flow = TreeFlow::new(Application::Cardio, 4, 7);
     let module = flow
         .module(TreeArch::BespokeParallel)
         .expect("digital tree");
-    let used = flow.qt.used_features();
     let vectors: Vec<Vec<u64>> = flow
-        .test
-        .x
+        .coded_rows(40)
         .iter()
-        .take(40)
-        .map(|row| {
-            let codes = flow.fq.code_row(row);
-            used.iter().map(|&f| codes[f]).collect()
-        })
+        .map(|codes| tree_inputs(&flow.qt, codes, module.inputs.len()))
         .collect();
     let run = || netlist::fault_coverage(&module, &vectors);
     let serial = with_threads(1, run);

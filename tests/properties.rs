@@ -1,30 +1,38 @@
 //! Property-based tests over the core invariants of the reproduction.
 //!
-//! * hardware/software equivalence holds for *arbitrary* trained models,
-//!   not just the seven benchmark datasets;
+//! * every circuit generated from an *arbitrary* trained model computes
+//!   that model's prediction, not just on the seven benchmark datasets;
 //! * the logic optimizer never changes a circuit's function;
+//! * the compiled kernel agrees with the scalar simulator at every lane
+//!   count, and the fault grader with clone injection at every site;
 //! * quantization is monotone;
 //! * constant multipliers agree with integer multiplication for any
 //!   coefficient.
 //!
-//! Each property runs over a fixed batch of pseudo-random cases drawn
-//! from per-case deterministic seed streams (`exec::task_seed`), so a
-//! failure reproduces exactly from the printed case index.
+//! Random modules and datasets come from `check::gen`, the engine,
+//! optimizer and whole-model properties are fixed seed blocks of
+//! `check`'s oracles, and the per-family model properties use the model
+//! oracle's comparison (`circuit_matches_model`). Each case draws its seed from a per-case deterministic
+//! stream (`exec::task_seed`), so a failure reproduces exactly from the
+//! printed case index.
 
+use std::sync::Arc;
+
+use check::oracle::{circuit_matches_model, run_oracle, Model};
+use check::{gen, OracleKind};
 use exec::rng::StdRng;
 use exec::task_seed;
 
-use printed_ml::core::bespoke::{bespoke_parallel, bespoke_svm};
-use printed_ml::core::lookup::{lookup_parallel, LookupConfig};
-use printed_ml::core::{forest_inputs, svm_inputs, tree_inputs};
-use printed_ml::ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
+use printed_ml::core::bespoke::{bespoke_parallel, bespoke_serial, bespoke_svm};
+use printed_ml::core::lookup::lookup_parallel;
+use printed_ml::core::{bespoke_forest, LookupConfig, SvmFlow};
+use printed_ml::ml::forest::{ForestParams, RandomForest};
+use printed_ml::ml::quant::{FeatureQuantizer, QuantizedForest, QuantizedSvm, QuantizedTree};
 use printed_ml::ml::tree::{DecisionTree, TreeParams};
 use printed_ml::ml::{Dataset, SvmRegressor};
 use printed_ml::netlist::arith::const_multiply;
 use printed_ml::netlist::builder::NetlistBuilder;
-use printed_ml::netlist::ir::Signal;
-use printed_ml::netlist::{optimize, Simulator};
-use printed_ml::pdk::CellKind;
+use printed_ml::netlist::{optimize, CompiledNetlist, Module, RomInstance, Simulator, WideSim};
 
 /// Runs `check` on `cases` deterministic pseudo-random cases.
 fn cases(root: u64, count: u64, mut check: impl FnMut(u64, &mut StdRng)) {
@@ -34,133 +42,100 @@ fn cases(root: u64, count: u64, mut check: impl FnMut(u64, &mut StdRng)) {
     }
 }
 
-/// A small random labelled dataset (2-4 features, 2-4 classes).
-fn random_dataset(rng: &mut StdRng) -> Dataset {
-    let n_features = rng.gen_range(2usize..=4);
-    let n_classes = rng.gen_range(2usize..=4);
-    let n_samples = rng.gen_range(20usize..=60);
-    let mut x = Vec::with_capacity(n_samples);
-    let mut y = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let label = rng.gen_range(0usize..n_classes);
-        let row: Vec<f64> = (0..n_features)
-            .map(|f| rng.gen_range(-2.0f64..2.0) + (label as f64) * 0.4 * ((f % 2) as f64))
-            .collect();
-        x.push(row);
-        y.push(label);
-    }
-    Dataset::new("prop", x, y, n_classes)
-}
-
-/// A random combinational DAG mixing constants and nets.
-fn random_circuit(
-    rng: &mut StdRng,
-    n_gates: usize,
-    n_inputs: usize,
-    n_outputs: usize,
-) -> printed_ml::netlist::Module {
-    let mut b = NetlistBuilder::new("random");
-    let inputs = b.input("x", n_inputs);
-    let mut pool: Vec<Signal> = inputs.clone();
-    pool.push(Signal::ZERO);
-    pool.push(Signal::ONE);
-    random_gates(rng, &mut b, &mut pool, n_gates);
-    let outs: Vec<Signal> = pool.iter().rev().take(n_outputs).copied().collect();
-    b.output("o", &outs);
-    b.finish()
-}
-
-/// Appends `n_gates` random gates reading from `pool`, each output
-/// joining the pool.
-fn random_gates(rng: &mut StdRng, b: &mut NetlistBuilder, pool: &mut Vec<Signal>, n_gates: usize) {
-    let kinds = [
-        CellKind::Inv,
-        CellKind::And2,
-        CellKind::Or2,
-        CellKind::Nand2,
-        CellKind::Nor2,
-        CellKind::Xor2,
-        CellKind::Xnor2,
-        CellKind::Mux2,
-        CellKind::Buf,
-    ];
-    for _ in 0..n_gates {
-        let kind = kinds[rng.gen_range(0usize..kinds.len())];
-        let ins: Vec<Signal> = (0..kind.input_count())
-            .map(|_| pool[rng.gen_range(0usize..pool.len())])
-            .collect();
-        let out = b.gate(kind, &ins);
-        pool.push(out);
+/// Runs `count` cases of the `kind` oracle on the `root` seed stream;
+/// every case must agree.
+fn oracle_block(kind: OracleKind, root: u64, count: u64) {
+    for i in 0..count {
+        let seed = task_seed(root, i);
+        if let Err(e) = run_oracle(kind, seed) {
+            panic!("{} case {i} (seed {seed:#x}): {e}", kind.name());
+        }
     }
 }
 
-/// A random combinational DAG with two ROMs between its gate layers: a
-/// 3-address-bit ROM, which the compiled kernel evaluates bitwise (row
-/// masks), and an 11-address-bit ROM, past the kernel's 10-bit limit for
-/// that, which it evaluates per lane. Output `o` carries the last three
-/// gates and one data bit of each ROM.
-fn random_rom_circuit(rng: &mut StdRng, n_inputs: usize) -> printed_ml::netlist::Module {
-    use printed_ml::pdk::RomStyle;
-    let mut b = NetlistBuilder::new("random_rom");
-    let mut pool: Vec<Signal> = b.input("x", n_inputs);
-    pool.push(Signal::ZERO);
-    pool.push(Signal::ONE);
-    let n_gates = rng.gen_range(4usize..12);
-    random_gates(rng, &mut b, &mut pool, n_gates);
-    let mut rom_bits = Vec::new();
-    for addr_bits in [3usize, 11] {
-        let addr: Vec<Signal> = (0..addr_bits)
-            .map(|_| pool[rng.gen_range(2usize..pool.len())])
-            .collect();
-        let data_bits = rng.gen_range(1usize..=3);
-        let contents: Vec<u64> = (0..1usize << addr_bits)
-            .map(|_| rng.gen_range(0u64..(1u64 << data_bits)))
-            .collect();
-        let data = b.rom(&addr, contents, data_bits, RomStyle::Crossbar);
-        rom_bits.push(data[0]);
-        pool.extend(data);
-    }
-    let n_gates = rng.gen_range(4usize..12);
-    random_gates(rng, &mut b, &mut pool, n_gates);
-    let mut outs: Vec<Signal> = pool.iter().rev().take(3).copied().collect();
-    outs.extend(rom_bits);
-    b.output("o", &outs);
-    b.finish()
+/// The scalar reference's outputs for each vector.
+fn scalar_outputs(m: &Module, vectors: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    let mut sim = Simulator::try_new(m).expect("generated modules simulate");
+    let apply = |v: &Vec<u64>| sim.try_apply(v, 0).expect("vectors fit the ports");
+    vectors.iter().map(apply).collect()
+}
+
+/// A compiled kernel of `64 * W` lanes over `m`.
+fn compiled<const W: usize>(m: &Module) -> WideSim<W> {
+    let tape = CompiledNetlist::try_compile(m).expect("generated modules compile");
+    WideSim::new(Arc::new(tape))
+}
+
+/// The compiled kernel's outputs for its first `lanes` lanes, one row
+/// per lane.
+fn lane_outputs<const W: usize>(sim: &WideSim<W>, m: &Module, lanes: usize) -> Vec<Vec<u64>> {
+    let columns: Vec<Vec<u64>> = m
+        .outputs
+        .iter()
+        .map(|p| sim.try_lanes(&p.name, lanes).expect("output port"))
+        .collect();
+    (0..lanes)
+        .map(|lane| columns.iter().map(|c| c[lane]).collect())
+        .collect()
+}
+
+/// A `check::gen` dataset's tree of depth 1 to `max_depth`, quantized
+/// at `bits`, and the dataset's rows coded for it.
+fn fitted_tree(rng: &mut StdRng, max_depth: usize, bits: usize) -> (QuantizedTree, Vec<Vec<u64>>) {
+    let data = gen::random_dataset(rng.next_u64());
+    let depth = rng.gen_range(1..=max_depth);
+    let tree = DecisionTree::fit(&data, TreeParams::with_depth(depth));
+    let fq = FeatureQuantizer::fit(&data, bits);
+    (QuantizedTree::from_tree(&tree, &fq), coded_rows(&data, &fq))
+}
+
+/// Every row of `data`, coded by `fq`.
+fn coded_rows(data: &Dataset, fq: &FeatureQuantizer) -> Vec<Vec<u64>> {
+    data.x.iter().map(|row| fq.code_row(row)).collect()
+}
+
+/// The classes `module`, generated from `model`, computes at `cycles`
+/// cycles per row; each must equal the model's prediction (`check`'s
+/// model-oracle comparison).
+fn classes(
+    case: u64,
+    model: Model<'_>,
+    rows: &[Vec<u64>],
+    module: &Module,
+    cycles: usize,
+) -> Vec<u64> {
+    circuit_matches_model(model, &module.name, module, cycles, rows)
+        .unwrap_or_else(|e| panic!("case {case}: {e}"))
+}
+
+/// Every digital tree, SVM and forest generator against its quantized
+/// model (`check`'s model oracle).
+#[test]
+fn generated_circuits_match_their_models() {
+    oracle_block(OracleKind::Model, 0xB15_0001, 24);
 }
 
 #[test]
 fn bespoke_parallel_equals_model_on_random_datasets() {
     cases(0xB15_0001, 24, |case, rng| {
-        let data = random_dataset(rng);
-        let depth = rng.gen_range(1usize..=4);
         let bits = rng.gen_range(3usize..=8);
-        let tree = DecisionTree::fit(&data, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&data, bits);
-        let qt = QuantizedTree::from_tree(&tree, &fq);
-        let module = bespoke_parallel(&qt);
-        let mut sim = Simulator::new(&module);
-        for row in data.x.iter().take(30) {
-            let codes = fq.code_row(row);
-            let class = sim.try_apply(&tree_inputs(&qt, &codes, module.inputs.len()), 0);
-            assert_eq!(class, Ok(vec![qt.predict(&codes) as u64]), "case {case}");
-        }
+        let (qt, rows) = fitted_tree(rng, 4, bits);
+        classes(case, Model::Tree(&qt), &rows, &bespoke_parallel(&qt), 1);
     });
 }
 
 #[test]
 fn lookup_tree_equals_model_on_random_datasets() {
     cases(0xB15_0002, 24, |case, rng| {
-        let data = random_dataset(rng);
-        let depth = rng.gen_range(1usize..=4);
-        let tree = DecisionTree::fit(&data, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&data, 4);
-        let qt = QuantizedTree::from_tree(&tree, &fq);
-        let module = lookup_parallel(&qt, LookupConfig::optimized());
-        let mut sim = Simulator::new(&module);
-        for row in data.x.iter().take(30) {
-            let codes = fq.code_row(row);
-            let class = sim.try_apply(&tree_inputs(&qt, &codes, module.inputs.len()), 0);
-            assert_eq!(class, Ok(vec![qt.predict(&codes) as u64]), "case {case}");
+        let (qt, rows) = fitted_tree(rng, 4, 4);
+        for config in [LookupConfig::baseline(), LookupConfig::optimized()] {
+            classes(
+                case,
+                Model::Tree(&qt),
+                &rows,
+                &lookup_parallel(&qt, config),
+                1,
+            );
         }
     });
 }
@@ -168,39 +143,53 @@ fn lookup_tree_equals_model_on_random_datasets() {
 #[test]
 fn bespoke_svm_equals_model_on_random_datasets() {
     cases(0xB15_0003, 24, |case, rng| {
-        let data = random_dataset(rng);
-        let svm = SvmRegressor::fit(&data, 60, 1e-3);
+        let data = gen::random_dataset(rng.next_u64());
         let fq = FeatureQuantizer::fit(&data, 6);
-        let qs = QuantizedSvm::from_svm(&svm, &fq);
-        let module = bespoke_svm(&qs);
-        let mut sim = Simulator::new(&module);
-        for row in data.x.iter().take(25) {
-            let codes = fq.code_row(row);
-            // Outputs: `class`, then `therm`.
-            let class = sim.try_apply(&svm_inputs(&qs, &codes), 0).map(|o| o[0]);
-            assert_eq!(class, Ok(qs.predict(&codes) as u64), "case {case}");
-        }
+        let qs = QuantizedSvm::from_svm(&SvmRegressor::fit(&data, 60, 1e-3), &fq);
+        let (rows, module) = (coded_rows(&data, &fq), bespoke_svm(&qs));
+        classes(case, Model::Svm(&qs), &rows, &module, SvmFlow::CYCLES);
+    });
+}
+
+#[test]
+fn forest_hardware_matches_model_on_random_datasets() {
+    cases(0xB15_0008, 16, |case, rng| {
+        let data = gen::random_dataset(rng.next_u64());
+        let (tree, fq) = (TreeParams::with_depth(3), FeatureQuantizer::fit(&data, 5));
+        let forest = RandomForest::fit(
+            &data,
+            ForestParams {
+                n_trees: 3,
+                tree,
+                seed: 5,
+            },
+        );
+        let qf = QuantizedForest::from_forest(&forest, &fq);
+        classes(
+            case,
+            Model::Forest(&qf),
+            &coded_rows(&data, &fq),
+            &bespoke_forest(&qf),
+            1,
+        );
+    });
+}
+
+/// Both bespoke trees must compute the model's class, so each other's.
+#[test]
+fn serial_tree_matches_parallel_tree_on_random_datasets() {
+    cases(0xB15_0009, 16, |case, rng| {
+        let (qt, rows) = fitted_tree(rng, 3, 4);
+        let (spec, serial) = bespoke_serial(&qt);
+        let parallel = classes(case, Model::Tree(&qt), &rows, &bespoke_parallel(&qt), 1);
+        let serial = classes(case, Model::Tree(&qt), &rows, &serial, spec.depth);
+        assert_eq!(parallel, serial, "case {case}");
     });
 }
 
 #[test]
 fn optimizer_preserves_function_of_random_circuits() {
-    cases(0xB15_0004, 24, |case, rng| {
-        let n_gates = rng.gen_range(4usize..40);
-        let n_inputs = rng.gen_range(2usize..6);
-        let original = random_circuit(rng, n_gates, n_inputs, 4);
-        let optimized = optimize(&original);
-        assert!(
-            optimized.gate_count() <= original.gate_count(),
-            "case {case}"
-        );
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
-        for v in 0..(1u64 << n_inputs) {
-            let want = s0.try_apply(&[v], 0).unwrap();
-            assert_eq!(s1.try_apply(&[v], 0), Ok(want), "case {case} input {v}");
-        }
-    });
+    oracle_block(OracleKind::Optimizer, 0xB15_0004, 24);
 }
 
 /// The worklist optimizer must be equivalence-preserving on the module
@@ -214,7 +203,7 @@ fn optimizer_is_equivalence_preserving_on_bespoke_models() {
     use printed_ml::core::bespoke::{bespoke_parallel_raw, bespoke_svm_raw};
     use printed_ml::netlist::{check_equivalence, Equivalence};
     cases(0xB15_000B, 10, |case, rng| {
-        let data = random_dataset(rng);
+        let data = gen::random_dataset(rng.next_u64());
         let raw = if case % 2 == 0 {
             let depth = rng.gen_range(1usize..=4);
             let bits = rng.gen_range(3usize..=6);
@@ -278,34 +267,14 @@ fn const_multiplier_is_exact_for_any_coefficient() {
         let m = b.finish();
         let width = m.output("p").unwrap().width().min(63);
         let mask = (1u64 << width) - 1;
-        let got = Simulator::new(&m).try_apply(&[x], 0);
+        let got = Simulator::try_new(&m).and_then(|mut sim| sim.try_apply(&[x], 0));
         assert_eq!(got, Ok(vec![(x * k) & mask]), "case {case}: k={k} x={x}");
     });
 }
 
-/// A 64-lane compiled kernel (`WideSim<1>`) over `m`.
-fn narrow_sim(m: &printed_ml::netlist::Module) -> printed_ml::netlist::WideSim<1> {
-    use printed_ml::netlist::{CompiledNetlist, WideSim};
-    WideSim::new(std::sync::Arc::new(CompiledNetlist::compile(m)))
-}
-
 #[test]
 fn wide_sim_matches_scalar_on_random_circuits() {
-    cases(0xB15_0007, 16, |case, rng| {
-        let n_gates = rng.gen_range(4usize..30);
-        let n_inputs = rng.gen_range(2usize..6);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let vectors: Vec<u64> = (0..(1u64 << n_inputs)).collect();
-        let mut narrow = narrow_sim(&m);
-        narrow.try_set_lanes("x", &vectors).unwrap();
-        narrow.settle();
-        let got = narrow.lanes("o", vectors.len());
-        let mut scalar = Simulator::new(&m);
-        for (lane, &v) in vectors.iter().enumerate() {
-            let want = scalar.try_apply(&[v], 0);
-            assert_eq!(Ok(vec![got[lane]]), want, "case {case} v={v}");
-        }
-    });
+    oracle_block(OracleKind::Engines, 0xB15_0007, 16);
 }
 
 #[test]
@@ -313,26 +282,25 @@ fn wide_sim_matches_scalar_at_every_lane_count() {
     // Partial words (lane counts below 64) must behave exactly like the
     // scalar simulator — bit 63 included (the sampled-mode mask bug
     // regression).
-    cases(0xB15_000A, 4, |case, rng| {
-        let n_gates = rng.gen_range(8usize..30);
-        let n_inputs = rng.gen_range(2usize..6);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let mut narrow = narrow_sim(&m);
-        let mut scalar = Simulator::new(&m);
+    for case in 0..4 {
+        let seed = task_seed(0xB15_000A, case);
+        let m = gen::random_module(seed);
+        let mut narrow = compiled::<1>(&m);
         for lanes in 1usize..=64 {
-            let vectors: Vec<u64> = (0..lanes)
-                .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
-                .collect();
-            narrow.try_set_lanes("x", &vectors).unwrap();
-            narrow.settle();
-            let got = narrow.lanes("o", lanes);
-            for (lane, &v) in vectors.iter().enumerate() {
-                let want = scalar.try_apply(&[v], 0);
-                let at = format!("case {case} lanes={lanes} lane={lane} v={v}");
-                assert_eq!(Ok(vec![got[lane]]), want, "{at}");
+            let vectors = gen::random_vectors(task_seed(seed, lanes as u64), &m, lanes);
+            for (p, port) in m.inputs.iter().enumerate() {
+                let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
+                narrow.try_set_lanes(&port.name, &column).unwrap();
             }
+            narrow.settle();
+            let got = lane_outputs(&narrow, &m, lanes);
+            assert_eq!(
+                got,
+                scalar_outputs(&m, &vectors),
+                "case {case} lanes={lanes}"
+            );
         }
-    });
+    }
 }
 
 /// The boundary lane counts of the compiled wide kernel: a single lane,
@@ -341,67 +309,74 @@ fn wide_sim_matches_scalar_at_every_lane_count() {
 /// scalar simulator.
 #[test]
 fn wide_sim_matches_scalar_at_boundary_lane_counts() {
-    use printed_ml::netlist::{CompiledNetlist, WideSim};
-    use std::sync::Arc;
-    cases(0xB15_000C, 4, |case, rng| {
-        let n_gates = rng.gen_range(8usize..30);
-        let n_inputs = rng.gen_range(2usize..6);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let mut wide: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(&m)));
-        let mut scalar = Simulator::new(&m);
+    for case in 0..4 {
+        let seed = task_seed(0xB15_000C, case);
+        let m = gen::random_module(seed);
+        let mut wide = compiled::<4>(&m);
         for lanes in [1usize, 63, 64, 65, 255, 256] {
-            let vectors: Vec<Vec<u64>> = (0..lanes)
-                .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
-                .collect();
-            let image = wide.pack_vectors(&vectors);
-            wide.load_packed(&image);
+            let vectors = gen::random_vectors(task_seed(seed, lanes as u64), &m, lanes);
+            let image = wide.try_pack_vectors(&vectors).unwrap();
+            wide.try_load_packed(&image).unwrap();
             wide.settle();
-            let got = wide.lanes("o", lanes);
-            for (lane, v) in vectors.iter().enumerate() {
-                let at = format!("case {case} lanes={lanes} lane={lane} v={v:?}");
-                assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(v, 0), "{at}");
-            }
+            let got = lane_outputs(&wide, &m, lanes);
+            assert_eq!(
+                got,
+                scalar_outputs(&m, &vectors),
+                "case {case} lanes={lanes}"
+            );
         }
-    });
+    }
 }
 
 /// The fault grader's per-site verdicts must equal clone injection
 /// (`faults::inject`) simulated on the scalar reference: a site counts as
-/// detected iff some vector changes an output. The circuits carry ROMs on
-/// both of the kernel's strategies, and the vector counts cover one
-/// lane, partial words, exactly one 256-lane chunk and several chunks
-/// (faults dropped after an early chunk must stay detected).
+/// detected iff some vector changes an output. The circuits are the
+/// first of the seed block with no ROM, with a ROM the kernel evaluates
+/// bitwise (1–3 address bits) and with one it evaluates per lane,
+/// and the vector counts cover one lane, partial words, exactly one
+/// 256-lane chunk and several chunks (faults dropped after an early
+/// chunk must stay detected).
 #[test]
 fn fault_verdicts_match_clone_injection_per_site() {
-    use printed_ml::netlist::fault_coverage;
     use printed_ml::netlist::faults::{fault_sites, inject};
-    cases(0xB15_000D, 3, |case, rng| {
-        let n_inputs = rng.gen_range(3usize..7);
-        let m = random_rom_circuit(rng, n_inputs);
-        let sites = fault_sites(&m);
+    use printed_ml::netlist::try_fault_coverage;
+    let rom_class = |m: &Module| {
+        let wide = |r: &RomInstance| gen::WIDE_ROM_ADDR_BITS.contains(&r.addr.len());
+        m.roms.first().map(wide)
+    };
+    let mut seen = Vec::new();
+    for i in 0.. {
+        let seed = task_seed(0xB15_000D, i);
+        let m = gen::random_module(seed);
+        if seen.contains(&rom_class(&m)) {
+            continue;
+        }
+        seen.push(rom_class(&m));
+        let vectors = gen::random_vectors(seed, &m, 600);
+        let good = scalar_outputs(&m, &vectors);
+        // The first vector that detects each site, if any does.
+        let first_detection: Vec<_> = fault_sites(&m)
+            .into_iter()
+            .map(|fault| {
+                let bad = scalar_outputs(&inject(&m, fault), &vectors);
+                (fault, bad.iter().zip(&good).position(|(b, g)| b != g))
+            })
+            .collect();
         for count in [1usize, 63, 65, 256, 257, 600] {
-            let vectors: Vec<Vec<u64>> = (0..count)
-                .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
-                .collect();
-            let mut good = Simulator::new(&m);
-            let expected: Vec<_> = vectors.iter().map(|v| good.try_apply(v, 0)).collect();
-            let cov = fault_coverage(&m, &vectors);
-            assert_eq!(cov.total, sites.len());
-            for fault in &sites {
-                let faulty = inject(&m, *fault);
-                let mut bad = Simulator::new(&faulty);
-                let detected = vectors
-                    .iter()
-                    .zip(&expected)
-                    .any(|(v, want)| bad.try_apply(v, 0) != *want);
+            let cov = try_fault_coverage(&m, &vectors[..count]).unwrap();
+            assert_eq!(cov.total, first_detection.len());
+            for (fault, first) in &first_detection {
                 assert_eq!(
                     !cov.undetected.contains(fault),
-                    detected,
-                    "case {case} vectors={count} fault={fault:?}"
+                    first.is_some_and(|v| v < count),
+                    "case {i} vectors={count} fault={fault:?}"
                 );
             }
         }
-    });
+        if seen.len() == 3 {
+            break;
+        }
+    }
 }
 
 /// The verification entry points shard their work over the pool but
@@ -410,77 +385,21 @@ fn fault_verdicts_match_clone_injection_per_site() {
 #[test]
 fn verification_is_identical_at_1_4_and_8_threads() {
     use printed_ml::exec::with_threads;
-    use printed_ml::netlist::{check_equivalence, fault_coverage};
-    cases(0xB15_000E, 3, |case, rng| {
-        let n_inputs = rng.gen_range(3usize..6);
-        let n_gates = rng.gen_range(10usize..40);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
+    use printed_ml::netlist::{check_equivalence, try_fault_coverage};
+    for case in 0..3 {
+        let seed = task_seed(0xB15_000E, case);
+        let m = gen::random_module(seed);
         let optimized = optimize(&m);
-        let vectors: Vec<Vec<u64>> = (0..96)
-            .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
-            .collect();
+        let vectors = gen::random_vectors(seed, &m, 96);
         let run = || {
             (
-                check_equivalence(&m, &optimized, 10, 300).expect("comparable ports"),
-                fault_coverage(&m, &vectors),
+                check_equivalence(&m, &optimized, 10, 300),
+                try_fault_coverage(&m, &vectors),
             )
         };
         let one = with_threads(1, run);
-        let four = with_threads(4, run);
-        let eight = with_threads(8, run);
-        assert_eq!(one, four, "case {case}");
-        assert_eq!(one, eight, "case {case}");
-    });
-}
-
-#[test]
-fn forest_hardware_matches_model_on_random_datasets() {
-    use printed_ml::core::bespoke_forest;
-    use printed_ml::ml::forest::{ForestParams, RandomForest};
-    use printed_ml::ml::quant::QuantizedForest;
-    cases(0xB15_0008, 16, |case, rng| {
-        let data = random_dataset(rng);
-        let forest = RandomForest::fit(
-            &data,
-            ForestParams {
-                n_trees: 3,
-                tree: TreeParams::with_depth(3),
-                seed: 5,
-            },
-        );
-        let fq = FeatureQuantizer::fit(&data, 5);
-        let qf = QuantizedForest::from_forest(&forest, &fq);
-        let module = bespoke_forest(&qf);
-        let mut sim = Simulator::new(&module);
-        for row in data.x.iter().take(20) {
-            let codes = fq.code_row(row);
-            // Outputs: `votes{c}` per class, then `class`.
-            let outputs = sim.try_apply(&forest_inputs(&qf, &codes), 0);
-            let class = outputs.map(|o| o[o.len() - 1]);
-            assert_eq!(class, Ok(qf.predict(&codes) as u64), "case {case}");
-        }
-    });
-}
-
-#[test]
-fn serial_tree_matches_parallel_tree_on_random_datasets() {
-    use printed_ml::core::bespoke::bespoke_serial;
-    cases(0xB15_0009, 16, |case, rng| {
-        let data = random_dataset(rng);
-        let depth = rng.gen_range(1usize..=3);
-        let tree = DecisionTree::fit(&data, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&data, 4);
-        let qt = QuantizedTree::from_tree(&tree, &fq);
-        let parallel = bespoke_parallel(&qt);
-        let (spec, serial) = bespoke_serial(&qt);
-        let mut psim = Simulator::new(&parallel);
-        let mut ssim = Simulator::new(&serial);
-        for row in data.x.iter().take(20) {
-            let codes = fq.code_row(row);
-            let p = psim.try_apply(&tree_inputs(&qt, &codes, parallel.inputs.len()), 0);
-            let s = ssim.try_apply(&tree_inputs(&qt, &codes, spec.n_features), spec.depth);
-            // `class` is both engines' first output.
-            assert_eq!(p.map(|o| o[0]), s.map(|o| o[0]), "case {case}");
-        }
-    });
+        assert!(one.0.is_ok() && one.1.is_ok(), "case {case}: {one:?}");
+        assert_eq!(one, with_threads(4, run), "case {case}");
+        assert_eq!(one, with_threads(8, run), "case {case}");
+    }
 }
