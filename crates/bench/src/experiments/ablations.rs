@@ -41,8 +41,7 @@ pub fn ablation_bitwidth() -> Table {
         Application::Pendigits,
         Application::RedWine,
     ] {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
         for &bits in &WIDTHS {
             let fq = FeatureQuantizer::fit(&train, bits);
@@ -72,8 +71,7 @@ pub fn ablation_analog_buffers() -> Table {
         &["dataset", "buffers", "area", "power", "worst margin (V)"],
     );
     for app in [Application::GasId, Application::Pendigits] {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(6));
         let fq = FeatureQuantizer::fit(&train, 6);
         let qt = QuantizedTree::from_tree(&tree, &fq);
@@ -111,8 +109,7 @@ pub fn ablation_threshold_encoding() -> Table {
         &["dataset", "encoding", "agreement"],
     );
     for app in [Application::Har, Application::Pendigits] {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
         let fq = FeatureQuantizer::fit(&train, 6);
         let qt = QuantizedTree::from_tree(&tree, &fq);
@@ -188,8 +185,7 @@ pub fn ablation_rom_style() -> Table {
     );
     let lib = egt();
     for depth in [2usize, 4, 8] {
-        let data = Application::Cardio.generate(SEED);
-        let (train, _) = data.split(0.7, 42);
+        let (train, _) = Application::Cardio.split(SEED);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
         let fq = FeatureQuantizer::fit(&train, 8);
         let qt = QuantizedTree::from_tree(&tree, &fq);
@@ -224,8 +220,7 @@ pub fn ablation_forest_scaling() -> Table {
         &["trees", "accuracy", "gates", "area", "power"],
     );
     let lib = egt();
-    let data = Application::Pendigits.generate(SEED);
-    let (train, test) = data.split(0.7, 42);
+    let (train, test) = Application::Pendigits.split(SEED);
     let fq = FeatureQuantizer::fit(&train, 8);
     let rf8 = RandomForest::fit(&train, ForestParams::paper(8));
     for n in [1usize, 2, 4, 8] {
@@ -407,8 +402,7 @@ pub fn variation_analysis() -> Table {
         &["dataset", "sigma", "mean agreement", "worst agreement"],
     );
     for app in [Application::Har, Application::Pendigits] {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
         let fq = FeatureQuantizer::fit(&train, 6);
         let qt = QuantizedTree::from_tree(&tree, &fq);
@@ -429,8 +423,7 @@ pub fn variation_analysis() -> Table {
         use ml::data::Standardizer;
         use ml::quant::QuantizedSvm;
         use ml::SvmRegressor;
-        let data = Application::RedWine.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = Application::RedWine.split(SEED);
         let s = Standardizer::fit(&train);
         let (train, test) = (s.transform(&train), s.transform(&test));
         let svm = SvmRegressor::fit(&train, 150, 1e-4);
@@ -497,8 +490,7 @@ pub fn ablation_serial_svm() -> Table {
     );
     let lib = egt();
     for app in [Application::RedWine, Application::Cardio, Application::Har] {
-        let data = app.generate(SEED);
-        let (train, _) = data.split(0.7, 42);
+        let (train, _) = app.split(SEED);
         let s = Standardizer::fit(&train);
         let train = s.transform(&train);
         let svm = SvmRegressor::fit(&train, 150, 1e-4);
@@ -537,8 +529,7 @@ pub fn drift_robustness() -> Table {
         &["dataset", "drift (sigma)", "accuracy"],
     );
     for app in [Application::GasId, Application::Cardio] {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let s = ml::Standardizer::fit(&train);
         let (train, test) = (s.transform(&train), s.transform(&test));
         let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));

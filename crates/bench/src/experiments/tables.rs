@@ -94,8 +94,7 @@ pub fn table2() -> Vec<Table> {
         &["dataset", "model", "A", "#C", "#M", "EGT area", "EGT power"],
     );
     for app in Application::ALL {
-        let data = app.generate(SEED);
-        let (train, test) = data.split(0.7, 42);
+        let (train, test) = app.split(SEED);
         let s = Standardizer::fit(&train);
         let (train, test) = (s.transform(&train), s.transform(&test));
         let acc = |pred: &mut dyn FnMut(&[f64]) -> usize| {

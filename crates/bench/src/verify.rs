@@ -5,7 +5,7 @@
 //! 1. **Equivalence sign-off** — every optimized/lookup architecture of a
 //!    set of representative workloads is miter-checked against its
 //!    unoptimized reference netlist via
-//!    [`printed_core::signoff`] (64 input vectors per settle pass);
+//!    [`printed_core::signoff`] (256 input vectors per settle pass);
 //! 2. **Fault grading** — the Table-VII-style manufacturing-test
 //!    workload (bespoke depth-4 Har/Cardio trees fed their own test-set
 //!    vectors) is stuck-at graded by cone-limited fault propagation,

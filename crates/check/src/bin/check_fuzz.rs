@@ -150,41 +150,23 @@ fn repin_corpus(dir: &std::path::Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Shrinks a mismatching engines/optimizer case and writes the
-/// minimized reproducer. Seed-driven oracles (variation, model) pin the
-/// bare seed.
+/// Shrinks the module of a mismatching module-driven case
+/// ([`oracle::case_module`]) against [`oracle::check_module`] and writes
+/// the minimized reproducer. Seed-driven oracles (variation, model) pin
+/// the bare seed.
 fn write_reproducer(opts: &Options, outcome: &CaseOutcome) -> Option<PathBuf> {
-    let module = match outcome.oracle {
-        OracleKind::Engines | OracleKind::Optimizer | OracleKind::Serde | OracleKind::CacheKey => {
-            let raw = if outcome.oracle == OracleKind::Engines && outcome.seed % 8 == 3 {
-                check::gen::random_sequential_module(outcome.seed)
-            } else {
-                check::gen::random_module(outcome.seed)
-            };
-            let seed = outcome.seed;
-            let still_fails = |m: &netlist::Module| -> bool {
-                let r = match outcome.oracle {
-                    OracleKind::Engines => oracle::engines_agree(m, seed),
-                    OracleKind::Optimizer => oracle::optimizer_holds(m),
-                    OracleKind::Serde => oracle::serde_round_trip_module(m),
-                    OracleKind::CacheKey => oracle::cache_key_stable_module(m),
-                    OracleKind::Variation | OracleKind::Model => {
-                        unreachable!("seed-driven oracles have no module")
-                    }
-                };
-                r.is_err()
-            };
-            if opts.no_shrink {
-                Some(raw)
-            } else {
-                Some(shrink::shrink_module(&raw, &still_fails))
-            }
+    let (kind, seed) = (outcome.oracle, outcome.seed);
+    let module = oracle::case_module(kind, seed).map(|raw| {
+        let still_fails = |m: &netlist::Module| oracle::check_module(kind, m, seed).is_err();
+        if opts.no_shrink {
+            raw
+        } else {
+            shrink::shrink_module(&raw, &still_fails)
         }
-        OracleKind::Variation | OracleKind::Model => None,
-    };
+    });
     let repro = Reproducer {
-        oracle: outcome.oracle.name().to_string(),
-        seed: outcome.seed,
+        oracle: kind.name().to_string(),
+        seed,
         note: format!(
             "fuzzer-found mismatch: {}",
             outcome.mismatch.as_deref().unwrap_or("")

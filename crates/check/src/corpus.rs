@@ -45,16 +45,9 @@ impl Reproducer {
     pub fn replay(&self) -> Result<(), String> {
         let kind = OracleKind::from_name(&self.oracle)
             .ok_or_else(|| format!("unknown oracle {:?}", self.oracle))?;
-        match (&self.module, kind) {
-            (Some(m), OracleKind::Engines) => oracle::engines_agree(m, self.seed).map(|_| ()),
-            (Some(m), OracleKind::Optimizer) => oracle::optimizer_holds(m).map(|_| ()),
-            (Some(m), OracleKind::Serde) => oracle::serde_round_trip_module(m).map(|_| ()),
-            (Some(m), OracleKind::CacheKey) => oracle::cache_key_stable_module(m).map(|_| ()),
-            (Some(_), OracleKind::Variation | OracleKind::Model) => Err(format!(
-                "{} reproducers are seed-driven; drop the module field",
-                kind.name()
-            )),
-            (None, kind) => oracle::run_oracle(kind, self.seed).map(|_| ()),
+        match &self.module {
+            Some(m) => oracle::check_module(kind, m, self.seed).map(|_| ()),
+            None => oracle::run_oracle(kind, self.seed).map(|_| ()),
         }
     }
 }

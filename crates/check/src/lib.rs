@@ -115,6 +115,28 @@ mod tests {
     }
 
     #[test]
+    fn case_module_is_the_module_each_case_ran() {
+        for kind in OracleKind::ALL {
+            for seed in 0..64u64 {
+                let Some(module) = oracle::case_module(kind, seed) else {
+                    assert!(matches!(kind, OracleKind::Variation | OracleKind::Model));
+                    assert!(oracle::check_module(kind, &gen::random_module(seed), seed).is_err());
+                    continue;
+                };
+                let sequential = kind == OracleKind::Engines && seed % 8 == 3;
+                assert_eq!(module.is_combinational(), !sequential, "{kind:?} {seed}");
+                let checked = oracle::check_module(kind, &module, seed);
+                assert!(checked.is_ok(), "{kind:?} {seed}: {checked:?}");
+                // These two cases are their module check; the serde and
+                // cache cases check a dataset and models after it.
+                if matches!(kind, OracleKind::Engines | OracleKind::Optimizer) {
+                    assert_eq!(checked, oracle::run_oracle(kind, seed), "{kind:?} {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn digests_are_reproducible() {
         let a = run_cases(42, 10);
         let b = run_cases(42, 10);

@@ -128,8 +128,8 @@ fn error_kind(e: &SimError) -> &'static str {
 }
 
 /// Runs both simulation engines over `module` and demands bit-identical
-/// outputs: the scalar reference against the compiled kernel at 64 lanes
-/// (bound per port) and at 256 lanes (bound from a packed image). A
+/// outputs: the scalar reference against the compiled kernel at 64 and
+/// at 256 lanes, each bound from a packed image. A
 /// module the compiled kernel rejects must be one it may not take — a
 /// sequential one — or one the scalar reference rejects for the same
 /// reason.
@@ -179,21 +179,8 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
             }
 
             // Compiled kernel: one settle for the whole block, at each width.
-            let mut narrow: WideSim<1> = WideSim::new(Arc::clone(&compiled));
-            for (p, port) in module.inputs.iter().enumerate() {
-                let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
-                narrow
-                    .try_set_lanes(&port.name, &column)
-                    .map_err(|e| format!("narrow set_lanes failed: {e}"))?;
-            }
-            narrow.settle();
-            let mut wide: WideSim<4> = WideSim::new(Arc::clone(&compiled));
-            let image = wide
-                .try_pack_vectors(&vectors)
-                .map_err(|e| format!("wide pack_vectors failed: {e}"))?;
-            wide.try_load_packed(&image)
-                .map_err(|e| format!("wide load_packed failed: {e}"))?;
-            wide.settle();
+            let narrow: WideSim<1> = settled(&compiled, &vectors, "narrow")?;
+            let wide: WideSim<4> = settled(&compiled, &vectors, "wide")?;
 
             let mut h = hasher("check.engines");
             for (o, name) in out_names.iter().enumerate() {
@@ -258,14 +245,60 @@ pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
     }
 }
 
+/// A `WideSim` over `compiled`, settled on `vectors` through a packed
+/// image; `engine` names it in an error.
+fn settled<const W: usize>(
+    compiled: &Arc<CompiledNetlist>,
+    vectors: &[Vec<u64>],
+    engine: &str,
+) -> Result<WideSim<W>, String> {
+    let mut sim: WideSim<W> = WideSim::new(Arc::clone(compiled));
+    let image = sim
+        .try_pack_vectors(vectors)
+        .map_err(|e| format!("{engine} pack_vectors failed: {e}"))?;
+    sim.try_load_packed(&image)
+        .map_err(|e| format!("{engine} load_packed failed: {e}"))?;
+    sim.settle();
+    Ok(sim)
+}
+
+/// The module a case of a module-driven oracle runs on, or `None` for the
+/// seed-driven ones (variation, model). One engines case in eight runs a
+/// sequential module, which exercises the rejection-agreement path.
+pub fn case_module(kind: OracleKind, seed: u64) -> Option<Module> {
+    match kind {
+        OracleKind::Engines if seed % 8 == 3 => Some(gen::random_sequential_module(seed)),
+        OracleKind::Engines | OracleKind::Optimizer | OracleKind::Serde | OracleKind::CacheKey => {
+            Some(gen::random_module(seed))
+        }
+        OracleKind::Variation | OracleKind::Model => None,
+    }
+}
+
+/// Runs a module-driven oracle's module check on `module` (`seed` drives
+/// the engines oracle's vectors): what a shrunk or pinned reproducer
+/// replays. The seed-driven oracles have no module check.
+pub fn check_module(kind: OracleKind, module: &Module, seed: u64) -> Result<u64, String> {
+    match kind {
+        OracleKind::Engines => engines_agree(module, seed),
+        OracleKind::Optimizer => optimizer_holds(module),
+        OracleKind::Serde => serde_round_trip_module(module),
+        OracleKind::CacheKey => cache_key_stable_module(module),
+        OracleKind::Variation | OracleKind::Model => Err(format!(
+            "{} cases are seed-driven: their reproducers carry no module",
+            kind.name()
+        )),
+    }
+}
+
+/// [`case_module`] for a module-driven oracle's own case.
+fn module_of(kind: OracleKind, seed: u64) -> Result<Module, String> {
+    case_module(kind, seed).ok_or_else(|| format!("{} cases have no module", kind.name()))
+}
+
 /// Engines oracle over a generated case seed.
 pub fn engines_case(seed: u64) -> Result<u64, String> {
-    // One case in eight exercises the rejection-agreement path.
-    if seed % 8 == 3 {
-        engines_agree(&gen::random_sequential_module(seed), seed)
-    } else {
-        engines_agree(&gen::random_module(seed), seed)
-    }
+    engines_agree(&module_of(OracleKind::Engines, seed)?, seed)
 }
 
 /// Variation oracle: compiled analog tapes vs the scalar reference
@@ -382,7 +415,7 @@ pub fn optimizer_holds(module: &Module) -> Result<u64, String> {
 
 /// Optimizer oracle over a generated case seed.
 pub fn optimizer_case(seed: u64) -> Result<u64, String> {
-    optimizer_holds(&gen::random_module(seed))
+    optimizer_holds(&module_of(OracleKind::Optimizer, seed)?)
 }
 
 fn round_trip<T>(what: &str, value: &T, h: &mut cache::StableHasher) -> Result<(), String>
@@ -420,7 +453,7 @@ pub fn serde_round_trip_module(module: &Module) -> Result<u64, String> {
 /// identical bytes.
 pub fn serde_case(seed: u64) -> Result<u64, String> {
     let mut h = hasher("check.serde");
-    let module = gen::random_module(seed);
+    let module = module_of(OracleKind::Serde, seed)?;
     round_trip("Module", &module, &mut h)?;
 
     let data = gen::random_dataset(seed);
@@ -470,7 +503,7 @@ pub fn cache_key_stable_module(module: &Module) -> Result<u64, String> {
 /// hashing — [`cache::StableHasher`] has no hidden state), and flipping
 /// one bit of one dataset value must move the dataset's key.
 pub fn cache_case(seed: u64) -> Result<u64, String> {
-    let module = gen::random_module(seed);
+    let module = module_of(OracleKind::CacheKey, seed)?;
     let fp = cache_key_stable_module(&module)?;
     let data = gen::random_dataset(seed);
     let k1 = cache::key_for("check.fuzz.dataset", &data);

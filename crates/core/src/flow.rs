@@ -88,7 +88,7 @@ pub struct TreeFlow {
 /// train/test split, and both parts standardized by the training part's
 /// statistics.
 fn standardized_split(app: Application, seed: u64) -> (Dataset, Dataset) {
-    let (train, test) = app.generate(seed).split(0.7, 42);
+    let (train, test) = app.split(seed);
     let s = Standardizer::fit(&train);
     (s.transform(&train), s.transform(&test))
 }

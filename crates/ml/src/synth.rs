@@ -157,6 +157,12 @@ impl Application {
             generate_clusters(self.name(), &p, &mut rng)
         }
     }
+
+    /// The paper's data protocol: the dataset of `seed` split 70/30 into
+    /// train and test, with split seed 42.
+    pub fn split(self, seed: u64) -> (Dataset, Dataset) {
+        self.generate(seed).split(0.7, 42)
+    }
 }
 
 struct Profile {

@@ -20,7 +20,11 @@
 //!   `[u64; W]` blocks (64·W vectors per settle; `W = 1` and `W = 4`
 //!   are the shipped widths). A settle walks the tape in ROM-free
 //!   spans, each writing one run of consecutive slots, and the
-//!   per-instruction word loop is written so LLVM auto-vectorizes it. Stimulus enters and per-lane ROM
+//!   per-instruction word loop is written so LLVM auto-vectorizes it.
+//!   Stimulus enters one way, as a packed input image with one lane block
+//!   per input bit ([`WideSim::try_load_packed`]); [`crate::verify`]
+//!   writes its images directly, other callers transpose per-port values
+//!   with [`WideSim::try_pack_vectors`]. That packing and the per-lane ROM
 //!   addresses leave lane order through one branchless 64×64 bit-matrix
 //!   transpose.
 //! * `cone` (crate-private) — event-driven stuck-at propagation over a
@@ -158,7 +162,9 @@ struct CompiledPort {
 /// let compiled = Arc::new(CompiledNetlist::compile(&b.finish()));
 ///
 /// let mut sim: WideSim<1> = WideSim::new(Arc::clone(&compiled));
-/// sim.try_set_lanes("x", &[0b00, 0b01, 0b10, 0b11]).unwrap();
+/// let vectors: Vec<Vec<u64>> = (0..4).map(|x| vec![x]).collect();
+/// let image = sim.try_pack_vectors(&vectors).unwrap();
+/// sim.try_load_packed(&image).unwrap();
 /// sim.settle();
 /// assert_eq!(sim.lanes("y", 4), vec![0, 1, 1, 0]);
 /// ```
@@ -414,16 +420,6 @@ impl CompiledNetlist {
             input_slots,
             slot_map: remap,
         })
-    }
-
-    /// Input port widths in declaration order.
-    pub fn input_widths(&self) -> Vec<usize> {
-        self.inputs.iter().map(|p| p.slots.len()).collect()
-    }
-
-    /// Total output-port bits (the length unit of response images).
-    pub fn output_bits(&self) -> usize {
-        self.outputs.iter().map(|p| p.slots.len()).sum()
     }
 
     fn output_port(&self, name: &str) -> Result<&CompiledPort, SimError> {
@@ -683,49 +679,6 @@ impl<const W: usize> WideSim<W> {
         }
     }
 
-    /// Drives input port `name` with up to `64·W` per-lane values;
-    /// reports unknown ports and over-wide lane counts as [`SimError`].
-    pub fn try_set_lanes(&mut self, name: &str, lane_values: &[u64]) -> Result<(), SimError> {
-        let Some(port_index) = self.compiled.inputs.iter().position(|p| p.name == name) else {
-            return Err(SimError::UnknownPort {
-                direction: "input",
-                name: name.to_string(),
-            });
-        };
-        self.try_set_port_lanes(port_index, lane_values)
-    }
-
-    /// [`Self::try_set_lanes`] by input-port index (declaration order) —
-    /// the hot-loop variant, no name lookup. Reports an over-wide lane
-    /// count as [`SimError::TooManyLanes`].
-    pub fn try_set_port_lanes(
-        &mut self,
-        port_index: usize,
-        lane_values: &[u64],
-    ) -> Result<(), SimError> {
-        if lane_values.len() > Self::LANES {
-            return Err(SimError::TooManyLanes {
-                given: lane_values.len(),
-                max: Self::LANES,
-            });
-        }
-        let compiled = Arc::clone(&self.compiled);
-        let slots = &compiled.inputs[port_index].slots;
-        for w in 0..W {
-            let mut m = [0u64; 64];
-            let lanes = lane_values.iter().skip(64 * w).take(64);
-            for (row, &v) in m.iter_mut().zip(lanes) {
-                *row = v;
-            }
-            transpose64(&mut m, slots.len());
-            // A value has 64 bits; port bits beyond them read zero.
-            for (bit, &slot) in slots.iter().enumerate() {
-                self.values[slot as usize][w] = m.get(bit).copied().unwrap_or(0);
-            }
-        }
-        Ok(())
-    }
-
     /// Transposes a chunk of up to `64·W` input vectors (one value per
     /// input port, in port order) into per-input-net lane blocks. The
     /// returned image replays cheaply via [`Self::load_packed`].
@@ -825,12 +778,10 @@ impl<const W: usize> WideSim<W> {
         compiled.settle_span(values, start, compiled.ops.len());
     }
 
-    fn read(&self, slot: u32) -> [u64; W] {
-        self.values[slot as usize]
-    }
-
-    fn read_lane(&self, slot: u32, lane: usize) -> bool {
-        (self.values[slot as usize][lane / 64] >> (lane % 64)) & 1 == 1
+    /// The lane block of bit `bit` of output port `port` (declaration
+    /// order), lanes past the chunk included.
+    pub(crate) fn output_block(&self, port: usize, bit: usize) -> [u64; W] {
+        self.values[self.compiled.outputs[port].slots[bit] as usize]
     }
 
     /// Reads output port `name` for the first `lanes` lanes.
@@ -851,31 +802,12 @@ impl<const W: usize> WideSim<W> {
         let port = self.compiled.output_port(name)?;
         Ok((0..lanes)
             .map(|lane| {
-                let mut v = 0u64;
-                for (bit, &slot) in port.slots.iter().enumerate() {
-                    if self.read_lane(slot, lane) {
-                        v |= 1 << bit;
-                    }
-                }
-                v
+                let bit = |slot: u32| (self.values[slot as usize][lane / 64] >> (lane % 64)) & 1;
+                (0..)
+                    .zip(&port.slots)
+                    .fold(0, |v, (k, &slot)| v | bit(slot) << k)
             })
             .collect())
-    }
-
-    /// Lane words of every output-port bit, flattened port-major,
-    /// bit-minor, word-minor (`W` words per bit), masked to the first
-    /// `lanes` lanes — the module's full response image.
-    pub fn output_words(&self, lanes: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.compiled.output_bits() * W);
-        for port in &self.compiled.outputs {
-            for &slot in &port.slots {
-                let block = self.read(slot);
-                for (w, &word) in block.iter().enumerate() {
-                    out.push(word & word_mask(w, lanes));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -890,6 +822,21 @@ mod tests {
         Arc::new(CompiledNetlist::compile(m))
     }
 
+    /// A `WideSim` over `compiled`, settled on `vectors` (one value per
+    /// input port) through a packed image.
+    fn settled<const W: usize>(compiled: Arc<CompiledNetlist>, vectors: &[Vec<u64>]) -> WideSim<W> {
+        let mut sim = WideSim::new(compiled);
+        let image = sim.try_pack_vectors(vectors).unwrap();
+        sim.try_load_packed(&image).unwrap();
+        sim.settle();
+        sim
+    }
+
+    /// One single-port vector per value.
+    fn column(values: impl IntoIterator<Item = u64>) -> Vec<Vec<u64>> {
+        values.into_iter().map(|v| vec![v]).collect()
+    }
+
     #[test]
     fn wide_sim_matches_scalar_on_an_adder_at_256_lanes() {
         let mut b = NetlistBuilder::new("add");
@@ -898,16 +845,12 @@ mod tests {
         let s = crate::arith::add(&mut b, &x, &y);
         b.output("s", &s);
         let m = b.finish();
-        let mut sim: WideSim<4> = WideSim::new(compile(&m));
-        let xs: Vec<u64> = (0..256).collect();
-        let ys: Vec<u64> = (0..256).map(|v| (v * 37) % 256).collect();
-        sim.try_set_lanes("x", &xs).unwrap();
-        sim.try_set_lanes("y", &ys).unwrap();
-        sim.settle();
+        let vectors: Vec<Vec<u64>> = (0..256).map(|v| vec![v, (v * 37) % 256]).collect();
+        let sim: WideSim<4> = settled(compile(&m), &vectors);
         let got = sim.lanes("s", 256);
         let mut scalar = Simulator::new(&m);
-        for lane in 0..256 {
-            let want = scalar.try_apply(&[xs[lane], ys[lane]], 0);
+        for (lane, vector) in vectors.iter().enumerate() {
+            let want = scalar.try_apply(vector, 0);
             assert_eq!(Ok(vec![got[lane]]), want, "lane {lane}");
         }
     }
@@ -929,14 +872,12 @@ mod tests {
         ];
         b.output("o", &outs);
         let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        let vs: Vec<u64> = (0..8).collect();
-        sim.try_set_lanes("x", &vs).unwrap();
-        sim.settle();
+        let vectors = column(0..8);
+        let sim: WideSim<1> = settled(compile(&m), &vectors);
         let got = sim.lanes("o", 8);
         let mut scalar = Simulator::new(&m);
-        for (lane, &v) in vs.iter().enumerate() {
-            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(&[v], 0), "x={v}");
+        for (lane, v) in vectors.iter().enumerate() {
+            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(v, 0), "x={v:?}");
         }
     }
 
@@ -954,13 +895,9 @@ mod tests {
         assert_eq!(compiled.roms[0].strategy, RomStrategy::Mask);
         let mut forced = compiled.clone();
         forced.roms[0].strategy = RomStrategy::PerLane;
-        let addrs: Vec<u64> = (0..16).collect();
-        let mut mask_sim: WideSim<1> = WideSim::new(Arc::new(compiled));
-        let mut lane_sim: WideSim<1> = WideSim::new(Arc::new(forced));
-        mask_sim.try_set_lanes("a", &addrs).unwrap();
-        lane_sim.try_set_lanes("a", &addrs).unwrap();
-        mask_sim.settle();
-        lane_sim.settle();
+        let addrs = column(0..16);
+        let mask_sim: WideSim<1> = settled(Arc::new(compiled), &addrs);
+        let lane_sim: WideSim<1> = settled(Arc::new(forced), &addrs);
         assert_eq!(mask_sim.lanes("d", 16), lane_sim.lanes("d", 16));
         assert_eq!(
             mask_sim.lanes("d", 16),
@@ -978,14 +915,12 @@ mod tests {
         let m = b.finish();
         let compiled = compile(&m);
         assert_eq!(compiled.roms[0].strategy, RomStrategy::PerLane);
-        let mut sim: WideSim<1> = WideSim::new(compiled);
-        let addrs: Vec<u64> = (0..64).map(|v| v * 31 % 2048).collect();
-        sim.try_set_lanes("a", &addrs).unwrap();
-        sim.settle();
+        let addrs = column((0..64).map(|v| v * 31 % 2048));
+        let sim: WideSim<1> = settled(compiled, &addrs);
         let got = sim.lanes("d", 64);
         let mut scalar = Simulator::new(&m);
-        for (lane, &v) in addrs.iter().enumerate() {
-            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(&[v], 0), "addr {v}");
+        for (lane, v) in addrs.iter().enumerate() {
+            assert_eq!(Ok(vec![got[lane]]), scalar.try_apply(v, 0), "addr {v:?}");
         }
     }
 
@@ -1054,30 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn output_words_mask_lanes_past_the_window() {
-        let mut b = NetlistBuilder::new("wide");
-        let x = b.input("x", 1);
-        let o = b.not(x[0]);
-        b.output("o", &[o, x[0]]);
-        let m = b.finish();
-        let mut sim: WideSim<2> = WideSim::new(compile(&m));
-        let vs: Vec<u64> = (0..100).map(|v| v & 1).collect();
-        sim.try_set_lanes("x", &vs).unwrap();
-        sim.settle();
-        // Lanes past the 100 driven ones read x = 0, so o = 1 there: only
-        // the mask keeps them out of the image.
-        let odd = 0xAAAA_AAAA_AAAA_AAAAu64;
-        for lanes in [1usize, 63, 64, 65, 100] {
-            let (m0, m1) = (word_mask(0, lanes), word_mask(1, lanes));
-            assert_eq!(
-                sim.output_words(lanes),
-                vec![!odd & m0, !odd & m1, odd & m0, odd & m1],
-                "lanes={lanes}"
-            );
-        }
-    }
-
-    #[test]
     fn constants_occupy_dedicated_slots() {
         let mut b = NetlistBuilder::new("c");
         let x = b.input("x", 1);
@@ -1085,34 +996,8 @@ mod tests {
         let z = b.or(y, Signal::ZERO);
         b.output("z", &[z, Signal::ONE]);
         let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        sim.try_set_lanes("x", &[0, 1, 1, 0]).unwrap();
-        sim.settle();
+        let sim: WideSim<1> = settled(compile(&m), &column([0, 1, 1, 0]));
         assert_eq!(sim.lanes("z", 4), vec![0b10, 0b11, 0b11, 0b10]);
-    }
-
-    #[test]
-    fn packed_images_replay_like_set_lanes() {
-        let mut b = NetlistBuilder::new("add");
-        let x = b.input("x", 4);
-        let y = b.input("y", 4);
-        let s = crate::arith::add(&mut b, &x, &y);
-        b.output("s", &s);
-        let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        let vectors: Vec<Vec<u64>> = (0..16).map(|v| vec![v, (v * 3) % 16]).collect();
-        let image = sim.pack_vectors(&vectors);
-        sim.load_packed(&image);
-        sim.settle();
-        let via_packed = sim.lanes("s", 16);
-        let words = sim.output_words(16);
-        sim.try_set_lanes("x", &(0..16).collect::<Vec<u64>>())
-            .unwrap();
-        sim.try_set_lanes("y", &(0..16).map(|v| (v * 3) % 16).collect::<Vec<u64>>())
-            .unwrap();
-        sim.settle();
-        assert_eq!(via_packed, sim.lanes("s", 16));
-        assert_eq!(sim.output_words(16), words);
     }
 
     #[test]
@@ -1125,9 +1010,7 @@ mod tests {
         let out = b.xor(d[0], d[1]);
         b.output("o", &[out]);
         let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        sim.try_set_lanes("x", &[0, 1, 2, 3]).unwrap();
-        sim.settle();
+        let sim: WideSim<1> = settled(compile(&m), &column(0..4));
         let got = sim.lanes("o", 4);
         let mut scalar = Simulator::new(&m);
         for v in 0..4u64 {
@@ -1139,7 +1022,6 @@ mod tests {
     /// Settles `m` over `64·W` pseudo-random vectors and compares every
     /// output lane with the scalar simulator.
     fn matches_scalar<const W: usize>(m: &Module) {
-        let mut sim: WideSim<W> = WideSim::new(compile(m));
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let vectors: Vec<Vec<u64>> = (0..WideSim::<W>::LANES)
             .map(|_| {
@@ -1154,9 +1036,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let image = sim.try_pack_vectors(&vectors).unwrap();
-        sim.try_load_packed(&image).unwrap();
-        sim.settle();
+        let sim: WideSim<W> = settled(compile(m), &vectors);
         let wide: Vec<Vec<u64>> = m
             .outputs
             .iter()

@@ -7,15 +7,18 @@
 //! OR the differences) plus exhaustive or sampled proving on the compiled
 //! wide-lane kernel — the miter is compiled once into a shared
 //! [`CompiledNetlist`] tape and every [`WideSim`]`<4>` settle pass tries
-//! 256 input vectors. Vector spans are sharded across the [`exec`] pool
-//! in fixed-size blocks so the verdict (and any counter-example) is
-//! identical at every thread count; widening the settle chunk from 64 to
-//! 256 lanes subdivides spans differently but preserves the vector
-//! order, the per-span sample streams and the first-difference witness.
+//! 256 input vectors. Each chunk's stimulus is written straight into the
+//! kernel's packed input image, one lane block per input bit: bit `k` of
+//! the vector index when exhaustive, xorshift words from the span's seed
+//! stream when sampled; a counter-example is read back out of that
+//! image. Vector spans are sharded across the [`exec`] pool in
+//! fixed-size blocks so the verdict (and any counter-example) is
+//! identical at every thread count.
 //! A raw and an optimized netlist from one generator usually carry the
 //! same ROMs; the miter keeps one copy of each such pair.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::builder::NetlistBuilder;
@@ -239,46 +242,6 @@ fn instantiate<'m>(
     (outputs, emitted)
 }
 
-/// A full-width mask for a `w`-bit input port (`w = 64` must keep bit 63 —
-/// the original scalar checker's `w.min(63)` mask silently pinned it to
-/// 0, hiding any divergence confined to the top bit).
-fn width_mask(w: usize) -> u64 {
-    match w {
-        0 => 0,
-        1..=63 => (1u64 << w) - 1,
-        _ => u64::MAX,
-    }
-}
-
-/// One shared lane scratchpad: per-port lane value buffers, reused across
-/// chunks.
-struct LaneBuffer {
-    /// `per_port[p][lane]` is port `p`'s value under vector `lane`.
-    per_port: Vec<Vec<u64>>,
-}
-
-impl LaneBuffer {
-    fn new(n_ports: usize) -> Self {
-        LaneBuffer {
-            per_port: vec![vec![0u64; VERIFY_LANES]; n_ports],
-        }
-    }
-
-    /// Drives `sim` with the first `lanes` columns (ports are loaded by
-    /// declaration index — no name lookups in the chunk loop).
-    fn load(&self, sim: &mut WideSim<VERIFY_W>, lanes: usize) -> Result<(), SimError> {
-        for (p, col) in self.per_port.iter().enumerate() {
-            sim.try_set_port_lanes(p, &col[..lanes])?;
-        }
-        Ok(())
-    }
-
-    /// The input vector carried by `lane` (values per port, in order).
-    fn vector(&self, lane: usize) -> Vec<u64> {
-        self.per_port.iter().map(|col| col[lane]).collect()
-    }
-}
-
 /// Checks equivalence of two combinational modules on the compiled
 /// wide-lane kernel.
 ///
@@ -320,12 +283,13 @@ fn check_equivalence_inner(
     samples: usize,
 ) -> Result<Equivalence, SimError> {
     let m = miter(a, b)?;
-    let total_bits: u32 = m.inputs.iter().map(|p| p.width() as u32).sum();
+    let widths: Vec<usize> = m.inputs.iter().map(|p| p.width()).collect();
+    let total_bits: usize = widths.iter().sum();
 
     // One compilation, shared by every shard below.
     let compiled = Arc::new(CompiledNetlist::try_compile(&m)?);
-    if total_bits < 64 && total_bits <= exhaustive_limit {
-        prove(&compiled, 1u64 << total_bits, Vectors::Exhaustive)
+    if total_bits < 64 && total_bits <= exhaustive_limit as usize {
+        prove(&compiled, &widths, 1u64 << total_bits, Vectors::Exhaustive)
     } else {
         if total_bits >= 64 && exhaustive_limit >= 64 {
             eprintln!(
@@ -337,7 +301,7 @@ fn check_equivalence_inner(
         if samples == 0 {
             return Err(SimError::NoSamples { module: m.name });
         }
-        prove(&compiled, samples as u64, Vectors::Sampled)
+        prove(&compiled, &widths, samples as u64, Vectors::Sampled)
     }
 }
 
@@ -347,13 +311,13 @@ type Shard = Result<Option<Vec<u64>>, SimError>;
 /// Where a proof's input vectors come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Vectors {
-    /// Every packed vector `0..2^total_bits`: vector `v` gives the ports
-    /// consecutive bit fields of `v`, first port lowest.
+    /// Every vector `0..2^total_bits`: input bit `k` of vector `v` is bit
+    /// `k` of `v`, so the ports take consecutive bit fields of `v`, first
+    /// port lowest.
     Exhaustive,
-    /// Deterministic pseudo-random vectors: xorshift draws per (vector,
-    /// port), seeded per span by `exec::task_seed`. The stream is a
-    /// function of the vector index alone, so the chunk width does not
-    /// shift it.
+    /// Deterministic pseudo-random vectors: every lane word of every
+    /// driven image block is one xorshift draw from the span's
+    /// `exec::task_seed` stream.
     Sampled,
 }
 
@@ -365,23 +329,94 @@ impl Vectors {
             Vectors::Sampled => SAMPLE_SPAN,
         }
     }
+
+    /// Writes the input image of the chunk that starts at vector `base`
+    /// (a multiple of 64): block `k` is input bit `k`, port-major and
+    /// bit-minor, the order [`WideSim::try_load_packed`] takes. `driven`
+    /// holds each port's blocks below its bit 64; the blocks past them
+    /// stay zero, as a port value has 64 bits. `state` is the span's
+    /// xorshift stream.
+    fn fill(
+        self,
+        image: &mut [[u64; VERIFY_W]],
+        driven: &[Range<usize>],
+        base: u64,
+        state: &mut u64,
+    ) {
+        match self {
+            // Bit `k` of lane `64·w + j` is bit `k` of `j` below bit 6, a
+            // word of runs of `2^k` zeros then `2^k` ones, and bit `k` of
+            // `base + 64·w` from bit 6 on.
+            Vectors::Exhaustive => {
+                for (k, block) in image.iter_mut().enumerate() {
+                    for (w, word) in (0u64..).zip(block) {
+                        *word = if k < 6 {
+                            (u64::MAX / ((1 << (1 << k)) + 1)) << (1 << k)
+                        } else {
+                            0u64.wrapping_sub(((base + 64 * w) >> k) & 1)
+                        };
+                    }
+                }
+            }
+            Vectors::Sampled => {
+                for r in driven {
+                    for word in image[r.clone()].as_flattened_mut() {
+                        // xorshift64.
+                        *state ^= *state << 13;
+                        *state ^= *state >> 7;
+                        *state ^= *state << 17;
+                        *word = *state;
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Tries `count` vectors from `source` on the compiled miter, 256 lanes
-/// per settle, sharded over fixed spans. Exhaustive over all `count`
-/// packed vectors it is a proof; sampled it is a falsification attempt.
-/// The first counter-example in vector order wins at any thread count.
+/// Each input port's image blocks below its bit 64, for ports `widths`
+/// wide laid out port-major, bit-minor.
+fn driven_blocks(widths: &[usize]) -> Vec<Range<usize>> {
+    let mut offset = 0;
+    widths
+        .iter()
+        .map(|&w| {
+            offset += w;
+            offset - w..offset - w + w.min(64)
+        })
+        .collect()
+}
+
+/// The input vector that `lane` of `image` carries: one value per port,
+/// read back from the port's `driven` blocks.
+fn lane_vector(image: &[[u64; VERIFY_W]], driven: &[Range<usize>], lane: usize) -> Vec<u64> {
+    let bit = |block: &[u64; VERIFY_W]| (block[lane / 64] >> (lane % 64)) & 1;
+    let value = |r: &Range<usize>| {
+        (0..)
+            .zip(&image[r.clone()])
+            .fold(0, |v, (k, b)| v | bit(b) << k)
+    };
+    driven.iter().map(value).collect()
+}
+
+/// Tries `count` vectors from `source` on the compiled miter over input
+/// ports `widths` wide, 256 lanes per settle, sharded over fixed spans.
+/// Each chunk's input image is written directly, one block per input
+/// bit. Exhaustive over all `count` vectors it is a proof; sampled it is
+/// a falsification attempt. The first counter-example in vector order
+/// wins at any thread count.
 fn prove(
     compiled: &Arc<CompiledNetlist>,
+    widths: &[usize],
     count: u64,
     source: Vectors,
 ) -> Result<Equivalence, SimError> {
-    let widths: Vec<usize> = compiled.input_widths();
+    let bits: usize = widths.iter().sum();
+    let driven = driven_blocks(widths);
     let span_len = source.span();
     let spans: Vec<u64> = (0..count.div_ceil(span_len)).collect();
     let failures: Vec<Shard> = exec::parallel_map(&spans, |_, &span| {
         let mut sim: WideSim<VERIFY_W> = WideSim::new(Arc::clone(compiled));
-        let mut lanes = LaneBuffer::new(widths.len());
+        let mut image = vec![[0u64; VERIFY_W]; bits];
         let mut settles = 0u64;
         let mut lane_vectors = 0u64;
         // xorshift needs a nonzero state; task_seed(root, span) == 0 is a
@@ -393,32 +428,13 @@ fn prove(
         let mut witness = None;
         while base < end {
             let n = ((end - base) as usize).min(VERIFY_LANES);
-            for lane in 0..n {
-                let mut rest = base + lane as u64;
-                for (p, &w) in widths.iter().enumerate() {
-                    let value = match source {
-                        Vectors::Exhaustive => {
-                            let value = rest;
-                            rest >>= w;
-                            value
-                        }
-                        Vectors::Sampled => {
-                            // xorshift64.
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            state
-                        }
-                    };
-                    lanes.per_port[p][lane] = value & width_mask(w);
-                }
-            }
-            lanes.load(&mut sim, n)?;
+            source.fill(&mut image, &driven, base, &mut state);
+            sim.try_load_packed(&image)?;
             sim.settle();
             settles += 1;
             lane_vectors += n as u64;
             if let Some(lane) = first_diff_lane(&sim, n) {
-                witness = Some(lanes.vector(lane));
+                witness = Some(lane_vector(&image, &driven, lane));
                 break;
             }
             base += n as u64;
@@ -436,16 +452,13 @@ fn prove(
     })
 }
 
-/// Lowest lane (vector) whose `diff` output is raised, if any — the
-/// miter has a single 1-bit output, so its response image is exactly
-/// `VERIFY_W` lane words.
+/// Lowest of the first `lanes` lanes whose `diff` bit, the miter's one
+/// output bit, is raised, if any. Lanes past `lanes` hold no vector of
+/// the chunk and are ignored.
 fn first_diff_lane(sim: &WideSim<VERIFY_W>, lanes: usize) -> Option<usize> {
-    let words = sim.output_words(lanes);
-    words
-        .iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
+    let diff = sim.output_block(0, 0);
+    let (w, word) = diff.iter().enumerate().find(|(_, &word)| word != 0)?;
+    Some(w * 64 + word.trailing_zeros() as usize).filter(|&lane| lane < lanes)
 }
 
 #[cfg(test)]
@@ -638,6 +651,127 @@ mod tests {
                 exhaustive: true
             }
         );
+    }
+
+    /// A `WideSim` at the verify width over a module with input ports
+    /// `widths` wide and one output bit.
+    fn sim_over(widths: &[usize]) -> WideSim<VERIFY_W> {
+        let mut b = NetlistBuilder::new("ports");
+        let mut bits = vec![Signal::ZERO];
+        for (i, &w) in widths.iter().enumerate() {
+            bits.extend(b.input(format!("p{i}"), w));
+        }
+        let o = b.or_reduce(&bits);
+        b.output("diff", &[o]);
+        WideSim::new(Arc::new(CompiledNetlist::compile(&b.finish())))
+    }
+
+    /// `image` with every lane from `lanes` on cleared.
+    fn live(image: &[[u64; VERIFY_W]], lanes: usize) -> Vec<[u64; VERIFY_W]> {
+        let keep = |w: usize| match lanes.saturating_sub(64 * w) {
+            0 => 0,
+            n @ 1..=63 => (1u64 << n) - 1,
+            _ => u64::MAX,
+        };
+        image
+            .iter()
+            .map(|block| std::array::from_fn(|w| block[w] & keep(w)))
+            .collect()
+    }
+
+    #[test]
+    fn exhaustive_images_equal_packed_enumerations() {
+        let splits: [&[usize]; 7] = [&[1], &[5], &[6], &[7], &[3, 5], &[8, 1, 4], &[13]];
+        for widths in splits {
+            let sim = sim_over(widths);
+            let driven = driven_blocks(widths);
+            let bits: usize = widths.iter().sum();
+            let count = 1u64 << bits;
+            let chunk = VERIFY_LANES as u64;
+            let (middle, last) = (count / 2 / chunk * chunk, (count - 1) / chunk * chunk);
+            for base in [0, middle, last] {
+                let n = (count - base).min(chunk) as usize;
+                let vectors: Vec<Vec<u64>> = (base..base + n as u64)
+                    .map(|v| {
+                        let mut rest = v;
+                        widths
+                            .iter()
+                            .map(|&w| {
+                                let field = rest & ((1 << w) - 1);
+                                rest >>= w;
+                                field
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut image = vec![[0u64; VERIFY_W]; bits];
+                Vectors::Exhaustive.fill(&mut image, &driven, base, &mut 1);
+                let packed = sim.try_pack_vectors(&vectors).unwrap();
+                assert_eq!(live(&image, n), packed, "{widths:?} at {base}");
+                for (lane, vector) in vectors.iter().enumerate() {
+                    assert_eq!(&lane_vector(&image, &driven, lane), vector, "lane {lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_lanes_read_back_as_the_vectors_they_pack() {
+        let widths = [64, 3, 70, 1];
+        let driven = driven_blocks(&widths);
+        let mut image = vec![[0u64; VERIFY_W]; 138];
+        Vectors::Sampled.fill(&mut image, &driven, 0, &mut 7);
+        let vectors: Vec<Vec<u64>> = (0..VERIFY_LANES)
+            .map(|lane| lane_vector(&image, &driven, lane))
+            .collect();
+        assert_eq!(sim_over(&widths).try_pack_vectors(&vectors).unwrap(), image);
+        assert!(
+            image[131..137].iter().all(|b| *b == [0; VERIFY_W]),
+            "bits 64 and up of the 70-bit port stay zero"
+        );
+        assert!(image[..131].iter().all(|b| *b != [0; VERIFY_W]));
+    }
+
+    #[test]
+    fn a_module_without_input_bits_checks_one_vector() {
+        let build = |value: Signal| {
+            let mut b = NetlistBuilder::new("constant");
+            b.output("o", &[value, Signal::ONE]);
+            b.finish()
+        };
+        let (one, zero) = (build(Signal::ONE), build(Signal::ZERO));
+        assert_eq!(
+            check_equivalence(&one, &one, 0, 0),
+            Ok(Equivalence::Equivalent {
+                vectors: 1,
+                exhaustive: true
+            })
+        );
+        assert_eq!(
+            check_equivalence(&one, &zero, 0, 0),
+            Ok(Equivalence::CounterExample(vec![]))
+        );
+    }
+
+    #[test]
+    fn the_diff_read_ignores_lanes_past_the_chunk() {
+        // `diff = !x`: lanes the chunk drives carry x = 1, so only the
+        // lanes past them, left at x = 0, raise `diff`.
+        let mut b = NetlistBuilder::new("window");
+        let x = b.input("x", 1);
+        let o = b.not(x[0]);
+        b.output("diff", &[o]);
+        let mut sim: WideSim<VERIFY_W> =
+            WideSim::new(Arc::new(CompiledNetlist::compile(&b.finish())));
+        for lanes in [1usize, 63, 64, 65, 100, 255, 256] {
+            let image = sim.try_pack_vectors(&vec![vec![1]; lanes]).unwrap();
+            sim.try_load_packed(&image).unwrap();
+            sim.settle();
+            assert_eq!(first_diff_lane(&sim, lanes), None, "lanes={lanes}");
+            if lanes < VERIFY_LANES {
+                assert_eq!(first_diff_lane(&sim, lanes + 1), Some(lanes));
+            }
+        }
     }
 
     #[test]

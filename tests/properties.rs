@@ -288,10 +288,8 @@ fn wide_sim_matches_scalar_at_every_lane_count() {
         let mut narrow = compiled::<1>(&m);
         for lanes in 1usize..=64 {
             let vectors = gen::random_vectors(task_seed(seed, lanes as u64), &m, lanes);
-            for (p, port) in m.inputs.iter().enumerate() {
-                let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
-                narrow.try_set_lanes(&port.name, &column).unwrap();
-            }
+            let image = narrow.try_pack_vectors(&vectors).unwrap();
+            narrow.try_load_packed(&image).unwrap();
             narrow.settle();
             let got = lane_outputs(&narrow, &m, lanes);
             assert_eq!(
