@@ -51,6 +51,18 @@ impl Default for AnalogTreeConfig {
     }
 }
 
+/// Every field, in field order; the encoding keys as its variant name.
+impl cache::Hashable for AnalogTreeConfig {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        let AnalogTreeConfig { encoding, buffers } = *self;
+        h.write_str(match encoding {
+            ThresholdEncoding::PaperLinear => "paper-linear",
+            ThresholdEncoding::Calibrated => "calibrated",
+        });
+        h.write_bool(buffers);
+    }
+}
+
 /// A generated analog decision tree.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalogTree {

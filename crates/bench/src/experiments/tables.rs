@@ -200,6 +200,16 @@ pub fn table4() -> Vec<Table> {
     vec![t]
 }
 
+/// The conventional SVM engine of `spec` priced in every technology, in
+/// `Technology::ALL` order. Memoized under `core.conv_svm.ppa` and keyed
+/// by the spec, which is all the engine's netlist depends on, so a warm
+/// run neither generates nor prices Table V's 847k gates.
+pub fn conv_svm_ppa(spec: &SvmSpec) -> Vec<Ppa> {
+    cache::memo("core.conv_svm.ppa", spec, || {
+        price(&gen_svm(spec)).map(|(_, ppa)| ppa).collect()
+    })
+}
+
 /// Table V: conventional SVM engines at 4/8/12/16-bit widths.
 pub fn table5() -> Vec<Table> {
     let mut t = Table::new(
@@ -207,8 +217,8 @@ pub fn table5() -> Vec<Table> {
         &["svm", "tech", "latency", "area", "power", "gates"],
     );
     for width in [4usize, 8, 12, 16] {
-        let module = gen_svm(&SvmSpec::conventional(width));
-        for (tech, ppa) in price(&module) {
+        let priced = conv_svm_ppa(&SvmSpec::conventional(width));
+        for (tech, ppa) in Technology::ALL.into_iter().zip(priced) {
             let ((time, du), (area, au)) = units(tech);
             t.row(vec![
                 format!("SVM-{width}"),

@@ -18,7 +18,8 @@
 //!   is a single `memo(domain, &input, || compute(..))` call; with the
 //!   cache disabled it is just `compute()`. A stage is cached only when
 //!   its warm load (key, read, decode) is measured cheaper than its
-//!   compute, which is why netlist optimization and PPA are not.
+//!   compute: a priced design is, keyed by its model, while a stage
+//!   whose input is a netlist (optimization, PPA) is not.
 //!
 //! **Determinism contract.** A cache hit returns a value equal to what
 //! the compute closure would have produced: keys cover the complete

@@ -40,6 +40,20 @@ impl SvmSpec {
     }
 }
 
+/// Every field, in field order.
+impl cache::Hashable for SvmSpec {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        let SvmSpec {
+            width,
+            n_features,
+            n_boundaries,
+        } = *self;
+        h.write_usize(width);
+        h.write_usize(n_features);
+        h.write_usize(n_boundaries);
+    }
+}
+
 /// Generates the conventional SVM engine.
 ///
 /// Ports: `x{i}` feature inputs, `w{i}` coefficient-load inputs,

@@ -8,6 +8,7 @@
 
 use analog::tree::AnalogTreeConfig;
 use analog::{VariationError, VariationReport};
+use cache::Hashable;
 use ml::data::{Dataset, Standardizer};
 use ml::metrics::accuracy;
 use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
@@ -107,7 +108,7 @@ fn memo_with_test<K, M>(
     fit: impl FnOnce(&Dataset, &Dataset) -> M,
 ) -> (M, Dataset)
 where
-    K: cache::Hashable + ?Sized,
+    K: Hashable + ?Sized,
     M: Serialize + Deserialize + Clone + Send + Sync + 'static,
 {
     let mut split = None;
@@ -255,17 +256,25 @@ impl TreeFlow {
         }
     }
 
-    /// Prices `arch` in `tech`.
+    /// Prices `arch` in `tech`, memoized under `core.flow.tree_report`.
+    ///
+    /// The key is everything the report reads: its name, `tech`, `arch`
+    /// with its configuration, the depth and both quantized trees. The
+    /// fields are public, so a caller may swap a tree in; the flow's
+    /// `(app, depth, seed)` recipe alone would then serve a stale report.
     ///
     /// # Panics
     /// Panics if an analog architecture is requested in a non-EGT
     /// technology (the paper's analog designs are EGT-only).
     pub fn report(&self, arch: TreeArch, tech: Technology) -> DesignReport {
         let name = format!("{}-dt{}-{}", self.app.name(), self.depth, kind_tag(arch));
-        let design = self
-            .realize(arch)
-            .map_err(|config| analog_tree_report(&self.qt, config));
-        price(name, tech, design, self.cycles(arch))
+        let key = (&name, tech, arch, (self.depth, &self.qt, &self.conv_qt));
+        cache::memo("core.flow.tree_report", &key, || {
+            let design = self
+                .realize(arch)
+                .map_err(|config| analog_tree_report(&self.qt, config));
+            price(name.clone(), tech, design, self.cycles(arch))
+        })
     }
 }
 
@@ -294,6 +303,21 @@ fn price(
         Err(analog) => {
             assert_eq!(tech, Technology::Egt, "analog designs are EGT-only");
             DesignReport { name, ..analog }
+        }
+    }
+}
+
+/// An architecture keys as its tag, then its configuration's fields.
+impl Hashable for TreeArch {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        h.write_str(kind_tag(*self));
+        match self {
+            TreeArch::Lookup(config) => config.stable_hash(h),
+            TreeArch::Analog(config) => config.stable_hash(h),
+            TreeArch::ConventionalSerial
+            | TreeArch::ConventionalParallel
+            | TreeArch::BespokeSerial
+            | TreeArch::BespokeParallel => {}
         }
     }
 }
@@ -430,16 +454,21 @@ impl SvmFlow {
         }
     }
 
-    /// Prices `arch` in `tech`.
+    /// Prices `arch` in `tech`, memoized under `core.flow.svm_report`
+    /// and keyed by everything the report reads: its name, `tech`, `arch`
+    /// with its configuration, the quantized SVM and the feature count.
     ///
     /// # Panics
     /// Panics if [`SvmArch::Analog`] is requested outside EGT.
     pub fn report(&self, arch: SvmArch, tech: Technology) -> DesignReport {
         let name = format!("{}-svm-{}", self.app.name(), svm_tag(arch));
-        let design = self
-            .module(arch)
-            .ok_or_else(|| analog_svm_report(&self.qs, self.n_features));
-        price(name, tech, design, Self::CYCLES)
+        let key = (&name, tech, arch, &self.qs, self.n_features);
+        cache::memo("core.flow.svm_report", &key, || {
+            let design = self
+                .module(arch)
+                .ok_or_else(|| analog_svm_report(&self.qs, self.n_features));
+            price(name.clone(), tech, design, Self::CYCLES)
+        })
     }
 }
 
@@ -452,6 +481,17 @@ struct SvmModel {
     choice: WidthChoice,
     float_accuracy: f64,
     n_features: usize,
+}
+
+/// An architecture keys as its tag, then its configuration's fields.
+impl Hashable for SvmArch {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        h.write_str(svm_tag(*self));
+        match self {
+            SvmArch::Lookup(config) => config.stable_hash(h),
+            SvmArch::Conventional | SvmArch::Bespoke | SvmArch::Analog => {}
+        }
+    }
 }
 
 fn svm_tag(arch: SvmArch) -> &'static str {

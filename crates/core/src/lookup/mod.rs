@@ -56,6 +56,18 @@ impl LookupConfig {
     }
 }
 
+/// Every field, in field order.
+impl cache::Hashable for LookupConfig {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        let LookupConfig {
+            eliminate_constant_columns,
+            bespoke_dots,
+        } = *self;
+        h.write_bool(eliminate_constant_columns);
+        h.write_bool(bespoke_dots);
+    }
+}
+
 /// Emits a ROM for `contents`, applying the configured optimizations, and
 /// returns the full `bits`-wide output (constant columns come back as
 /// [`Signal::Const`], which downstream optimization folds).

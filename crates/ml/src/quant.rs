@@ -283,6 +283,35 @@ impl QuantizedTree {
     }
 }
 
+/// A tree keys as its node list, class count and width, in field order.
+/// The nodes go through one [`cache::StableHasher::write_words`] pass, a
+/// variant word and then the variant's fields per node, at about a cycle
+/// per word.
+impl cache::Hashable for QuantizedTree {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        let QuantizedTree {
+            nodes,
+            n_classes,
+            bits,
+        } = self;
+        h.write_seq_len(nodes.len());
+        h.write_words(nodes.iter().flat_map(|node| {
+            let (words, len) = match *node {
+                QNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => ([0, feature as u64, threshold, left as u64, right as u64], 5),
+                QNode::Leaf { class } => ([1, class as u64, 0, 0, 0], 2),
+            };
+            words.into_iter().take(len)
+        }));
+        h.write_usize(*n_classes);
+        h.write_usize(*bits);
+    }
+}
+
 /// Integer SVM regressor in positive/negative-sum form.
 ///
 /// The real decision function `w·x + b` is folded through the feature
@@ -405,6 +434,30 @@ impl QuantizedSvm {
     /// Number of multiplies per inference (non-zero integer coefficients).
     pub fn mac_count(&self) -> usize {
         self.pos_terms.len() + self.neg_terms.len()
+    }
+}
+
+/// An SVM keys as its positive terms, negative terms and boundaries (one
+/// [`cache::StableHasher::write_words`] pass, each list's length first),
+/// then its class count and width: every field, in field order.
+impl cache::Hashable for QuantizedSvm {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        fn terms(terms: &[(usize, u64)]) -> impl Iterator<Item = u64> + '_ {
+            std::iter::once(terms.len() as u64)
+                .chain(terms.iter().flat_map(|&(f, m)| [f as u64, m]))
+        }
+        let QuantizedSvm {
+            pos_terms,
+            neg_terms,
+            boundaries,
+            n_classes,
+            bits,
+        } = self;
+        let boundaries =
+            std::iter::once(boundaries.len() as u64).chain(boundaries.iter().map(|&b| b as u64));
+        h.write_words(terms(pos_terms).chain(terms(neg_terms)).chain(boundaries));
+        h.write_usize(*n_classes);
+        h.write_usize(*bits);
     }
 }
 

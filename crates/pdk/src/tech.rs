@@ -52,6 +52,13 @@ impl Technology {
     }
 }
 
+/// A technology keys as its name.
+impl cache::Hashable for Technology {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        h.write_str(self.name());
+    }
+}
+
 impl fmt::Display for Technology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())

@@ -18,7 +18,8 @@
 use std::path::Path;
 
 use printed_ml::cache;
-use printed_ml::core::flow::{ForestFlow, SvmFlow, TreeArch, TreeFlow};
+use printed_ml::core::conventional::svm::SvmSpec;
+use printed_ml::core::flow::{ForestFlow, SvmArch, SvmFlow, TreeArch, TreeFlow};
 use printed_ml::ml::data::Dataset;
 use printed_ml::ml::linear::{LogisticRegression, SvmClassifier};
 use printed_ml::ml::mlp::{Mlp, MlpParams};
@@ -51,10 +52,13 @@ fn listing(root: &Path) -> Vec<String> {
 }
 
 const PINNED: &[&str] = &[
+    "core.conv_svm.ppa/6f2b38e30c687381a222a95ed182f607.json",
     "core.flow.forest/4f018266824485cb3dd0838155024769.json",
     "core.flow.svm/63a339c541452297e6857ed4c275ca0e.json",
+    "core.flow.svm_report/1e2652c667582408e3b5264896e1bc41.json",
     "core.flow.test/2c4afe445ab0416a8723bb6690e9e5e7.json",
     "core.flow.tree/06a11f2d3d4bb1cde153f4ba93dd0d17.json",
+    "core.flow.tree_report/54eacda8a2b1ec57dc2ac7febdae8d9d.json",
     "ml.forest.fit/425267bc396064dc6fe615cab16396b1.json",
     "ml.lr.fit/06ac177285786523685cc0ad26d49fc3.json",
     "ml.mlp.fit/e8a1e3077e9f36cbd315d43674149eeb.json",
@@ -72,12 +76,13 @@ fn every_cached_domain_keeps_its_key() {
     cache::set_enabled(true);
 
     // The flows, which also fire ml.tree.fit, ml.svm.fit and
-    // ml.forest.fit underneath. Optimizing and pricing a design (here
-    // and at the end) must add no entry: those stages are not memoized.
+    // ml.forest.fit underneath, one report of each flow kind, and one of
+    // Table V's conventional SVM widths.
     let tree = TreeFlow::new(Application::Har, 2, 7);
     tree.report(TreeArch::BespokeParallel, Technology::Egt);
-    SvmFlow::new(Application::Har, 7);
+    SvmFlow::new(Application::Har, 7).report(SvmArch::Bespoke, Technology::Egt);
     ForestFlow::new(Application::Har, 2, 7);
+    bench::experiments::tables::conv_svm_ppa(&SvmSpec::conventional(4));
 
     // The remaining trainers, on fixed toy data.
     let data = toy();
@@ -90,6 +95,10 @@ fn every_cached_domain_keeps_its_key() {
         seed: 7,
     };
     Mlp::fit(&data, &mlp);
+    // Flow reports and Table V's pricing are memoized, keyed by the
+    // model or spec they are built from. `optimize` and `analyze` of a
+    // bare netlist are not, since keying a netlist costs more than
+    // redoing either: this call must add no entry.
     let module = tree.module(TreeArch::BespokeParallel).expect("digital");
     analyze(&module, &CellLibrary::for_technology(Technology::CntTft));
 
