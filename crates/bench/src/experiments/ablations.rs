@@ -6,12 +6,12 @@
 use analog::comparator::ThresholdEncoding;
 use analog::tree::{AnalogTree, AnalogTreeConfig};
 use ml::metrics::accuracy;
-use ml::quant::{FeatureQuantizer, QuantizedTree};
+use ml::quant::{FeatureQuantizer, QuantizedForest, QuantizedTree};
 use ml::synth::Application;
 use ml::tree::{DecisionTree, TreeParams};
 use netlist::arith::{const_multiply, multiply};
 use netlist::builder::NetlistBuilder;
-use netlist::{analyze, analyze_all, optimize};
+use netlist::{analyze, analyze_all, optimize, Ppa};
 use pdk::rom::RomStyle;
 use pdk::{CellLibrary, FabModel, Technology};
 use printed_core::bespoke::bespoke_parallel;
@@ -209,17 +209,24 @@ pub fn ablation_rom_style() -> Table {
     t
 }
 
+/// One bespoke forest engine generated and priced in EGT, memoized under
+/// `core.forest.ppa` and keyed by the quantized forest and technology,
+/// never by its netlist.
+pub fn forest_ppa(qf: &QuantizedForest) -> Ppa {
+    cache::memo("core.forest.ppa", &(qf, Technology::Egt), || {
+        analyze(&bespoke_forest(qf), &egt())
+    })
+}
+
 /// Random-forest scaling: ensemble size vs accuracy and engine cost — the
 /// paper's "RFs allow tunable accuracy-cost tradeoffs" (§III), now with
 /// actual generated hardware.
 pub fn ablation_forest_scaling() -> Table {
     use ml::forest::{ForestParams, RandomForest};
-    use ml::quant::QuantizedForest;
     let mut t = Table::new(
         "Ablation: bespoke random-forest engines (pendigits, EGT)",
         &["trees", "accuracy", "gates", "area", "power"],
     );
-    let lib = egt();
     let (train, test) = Application::Pendigits.split(SEED);
     let fq = FeatureQuantizer::fit(&train, 8);
     let rf8 = RandomForest::fit(&train, ForestParams::paper(8));
@@ -231,12 +238,11 @@ pub fn ablation_forest_scaling() -> Table {
             test.y.iter().copied(),
         )
         .expect("predictions align with test labels");
-        let module = bespoke_forest(&qf);
-        let ppa = analyze(&module, &lib);
+        let ppa = forest_ppa(&qf);
         t.row(vec![
             n.to_string(),
             fmt3(acc),
-            module.gate_count().to_string(),
+            ppa.gate_count.to_string(),
             format!("{}", ppa.area),
             format!("{}", ppa.power),
         ]);

@@ -51,8 +51,8 @@ pub struct VerifyReport {
     pub equivalence: Vec<SignoffRecord>,
     /// Fault-grading outcomes.
     pub fault_grading: Vec<FaultGradeRecord>,
-    /// Sign-off checks that did **not** pass (counter-example or port
-    /// mismatch).
+    /// Sign-off checks that did **not** pass (counter-example, port
+    /// mismatch, or a check that could not run).
     pub counter_examples: usize,
     /// Aggregate equivalence throughput (total vectors / total seconds).
     pub vectors_per_sec: f64,
@@ -72,6 +72,7 @@ fn status_cell(status: &SignoffStatus) -> String {
         SignoffStatus::Pass => "pass".into(),
         SignoffStatus::CounterExample(v) => format!("COUNTER-EXAMPLE {v:?}"),
         SignoffStatus::PortMismatch(msg) => format!("PORT-MISMATCH: {msg}"),
+        SignoffStatus::Unchecked(msg) => format!("UNCHECKED: {msg}"),
     }
 }
 

@@ -12,14 +12,17 @@
 //!   encodings (dataset contents, model parameters, gate-level
 //!   modules), independent of process, platform and `std::hash`
 //!   randomization;
-//! * [`memo`] ([`store`]) — the one entry point: a two-tier store
+//! * [`memo`] ([`store`]) — the entry point: a two-tier store
 //!   (in-process memo map + on-disk JSON under `bench/out/cache/cache-v1/`,
 //!   via the in-repo serde shims) keyed by those hashes. A cached stage
 //!   is a single `memo(domain, &input, || compute(..))` call; with the
 //!   cache disabled it is just `compute()`. A stage is cached only when
 //!   its warm load (key, read, decode) is measured cheaper than its
 //!   compute: a priced design is, keyed by its model, while a stage
-//!   whose input is a netlist (optimization, PPA) is not.
+//!   whose input is a netlist (optimization, PPA) is not. [`share`]
+//!   is its memory-only sibling: one slot per key and process, never
+//!   written to disk, for values that regenerate faster than they
+//!   decode (the generated datasets).
 //!
 //! **Determinism contract.** A cache hit returns a value equal to what
 //! the compute closure would have produced: keys cover the complete
@@ -50,5 +53,5 @@ pub const SCHEMA: &str = "cache-v1";
 pub use hash::{key_for, key_for_serialized, Hashable, Key, StableHasher};
 pub use store::{
     clear, clear_memory, default_disk_root, disk_root, disk_stats, enable_default, enabled, memo,
-    set_disk_root, set_enabled, DomainStats,
+    set_disk_root, set_enabled, share, DomainStats,
 };

@@ -6,10 +6,11 @@
 //! written through the in-repo serde shims) that lets a later process
 //! skip the work entirely.
 //!
-//! [`memo`] is the one entry point: every cached pipeline stage is a
-//! single `memo(domain, &input, || compute(..))` call. The store is
-//! **off by default**: unless a binary opted in via [`set_enabled`],
-//! `memo` is a pass-through.
+//! [`memo`] is the entry point: every cached pipeline stage is a
+//! single `memo(domain, &input, || compute(..))` call. [`share`] is its
+//! memory-only sibling, for values that regenerate faster than they
+//! decode. The store is **off by default**: unless a binary opted in
+//! via [`set_enabled`], both are pass-throughs.
 //!
 //! Correctness stance: keys are full content hashes (see
 //! [`crate::hash`]), values round-trip exactly through the serde shims
@@ -128,6 +129,44 @@ where
     T: serde::Serialize + serde::Deserialize + Clone + Send + Sync + 'static,
     F: FnOnce() -> T,
 {
+    single_flight(domain, input, compute, |key, compute| {
+        load_or_compute(domain, key, compute)
+    })
+}
+
+/// [`memo`] in the memory tier only: the same single-flight slot, filled
+/// by `compute()` itself. Nothing is read from or written to disk, a
+/// fill is not counted in `cache.misses`, and [`clear_memory`] drops
+/// the entry. With the cache disabled it is just `compute()`.
+///
+/// For values cheaper to recompute than to decode (a generated dataset
+/// regenerates two to three times faster than its JSON parses), and for
+/// keys that name a recipe rather than the content it reads: since no
+/// later process can be served the entry, a changed producer can never
+/// return a stale value.
+pub fn share<I, T, F>(domain: &'static str, input: &I, compute: F) -> T
+where
+    I: Hashable + ?Sized,
+    T: Clone + Send + Sync + 'static,
+    F: FnOnce() -> T,
+{
+    single_flight(domain, input, compute, |_, compute| compute())
+}
+
+/// The memory tier behind [`memo`] and [`share`]: `compute()` when the
+/// cache is off, else the `(domain, key)` slot, filled once by
+/// `fill(key, compute)`.
+fn single_flight<I, T, F>(
+    domain: &'static str,
+    input: &I,
+    compute: F,
+    fill: impl FnOnce(Key, F) -> T,
+) -> T
+where
+    I: Hashable + ?Sized,
+    T: Clone + Send + Sync + 'static,
+    F: FnOnce() -> T,
+{
     if !enabled() {
         return compute();
     }
@@ -143,7 +182,7 @@ where
     let value = cell
         .get_or_init(|| {
             filled = true;
-            load_or_compute(domain, key, compute)
+            fill(key, compute)
         })
         .clone();
     if !filled {
@@ -426,6 +465,107 @@ mod tests {
             1,
             "the second caller recomputed"
         );
+    }
+
+    #[test]
+    fn shared_entries_never_touch_the_disk_tier() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        let root = temp_root("share_disk");
+        set_enabled(true);
+        set_disk_root(Some(root.clone()));
+        clear_memory();
+        let _: u64 = memo("test.share_disk.stored", "stored", || 1);
+        let before = disk_stats();
+        assert!(before.is_some());
+        let v: Vec<u64> = share("test.share_disk", "shared", || vec![4, 5]);
+        assert_eq!(v, vec![4, 5]);
+        assert_eq!(disk_stats(), before, "a shared entry reached the disk");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_sharers_of_one_key_compute_it_once() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        set_enabled(true);
+        set_disk_root(None);
+        clear_memory();
+        let calls = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        share("test.share_flight", "flight", || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(100));
+                            vec![1, 2, 3]
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(results, vec![vec![1, 2, 3]; 2]);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "the second sharer recomputed"
+        );
+    }
+
+    #[test]
+    fn a_memory_clear_drops_shared_entries() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        set_enabled(true);
+        set_disk_root(None);
+        clear_memory();
+        let mut calls = 0;
+        let mut call = || {
+            share("test.share_clear", "clear", || {
+                calls += 1;
+                calls
+            })
+        };
+        assert_eq!(call(), 1);
+        assert_eq!(call(), 1);
+        clear_memory();
+        assert_eq!(call(), 2, "a cleared entry was served");
+    }
+
+    #[test]
+    fn disabled_sharing_always_computes_without_hashing() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        set_enabled(false);
+        let mut calls = 0;
+        for _ in 0..3 {
+            let v: u64 = share("test.share_disabled", &Unhashable, || {
+                calls += 1;
+                42
+            });
+            assert_eq!(v, 42);
+        }
+        assert_eq!(calls, 3);
+    }
+
+    #[test]
+    fn shared_fills_are_not_misses() {
+        let _lock = LOCK.lock().unwrap();
+        let _restore = Restore;
+        set_enabled(true);
+        set_disk_root(None);
+        clear_memory();
+        let misses = MISSES.get();
+        for key in ["a", "b", "a"] {
+            let _: String = share("test.share_misses", key, || key.to_string());
+        }
+        assert_eq!(MISSES.get(), misses, "a shared fill counted as a miss");
+        let _: u64 = memo("test.share_misses.memo", "memo", || 3);
+        assert_eq!(MISSES.get(), misses + 1, "a memo miss went uncounted");
     }
 
     #[test]

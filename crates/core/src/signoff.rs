@@ -8,12 +8,12 @@
 //! structural generator output, before [`netlist::optimize`] and ROM
 //! folding), and the lookup tree is additionally cross-checked against
 //! the bespoke tree — two independent generators that must implement the
-//! same trained model. Port-shape mismatches are *reported* (not
-//! panicked) so one bad architecture cannot abort a whole reproduction
-//! run.
+//! same trained model. Port-shape mismatches and checks that cannot run
+//! are *reported* (not panicked) so one bad architecture cannot abort a
+//! whole reproduction run.
 
 use exec::time;
-use netlist::{check_equivalence, Equivalence, Module};
+use netlist::{check_equivalence, Equivalence, Module, SimError};
 use serde::Serialize;
 
 use crate::bespoke::{bespoke_parallel, bespoke_parallel_raw, bespoke_svm, bespoke_svm_raw};
@@ -31,6 +31,10 @@ pub enum SignoffStatus {
     CounterExample(Vec<u64>),
     /// The two netlists do not even share a port shape.
     PortMismatch(String),
+    /// The check could not run for another reason (a sequential or
+    /// invalid module, or a sampled check given no samples): the pair is
+    /// not verified.
+    Unchecked(String),
 }
 
 /// One timed equivalence check of the sign-off stage.
@@ -53,8 +57,9 @@ pub struct SignoffRecord {
 }
 
 impl SignoffRecord {
-    /// True unless a counter-example was found. A port mismatch also
-    /// counts as a failure — the architectures could not be compared.
+    /// True only for [`SignoffStatus::Pass`]. A port mismatch or an
+    /// unchecked pair also counts as a failure: the architectures were
+    /// not shown equivalent.
     pub fn passed(&self) -> bool {
         matches!(self.status, SignoffStatus::Pass)
     }
@@ -84,7 +89,10 @@ pub fn signoff_pair(
             exhaustive,
         }) => (SignoffStatus::Pass, exhaustive, vectors),
         Ok(Equivalence::CounterExample(v)) => (SignoffStatus::CounterExample(v), false, 0),
-        Err(err) => (SignoffStatus::PortMismatch(err.to_string()), false, 0),
+        Err(err @ (SimError::PortCount { .. } | SimError::PortShape { .. })) => {
+            (SignoffStatus::PortMismatch(err.to_string()), false, 0)
+        }
+        Err(err) => (SignoffStatus::Unchecked(err.to_string()), false, 0),
     };
     SignoffRecord {
         design: design.to_string(),
@@ -226,5 +234,44 @@ mod tests {
         b2.output("o", &[y[0]]);
         let r = signoff_pair("t", "a vs b", &b1.finish(), &b2.finish(), 8, 0);
         assert!(matches!(r.status, SignoffStatus::PortMismatch(_)));
+    }
+
+    #[test]
+    fn sequential_pairs_are_unchecked_not_mismatched() {
+        use netlist::NetlistBuilder;
+        let build = || {
+            let mut b = NetlistBuilder::new("seq");
+            let x = b.input("x", 1);
+            let q = b.dff(x[0], false);
+            b.output("q", &[q]);
+            b.finish()
+        };
+        let r = signoff_pair("t", "a vs b", &build(), &build(), 8, 16);
+        assert!(!r.passed());
+        match &r.status {
+            SignoffStatus::Unchecked(msg) => assert!(msg.contains("sequential"), "{msg}"),
+            other => panic!("want Unchecked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_sampled_check_without_samples_is_unchecked() {
+        use netlist::NetlistBuilder;
+        let build = || {
+            let mut b = NetlistBuilder::new("wide");
+            let x = b.input("x", 12);
+            let t = b.const_word(100, 12);
+            let le = netlist::comb::unsigned_le(&mut b, &x, &t);
+            b.output("le", &[le]);
+            b.finish()
+        };
+        let r = signoff_pair("t", "a vs b", &build(), &build(), 8, 0);
+        assert!(!r.passed());
+        assert_eq!(r.vectors, 0);
+        assert!(
+            matches!(r.status, SignoffStatus::Unchecked(_)),
+            "{:?}",
+            r.status
+        );
     }
 }

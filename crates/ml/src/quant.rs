@@ -528,6 +528,19 @@ impl QuantizedForest {
     }
 }
 
+impl cache::Hashable for QuantizedForest {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        let QuantizedForest {
+            trees,
+            n_classes,
+            bits,
+        } = self;
+        trees.stable_hash(h);
+        h.write_usize(*n_classes);
+        h.write_usize(*bits);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 
+/// Datasets generated ([`Application::generate`] calls).
+static DATASETS: obs::Counter = obs::Counter::new("ml.synth.datasets");
+
 /// The seven benchmark applications of the paper (§III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Application {
@@ -149,6 +152,7 @@ impl Application {
     /// Deterministic in `seed`; the benchmark harness uses seed 7 for every
     /// reproduction run.
     pub fn generate(self, seed: u64) -> Dataset {
+        DATASETS.incr();
         let p = self.profile();
         let mut rng = StdRng::seed_from_u64(seed ^ hash_name(self.name()));
         if p.ordinal {
@@ -160,8 +164,16 @@ impl Application {
 
     /// The paper's data protocol: the dataset of `seed` split 70/30 into
     /// train and test, with split seed 42.
+    ///
+    /// With the cache on, each `(application, seed)` is generated once per
+    /// process and shared from memory (`ml.synth.split`): regenerating is
+    /// two to three times faster than decoding a stored split, so it never
+    /// goes to disk, which also makes its recipe key safe across generator
+    /// changes.
     pub fn split(self, seed: u64) -> (Dataset, Dataset) {
-        self.generate(seed).split(0.7, 42)
+        cache::share("ml.synth.split", &(self.name(), seed), || {
+            self.generate(seed).split(0.7, 42)
+        })
     }
 }
 

@@ -59,6 +59,7 @@ const PINNED: &[&str] = &[
     "core.flow.test/2c4afe445ab0416a8723bb6690e9e5e7.json",
     "core.flow.tree/06a11f2d3d4bb1cde153f4ba93dd0d17.json",
     "core.flow.tree_report/54eacda8a2b1ec57dc2ac7febdae8d9d.json",
+    "core.forest.ppa/18fec0175eba69f3e434ca16bc639062.json",
     "ml.forest.fit/425267bc396064dc6fe615cab16396b1.json",
     "ml.lr.fit/06ac177285786523685cc0ad26d49fc3.json",
     "ml.mlp.fit/e8a1e3077e9f36cbd315d43674149eeb.json",
@@ -76,13 +77,14 @@ fn every_cached_domain_keeps_its_key() {
     cache::set_enabled(true);
 
     // The flows, which also fire ml.tree.fit, ml.svm.fit and
-    // ml.forest.fit underneath, one report of each flow kind, and one of
-    // Table V's conventional SVM widths.
+    // ml.forest.fit underneath, one report of each flow kind, one of
+    // Table V's conventional SVM widths and one priced forest engine.
     let tree = TreeFlow::new(Application::Har, 2, 7);
     tree.report(TreeArch::BespokeParallel, Technology::Egt);
     SvmFlow::new(Application::Har, 7).report(SvmArch::Bespoke, Technology::Egt);
-    ForestFlow::new(Application::Har, 2, 7);
+    let forest = ForestFlow::new(Application::Har, 2, 7);
     bench::experiments::tables::conv_svm_ppa(&SvmSpec::conventional(4));
+    bench::experiments::ablations::forest_ppa(&forest.qf);
 
     // The remaining trainers, on fixed toy data.
     let data = toy();
@@ -95,8 +97,9 @@ fn every_cached_domain_keeps_its_key() {
         seed: 7,
     };
     Mlp::fit(&data, &mlp);
-    // Flow reports and Table V's pricing are memoized, keyed by the
-    // model or spec they are built from. `optimize` and `analyze` of a
+    // Flow reports, Table V's pricing and the forest-scaling ablation's
+    // engines are memoized, keyed by the model or spec they are built
+    // from. `optimize` and `analyze` of a
     // bare netlist are not, since keying a netlist costs more than
     // redoing either: this call must add no entry.
     let module = tree.module(TreeArch::BespokeParallel).expect("digital");
